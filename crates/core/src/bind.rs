@@ -31,7 +31,9 @@ pub struct RuleBinding {
     /// Event per document under which the document matches the preference.
     /// Documents absent from the map match with event `False`. Shared with
     /// the reasoner's sub-concept cache — rules with the same preference
-    /// concept share one map.
+    /// concept share one map, and bindings handed out by a
+    /// [`crate::BindingCache`] share it across users too (the view does
+    /// not depend on who asks).
     pub preference_events: Arc<BTreeMap<IndividualId, EventExpr>>,
     /// The rule's σ.
     pub sigma: f64,

@@ -1,7 +1,8 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use capra_dl::{parse_concept, ABox, Concept, IndividualId, Reasoner, TBox, Vocabulary};
+use capra_dl::{parse_concept, ABox, Concept, IndividualId, Reasoner, TBox, ViewCache, Vocabulary};
 use capra_events::{EventExpr, Universe, VarId};
 
 use crate::Result;
@@ -42,6 +43,10 @@ pub struct Kb {
     /// Next suffix to try per fresh-variable base name, so minting stays
     /// amortised O(1) under repeated assertions of the same fact shape.
     fresh_suffix: HashMap<String, u32>,
+    /// Concept views derived from this KB's history so far (see
+    /// [`Kb::views`]). Tied to the identity: fresh and empty wherever `id`
+    /// is fresh, shared wherever `id` is kept.
+    views: Arc<ViewCache>,
 }
 
 impl Default for Kb {
@@ -53,6 +58,7 @@ impl Default for Kb {
             tbox: TBox::default(),
             id: fresh_kb_id(),
             fresh_suffix: HashMap::new(),
+            views: Arc::default(),
         }
     }
 }
@@ -60,7 +66,8 @@ impl Default for Kb {
 impl Clone for Kb {
     /// Clones the knowledge base under a **fresh identity** (see [`Kb::id`]):
     /// the clone can be mutated independently, so caches keyed by the
-    /// original's `(id, epoch)` must not accept it.
+    /// original's `(id, epoch)` must not accept it — and it starts with no
+    /// derived views of its own.
     fn clone(&self) -> Self {
         Self {
             voc: self.voc.clone(),
@@ -69,6 +76,7 @@ impl Clone for Kb {
             tbox: self.tbox.clone(),
             id: fresh_kb_id(),
             fresh_suffix: self.fresh_suffix.clone(),
+            views: Arc::default(),
         }
     }
 }
@@ -88,7 +96,8 @@ impl Kb {
     /// successor (this clone, mutated then published) replaces it. Readers
     /// then observe one linear `(id, epoch)` history — exactly as if a
     /// single owned KB had been mutated in place — so every cache keyed by
-    /// `(id, epoch)` or `(id, binding_epoch)` stays valid across the swap.
+    /// `(id, epoch)` or `(id, binding_epoch)` stays valid across the swap,
+    /// and the clone shares the original's derived views ([`Kb::views`]).
     /// Using this outside a serialized clone → mutate → publish chain forks
     /// the epoch history of one id and corrupts those caches.
     pub(crate) fn clone_for_publish(&self) -> Self {
@@ -99,6 +108,7 @@ impl Kb {
             tbox: self.tbox.clone(),
             id: self.id,
             fresh_suffix: self.fresh_suffix.clone(),
+            views: Arc::clone(&self.views),
         }
     }
 
@@ -118,8 +128,10 @@ impl Kb {
     /// The part of [`Kb::epoch`] that can invalidate rule bindings: ABox and
     /// TBox mutations. Universe declarations are append-only (existing
     /// variables and probabilities never change), so adding one cannot
-    /// change what an already-derived binding means — staleness is a single
-    /// integer compare against this counter.
+    /// change what an already-derived binding means — while this counter
+    /// stands still, validity is a single integer compare. Once it has
+    /// moved, [`capra_dl::ABox::stamp`] says whether a given concept's
+    /// tables did.
     pub fn binding_epoch(&self) -> u64 {
         self.abox.epoch() + self.tbox.epoch()
     }
@@ -209,9 +221,22 @@ impl Kb {
         self.abox.assert_role(src, r, dst, event);
     }
 
-    /// A reasoner over this KB (TBox-aware).
+    /// A reasoner over this KB (TBox-aware). Cold: it shares nothing with
+    /// earlier or later reasoners, which is what makes [`crate::bind_rules`]
+    /// the oracle the caching paths are checked against.
     pub fn reasoner(&self) -> Reasoner<'_> {
         Reasoner::with_tbox(&self.abox, &self.tbox)
+    }
+
+    /// The concept views derived so far along this KB's `(id, epoch)`
+    /// history — one per distinct (sub-)concept of the bound rules, shared
+    /// by every [`crate::BindingCache`] that binds against it: a preference
+    /// view does not depend on who asks. Reasoners built with
+    /// [`Reasoner::with_views`] validate each view against their own ABox
+    /// state, so a holder of an older snapshot in the publish chain never
+    /// reads a newer view.
+    pub(crate) fn views(&self) -> &ViewCache {
+        &self.views
     }
 
     fn fresh_var(&mut self, base: &str, p: f64) -> Result<VarId> {

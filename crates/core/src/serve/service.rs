@@ -36,7 +36,7 @@ use std::sync::{Arc, Mutex};
 use capra_dl::{Concept, IndividualId, Vocabulary};
 use capra_events::EvictionPolicy;
 
-use crate::bind::{bind_rules_shared, RuleBinding};
+use crate::bind::RuleBinding;
 use crate::engines::{rank, DocScore, EvalScratch, ScoringConfig, ScoringEngine};
 use crate::multiuser::{group_scores, GroupStrategy};
 use crate::parallel::{
@@ -108,7 +108,7 @@ impl SharedSnapshot {
     }
 
     /// The binding epoch of the snapshot's KB (ABox + TBox movements) —
-    /// what the binding caches validate against.
+    /// while it stands still, every cached binding is valid as it is.
     pub fn binding_epoch(&self) -> u64 {
         self.kb.binding_epoch()
     }
@@ -251,16 +251,9 @@ impl std::iter::Sum for ServiceStats {
     }
 }
 
-/// What the parallel group fan-out hands back to the read-through pass.
-#[derive(Default)]
-struct GroupFanout {
-    /// Scores computed off-thread: member → document → σ.
-    scores: HashMap<IndividualId, HashMap<IndividualId, f64>>,
-    /// Bindings derived off-thread for members whose binding cache was
-    /// stale; seeded back into the member's tenant before their counting
-    /// read-through so the sequential pass never re-derives them.
-    bindings: HashMap<IndividualId, Vec<Arc<RuleBinding>>>,
-}
+/// What the parallel group fan-out hands back to the read-through pass:
+/// scores computed off-thread, member → document → σ.
+type GroupFanout = HashMap<IndividualId, HashMap<IndividualId, f64>>;
 
 /// Translates a [`Fact`] into its WAL operation, resolving IDs back to
 /// names so the record is stable across restarts.
@@ -516,9 +509,8 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                 rules: &rules,
                 user,
             };
-            let bindings = bind_rules_shared(&env);
             self.tenants
-                .with_session(user, |tenant| tenant.bindings.seed(&env, &bindings));
+                .with_session(user, |tenant| tenant.bindings.bind(&env));
         }
         *self.published.get_mut().expect("published lock poisoned") = SharedSnapshot {
             kb: Arc::new(kb),
@@ -840,10 +832,14 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// Asserts a typed [`Fact`] — the context-switch path. Bumps the KB's
-    /// binding epoch, so every tenant's stale bindings (and only those)
-    /// re-derive on their next request. A rejected fact (e.g. an invalid
-    /// probability) mutates nothing, does not count toward
-    /// [`ServiceStats::asserts`], and is never logged.
+    /// binding epoch and the version of the one table the fact lands in,
+    /// so on their next request tenants re-check only the rules that read
+    /// that table (see [`crate::BindingCache`]): a fact about a user
+    /// re-binds that user's rules and nobody else's, a fact about a
+    /// document re-derives the preference views over it once for all
+    /// tenants. A rejected fact (e.g. an invalid probability) mutates
+    /// nothing, does not count toward [`ServiceStats::asserts`], and is
+    /// never logged.
     ///
     /// Concurrency: an in-flight rank that loaded the previous snapshot
     /// pins it, so the mutation happens on a private identity-preserving
@@ -1095,21 +1091,17 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         scratch: &mut Option<EvalScratch>,
     ) -> Result<Vec<DocScore>> {
         self.rank_requests.fetch_add(1, Ordering::Relaxed);
-        let mut fanout = if self.threads > 1 && users.len() > 1 {
+        let computed = if self.threads > 1 && users.len() > 1 {
             self.group_fanout(snap, users, docs)?
         } else {
             GroupFanout::default()
         };
-        let computed = fanout.scores;
         let config = self.pool.scoring();
         let per_user = users
             .iter()
             .map(|&user| {
                 self.tenants.with_session(user, |tenant| {
                     let env = snap.env(user);
-                    if let Some(fresh) = fanout.bindings.remove(&user) {
-                        tenant.bindings.seed(&env, &fresh);
-                    }
                     let bindings = tenant.bindings.bind(&env);
                     read_through_scores(
                         &self.engine,
@@ -1160,21 +1152,19 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// The planning and scoring phases of the parallel group path: preview
-    /// each *distinct* member's cached state without touching any counters
-    /// ([`crate::session::BindingCache::peek`] and `peek_missing`), then
-    /// fan the members with work out over the shared pool — workers claim
-    /// members from an atomic cursor and keep one pooled scratch across
-    /// claims, the same shape as parallel top-k's chunk stealing. Members
-    /// whose binding cache is stale are *bound by their worker too*
-    /// (binding is the per-member cost a cold group is dominated by); the
-    /// derived bindings come back in [`GroupFanout::bindings`] so the
-    /// read-through can seed them into the tenant instead of re-deriving
-    /// sequentially. A stale binding also invalidates the member's score
-    /// entry by pointer identity, so those members score every requested
-    /// document. Memos travel between workers through the pool's
-    /// republished snapshots. The counting cache pass happens afterwards,
-    /// per member in request order, so counters and the surviving error
-    /// (the minimum member index's) match the sequential path exactly.
+    /// each *distinct* member's bindings and cached scores without touching
+    /// any counters ([`crate::session::BindingCache::peek`] and
+    /// `peek_missing`), then fan the members with work out over the shared
+    /// pool — workers claim members from an atomic cursor and keep one
+    /// pooled scratch across claims, the same shape as parallel top-k's
+    /// chunk stealing. Binding stays on the planning side: it is a point
+    /// membership per rule plus views every member shares, and a member
+    /// whose bindings came out unchanged keeps their cached scores, so only
+    /// the documents actually missing are fanned out. Memos travel between
+    /// workers through the pool's republished snapshots. The counting
+    /// cache pass happens afterwards, per member in request order, so
+    /// counters and the surviving error (the minimum member index's) match
+    /// the sequential path exactly.
     ///
     /// Each planning peek takes one shard lock and releases it before the
     /// fan-out spawns; the workers themselves touch only the pool and the
@@ -1187,32 +1177,21 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     ) -> Result<GroupFanout> {
         let config = self.pool.scoring();
         let mut seen = HashSet::new();
-        type PlanEntry = (
-            IndividualId,
-            Option<Vec<Arc<RuleBinding>>>,
-            Vec<IndividualId>,
-        );
+        type PlanEntry = (IndividualId, Vec<Arc<RuleBinding>>, Vec<IndividualId>);
         let mut plan: Vec<PlanEntry> = Vec::new();
         for &user in users {
             if !seen.insert(user) {
                 continue;
             }
             let env = snap.env(user);
-            let entry =
-                self.tenants
-                    .with_session(user, |tenant| match tenant.bindings.peek(&env) {
-                        Some(bindings) => {
-                            let missing = tenant.scores.peek_missing(
-                                &score_key(&self.engine, user, config),
-                                &bindings,
-                                docs,
-                            );
-                            (!missing.is_empty()).then_some((user, Some(bindings), missing))
-                        }
-                        None => Some((user, None, docs.to_vec())),
-                    });
-            if let Some(entry) = entry {
-                plan.push(entry);
+            let (bindings, missing) = self.tenants.with_session(user, |tenant| {
+                let bindings = tenant.bindings.peek(&env);
+                let key = score_key(&self.engine, user, config);
+                let missing = tenant.scores.peek_missing(&key, &bindings, docs);
+                (bindings, missing)
+            });
+            if !missing.is_empty() {
+                plan.push((user, bindings, missing));
             }
         }
         if plan.is_empty() {
@@ -1228,7 +1207,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         // Raised by the first worker that hits an engine error: the rest
         // stop claiming members instead of scoring doomed ones.
         let failed = AtomicBool::new(false);
-        type WorkerItem = (usize, Result<Vec<DocScore>>, Option<Vec<Arc<RuleBinding>>>);
+        type WorkerItem = (usize, Result<Vec<DocScore>>);
         let worker_outputs: Vec<Vec<WorkerItem>> = std::thread::scope(|scope| {
             let handles: Vec<_> = (0..threads)
                 .map(|_| {
@@ -1242,27 +1221,19 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                             if i >= plan_ref.len() {
                                 break;
                             }
-                            let (user, cached, missing) = &plan_ref[i];
+                            let (user, bindings, missing) = &plan_ref[i];
                             let env = ScoringEnv {
                                 kb,
                                 rules,
                                 user: *user,
                             };
-                            let fresh = match cached {
-                                Some(_) => None,
-                                None => Some(bind_rules_shared(&env)),
-                            };
-                            let bindings = cached
-                                .as_deref()
-                                .or(fresh.as_deref())
-                                .expect("either cached or freshly derived bindings");
                             let result =
                                 engine.score_all_bound(&env, bindings, missing, &mut scratch);
                             let stop = result.is_err();
                             if stop {
                                 failed.store(true, Ordering::Relaxed);
                             }
-                            out.push((i, result, fresh));
+                            out.push((i, result));
                             if stop {
                                 break;
                             }
@@ -1280,13 +1251,10 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         self.pool.republish();
         let mut fanout = GroupFanout::default();
         let mut first_err: Option<(usize, crate::CoreError)> = None;
-        for (i, result, fresh) in worker_outputs.into_iter().flatten() {
-            if let Some(bindings) = fresh {
-                fanout.bindings.insert(plan[i].0, bindings);
-            }
+        for (i, result) in worker_outputs.into_iter().flatten() {
             match result {
                 Ok(scores) => {
-                    fanout.scores.insert(
+                    fanout.insert(
                         plan[i].0,
                         scores.into_iter().map(|s| (s.doc, s.score)).collect(),
                     );
@@ -1894,6 +1862,168 @@ mod tests {
         let after = service.rank(users[0], &docs, docs.len()).unwrap();
         for (a, b) in before.iter().zip(&after) {
             assert_eq!(a.score.to_bits(), b.score.to_bits());
+        }
+    }
+
+    /// Two shoppers over six products, the commerce pack's flip rules in
+    /// miniature: `F-gift: GiftShopping → Product AND Premium`,
+    /// `F-bargain: BargainHunting → Product AND Discounted`.
+    fn shop() -> (
+        RankingService<LineageEngine>,
+        [IndividualId; 2],
+        Vec<IndividualId>,
+    ) {
+        let mut kb = Kb::new();
+        let shoppers = ["ann", "bob"].map(|name| {
+            let s = kb.individual(name);
+            kb.assert_concept_prob(s, "GiftShopping", 0.4).unwrap();
+            kb.assert_concept_prob(s, "BargainHunting", 0.6).unwrap();
+            s
+        });
+        let products: Vec<_> = (0..6)
+            .map(|i| {
+                let p = kb.individual(&format!("product{i}"));
+                kb.assert_concept(p, "Product");
+                let tag = if i % 2 == 0 { "Premium" } else { "Discounted" };
+                kb.assert_concept_prob(p, tag, 0.3 + 0.1 * i as f64)
+                    .unwrap();
+                p
+            })
+            .collect();
+        let mut rules = RuleRepository::new();
+        for (name, context, preference, sigma) in [
+            ("F-gift", "GiftShopping", "Product AND Premium", 0.9),
+            (
+                "F-bargain",
+                "BargainHunting",
+                "Product AND Discounted",
+                0.95,
+            ),
+        ] {
+            rules
+                .add(PreferenceRule::new(
+                    name,
+                    kb.parse(context).unwrap(),
+                    kb.parse(preference).unwrap(),
+                    Score::new(sigma).unwrap(),
+                ))
+                .unwrap();
+        }
+        let service = RankingService::new(LineageEngine::new(), kb, rules);
+        for shopper in shoppers {
+            service.rank(shopper, &products, products.len()).unwrap();
+        }
+        (service, shoppers, products)
+    }
+
+    /// What one more full rank adds to the tenant's counters.
+    fn rank_delta(
+        service: &RankingService<LineageEngine>,
+        user: IndividualId,
+        docs: &[IndividualId],
+    ) -> SessionStats {
+        let before = service.tenant_stats(user).unwrap();
+        service.rank(user, docs, docs.len()).unwrap();
+        let after = service.tenant_stats(user).unwrap();
+        SessionStats {
+            bindings: crate::CacheStats {
+                hits: after.bindings.hits - before.bindings.hits,
+                misses: after.bindings.misses - before.bindings.misses,
+            },
+            scores: crate::CacheStats {
+                hits: after.scores.hits - before.scores.hits,
+                misses: after.scores.misses - before.scores.misses,
+            },
+            ..SessionStats::default()
+        }
+    }
+
+    #[test]
+    fn a_context_switch_costs_only_the_switcher_one_rebind() {
+        let (service, [ann, bob], products) = shop();
+        let n = products.len() as u64;
+        service
+            .assert(ann, Fact::ConceptProb("GiftShopping".into(), 0.8))
+            .unwrap();
+        // The `GiftShopping` table moved, so Bob's F-gift binding is
+        // re-checked — a point look-up of *his* row, which did not change:
+        // he is handed the bindings he had and his scores stay cached.
+        let bob_next = rank_delta(&service, bob, &products);
+        assert_eq!(
+            (bob_next.bindings.misses, bob_next.bindings.hits),
+            (0, 2),
+            "someone else's context switch re-binds nothing of Bob's"
+        );
+        assert_eq!(
+            (bob_next.scores.misses, bob_next.scores.hits),
+            (0, n),
+            "unchanged bindings keep the pointer-keyed score cache warm"
+        );
+        // Ann's own row changed: exactly the rule that reads it re-binds.
+        let ann_next = rank_delta(&service, ann, &products);
+        assert_eq!(
+            (ann_next.bindings.misses, ann_next.bindings.hits),
+            (1, 1),
+            "F-gift re-binds for Ann; F-bargain reads BargainHunting only"
+        );
+        assert_eq!(ann_next.scores.misses, n, "a new binding re-scores");
+        // And it is paid once: the ranks after are the one-compare path.
+        for shopper in [ann, bob] {
+            let again = rank_delta(&service, shopper, &products);
+            assert_eq!((again.bindings.misses, again.scores.misses), (0, 0));
+        }
+        let want = cold_rank(&service.kb(), &service.rules(), ann, &products, 6);
+        let got = service.rank(ann, &products, 6).unwrap();
+        for (a, b) in want.iter().zip(&got) {
+            assert_eq!((a.doc, a.score.to_bits()), (b.doc, b.score.to_bits()));
+        }
+    }
+
+    #[test]
+    fn a_catalog_change_re_derives_its_views_once_for_all_tenants() {
+        let (service, shoppers, products) = shop();
+        service
+            .assert(products[1], Fact::ConceptProb("Premium".into(), 0.5))
+            .unwrap();
+        let derived = || service.kb().views().derived();
+        let (before, slots) = (derived(), service.kb().views().len());
+        let first = rank_delta(&service, shoppers[0], &products);
+        assert_eq!(
+            (first.bindings.misses, first.bindings.hits),
+            (1, 1),
+            "only F-gift's preference footprint holds `Premium`"
+        );
+        assert_eq!(
+            derived() - before,
+            2,
+            "the `Premium` table's view and `Product AND Premium` over it; \
+             `Product` and F-bargain's views are still valid"
+        );
+        let shared = derived();
+        let second = rank_delta(&service, shoppers[1], &products);
+        assert_eq!((second.bindings.misses, second.bindings.hits), (1, 1));
+        assert_eq!(
+            derived(),
+            shared,
+            "the second tenant takes the views the first one derived"
+        );
+        assert_eq!(
+            service.kb().views().len(),
+            slots,
+            "a re-derived view replaces its predecessor: one slot per concept"
+        );
+        let snap = service.snapshot();
+        let [a, b] = shoppers.map(|shopper| {
+            service
+                .tenants
+                .with_session(shopper, |tenant| tenant.bindings.peek(&snap.env(shopper)))
+        });
+        for (x, y) in a.iter().zip(&b) {
+            assert!(
+                Arc::ptr_eq(&x.preference_events, &y.preference_events),
+                "{}: one view `Arc` for every tenant",
+                x.name
+            );
         }
     }
 

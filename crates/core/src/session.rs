@@ -9,18 +9,23 @@
 //! when nothing changed. A [`ScoringSession`] keeps three layers of state
 //! between calls:
 //!
-//! 1. **bindings** — a [`BindingCache`] keyed by `(user, rule name)` holding
-//!    `Arc<RuleBinding>`s, validated against the KB's identity and
-//!    [`crate::Kb::binding_epoch`] (one integer compare) plus the rule's
-//!    current definition. Only what a mutation invalidated is re-derived,
-//!    and re-derivation shares one reasoner across all stale rules;
+//! 1. **bindings** — a [`BindingCache`] holding one `Arc<RuleBinding>` per
+//!    `(user, rule)`, validated against the KB's identity, the rule's
+//!    current definition and [`crate::Kb::binding_epoch`] (one integer
+//!    compare while nothing moved). After a mutation a binding stays valid
+//!    unless the mutation touched a table in *that rule's* footprint; one
+//!    that did costs a point membership of the user, and the preference
+//!    view — which does not depend on the user — is derived once per KB
+//!    state and shared by every cache bound to that KB. A binding that
+//!    comes out unchanged is handed back as the same `Arc`;
 //! 2. **evaluation memos** — an [`crate::engines::EvalScratch`] carrying the
 //!    probability/expectation memo tables across calls, so unchanged
 //!    sub-problems answer from cache even when new documents appear;
 //! 3. **scores** — per-`(user, engine)` document scores, valid while the
 //!    exact same binding `Arc`s are in effect. A warm repeat call is a pure
-//!    table lookup; after any KB mutation the affected entries fall out via
-//!    layer 1 and are recomputed.
+//!    table lookup; after a KB mutation that changed one of the user's
+//!    bindings the entry falls out via layer 1 and is recomputed — a
+//!    mutation about someone or something else leaves it warm.
 //!
 //! All layers are behaviour-preserving: a session produces bit-identical
 //! scores to a cold call (property-tested in `tests/session_consistency.rs`),
@@ -49,7 +54,7 @@ use crate::bind::RuleBinding;
 use crate::engines::{rank, DocScore, EvalScratch, ScoringConfig, ScoringEngine};
 use crate::persist::WalStats;
 use crate::topk::rank_top_k_bound;
-use crate::{Result, ScoringEnv};
+use crate::{PreferenceRule, Result, ScoringEnv};
 
 /// Hit/miss counters of one cache layer, as returned by the `stats()`
 /// methods of [`BindingCache`] and the score cache. Counters reset to zero
@@ -117,8 +122,10 @@ impl std::iter::Sum for CacheStats {
 /// rolls per-tenant stats into its service-wide view.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Rule-binding cache traffic: hits skipped the reasoner entirely,
-    /// misses (re-)derived a binding.
+    /// Rule-binding cache traffic: hits handed back the binding the
+    /// tenant already had (validated, or re-derived and found unchanged),
+    /// misses produced a new one (first sight, or its context event or
+    /// preference view changed).
     pub bindings: CacheStats,
     /// Score cache traffic: hits served a document score from the table,
     /// misses computed one through an engine.
@@ -167,31 +174,146 @@ impl std::iter::Sum for SessionStats {
 }
 
 /// One cached rule binding plus everything needed to decide its staleness.
+/// The rule's name and σ are the binding's own.
 struct CacheEntry {
     /// `Kb::id` of the KB the binding was derived from.
     kb_id: u64,
-    /// `Kb::binding_epoch` at derivation time.
+    /// `Kb::binding_epoch` the binding was last found current at. While the
+    /// KB still reports it nothing moved, and that compare is the check.
     epoch: u64,
     /// The rule definition the binding reflects. Compared on lookup so a
     /// repository whose rule was removed and re-added under the same name
     /// (different concepts or σ) can never be served a stale binding.
-    sigma: f64,
     context: Concept,
     preference: Concept,
+    /// `TBox::epoch` the two concepts below were unfolded at.
+    tbox_epoch: u64,
+    /// The rule's concepts with every defined name expanded: what the
+    /// reasoner is asked, and — once the epoch has moved — whose ABox
+    /// footprint says whether this binding's inputs did.
+    context_unfolded: Concept,
+    preference_unfolded: Concept,
+    /// [`capra_dl::ABox::stamp`] of each at derivation time.
+    context_stamp: u64,
+    preference_stamp: u64,
     binding: Arc<RuleBinding>,
 }
 
-/// A cache of [`RuleBinding`]s keyed by `(user, rule name)`, validated by
-/// `(KB identity, KB binding epoch, rule definition)`.
+impl CacheEntry {
+    /// Whether the entry was derived from `rule`'s current concepts.
+    fn reads(&self, rule: &PreferenceRule) -> bool {
+        self.context == rule.context && self.preference == rule.preference
+    }
+
+    /// Whether the cached binding is what `env` derives for `rule`, decided
+    /// without deriving anything: same KB and definition, and either no
+    /// binding-relevant mutation at all since the last check (one integer)
+    /// or none to the tables and terminology this rule reads.
+    fn is_current(&self, env: &ScoringEnv<'_>, rule: &PreferenceRule) -> bool {
+        let kb = env.kb;
+        self.kb_id == kb.id()
+            && self.binding.sigma == rule.sigma.get()
+            && self.reads(rule)
+            && (self.epoch == kb.binding_epoch()
+                || (self.tbox_epoch == kb.tbox.epoch()
+                    && self.context_stamp == kb.abox.stamp(&self.context_unfolded)
+                    && self.preference_stamp == kb.abox.stamp(&self.preference_unfolded)))
+    }
+
+    /// Derives `rule`'s entry: the user's context event by point membership,
+    /// the preference view from the KB's shared views. When that leaves
+    /// `previous`'s binding as it was — the same hash-consed context event,
+    /// the same view `Arc`, the same σ — the entry carries the **same**
+    /// `Arc<RuleBinding>`, so pointer-keyed score caches stay warm across a
+    /// mutation that reached this rule's tables but not this user's rows.
+    fn derive(
+        env: &ScoringEnv<'_>,
+        rule: &PreferenceRule,
+        reasoner: &Reasoner<'_>,
+        previous: Option<&CacheEntry>,
+    ) -> CacheEntry {
+        let kb = env.kb;
+        let tbox_epoch = kb.tbox.epoch();
+        let (context_unfolded, preference_unfolded) = match previous {
+            Some(p) if p.kb_id == kb.id() && p.tbox_epoch == tbox_epoch && p.reads(rule) => {
+                (p.context_unfolded.clone(), p.preference_unfolded.clone())
+            }
+            _ => (
+                kb.tbox.unfold(&rule.context),
+                kb.tbox.unfold(&rule.preference),
+            ),
+        };
+        let context_event = reasoner.membership(env.user, &context_unfolded);
+        let preference_events = reasoner.instances_shared(&preference_unfolded);
+        let sigma = rule.sigma.get();
+        let binding = match previous {
+            Some(p)
+                if p.binding.sigma == sigma
+                    && p.binding.context_event == context_event
+                    && Arc::ptr_eq(&p.binding.preference_events, &preference_events) =>
+            {
+                Arc::clone(&p.binding)
+            }
+            _ => Arc::new(RuleBinding {
+                name: rule.name.clone(),
+                context_event,
+                preference_events,
+                sigma,
+            }),
+        };
+        CacheEntry {
+            kb_id: kb.id(),
+            epoch: kb.binding_epoch(),
+            context: rule.context.clone(),
+            preference: rule.preference.clone(),
+            tbox_epoch,
+            context_stamp: kb.abox.stamp(&context_unfolded),
+            preference_stamp: kb.abox.stamp(&preference_unfolded),
+            context_unfolded,
+            preference_unfolded,
+            binding,
+        }
+    }
+}
+
+/// Where `name`'s entry sits in `slots`: slot `i` in the steady state (one
+/// short string compare), anywhere after a rule was added or removed.
+fn find_slot(slots: &[CacheEntry], i: usize, name: &str) -> Option<usize> {
+    let named = |e: &CacheEntry| e.binding.name == name;
+    if slots.get(i).is_some_and(named) {
+        Some(i)
+    } else {
+        slots.iter().position(named)
+    }
+}
+
+/// A reasoner that reads and feeds the views shared along `env.kb`'s
+/// history. It has no TBox; [`CacheEntry::derive`] hands it unfolded
+/// concepts.
+fn view_reasoner<'a>(env: &ScoringEnv<'a>) -> Reasoner<'a> {
+    Reasoner::with_views(&env.kb.abox, env.kb.views())
+}
+
+/// A cache of [`RuleBinding`]s per user, one slot per rule in repository
+/// order, validated by `(KB identity, rule definition)` and then by what
+/// the rule *reads*.
 ///
-/// The staleness check per rule is one integer compare (plus a cheap
-/// structural compare of the rule's concepts); a mutation anywhere in the
-/// ABox or TBox bumps [`crate::Kb::binding_epoch`] and invalidates exactly
-/// the bindings derived from that KB, while universe-only declarations —
-/// which cannot change existing bindings — leave everything valid.
+/// While [`crate::Kb::binding_epoch`] is what it was at the last check, a
+/// probe is that one integer compare (plus a pointer-cheap compare of the
+/// rule's concepts); universe-only declarations never move it. Once it has
+/// moved, a binding is still current if the ABox tables in its TBox-unfolded
+/// footprint — and the closed-world domain, under `TOP`/`NOT`/`FORALL`/
+/// nominals — are at the versions it was derived from
+/// ([`capra_dl::ABox::stamp`]). Otherwise it is re-derived, cheaply: the
+/// context event is a point membership of this user, the preference view is
+/// derived once per KB state and shared by every cache bound to that KB. A
+/// re-derivation that comes out unchanged hands back the same `Arc`.
+///
+/// [`CacheStats::misses`] counts bindings that *changed* (first sight
+/// included); everything handed back as it was is a hit.
 #[derive(Default)]
 pub struct BindingCache {
-    entries: HashMap<(IndividualId, String), CacheEntry>,
+    entries: HashMap<IndividualId, Vec<CacheEntry>>,
     hits: u64,
     misses: u64,
 }
@@ -211,14 +333,14 @@ impl BindingCache {
         }
     }
 
-    /// Number of cached bindings (including stale ones not yet evicted).
+    /// Number of cached bindings (including stale ones not yet refreshed).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.values().map(Vec::len).sum()
     }
 
     /// True if nothing is cached.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Drops every cached binding and resets the hit/miss counters, so
@@ -227,54 +349,25 @@ impl BindingCache {
         *self = Self::default();
     }
 
-    /// The cached bindings for `env` — all of them or none, without
-    /// counting hits or misses and without deriving anything. `None` means
-    /// at least one rule would have to be re-derived; a caller that wants
-    /// to do that derivation off-thread (see
-    /// [`crate::serve::RankingService::rank_group`]) uses
-    /// [`BindingCache::seed`] to hand the result back.
-    pub fn peek(&self, env: &ScoringEnv<'_>) -> Option<Vec<Arc<RuleBinding>>> {
-        let kb_id = env.kb.id();
-        let epoch = env.kb.binding_epoch();
-        env.rules
-            .rules()
-            .iter()
-            .map(|rule| {
-                let e = self.entries.get(&(env.user, rule.name.clone()))?;
-                (e.kb_id == kb_id
-                    && e.epoch == epoch
-                    && e.sigma == rule.sigma.get()
-                    && e.context == rule.context
-                    && e.preference == rule.preference)
-                    .then(|| Arc::clone(&e.binding))
+    /// The bindings [`BindingCache::bind`] would return for `env`, without
+    /// counting hits or misses and without storing what had to be derived
+    /// — a read-only preview for phased callers (see
+    /// [`crate::serve::RankingService::rank_group`]) that plan work before
+    /// the counting pass commits it. Bindings that are still valid are the
+    /// cached `Arc`s themselves.
+    pub fn peek(&self, env: &ScoringEnv<'_>) -> Vec<Arc<RuleBinding>> {
+        let slots = self.entries.get(&env.user).map_or(&[][..], Vec::as_slice);
+        let reasoner = view_reasoner(env);
+        let rules = env.rules.rules().iter().enumerate();
+        rules
+            .map(|(i, rule)| {
+                let previous = find_slot(slots, i, &rule.name).map(|at| &slots[at]);
+                match previous {
+                    Some(entry) if entry.is_current(env, rule) => Arc::clone(&entry.binding),
+                    _ => CacheEntry::derive(env, rule, &reasoner, previous).binding,
+                }
             })
             .collect()
-    }
-
-    /// Installs externally derived bindings (one per rule, in repository
-    /// order — the [`crate::bind_rules_shared`] contract) as this cache's
-    /// entries for `env`, so the next [`BindingCache::bind`] hands back
-    /// these very `Arc`s. The derivations count as misses, keeping
-    /// *misses = bindings derived* regardless of which thread derived
-    /// them.
-    pub fn seed(&mut self, env: &ScoringEnv<'_>, bindings: &[Arc<RuleBinding>]) {
-        let kb_id = env.kb.id();
-        let epoch = env.kb.binding_epoch();
-        debug_assert_eq!(bindings.len(), env.rules.rules().len());
-        for (rule, binding) in env.rules.rules().iter().zip(bindings) {
-            self.misses += 1;
-            self.entries.insert(
-                (env.user, rule.name.clone()),
-                CacheEntry {
-                    kb_id,
-                    epoch,
-                    sigma: rule.sigma.get(),
-                    context: rule.context.clone(),
-                    preference: rule.preference.clone(),
-                    binding: Arc::clone(binding),
-                },
-            );
-        }
     }
 
     /// Binds every rule in the environment, serving unchanged rules from the
@@ -282,42 +375,39 @@ impl BindingCache {
     /// binding per rule, in repository order — the same contract as
     /// [`crate::bind_rules_shared`], with which the result is bit-identical.
     pub fn bind(&mut self, env: &ScoringEnv<'_>) -> Vec<Arc<RuleBinding>> {
-        let kb_id = env.kb.id();
-        let epoch = env.kb.binding_epoch();
-        let mut reasoner: Option<Reasoner<'_>> = None;
-        env.rules
-            .rules()
-            .iter()
-            .map(|rule| {
-                let key = (env.user, rule.name.clone());
-                if let Some(e) = self.entries.get(&key) {
-                    if e.kb_id == kb_id
-                        && e.epoch == epoch
-                        && e.sigma == rule.sigma.get()
-                        && e.context == rule.context
-                        && e.preference == rule.preference
-                    {
-                        self.hits += 1;
-                        return Arc::clone(&e.binding);
-                    }
+        let slots = self.entries.entry(env.user).or_default();
+        let reasoner = view_reasoner(env);
+        let rules = env.rules.rules();
+        let mut out = Vec::with_capacity(rules.len());
+        for (i, rule) in rules.iter().enumerate() {
+            // Slots `..i` hold the (uniquely named) rules before this one,
+            // so a hit is at `i` or later and moving it here displaces
+            // nothing that is in place.
+            let found = find_slot(slots, i, &rule.name);
+            if let Some(at) = found {
+                slots.swap(i, at);
+            }
+            let previous = found.map(|_| &slots[i]);
+            if previous.is_some_and(|p| p.is_current(env, rule)) {
+                slots[i].epoch = env.kb.binding_epoch();
+                self.hits += 1;
+            } else {
+                let entry = CacheEntry::derive(env, rule, &reasoner, previous);
+                if previous.is_some_and(|p| Arc::ptr_eq(&p.binding, &entry.binding)) {
+                    self.hits += 1;
+                } else {
+                    self.misses += 1;
                 }
-                self.misses += 1;
-                let shared = reasoner.get_or_insert_with(|| env.kb.reasoner());
-                let binding = Arc::new(RuleBinding::bind_with(shared, env.user, rule));
-                self.entries.insert(
-                    key,
-                    CacheEntry {
-                        kb_id,
-                        epoch,
-                        sigma: rule.sigma.get(),
-                        context: rule.context.clone(),
-                        preference: rule.preference.clone(),
-                        binding: Arc::clone(&binding),
-                    },
-                );
-                binding
-            })
-            .collect()
+                match found {
+                    Some(_) => slots[i] = entry,
+                    None => slots.insert(i, entry),
+                }
+            }
+            out.push(Arc::clone(&slots[i].binding));
+        }
+        // Whatever is left belongs to rules no longer in the repository.
+        slots.truncate(rules.len());
+        out
     }
 }
 
@@ -746,8 +836,8 @@ mod tests {
             };
             session.score_all(&engine, &env, &docs).unwrap();
         }
-        // Mutate the KB: the next call must rebind (and rescore) everything,
-        // and the call after that must be warm again.
+        // Mutate the KB: the next call must rebind what reads the mutated
+        // table (and rescore), and the call after that must be warm again.
         kb.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
         let env = ScoringEnv {
             kb: &kb,
@@ -755,7 +845,13 @@ mod tests {
             user,
         };
         let fresh = session.score_all(&engine, &env, &docs).unwrap();
-        assert_eq!(session.stats().bindings.misses, 4, "2 cold + 2 invalidated");
+        let stats = session.stats().bindings;
+        assert_eq!(
+            (stats.misses, stats.hits),
+            (3, 1),
+            "2 cold + R1, whose preference reads `Nice`; R2 reads only \
+             `Breakfast` and `News`, which the assert did not touch"
+        );
         let reference = engine.score_all(&env, &docs).unwrap();
         for (a, b) in reference.iter().zip(&fresh) {
             assert_eq!(a.score.to_bits(), b.score.to_bits());
@@ -858,6 +954,136 @@ mod tests {
         for (a, b) in reference.iter().zip(&fresh) {
             assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
+    }
+
+    fn env_of<'a>(kb: &'a Kb, rules: &'a RuleRepository, user: IndividualId) -> ScoringEnv<'a> {
+        ScoringEnv { kb, rules, user }
+    }
+
+    /// Same content as the cold bind, rule by rule.
+    fn assert_matches_cold(got: &[Arc<RuleBinding>], env: &ScoringEnv<'_>) {
+        let want = crate::bind_rules(env);
+        assert_eq!(got.len(), want.len());
+        for (g, w) in got.iter().zip(&want) {
+            assert_eq!(g.name, w.name);
+            assert_eq!(g.sigma, w.sigma);
+            assert_eq!(g.context_event, w.context_event, "{}", g.name);
+            assert_eq!(g.preference_events, w.preference_events, "{}", g.name);
+        }
+    }
+
+    #[test]
+    fn another_users_context_switch_hands_back_the_same_bindings() {
+        let (mut kb, rules, user, _) = fixture();
+        let other = kb.individual("mary");
+        let mut cache = BindingCache::new();
+        let before = cache.bind(&env_of(&kb, &rules, user));
+        // `Breakfast` is R2's context table: it moved, but not in this
+        // user's row.
+        kb.assert_concept_prob(other, "Breakfast", 0.2).unwrap();
+        let peeked = cache.peek(&env_of(&kb, &rules, user));
+        let after = cache.bind(&env_of(&kb, &rules, user));
+        for ((b, p), a) in before.iter().zip(&peeked).zip(&after) {
+            assert!(Arc::ptr_eq(b, a), "{}: unchanged binding, same Arc", b.name);
+            assert!(
+                Arc::ptr_eq(b, p),
+                "{}: peek previews what bind returns",
+                b.name
+            );
+        }
+        assert_eq!(
+            cache.stats(),
+            CacheStats { hits: 2, misses: 2 },
+            "peek counts nothing; a re-check that changes nothing is a hit"
+        );
+        // The user's own row is another matter.
+        kb.assert_concept_prob(user, "Breakfast", 0.2).unwrap();
+        let own = cache.bind(&env_of(&kb, &rules, user));
+        assert!(Arc::ptr_eq(&before[0], &own[0]), "R1 reads `Weekend`");
+        assert!(!Arc::ptr_eq(&before[1], &own[1]), "R2's context changed");
+        assert_matches_cold(&own, &env_of(&kb, &rules, user));
+    }
+
+    #[test]
+    fn a_new_definition_rebinds_the_rules_that_name_it() {
+        let (mut kb, mut rules, user, _) = fixture();
+        // `Lazy` is an ordinary, never-asserted name when the rule is
+        // added; the terminology gives it a meaning afterwards.
+        rules
+            .add(PreferenceRule::new(
+                "R3",
+                kb.parse("Lazy").unwrap(),
+                kb.parse("News").unwrap(),
+                Score::new(0.5).unwrap(),
+            ))
+            .unwrap();
+        let mut cache = BindingCache::new();
+        let before = cache.bind(&env_of(&kb, &rules, user));
+        assert!(before[2].is_inapplicable());
+        let lazy = kb.voc.concept("Lazy");
+        let mut fork = kb.clone();
+        let body = kb.parse("Weekend AND Breakfast").unwrap();
+        kb.tbox.define(lazy, body, &kb.voc).unwrap();
+        let after = cache.bind(&env_of(&kb, &rules, user));
+        assert!(
+            !after[2].is_inapplicable(),
+            "the footprint is now the body's"
+        );
+        assert_matches_cold(&after, &env_of(&kb, &rules, user));
+        assert!(Arc::ptr_eq(&before[0], &after[0]) && Arc::ptr_eq(&before[1], &after[1]));
+        // …and follows the body's tables from here on.
+        kb.assert_concept_prob(user, "Breakfast", 0.4).unwrap();
+        assert_matches_cold(
+            &cache.bind(&env_of(&kb, &rules, user)),
+            &env_of(&kb, &rules, user),
+        );
+        // A clone is another KB: its terminology can differ at the same
+        // `TBox::epoch`, so nothing unfolded for the original carries over.
+        let body = fork.parse("Weekend").unwrap();
+        fork.tbox.define(lazy, body, &fork.voc).unwrap();
+        assert_eq!(fork.tbox.epoch(), kb.tbox.epoch());
+        assert_matches_cold(
+            &cache.bind(&env_of(&fork, &rules, user)),
+            &env_of(&fork, &rules, user),
+        );
+    }
+
+    #[test]
+    fn a_reader_on_an_older_snapshot_never_takes_a_newer_view() {
+        let (old, rules, user, docs) = fixture();
+        // The publish chain: `new` succeeds `old` under the same identity
+        // and shares its view table.
+        let mut new = old.clone_for_publish();
+        new.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
+        // A tenant on the successor publishes the new views first…
+        let mut ahead = BindingCache::new();
+        assert_matches_cold(
+            &ahead.bind(&env_of(&new, &rules, user)),
+            &env_of(&new, &rules, user),
+        );
+        // …and one still pinned on the old snapshot binds afterwards.
+        let mut behind = BindingCache::new();
+        assert_matches_cold(
+            &behind.bind(&env_of(&old, &rules, user)),
+            &env_of(&old, &rules, user),
+        );
+        // Neither displaced the other's: the newer views are still shared.
+        let derived = new.views().derived();
+        let mut late = BindingCache::new();
+        assert_matches_cold(
+            &late.bind(&env_of(&new, &rules, user)),
+            &env_of(&new, &rules, user),
+        );
+        assert_eq!(new.views().derived(), derived);
+        // A cache that served the old snapshot re-validates per snapshot.
+        assert_matches_cold(
+            &behind.bind(&env_of(&new, &rules, user)),
+            &env_of(&new, &rules, user),
+        );
+        assert_matches_cold(
+            &behind.bind(&env_of(&old, &rules, user)),
+            &env_of(&old, &rules, user),
+        );
     }
 
     #[test]

@@ -2,7 +2,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use capra_events::EventExpr;
 
-use crate::{ConceptName, IndividualId, RoleName};
+use crate::{Concept, ConceptName, IndividualId, RoleName};
 
 /// A role assertion `(source, destination)` annotated with the event
 /// expression under which it holds — the paper's role table row
@@ -17,6 +17,47 @@ pub struct RoleEdge {
     pub event: EventExpr,
 }
 
+/// One concept's membership rows, with the [`ABox::epoch`] at which they
+/// last changed stored beside them (an assert reaches both in one lookup).
+#[derive(Debug, Clone, Default)]
+struct ConceptTable {
+    rows: BTreeMap<IndividualId, EventExpr>,
+    version: u64,
+}
+
+/// End of a per-source edge chain.
+const CHAIN_END: u32 = u32::MAX;
+
+/// One role's edges in assertion order, the [`ABox::epoch`] at which they
+/// last changed, and a per-source index: `ends[src]` holds the first and
+/// last edge leaving `src`, `next[i]` the following edge with edge `i`'s
+/// source (or [`CHAIN_END`]). The index is derived from `edges` alone.
+#[derive(Debug, Clone, Default)]
+struct RoleTable {
+    edges: Vec<RoleEdge>,
+    ends: HashMap<IndividualId, (u32, u32)>,
+    next: Vec<u32>,
+    version: u64,
+}
+
+impl RoleTable {
+    fn push(&mut self, edge: RoleEdge) {
+        let at = u32::try_from(self.edges.len())
+            .ok()
+            .filter(|&at| at != CHAIN_END)
+            .expect("a role table holds fewer than u32::MAX edges");
+        self.ends
+            .entry(edge.src)
+            .and_modify(|(_, last)| {
+                self.next[*last as usize] = at;
+                *last = at;
+            })
+            .or_insert((at, at));
+        self.next.push(CHAIN_END);
+        self.edges.push(edge);
+    }
+}
+
 /// An assertional knowledge base with uncertain assertions.
 ///
 /// Mirrors the paper's naive implementation: each concept is a table of
@@ -24,11 +65,17 @@ pub struct RoleEdge {
 /// `(source, destination, event expression)` rows. The *domain* of the ABox
 /// (used for closed-world negation and ⊤) is the set of individuals that
 /// appear in any assertion plus any explicitly registered ones.
+///
+/// Every table — and the domain — remembers the [`ABox::epoch`] at which it
+/// last changed, so a view derived from a few of them can tell whether *its*
+/// inputs moved ([`ABox::stamp`]) instead of whether anything did.
 #[derive(Debug, Clone, Default)]
 pub struct ABox {
-    concepts: HashMap<ConceptName, BTreeMap<IndividualId, EventExpr>>,
-    roles: HashMap<RoleName, Vec<RoleEdge>>,
+    concepts: HashMap<ConceptName, ConceptTable>,
+    roles: HashMap<RoleName, RoleTable>,
     domain: BTreeSet<IndividualId>,
+    /// [`ABox::epoch`] at which the domain last grew.
+    domain_version: u64,
     /// Monotonic version counter, bumped on every mutation (assertions and
     /// domain registrations — a new domain member changes closed-world
     /// answers even without assertions).
@@ -41,16 +88,30 @@ impl ABox {
         Self::default()
     }
 
+    /// Adds `inds` to the domain and opens a new epoch if that, or the
+    /// assertion the caller is about to record (`asserting`), changes the
+    /// ABox; the caller stamps the table it touches with that epoch.
+    fn begin_mutation(&mut self, inds: &[IndividualId], asserting: bool) {
+        let grew = inds
+            .iter()
+            .fold(false, |grew, &ind| self.domain.insert(ind) | grew);
+        if grew || asserting {
+            self.epoch += 1;
+        }
+        if grew {
+            self.domain_version = self.epoch;
+        }
+    }
+
     /// Registers an individual in the domain without asserting anything
     /// about it (it will then be an instance of ⊤ and of closed-world
     /// negations).
+    ///
+    /// Only an actual change bumps the epoch: lookup-style re-registration
+    /// (e.g. `Kb::individual` resolving an existing name per request) must
+    /// not invalidate binding caches.
     pub fn register_individual(&mut self, ind: IndividualId) {
-        // Only an actual change bumps the epoch: lookup-style re-registration
-        // (e.g. `Kb::individual` resolving an existing name per request) must
-        // not invalidate binding caches.
-        if self.domain.insert(ind) {
-            self.epoch += 1;
-        }
+        self.begin_mutation(&[ind], false);
     }
 
     /// Monotonic mutation counter. Caches of reasoner-derived views (rule
@@ -60,24 +121,47 @@ impl ABox {
         self.epoch
     }
 
+    /// The [`ABox::epoch`] at which anything the extension of `concept`
+    /// is derived from last changed: the tables of its atomic concepts and
+    /// roles, and — under `TOP`, `NOT`, `FORALL` and nominals, whose answers
+    /// range over the closed-world domain — the domain. Epochs only grow
+    /// and every mutation stamps what it touched with a fresh one, so two
+    /// states of one ABox history with **equal** stamps for a concept hold
+    /// the same rows behind it. `concept` must not contain TBox-defined
+    /// names (unfold it first): a defined name's table is not its meaning.
+    pub fn stamp(&self, concept: &Concept) -> u64 {
+        let mut stamp = 0;
+        concept.walk(&mut |c| {
+            let version = match c {
+                Concept::Atomic(name) => self.concepts.get(name).map_or(0, |t| t.version),
+                Concept::Exists(role, _) => self.roles.get(role).map_or(0, |t| t.version),
+                Concept::Forall(role, _) => self
+                    .roles
+                    .get(role)
+                    .map_or(0, |t| t.version)
+                    .max(self.domain_version),
+                Concept::Top | Concept::Not(_) | Concept::OneOf(_) => self.domain_version,
+                Concept::Bottom | Concept::And(_) | Concept::Or(_) => 0,
+            };
+            stamp = stamp.max(version);
+        });
+        stamp
+    }
+
     /// Asserts `ind : concept` under `event`. Repeated assertions for the
     /// same pair are combined disjunctively (the membership holds if any of
     /// the asserted events happens).
     pub fn assert_concept(&mut self, ind: IndividualId, concept: ConceptName, event: EventExpr) {
-        let grew = self.domain.insert(ind);
-        if event.is_false() {
-            // The dropped assertion still changed the KB iff it introduced
-            // the individual to the closed-world domain.
-            self.epoch += u64::from(grew);
+        // A dropped (`False`) assertion still changes the KB iff it
+        // introduced the individual to the closed-world domain.
+        let asserting = !event.is_false();
+        self.begin_mutation(&[ind], asserting);
+        if !asserting {
             return;
         }
-        self.epoch += 1;
-        let slot = self
-            .concepts
-            .entry(concept)
-            .or_default()
-            .entry(ind)
-            .or_insert(EventExpr::False);
+        let table = self.concepts.entry(concept).or_default();
+        table.version = self.epoch;
+        let slot = table.rows.entry(ind).or_insert(EventExpr::False);
         *slot = EventExpr::or([slot.clone(), event]);
     }
 
@@ -92,16 +176,14 @@ impl ABox {
         dst: IndividualId,
         event: EventExpr,
     ) {
-        let grew = self.domain.insert(src) | self.domain.insert(dst);
-        if event.is_false() {
-            self.epoch += u64::from(grew);
+        let asserting = !event.is_false();
+        self.begin_mutation(&[src, dst], asserting);
+        if !asserting {
             return;
         }
-        self.epoch += 1;
-        self.roles
-            .entry(role)
-            .or_default()
-            .push(RoleEdge { src, dst, event });
+        let table = self.roles.entry(role).or_default();
+        table.version = self.epoch;
+        table.push(RoleEdge { src, dst, event });
     }
 
     /// The closed-world domain of the ABox.
@@ -117,30 +199,37 @@ impl ABox {
         self.concepts
             .get(&concept)
             .into_iter()
-            .flat_map(|m| m.iter().map(|(&i, e)| (i, e)))
+            .flat_map(|t| t.rows.iter().map(|(&i, e)| (i, e)))
     }
 
     /// The event under which `ind : concept`, `False` if never asserted.
     pub fn concept_event(&self, ind: IndividualId, concept: ConceptName) -> EventExpr {
         self.concepts
             .get(&concept)
-            .and_then(|m| m.get(&ind))
+            .and_then(|t| t.rows.get(&ind))
             .cloned()
             .unwrap_or(EventExpr::False)
     }
 
-    /// All edges of a role.
+    /// All edges of a role, in assertion order.
     pub fn role_edges(&self, role: RoleName) -> &[RoleEdge] {
-        self.roles.get(&role).map_or(&[], Vec::as_slice)
+        self.roles.get(&role).map_or(&[], |t| t.edges.as_slice())
     }
 
-    /// Edges of a role leaving `src`.
+    /// Edges of a role leaving `src`, in assertion order — O(out-degree)
+    /// through the per-source index.
     pub fn role_edges_from(
         &self,
         role: RoleName,
         src: IndividualId,
     ) -> impl Iterator<Item = &RoleEdge> {
-        self.role_edges(role).iter().filter(move |e| e.src == src)
+        self.roles.get(&role).into_iter().flat_map(move |table| {
+            let first = table.ends.get(&src).map(|&(first, _)| first);
+            std::iter::successors(first, |&at| {
+                Some(table.next[at as usize]).filter(|&next| next != CHAIN_END)
+            })
+            .map(|at| &table.edges[at as usize])
+        })
     }
 
     /// Concept names that have at least one assertion.
@@ -162,17 +251,41 @@ impl ABox {
     /// `False` events each bumped it without leaving a distinct row), so
     /// restoring the exact counter is the caller's responsibility. Callers
     /// must pass parts exported from one consistent ABox; this constructor
-    /// does not re-validate domain membership.
+    /// does not re-validate domain membership. Per-table versions and the
+    /// per-source role index are derived state and are rebuilt here: every
+    /// table counts as last changed at `epoch`.
     pub fn from_parts(
         concepts: HashMap<ConceptName, BTreeMap<IndividualId, EventExpr>>,
         roles: HashMap<RoleName, Vec<RoleEdge>>,
         domain: BTreeSet<IndividualId>,
         epoch: u64,
     ) -> Self {
+        let concepts = concepts
+            .into_iter()
+            .map(|(name, rows)| {
+                let table = ConceptTable {
+                    rows,
+                    version: epoch,
+                };
+                (name, table)
+            })
+            .collect();
+        let roles = roles
+            .into_iter()
+            .map(|(name, edges)| {
+                let mut table = RoleTable {
+                    version: epoch,
+                    ..RoleTable::default()
+                };
+                edges.into_iter().for_each(|edge| table.push(edge));
+                (name, table)
+            })
+            .collect();
         Self {
             concepts,
             roles,
             domain,
+            domain_version: epoch,
             epoch,
         }
     }
@@ -180,8 +293,8 @@ impl ABox {
     /// Number of concept assertions plus role assertions (the paper reports
     /// its test database size in tuples; this is the same measure).
     pub fn num_tuples(&self) -> usize {
-        let c: usize = self.concepts.values().map(BTreeMap::len).sum();
-        let r: usize = self.roles.values().map(Vec::len).sum();
+        let c: usize = self.concepts.values().map(|t| t.rows.len()).sum();
+        let r: usize = self.roles.values().map(|t| t.edges.len()).sum();
         c + r
     }
 }
@@ -300,5 +413,69 @@ mod tests {
         assert_eq!(abox.role_edges_from(r, a).count(), 2);
         assert_eq!(abox.role_edges_from(r, b).count(), 1);
         assert_eq!(abox.role_edges_from(r, c).count(), 0);
+        // Assertion order within a source, interleaved with other sources.
+        abox.assert_role(a, r, a, EventExpr::True);
+        let dsts: Vec<_> = abox.role_edges_from(r, a).map(|e| e.dst).collect();
+        assert_eq!(dsts, [b, c, a]);
+        // The index is derived state: an ABox rebuilt from the exported
+        // tables answers the same.
+        let rebuilt = ABox::from_parts(
+            HashMap::new(),
+            HashMap::from([(r, abox.role_edges(r).to_vec())]),
+            abox.domain().clone(),
+            abox.epoch(),
+        );
+        for src in [a, b, c] {
+            assert!(rebuilt
+                .role_edges_from(r, src)
+                .eq(abox.role_edges_from(r, src)));
+        }
+    }
+
+    #[test]
+    fn stamps_move_only_with_the_tables_a_concept_reads() {
+        let mut voc = Vocabulary::new();
+        let mut abox = ABox::new();
+        let (c, d) = (voc.concept("C"), voc.concept("D"));
+        let (r, s) = (voc.role("r"), voc.role("s"));
+        let (x, y) = (voc.individual("x"), voc.individual("y"));
+        abox.assert_concept(x, c, EventExpr::True);
+        abox.assert_role(x, r, y, EventExpr::True);
+
+        let atomic = Concept::atomic(c);
+        let chained = Concept::exists(r, Concept::atomic(d));
+        let closed = Concept::not(Concept::atomic(c));
+        let stamps = |abox: &ABox| {
+            [
+                abox.stamp(&atomic),
+                abox.stamp(&chained),
+                abox.stamp(&closed),
+            ]
+        };
+        let before = stamps(&abox);
+
+        // An unrelated role moves the epoch and nothing else.
+        abox.assert_role(x, s, y, EventExpr::True);
+        assert_eq!(stamps(&abox), before);
+        // The filler's table is part of the restriction's footprint.
+        abox.assert_concept(y, d, EventExpr::True);
+        let after = stamps(&abox);
+        assert_eq!((after[0], after[2]), (before[0], before[2]));
+        assert_eq!(after[1], abox.epoch());
+        // Domain growth moves closed-world concepts only — also when the
+        // assertion that introduced the individual was dropped.
+        let z = voc.individual("z");
+        abox.assert_concept(z, d, EventExpr::False);
+        assert_eq!(abox.stamp(&atomic), before[0]);
+        assert_eq!(abox.stamp(&chained), after[1]);
+        assert_eq!(abox.stamp(&closed), abox.epoch());
+        for top in [
+            Concept::Top,
+            Concept::one_of([x]),
+            Concept::forall(r, Concept::atomic(d)),
+        ] {
+            assert_eq!(abox.stamp(&top), abox.epoch(), "{top:?}");
+        }
+        assert_eq!(abox.stamp(&Concept::Bottom), 0);
     }
 }

@@ -64,7 +64,7 @@ pub use concept::Concept;
 pub use error::DlError;
 pub use names::{ConceptName, IndividualId, RoleName, Vocabulary};
 pub use parser::parse_concept;
-pub use reasoner::Reasoner;
+pub use reasoner::{Reasoner, ViewCache};
 pub use tbox::TBox;
 
 /// Convenience alias for results in this crate.

@@ -1,10 +1,98 @@
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use capra_events::EventExpr;
 
 use crate::{ABox, Concept, IndividualId, TBox};
+
+/// A derived concept view: membership event per instance.
+type View = BTreeMap<IndividualId, EventExpr>;
+
+/// Per concept: the latest view and the [`ABox::stamp`] it was derived at.
+type Slots = HashMap<Concept, (u64, Arc<View>)>;
+
+/// Derived views shared between reasoners over successive states of **one**
+/// ABox history — the paper builds one database view per concept
+/// expression, and a view does not depend on who asks.
+///
+/// One slot per distinct (sub-)concept, holding the latest view derived
+/// for it and the [`ABox::stamp`] of the state it was derived from. A
+/// reasoner accepts a slot only when the stamp of *its own* ABox for that
+/// concept **equals** the slot's — never by order — so a reader still on an
+/// older state re-derives rather than take a newer view, and a mutation
+/// that touched none of the tables behind a concept leaves its view valid.
+/// The owner must hand one cache to one history only (stamps of unrelated
+/// ABoxes can collide); `capra-core`'s `Kb` gives every value its own and
+/// passes it on only to its publish-chain successors.
+#[derive(Default)]
+pub struct ViewCache {
+    slots: Mutex<Slots>,
+    derived: AtomicU64,
+}
+
+impl ViewCache {
+    /// Creates an empty cache.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Number of concepts with a cached view.
+    pub fn len(&self) -> usize {
+        self.lock().len()
+    }
+
+    /// True if no view is cached.
+    pub fn is_empty(&self) -> bool {
+        self.lock().is_empty()
+    }
+
+    /// Views derived (rather than found) through this cache so far.
+    pub fn derived(&self) -> u64 {
+        self.derived.load(Ordering::Relaxed)
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Slots> {
+        // A slot is replaced whole, so the map is valid at every step.
+        self.slots
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    fn get(&self, concept: &Concept, stamp: u64) -> Option<Arc<View>> {
+        let slots = self.lock();
+        let (at, view) = slots.get(concept)?;
+        (*at == stamp).then(|| Arc::clone(view))
+    }
+
+    /// Offers a freshly derived view and returns the one to use: the slot's
+    /// if another reasoner published the same state first (so every reader
+    /// of one state shares one `Arc`), `view` otherwise. A reader of an
+    /// older state keeps its view to itself instead of evicting the newer.
+    fn publish(&self, concept: &Concept, stamp: u64, view: Arc<View>) -> Arc<View> {
+        self.derived.fetch_add(1, Ordering::Relaxed);
+        let mut slots = self.lock();
+        match slots.get(concept) {
+            Some((at, held)) if *at == stamp => return Arc::clone(held),
+            Some((at, _)) if *at > stamp => {}
+            _ => {
+                slots.insert(concept.clone(), (stamp, Arc::clone(&view)));
+            }
+        }
+        view
+    }
+}
+
+impl fmt::Debug for ViewCache {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ViewCache")
+            .field("views", &self.len())
+            .field("derived", &self.derived())
+            .finish()
+    }
+}
 
 /// Closed-world instance retrieval with event-expression lineage.
 ///
@@ -29,11 +117,16 @@ use crate::{ABox, Concept, IndividualId, TBox};
 /// once, then returned as shared maps (`Arc`). Reuse one reasoner when
 /// binding a rule set (see `bind_rules` in `capra-core`) so that rules with
 /// overlapping concept structure share the derivation work.
+///
+/// [`Reasoner::membership`] asks about *one* individual and never builds a
+/// view: it walks that individual's rows and out-edges only.
 pub struct Reasoner<'a> {
     abox: &'a ABox,
     tbox: Option<&'a TBox>,
+    /// Views that outlive this reasoner (see [`Reasoner::with_views`]).
+    shared: Option<&'a ViewCache>,
     /// Per-sub-concept view cache.
-    cache: RefCell<HashMap<Concept, Arc<BTreeMap<IndividualId, EventExpr>>>>,
+    cache: RefCell<HashMap<Concept, Arc<View>>>,
     cache_hits: Cell<u64>,
     cache_misses: Cell<u64>,
 }
@@ -44,6 +137,7 @@ impl<'a> Reasoner<'a> {
         Self {
             abox,
             tbox: None,
+            shared: None,
             cache: RefCell::new(HashMap::new()),
             cache_hits: Cell::new(0),
             cache_misses: Cell::new(0),
@@ -58,7 +152,22 @@ impl<'a> Reasoner<'a> {
         }
     }
 
-    /// `(hits, misses)` of the sub-concept view cache.
+    /// A reasoner over an ABox alone that looks every view up in `views`
+    /// before deriving it and publishes what it derives, so the work is
+    /// shared with other reasoners over the same ABox state — before and
+    /// after this one. There is deliberately no TBox: cached views are
+    /// keyed by the concept as given, and only a concept free of defined
+    /// names means the same thing under every terminology. Callers unfold
+    /// first ([`TBox::unfold`]).
+    pub fn with_views(abox: &'a ABox, views: &'a ViewCache) -> Self {
+        Self {
+            shared: Some(views),
+            ..Self::new(abox)
+        }
+    }
+
+    /// `(hits, misses)` of the sub-concept view cache. A view found in a
+    /// shared [`ViewCache`] is a hit: only derivations miss.
     pub fn cache_stats(&self) -> (u64, u64) {
         (self.cache_hits.get(), self.cache_misses.get())
     }
@@ -73,26 +182,64 @@ impl<'a> Reasoner<'a> {
     /// the memoised one (cheap to clone, safe to hold across calls). The
     /// hot path for rule binding.
     pub fn instances_shared(&self, concept: &Concept) -> Arc<BTreeMap<IndividualId, EventExpr>> {
-        let unfolded;
-        let concept = match self.tbox {
-            Some(tbox) => {
-                unfolded = tbox.unfold(concept);
-                &unfolded
-            }
-            None => concept,
-        };
-        self.instances_memo(concept)
+        match self.tbox {
+            Some(tbox) => self.instances_memo(&tbox.unfold(concept)),
+            None => self.instances_memo(concept),
+        }
     }
 
-    /// The event under which a single individual is a member of `concept`.
+    /// The event under which a single individual is a member of `concept`
+    /// — the same expression node [`Reasoner::instances`] holds for `ind`
+    /// (`False` for individuals it omits or outside the domain), found by a
+    /// point evaluation: `ind`'s own rows, and for `∃R.C` / `∀R.C` the
+    /// fillers' memberships of the individuals `ind`'s `R`-edges reach.
+    /// Cost follows `ind`'s out-degree along the nested restrictions, not
+    /// the size of the tables.
     pub fn membership(&self, ind: IndividualId, concept: &Concept) -> EventExpr {
-        self.instances_shared(concept)
-            .get(&ind)
-            .cloned()
-            .unwrap_or(EventExpr::False)
+        match self.tbox {
+            Some(tbox) => self.member(ind, &tbox.unfold(concept)),
+            None => self.member(ind, concept),
+        }
     }
 
-    fn all_true(&self) -> BTreeMap<IndividualId, EventExpr> {
+    /// Point counterpart of [`Reasoner::instances_rec`], case by case.
+    fn member(&self, ind: IndividualId, concept: &Concept) -> EventExpr {
+        let in_domain = || self.abox.domain().contains(&ind);
+        let constant = |holds: bool| {
+            if holds {
+                EventExpr::True
+            } else {
+                EventExpr::False
+            }
+        };
+        match concept {
+            Concept::Top => constant(in_domain()),
+            Concept::Bottom => EventExpr::False,
+            Concept::Atomic(name) => self.abox.concept_event(ind, *name),
+            Concept::OneOf(inds) => constant(inds.contains(&ind) && in_domain()),
+            Concept::Not(inner) if in_domain() => EventExpr::not(self.member(ind, inner)),
+            Concept::Not(_) => EventExpr::False,
+            Concept::And(kids) => EventExpr::and(kids.iter().map(|k| self.member(ind, k))),
+            Concept::Or(kids) => EventExpr::or(kids.iter().map(|k| self.member(ind, k))),
+            Concept::Exists(role, filler) => {
+                EventExpr::or(self.abox.role_edges_from(*role, ind).map(|edge| {
+                    EventExpr::and([edge.event.clone(), self.member(edge.dst, filler)])
+                }))
+            }
+            Concept::Forall(role, filler) if in_domain() => {
+                EventExpr::and(self.abox.role_edges_from(*role, ind).map(|edge| {
+                    // Edge present ⇒ filler must hold: ¬edge ∨ filler.
+                    EventExpr::or([
+                        EventExpr::not(edge.event.clone()),
+                        self.member(edge.dst, filler),
+                    ])
+                }))
+            }
+            Concept::Forall(..) => EventExpr::False,
+        }
+    }
+
+    fn all_true(&self) -> View {
         self.abox
             .domain()
             .iter()
@@ -100,25 +247,41 @@ impl<'a> Reasoner<'a> {
             .collect()
     }
 
-    /// Memoising wrapper around [`Reasoner::instances_rec`].
-    fn instances_memo(&self, concept: &Concept) -> Arc<BTreeMap<IndividualId, EventExpr>> {
+    /// Memoising wrapper around [`Reasoner::instances_rec`]: this
+    /// reasoner's own memo first, then the shared cache (validated against
+    /// this reasoner's ABox), then a derivation that feeds both.
+    fn instances_memo(&self, concept: &Concept) -> Arc<View> {
         if let Some(hit) = self.cache.borrow().get(concept) {
             self.cache_hits.set(self.cache_hits.get() + 1);
             return Arc::clone(hit);
         }
-        self.cache_misses.set(self.cache_misses.get() + 1);
-        let mut computed = self.instances_rec(concept);
-        // `False` rows carry no information under closed-world semantics;
-        // dropping them here keeps every memoised view canonical.
-        computed.retain(|_, e| !e.is_false());
-        let shared = Arc::new(computed);
+        let shared = self.shared.map(|views| (views, self.abox.stamp(concept)));
+        let view = match shared.and_then(|(views, stamp)| views.get(concept, stamp)) {
+            Some(hit) => {
+                self.cache_hits.set(self.cache_hits.get() + 1);
+                hit
+            }
+            None => {
+                self.cache_misses.set(self.cache_misses.get() + 1);
+                let mut computed = self.instances_rec(concept);
+                // `False` rows carry no information under closed-world
+                // semantics; dropping them here keeps every memoised view
+                // canonical.
+                computed.retain(|_, e| !e.is_false());
+                let computed = Arc::new(computed);
+                match shared {
+                    Some((views, stamp)) => views.publish(concept, stamp, computed),
+                    None => computed,
+                }
+            }
+        };
         self.cache
             .borrow_mut()
-            .insert(concept.clone(), Arc::clone(&shared));
-        shared
+            .insert(concept.clone(), Arc::clone(&view));
+        view
     }
 
-    fn instances_rec(&self, concept: &Concept) -> BTreeMap<IndividualId, EventExpr> {
+    fn instances_rec(&self, concept: &Concept) -> View {
         match concept {
             Concept::Top => self.all_true(),
             Concept::Bottom => BTreeMap::new(),

@@ -1,7 +1,7 @@
 //! Property-based tests for the DL layer: parser round-trips and lattice
 //! laws of instance retrieval under lineage semantics.
 
-use capra_dl::{parse_concept, ABox, Concept, Reasoner, Vocabulary};
+use capra_dl::{parse_concept, ABox, Concept, Reasoner, TBox, ViewCache, Vocabulary};
 use capra_events::{Evaluator, EventExpr, Universe};
 use proptest::prelude::*;
 
@@ -47,6 +47,68 @@ prop_compose! {
     ) -> (Vocabulary, Universe, ABox) {
         build_kb(n_ind, &concept_seeds, &edge_seeds)
     }
+}
+
+/// Builds a concept over every constructor from a byte program run on a
+/// stack machine: leaves push, `NOT`/`EXISTS`/`FORALL` rewrite the top,
+/// `AND`/`OR` join the two topmost; what is left at the end is disjoined.
+/// `D0` and `D1` are TBox-defined in [`terminology`].
+fn build_concept(program: &[u8], voc: &mut Vocabulary) -> Concept {
+    let role = voc.role("r");
+    let ind = |voc: &mut Vocabulary, b: u8| voc.individual(&format!("x{}", b % 6));
+    let mut stack: Vec<Concept> = Vec::new();
+    for &b in program {
+        let arg = b / 12;
+        let top = stack.pop();
+        match (b % 12, top) {
+            (0, top) => {
+                stack.extend(top);
+                stack.push(Concept::Top);
+            }
+            (1, top) => {
+                stack.extend(top);
+                stack.push(Concept::Bottom);
+            }
+            (2, top) => {
+                stack.extend(top);
+                let pair = [ind(voc, arg), ind(voc, arg / 2 + 1)];
+                stack.push(Concept::one_of(pair));
+            }
+            (3..=6, top) => {
+                stack.extend(top);
+                let name = ["C0", "C1", "D0", "D1"][usize::from(arg % 4)];
+                stack.push(Concept::atomic(voc.concept(name)));
+            }
+            (7, Some(top)) => stack.push(Concept::not(top)),
+            (8, Some(top)) => stack.push(Concept::exists(role, top)),
+            (9, Some(top)) => stack.push(Concept::forall(role, top)),
+            (10, Some(top)) => match stack.pop() {
+                Some(below) => stack.push(Concept::and([below, top])),
+                None => stack.push(top),
+            },
+            (11, Some(top)) => match stack.pop() {
+                Some(below) => stack.push(Concept::or([below, top])),
+                None => stack.push(top),
+            },
+            // An operator with nothing to work on.
+            (_, top) => {
+                stack.extend(top);
+                stack.push(Concept::atomic(voc.concept("C0")));
+            }
+        }
+    }
+    Concept::or(stack)
+}
+
+/// `D0 ≡ C0 AND EXISTS r.C1`, `D1 ≡ NOT D0 OR {x0}` — a role-chained and a
+/// closed-world definition, the second through the first.
+fn terminology(voc: &mut Vocabulary) -> TBox {
+    let mut tbox = TBox::new();
+    for (name, body) in [("D0", "C0 AND EXISTS r.C1"), ("D1", "NOT D0 OR {x0}")] {
+        let body = parse_concept(body, voc).unwrap();
+        tbox.define(voc.concept(name), body, voc).unwrap();
+    }
+    tbox
 }
 
 const TOL: f64 = 1e-9;
@@ -111,6 +173,48 @@ proptest! {
             let p1 = ev.prob(&r.membership(x, &some));
             let p2 = ev.prob(&r.membership(x, &dual));
             prop_assert!((p1 - p2).abs() < TOL, "x={x:?}: {p1} vs {p2}");
+        }
+    }
+
+    #[test]
+    fn point_membership_is_the_view_row(
+        (mut voc, _u, mut abox) in kb(),
+        program in prop::collection::vec(any::<u8>(), 1..12),
+        extra in any::<u8>(),
+    ) {
+        let tbox = terminology(&mut voc);
+        let concept = build_concept(&program, &mut voc);
+        // x0..x5 exist in the vocabulary; the KB's domain holds only the
+        // first 2..5 of them, so some are asked about from outside it.
+        let everyone: Vec<_> = (0..6).map(|i| voc.individual(&format!("x{i}"))).collect();
+        let views = ViewCache::new();
+        for round in 0..2 {
+            let cold = Reasoner::with_tbox(&abox, &tbox);
+            let view = cold.instances(&concept);
+            let unfolded = tbox.unfold(&concept);
+            let sharing = Reasoner::with_views(&abox, &views);
+            prop_assert_eq!(
+                &*sharing.instances_shared(&unfolded), &view,
+                "round {}: a shared view is the cold view", round
+            );
+            for &x in &everyone {
+                let want = view.get(&x).cloned().unwrap_or(EventExpr::False);
+                // A fresh reasoner: the point path must not lean on views.
+                let got = Reasoner::with_tbox(&abox, &tbox).membership(x, &concept);
+                prop_assert_eq!(
+                    &got, &want,
+                    "round {}: {:?} in {}", round, x, concept.display(&voc)
+                );
+                prop_assert_eq!(sharing.membership(x, &unfolded), want);
+            }
+            // Mutate (a row, an edge or the domain) and go again over the
+            // same shared cache: nothing stale may be served.
+            let who = everyone[usize::from(extra) % everyone.len()];
+            match extra % 3 {
+                0 => abox.assert_concept(who, voc.concept("C1"), EventExpr::True),
+                1 => abox.assert_role(everyone[0], voc.role("r"), who, EventExpr::True),
+                _ => abox.register_individual(who),
+            }
         }
     }
 

@@ -6,7 +6,15 @@
 //! same user, for all four engines, under an aggressive session cap
 //! (LRU cap 2, so tenants are constantly evicted and re-derived) and a
 //! randomized snapshot-tier [`EvictionPolicy`].
+//!
+//! The binding layer gets a suite of its own
+//! (`footprint_validated_bindings_match_cold_bind`): bindings are kept
+//! across mutations that miss their footprint and preference views are
+//! shared between tenants, so the interleavings there aim at every way a
+//! footprint can differ from a rule's surface — TBox-defined, role-chained
+//! and closed-world concepts, on the user's side and the documents'.
 
+use capra::core::EvalScratch;
 use capra::prelude::*;
 use proptest::prelude::*;
 
@@ -102,8 +110,237 @@ fn cold_rank<E: ScoringEngine + ?Sized>(
     full
 }
 
+/// Rooms users can be in and genres documents can have (two of each).
+const N_PLACES: usize = 2;
+
+/// A KB whose rules read more than their surface names say:
+///
+/// * `F0: Relaxed → TvProgram AND Feat0`, with the TBox definition
+///   `Relaxed ≡ Ctx0 AND EXISTS inRoom.Cosy` — a defined, role-chained
+///   context (footprint `Ctx0`, `inRoom`, `Cosy`);
+/// * `F1: EXISTS inRoom.Cosy → (TvProgram AND EXISTS hasGenre.Hot) OR
+///   {fresh4}` — tagging a *room* `Cosy` or a *genre* `Hot` changes events
+///   of users and documents nobody asserted anything about, and the
+///   nominal names an individual the vocabulary knows but the domain does
+///   not hold until the test registers it;
+/// * `F2: NOT Ctx1 → NOT Feat1` — closed-world on both sides;
+/// * `F3: TOP → FORALL hasGenre.Calm` — a default rule whose preference
+///   view, like F2's, holds every individual of the domain and so grows
+///   with it.
+struct Footprints {
+    kb: Kb,
+    rules: RuleRepository,
+    users: Vec<capra::dl::IndividualId>,
+    docs: Vec<capra::dl::IndividualId>,
+    rooms: Vec<capra::dl::IndividualId>,
+    genres: Vec<capra::dl::IndividualId>,
+}
+
+const FOOTPRINT_RULES: [(&str, &str, &str, f64); 4] = [
+    ("F0", "Relaxed", "TvProgram AND Feat0", 0.8),
+    (
+        "F1",
+        "EXISTS inRoom.Cosy",
+        "(TvProgram AND EXISTS hasGenre.Hot) OR {fresh4}",
+        0.35,
+    ),
+    ("F2", "NOT Ctx1", "NOT Feat1", 0.6),
+    ("F3", "TOP", "FORALL hasGenre.Calm", 0.55),
+];
+
+fn footprint_rule(
+    mut parse: impl FnMut(&str) -> Concept,
+    which: usize,
+    sigma: f64,
+) -> PreferenceRule {
+    let (name, context, preference, _) = FOOTPRINT_RULES[which];
+    PreferenceRule::new(
+        name,
+        parse(context),
+        parse(preference),
+        Score::new(sigma).unwrap(),
+    )
+}
+
+fn footprint_fixture() -> Footprints {
+    let mut kb = Kb::new();
+    let named = |kb: &mut Kb, prefix: &str, n: usize| -> Vec<_> {
+        (0..n)
+            .map(|i| kb.individual(&format!("{prefix}{i}")))
+            .collect()
+    };
+    let users = named(&mut kb, "user", N_USERS);
+    let docs = named(&mut kb, "doc", N_DOCS);
+    let rooms = named(&mut kb, "room", N_PLACES);
+    let genres = named(&mut kb, "genre", N_PLACES);
+    for (u, &user) in users.iter().enumerate() {
+        kb.assert_concept_prob(user, "Ctx0", 0.3 + 0.15 * u as f64)
+            .unwrap();
+        kb.assert_role(user, "inRoom", rooms[u % N_PLACES]);
+    }
+    for (d, &doc) in docs.iter().enumerate() {
+        kb.assert_concept(doc, "TvProgram");
+        kb.assert_concept_prob(doc, "Feat0", 0.1 + 0.2 * d as f64)
+            .unwrap();
+        kb.assert_role(doc, "hasGenre", genres[d % N_PLACES]);
+    }
+    kb.assert_concept(rooms[0], "Cosy");
+    kb.assert_concept_prob(genres[0], "Hot", 0.7).unwrap();
+    let relaxed = kb.voc.concept("Relaxed");
+    let body = kb.parse("Ctx0 AND EXISTS inRoom.Cosy").unwrap();
+    kb.tbox.define(relaxed, body, &kb.voc).unwrap();
+    let mut rules = RuleRepository::new();
+    for (which, &(.., sigma)) in FOOTPRINT_RULES.iter().enumerate() {
+        let rule = footprint_rule(|text| kb.parse(text).unwrap(), which, sigma);
+        rules.add(rule).unwrap();
+    }
+    Footprints {
+        kb,
+        rules,
+        users,
+        docs,
+        rooms,
+        genres,
+    }
+}
+
+/// What a request must return on `snap`, derived with nothing cached:
+/// `bind_rules_shared` + `score_all_bound` on a fresh scratch (+
+/// `group_scores`), ranked and cut. Engine errors are part of the answer.
+fn cold_answer(
+    engine: &dyn ScoringEngine,
+    snap: &SharedSnapshot,
+    members: &[capra::dl::IndividualId],
+    docs: &[capra::dl::IndividualId],
+    k: usize,
+    strategy: Option<&GroupStrategy>,
+) -> Result<Vec<DocScore>, String> {
+    let per_user = members
+        .iter()
+        .map(|&user| {
+            let env = ScoringEnv {
+                kb: snap.kb(),
+                rules: snap.rules(),
+                user,
+            };
+            engine.score_all_bound(
+                &env,
+                &bind_rules_shared(&env),
+                docs,
+                &mut EvalScratch::new(),
+            )
+        })
+        .collect::<Result<Vec<_>, _>>()
+        .map_err(|e| e.to_string())?;
+    let scores = match strategy {
+        Some(strategy) => group_scores(&per_user, strategy).map_err(|e| e.to_string())?,
+        None => per_user.into_iter().next().expect("one member"),
+    };
+    let mut ranked = rank(scores);
+    ranked.truncate(k);
+    Ok(ranked)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Bindings survive mutations that miss their footprint, are re-checked
+    /// by point membership when one hits it, and share preference views
+    /// across tenants — and none of it may show. Every step is a random
+    /// mutation — user-side or document-side, concept or role, certain or
+    /// uncertain, a new individual (which is ranked as a candidate from
+    /// then on, so a view that missed the domain growing shows), a rule
+    /// removed or re-defined under its name — followed by a `rank` or
+    /// `rank_group` of a random tenant out of four, with and without an LRU
+    /// cap of two, sequential and pooled. Every response, engine errors
+    /// included, equals the cold bind on the snapshot it was served from,
+    /// bit for bit, on all four engines.
+    #[test]
+    fn footprint_validated_bindings_match_cold_bind(
+        steps in prop::collection::vec(
+            (any::<u8>(), 0usize..N_USERS, 0usize..N_USERS, 0.05f64..=0.95, 1usize..=N_DOCS + 1),
+            6..14,
+        ),
+        pooled in any::<bool>(),
+        evicting in any::<bool>(),
+    ) {
+        let fixture = footprint_fixture();
+        let Footprints { users, rooms, genres, .. } = &fixture;
+        let engines: Vec<Box<dyn ScoringEngine + Sync>> = vec![
+            Box::new(NaiveViewEngine::new()),
+            Box::new(NaiveEnumEngine::new()),
+            Box::new(FactorizedEngine::new()),
+            Box::new(LineageEngine::new()),
+        ];
+        for engine in engines {
+            let service = RankingService::with_config(
+                engine,
+                fixture.kb.clone(),
+                fixture.rules.clone(),
+                ServiceConfig {
+                    // Without the cap every tenant stays live, so bindings
+                    // are re-validated rather than re-derived after an LRU
+                    // eviction.
+                    max_sessions: if evicting { 2 } else { N_USERS },
+                    threads: if pooled { 3 } else { 1 },
+                    ..ServiceConfig::default()
+                },
+            );
+            let mut docs = fixture.docs.clone();
+            for &(kind, a, b, p, k) in &steps {
+                let place = b % N_PLACES;
+                // Half the requests come from the tenant just written about.
+                let b = if kind >= 128 { a } else { b };
+                let assert = |subject, fact| service.assert(subject, fact).unwrap();
+                match kind % 9 {
+                    0 => assert(users[a], Fact::ConceptProb(format!("Ctx{place}"), p)),
+                    1 => assert(docs[a], Fact::ConceptProb(format!("Feat{place}"), p)),
+                    2 => assert(users[a], Fact::Role("inRoom".into(), rooms[place])),
+                    3 if p > 0.5 => assert(rooms[place], Fact::Concept("Cosy".into())),
+                    3 => assert(rooms[place], Fact::ConceptProb("Cosy".into(), p)),
+                    4 => assert(docs[a], Fact::RoleProb("hasGenre".into(), genres[place], p)),
+                    5 => {
+                        let tag = if a % 2 == 0 { "Hot" } else { "Calm" };
+                        assert(genres[place], Fact::ConceptProb(tag.into(), p));
+                    }
+                    6 => docs.push(service.individual(&format!("fresh{}", docs.len()))),
+                    7 => {
+                        // Present: remove. Absent: back under the same
+                        // name with another σ.
+                        let which = a % FOOTPRINT_RULES.len();
+                        if service.remove_rule(FOOTPRINT_RULES[which].0).is_err() {
+                            let parse = |text: &str| service.parse(text).unwrap();
+                            service.add_rule(footprint_rule(parse, which, p)).unwrap();
+                        }
+                    }
+                    _ => {}
+                }
+                let strategy = GroupStrategy::LeastMisery;
+                let (members, strategy) = match kind / 9 % 3 {
+                    0 => (&users[..=b], Some(&strategy)),
+                    _ => (&users[b..=b], None),
+                };
+                let snap = service.snapshot();
+                let want =
+                    cold_answer(service.engine().as_ref(), &snap, members, &docs, k, strategy);
+                let got = match strategy {
+                    Some(strategy) => service.rank_group(members, &docs, k, strategy),
+                    None => service.rank(members[0], &docs, k),
+                }
+                .map_err(|e| e.to_string());
+                let bits = |r: Result<Vec<DocScore>, String>| {
+                    r.map(|v| v.iter().map(|s| (s.doc, s.score.to_bits())).collect::<Vec<_>>())
+                };
+                prop_assert_eq!(
+                    bits(want), bits(got),
+                    "engine {} members={:?} k={}", service.engine().name(), members, k
+                );
+            }
+            if evicting {
+                prop_assert!(service.stats().sessions_live <= 2, "LRU cap holds");
+            }
+        }
+    }
 
     /// The serving-layer tentpole property: whatever interleaving of
     /// context switches, feature updates and rank requests a service
