@@ -5,7 +5,7 @@ use capra_dl::IndividualId;
 use capra_events::{BatchEvaluator, EventExpr, VarId};
 
 use crate::bind::RuleBinding;
-use crate::engines::{DocScore, EvalScratch, ScoringEngine};
+use crate::engines::{DocScore, EvalScratch, LaneOrder, ScoringEngine};
 use crate::{CoreError, Result, ScoringEnv};
 
 /// What to do when rule events share random variables (i.e. features are
@@ -150,107 +150,6 @@ impl FactorizedEngine {
         }
         false
     }
-
-    /// The columnar evaluation order: one sweep per applicable rule over
-    /// the whole document batch, with each distinct preference event
-    /// evaluated once per sweep (see [`BatchEvaluator`]). Per lane, the
-    /// multiplication sequence is identical to the scalar loop's (rule
-    /// order), and every memoised probability is a pure function of the
-    /// hash-consed expression — so the scores are bit-identical to the
-    /// scalar path. Independence is screened doc-invariantly first when
-    /// the bound views are batch-sized; a suspicious screen — or views
-    /// that dwarf the batch — runs the exact checks, per document in
-    /// document order, preserving the scalar path's first error.
-    fn score_all_columnar(
-        &self,
-        env: &ScoringEnv<'_>,
-        bindings: &[Arc<RuleBinding>],
-        docs: &[IndividualId],
-        scratch: &mut EvalScratch,
-    ) -> Result<Vec<DocScore>> {
-        let applicable: Vec<&RuleBinding> = bindings
-            .iter()
-            .map(Arc::as_ref)
-            .filter(|b| !b.is_inapplicable())
-            .collect();
-        let (result, stats) = scratch.with_evaluator(&env.kb.universe, |ev| {
-            let mut batch = BatchEvaluator::new(ev);
-            let result = (|| -> Result<Vec<DocScore>> {
-                let context_probs: Vec<f64> = applicable
-                    .iter()
-                    .map(|b| batch.evaluator().prob(&b.context_event))
-                    .collect();
-                if let CorrelationPolicy::Error = self.on_correlation {
-                    let ctx_owner = Self::context_owners(bindings, env.kb)?;
-                    // The doc-invariant screen costs one pass over every
-                    // bound view; worth it only when the views are batch-
-                    // sized. When they dwarf the batch (e.g. the top-k scan
-                    // feeding small chunks of a large candidate set), the
-                    // scalar path's per-document checks are cheaper — and
-                    // either route raises the same first error in the same
-                    // document order.
-                    let view_total: usize =
-                        bindings.iter().map(|b| b.preference_events.len()).sum();
-                    if view_total > docs.len().saturating_mul(4)
-                        || Self::preference_screen_suspicious(bindings, &ctx_owner)
-                    {
-                        let mut owner_scratch: HashMap<VarId, usize> = HashMap::new();
-                        for &doc in docs {
-                            Self::check_doc_independence(
-                                bindings,
-                                doc,
-                                &ctx_owner,
-                                &mut owner_scratch,
-                                env.kb,
-                            )?;
-                        }
-                    }
-                }
-                let mut scores = vec![1.0f64; docs.len()];
-                // Lane index built once per batch: each rule sweep walks its
-                // bound view in order and drops every in-batch event into its
-                // lane — absent documents keep the `False` their lane was
-                // seeded with — instead of one B-tree descent per
-                // (rule, document).
-                let lane: HashMap<IndividualId, usize> =
-                    docs.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-                let mut column: Vec<EventExpr> = Vec::with_capacity(docs.len());
-                for (b, &pg) in applicable.iter().zip(&context_probs) {
-                    column.clear();
-                    column.resize(docs.len(), EventExpr::False);
-                    if b.preference_events.len() <= docs.len().saturating_mul(4) {
-                        for (doc, event) in b.preference_events.iter() {
-                            if let Some(&slot) = lane.get(doc) {
-                                column[slot] = event.clone();
-                            }
-                        }
-                    } else {
-                        // The bound view dwarfs the batch: per-document
-                        // lookups are cheaper than sweeping the whole map.
-                        for (slot, &doc) in docs.iter().enumerate() {
-                            column[slot] = b.preference_event(doc);
-                        }
-                    }
-                    let pfs = batch.probs(&column);
-                    for (score, pf) in scores.iter_mut().zip(&pfs) {
-                        let matched = pf * b.sigma + (1.0 - pf) * (1.0 - b.sigma);
-                        *score *= (1.0 - pg) + pg * matched;
-                    }
-                }
-                Ok(docs
-                    .iter()
-                    .zip(scores)
-                    .map(|(&doc, score)| DocScore {
-                        doc,
-                        score: score.clamp(0.0, 1.0),
-                    })
-                    .collect())
-            })();
-            (result, batch.stats())
-        });
-        scratch.record_batch(stats);
-        result
-    }
 }
 
 impl ScoringEngine for FactorizedEngine {
@@ -304,52 +203,76 @@ impl ScoringEngine for FactorizedEngine {
             return Ok(Vec::new());
         }
         scratch.ensure_kb(env.kb);
-        // Columnar sweeps only pay off when lanes can share evaluations;
-        // single-document batches take the scalar loop unchanged.
-        if scratch.scoring().columnar && docs.len() > 1 {
-            return self.score_all_columnar(env, bindings, docs, scratch);
-        }
+        // One sweep per applicable rule over the whole batch, each distinct
+        // preference event evaluated once per sweep; a single document is a
+        // one-lane batch. Per lane the factors multiply in rule order.
         let applicable: Vec<&RuleBinding> = bindings
             .iter()
             .map(Arc::as_ref)
             .filter(|b| !b.is_inapplicable())
             .collect();
-        scratch.with_evaluator(&env.kb.universe, |ev| {
-            // Context probabilities do not depend on the document: hoist them.
-            let context_probs: Vec<f64> = applicable
-                .iter()
-                .map(|b| ev.prob(&b.context_event))
-                .collect();
-            // Doc-invariant half of the independence check, hoisted likewise.
-            let ctx_owner = match self.on_correlation {
-                CorrelationPolicy::Error => Some(Self::context_owners(bindings, env.kb)?),
-                CorrelationPolicy::AssumeIndependent => None,
-            };
-            let mut owner_scratch: HashMap<VarId, usize> = HashMap::new();
-            let mut out = Vec::with_capacity(docs.len());
-            for &doc in docs {
-                if let Some(ctx_owner) = &ctx_owner {
-                    Self::check_doc_independence(
-                        bindings,
-                        doc,
-                        ctx_owner,
-                        &mut owner_scratch,
-                        env.kb,
-                    )?;
+        let (result, stats) = scratch.with_evaluator(&env.kb.universe, |ev| {
+            let mut batch = BatchEvaluator::new(ev);
+            let result = (|| -> Result<Vec<DocScore>> {
+                let context_probs: Vec<f64> = applicable
+                    .iter()
+                    .map(|b| batch.evaluator().prob(&b.context_event))
+                    .collect();
+                if let CorrelationPolicy::Error = self.on_correlation {
+                    let ctx_owner = Self::context_owners(bindings, env.kb)?;
+                    // The doc-invariant screen costs one pass over every
+                    // bound view; worth it only when the views are batch-
+                    // sized. When they dwarf the batch (e.g. the top-k scan
+                    // feeding small chunks of a large candidate set), the
+                    // per-document checks are cheaper — and either route
+                    // raises the same first error in the same document
+                    // order.
+                    let view_total: usize =
+                        bindings.iter().map(|b| b.preference_events.len()).sum();
+                    if view_total > docs.len().saturating_mul(4)
+                        || Self::preference_screen_suspicious(bindings, &ctx_owner)
+                    {
+                        let mut owner_scratch: HashMap<VarId, usize> = HashMap::new();
+                        for &doc in docs {
+                            Self::check_doc_independence(
+                                bindings,
+                                doc,
+                                &ctx_owner,
+                                &mut owner_scratch,
+                                env.kb,
+                            )?;
+                        }
+                    }
                 }
-                let mut score = 1.0;
+                let mut scores = vec![1.0f64; docs.len()];
+                // Each rule sweep drops its bound view's in-batch events into
+                // their lanes; absent documents keep the `False` their lane
+                // was seeded with.
+                let lanes = LaneOrder::new(docs);
+                let mut column: Vec<EventExpr> = Vec::with_capacity(docs.len());
                 for (b, &pg) in applicable.iter().zip(&context_probs) {
-                    let pf = ev.prob(&b.preference_event(doc));
-                    let matched = pf * b.sigma + (1.0 - pf) * (1.0 - b.sigma);
-                    score *= (1.0 - pg) + pg * matched;
+                    column.clear();
+                    column.resize(docs.len(), EventExpr::False);
+                    lanes.for_each_event(b, |slot, event| column[slot] = event.clone());
+                    let pfs = batch.probs(&column);
+                    for (score, pf) in scores.iter_mut().zip(&pfs) {
+                        let matched = pf * b.sigma + (1.0 - pf) * (1.0 - b.sigma);
+                        *score *= (1.0 - pg) + pg * matched;
+                    }
                 }
-                out.push(DocScore {
-                    doc,
-                    score: score.clamp(0.0, 1.0),
-                });
-            }
-            Ok(out)
-        })
+                Ok(docs
+                    .iter()
+                    .zip(scores)
+                    .map(|(&doc, score)| DocScore {
+                        doc,
+                        score: score.clamp(0.0, 1.0),
+                    })
+                    .collect())
+            })();
+            (result, batch.stats())
+        });
+        scratch.record_batch(stats);
+        result
     }
 }
 

@@ -1,11 +1,10 @@
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use capra_dl::IndividualId;
-use capra_events::{BatchExpectation, EventExpr, Factor};
+use capra_events::{BatchExpectation, BatchStats, EventExpr, Expectation, Factor, VarId};
 
 use crate::bind::RuleBinding;
-use crate::engines::{DocScore, EvalScratch, ScoringEngine};
+use crate::engines::{DocScore, EvalScratch, LaneOrder, ScoringEngine};
 use crate::{Result, ScoringEnv};
 
 /// The exact engine: evaluates the Section 3.3 expectation over the event
@@ -21,11 +20,30 @@ use crate::{Result, ScoringEnv};
 /// 1·1[¬G_r] + σ_r·1[G_r ∧ F_rd] + (1−σ_r)·1[G_r ∧ ¬F_rd]
 /// ```
 ///
-/// and the score is the exact expectation of the product, computed by
-/// Shannon expansion over the shared random variables with memoisation
-/// (see [`capra_events::Expectation`]). When rules touch disjoint variables
-/// the expectation factorises automatically, so the engine degrades
-/// gracefully to the factorized engine's linear cost.
+/// and the score is the exact expectation of the product
+/// ([`capra_events::Expectation::compute`]). The expectation of
+/// variable-disjoint factors is the product of their expectations, and
+/// the expectation of one factor is `Σ_cases w·P(case)`, so the engine
+/// scores each document on one of two routes, chosen by the **lane test**
+/// — made per document from the events' variable supports and shapes:
+///
+/// * **lane** — the active contexts' supports are pairwise disjoint, every
+///   feature event the document has is variable-disjoint from every active
+///   context and from the document's other features, and no conjunction
+///   `G_r ∧ F_rd` / `G_r ∧ ¬F_rd` would flatten (neither `G_r`, `F_rd` nor
+///   `¬F_rd` is an `And`). The score is then the closed form
+///   `Π_r Σ_cases w·clamp(P(case))` over `P(G_r)`, computed once per
+///   request, and the user-independent `P(F_rd)`
+///   ([`capra_events::Expectation::prob_split`]) — a dozen flops per rule
+///   in exactly `compute`'s floating-point order, with no node interned
+///   and nothing memoised per (context, document) pair. This is the
+///   factorized engine's linear cost, with the exact engine's bits.
+/// * **exact** — any other document, and only that document, has its
+///   factors built and goes through `compute`: Shannon expansion over the
+///   shared variables with memoisation, one evaluation per distinct
+///   per-rule event signature in the batch.
+///
+/// [`capra_events::BatchStats::fallbacks`] counts the second route.
 #[derive(Debug, Clone, Default)]
 pub struct LineageEngine {
     /// Skip rules whose context event is `False` (constant factor 1).
@@ -40,92 +58,196 @@ impl LineageEngine {
             prune_inapplicable: true,
         }
     }
+}
 
-    /// The columnar evaluation order: documents are grouped by their
-    /// per-rule preference-event *signature* (one interned event — or its
-    /// absence — per active rule), each distinct signature's factor
-    /// product is built and computed once, and the expectation is
-    /// broadcast to every document sharing it. On sparse KBs most
-    /// documents miss most rules, so whole signature groups collapse to
-    /// one evaluation. Bit-identical to the scalar loop: the memoised
-    /// expectation is a pure function of the hash-consed factor keys, and
-    /// the per-lane clamp is unchanged.
-    fn score_all_columnar(
-        env: &ScoringEnv<'_>,
-        active: &[&RuleBinding],
-        docs: &[IndividualId],
-        scratch: &mut EvalScratch,
-    ) -> Result<Vec<DocScore>> {
-        let per_rule: Vec<(&RuleBinding, EventExpr, Factor)> = active
+/// What one rule contributes that does not depend on the document.
+struct ContextHalf<'a> {
+    g: &'a EventExpr,
+    sigma: f64,
+    /// `1·P(¬G)`, the first term of the case sum — `None` when `G` is
+    /// `True` and the case vanishes.
+    not_g_term: Option<f64>,
+    /// The factor of a document that does not match (`F` absent or `False`).
+    miss: f64,
+    /// The factor of a document that certainly matches (`F = True`).
+    sure_hit: f64,
+}
+
+impl ContextHalf<'_> {
+    /// `G` is `True`: a document whose feature event is constant too makes
+    /// the factor a constant.
+    fn certain(&self) -> bool {
+        self.not_g_term.is_none()
+    }
+}
+
+/// `Σ w·P(case)` over the cases [`Factor::new`] keeps, in its case order
+/// `[¬G, G∧F, G∧¬F]` and with the `Iterator::sum` `compute` folds them by.
+fn case_sum(terms: [Option<f64>; 3]) -> f64 {
+    terms.into_iter().flatten().sum()
+}
+
+/// `w·p`, unless [`Factor::new`] drops the case for its zero weight.
+fn weighted(w: f64, p: f64) -> Option<f64> {
+    (w != 0.0).then_some(w * p)
+}
+
+/// The doc-invariant half of a request, computed once: one
+/// [`ContextHalf`] per active rule (`None` for a `False` context, whose
+/// factor is the constant 1 and multiplies nothing), and what the lane
+/// test needs to know about the contexts together.
+struct Contexts<'a> {
+    halves: Vec<Option<ContextHalf<'a>>>,
+    /// The active contexts' supports are pairwise disjoint. When they are
+    /// not, every document's factors are entangled through them.
+    disjoint: bool,
+    /// Union of the active contexts' supports, sorted.
+    vars: Vec<VarId>,
+}
+
+impl<'a> Contexts<'a> {
+    fn new(active: &[&'a RuleBinding], expectation: &mut Expectation<'_>) -> Self {
+        let mut vars: Vec<VarId> = Vec::new();
+        let halves = active
             .iter()
             .map(|b| {
-                let not_g = EventExpr::not(b.context_event.clone());
-                let miss_factor = Factor::new([
-                    (not_g.clone(), 1.0),
-                    (b.context_event.clone(), 1.0 - b.sigma),
-                ]);
-                (*b, not_g, miss_factor)
+                let g = &b.context_event;
+                if g.is_false() {
+                    return None;
+                }
+                vars.extend_from_slice(g.support_slice());
+                let (p_g, not_g_term) = if g.is_true() {
+                    (1.0, None)
+                } else {
+                    let (p_g, p_not_g) = expectation
+                        .prob_split(&EventExpr::True, g)
+                        .expect("a non-constant event splits the certain event");
+                    (p_g, Some(p_not_g))
+                };
+                Some(ContextHalf {
+                    g,
+                    sigma: b.sigma,
+                    not_g_term,
+                    miss: case_sum([not_g_term, None, weighted(1.0 - b.sigma, p_g)]),
+                    sure_hit: case_sum([not_g_term, weighted(b.sigma, p_g), None]),
+                })
             })
             .collect();
-        // Signatures are filled rule-by-rule: each rule sweeps its bound
-        // view in order and drops in-batch events into their lane (via the
-        // lane index built once per batch), instead of one B-tree descent
-        // per (rule, doc). Comparing and hashing signatures afterwards is
-        // pointer/precomputed-hash work only.
-        let lane: HashMap<IndividualId, usize> =
-            docs.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-        let mut signatures: Vec<Vec<Option<EventExpr>>> =
-            vec![vec![None; per_rule.len()]; docs.len()];
-        for (r, (b, _, _)) in per_rule.iter().enumerate() {
-            if b.preference_events.len() <= docs.len().saturating_mul(4) {
-                for (doc, event) in b.preference_events.iter() {
-                    if let Some(&slot) = lane.get(doc) {
-                        signatures[slot][r] = Some(event.clone());
-                    }
-                }
-            } else {
-                // The bound view dwarfs the batch: per-document lookups
-                // are cheaper than sweeping the whole map.
-                for (slot, &doc) in docs.iter().enumerate() {
-                    signatures[slot][r] = b.preference_events.get(&doc).cloned();
+        vars.sort_unstable();
+        let distinct = vars.len();
+        vars.dedup();
+        Self {
+            halves,
+            disjoint: vars.len() == distinct,
+            vars,
+        }
+    }
+
+    /// The lane route for one document: `row` holds its feature event per
+    /// active rule (`None` when absent or `False`). Returns what
+    /// [`Expectation::compute`] would for the document's factors, bit for
+    /// bit, or `None` when the lane test rejects the document.
+    fn lane_score(
+        &self,
+        row: &[Option<&EventExpr>],
+        seen: &mut Vec<VarId>,
+        expectation: &mut Expectation<'_>,
+    ) -> Option<f64> {
+        let rules = || {
+            self.halves
+                .iter()
+                .zip(row)
+                .filter_map(|(h, f)| Some((h.as_ref()?, *f)))
+        };
+        // `compute` multiplies the constant factors first…
+        let mut acc = 1.0;
+        let mut pending = false;
+        seen.clear();
+        for (half, f) in rules() {
+            match f {
+                None if half.certain() => acc *= half.miss,
+                Some(EventExpr::True) if half.certain() => acc *= half.sure_hit,
+                _ => {
+                    pending = true;
+                    seen.extend_from_slice(f.map_or(&[][..], EventExpr::support_slice));
                 }
             }
         }
-        let (out, stats) = scratch.with_expectation(&env.kb.universe, |expectation| {
-            let mut batch = BatchExpectation::new(expectation);
-            let raw = batch.compute_grouped(&signatures, |signature| {
-                signature
-                    .iter()
-                    .zip(&per_rule)
-                    .map(|(pref, (b, not_g, miss_factor))| match pref {
-                        None => miss_factor.clone(),
-                        Some(f) => {
-                            let g = b.context_event.clone();
-                            Factor::new([
-                                (not_g.clone(), 1.0),
-                                (EventExpr::and([g.clone(), f.clone()]), b.sigma),
-                                (
-                                    EventExpr::and([g, EventExpr::not(f.clone())]),
-                                    1.0 - b.sigma,
-                                ),
-                            ])
-                        }
-                    })
-                    .collect()
-            });
-            let out: Vec<DocScore> = docs
-                .iter()
-                .zip(raw)
-                .map(|(&doc, e)| DocScore {
-                    doc,
-                    score: e.clamp(0.0, 1.0),
-                })
-                .collect();
-            (out, batch.stats())
-        });
-        scratch.record_batch(stats);
-        Ok(out)
+        if !pending || acc == 0.0 {
+            return Some(acc);
+        }
+        // …then one group per factor, if no two share a variable: no
+        // context and no feature event may touch another.
+        if !self.disjoint {
+            return None;
+        }
+        if !self.vars.is_empty() && seen.iter().any(|v| self.vars.binary_search(v).is_ok()) {
+            return None;
+        }
+        seen.sort_unstable();
+        if seen.windows(2).any(|w| w[0] == w[1]) {
+            return None;
+        }
+        for (half, f) in rules() {
+            acc *= match f {
+                None if half.certain() => continue,
+                Some(EventExpr::True) if half.certain() => continue,
+                None => half.miss,
+                Some(EventExpr::True) => half.sure_hit,
+                Some(f) => {
+                    let (hit, miss) = expectation.prob_split(half.g, f)?;
+                    case_sum([
+                        half.not_g_term,
+                        weighted(half.sigma, hit),
+                        weighted(1.0 - half.sigma, miss),
+                    ])
+                }
+            };
+        }
+        Some(acc)
     }
+}
+
+/// The exact route, for the documents the lane test rejected: builds each
+/// distinct signature's factors (a signature is a document's feature event
+/// per rule) and runs [`Expectation::compute`] on them once. Returns the
+/// expectations in `rows` order and how many evaluations ran.
+fn exact_scores(
+    active: &[&RuleBinding],
+    rows: &[&[Option<&EventExpr>]],
+    expectation: &mut Expectation<'_>,
+) -> (Vec<f64>, u64) {
+    let per_rule: Vec<(&RuleBinding, EventExpr, Factor)> = active
+        .iter()
+        .map(|b| {
+            let not_g = EventExpr::not(b.context_event.clone());
+            let miss_factor = Factor::new([
+                (not_g.clone(), 1.0),
+                (b.context_event.clone(), 1.0 - b.sigma),
+            ]);
+            (*b, not_g, miss_factor)
+        })
+        .collect();
+    let mut batch = BatchExpectation::new(expectation);
+    let raw = batch.compute_grouped(rows, |signature| {
+        signature
+            .iter()
+            .zip(&per_rule)
+            .map(|(pref, (b, not_g, miss_factor))| match pref {
+                None => miss_factor.clone(),
+                Some(f) => {
+                    let g = b.context_event.clone();
+                    let f = (*f).clone();
+                    Factor::new([
+                        (not_g.clone(), 1.0),
+                        (EventExpr::and([g.clone(), f.clone()]), b.sigma),
+                        (EventExpr::and([g, EventExpr::not(f)]), 1.0 - b.sigma),
+                    ])
+                }
+            })
+            .collect()
+    });
+    (raw, batch.stats().fallbacks)
 }
 
 impl ScoringEngine for LineageEngine {
@@ -140,63 +262,63 @@ impl ScoringEngine for LineageEngine {
         docs: &[IndividualId],
         scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>> {
+        if docs.is_empty() {
+            return Ok(Vec::new());
+        }
         scratch.ensure_kb(env.kb);
         let active: Vec<&RuleBinding> = bindings
             .iter()
             .map(Arc::as_ref)
             .filter(|b| !(self.prune_inapplicable && b.is_inapplicable()))
             .collect();
-        // Columnar sweeps only pay off when lanes can share evaluations;
-        // single-document batches take the scalar loop unchanged.
-        if scratch.scoring().columnar && docs.len() > 1 {
-            return Self::score_all_columnar(env, &active, docs, scratch);
+        // One row of feature events per slot, one column per active rule,
+        // filled rule by rule. An event that is `False` is a document that
+        // does not match: `Factor::new` drops its cases either way.
+        let width = active.len();
+        let mut events: Vec<Option<&EventExpr>> = vec![None; docs.len() * width];
+        let lanes = LaneOrder::new(docs);
+        for (r, b) in active.iter().enumerate() {
+            lanes.for_each_event(b, |slot, event| {
+                if !event.is_false() {
+                    events[slot * width + r] = Some(event);
+                }
+            });
         }
-        // Doc-invariant pieces per rule, built once: the context event, its
-        // complement, and the factor a *non-matching* document yields
-        // (preference event `False` — the common case on sparse KBs).
-        let per_rule: Vec<(&crate::RuleBinding, EventExpr, Factor)> = active
-            .iter()
-            .map(|b| {
-                let not_g = EventExpr::not(b.context_event.clone());
-                let miss_factor = Factor::new([
-                    (not_g.clone(), 1.0),
-                    (b.context_event.clone(), 1.0 - b.sigma),
-                ]);
-                (*b, not_g, miss_factor)
-            })
-            .collect();
-        // One expectation computer for the whole run: documents share the
-        // context sub-problems through its memo table (keys are hash-consed
-        // expressions, so identical sub-problems across documents collide).
-        // The memo state itself lives in `scratch`, so a session's repeat
-        // calls also share sub-problems *across* runs.
-        scratch.with_expectation(&env.kb.universe, |expectation| {
-            let mut out = Vec::with_capacity(docs.len());
-            for &doc in docs {
-                let factors: Vec<Factor> = per_rule
-                    .iter()
-                    .map(
-                        |(b, not_g, miss_factor)| match b.preference_events.get(&doc) {
-                            None => miss_factor.clone(),
-                            Some(f) => {
-                                let g = b.context_event.clone();
-                                Factor::new([
-                                    (not_g.clone(), 1.0),
-                                    (EventExpr::and([g.clone(), f.clone()]), b.sigma),
-                                    (
-                                        EventExpr::and([g, EventExpr::not(f.clone())]),
-                                        1.0 - b.sigma,
-                                    ),
-                                ])
-                            }
-                        },
-                    )
-                    .collect();
-                let score = expectation.compute(&factors).clamp(0.0, 1.0);
-                out.push(DocScore { doc, score });
+        let row = |slot: usize| &events[slot * width..(slot + 1) * width];
+        let (raw, fallbacks) = scratch.with_expectation(&env.kb.universe, |expectation| {
+            let contexts = Contexts::new(&active, expectation);
+            let mut raw = vec![0.0f64; docs.len()];
+            let mut rejected: Vec<usize> = Vec::new();
+            let mut seen: Vec<VarId> = Vec::new();
+            for (slot, e) in raw.iter_mut().enumerate() {
+                match contexts.lane_score(row(slot), &mut seen, expectation) {
+                    Some(score) => *e = score,
+                    None => rejected.push(slot),
+                }
             }
-            Ok(out)
-        })
+            if rejected.is_empty() {
+                return (raw, 0);
+            }
+            let rows: Vec<&[Option<&EventExpr>]> = rejected.iter().map(|&slot| row(slot)).collect();
+            let (exact, evaluations) = exact_scores(&active, &rows, expectation);
+            for (&slot, e) in rejected.iter().zip(exact) {
+                raw[slot] = e;
+            }
+            (raw, evaluations)
+        });
+        scratch.record_batch(BatchStats {
+            sweeps: 1,
+            lanes: docs.len() as u64,
+            fallbacks,
+        });
+        Ok(docs
+            .iter()
+            .zip(raw)
+            .map(|(&doc, e)| DocScore {
+                doc,
+                score: e.clamp(0.0, 1.0),
+            })
+            .collect())
     }
 }
 

@@ -16,7 +16,7 @@
 //! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | the paper's Section 5 PostgreSQL implementation |
 //! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | the same maths without the view machinery (ablation) |
 //! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups; independence check walks cached per-node supports, context half hoisted out of the doc loop | the early-pruning improvement the Discussion calls for |
-//! | [`LineageEngine`] | **always exact** (correlations included) | Shannon expansion over shared variables, sub-problems deduplicated by hash-consed expression identity | Section 3.3 with the event-expression model of ref \[17\] |
+//! | [`LineageEngine`] | **always exact** (correlations included) | `O(n · d)` closed form for documents whose rule factors are variable-disjoint (the lane test, per document); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | Section 3.3 with the event-expression model of ref \[17\] |
 //! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the serving path: repeated queries under a changing context |
 //!
 //! All engines share the binding step ([`crate::bind_rules`]), which runs
@@ -58,8 +58,8 @@ use std::sync::Arc;
 
 use capra_dl::IndividualId;
 use capra_events::{
-    BatchStats, CacheFootprint, EvalCache, Evaluator, EvictionPolicy, ExpectCache, Expectation,
-    FrozenEvalCache, FrozenExpectCache, Universe,
+    BatchStats, CacheFootprint, EvalCache, Evaluator, EventExpr, EvictionPolicy, ExpectCache,
+    Expectation, FrozenEvalCache, FrozenExpectCache, Universe,
 };
 
 use crate::bind::bind_rules_shared;
@@ -72,54 +72,6 @@ pub struct DocScore {
     pub doc: IndividualId,
     /// `P(D=doc | U=usit)` — the context-aware relevance.
     pub score: f64,
-}
-
-/// Evaluation-strategy configuration for the prepared scoring path,
-/// carried on every [`EvalScratch`] (and stamped onto pool checkouts by
-/// [`crate::parallel::ScratchPool`]).
-///
-/// The columnar toggle selects between two bit-identical evaluation
-/// orders: the scalar per-document loop and the batch path that lays
-/// per-document expressions out as columns, evaluating each distinct
-/// expression once per sweep (see [`capra_events::BatchEvaluator`]).
-/// Because both orders produce identical scores, the toggle *could* share
-/// a cache tag — but it is deliberately mixed into the score-cache key
-/// ([`ScoringConfig::tag`]) so cached results never cross paths: a cached
-/// score can always be attributed to the path that computed it, which is
-/// what lets the property suites compare the two paths through live
-/// sessions without one serving the other from cache.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ScoringConfig {
-    /// Score document batches as column sweeps (default). Engines fall
-    /// back to the scalar loop for single-document batches, and the naive
-    /// engines always score scalar (they are the oracle).
-    pub columnar: bool,
-}
-
-impl Default for ScoringConfig {
-    fn default() -> Self {
-        Self { columnar: true }
-    }
-}
-
-impl ScoringConfig {
-    /// The scalar per-document configuration (columnar off) — the
-    /// reference path the property suites compare against.
-    pub fn scalar() -> Self {
-        Self { columnar: false }
-    }
-
-    /// Cache-key bits mixed into [`ScoringEngine::config_tag`] by the
-    /// session layer, so results cached under one evaluation strategy are
-    /// never served to the other. Kept in the high half so engine-owned
-    /// tags (low bits) cannot collide.
-    pub fn tag(&self) -> u64 {
-        if self.columnar {
-            1 << 32
-        } else {
-            0
-        }
-    }
 }
 
 /// Reusable evaluation state threaded through the prepared scoring path
@@ -150,8 +102,6 @@ pub struct EvalScratch {
     epoch: u64,
     /// Eviction policy applied when rotating.
     policy: EvictionPolicy,
-    /// Evaluation strategy engines consult (columnar vs scalar).
-    scoring: ScoringConfig,
     /// Batch-path counters accumulated by engines run on this scratch.
     batch: BatchStats,
     prob: EvalCache,
@@ -175,32 +125,9 @@ impl EvalScratch {
         }
     }
 
-    /// An empty scratch with the given eviction policy *and* evaluation
-    /// strategy — the constructor session holders use to thread a
-    /// [`ScoringConfig`] down to the engines.
-    pub fn with_config(policy: EvictionPolicy, scoring: ScoringConfig) -> Self {
-        Self {
-            policy,
-            scoring,
-            ..Self::default()
-        }
-    }
-
     /// The eviction policy applied by this scratch's rotations.
     pub fn policy(&self) -> EvictionPolicy {
         self.policy
-    }
-
-    /// The evaluation strategy engines consult when driven through this
-    /// scratch.
-    pub fn scoring(&self) -> ScoringConfig {
-        self.scoring
-    }
-
-    /// Overrides the evaluation strategy (used by pools stamping their
-    /// configuration onto checkouts).
-    pub fn set_scoring(&mut self, scoring: ScoringConfig) {
-        self.scoring = scoring;
     }
 
     /// Batch-path counters accumulated by engines run on this scratch.
@@ -283,8 +210,8 @@ impl EvalScratch {
     /// persistence layer: a pool checkout is filled with entries decoded
     /// from a saved snapshot (already re-interned against this process's
     /// expression interner) and given back, so the next republish publishes
-    /// them as the frozen tier. The KB binding, policy, scoring
-    /// configuration and batch counters are untouched; any snapshot the
+    /// them as the frozen tier. The KB binding, policy and batch counters
+    /// are untouched; any snapshot the
     /// checkout's overlays were layered over is dropped, which is safe
     /// because a freshly recovered pool's chains are empty.
     pub(crate) fn import_overlays(&mut self, prob: EvalCache, expect: ExpectCache) {
@@ -298,14 +225,13 @@ impl EvalScratch {
     }
 
     /// Binds the scratch to `kb`, discarding all memos (the eviction
-    /// policy, scoring configuration and batch counters are kept) if it
-    /// was previously used with a different KB.
+    /// policy and batch counters are kept) if it was previously used with
+    /// a different KB.
     pub fn ensure_kb(&mut self, kb: &Kb) {
         if self.kb_id != kb.id() {
             *self = Self {
                 kb_id: kb.id(),
                 policy: self.policy,
-                scoring: self.scoring,
                 batch: self.batch,
                 ..Self::default()
             };
@@ -443,9 +369,69 @@ impl<T: ScoringEngine + ?Sized> ScoringEngine for Box<T> {
 
 /// Sorts scores descending (ties broken by document id for determinism) —
 /// the `ORDER BY preferencescore DESC` of the paper's example query.
+///
+/// A ranking lists each document **once**: a candidate list that repeats a
+/// document yields one equal score per repeat (engines score every slot),
+/// the repeats sort next to each other, and all but one are dropped here.
+/// [`crate::rank_top_k`] makes the same cut, so it stays the exact prefix
+/// of this ranking on any candidate list.
 pub fn rank(mut scores: Vec<DocScore>) -> Vec<DocScore> {
     scores.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
+    scores.dedup_by_key(|s| s.doc);
     scores
+}
+
+/// The slots of one document batch in ascending document order — the join
+/// order against the bound preference views, which are B-trees keyed by
+/// document. Both optimised engines fill their per-rule lanes through it,
+/// so a document listed twice has its event dropped into *every* slot that
+/// holds it.
+pub(crate) struct LaneOrder {
+    by_doc: Vec<(IndividualId, usize)>,
+}
+
+impl LaneOrder {
+    pub(crate) fn new(docs: &[IndividualId]) -> Self {
+        let mut by_doc: Vec<(IndividualId, usize)> = docs
+            .iter()
+            .enumerate()
+            .map(|(slot, &d)| (d, slot))
+            .collect();
+        by_doc.sort_unstable();
+        Self { by_doc }
+    }
+
+    /// Calls `hit(slot, event)` for every slot whose document has a
+    /// preference event under `binding`.
+    pub(crate) fn for_each_event<'b>(
+        &self,
+        binding: &'b RuleBinding,
+        mut hit: impl FnMut(usize, &'b EventExpr),
+    ) {
+        let view = &*binding.preference_events;
+        if view.len() > self.by_doc.len().saturating_mul(4) {
+            // The bound view dwarfs the batch: per-document descents are
+            // cheaper than sweeping the whole map.
+            for &(doc, slot) in &self.by_doc {
+                if let Some(event) = view.get(&doc) {
+                    hit(slot, event);
+                }
+            }
+            return;
+        }
+        // One merge pass over the view and the batch, both in document
+        // order, instead of a descent per (rule, document).
+        let mut lanes = self.by_doc.iter().peekable();
+        for (doc, event) in view {
+            while lanes.next_if(|(d, _)| d < doc).is_some() {}
+            while let Some(&(_, slot)) = lanes.next_if(|(d, _)| d == doc) {
+                hit(slot, event);
+            }
+            if lanes.peek().is_none() {
+                break;
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -85,10 +85,15 @@ impl ScoringEngine for NaiveViewEngine {
         let id_schema = Schema::of(&[("id", DataType::Id)]);
         let one_schema = Schema::of(&[("applies", DataType::Int)]);
 
-        // Candidate documents table.
+        // Candidate documents table: a relation, so a document listed
+        // twice is one row (its joins would otherwise multiply).
+        let mut distinct = docs.to_vec();
+        distinct.sort_unstable();
+        distinct.dedup();
         let candidates = catalog.create_table("naive_candidates", id_schema.clone())?;
         candidates.insert(
-            docs.iter()
+            distinct
+                .iter()
                 .map(|&d| Row::certain(vec![individual_datum(d)]))
                 .collect(),
         )?;
@@ -111,7 +116,7 @@ impl ScoringEngine for NaiveViewEngine {
             let neg = catalog.create_table(&format!("naive_pref_neg_{r}"), id_schema.clone())?;
             let mut pos_rows = Vec::new();
             let mut neg_rows = Vec::new();
-            for &doc in docs {
+            for &doc in &distinct {
                 let event = binding.preference_event(doc);
                 let complement = EventExpr::not(event.clone());
                 if !event.is_false() {

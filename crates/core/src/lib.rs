@@ -96,7 +96,7 @@ mod topk;
 pub use bind::{bind_rules, bind_rules_shared, RuleBinding, ScoringEnv};
 pub use engines::{
     rank, CorrelationPolicy, DocScore, EvalScratch, FactorizedEngine, LineageEngine,
-    NaiveEnumEngine, NaiveViewEngine, ScoringConfig, ScoringEngine,
+    NaiveEnumEngine, NaiveViewEngine, ScoringEngine,
 };
 pub use error::CoreError;
 pub use explain::{explain, Explanation, RuleContribution};
@@ -120,7 +120,7 @@ pub use topk::{rank_top_k, rank_top_k_bound};
 
 // Re-exported from `capra_events`: the eviction knob for the session and
 // pool snapshot tiers, the footprint report in [`SessionStats`], and the
-// columnar batch-sweep counters sessions surface alongside it.
+// batch counters sessions surface alongside it.
 pub use capra_events::{BatchStats, CacheFootprint, EvictionPolicy};
 
 /// Convenience alias for results in this crate.

@@ -56,7 +56,7 @@ use capra_events::{
 };
 
 use crate::bind::{bind_rules_shared, RuleBinding};
-use crate::engines::{rank, DocScore, EvalScratch, ScoringConfig, ScoringEngine};
+use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
 use crate::session::{read_through_scores, BindingCache, ScoreCache, SessionStats};
 use crate::topk::{
     bound_sorted_order, by_rank, rank_top_k_bound, scan_bounded_stealing, SharedThreshold,
@@ -114,7 +114,7 @@ struct PoolInner {
     pending: Vec<EvalScratch>,
     /// Republishes that actually merged new entries (for inspection).
     publishes: u64,
-    /// Columnar batch-path counters drained from returned scratches.
+    /// Batch counters drained from returned scratches.
     batch: BatchStats,
 }
 
@@ -133,8 +133,6 @@ pub struct ScratchPool {
     /// Eviction policy applied at each republish (see
     /// [`capra_events::tier`] for the tier-ageing semantics).
     policy: EvictionPolicy,
-    /// Evaluation strategy stamped onto every checked-out scratch.
-    scoring: ScoringConfig,
 }
 
 impl ScratchPool {
@@ -153,29 +151,12 @@ impl ScratchPool {
         }
     }
 
-    /// Creates an empty pool with an explicit [`EvictionPolicy`] *and*
-    /// [`ScoringConfig`]: every checked-out scratch is stamped with the
-    /// configuration, so all workers of a run score through the same
-    /// evaluation strategy.
-    pub fn with_config(policy: EvictionPolicy, scoring: ScoringConfig) -> Self {
-        Self {
-            policy,
-            scoring,
-            ..Self::default()
-        }
-    }
-
     /// The eviction policy applied by this pool's republishes.
     pub fn policy(&self) -> EvictionPolicy {
         self.policy
     }
 
-    /// The evaluation strategy stamped onto this pool's checkouts.
-    pub fn scoring(&self) -> ScoringConfig {
-        self.scoring
-    }
-
-    /// Columnar batch-path counters drained from every scratch returned to
+    /// Batch counters drained from every scratch returned to
     /// the pool (monotonic across KB changes and republishes).
     pub fn batch_stats(&self) -> BatchStats {
         self.lock().batch
@@ -203,13 +184,7 @@ impl ScratchPool {
             };
         }
         inner.epoch = kb.binding_epoch();
-        let mut scratch = EvalScratch::with_snapshots(
-            kb.id(),
-            Arc::clone(&inner.prob),
-            Arc::clone(&inner.expect),
-        );
-        scratch.set_scoring(self.scoring);
-        scratch
+        EvalScratch::with_snapshots(kb.id(), Arc::clone(&inner.prob), Arc::clone(&inner.expect))
     }
 
     /// Returns a worker's scratch, parking its overlay for the next
@@ -624,24 +599,12 @@ impl ParallelScoringSession {
     /// `policy` ([`EvictionPolicy::Never`] reproduces the grow-only
     /// pre-eviction behaviour exactly).
     pub fn with_policy(threads: usize, policy: EvictionPolicy) -> Self {
-        Self::with_config(threads, policy, ScoringConfig::default())
-    }
-
-    /// Creates an empty session with an explicit [`EvictionPolicy`] *and*
-    /// [`ScoringConfig`] (e.g. `ScoringConfig::scalar()` to pin the scalar
-    /// evaluation path — the oracle the property suites compare against).
-    pub fn with_config(threads: usize, policy: EvictionPolicy, scoring: ScoringConfig) -> Self {
         Self {
             threads: threads.max(1),
             bindings: BindingCache::new(),
-            pool: ScratchPool::with_config(policy, scoring),
+            pool: ScratchPool::with_policy(policy),
             scores: ScoreCache::default(),
         }
-    }
-
-    /// The evaluation strategy this session drives engines with.
-    pub fn scoring(&self) -> ScoringConfig {
-        self.pool.scoring()
     }
 
     /// Work counters accumulated so far, plus the pool's current
@@ -674,7 +637,7 @@ impl ParallelScoringSession {
     /// zero entries afterwards; the hash-consed nodes the dropped entries
     /// pinned become reclaimable by the interner.
     pub fn clear(&mut self) {
-        *self = Self::with_config(self.threads, self.pool.policy(), self.pool.scoring());
+        *self = Self::with_policy(self.threads, self.pool.policy());
     }
 
     /// Scores every document in `docs`, in order — bit-identical to
@@ -693,7 +656,6 @@ impl ParallelScoringSession {
         read_through_scores(
             engine,
             env.user,
-            self.pool.scoring(),
             &mut self.scores,
             docs,
             &bindings,

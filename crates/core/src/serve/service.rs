@@ -37,7 +37,7 @@ use capra_dl::{Concept, IndividualId, Vocabulary};
 use capra_events::EvictionPolicy;
 
 use crate::bind::RuleBinding;
-use crate::engines::{rank, DocScore, EvalScratch, ScoringConfig, ScoringEngine};
+use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
 use crate::multiuser::{group_scores, GroupStrategy};
 use crate::parallel::{
     effective_threads, rank_top_k_bound_parallel, score_all_bound_parallel, ScratchPool,
@@ -143,11 +143,6 @@ pub struct ServiceConfig {
     /// uncached documents out over the work-stealing parallel path, and
     /// fan [`RankingService::rank_group`] members out over the pool.
     pub threads: usize,
-    /// Evaluation strategy for every engine run the service dispatches
-    /// (see [`ScoringConfig`]; columnar batch sweeps by default). Mixed
-    /// into each tenant's score-cache key, so reconfiguring a service
-    /// never serves one path's cached scores to the other.
-    pub scoring: ScoringConfig,
     /// Snapshots kept on disk after [`RankingService::save_snapshot`]
     /// prunes (newest first; clamped ≥ 1, and ≥ 2 when `compaction` is
     /// enabled — the compaction invariant needs two covering snapshots).
@@ -166,7 +161,7 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     /// Eight shards, 1024 live sessions, the default eviction policy,
-    /// sequential dispatch, columnar evaluation, two retained snapshots,
+    /// sequential dispatch, two retained snapshots,
     /// 8 MiB WAL segments, and no compaction.
     fn default() -> Self {
         Self {
@@ -174,7 +169,6 @@ impl Default for ServiceConfig {
             max_sessions: 1024,
             policy: EvictionPolicy::default(),
             threads: 1,
-            scoring: ScoringConfig::default(),
             snapshot_retain: 2,
             segment_bytes: 8 * 1024 * 1024,
             segment_records: u64::MAX,
@@ -374,7 +368,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                 rules: Arc::new(rules),
             }),
             tenants: TenantSessions::new(config.shards, config.max_sessions),
-            pool: ScratchPool::with_config(config.policy, config.scoring),
+            pool: ScratchPool::with_policy(config.policy),
             threads: config.threads.max(1),
             rank_requests: AtomicU64::new(0),
             asserts: AtomicU64::new(0),
@@ -491,7 +485,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             ..
         } = recovered;
         self.tenants.clear();
-        self.pool = ScratchPool::with_config(self.pool.policy(), self.pool.scoring());
+        self.pool = ScratchPool::with_policy(self.pool.policy());
         {
             let wal = self.wal_stats.get_mut().expect("wal stats lock poisoned");
             wal.records_replayed = replayed;
@@ -1041,7 +1035,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                 let scores = read_through_scores(
                     &self.engine,
                     user,
-                    self.pool.scoring(),
                     &mut tenant.scores,
                     docs,
                     &bindings,
@@ -1096,7 +1089,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         } else {
             GroupFanout::default()
         };
-        let config = self.pool.scoring();
         let per_user = users
             .iter()
             .map(|&user| {
@@ -1106,7 +1098,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                     read_through_scores(
                         &self.engine,
                         user,
-                        config,
                         &mut tenant.scores,
                         docs,
                         &bindings,
@@ -1175,7 +1166,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         users: &[IndividualId],
         docs: &[IndividualId],
     ) -> Result<GroupFanout> {
-        let config = self.pool.scoring();
         let mut seen = HashSet::new();
         type PlanEntry = (IndividualId, Vec<Arc<RuleBinding>>, Vec<IndividualId>);
         let mut plan: Vec<PlanEntry> = Vec::new();
@@ -1186,7 +1176,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             let env = snap.env(user);
             let (bindings, missing) = self.tenants.with_session(user, |tenant| {
                 let bindings = tenant.bindings.peek(&env);
-                let key = score_key(&self.engine, user, config);
+                let key = score_key(&self.engine, user);
                 let missing = tenant.scores.peek_missing(&key, &bindings, docs);
                 (bindings, missing)
             });
@@ -1327,7 +1317,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// request; callers holding only `&self` cannot reach it.
     pub fn clear(&mut self) {
         self.tenants.clear();
-        self.pool = ScratchPool::with_config(self.pool.policy(), self.pool.scoring());
+        self.pool = ScratchPool::with_policy(self.pool.policy());
         *self.rank_requests.get_mut() = 0;
         *self.asserts.get_mut() = 0;
         *self.coalesced_runs.get_mut() = 0;
@@ -1668,26 +1658,25 @@ mod tests {
     #[test]
     fn batch_counters_surface_in_service_stats() {
         let (kb, rules, users, docs) = fixture(2, 8);
-        let columnar = RankingService::new(LineageEngine::new(), kb.clone(), rules.clone());
-        columnar.rank(users[0], &docs, docs.len()).unwrap();
-        let batch = columnar.stats().sessions.batch;
-        assert!(batch.sweeps > 0, "a full-set rank runs column sweeps");
-        assert_eq!(batch.lanes, docs.len() as u64, "one lane per document");
-        assert!(batch.fallbacks <= batch.lanes, "dedup never exceeds lanes");
-        assert!(batch.lanes_per_sweep() > 1.0, "lanes amortize the sweep");
-        // The same request through a scalar-pinned service records nothing
-        // — the counters attribute work to the path that did it.
-        let scalar = RankingService::with_config(
-            LineageEngine::new(),
-            kb,
-            rules,
-            ServiceConfig {
-                scoring: ScoringConfig::scalar(),
-                ..ServiceConfig::default()
-            },
-        );
-        scalar.rank(users[0], &docs, docs.len()).unwrap();
-        assert_eq!(scalar.stats().sessions.batch, crate::BatchStats::default());
+        let service = RankingService::new(LineageEngine::new(), kb, rules);
+        // users[1] has no `Ctx1`, so only R0 applies and its features are
+        // one atom per document: every lane takes the closed form.
+        service.rank(users[1], &docs, docs.len()).unwrap();
+        let lanes = crate::BatchStats {
+            sweeps: 1,
+            lanes: docs.len() as u64,
+            fallbacks: 0,
+        };
+        assert_eq!(service.stats().sessions.batch, lanes);
+        // users[0] is certainly in `Ctx1`: R0 and R1 both read each
+        // document's `Feat0` variable, so the lane test rejects every
+        // document and each gets an exact evaluation of its own.
+        service.rank(users[0], &docs, docs.len()).unwrap();
+        let entangled = crate::BatchStats {
+            fallbacks: docs.len() as u64,
+            ..lanes
+        };
+        assert_eq!(service.stats().sessions.batch, lanes + entangled);
     }
 
     #[test]

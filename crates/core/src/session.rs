@@ -51,7 +51,7 @@ use capra_dl::{Concept, IndividualId, Reasoner};
 use capra_events::{BatchStats, CacheFootprint, EvictionPolicy};
 
 use crate::bind::RuleBinding;
-use crate::engines::{rank, DocScore, EvalScratch, ScoringConfig, ScoringEngine};
+use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
 use crate::persist::WalStats;
 use crate::topk::rank_top_k_bound;
 use crate::{PreferenceRule, Result, ScoringEnv};
@@ -137,11 +137,9 @@ pub struct SessionStats {
     /// [`EvictionPolicy`] even when every call mutates the KB; see
     /// [`capra_events::CacheFootprint`] for the field semantics.
     pub footprint: CacheFootprint,
-    /// Columnar batch-path counters: sweeps run, total lanes, and the
-    /// per-lane fallback evaluations a sweep could not broadcast (see
-    /// [`capra_events::BatchStats`]). All zero when scoring runs the
-    /// scalar path ([`crate::ScoringConfig`] with `columnar: false`, or
-    /// engines without a columnar port).
+    /// Batch counters of the two optimised engines: sweeps run, total
+    /// lanes, and the lanes that needed an exact evaluation of their own
+    /// (see [`capra_events::BatchStats`]). The naive engines record none.
     pub batch: BatchStats,
     /// Write-ahead-log traffic (see [`crate::persist::WalStats`]). Always
     /// zero for plain in-memory sessions — the WAL belongs to the service
@@ -553,7 +551,6 @@ impl ScoreCache {
 pub(crate) fn read_through_scores<E>(
     engine: &E,
     user: IndividualId,
-    config: ScoringConfig,
     cache: &mut ScoreCache,
     docs: &[IndividualId],
     bindings: &[Arc<RuleBinding>],
@@ -562,7 +559,7 @@ pub(crate) fn read_through_scores<E>(
 where
     E: ScoringEngine + ?Sized,
 {
-    let key = score_key(engine, user, config);
+    let key = score_key(engine, user);
     let missing = cache.missing(key, bindings, docs);
     if !missing.is_empty() {
         cache.record(&key, compute(&missing)?);
@@ -570,15 +567,12 @@ where
     Ok(cache.collect(&key, docs))
 }
 
-/// The score-cache key for `(user, engine)` under an evaluation-strategy
-/// configuration: the engine's own tag in the low bits, the
-/// [`ScoringConfig`] tag in the high bits — so results computed by the
-/// columnar and scalar paths never serve each other from cache.
-pub(crate) fn score_key<E>(engine: &E, user: IndividualId, config: ScoringConfig) -> ScoreKey
+/// The score-cache key for `(user, engine)`.
+pub(crate) fn score_key<E>(engine: &E, user: IndividualId) -> ScoreKey
 where
     E: ScoringEngine + ?Sized,
 {
-    (user, engine.name(), engine.config_tag() | config.tag())
+    (user, engine.name(), engine.config_tag())
 }
 
 /// A prepared scoring session: binding cache + persistent evaluation memos
@@ -639,21 +633,6 @@ impl ScoringSession {
         }
     }
 
-    /// Creates an empty session with an explicit [`EvictionPolicy`] *and*
-    /// [`ScoringConfig`] (e.g. `ScoringConfig::scalar()` to pin the scalar
-    /// evaluation path — the oracle the property suites compare against).
-    pub fn with_config(policy: EvictionPolicy, scoring: ScoringConfig) -> Self {
-        Self {
-            scratch: EvalScratch::with_config(policy, scoring),
-            ..Self::default()
-        }
-    }
-
-    /// The evaluation strategy this session drives engines with.
-    pub fn scoring(&self) -> ScoringConfig {
-        self.scratch.scoring()
-    }
-
     /// Work counters accumulated so far, plus the current evaluation-memo
     /// footprint (see [`SessionStats::footprint`]).
     pub fn stats(&self) -> SessionStats {
@@ -683,10 +662,9 @@ impl ScoringSession {
         self.scores.clear();
     }
 
-    /// Drops every layer of cached state (the eviction policy and scoring
-    /// configuration are kept).
+    /// Drops every layer of cached state (the eviction policy is kept).
     pub fn clear(&mut self) {
-        *self = Self::with_config(self.scratch.policy(), self.scratch.scoring());
+        *self = Self::with_policy(self.scratch.policy());
     }
 
     /// Scores every document in `docs`, in order — bit-identical to
@@ -707,7 +685,6 @@ impl ScoringSession {
         read_through_scores(
             engine,
             env.user,
-            self.scratch.scoring(),
             &mut self.scores,
             docs,
             &bindings,
@@ -1169,7 +1146,9 @@ mod tests {
     fn session_clear_drops_footprint_and_keeps_policy() {
         use crate::{EvictionPolicy, LineageEngine};
 
-        let (kb, rules, user, docs) = fixture();
+        let (mut kb, rules, user, docs) = fixture();
+        // Re-asserting disjoins a fresh event: a composite context.
+        kb.assert_concept_prob(user, "Breakfast", 0.4).unwrap();
         let env = ScoringEnv {
             kb: &kb,
             rules: &rules,
@@ -1181,7 +1160,7 @@ mod tests {
             .unwrap();
         assert!(
             session.stats().footprint.entries > 0,
-            "lineage scoring memoises composite sub-problems"
+            "lineage scoring memoises a composite context's probability"
         );
         session.clear();
         assert_eq!(session.stats().footprint, Default::default());

@@ -24,8 +24,9 @@
 //!   arbitrary correlation, just less discriminating.
 //!
 //! The result is exactly `rank(score_all(docs))[..k]`, including the
-//! deterministic tie-break by document id: candidates whose bound *ties*
-//! the k-th score are always evaluated, and a `1e-9` slack absorbs
+//! deterministic tie-break by document id and [`rank`]'s rule that a
+//! repeated candidate is listed once: candidates whose bound *ties* the
+//! k-th score are always evaluated, and a `1e-9` slack absorbs
 //! floating-point rounding between the bound and the engines' factor
 //! arithmetic.
 
@@ -105,7 +106,9 @@ pub(crate) fn by_rank(a: &DocScore, b: &DocScore) -> std::cmp::Ordering {
 }
 
 /// Documents paired with their upper bounds, sorted descending by bound
-/// (ties by document id) — the evaluation order of the bounded scans.
+/// (ties by document id) — the evaluation order of the bounded scans. A
+/// repeated candidate sorts next to itself and is kept once, the cut
+/// [`rank`] makes.
 pub(crate) fn bound_sorted_order(
     env: &ScoringEnv<'_>,
     bindings: &[Arc<RuleBinding>],
@@ -116,6 +119,7 @@ pub(crate) fn bound_sorted_order(
     let mut order: Vec<(f64, IndividualId)> =
         bounds.into_iter().zip(docs.iter().copied()).collect();
     order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    order.dedup_by_key(|&mut (_, doc)| doc);
     order
 }
 

@@ -1,26 +1,29 @@
-//! Columnar batch evaluation: one walk per interned node per *batch* of
-//! documents, instead of one walk per document.
+//! Batch evaluation: a request's documents as **lanes** of one sweep,
+//! with the work lanes have in common done once.
 //!
-//! The scoring engines in `capra-core` evaluate the same hash-consed
-//! [`EventExpr`] nodes once per document, even though every memoised
-//! probability is a pure function of node identity — the per-document loop
-//! is mostly repeated cache probes and pointer-chasing. This module turns
-//! that loop inside out: callers lay the per-document expressions of one
-//! rule out as a **column** (one lane per document) and the batch wrappers
-//! evaluate each *distinct* expression exactly once, broadcasting the
-//! result across all lanes that share it.
+//! The scoring engines in `capra-core` score a batch of documents per
+//! call. Two wrappers here serve the two ways such a batch shares work:
 //!
-//! Distinctness is the interner's pointer identity (plus the precomputed
-//! structural hash), so the per-column dedup table costs one O(1) probe
-//! per lane. Lanes whose expression is not served by a broadcast fall back
-//! to one scalar evaluation through the wrapped [`Evaluator`] /
-//! [`Expectation`] — bit-identical to the scalar path by construction,
-//! because the underlying memo values are order-independent pure functions
-//! of the hash-consed keys.
+//! * [`BatchEvaluator::probs`] takes the per-document expressions of one
+//!   rule as a **column** (one lane per document) and evaluates each
+//!   *distinct* connective expression exactly once, broadcasting the
+//!   result across the lanes that share it. Distinctness is the interner's
+//!   pointer identity (plus the precomputed structural hash), so the
+//!   dedup table costs one O(1) probe per lane. The factorized engine
+//!   sweeps one such column per rule.
+//! * [`BatchExpectation::compute_grouped`] does the same for whole
+//!   factor products under a caller-chosen signature. The lineage engine
+//!   hands it only the documents it cannot score in closed form — those
+//!   whose rule factors share a variable — so that documents with the same
+//!   per-rule events share one exact evaluation.
 //!
-//! [`BatchStats`] counts sweeps, lanes and per-lane fallbacks so the
-//! serving layer can report how much of the work the columnar path
-//! actually deduplicated.
+//! Either wrapper is bit-identical to evaluating lane by lane through the
+//! wrapped [`Evaluator`] / [`Expectation`], because the underlying memo
+//! values are order-independent pure functions of the hash-consed keys.
+//!
+//! [`BatchStats`] counts sweeps, lanes and the lanes that needed an
+//! evaluation of their own, so the serving layer can report how much of a
+//! batch was shared or closed-form work.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -32,24 +35,27 @@ use crate::eval::Evaluator;
 use crate::expect::{Expectation, Factor};
 use crate::expr::EventExpr;
 
-/// Counters for the columnar batch-evaluation path.
+/// Counters for the batch-evaluation path.
 ///
-/// One **sweep** is one column evaluated as a batch (typically one rule,
-/// or one factor-product signature, across all documents of a request).
-/// Each sweep has one **lane** per document slot. A **fallback** is a lane
-/// that required its own full evaluation — neither served by broadcasting
-/// another lane's result nor resolved inline (constants and atoms cost
-/// nothing either way and never count as fallbacks). A low
-/// `fallbacks / lanes` ratio means the columnar path is paying off; equal
-/// counts mean every lane was distinct and the batch degraded to the
-/// scalar cost (never worse than it).
+/// One **sweep** is one column evaluated as a batch: one rule across all
+/// documents of an engine call (factorized engine), or the whole call
+/// (lineage engine) — a single-document call is a sweep of one lane. Each
+/// sweep has one **lane** per document slot. A **fallback** is a lane that
+/// needed an evaluation of its own: a distinct connective expression
+/// ([`BatchEvaluator::probs`]; constants and atoms cost nothing either way
+/// and never count), or — for the lineage engine — a document its lane
+/// test rejected, whose factor product went through the exact
+/// [`Expectation::compute`] (rejected documents with the same per-rule
+/// events share one evaluation and count once). Zero fallbacks means every
+/// lane was a broadcast or a closed form; `fallbacks == lanes` means every
+/// lane paid for itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
-    /// Column sweeps run (one per batched column).
+    /// Sweeps run (one per batched column).
     pub sweeps: u64,
-    /// Total lanes across all sweeps (documents × batched columns).
+    /// Total lanes across all sweeps (document slots × batched columns).
     pub lanes: u64,
-    /// Lanes that required their own evaluation instead of a broadcast.
+    /// Lanes that needed an evaluation of their own.
     pub fallbacks: u64,
 }
 
@@ -63,9 +69,9 @@ impl BatchStats {
         }
     }
 
-    /// Fraction of lanes that did *not* need their own full evaluation —
-    /// broadcasts plus inline-resolved constants and atoms (`0.0` when no
-    /// lanes have run).
+    /// Fraction of lanes that did *not* need an evaluation of their own —
+    /// broadcasts, inline-resolved constants and atoms, and the lineage
+    /// engine's closed-form lanes (`0.0` when no lanes have run).
     pub fn broadcast_rate(&self) -> f64 {
         if self.lanes == 0 {
             0.0
@@ -98,7 +104,7 @@ impl Sum for BatchStats {
     }
 }
 
-/// A columnar wrapper over an [`Evaluator`]: evaluates a column of
+/// A batch wrapper over an [`Evaluator`]: evaluates a column of
 /// expressions (one lane per document) with each distinct expression
 /// computed once and broadcast to every lane sharing it.
 pub struct BatchEvaluator<'a, 'u> {
@@ -107,8 +113,8 @@ pub struct BatchEvaluator<'a, 'u> {
 }
 
 impl<'a, 'u> BatchEvaluator<'a, 'u> {
-    /// Wraps `inner` for columnar use. The wrapped evaluator keeps its
-    /// memo state; scalar and batched calls may be freely interleaved.
+    /// Wraps `inner` for batch use. The wrapped evaluator keeps its memo
+    /// state; scalar and batched calls may be freely interleaved.
     pub fn new(inner: &'a mut Evaluator<'u>) -> Self {
         Self {
             inner,
@@ -159,22 +165,23 @@ impl<'a, 'u> BatchEvaluator<'a, 'u> {
     }
 }
 
-/// A columnar wrapper over an [`Expectation`]: computes a column of
+/// A batch wrapper over an [`Expectation`]: computes a column of
 /// factor-product expectations with each distinct *signature* built and
 /// computed once, then broadcast.
 ///
 /// Unlike [`BatchEvaluator`], lanes here are whole factor products, so the
 /// dedup key is a caller-chosen signature (for the lineage engine: the
-/// per-rule preference events of a document). The factor list itself is
-/// only constructed for signatures that actually need an evaluation —
-/// broadcast lanes skip both the build and the compute.
+/// per-rule preference events of a document its lane test rejected). The
+/// factor list itself is only constructed for signatures that actually
+/// need an evaluation — broadcast lanes skip both the build and the
+/// compute.
 pub struct BatchExpectation<'a, 'u> {
     inner: &'a mut Expectation<'u>,
     stats: BatchStats,
 }
 
 impl<'a, 'u> BatchExpectation<'a, 'u> {
-    /// Wraps `inner` for columnar use. The wrapped computer keeps its memo
+    /// Wraps `inner` for batch use. The wrapped computer keeps its memo
     /// state; scalar and batched calls may be freely interleaved.
     pub fn new(inner: &'a mut Expectation<'u>) -> Self {
         Self {

@@ -419,6 +419,57 @@ impl<'u> Evaluator<'u> {
         clamp_prob(self.prob_rec(expr))
     }
 
+    /// `(P(a ∧ b), P(a ∧ ¬b))` with the bits
+    /// `(prob(&and([a, b])), prob(&and([a, not(b)])))` would return, from
+    /// the parts' own probabilities: neither conjunction nor `¬b` is
+    /// interned and nothing keyed on the pair is memoised (see
+    /// [`crate::Expectation::prob_split`], the public entry point).
+    ///
+    /// That works whenever the conjunction's children are exactly the two
+    /// parts: [`Evaluator::prob_connective`] then factorises it into two
+    /// single-child components and multiplies their *unclamped*
+    /// probabilities (`1.0 * x` is exact and two factors commute, so the
+    /// canonical child order does not matter). `None` when they are not:
+    /// a constant `b`, a `False` `a`, shared variables, or an `And` among
+    /// `a`, `b`, `¬b`, which would flatten into the conjunction and regroup.
+    /// A `True` `a` is accepted: the conjunctions are `b` and `¬b`.
+    pub(crate) fn prob_split(&mut self, a: &EventExpr, b: &EventExpr) -> Option<(f64, f64)> {
+        if b.is_const() {
+            return None;
+        }
+        let pa = match a {
+            EventExpr::True => 1.0,
+            EventExpr::False | EventExpr::And(_) => return None,
+            _ => {
+                let flattens = match b {
+                    EventExpr::And(_) => true,
+                    EventExpr::Not(inner) => matches!(***inner, EventExpr::And(_)),
+                    _ => false,
+                };
+                if flattens
+                    || !self.use_components
+                    || !disjoint(a.support_slice(), b.support_slice())
+                {
+                    return None;
+                }
+                self.prob_rec(a)
+            }
+        };
+        // `not(¬x)` is `x` itself, so its probability is `P(x)`, not
+        // `1 − (1 − P(x))`.
+        let (pb, pnb) = match b {
+            EventExpr::Not(inner) => {
+                let p = self.prob_rec(inner);
+                (1.0 - p, p)
+            }
+            _ => {
+                let p = self.prob_rec(b);
+                (p, 1.0 - p)
+            }
+        };
+        Some((clamp_prob(pa * pb), clamp_prob(pa * pnb)))
+    }
+
     fn prob_rec(&mut self, expr: &EventExpr) -> f64 {
         match expr {
             EventExpr::True => return 1.0,
@@ -561,6 +612,19 @@ where
         }
     }
     groups
+}
+
+/// True if two sorted supports share no variable.
+fn disjoint(a: &[VarId], b: &[VarId]) -> bool {
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            std::cmp::Ordering::Less => i += 1,
+            std::cmp::Ordering::Greater => j += 1,
+            std::cmp::Ordering::Equal => return false,
+        }
+    }
+    true
 }
 
 /// Partitions sibling expressions into groups connected by shared variables.

@@ -463,6 +463,24 @@ impl<'u> Expectation<'u> {
         self.memo_hits + self.evaluator.stats().memo_hits
     }
 
+    /// How an event `a` splits on `b`: `(P(a ∧ b), P(a ∧ ¬b))`, bit for
+    /// bit what [`Expectation::compute`] obtains for the case events
+    /// `and([a, b])` and `and([a, not(b)])` of a lone factor — but read off
+    /// the two parts' probabilities in the shared memo, without interning
+    /// a node or memoising anything keyed on the pair. That is what lets a
+    /// caller whose factors are variable-disjoint evaluate them in closed
+    /// form and still reproduce `compute` exactly.
+    ///
+    /// Answers when `a` is `True` (the conjunctions are `b` and `¬b`), or
+    /// when `a` and `b` are non-constant, share no variable, and none of
+    /// `a`, `b`, `¬b` is an `And` (which would flatten into the
+    /// conjunction and change the order its children are multiplied in).
+    /// `None` otherwise — a constant `b` included: build the case events
+    /// and call [`Expectation::compute`].
+    pub fn prob_split(&mut self, a: &EventExpr, b: &EventExpr) -> Option<(f64, f64)> {
+        self.evaluator.prob_split(a, b)
+    }
+
     /// Computes `E[ Π factors ]` exactly.
     pub fn compute(&mut self, factors: &[Factor]) -> f64 {
         let mut acc = 1.0;

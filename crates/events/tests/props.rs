@@ -6,7 +6,8 @@
 
 use capra_events::worlds::brute_force_prob;
 use capra_events::{
-    brute_force_expectation, expectation, Evaluator, EventExpr, Factor, Universe, VarId,
+    brute_force_expectation, expectation, Evaluator, EventExpr, Expectation, Factor, Universe,
+    VarId,
 };
 use proptest::prelude::*;
 
@@ -83,8 +84,66 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// Two expressions over one universe. One time in three both are drawn
+    /// from all the variables (they usually share one); otherwise `a` from
+    /// the first half and `b` from the second (variable-disjoint). `fixed`
+    /// sometimes replaces `a` by a constant. Shapes are whatever
+    /// `build_expr` yields: atoms, `Not`, `And`, `Or` (two atoms under an
+    /// `Or` is the `slot ∨ fresh` of a re-asserted fact), nested, and the
+    /// constants they can simplify to.
+    fn split_pair()(
+        bool_ps in prop::collection::vec(any::<u8>(), 2..5),
+        choice_ps in prop::collection::vec((any::<u8>(), any::<u8>()), 0..3),
+        ops_a in prop::collection::vec(any::<u8>(), 1..12),
+        ops_b in prop::collection::vec(any::<u8>(), 1..12),
+        alts in prop::collection::vec(any::<u16>(), 1..8),
+        pools in any::<u8>(),
+        fixed in any::<u8>(),
+    ) -> (Universe, EventExpr, EventExpr) {
+        let (u, vars) = build_universe(&bool_ps, &choice_ps);
+        let half = vars.len() / 2;
+        let n_bool = bool_ps.len();
+        // `build_expr` tells boolean variables (alternative 0 only) from
+        // choice variables by position, so each pool gets its own count.
+        let (pool_a, bools_a, pool_b, bools_b) = if pools < 85 {
+            (&vars[..], n_bool, &vars[..], n_bool)
+        } else {
+            (&vars[..half], n_bool.min(half), &vars[half..], n_bool.saturating_sub(half))
+        };
+        let a = match fixed % 8 {
+            0 => EventExpr::True,
+            1 => EventExpr::False,
+            _ => build_expr(pool_a, bools_a, &alts, &ops_a, &mut 0, 0),
+        };
+        let b = build_expr(pool_b, bools_b, &alts, &ops_b, &mut 0, 0);
+        (u, a, b)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `prob_split` answers exactly when the conjunction's children are
+    /// the two parts, and then with the bits of the materialised nodes.
+    #[test]
+    fn prob_split_is_the_materialised_conjunction_or_declines((u, a, b) in split_pair()) {
+        let is_and = |e: &EventExpr| matches!(e, EventExpr::And(_));
+        let not_b = EventExpr::not(b.clone());
+        let shares = a.support().intersection(&b.support()).next().is_some();
+        let two_children =
+            !a.is_const() && !shares && !is_and(&a) && !is_and(&b) && !is_and(&not_b);
+        let answers = !b.is_const() && (a.is_true() || two_children);
+        let got = Expectation::new(&u).prob_split(&a, &b);
+        prop_assert_eq!(got.is_some(), answers, "a = {}, b = {}", a, b);
+        if let Some((with, without)) = got {
+            let mut ev = Evaluator::new(&u);
+            let want_with = ev.prob(&EventExpr::and([a.clone(), b.clone()]));
+            let want_without = ev.prob(&EventExpr::and([a.clone(), not_b]));
+            prop_assert_eq!(with.to_bits(), want_with.to_bits(), "a = {}, b = {}", a, b);
+            prop_assert_eq!(without.to_bits(), want_without.to_bits(), "a = {}, b = {}", a, b);
+        }
+    }
 
     #[test]
     fn prob_in_unit_interval((u, e) in scenario()) {

@@ -21,9 +21,9 @@ fn main() -> Result<(), CoreError> {
         .map(|i| {
             let p = kb.individual(&format!("programme-{i}"));
             kb.assert_concept(p, "TvProgram");
-            // Half the guide is certain about its genres (those programmes
-            // share constant events — the columnar path broadcasts across
-            // them), half carries its own uncertainty (one lane each).
+            // Half the guide is certain about its genres, half carries its
+            // own uncertainty — independent either way, so every programme
+            // is scored in closed form.
             if i % 2 == 0 {
                 kb.assert_concept(p, "HumanInterest");
                 kb.assert_concept(p, "News");
@@ -154,11 +154,11 @@ fn main() -> Result<(), CoreError> {
         stats.rank_requests, stats.coalesced_runs
     );
 
-    // ── A direct group request, and what the columnar path did ─────────
+    // ── A direct group request, and how its lanes were scored ──────────
     // Everyone watches together: one ranking the least-happy member can
-    // live with. Scoring ran as column sweeps (one per rule or factor
-    // signature, a lane per programme) — the batch counters show how many
-    // lanes were served per sweep and how few needed their own evaluation.
+    // live with. Each engine run is a sweep with a lane per programme —
+    // the batch counters show how many lanes a sweep served and how few
+    // needed an exact evaluation of their own.
     let family = service.rank_group(&viewers[3..], &programs, 3, &GroupStrategy::LeastMisery)?;
     let names: Vec<String> = family
         .iter()
@@ -174,7 +174,7 @@ fn main() -> Result<(), CoreError> {
     println!("  {}", names.join(", "));
     let batch = service.stats().sessions.batch;
     println!(
-        "  columnar batch path: {} sweeps, {:.1} lanes/sweep, {} fallbacks ({:.0}% broadcast)",
+        "  batch path: {} sweeps, {:.1} lanes/sweep, {} fallbacks ({:.0}% closed form)",
         batch.sweeps,
         batch.lanes_per_sweep(),
         batch.fallbacks,

@@ -75,10 +75,9 @@ pub mod prelude {
         DocScore, Episode, EvictionPolicy, Explanation, FactorizedEngine, FlushPolicy,
         GroupStrategy, HistoryLog, Kb, LineageEngine, MinedRule, NaiveEnumEngine, NaiveViewEngine,
         Offer, PersistError, PreferenceRule, QueueConfig, QueueStats, RankingService, ReplayReport,
-        ReplicaService, ReplicaStats, RuleRepository, Score, ScoringConfig, ScoringEngine,
-        ScoringEnv, ScoringSession, ServiceConfig, ServiceHandle, ServiceQueue, ServiceStats,
-        SessionStats, SharedSnapshot, WalStats, Workload, WorkloadFact, WorkloadMeta,
-        WorkloadRecord,
+        ReplicaService, ReplicaStats, RuleRepository, Score, ScoringEngine, ScoringEnv,
+        ScoringSession, ServiceConfig, ServiceHandle, ServiceQueue, ServiceStats, SessionStats,
+        SharedSnapshot, WalStats, Workload, WorkloadFact, WorkloadMeta, WorkloadRecord,
     };
     pub use capra_core::{replay_workload, workload_service};
     pub use capra_dl::{parse_concept, ABox, Concept, Reasoner, TBox, Vocabulary};

@@ -1,0 +1,554 @@
+//! `LineageEngine`'s two routes against one reference.
+//!
+//! The engine scores a document in closed form when the lane test finds
+//! its rule factors variable-disjoint, and through the exact
+//! `Expectation::compute` otherwise. Both must come out at the bits of the
+//! test-side factor reference (`tests/common`), which knows neither route:
+//!
+//! * a property over random knowledge bases mixing every event shape the
+//!   reasoner produces — so that lanes and exact evaluations meet in one
+//!   batch, share one memo, and are compared document by document;
+//! * a table of hand-built shapes that pins, per shape, which route the
+//!   lane test picks (it is observable: `BatchStats::fallbacks`);
+//! * counter pins through `RankingService`: what independent traffic
+//!   leaves in the shared memo tier, and what entangled traffic does.
+
+mod common;
+
+use capra::commerce::generate::{flip_rules, generate, ShopConfig};
+use capra::core::EvalScratch;
+use capra::dl::IndividualId;
+use capra::prelude::*;
+use proptest::prelude::*;
+
+const N_DOCS: usize = 5;
+const N_CTX: usize = 4;
+const N_FEAT: usize = 3;
+
+/// Rule contexts: plain, negated, conjunctive (shares `Ctx0`'s variable
+/// with the first), disjunctive, and one that never applies.
+const CONTEXTS: [&str; 7] = [
+    "Ctx0",
+    "Ctx1",
+    "NOT Ctx1",
+    "Ctx2",
+    "Ctx0 AND Ctx2",
+    "Ctx1 OR Ctx3",
+    "Never",
+];
+
+/// Rule preferences: plain, negated (closed world: `True` for a document
+/// without the feature), conjunctive, disjunctive, the two alternatives
+/// of an exclusive genre, and one no document has.
+const PREFERENCES: [&str; 8] = [
+    "Feat0",
+    "Feat1",
+    "NOT Feat1",
+    "Feat0 AND Feat2",
+    "Feat1 OR Feat2",
+    "EXISTS hasGenre.{GenreA}",
+    "EXISTS hasGenre.{GenreB}",
+    "Feat3",
+];
+
+const SIGMAS: [f64; 5] = [0.0, 0.5, 1.0, 0.8, 0.35];
+
+/// Asserts `concept` on `subject` the way `kind` says: not at all,
+/// certainly, with probability `p`, re-asserted (the slot becomes
+/// `first ∨ fresh`), or riding on the one `sensor` variable contexts and
+/// documents may both read.
+fn assert_fact(kb: &mut Kb, subject: IndividualId, concept: &str, kind: u8, p: f64) {
+    match kind % 6 {
+        0 => {}
+        1 => kb.assert_concept(subject, concept),
+        2 | 3 => {
+            kb.assert_concept_prob(subject, concept, p).unwrap();
+        }
+        4 => {
+            kb.assert_concept_prob(subject, concept, p).unwrap();
+            kb.assert_concept_prob(subject, concept, 1.0 - 0.5 * p)
+                .unwrap();
+        }
+        _ => {
+            let sensor = match kb.universe.var("sensor") {
+                Some(var) => var,
+                None => kb.universe.add_bool("sensor", 0.3).unwrap(),
+            };
+            let reading = kb.universe.bool_event(sensor).unwrap();
+            kb.assert_concept_event(subject, concept, reading);
+        }
+    }
+}
+
+type Draw = (u8, f64);
+
+struct Case {
+    kb: Kb,
+    rules: RuleRepository,
+    user: IndividualId,
+    docs: Vec<IndividualId>,
+}
+
+fn build_case(
+    rule_draws: &[(u8, u8, u8)],
+    ctx_draws: &[Draw],
+    feat_draws: &[Draw],
+    genre_draws: &[Draw],
+) -> Case {
+    let mut kb = Kb::new();
+    let user = kb.individual("user");
+    for (c, &(kind, p)) in ctx_draws.iter().enumerate() {
+        assert_fact(&mut kb, user, &format!("Ctx{c}"), kind, p);
+    }
+    let genres = [kb.individual("GenreA"), kb.individual("GenreB")];
+    let docs: Vec<IndividualId> = (0..N_DOCS)
+        .map(|d| {
+            let doc = kb.individual(&format!("doc{d}"));
+            for f in 0..N_FEAT {
+                let (kind, p) = feat_draws[d * N_FEAT + f];
+                assert_fact(&mut kb, doc, &format!("Feat{f}"), kind, p);
+            }
+            let (kind, p) = genre_draws[d];
+            match kind % 3 {
+                0 => {}
+                // One or the other, never both: the disjoint-genres shape.
+                1 => {
+                    let var = kb
+                        .universe
+                        .add_choice(&format!("kind{d}"), &[0.9 * p, 0.9 * (1.0 - p)])
+                        .unwrap();
+                    for (alt, &genre) in genres.iter().enumerate() {
+                        let event = kb.universe.atom(var, alt as u16).unwrap();
+                        kb.assert_role_event(doc, "hasGenre", genre, event);
+                    }
+                }
+                _ => {
+                    kb.assert_role_prob(doc, "hasGenre", genres[0], p).unwrap();
+                    kb.assert_role_prob(doc, "hasGenre", genres[1], 1.0 - p)
+                        .unwrap();
+                }
+            }
+            doc
+        })
+        .collect();
+    let mut rules = RuleRepository::new();
+    for (i, &(ctx, pref, sigma)) in rule_draws.iter().enumerate() {
+        rules
+            .add(PreferenceRule::new(
+                format!("R{i}"),
+                kb.parse(CONTEXTS[ctx as usize % CONTEXTS.len()]).unwrap(),
+                kb.parse(PREFERENCES[pref as usize % PREFERENCES.len()])
+                    .unwrap(),
+                Score::new(SIGMAS[sigma as usize % SIGMAS.len()]).unwrap(),
+            ))
+            .unwrap();
+    }
+    Case {
+        kb,
+        rules,
+        user,
+        docs,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// On random knowledge bases — uncertain, certain, negated,
+    /// re-asserted, conjunctive and disjunctive contexts; the same for
+    /// features; σ ∈ {0, 0.5, 1, …}; documents matching no rule; rules
+    /// sharing a context variable; exclusive genres across rules; a sensor
+    /// read by a context and a document alike; pruning on and off —
+    /// `LineageEngine::score_all_bound` equals the factor reference bit
+    /// for bit on batches of one, two, many and repeated documents, over
+    /// fresh and over shared memo state, and the naive engines to 1e-12.
+    #[test]
+    fn lineage_equals_factor_reference_on_random_kbs(
+        rule_draws in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..5),
+        ctx_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_CTX..N_CTX + 1),
+        feat_draws in prop::collection::vec(
+            (any::<u8>(), 0.05f64..=0.95),
+            N_DOCS * N_FEAT..N_DOCS * N_FEAT + 1,
+        ),
+        genre_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_DOCS..N_DOCS + 1),
+        prune in any::<bool>(),
+    ) {
+        let Case { kb, rules, user, docs } =
+            build_case(&rule_draws, &ctx_draws, &feat_draws, &genre_draws);
+        let env = ScoringEnv { kb: &kb, rules: &rules, user };
+        let bindings = bind_rules_shared(&env);
+        let engine = LineageEngine { prune_inapplicable: prune };
+        let want = common::reference_scores(&env, &bindings, &docs, prune);
+
+        // One scratch across every batch below: later batches answer from
+        // what earlier ones memoised, on either route.
+        let mut shared = EvalScratch::new();
+        let many = engine.score_all_bound(&env, &bindings, &docs, &mut shared).unwrap();
+        prop_assert_eq!(common::bits(&want), common::bits(&many), "whole batch");
+        for (slot, doc) in docs.iter().enumerate() {
+            let one = std::slice::from_ref(doc);
+            let cold = engine.score_all_bound(&env, &bindings, one, &mut EvalScratch::new()).unwrap();
+            let warm = engine.score_all_bound(&env, &bindings, one, &mut shared).unwrap();
+            prop_assert_eq!(common::bits(&want[slot..=slot]), common::bits(&cold), "doc{} alone", slot);
+            prop_assert_eq!(common::bits(&cold), common::bits(&warm), "doc{} alone, warm", slot);
+        }
+        let pair = engine.score_all_bound(&env, &bindings, &docs[3..], &mut EvalScratch::new()).unwrap();
+        prop_assert_eq!(common::bits(&want[3..]), common::bits(&pair), "batch of two");
+        let repeated = [docs[1], docs[0], docs[1]];
+        let got = engine.score_all_bound(&env, &bindings, &repeated, &mut shared).unwrap();
+        let slots = [&want[1], &want[0], &want[1]].map(Clone::clone);
+        prop_assert_eq!(common::bits(&slots), common::bits(&got), "repeated document");
+
+        // The naive view engine is exact under any correlation; the
+        // enumerating and factorized ones where features are independent,
+        // which the strict factorized engine checks for itself.
+        let agree = |name: &str, scores: &[DocScore]| {
+            for (a, b) in want.iter().zip(scores) {
+                prop_assert!((a.score - b.score).abs() <= 1e-12, "{}: {} vs {}", name, b.score, a.score);
+            }
+            Ok(())
+        };
+        agree("naive view", &NaiveViewEngine::new().score_all(&env, &docs).unwrap())?;
+        if let Ok(factorized) = FactorizedEngine::new().score_all(&env, &docs) {
+            agree("factorized", &factorized)?;
+            agree("naive enum", &NaiveEnumEngine::new().score_all(&env, &docs).unwrap())?;
+        }
+    }
+}
+
+/// One rule set over one user and one document, built by hand.
+struct Shape {
+    kb: Kb,
+    rules: RuleRepository,
+    user: IndividualId,
+    doc: IndividualId,
+}
+
+impl Shape {
+    fn new() -> Self {
+        let mut kb = Kb::new();
+        let user = kb.individual("user");
+        let doc = kb.individual("doc");
+        Self {
+            kb,
+            rules: RuleRepository::new(),
+            user,
+            doc,
+        }
+    }
+
+    fn rule(mut self, context: &str, preference: &str, sigma: f64) -> Self {
+        let name = format!("R{}", self.rules.len());
+        let context = self.kb.parse(context).unwrap();
+        let preference = self.kb.parse(preference).unwrap();
+        let rule = PreferenceRule::new(name, context, preference, Score::new(sigma).unwrap());
+        self.rules.add(rule).unwrap();
+        self
+    }
+
+    fn user_prob(mut self, concept: &str, p: f64) -> Self {
+        self.kb.assert_concept_prob(self.user, concept, p).unwrap();
+        self
+    }
+
+    fn user_sure(mut self, concept: &str) -> Self {
+        self.kb.assert_concept(self.user, concept);
+        self
+    }
+
+    fn doc_prob(mut self, concept: &str, p: f64) -> Self {
+        self.kb.assert_concept_prob(self.doc, concept, p).unwrap();
+        self
+    }
+
+    fn doc_sure(mut self, concept: &str) -> Self {
+        self.kb.assert_concept(self.doc, concept);
+        self
+    }
+
+    /// Scores the document with pruning as given; returns the score and
+    /// how many exact evaluations the one-lane batch needed (0 or 1).
+    fn score(&self, prune: bool) -> (f64, u64) {
+        let env = ScoringEnv {
+            kb: &self.kb,
+            rules: &self.rules,
+            user: self.user,
+        };
+        let bindings = bind_rules_shared(&env);
+        let engine = LineageEngine {
+            prune_inapplicable: prune,
+        };
+        let mut scratch = EvalScratch::new();
+        let got = engine
+            .score_all_bound(&env, &bindings, &[self.doc], &mut scratch)
+            .unwrap();
+        let want = common::reference_scores(&env, &bindings, &[self.doc], prune);
+        assert_eq!(common::bits(&want), common::bits(&got));
+        let batch = scratch.batch_stats();
+        assert_eq!((batch.sweeps, batch.lanes), (1, 1), "a one-lane batch");
+        (got[0].score, batch.fallbacks)
+    }
+}
+
+/// The lane test, shape by shape: which route a document takes is decided
+/// by the supports and shapes of its events alone, and is visible in
+/// `BatchStats::fallbacks`. Every row is also held to the reference.
+#[test]
+fn the_lane_test_picks_the_route_by_supports_and_shapes() {
+    const LANE: u64 = 0;
+    const EXACT: u64 = 1;
+    let independent = || {
+        Shape::new()
+            .rule("Ctx0", "Feat0", 0.8)
+            .rule("Ctx1", "Feat1", 0.35)
+            .user_prob("Ctx0", 0.6)
+            .user_prob("Ctx1", 0.4)
+            .doc_prob("Feat0", 0.7)
+            .doc_prob("Feat1", 0.2)
+    };
+    let rows: Vec<(&str, Shape, u64)> = vec![
+        ("independent atoms", independent(), LANE),
+        (
+            "re-asserted context and feature: slot ∨ fresh",
+            independent().user_prob("Ctx0", 0.3).doc_prob("Feat1", 0.9),
+            LANE,
+        ),
+        (
+            "certain contexts: the ¬G case vanishes",
+            Shape::new()
+                .rule("Ctx0", "Feat0", 0.8)
+                .rule("Ctx1", "Feat1", 0.35)
+                .user_sure("Ctx0")
+                .user_sure("Ctx1")
+                .doc_prob("Feat0", 0.7),
+            LANE,
+        ),
+        (
+            "negated context and feature: ¬¬x is x",
+            Shape::new()
+                .rule("NOT Ctx0", "NOT Feat0", 0.8)
+                .user_prob("Ctx0", 0.6)
+                .doc_prob("Feat0", 0.7),
+            LANE,
+        ),
+        (
+            "disjunctive context and feature",
+            Shape::new()
+                .rule("Ctx0 OR Ctx1", "Feat0 OR Feat1", 0.8)
+                .user_prob("Ctx0", 0.6)
+                .user_prob("Ctx1", 0.4)
+                .doc_prob("Feat0", 0.7)
+                .doc_prob("Feat1", 0.2),
+            LANE,
+        ),
+        (
+            "certain match, certain miss, no rule matched",
+            Shape::new()
+                .rule("Ctx0", "Feat0", 0.8)
+                .rule("Ctx1", "Feat1", 0.35)
+                .rule("Ctx1", "Feat2", 0.5)
+                .user_prob("Ctx0", 0.6)
+                .user_sure("Ctx1")
+                .doc_sure("Feat0"),
+            LANE,
+        ),
+        (
+            "conjunctive context without a feature: no conjunction to flatten",
+            Shape::new()
+                .rule("Ctx0 AND Ctx1", "Feat0", 0.8)
+                .user_prob("Ctx0", 0.6)
+                .user_prob("Ctx1", 0.4),
+            LANE,
+        ),
+        (
+            "conjunctive context with a feature: G ∧ F would flatten",
+            Shape::new()
+                .rule("Ctx0 AND Ctx1", "Feat0", 0.8)
+                .user_prob("Ctx0", 0.6)
+                .user_prob("Ctx1", 0.4)
+                .doc_prob("Feat0", 0.7),
+            EXACT,
+        ),
+        (
+            "conjunctive feature under an uncertain context",
+            Shape::new()
+                .rule("Ctx0", "Feat0 AND Feat1", 0.8)
+                .user_prob("Ctx0", 0.6)
+                .doc_prob("Feat0", 0.7)
+                .doc_prob("Feat1", 0.2),
+            EXACT,
+        ),
+        (
+            "conjunctive feature under a certain context: the case is F itself",
+            Shape::new()
+                .rule("Ctx0", "Feat0 AND Feat1", 0.8)
+                .user_sure("Ctx0")
+                .doc_prob("Feat0", 0.7)
+                .doc_prob("Feat1", 0.2),
+            LANE,
+        ),
+        (
+            "two rules on one uncertain context variable",
+            independent().rule("Ctx0", "Feat2", 0.5),
+            EXACT,
+        ),
+        (
+            "two rules on one certain context",
+            Shape::new()
+                .rule("Ctx0", "Feat0", 0.8)
+                .rule("Ctx0", "Feat1", 0.35)
+                .user_sure("Ctx0")
+                .doc_prob("Feat0", 0.7)
+                .doc_prob("Feat1", 0.2),
+            LANE,
+        ),
+        (
+            "two rules reading one feature variable",
+            independent()
+                .rule("Ctx2", "Feat0", 0.5)
+                .user_prob("Ctx2", 0.5),
+            EXACT,
+        ),
+    ];
+    for (name, shape, route) in rows {
+        for prune in [true, false] {
+            let (_, fallbacks) = shape.score(prune);
+            assert_eq!(fallbacks, route, "{name} (prune: {prune})");
+        }
+    }
+
+    // A `False` context is a constant factor 1 with pruning off, and its
+    // feature entangles nothing.
+    let never = independent().rule("Never", "Feat0", 0.5);
+    let (pruned, _) = never.score(true);
+    let (kept, fallbacks) = never.score(false);
+    assert_eq!(
+        (pruned.to_bits(), fallbacks),
+        (kept.to_bits(), LANE),
+        "a rule that never applies changes nothing"
+    );
+
+    // σ = 1 under a certain context on a document that does not match:
+    // every case of the factor is dropped and the product is an empty sum.
+    let (empty, fallbacks) = Shape::new()
+        .rule("Ctx0", "Feat0", 1.0)
+        .user_sure("Ctx0")
+        .score(true);
+    assert_eq!((empty, fallbacks), (0.0, LANE));
+
+    // A sensor read by a context and by the document.
+    let mut shared = independent();
+    let sensor = shared.kb.universe.add_bool("sensor", 0.3).unwrap();
+    let reading = shared.kb.universe.bool_event(sensor).unwrap();
+    shared
+        .kb
+        .assert_concept_event(shared.user, "Ctx1", reading.clone());
+    shared.kb.assert_concept_event(shared.doc, "Feat0", reading);
+    assert_eq!(
+        shared.score(true).1,
+        EXACT,
+        "context and feature share a sensor"
+    );
+}
+
+/// The paper's disjoint-genres situation (section 3.2) through the
+/// service: the bulletin is *either* traffic or weather, two rules prefer
+/// one each, and the score is the hand-derived 0.24 — which independence
+/// would get wrong, so the document must leave the lanes.
+#[test]
+fn disjoint_genres_leave_the_lanes_and_score_exactly() {
+    let mut kb = Kb::new();
+    let user = kb.individual("peter");
+    kb.assert_concept(user, "Morning");
+    let bulletin = kb.individual("bulletin");
+    let plain = kb.individual("plain");
+    let traffic = kb.individual("Traffic");
+    let weather = kb.individual("Weather");
+    let kind = kb.universe.add_choice("kind", &[0.6, 0.4]).unwrap();
+    for (alt, genre) in [traffic, weather].into_iter().enumerate() {
+        let event = kb.universe.atom(kind, alt as u16).unwrap();
+        kb.assert_role_event(bulletin, "hasGenre", genre, event);
+    }
+    kb.assert_role_prob(plain, "hasGenre", traffic, 0.5)
+        .unwrap();
+    let mut rules = RuleRepository::new();
+    for (name, genre, sigma) in [("T", "Traffic", 0.8), ("W", "Weather", 0.6)] {
+        rules
+            .add(PreferenceRule::new(
+                name,
+                kb.parse("Morning").unwrap(),
+                kb.parse(&format!("EXISTS hasGenre.{{{genre}}}")).unwrap(),
+                Score::new(sigma).unwrap(),
+            ))
+            .unwrap();
+    }
+    let service = RankingService::new(LineageEngine::new(), kb, rules);
+    let ranked = service.rank(user, &[bulletin, plain], 2).unwrap();
+    let score = ranked.iter().find(|s| s.doc == bulletin).unwrap().score;
+    // P(traffic)·σ_T·(1−σ_W) + P(weather)·(1−σ_T)·σ_W + P(neither)·(1−σ_T)·(1−σ_W)
+    let expected = 0.6 * 0.8 * 0.4 + 0.4 * 0.2 * 0.6 + 0.0 * 0.2 * 0.4;
+    assert!((score - expected).abs() < 1e-12, "{score} vs {expected}");
+    let batch = service.stats().sessions.batch;
+    assert_eq!(
+        (batch.sweeps, batch.lanes, batch.fallbacks),
+        (1, 2, 1),
+        "the bulletin is evaluated exactly, the plain programme beside it in closed form"
+    );
+    assert!(
+        service.stats().sessions.footprint.entries > 0,
+        "an entangled document's sub-problems are memoised for the next request"
+    );
+}
+
+/// Independent traffic leaves nothing per document behind: on the
+/// generated commerce pack a shopper's context switch followed by a
+/// full-catalog rank needs no exact evaluation, and adds to the shared
+/// memo tier at most an entry or two per *rule* — the probability of the
+/// re-asserted context, which the next request of that shopper reuses —
+/// however many products were ranked.
+#[test]
+fn a_context_switch_and_catalog_rank_leave_o_rules_entries() {
+    let db = generate(ShopConfig {
+        products: 96,
+        premium_rate: 1.0,
+        discount_rate: 1.0,
+        ..ShopConfig::tiny()
+    });
+    let rules = flip_rules(&db);
+    let active_rules = 3; // gift, bargain, and the shopper's one brand
+    let service = RankingService::new(LineageEngine::new(), db.kb.clone(), rules);
+    let shopper = db.shoppers[0];
+    let rank_all = || {
+        let ranked = service
+            .rank(shopper, &db.products, db.products.len())
+            .unwrap();
+        assert_eq!(ranked.len(), db.products.len());
+        let snap = service.snapshot();
+        let env = ScoringEnv {
+            kb: snap.kb(),
+            rules: snap.rules(),
+            user: shopper,
+        };
+        let want = common::reference_scores(&env, &bind_rules_shared(&env), &db.products, true);
+        assert_eq!(common::bits(&ranked), common::bits(&rank(want)));
+    };
+    rank_all();
+    let before = service.stats();
+    for (concept, p) in [("GiftShopping", 0.9), ("BargainHunting", 0.15)] {
+        service
+            .assert(shopper, Fact::ConceptProb(concept.into(), p))
+            .unwrap();
+        rank_all();
+    }
+    let after = service.stats();
+    let (was, is) = (before.sessions.batch, after.sessions.batch);
+    assert_eq!(is.sweeps - was.sweeps, 2);
+    assert_eq!(is.lanes - was.lanes, 2 * db.products.len() as u64);
+    assert_eq!(is.fallbacks, 0, "every product is scored in closed form");
+    let added = after.sessions.footprint.entries - before.sessions.footprint.entries;
+    assert!(
+        added <= 2 * 2 * active_rules,
+        "two requests added {added} memo entries for {} products",
+        db.products.len()
+    );
+}

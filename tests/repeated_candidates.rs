@@ -1,0 +1,122 @@
+//! A candidate list that names a document twice.
+//!
+//! The domain packs draw candidates with replacement, so requests repeat a
+//! document more often than not. Two contracts cover it, on all four
+//! engines:
+//!
+//! * **scoring** answers per slot — `score_all` returns one score for every
+//!   entry of the list, and every slot holding a document gets *that
+//!   document's* score;
+//! * **ranking** answers per document — `rank`, `rank_top_k` and the
+//!   service's `rank` on either side of `k = docs.len()` list each
+//!   document once, so top-k stays the exact prefix of the full ranking.
+
+use capra::commerce::generate::{flip_rules, generate, CommerceDb, ShopConfig};
+use capra::dl::IndividualId;
+use capra::prelude::*;
+
+/// The tiny shop with every product carrying both uncertain price tags and
+/// one brand, so all three kinds of rule reach every product.
+fn shop() -> (CommerceDb, RuleRepository) {
+    let db = generate(ShopConfig {
+        brands: 1,
+        premium_rate: 1.0,
+        discount_rate: 1.0,
+        ..ShopConfig::tiny()
+    });
+    let rules = flip_rules(&db);
+    (db, rules)
+}
+
+fn engines() -> Vec<Box<dyn ScoringEngine + Sync>> {
+    vec![
+        Box::new(NaiveViewEngine::new()),
+        Box::new(NaiveEnumEngine::new()),
+        Box::new(FactorizedEngine::new()),
+        Box::new(LineageEngine::new()),
+    ]
+}
+
+fn bits(scores: &[DocScore]) -> Vec<(IndividualId, u64)> {
+    scores.iter().map(|s| (s.doc, s.score.to_bits())).collect()
+}
+
+#[test]
+fn every_slot_of_a_repeated_document_gets_its_score() {
+    let (db, rules) = shop();
+    let env = ScoringEnv {
+        kb: &db.kb,
+        rules: &rules,
+        user: db.shoppers[0],
+    };
+    let (d, e) = (db.products[0], db.products[1]);
+    let oracle = NaiveEnumEngine::new().score_all(&env, &[d, e]).unwrap();
+    for engine in engines() {
+        let alone = engine.score_all(&env, &[d]).unwrap();
+        let listed = engine.score_all(&env, &[d, e, d]).unwrap();
+        let docs: Vec<_> = listed.iter().map(|s| s.doc).collect();
+        assert_eq!(docs, [d, e, d], "{}: one score per slot", engine.name());
+        for slot in [0, 2] {
+            assert_eq!(
+                listed[slot].score.to_bits(),
+                alone[0].score.to_bits(),
+                "{}: slot {slot} holds the document's own score",
+                engine.name()
+            );
+        }
+        for (got, want) in listed.iter().zip(&oracle) {
+            assert!(
+                (got.score - want.score).abs() <= 1e-12,
+                "{}: {} vs naive {}",
+                engine.name(),
+                got.score,
+                want.score
+            );
+        }
+        assert_ne!(
+            listed[0].score.to_bits(),
+            listed[1].score.to_bits(),
+            "the two products must differ for this test to see a mix-up"
+        );
+    }
+}
+
+#[test]
+fn a_ranking_lists_each_document_once_on_both_sides_of_k() {
+    let (db, rules) = shop();
+    let user = db.shoppers[0];
+    let env = ScoringEnv {
+        kb: &db.kb,
+        rules: &rules,
+        user,
+    };
+    let p = &db.products;
+    // Eight slots, five documents.
+    let listed = [p[3], p[0], p[3], p[1], p[4], p[0], p[3], p[2]];
+    let distinct = [p[3], p[0], p[1], p[4], p[2]];
+    let oracle = rank(NaiveEnumEngine::new().score_all(&env, &distinct).unwrap());
+    for engine in engines() {
+        let name = engine.name();
+        let full = rank(engine.score_all(&env, &distinct).unwrap());
+        assert_eq!(
+            bits(&rank(engine.score_all(&env, &listed).unwrap())),
+            bits(&full),
+            "{name}: rank over the list is rank over its documents"
+        );
+        for (got, want) in full.iter().zip(&oracle) {
+            assert_eq!(got.doc, want.doc, "{name}: same order as the naive engine");
+            assert!((got.score - want.score).abs() <= 1e-12, "{name}");
+        }
+        let service = RankingService::new(engine, db.kb.clone(), rules.clone());
+        // k below the slot count takes the bounded top-k scan, k at or
+        // above it the score-cache path; 5..8 is where the two used to
+        // disagree (fewer documents than slots).
+        for k in 1..=listed.len() + 1 {
+            let want = &full[..k.min(full.len())];
+            let cold = rank_top_k(&env, service.engine().as_ref(), &listed, k).unwrap();
+            assert_eq!(bits(&cold), bits(want), "{name}: rank_top_k, k = {k}");
+            let served = service.rank(user, &listed, k).unwrap();
+            assert_eq!(bits(&served), bits(want), "{name}: service rank, k = {k}");
+        }
+    }
+}

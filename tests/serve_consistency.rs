@@ -5,7 +5,9 @@
 //! bit-identical to a cold `bind_rules` + `score_all` + `rank` for the
 //! same user, for all four engines, under an aggressive session cap
 //! (LRU cap 2, so tenants are constantly evicted and re-derived) and a
-//! randomized snapshot-tier [`EvictionPolicy`].
+//! randomized snapshot-tier [`EvictionPolicy`]. A lineage service is held
+//! to the test-side factor reference of `tests/common` as well, on either
+//! of the engine's two routes.
 //!
 //! The binding layer gets a suite of its own
 //! (`footprint_validated_bindings_match_cold_bind`): bindings are kept
@@ -13,6 +15,8 @@
 //! shared between tenants, so the interleavings there aim at every way a
 //! footprint can differ from a rule's surface — TBox-defined, role-chained
 //! and closed-world concepts, on the user's side and the documents'.
+
+mod common;
 
 use capra::core::EvalScratch;
 use capra::prelude::*;
@@ -431,13 +435,16 @@ proptest! {
         }
     }
 
-    /// The serving-layer columnar property: a default (columnar) service
-    /// and a scalar-pinned twin — same engine, same KB, absorbing the
-    /// same interleaved assert/rank/rank_group sequence under LRU tenant
-    /// churn and a random snapshot eviction policy — never drift by a
-    /// bit, with sequential and pooled dispatch alike.
+    /// The serving-layer two-route property: a lineage service absorbing
+    /// an interleaved assert/rank/rank_group sequence — under LRU tenant
+    /// churn and a random snapshot eviction policy, with sequential and
+    /// pooled dispatch alike — answers every request with the test-side
+    /// factor reference on the snapshot it served, bit for bit. With
+    /// `entangle`, doc0's two features read one sensor: the lane test
+    /// rejects doc0 alone, so exact evaluations and closed-form lanes share
+    /// batches, tenants and the memo tier.
     #[test]
-    fn columnar_service_matches_scalar_service_under_eviction(
+    fn lineage_service_matches_factor_reference_under_eviction(
         ops in prop::collection::vec(
             (
                 any::<u8>(),
@@ -451,84 +458,72 @@ proptest! {
         ),
         policy_sel in any::<u8>(),
         pooled in any::<bool>(),
+        entangle in any::<bool>(),
     ) {
-        let (kb, rules, users, docs) = fixture();
-        let make = |which: usize| -> Box<dyn ScoringEngine + Sync> {
-            match which {
-                0 => Box::new(NaiveViewEngine::new()),
-                1 => Box::new(NaiveEnumEngine::new()),
-                2 => Box::new(FactorizedEngine::new()),
-                _ => Box::new(LineageEngine::new()),
-            }
-        };
-        for which in 0..4 {
-            let base = ServiceConfig {
+        let (mut kb, rules, users, docs) = fixture();
+        for &user in &users {
+            kb.assert_concept_prob(user, "Ctx1", 0.45).unwrap();
+        }
+        if entangle {
+            let sensor = kb.universe.add_bool("sensor", 0.5).unwrap();
+            let reading = kb.universe.bool_event(sensor).unwrap();
+            kb.assert_concept_event(docs[0], "Feat0", reading.clone());
+            kb.assert_concept_event(docs[0], "Feat1", EventExpr::not(reading));
+        }
+        let service = RankingService::with_config(
+            LineageEngine::new(),
+            kb,
+            rules,
+            ServiceConfig {
                 max_sessions: 2,
                 policy: decode_policy(policy_sel),
                 threads: if pooled { 4 } else { 1 },
                 ..ServiceConfig::default()
-            };
-            let columnar =
-                RankingService::with_config(make(which), kb.clone(), rules.clone(), base);
-            let scalar = RankingService::with_config(
-                make(which),
-                kb.clone(),
-                rules.clone(),
-                ServiceConfig { scoring: ScoringConfig::scalar(), ..base },
-            );
-            for &(kind, user, idx, feat, p, k) in &ops {
-                match decode_op(kind, user, idx, feat, p, k) {
-                    Op::DocFeature { doc, feat, p } => {
-                        let fact = Fact::ConceptProb(format!("Feat{feat}"), p);
-                        columnar.assert(docs[doc], fact.clone()).unwrap();
-                        scalar.assert(docs[doc], fact).unwrap();
-                    }
-                    Op::UserContext { user, feat, p } => {
-                        let fact = Fact::ConceptProb(format!("Ctx{feat}"), p);
-                        columnar.assert(users[user], fact.clone()).unwrap();
-                        scalar.assert(users[user], fact).unwrap();
-                    }
-                    // Odd draws become group requests, so the pooled
-                    // member fan-out is compared against the scalar
-                    // oracle too.
-                    Op::Rank { user, k } if kind % 2 == 1 => {
-                        let members = &users[..=user];
-                        let want = scalar
-                            .rank_group(members, &docs, k, &GroupStrategy::LeastMisery)
-                            .unwrap();
-                        let got = columnar
-                            .rank_group(members, &docs, k, &GroupStrategy::LeastMisery)
-                            .unwrap();
-                        prop_assert_eq!(want.len(), got.len());
-                        for (a, b) in want.iter().zip(&got) {
-                            prop_assert_eq!(a.doc, b.doc);
-                            prop_assert_eq!(
-                                a.score.to_bits(), b.score.to_bits(),
-                                "engine {} rank_group: {} vs {}",
-                                columnar.engine().name(), b.score, a.score
-                            );
-                        }
-                    }
-                    Op::Rank { user, k } => {
-                        let want = scalar.rank(users[user], &docs, k).unwrap();
-                        let got = columnar.rank(users[user], &docs, k).unwrap();
-                        prop_assert_eq!(want.len(), got.len());
-                        for (a, b) in want.iter().zip(&got) {
-                            prop_assert_eq!(a.doc, b.doc);
-                            prop_assert_eq!(
-                                a.score.to_bits(), b.score.to_bits(),
-                                "engine {} rank: {} vs {}",
-                                columnar.engine().name(), b.score, a.score
-                            );
-                        }
-                    }
+            },
+        );
+        for &(kind, user, idx, feat, p, k) in &ops {
+            let (members, strategy) = match decode_op(kind, user, idx, feat, p, k) {
+                Op::DocFeature { doc, feat, p } => {
+                    service.assert(docs[doc], Fact::ConceptProb(format!("Feat{feat}"), p)).unwrap();
+                    continue;
                 }
-            }
+                Op::UserContext { user, feat, p } => {
+                    service.assert(users[user], Fact::ConceptProb(format!("Ctx{feat}"), p)).unwrap();
+                    continue;
+                }
+                // Odd draws become group requests, so the pooled member
+                // fan-out is held to the reference too.
+                Op::Rank { user, .. } if kind % 2 == 1 => {
+                    (&users[..=user], Some(GroupStrategy::LeastMisery))
+                }
+                Op::Rank { user, .. } => (&users[user..=user], None),
+            };
+            let snap = service.snapshot();
+            let per_user: Vec<Vec<DocScore>> = members
+                .iter()
+                .map(|&user| {
+                    let env = ScoringEnv { kb: snap.kb(), rules: snap.rules(), user };
+                    common::reference_scores(&env, &bind_rules_shared(&env), &docs, true)
+                })
+                .collect();
+            let (want, got) = match &strategy {
+                Some(strategy) => (
+                    group_scores(&per_user, strategy).unwrap(),
+                    service.rank_group(members, &docs, k, strategy).unwrap(),
+                ),
+                None => (per_user[0].clone(), service.rank(members[0], &docs, k).unwrap()),
+            };
+            let mut want = rank(want);
+            want.truncate(k);
             prop_assert_eq!(
-                scalar.stats().sessions.batch.sweeps, 0,
-                "the scalar twin never takes the columnar path"
+                common::bits(&want), common::bits(&got),
+                "members={:?} k={} group={}", members, k, strategy.is_some()
             );
         }
+        // (Top-k may prune doc0 before it is scored, so only one direction
+        // is pinned here.)
+        let fallbacks = service.stats().sessions.batch.fallbacks;
+        prop_assert!(entangle || fallbacks == 0, "only doc0 ever leaves the lanes");
     }
 
     /// Batched submission is equivalent to issuing the same requests one

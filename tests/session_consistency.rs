@@ -1,8 +1,12 @@
 //! Session coverage: a [`ScoringSession`]'s cached bindings, evaluation
 //! memos and score cache must be *invisible* — after arbitrary interleaved
 //! assert/score sequences, every engine scored through the session produces
-//! bit-identical results to a cold `bind_rules` + `score_all` call, and
-//! `rank_top_k` through the session equals the full ranking's prefix.
+//! bit-identical results to a cold `bind_rules` + `score_all` call,
+//! `rank_top_k` through the session equals the full ranking's prefix, and
+//! `LineageEngine` equals the test-side factor reference of
+//! `tests/common` on either of its two routes.
+
+mod common;
 
 use capra::prelude::*;
 use proptest::prelude::*;
@@ -214,14 +218,16 @@ proptest! {
         prop_assert!(stats.scores.hits > 0, "warm rounds must hit the cache");
     }
 
-    /// The columnar-vs-scalar property: the batch column-sweep path is
-    /// bit-identical to the scalar per-document loop — the oracle — for
-    /// all four engines, through live sessions (sequential and parallel)
-    /// under interleaved epoch-bumping mutations and random eviction
-    /// policies. The `ScoringConfig` tag keeps the two paths' score
-    /// caches apart, so neither session ever serves the other's results.
+    /// The two-route property: through live sessions — sequential and
+    /// pooled, under interleaved epoch-bumping mutations and random
+    /// eviction policies — `LineageEngine` returns the test-side factor
+    /// reference bit for bit, whichever route a document took: whole
+    /// batches, one-lane batches and top-k chunks alike. With `entangle`,
+    /// doc0's two features read one sensor, so doc0 — and only doc0 — is
+    /// rejected by the lane test and evaluated exactly beside lanes of the
+    /// same batch. The exact naive engine agrees to 1e-12.
     #[test]
-    fn columnar_matches_scalar_oracle_after_interleaved_mutations(
+    fn lineage_matches_factor_reference_after_interleaved_mutations(
         ops in prop::collection::vec(
             (any::<u8>(), 0usize..N_DOCS, 0usize..N_FEATS, 0.05f64..=0.95),
             1..6,
@@ -229,6 +235,7 @@ proptest! {
         threads in 2usize..=4,
         k in 1usize..=N_DOCS,
         policy_sel in any::<u8>(),
+        entangle in any::<bool>(),
     ) {
         let (mut kb, rules, user, docs) = fixture();
         for (d, &doc) in docs.iter().enumerate() {
@@ -236,53 +243,43 @@ proptest! {
         }
         kb.assert_concept_prob(user, "Ctx0", 0.6).unwrap();
         kb.assert_concept_prob(user, "Ctx1", 0.4).unwrap();
+        if entangle {
+            let sensor = kb.universe.add_bool("sensor", 0.5).unwrap();
+            let reading = kb.universe.bool_event(sensor).unwrap();
+            kb.assert_concept_event(docs[0], "Feat0", reading.clone());
+            kb.assert_concept_event(docs[0], "Feat1", EventExpr::not(reading));
+        }
 
-        let engines: Vec<Box<dyn ScoringEngine + Sync>> = vec![
-            Box::new(NaiveViewEngine::new()),
-            Box::new(NaiveEnumEngine::new()),
-            Box::new(FactorizedEngine::new()),
-            Box::new(LineageEngine::new()),
-        ];
+        let lineage = LineageEngine::new();
         let policy = decode_policy(policy_sel);
-        let mut columnar = ScoringSession::with_policy(policy);
-        prop_assert!(columnar.scoring().columnar, "sessions default to columnar");
-        let mut scalar = ScoringSession::with_config(policy, ScoringConfig::scalar());
-        let mut par_columnar = ParallelScoringSession::with_policy(threads, policy);
+        let mut sequential = ScoringSession::with_policy(policy);
+        let mut pooled = ParallelScoringSession::with_policy(threads, policy);
         for &(kind, doc, feat, p) in &ops {
             apply(&mut kb, user, &docs, decode_op(kind, doc, feat, p));
             let env = ScoringEnv { kb: &kb, rules: &rules, user };
-            for engine in &engines {
-                let oracle = scalar.score_all(engine.as_ref(), &env, &docs).unwrap();
-                let col = columnar.score_all(engine.as_ref(), &env, &docs).unwrap();
-                let par = par_columnar.score_all(engine.as_ref(), &env, &docs).unwrap();
-                prop_assert_eq!(oracle.len(), col.len());
-                for ((a, b), c) in oracle.iter().zip(&col).zip(&par) {
-                    prop_assert_eq!(a.doc, b.doc);
-                    prop_assert_eq!(
-                        a.score.to_bits(), b.score.to_bits(),
-                        "{}: columnar {} vs scalar {}", engine.name(), b.score, a.score
-                    );
-                    prop_assert_eq!(a.doc, c.doc);
-                    prop_assert_eq!(
-                        a.score.to_bits(), c.score.to_bits(),
-                        "{}: pooled columnar {} vs scalar {}", engine.name(), c.score, a.score
-                    );
-                }
+            let want = common::reference_scores(&env, &bind_rules_shared(&env), &docs, true);
+            let seq = sequential.score_all(&lineage, &env, &docs).unwrap();
+            let par = pooled.score_all(&lineage, &env, &docs).unwrap();
+            prop_assert_eq!(common::bits(&want), common::bits(&seq), "sequential session");
+            prop_assert_eq!(common::bits(&want), common::bits(&par), "pooled session");
+            // A single document is a one-lane batch of the same path.
+            for (one, doc) in want.iter().zip(&docs) {
+                let alone = lineage.score_all(&env, std::slice::from_ref(doc)).unwrap();
+                prop_assert_eq!(common::bits(&alone), common::bits(std::slice::from_ref(one)));
             }
-            // Top-k through both paths: the same exact prefix.
-            let lineage = LineageEngine::new();
-            let want = scalar.rank_top_k(&lineage, &env, &docs, k).unwrap();
-            let got = columnar.rank_top_k(&lineage, &env, &docs, k).unwrap();
-            prop_assert_eq!(want.len(), got.len());
-            for (a, b) in want.iter().zip(&got) {
-                prop_assert_eq!(a.doc, b.doc);
-                prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
+            let exact = NaiveViewEngine::new().score_all(&env, &docs).unwrap();
+            for (a, b) in want.iter().zip(&exact) {
+                prop_assert!((a.score - b.score).abs() <= 1e-12, "{} vs naive {}", a.score, b.score);
             }
+            // Top-k feeds the engine bound-ordered chunks.
+            let mut top = rank(want);
+            top.truncate(k);
+            let got = sequential.rank_top_k(&lineage, &env, &docs, k).unwrap();
+            prop_assert_eq!(common::bits(&top), common::bits(&got), "top-{}", k);
         }
-        // The sweeps really took different paths: the columnar session
-        // batched its multi-document scans, the scalar oracle never did.
-        prop_assert!(columnar.stats().batch.sweeps > 0, "columnar sweeps ran");
-        prop_assert_eq!(scalar.stats().batch.sweeps, 0);
+        let batch = sequential.stats().batch;
+        prop_assert!(batch.sweeps > 0 && batch.lanes >= batch.sweeps);
+        prop_assert_eq!(batch.fallbacks > 0, entangle, "only doc0 ever leaves the lanes");
     }
 
     /// `rank_top_k` — cold, and through a live session — is exactly the
