@@ -4,7 +4,10 @@
 //! * `topk/seq` vs. `topk/par4` — cold `rank_top_k` against
 //!   `rank_top_k_parallel` on 4 workers (the tentpole comparison: the
 //!   parallel path must win on large candidate sets, not just avoid
-//!   losing);
+//!   losing). Top-k forks only over documents the engine defers, and this
+//!   workload has none: `par4` is the sequential closed-form sweep plus a
+//!   pool checkout, so the pair now guards "no thread spawned for
+//!   nothing";
 //! * `score_all/warm-eval-par4` — a [`ParallelScoringSession`] with the
 //!   score cache cleared each iteration: bindings and the frozen snapshot
 //!   tier stay warm, so workers only rebuild per-document probabilities;

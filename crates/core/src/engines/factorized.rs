@@ -170,10 +170,11 @@ impl ScoringEngine for FactorizedEngine {
         bindings: &[Arc<RuleBinding>],
         docs: &[IndividualId],
     ) -> Result<()> {
-        // The same independence checks `score_all_bound` performs, over the
-        // *whole* candidate set — so the top-k path rejects a correlated
-        // workload even when pruning would never evaluate the offending
-        // document.
+        // The same independence checks `score_all_bound` performs, over
+        // every document handed in — for top-k behind a wrapper that defers
+        // on this engine's behalf, which must reject a correlated workload
+        // even when pruning would never evaluate the offending document.
+        // (The engine's own first phase scores, and so checks, every slot.)
         if let CorrelationPolicy::Error = self.on_correlation {
             let ctx_owner = Self::context_owners(bindings, env.kb)?;
             if Self::preference_screen_suspicious(bindings, &ctx_owner) {
@@ -222,9 +223,9 @@ impl ScoringEngine for FactorizedEngine {
                     let ctx_owner = Self::context_owners(bindings, env.kb)?;
                     // The doc-invariant screen costs one pass over every
                     // bound view; worth it only when the views are batch-
-                    // sized. When they dwarf the batch (e.g. the top-k scan
-                    // feeding small chunks of a large candidate set), the
-                    // per-document checks are cheaper — and either route
+                    // sized. When they dwarf the batch (a short candidate
+                    // list over a large catalog), the per-document checks
+                    // are cheaper — and either route
                     // raises the same first error in the same document
                     // order.
                     let view_total: usize =
@@ -273,6 +274,19 @@ impl ScoringEngine for FactorizedEngine {
         });
         scratch.record_batch(stats);
         result
+    }
+
+    fn score_closed_form(
+        &self,
+        env: &ScoringEnv<'_>,
+        bindings: &[Arc<RuleBinding>],
+        docs: &[IndividualId],
+        scratch: &mut EvalScratch,
+    ) -> Result<Vec<Option<f64>>> {
+        // The closed form is all this engine has: nothing is deferred, and
+        // the independence checks above cover every slot.
+        let scores = self.score_all_bound(env, bindings, docs, scratch)?;
+        Ok(scores.into_iter().map(|s| Some(s.score)).collect())
     }
 }
 

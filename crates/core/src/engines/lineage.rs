@@ -4,7 +4,7 @@ use capra_dl::IndividualId;
 use capra_events::{BatchExpectation, BatchStats, EventExpr, Expectation, Factor, VarId};
 
 use crate::bind::RuleBinding;
-use crate::engines::{DocScore, EvalScratch, LaneOrder, ScoringEngine};
+use crate::engines::{ContextSupport, DocScore, EvalScratch, LaneOrder, ScoringEngine};
 use crate::{Result, ScoringEnv};
 
 /// The exact engine: evaluates the Section 3.3 expectation over the event
@@ -98,16 +98,11 @@ fn weighted(w: f64, p: f64) -> Option<f64> {
 /// test needs to know about the contexts together.
 struct Contexts<'a> {
     halves: Vec<Option<ContextHalf<'a>>>,
-    /// The active contexts' supports are pairwise disjoint. When they are
-    /// not, every document's factors are entangled through them.
-    disjoint: bool,
-    /// Union of the active contexts' supports, sorted.
-    vars: Vec<VarId>,
+    support: ContextSupport,
 }
 
 impl<'a> Contexts<'a> {
     fn new(active: &[&'a RuleBinding], expectation: &mut Expectation<'_>) -> Self {
-        let mut vars: Vec<VarId> = Vec::new();
         let halves = active
             .iter()
             .map(|b| {
@@ -115,7 +110,6 @@ impl<'a> Contexts<'a> {
                 if g.is_false() {
                     return None;
                 }
-                vars.extend_from_slice(g.support_slice());
                 let (p_g, not_g_term) = if g.is_true() {
                     (1.0, None)
                 } else {
@@ -133,13 +127,9 @@ impl<'a> Contexts<'a> {
                 })
             })
             .collect();
-        vars.sort_unstable();
-        let distinct = vars.len();
-        vars.dedup();
         Self {
             halves,
-            disjoint: vars.len() == distinct,
-            vars,
+            support: ContextSupport::new(active.iter().map(|b| &b.context_event)),
         }
     }
 
@@ -178,14 +168,7 @@ impl<'a> Contexts<'a> {
         }
         // …then one group per factor, if no two share a variable: no
         // context and no feature event may touch another.
-        if !self.disjoint {
-            return None;
-        }
-        if !self.vars.is_empty() && seen.iter().any(|v| self.vars.binary_search(v).is_ok()) {
-            return None;
-        }
-        seen.sort_unstable();
-        if seen.windows(2).any(|w| w[0] == w[1]) {
+        if !self.support.disjoint_with(seen) {
             return None;
         }
         for (half, f) in rules() {
@@ -262,8 +245,42 @@ impl ScoringEngine for LineageEngine {
         docs: &[IndividualId],
         scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>> {
+        let scores = self.sweep(env, bindings, docs, scratch, true);
+        Ok(docs
+            .iter()
+            .zip(scores)
+            .map(|(&doc, score)| DocScore {
+                doc,
+                score: score.expect("the exact route scores what the lane test rejects"),
+            })
+            .collect())
+    }
+
+    fn score_closed_form(
+        &self,
+        env: &ScoringEnv<'_>,
+        bindings: &[Arc<RuleBinding>],
+        docs: &[IndividualId],
+        scratch: &mut EvalScratch,
+    ) -> Result<Vec<Option<f64>>> {
+        Ok(self.sweep(env, bindings, docs, scratch, false))
+    }
+}
+
+impl LineageEngine {
+    /// The engine's one pass over a batch: every slot the lane test admits
+    /// is scored in closed form; the slots it rejects go through
+    /// [`exact_scores`] when `exact` is set and stay `None` when not.
+    fn sweep(
+        &self,
+        env: &ScoringEnv<'_>,
+        bindings: &[Arc<RuleBinding>],
+        docs: &[IndividualId],
+        scratch: &mut EvalScratch,
+        exact: bool,
+    ) -> Vec<Option<f64>> {
         if docs.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         scratch.ensure_kb(env.kb);
         let active: Vec<&RuleBinding> = bindings
@@ -271,54 +288,41 @@ impl ScoringEngine for LineageEngine {
             .map(Arc::as_ref)
             .filter(|b| !(self.prune_inapplicable && b.is_inapplicable()))
             .collect();
-        // One row of feature events per slot, one column per active rule,
-        // filled rule by rule. An event that is `False` is a document that
-        // does not match: `Factor::new` drops its cases either way.
-        let width = active.len();
-        let mut events: Vec<Option<&EventExpr>> = vec![None; docs.len() * width];
-        let lanes = LaneOrder::new(docs);
-        for (r, b) in active.iter().enumerate() {
-            lanes.for_each_event(b, |slot, event| {
-                if !event.is_false() {
-                    events[slot * width + r] = Some(event);
-                }
-            });
-        }
-        let row = |slot: usize| &events[slot * width..(slot + 1) * width];
-        let (raw, fallbacks) = scratch.with_expectation(&env.kb.universe, |expectation| {
+        // One row of feature events per slot, one column per active rule.
+        // An event that is `False` counts as absent: `Factor::new` drops
+        // its cases either way.
+        let events = LaneOrder::new(docs).feature_rows(&active);
+        let (scores, fallbacks) = scratch.with_expectation(&env.kb.universe, |expectation| {
             let contexts = Contexts::new(&active, expectation);
-            let mut raw = vec![0.0f64; docs.len()];
-            let mut rejected: Vec<usize> = Vec::new();
             let mut seen: Vec<VarId> = Vec::new();
-            for (slot, e) in raw.iter_mut().enumerate() {
-                match contexts.lane_score(row(slot), &mut seen, expectation) {
-                    Some(score) => *e = score,
-                    None => rejected.push(slot),
+            let mut scores: Vec<Option<f64>> = Vec::with_capacity(docs.len());
+            let mut rejected: Vec<usize> = Vec::new();
+            for slot in 0..docs.len() {
+                let score = contexts
+                    .lane_score(events.row(slot), &mut seen, expectation)
+                    .map(|raw| raw.clamp(0.0, 1.0));
+                if score.is_none() {
+                    rejected.push(slot);
                 }
+                scores.push(score);
             }
-            if rejected.is_empty() {
-                return (raw, 0);
+            if !exact || rejected.is_empty() {
+                return (scores, 0);
             }
-            let rows: Vec<&[Option<&EventExpr>]> = rejected.iter().map(|&slot| row(slot)).collect();
-            let (exact, evaluations) = exact_scores(&active, &rows, expectation);
-            for (&slot, e) in rejected.iter().zip(exact) {
-                raw[slot] = e;
+            let rows: Vec<&[Option<&EventExpr>]> =
+                rejected.iter().map(|&slot| events.row(slot)).collect();
+            let (raw, evaluations) = exact_scores(&active, &rows, expectation);
+            for (&slot, e) in rejected.iter().zip(raw) {
+                scores[slot] = Some(e.clamp(0.0, 1.0));
             }
-            (raw, evaluations)
+            (scores, evaluations)
         });
         scratch.record_batch(BatchStats {
             sweeps: 1,
             lanes: docs.len() as u64,
             fallbacks,
         });
-        Ok(docs
-            .iter()
-            .zip(raw)
-            .map(|(&doc, e)| DocScore {
-                doc,
-                score: e.clamp(0.0, 1.0),
-            })
-            .collect())
+        scores
     }
 }
 

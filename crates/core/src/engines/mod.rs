@@ -11,13 +11,13 @@
 //!        = 1 − σ_r  if the context applies and d does not match
 //! ```
 //!
-//! | engine | exactness | cost model (n rules, d docs) | corresponds to |
-//! |--------|-----------|------------------------------|----------------|
-//! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | the paper's Section 5 PostgreSQL implementation |
-//! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | the same maths without the view machinery (ablation) |
-//! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups; independence check walks cached per-node supports, context half hoisted out of the doc loop | the early-pruning improvement the Discussion calls for |
-//! | [`LineageEngine`] | **always exact** (correlations included) | `O(n · d)` closed form for documents whose rule factors are variable-disjoint (the lane test, per document); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | Section 3.3 with the event-expression model of ref \[17\] |
-//! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the serving path: repeated queries under a changing context |
+//! | engine | exactness | cost model (n rules, d docs) | top-k first phase ([`ScoringEngine::score_closed_form`]) | corresponds to |
+//! |--------|-----------|------------------------------|------------------|----------------|
+//! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | defers every document | the paper's Section 5 PostgreSQL implementation |
+//! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | defers every document | the same maths without the view machinery (ablation) |
+//! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups; independence check walks cached per-node supports, context half hoisted out of the doc loop | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
+//! | [`LineageEngine`] | **always exact** (correlations included) | `O(n · d)` closed form for documents whose rule factors are variable-disjoint (the lane test, per document); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
+//! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the engine's | the serving path: repeated queries under a changing context |
 //!
 //! All engines share the binding step ([`crate::bind_rules`]), which runs
 //! **one** reasoner across the whole rule set so structurally shared
@@ -38,11 +38,21 @@
 //!   [`crate::ScoringSession`] drives it with cached bindings (invalidated
 //!   by KB epoch, see [`crate::Kb::binding_epoch`]) so warm repeat calls
 //!   skip the reasoner entirely and their probability sub-problems answer
-//!   from the persisted memos. [`crate::rank_top_k`] uses the same entry
-//!   point to stop scoring documents that cannot reach the top-k.
+//!   from the persisted memos.
 //!
 //! `score_all` simply delegates through a throwaway binding + scratch, so
 //! both paths compute bit-identical scores.
+//!
+//! ## Top-k
+//!
+//! A `LIMIT`-shaped request ([`crate::rank_top_k`]) asks the engine first
+//! which documents are cheap: [`ScoringEngine::score_closed_form`] returns
+//! the exact score of every document the engine scores in `O(n)` and
+//! defers the rest. The cheap ones are ranked as they are; only deferred
+//! documents are bounded, pruned and — while their bound can still reach
+//! the top `k` — handed to `score_all_bound`. The method has a default
+//! (defer everything), so an engine or wrapper that predates it stays
+//! exact and merely prunes more than it needs to.
 
 mod factorized;
 mod lineage;
@@ -59,7 +69,7 @@ use std::sync::Arc;
 use capra_dl::IndividualId;
 use capra_events::{
     BatchStats, CacheFootprint, EvalCache, Evaluator, EventExpr, EvictionPolicy, ExpectCache,
-    Expectation, FrozenEvalCache, FrozenExpectCache, Universe,
+    Expectation, FrozenEvalCache, FrozenExpectCache, Universe, VarId,
 };
 
 use crate::bind::bind_rules_shared;
@@ -268,6 +278,14 @@ impl EvalScratch {
 }
 
 /// Common interface of the four engines.
+///
+/// An implementation supplies [`ScoringEngine::name`] and
+/// [`ScoringEngine::score_all_bound`]; everything else has a default that
+/// is correct for any engine. Three of them are worth overriding:
+/// `config_tag` when a setting can change a result, `validate_workload`
+/// when the engine rejects individual documents, and `score_closed_form`
+/// when some documents are cheap enough that top-k should rank them
+/// outright instead of bounding them.
 pub trait ScoringEngine {
     /// Engine name (used in benchmark output and explanations).
     fn name(&self) -> &'static str;
@@ -282,11 +300,13 @@ pub trait ScoringEngine {
     }
 
     /// Checks whether the engine would accept scoring *every* document of
-    /// `docs` under `bindings`, without computing any score. The bounded
-    /// top-k path calls this before pruning: an engine that rejects inputs
-    /// per document (e.g. the strict factorized engine on correlated
-    /// features) must reject here too, so `rank_top_k` errors exactly when
-    /// `rank(score_all(docs))` would — pruning never masks an error.
+    /// `docs` under `bindings`, without computing any score. Top-k calls
+    /// this on the documents [`ScoringEngine::score_closed_form`] deferred,
+    /// before pruning any of them: an engine that rejects inputs per
+    /// document (e.g. the strict factorized engine on correlated features,
+    /// when a wrapper defers on its behalf) must reject here too, so
+    /// `rank_top_k` errors exactly when `rank(score_all(docs))` would —
+    /// pruning never masks an error.
     fn validate_workload(
         &self,
         env: &ScoringEnv<'_>,
@@ -298,8 +318,9 @@ pub trait ScoringEngine {
     }
 
     /// Scores every document in `docs`, in order, against already-bound
-    /// rules — the prepared entry point driven by [`crate::ScoringSession`]
-    /// and [`crate::rank_top_k`]. `bindings` must be one binding per rule
+    /// rules — the prepared entry point driven by [`crate::ScoringSession`],
+    /// and by [`crate::rank_top_k`] for the documents it cannot avoid
+    /// evaluating. `bindings` must be one binding per rule
     /// (in repository order, as produced by [`crate::bind_rules_shared`] or
     /// the session's cache); `scratch` carries memo state that is reused
     /// across calls and reset automatically when the KB changes.
@@ -310,6 +331,34 @@ pub trait ScoringEngine {
         docs: &[IndividualId],
         scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>>;
+
+    /// The first phase of top-k: per slot of `docs`, `Some(score)` — the
+    /// exact bits [`ScoringEngine::score_all_bound`] returns for that slot —
+    /// for every document the engine can score in `O(rules)` without
+    /// interning or memoising anything keyed on a (context, document) pair,
+    /// and `None` for a document it **defers**. Which of the two a document
+    /// gets is decided from the document's events, so every slot of a
+    /// repeated candidate gets the same answer.
+    ///
+    /// [`crate::rank_top_k`] runs this once over the whole candidate list,
+    /// ranks what came back `Some` directly, and bounds, prunes and
+    /// evaluates (through `score_all_bound`) only what came back `None`. An
+    /// error means what it means from `score_all_bound`: the engine rejects
+    /// a document it was asked to score here.
+    ///
+    /// The default defers everything, which is always exact: an engine (or
+    /// a wrapper around one) that implements only `score_all_bound` has
+    /// every candidate bounded and scanned.
+    fn score_closed_form(
+        &self,
+        env: &ScoringEnv<'_>,
+        bindings: &[Arc<RuleBinding>],
+        docs: &[IndividualId],
+        scratch: &mut EvalScratch,
+    ) -> Result<Vec<Option<f64>>> {
+        let _ = (env, bindings, scratch);
+        Ok(vec![None; docs.len()])
+    }
 
     /// Scores every document in `docs`, in order. Cold path: binds the
     /// rules and delegates to [`ScoringEngine::score_all_bound`] with
@@ -358,6 +407,16 @@ impl<T: ScoringEngine + ?Sized> ScoringEngine for Box<T> {
         (**self).score_all_bound(env, bindings, docs, scratch)
     }
 
+    fn score_closed_form(
+        &self,
+        env: &ScoringEnv<'_>,
+        bindings: &[Arc<RuleBinding>],
+        docs: &[IndividualId],
+        scratch: &mut EvalScratch,
+    ) -> Result<Vec<Option<f64>>> {
+        (**self).score_closed_form(env, bindings, docs, scratch)
+    }
+
     fn score_all(&self, env: &ScoringEnv<'_>, docs: &[IndividualId]) -> Result<Vec<DocScore>> {
         (**self).score_all(env, docs)
     }
@@ -373,12 +432,20 @@ impl<T: ScoringEngine + ?Sized> ScoringEngine for Box<T> {
 /// A ranking lists each document **once**: a candidate list that repeats a
 /// document yields one equal score per repeat (engines score every slot),
 /// the repeats sort next to each other, and all but one are dropped here.
-/// [`crate::rank_top_k`] makes the same cut, so it stays the exact prefix
-/// of this ranking on any candidate list.
+/// [`crate::rank_top_k`] ranks through this function too, so it stays the
+/// exact prefix of this ranking on any candidate list.
 pub fn rank(mut scores: Vec<DocScore>) -> Vec<DocScore> {
-    scores.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
+    // The order is total and repeats are identical elements, so the
+    // unstable sort yields the one possible ranking.
+    scores.sort_unstable_by(by_rank);
     scores.dedup_by_key(|s| s.doc);
     scores
+}
+
+/// The ranking order — score descending, document id ascending — and the
+/// only comparator any ranking path sorts by.
+pub(crate) fn by_rank(a: &DocScore, b: &DocScore) -> std::cmp::Ordering {
+    b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc))
 }
 
 /// The slots of one document batch in ascending document order — the join
@@ -399,6 +466,21 @@ impl LaneOrder {
             .collect();
         by_doc.sort_unstable();
         Self { by_doc }
+    }
+
+    /// The batch's feature events: one row per slot, one column per rule
+    /// of `rules`, filled rule by rule.
+    pub(crate) fn feature_rows<'b>(&self, rules: &[&'b RuleBinding]) -> FeatureRows<'b> {
+        let width = rules.len();
+        let mut events: Vec<Option<&EventExpr>> = vec![None; self.by_doc.len() * width];
+        for (r, b) in rules.iter().enumerate() {
+            self.for_each_event(b, |slot, event| {
+                if !event.is_false() {
+                    events[slot * width + r] = Some(event);
+                }
+            });
+        }
+        FeatureRows { events, width }
     }
 
     /// Calls `hit(slot, event)` for every slot whose document has a
@@ -431,6 +513,71 @@ impl LaneOrder {
                 break;
             }
         }
+    }
+}
+
+/// A batch's feature events by slot and rule ([`LaneOrder::feature_rows`]).
+/// An entry is `None` where the document has no event under the rule or
+/// the event is `False` — a document that does not match, either way.
+pub(crate) struct FeatureRows<'b> {
+    /// Row-major, `width` entries per slot.
+    events: Vec<Option<&'b EventExpr>>,
+    width: usize,
+}
+
+impl<'b> FeatureRows<'b> {
+    /// The feature event of `slot`'s document under each rule, in rule
+    /// order.
+    pub(crate) fn row(&self, slot: usize) -> &[Option<&'b EventExpr>] {
+        &self.events[slot * self.width..(slot + 1) * self.width]
+    }
+}
+
+/// The variables a request's rule contexts stand on: the document-invariant
+/// half of the **variable-disjointness test**. A document's rule factors
+/// are independent — their expectation is the product of the per-rule
+/// expectations — when no two contexts share a variable and none of the
+/// document's feature events touches a context or another feature. The
+/// lineage engine's lane test and the top-k bound's choice of regime are
+/// both this test, on the same supports.
+pub(crate) struct ContextSupport {
+    /// The contexts' supports are pairwise disjoint. When they are not,
+    /// every document's factors are entangled through them.
+    disjoint: bool,
+    /// Union of the contexts' supports, sorted.
+    vars: Vec<VarId>,
+}
+
+impl ContextSupport {
+    pub(crate) fn new<'a>(contexts: impl IntoIterator<Item = &'a EventExpr>) -> Self {
+        let mut vars: Vec<VarId> = Vec::new();
+        for g in contexts {
+            vars.extend_from_slice(g.support_slice());
+        }
+        vars.sort_unstable();
+        let distinct = vars.len();
+        vars.dedup();
+        Self {
+            disjoint: vars.len() == distinct,
+            vars,
+        }
+    }
+
+    /// The test for one document: `feature_vars` holds the supports of its
+    /// feature events, one after the other, and is sorted in place.
+    pub(crate) fn disjoint_with(&self, feature_vars: &mut [VarId]) -> bool {
+        if !self.disjoint {
+            return false;
+        }
+        if !self.vars.is_empty()
+            && feature_vars
+                .iter()
+                .any(|v| self.vars.binary_search(v).is_ok())
+        {
+            return false;
+        }
+        feature_vars.sort_unstable();
+        feature_vars.windows(2).all(|w| w[0] != w[1])
     }
 }
 

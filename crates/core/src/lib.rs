@@ -24,7 +24,8 @@
 //! * [`ScoringSession`] — prepared scoring: cached rule bindings
 //!   (invalidated by KB epoch), persistent evaluation memos and cached
 //!   scores across repeated calls;
-//! * [`rank_top_k`] — `LIMIT`-shaped ranking with early termination;
+//! * [`rank_top_k`] — `LIMIT`-shaped ranking in two phases: closed-form
+//!   documents ranked outright, early termination over the rest;
 //! * [`serve`] — the multi-tenant [`RankingService`]: LRU-capped per-user
 //!   sessions over one shared, bounded evaluation tier, with typed
 //!   requests and batch coalescing;

@@ -19,8 +19,8 @@
 //!   [`capra_events::FrozenExpectCache`]) shared via `Arc`. Lookups consult
 //!   the snapshot lock-free before the private overlay; after a run the
 //!   overlays are **merged and republished** as the next snapshot, so
-//!   repeated runs (and the bound-ordering pass of top-k, which runs before
-//!   the fork) share sub-problems *across* threads and calls. Merging is
+//!   repeated runs (and the first phase of top-k, which runs before the
+//!   fork) share sub-problems *across* threads and calls. Merging is
 //!   deterministic: every memo entry is a pure function of its hash-consed
 //!   key, so duplicate entries from different workers carry bit-identical
 //!   values and merge order cannot matter — parallel results stay
@@ -40,11 +40,17 @@
 //! and new variables cannot occur in already-interned expressions), which
 //! is why snapshots survive KB mutations that merely bump epochs.
 //!
-//! [`rank_top_k_parallel`] extends [`crate::rank_top_k`]'s early
-//! termination across workers: every worker prunes against the *best k-th
-//! score any worker has proven so far*, published through a shared atomic
-//! cell, so one worker finding strong candidates shrinks everyone's work,
-//! and the bound-ordering pass seeds the snapshot all workers start from.
+//! [`rank_top_k_parallel`] forks only the part of [`crate::rank_top_k`]
+//! that is worth a thread. The first phase — one closed-form engine sweep
+//! over every candidate, and the bounds of the documents it deferred — runs
+//! on the calling thread; a request with nothing deferred ends there and
+//! spawns nobody. Deferred documents are scanned by
+//! `effective_threads(threads, deferred)` workers, each pruning against the
+//! *best k-th score proven so far*: a shared atomic cell that starts at
+//! the k-th closed-form score and is raised by any worker holding `k`
+//! scores, so one worker finding strong candidates shrinks everyone's
+//! work. The first phase's memos are republished before the fork, so every
+//! worker's snapshot starts from them.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -58,9 +64,7 @@ use capra_events::{
 use crate::bind::{bind_rules_shared, RuleBinding};
 use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
 use crate::session::{read_through_scores, BindingCache, ScoreCache, SessionStats};
-use crate::topk::{
-    bound_sorted_order, by_rank, rank_top_k_bound, scan_bounded_stealing, SharedThreshold,
-};
+use crate::topk::TopK;
 use crate::{Kb, Result, ScoringEnv};
 
 /// Clamps a requested worker count to something useful for `docs`
@@ -417,13 +421,14 @@ where
     Ok(out)
 }
 
-/// The exact top `k` of `rank(score_all(docs))`, computed on `threads`
-/// workers stealing batches of the bound-sorted candidate list, with
-/// cross-worker threshold sharing (see module docs).
+/// The exact top `k` of `rank(score_all(docs))`: the closed-form first
+/// phase on the calling thread, then up to `threads` workers stealing
+/// batches of the bound-sorted deferred documents, with cross-worker
+/// threshold sharing (see module docs).
 ///
-/// One-shot entry point (throwaway [`ScratchPool`]); the bound-ordering
-/// pass still pre-seeds the workers' shared snapshot within the call.
-/// Serving loops should hold a [`ParallelScoringSession`].
+/// One-shot entry point (throwaway [`ScratchPool`]); the first phase still
+/// pre-seeds the workers' shared snapshot within the call. Serving loops
+/// should hold a [`ParallelScoringSession`].
 pub fn rank_top_k_parallel<E>(
     engine: &E,
     env: &ScoringEnv<'_>,
@@ -461,48 +466,38 @@ pub(crate) fn rank_top_k_bound_parallel<E>(
 where
     E: ScoringEngine + Sync + ?Sized,
 {
-    let threads = effective_threads(threads, docs.len());
-    if threads == 1 || k == 0 || k >= docs.len() {
-        // Sequential fallback: ONE pooled scratch serves both the bound
-        // ordering and the scan inside `rank_top_k_bound`, and its memos
-        // are republished for later calls.
-        let mut scratch = pool.checkout(env.kb);
-        let out = rank_top_k_bound(env, engine, bindings, docs, k, &mut scratch);
-        if publish {
-            pool.give_back(scratch);
-            pool.republish();
-        }
-        return out;
-    }
-    // Same contract as `rank_top_k`: errors the engine would raise on
-    // pruned documents must not be masked.
-    engine.validate_workload(env, bindings, docs)?;
+    // The first phase runs here, on the calling thread: one closed-form
+    // pass over every candidate, plus the bounds of whatever the engine
+    // deferred. Only deferred documents are worth a fork.
     let mut scratch = pool.checkout(env.kb);
-    let order = bound_sorted_order(env, bindings, docs, &mut scratch);
-    // Publish the ordering pass's memos (context probabilities, typically)
+    let first = TopK::first_phase(env, engine, bindings, docs, k, &mut scratch);
+    let workers = first
+        .as_ref()
+        .map_or(1, |top_k| effective_threads(threads, top_k.deferred()));
+    let top_k = match first {
+        Ok(top_k) if workers > 1 => top_k,
+        settled => {
+            // Nothing (or a single document) deferred, or an error: this
+            // thread finishes on the same scratch and spawns nobody.
+            let out = settled.and_then(|top_k| top_k.finish(&mut scratch));
+            if publish {
+                pool.give_back(scratch);
+                pool.republish();
+            }
+            return out;
+        }
+    };
+    // Publish the first phase's memos (context probabilities, typically)
     // before the fork, so every worker's snapshot already contains them.
     pool.give_back(scratch);
     pool.republish();
-    let threshold = SharedThreshold::new();
-    let cursor = AtomicUsize::new(0);
     let results = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
+        let handles: Vec<_> = (0..workers)
             .map(|_| {
-                let order = &order;
-                let threshold = &threshold;
-                let cursor = &cursor;
+                let top_k = &top_k;
                 scope.spawn(move || {
                     let mut scratch = pool.checkout(env.kb);
-                    let out = scan_bounded_stealing(
-                        env,
-                        engine,
-                        bindings,
-                        order,
-                        k,
-                        &mut scratch,
-                        Some(threshold),
-                        cursor,
-                    );
+                    let out = top_k.scan(&mut scratch, Vec::new());
                     pool.give_back(scratch);
                     out
                 })
@@ -511,18 +506,12 @@ where
         handles
             .into_iter()
             .map(|h| h.join().expect("top-k worker panicked"))
-            .collect::<Vec<Result<Vec<DocScore>>>>()
+            .collect::<Result<Vec<Vec<DocScore>>>>()
     });
     if publish {
         pool.republish();
     }
-    let mut merged: Vec<DocScore> = Vec::with_capacity(threads * k);
-    for worker_top in results {
-        merged.extend(worker_top?);
-    }
-    merged.sort_unstable_by(by_rank);
-    merged.truncate(k);
-    Ok(merged)
+    Ok(top_k.merge(results?))
 }
 
 /// The parallel twin of [`crate::ScoringSession`]: cached rule bindings and
@@ -687,10 +676,11 @@ impl ParallelScoringSession {
         Ok(rank(self.score_all(engine, env, docs)?))
     }
 
-    /// The exact top `k` of the ranking, computed by the parallel bounded
-    /// scan over the session's cached bindings and snapshot tier. Exact
-    /// scores it computes are *not* added to the score cache (they cover an
-    /// adaptively chosen subset of `docs`).
+    /// The exact top `k` of the ranking by two-phase top-k over the
+    /// session's cached bindings and snapshot tier: the closed-form sweep
+    /// on the calling thread, the bounded scan of deferred documents on the
+    /// workers (see [`rank_top_k_parallel`]). The scores it computes are
+    /// *not* added to the score cache.
     pub fn rank_top_k<E>(
         &mut self,
         engine: &E,

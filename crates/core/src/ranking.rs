@@ -120,9 +120,9 @@ pub fn ranked_query(
 }
 
 /// The `LIMIT k` variant of [`ranked_query`]: only the exact top `k`
-/// documents are scored at all — [`rank_top_k`] prunes candidates that
-/// cannot reach the top-k before any SQL runs — and the emitted query
-/// carries a matching `LIMIT` clause. Produces the same rows as running
+/// documents reach the SQL side — [`rank_top_k`] settles them before any
+/// SQL runs, evaluating a costly document only while it can still reach
+/// the top-k — and the emitted query carries a matching `LIMIT` clause. Produces the same rows as running
 /// [`ranked_query`] and truncating to `k`, except that rows *tied* on
 /// score at the `k` boundary are chosen by document id (the deterministic
 /// tie-break of [`crate::rank`]), whereas the plain query's stable sort

@@ -875,9 +875,12 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     ///
     /// `k >= docs.len()` ranks the full set through the tenant's score
     /// cache — the steady-state warm path is a table lookup plus a sort.
-    /// `k < docs.len()` uses bound-based early termination
-    /// ([`crate::rank_top_k`]); the adaptively chosen exact scores are not
-    /// added to the score cache.
+    /// `k < docs.len()` is two-phase top-k ([`crate::rank_top_k`]): one
+    /// closed-form engine sweep over the candidates, ranked and cut at `k`,
+    /// plus — only for documents the engine deferred — a bound-ordered
+    /// scan that starts from the k-th closed-form score; with
+    /// [`ServiceConfig::threads`] > 1 that scan, and nothing else, forks.
+    /// Its scores are not added to the score cache.
     ///
     /// Scores are bit-identical to a cold [`crate::bind_rules`] +
     /// `score_all` + [`crate::rank`] for the same user, whatever mix of

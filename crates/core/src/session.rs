@@ -706,11 +706,14 @@ impl ScoringSession {
         Ok(rank(self.score_all(engine, env, docs)?))
     }
 
-    /// The top `k` of [`ScoringSession::rank`] with early termination:
-    /// documents whose score upper bound cannot reach the current top-k are
-    /// never evaluated (see [`crate::rank_top_k`]). Uses the session's
-    /// cached bindings and evaluation memos; exact scores it computes are
-    /// *not* added to the score cache (they cover an adaptively chosen
+    /// The top `k` of [`ScoringSession::rank`] in two phases (see
+    /// [`crate::rank_top_k`]): the documents the engine scores in closed
+    /// form are ranked from one sweep, and the ones it defers are evaluated
+    /// only while their score upper bound can still reach the top `k` —
+    /// starting from the k-th best closed-form score. Uses the session's
+    /// cached bindings and evaluation memos; the scores it computes are
+    /// *not* added to the score cache (the path exists to skip the cache
+    /// bookkeeping, and on deferred documents covers an adaptively chosen
     /// subset of `docs`).
     pub fn rank_top_k<E>(
         &mut self,

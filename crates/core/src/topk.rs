@@ -1,23 +1,42 @@
-//! Top-k ranking with early termination.
+//! Top-k ranking in two phases.
 //!
 //! The paper's serving query is `LIMIT`-shaped — *"show me the ten best
-//! programs for this situation"* — yet a cold [`crate::rank`] call scores
-//! every candidate exactly. [`rank_top_k`] avoids that: each rule `r`
-//! contributes a factor of at most `max(σ_r, 1 − σ_r)` whenever its context
-//! applies, so a cheap per-document **upper bound** (no event-probability
-//! evaluation, just membership lookups in the bound preference views) tells
-//! us which documents could still reach the current top-k. Documents are
-//! evaluated in descending bound order and the scan stops as soon as the
-//! next bound falls below the k-th best exact score.
+//! programs for this situation"* — and its Discussion asks to prune
+//! candidate documents early. What is worth pruning depends on what a score
+//! costs, and that differs per document, so [`rank_top_k`] asks the engine:
 //!
-//! Bound soundness comes in two regimes, chosen automatically:
+//! 1. **Closed form.** One [`ScoringEngine::score_closed_form`] pass over
+//!    the whole candidate list returns the exact score of every document
+//!    the engine can score in `O(rules)` — for [`crate::LineageEngine`] the
+//!    documents that pass its lane test, for [`crate::FactorizedEngine`]
+//!    all of them — and defers the rest. When nothing is deferred the
+//!    answer is [`rank`] of that pass cut at `k`: one sweep, no bound, no
+//!    bound sort. A dozen flops per rule is less than any bound costs, so
+//!    these documents are never pruned.
+//! 2. **Bound, prune, evaluate — the deferred documents only.** A deferred
+//!    document costs a Shannon expansion (or, for an engine that implements
+//!    only `score_all_bound`, whatever that costs), which is what a cheap
+//!    upper bound can save. Each rule `r` contributes a factor of at most
+//!    `max(σ_r, 1 − σ_r)` whenever its context applies, so a per-document
+//!    bound needs no event probability beyond `P(G_r)`. The deferred
+//!    documents are evaluated in descending bound order, in batches, and
+//!    the scan stops as soon as the next bound falls below the k-th best
+//!    score so far — a floor that **starts** at the k-th best closed-form
+//!    score, so a deferred document that cannot beat the first phase's
+//!    answer is never evaluated at all.
 //!
-//! * **variable-disjoint rules** (the common case, and the factorized
-//!   engine's correctness condition): the expectation factorises per rule,
-//!   so a matching document is bounded by
+//! The bound comes in two regimes, chosen **per deferred document** from
+//! that document's own row of feature events plus the contexts — a
+//! document's rule factors are independent exactly when *its* events are
+//! variable-disjoint ([`ContextSupport`], the test the lineage engine's
+//! lane test is made of), whatever other documents' events share:
+//!
+//! * **variable-disjoint row** (deferred for its shape, not its
+//!   variables — e.g. a conjunctive feature): the expectation factorises
+//!   per rule, so a matching document is bounded by
 //!   `(1 − P(G_r)) + P(G_r)·max(σ_r, 1 − σ_r)` and a non-matching one
 //!   contributes exactly `(1 − P(G_r)) + P(G_r)·(1 − σ_r)`;
-//! * **correlated rules**: the product no longer factorises, so the bound
+//! * **entangled row**: the product no longer factorises, so the bound
 //!   falls back to the world-wise maximum of each rule's factor — `1` unless
 //!   the rule's context is *certain*, in which case `max(σ_r, 1 − σ_r)`
 //!   (matching) or exactly `1 − σ_r` (non-matching). Still sound under
@@ -25,12 +44,15 @@
 //!
 //! The result is exactly `rank(score_all(docs))[..k]`, including the
 //! deterministic tie-break by document id and [`rank`]'s rule that a
-//! repeated candidate is listed once: candidates whose bound *ties* the
-//! k-th score are always evaluated, and a `1e-9` slack absorbs
+//! repeated candidate is listed once: deferred candidates whose bound
+//! *ties* the floor are always evaluated, and a `1e-9` slack absorbs
 //! floating-point rounding between the bound and the engines' factor
-//! arithmetic.
+//! arithmetic. It also errors exactly when the full rank would: the first
+//! phase runs the engine's own checks on every slot it scores, and
+//! [`ScoringEngine::validate_workload`] covers the deferred documents
+//! before any of them is pruned. (`k = 0` asks for nothing and touches
+//! nothing.)
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -38,7 +60,7 @@ use capra_dl::IndividualId;
 use capra_events::VarId;
 
 use crate::bind::{bind_rules_shared, RuleBinding};
-use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
+use crate::engines::{rank, ContextSupport, DocScore, EvalScratch, LaneOrder, ScoringEngine};
 use crate::{Result, ScoringEnv};
 
 /// Absolute slack added to upper bounds before pruning, absorbing the
@@ -48,10 +70,12 @@ use crate::{Result, ScoringEnv};
 /// which is what makes the id tie-break exact.
 pub(crate) const BOUND_SLACK: f64 = 1e-9;
 
-/// Returns the exact top `k` of `rank(engine.score_all(env, docs))`,
-/// evaluating only documents whose score upper bound can still reach the
-/// running top-k. Cold entry point; sessions use
-/// [`crate::ScoringSession::rank_top_k`] to reuse cached bindings.
+/// Returns the exact top `k` of `rank(engine.score_all(env, docs))`: the
+/// documents the engine scores in closed form are ranked directly, the
+/// ones it defers are evaluated only while their score upper bound can
+/// still reach the running top-k (see the module docs). Cold entry point;
+/// sessions use [`crate::ScoringSession::rank_top_k`] to reuse cached
+/// bindings.
 pub fn rank_top_k<E>(
     env: &ScoringEnv<'_>,
     engine: &E,
@@ -84,54 +108,18 @@ pub fn rank_top_k_bound<E>(
 where
     E: ScoringEngine + ?Sized,
 {
-    if k == 0 || docs.is_empty() {
-        return Ok(Vec::new());
-    }
-    if k >= docs.len() {
-        // Nothing to prune; a full ranking is the same answer.
-        return Ok(rank(engine.score_all_bound(env, bindings, docs, scratch)?));
-    }
-    // Pruned documents are never handed to the engine, so per-document
-    // input validation (e.g. strict factorized's correlation check) runs
-    // up front — `rank_top_k` must error exactly when a full rank would.
-    engine.validate_workload(env, bindings, docs)?;
-    let order = bound_sorted_order(env, bindings, docs, scratch);
-    scan_bounded(env, engine, bindings, &order, k, scratch, None)
-}
-
-/// The deterministic ranking order: score descending, document id ascending
-/// (the tie-break of [`rank`]).
-pub(crate) fn by_rank(a: &DocScore, b: &DocScore) -> std::cmp::Ordering {
-    b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc))
-}
-
-/// Documents paired with their upper bounds, sorted descending by bound
-/// (ties by document id) — the evaluation order of the bounded scans. A
-/// repeated candidate sorts next to itself and is kept once, the cut
-/// [`rank`] makes.
-pub(crate) fn bound_sorted_order(
-    env: &ScoringEnv<'_>,
-    bindings: &[Arc<RuleBinding>],
-    docs: &[IndividualId],
-    scratch: &mut EvalScratch,
-) -> Vec<(f64, IndividualId)> {
-    let bounds = doc_upper_bounds(env, bindings, docs, scratch);
-    let mut order: Vec<(f64, IndividualId)> =
-        bounds.into_iter().zip(docs.iter().copied()).collect();
-    order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-    order.dedup_by_key(|&mut (_, doc)| doc);
-    order
+    TopK::first_phase(env, engine, bindings, docs, k, scratch)?.finish(scratch)
 }
 
 /// A monotonically increasing lower bound on the global k-th best score,
-/// shared across parallel scan workers. Scores live in `[0, 1]`, where the
-/// IEEE-754 bit pattern is monotone in the value, so an atomic `fetch_max`
-/// on the bits implements a lock-free floating-point maximum.
-pub(crate) struct SharedThreshold(AtomicU64);
+/// shared across scan workers. Scores live in `[0, 1]`, where the IEEE-754
+/// bit pattern is monotone in the value, so an atomic `fetch_max` on the
+/// bits implements a lock-free floating-point maximum.
+struct SharedThreshold(AtomicU64);
 
 impl SharedThreshold {
-    pub(crate) fn new() -> Self {
-        Self(AtomicU64::new(0f64.to_bits()))
+    fn new(floor: f64) -> Self {
+        Self(AtomicU64::new(floor.to_bits()))
     }
 
     fn get(&self) -> f64 {
@@ -143,172 +131,244 @@ impl SharedThreshold {
     }
 }
 
-/// The bounded scan shared by the sequential and parallel top-k paths:
-/// walks `order` (descending upper bounds) in batches, keeps the best `k`
-/// scored documents, and stops as soon as the next bound falls below the
-/// pruning floor — the scan's own k-th score, raised further by `shared`
-/// when other workers have already proven a better one.
-pub(crate) fn scan_bounded<E>(
-    env: &ScoringEnv<'_>,
-    engine: &E,
-    bindings: &[Arc<RuleBinding>],
-    order: &[(f64, IndividualId)],
+/// A top-k request after its first phase: the closed-form answer so far,
+/// and the work queue of the second phase — the shared state of the
+/// sequential finish and of the parallel path's scan workers alike.
+pub(crate) struct TopK<'a, E: ?Sized> {
+    env: &'a ScoringEnv<'a>,
+    engine: &'a E,
+    bindings: &'a [Arc<RuleBinding>],
     k: usize,
-    scratch: &mut EvalScratch,
-    shared: Option<&SharedThreshold>,
-) -> Result<Vec<DocScore>>
-where
-    E: ScoringEngine + ?Sized,
-{
-    // The single-scanner case is the stealing scan over a private cursor.
-    let cursor = AtomicUsize::new(0);
-    scan_bounded_stealing(env, engine, bindings, order, k, scratch, shared, &cursor)
+    /// The best `k` closed-form scores, ranked.
+    head: Vec<DocScore>,
+    /// The deferred documents with their upper bounds, descending by bound
+    /// (ties by document id), each listed once.
+    order: Vec<(f64, IndividualId)>,
+    /// Index into `order` that scan workers steal batches through.
+    cursor: AtomicUsize,
+    /// Proven lower bound on the k-th best score: the k-th closed-form
+    /// score to begin with, raised by every worker that holds `k` scores.
+    floor: SharedThreshold,
 }
 
-/// [`scan_bounded`] over a **shared work queue**: each call to this function
-/// is one worker of the parallel top-k path, stealing fixed-size batches of
-/// the bound-sorted `order` through `cursor` (an atomic index into `order`)
-/// until the queue is drained or the pruning frontier is reached.
-///
-/// Pruning stays exact under stealing: bounds are sorted descending, so
-/// when a stolen batch is clipped at the frontier (every remaining bound is
-/// below the floor — a proven lower bound on the global k-th best score),
-/// the documents skipped by *all* workers are exactly documents that cannot
-/// reach the top-k. Fast workers steal more batches than slow ones, so a
-/// straggler never pins the tail of the queue.
-#[allow(clippy::too_many_arguments)] // one worker's full scan context
-pub(crate) fn scan_bounded_stealing<E>(
-    env: &ScoringEnv<'_>,
-    engine: &E,
-    bindings: &[Arc<RuleBinding>],
-    order: &[(f64, IndividualId)],
-    k: usize,
-    scratch: &mut EvalScratch,
-    shared: Option<&SharedThreshold>,
-    cursor: &AtomicUsize,
-) -> Result<Vec<DocScore>>
+impl<'a, E> TopK<'a, E>
 where
     E: ScoringEngine + ?Sized,
 {
-    let batch = k.max(16);
-    let mut top: Vec<DocScore> = Vec::with_capacity(k + batch);
-    loop {
-        let mut floor = shared.map_or(f64::NEG_INFINITY, SharedThreshold::get);
-        if top.len() == k {
-            floor = floor.max(top[k - 1].score);
+    /// Runs the first phase on the calling thread: one closed-form pass
+    /// over `docs`, then — only if the engine deferred documents — their
+    /// validation, bounds and bound order.
+    pub(crate) fn first_phase(
+        env: &'a ScoringEnv<'a>,
+        engine: &'a E,
+        bindings: &'a [Arc<RuleBinding>],
+        docs: &[IndividualId],
+        k: usize,
+        scratch: &mut EvalScratch,
+    ) -> Result<Self> {
+        let mut deferred: Vec<IndividualId> = Vec::new();
+        let head = if k == 0 || docs.is_empty() {
+            Vec::new()
+        } else if k >= docs.len() {
+            // Nothing to cut; a full ranking is the same answer.
+            rank(engine.score_all_bound(env, bindings, docs, scratch)?)
+        } else {
+            let closed = engine.score_closed_form(env, bindings, docs, scratch)?;
+            let mut scored: Vec<DocScore> = Vec::with_capacity(docs.len());
+            for (&doc, score) in docs.iter().zip(closed) {
+                match score {
+                    Some(score) => scored.push(DocScore { doc, score }),
+                    None => deferred.push(doc),
+                }
+            }
+            let mut head = rank(scored);
+            head.truncate(k);
+            head
+        };
+        let mut order: Vec<(f64, IndividualId)> = Vec::new();
+        if !deferred.is_empty() {
+            // A pruned document is never handed to the engine, so its
+            // per-document input validation runs up front — top-k must
+            // error exactly when a full rank would.
+            engine.validate_workload(env, bindings, &deferred)?;
+            let bounds = doc_upper_bounds(env, bindings, &deferred, scratch);
+            order = bounds.into_iter().zip(deferred).collect();
+            // A repeated candidate sorts next to itself and is kept once,
+            // the cut `rank` makes.
+            order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+            order.dedup_by_key(|&mut (_, doc)| doc);
         }
-        let start = cursor.fetch_add(batch, Ordering::Relaxed);
-        if start >= order.len() {
-            break;
+        let floor = if head.len() == k && k > 0 {
+            head[k - 1].score
+        } else {
+            0.0
+        };
+        Ok(Self {
+            env,
+            engine,
+            bindings,
+            k,
+            head,
+            order,
+            cursor: AtomicUsize::new(0),
+            floor: SharedThreshold::new(floor),
+        })
+    }
+
+    /// How many documents the engine deferred — the second phase's work.
+    pub(crate) fn deferred(&self) -> usize {
+        self.order.len()
+    }
+
+    /// Completes the request on the calling thread: the first phase's
+    /// answer when nothing was deferred, otherwise one scan seeded with it.
+    pub(crate) fn finish(mut self, scratch: &mut EvalScratch) -> Result<Vec<DocScore>> {
+        let head = std::mem::take(&mut self.head);
+        if self.order.is_empty() {
+            return Ok(head);
         }
-        // Clip the batch at the pruning frontier: bounds are sorted
-        // descending, so everything past it is out too.
-        let mut end = (start + batch).min(order.len());
-        while end > start && order[end - 1].0 + BOUND_SLACK < floor {
-            end -= 1;
+        self.scan(scratch, head)
+    }
+
+    /// Completes a request whose scan ran on workers seeded with nothing:
+    /// the closed-form answer and every worker's `tops`, ranked and cut.
+    pub(crate) fn merge(self, tops: impl IntoIterator<Item = Vec<DocScore>>) -> Vec<DocScore> {
+        let mut merged = self.head;
+        for top in tops {
+            merged.extend(top);
         }
-        if end == start {
-            break;
-        }
-        let chunk: Vec<IndividualId> = order[start..end].iter().map(|&(_, d)| d).collect();
-        let scores = engine.score_all_bound(env, bindings, &chunk, scratch)?;
-        top.extend(scores);
-        top.sort_unstable_by(by_rank);
-        top.truncate(k);
-        if let Some(shared) = shared {
+        let mut merged = rank(merged);
+        merged.truncate(self.k);
+        merged
+    }
+
+    /// One worker of the second phase: steals fixed-size batches of the
+    /// bound-sorted deferred documents through the shared cursor, folds
+    /// their exact scores into `top` (its running best `k`, seeded by the
+    /// caller), and stops when the queue is drained or the next bound falls
+    /// below the shared pruning floor.
+    ///
+    /// Pruning stays exact under stealing: bounds are sorted descending, so
+    /// when a stolen batch is clipped at the frontier (every remaining bound
+    /// is below the floor — a proven lower bound on the global k-th best
+    /// score), the documents skipped by *all* workers are exactly documents
+    /// that cannot reach the top-k. Fast workers steal more batches than
+    /// slow ones, so a straggler never pins the tail of the queue.
+    pub(crate) fn scan(
+        &self,
+        scratch: &mut EvalScratch,
+        mut top: Vec<DocScore>,
+    ) -> Result<Vec<DocScore>> {
+        let (k, order) = (self.k, &self.order);
+        let batch = k.max(16);
+        loop {
+            // Never below this worker's own k-th score: whoever holds `k`
+            // scores has raised the floor to the k-th of them.
+            let floor = self.floor.get();
+            let start = self.cursor.fetch_add(batch, Ordering::Relaxed);
+            if start >= order.len() {
+                break;
+            }
+            // Clip the batch at the pruning frontier: bounds are sorted
+            // descending, so everything past it is out too.
+            let mut end = (start + batch).min(order.len());
+            while end > start && order[end - 1].0 + BOUND_SLACK < floor {
+                end -= 1;
+            }
+            if end == start {
+                break;
+            }
+            let chunk: Vec<IndividualId> = order[start..end].iter().map(|&(_, d)| d).collect();
+            top.extend(
+                self.engine
+                    .score_all_bound(self.env, self.bindings, &chunk, scratch)?,
+            );
+            top = rank(top);
+            top.truncate(k);
             if top.len() == k {
                 // k scored documents prove the global k-th best is at least
                 // this good.
-                shared.raise(top[k - 1].score);
+                self.floor.raise(top[k - 1].score);
             }
         }
+        Ok(top)
     }
-    Ok(top)
 }
 
-/// Per-rule bound factors: what a matching (`hit`) and a non-matching
-/// (`miss`) document can contribute at most. Inapplicable rules contribute
-/// the constant 1 and are dropped.
-fn rule_bound_factors(
-    env: &ScoringEnv<'_>,
-    bindings: &[Arc<RuleBinding>],
-    scratch: &mut EvalScratch,
-) -> Vec<(Arc<RuleBinding>, f64, f64)> {
-    let applicable: Vec<&Arc<RuleBinding>> =
-        bindings.iter().filter(|b| !b.is_inapplicable()).collect();
-    let disjoint = rules_variable_disjoint(&applicable);
-    scratch.ensure_kb(env.kb);
-    scratch.with_evaluator(&env.kb.universe, |ev| {
-        applicable
-            .iter()
-            .map(|b| {
-                let spread = b.sigma.max(1.0 - b.sigma);
-                let (hit, miss) = if disjoint {
-                    let pg = ev.prob(&b.context_event);
-                    ((1.0 - pg) + pg * spread, (1.0 - pg) + pg * (1.0 - b.sigma))
-                } else if b.context_event.is_true() {
-                    // Certain context: the factor is σ/(1−σ) in every world.
-                    (spread, 1.0 - b.sigma)
-                } else {
-                    // Correlated and uncertain: only the trivial world-wise
-                    // bound is sound.
-                    (1.0, 1.0)
-                };
-                (Arc::clone(b), hit, miss)
-            })
-            .collect()
-    })
+/// What one applicable rule contributes at most to a document that matches
+/// its preference (`hit`) and to one that does not (`miss`), in each of
+/// the two bound regimes.
+struct RuleBound {
+    factorised: (f64, f64),
+    world_wise: (f64, f64),
 }
 
 /// Score upper bound per document (parallel to `docs`): the product over
-/// applicable rules of the hit/miss bound factor, depending on whether the
-/// document appears in the rule's bound preference view.
-pub(crate) fn doc_upper_bounds(
+/// applicable rules of the hit/miss bound factor, in the regime the
+/// document's own events allow (see the module docs).
+fn doc_upper_bounds(
     env: &ScoringEnv<'_>,
     bindings: &[Arc<RuleBinding>],
     docs: &[IndividualId],
     scratch: &mut EvalScratch,
 ) -> Vec<f64> {
-    let factors = rule_bound_factors(env, bindings, scratch);
-    docs.iter()
-        .map(|doc| {
-            factors
-                .iter()
-                .map(|(b, hit, miss)| {
-                    if b.preference_events.contains_key(doc) {
-                        *hit
+    // Inapplicable rules contribute the constant 1 and are dropped.
+    let applicable: Vec<&RuleBinding> = bindings
+        .iter()
+        .map(Arc::as_ref)
+        .filter(|b| !b.is_inapplicable())
+        .collect();
+    scratch.ensure_kb(env.kb);
+    let rule_bounds: Vec<RuleBound> = scratch.with_evaluator(&env.kb.universe, |ev| {
+        applicable
+            .iter()
+            .map(|b| {
+                let spread = b.sigma.max(1.0 - b.sigma);
+                let pg = ev.prob(&b.context_event);
+                RuleBound {
+                    factorised: ((1.0 - pg) + pg * spread, (1.0 - pg) + pg * (1.0 - b.sigma)),
+                    world_wise: if b.context_event.is_true() {
+                        // Certain context: the factor is σ/(1−σ) in every
+                        // world.
+                        (spread, 1.0 - b.sigma)
                     } else {
-                        *miss
+                        // Entangled and uncertain: only the trivial
+                        // world-wise bound is sound.
+                        (1.0, 1.0)
+                    },
+                }
+            })
+            .collect()
+    });
+    // A document's row: its feature event under each applicable rule.
+    let events = LaneOrder::new(docs).feature_rows(&applicable);
+    let support = ContextSupport::new(applicable.iter().map(|b| &b.context_event));
+    let mut seen: Vec<VarId> = Vec::new();
+    (0..docs.len())
+        .map(|slot| {
+            let row = events.row(slot);
+            seen.clear();
+            for f in row.iter().flatten() {
+                seen.extend_from_slice(f.support_slice());
+            }
+            let disjoint = support.disjoint_with(&mut seen);
+            row.iter()
+                .zip(&rule_bounds)
+                .map(|(f, bound)| {
+                    let (hit, miss) = if disjoint {
+                        bound.factorised
+                    } else {
+                        bound.world_wise
+                    };
+                    if f.is_some() {
+                        hit
+                    } else {
+                        miss
                     }
                 })
                 .product()
         })
         .collect()
-}
-
-/// True if no random variable backs events of two *different* rules
-/// (context or preference, any document). Sharing within one rule is fine —
-/// the per-rule bound maximises over the feature split — but cross-rule
-/// sharing breaks the factorisation of the expectation, forcing the
-/// conservative bound.
-fn rules_variable_disjoint(bindings: &[&Arc<RuleBinding>]) -> bool {
-    let mut owner: HashMap<VarId, usize> = HashMap::new();
-    for (slot, b) in bindings.iter().enumerate() {
-        let vars = b
-            .context_event
-            .support_slice()
-            .iter()
-            .chain(b.preference_events.values().flat_map(|e| e.support_slice()));
-        for &var in vars {
-            match owner.get(&var) {
-                Some(&prev) if prev != slot => return false,
-                _ => {
-                    owner.insert(var, slot);
-                }
-            }
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -499,30 +559,157 @@ mod tests {
         assert!(rank_top_k(&env, &LineageEngine::new(), &docs, 3).is_ok());
     }
 
+    /// An all-lane batch is one engine sweep and nothing else: no bound is
+    /// computed, no document evaluated twice.
     #[test]
-    fn bounds_dominate_scores() {
+    fn an_all_lane_batch_is_one_sweep_and_no_bounds() {
         let (kb, rules, user, docs) = fixture();
         let env = ScoringEnv {
             kb: &kb,
             rules: &rules,
             user,
         };
+        let engine = LineageEngine::new();
         let bindings = bind_rules_shared(&env);
         let mut scratch = EvalScratch::new();
-        let bounds = doc_upper_bounds(&env, &bindings, &docs, &mut scratch);
-        let scores = FactorizedEngine::new().score_all(&env, &docs).unwrap();
-        for (ub, s) in bounds.iter().zip(&scores) {
-            assert!(
-                s.score <= ub + BOUND_SLACK,
-                "bound {ub} must dominate score {} for {:?}",
-                s.score,
-                s.doc
-            );
+        let top = rank_top_k_bound(&env, &engine, &bindings, &docs, 5, &mut scratch).unwrap();
+        let full = rank(engine.score_all(&env, &docs).unwrap());
+        assert_eq!(top, full[..5]);
+        let batch = scratch.batch_stats();
+        assert_eq!(
+            (batch.sweeps, batch.lanes, batch.fallbacks),
+            (1, docs.len() as u64, 0)
+        );
+    }
+
+    const CONTEXTS: [&str; 5] = ["Ctx0", "Ctx1", "Ctx0 AND Ctx2", "Ctx1 OR Ctx2", "Ctx3"];
+    const PREFERENCES: [&str; 6] = [
+        "Feat0",
+        "Feat1",
+        "Feat0 AND Feat1",
+        "NOT Feat1",
+        "EXISTS hasGenre.{GenreA}",
+        "EXISTS hasGenre.{GenreB}",
+    ];
+    const SIGMAS: [f64; 4] = [0.8, 0.35, 0.5, 1.0];
+
+    /// Asserts `concept` on `subject`: not at all, certainly, with
+    /// probability `p`, or riding on the one `sensor` variable contexts and
+    /// documents may both read.
+    fn assert_fact(kb: &mut Kb, subject: IndividualId, concept: &str, kind: u8, p: f64) {
+        match kind % 4 {
+            0 => {}
+            1 => kb.assert_concept(subject, concept),
+            2 => {
+                kb.assert_concept_prob(subject, concept, p).unwrap();
+            }
+            _ => {
+                let sensor = match kb.universe.var("sensor") {
+                    Some(var) => var,
+                    None => kb.universe.add_bool("sensor", 0.3).unwrap(),
+                };
+                let reading = kb.universe.bool_event(sensor).unwrap();
+                kb.assert_concept_event(subject, concept, reading);
+            }
         }
-        // The bounds must discriminate (otherwise top-k degenerates to a
-        // full scan on this workload).
-        let distinct: std::collections::BTreeSet<u64> =
-            bounds.iter().map(|b| b.to_bits()).collect();
-        assert!(distinct.len() > 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(128))]
+
+        /// On small random knowledge bases — uncertain, certain and
+        /// variable-sharing contexts; exclusive genre alternatives across
+        /// rules; a sensor read by a context and a document; conjunctive
+        /// features the lane test rejects for their shape alone — every
+        /// document the exact engine defers has a bound that dominates its
+        /// true score, whichever regime its row falls in; and a batch with
+        /// nothing deferred costs one sweep.
+        #[test]
+        fn bounds_dominate_scores(
+            rule_draws in proptest::collection::vec(
+                (proptest::any::<u8>(), proptest::any::<u8>(), proptest::any::<u8>()),
+                1..4,
+            ),
+            ctx_draws in proptest::collection::vec((proptest::any::<u8>(), 0.05f64..=0.95), 4..5),
+            feat_draws in proptest::collection::vec((proptest::any::<u8>(), 0.05f64..=0.95), 12..13),
+            genre_draws in proptest::collection::vec((proptest::any::<u8>(), 0.05f64..=0.95), 6..7),
+        ) {
+            let mut kb = Kb::new();
+            let user = kb.individual("user");
+            for (c, &(kind, p)) in ctx_draws.iter().enumerate() {
+                assert_fact(&mut kb, user, &format!("Ctx{c}"), kind, p);
+            }
+            let genres = [kb.individual("GenreA"), kb.individual("GenreB")];
+            let docs: Vec<IndividualId> = genre_draws
+                .iter()
+                .enumerate()
+                .map(|(d, &(kind, p))| {
+                    let doc = kb.individual(&format!("doc{d}"));
+                    for f in 0..2 {
+                        let (kind, p) = feat_draws[d * 2 + f];
+                        assert_fact(&mut kb, doc, &format!("Feat{f}"), kind, p);
+                    }
+                    if kind % 3 == 1 {
+                        // One genre or the other, never both.
+                        let var = kb
+                            .universe
+                            .add_choice(&format!("kind{d}"), &[0.9 * p, 0.9 * (1.0 - p)])
+                            .unwrap();
+                        for (alt, &genre) in genres.iter().enumerate() {
+                            let event = kb.universe.atom(var, alt as u16).unwrap();
+                            kb.assert_role_event(doc, "hasGenre", genre, event);
+                        }
+                    } else if kind % 3 == 2 {
+                        kb.assert_role_prob(doc, "hasGenre", genres[0], p).unwrap();
+                        kb.assert_role_prob(doc, "hasGenre", genres[1], 1.0 - p).unwrap();
+                    }
+                    doc
+                })
+                .collect();
+            let mut rules = RuleRepository::new();
+            for (i, &(ctx, pref, sigma)) in rule_draws.iter().enumerate() {
+                rules
+                    .add(PreferenceRule::new(
+                        format!("R{i}"),
+                        kb.parse(CONTEXTS[ctx as usize % CONTEXTS.len()]).unwrap(),
+                        kb.parse(PREFERENCES[pref as usize % PREFERENCES.len()]).unwrap(),
+                        Score::new(SIGMAS[sigma as usize % SIGMAS.len()]).unwrap(),
+                    ))
+                    .unwrap();
+            }
+            let env = ScoringEnv { kb: &kb, rules: &rules, user };
+            let bindings = bind_rules_shared(&env);
+            let engine = LineageEngine::new();
+
+            let mut scratch = EvalScratch::new();
+            let closed = engine.score_closed_form(&env, &bindings, &docs, &mut scratch).unwrap();
+            let deferred: Vec<IndividualId> = docs
+                .iter()
+                .zip(&closed)
+                .filter_map(|(&doc, score)| score.is_none().then_some(doc))
+                .collect();
+            if deferred.is_empty() {
+                let mut scratch = EvalScratch::new();
+                rank_top_k_bound(&env, &engine, &bindings, &docs, 2, &mut scratch).unwrap();
+                let batch = scratch.batch_stats();
+                proptest::prop_assert_eq!(
+                    (batch.sweeps, batch.lanes, batch.fallbacks),
+                    (1, docs.len() as u64, 0)
+                );
+                return Ok(());
+            }
+            let bounds = doc_upper_bounds(&env, &bindings, &deferred, &mut scratch);
+            // The view engine enumerates worlds: exact under any correlation.
+            let exact = crate::NaiveViewEngine::new().score_all(&env, &deferred).unwrap();
+            for (ub, s) in bounds.iter().zip(&exact) {
+                proptest::prop_assert!(
+                    s.score <= ub + BOUND_SLACK,
+                    "bound {} must dominate score {} for {:?}",
+                    ub,
+                    s.score,
+                    s.doc
+                );
+            }
+        }
     }
 }

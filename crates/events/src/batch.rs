@@ -49,6 +49,17 @@ use crate::expr::EventExpr;
 /// events share one evaluation and count once). Zero fallbacks means every
 /// lane was a broadcast or a closed form; `fallbacks == lanes` means every
 /// lane paid for itself.
+///
+/// Two-phase top-k keeps these meanings: each engine pass is a sweep and
+/// each slot in it a lane. The closed-form pass over the candidate list is
+/// one sweep (per rule, for the factorized engine) with no fallback of the
+/// lineage kind; a document that pass deferred and the bounded scan later
+/// evaluates is a lane a second time, in the scan's sweep, and one
+/// fallback there. A lineage top-k request with nothing deferred is
+/// therefore exactly `sweeps = 1`, `lanes = candidates`, `fallbacks = 0` —
+/// and never opens the probability memo the bound pass reads `P(G_r)`
+/// through, which is why those probabilities sit in one tier chain (the
+/// expectation memo's) instead of two.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Sweeps run (one per batched column).

@@ -11,12 +11,18 @@
 //! * a table of hand-built shapes that pins, per shape, which route the
 //!   lane test picks (it is observable: `BatchStats::fallbacks`);
 //! * counter pins through `RankingService`: what independent traffic
-//!   leaves in the shared memo tier, and what entangled traffic does.
+//!   leaves in the shared memo tier, and what entangled traffic does;
+//! * two-phase top-k over the same random knowledge bases: lane documents
+//!   ranked from the closed-form pass, entangled ones bounded and scanned,
+//!   on every engine and every route that serves `k < docs.len()` — always
+//!   the exact prefix of the full ranking.
 
 mod common;
 
+use std::sync::Arc;
+
 use capra::commerce::generate::{flip_rules, generate, ShopConfig};
-use capra::core::EvalScratch;
+use capra::core::{EvalScratch, RuleBinding};
 use capra::dl::IndividualId;
 use capra::prelude::*;
 use proptest::prelude::*;
@@ -213,6 +219,320 @@ proptest! {
             agree("factorized", &factorized)?;
             agree("naive enum", &NaiveEnumEngine::new().score_all(&env, &docs).unwrap())?;
         }
+    }
+}
+
+type BoxedEngine = Box<dyn ScoringEngine + Sync>;
+
+/// An engine wrapper written before top-k had two phases — what the
+/// benchmark's `CountingEngine` forwards, and no more. Without
+/// `score_closed_form` every candidate is deferred, bounded and scanned.
+struct ForwardOnly(BoxedEngine);
+
+impl ScoringEngine for ForwardOnly {
+    fn name(&self) -> &'static str {
+        self.0.name()
+    }
+
+    fn config_tag(&self) -> u64 {
+        self.0.config_tag()
+    }
+
+    fn validate_workload(
+        &self,
+        env: &ScoringEnv<'_>,
+        bindings: &[Arc<RuleBinding>],
+        docs: &[IndividualId],
+    ) -> Result<(), CoreError> {
+        self.0.validate_workload(env, bindings, docs)
+    }
+
+    fn score_all_bound(
+        &self,
+        env: &ScoringEnv<'_>,
+        bindings: &[Arc<RuleBinding>],
+        docs: &[IndividualId],
+        scratch: &mut EvalScratch,
+    ) -> Result<Vec<DocScore>, CoreError> {
+        self.0.score_all_bound(env, bindings, docs, scratch)
+    }
+}
+
+/// An engine of the top-k suite: its name, the largest rule set it joins
+/// on, and how to make one (the service takes its engine by value).
+type TopKEngine = (&'static str, usize, fn() -> BoxedEngine);
+
+/// The four engines, and the two optimised ones behind [`ForwardOnly`].
+/// The view engine runs 4ⁿ relational plans per call, and a few hundred
+/// calls follow: it joins on rule sets of up to two.
+fn top_k_engines() -> Vec<TopKEngine> {
+    vec![
+        ("naive view", 2, || Box::new(NaiveViewEngine::new())),
+        (
+            "naive enum",
+            usize::MAX,
+            || Box::new(NaiveEnumEngine::new()),
+        ),
+        ("factorized", usize::MAX, || {
+            Box::new(FactorizedEngine::new())
+        }),
+        ("lineage", usize::MAX, || Box::new(LineageEngine::new())),
+        ("forward-only lineage", usize::MAX, || {
+            Box::new(ForwardOnly(Box::new(LineageEngine::new())))
+        }),
+        ("forward-only factorized", usize::MAX, || {
+            Box::new(ForwardOnly(Box::new(FactorizedEngine::new())))
+        }),
+    ]
+}
+
+/// Holds every route that serves a top-k request — cold `rank_top_k`, a
+/// sequential session, parallel sessions at 1, 2 and 4 threads, the service
+/// at 1 and 2 — to `rank(score_all(docs))[..k]` on each of `batches`, for
+/// `k ∈ {0, 1, 2, n − 1, n, n + 5}` and every engine of [`top_k_engines`]:
+/// the same documents, the same score bits, and an error exactly when the
+/// full ranking is one (`k = 0` asks for nothing and touches nothing).
+/// Sessions and services live across batches and `k`s, so later requests
+/// meet whatever earlier ones left in the caches.
+fn assert_top_k_is_the_exact_prefix_on_every_route(
+    kb: &Kb,
+    rules: &RuleRepository,
+    user: IndividualId,
+    batches: &[Vec<IndividualId>],
+) {
+    let env = ScoringEnv { kb, rules, user };
+    for (name, max_rules, make) in top_k_engines() {
+        if rules.len() > max_rules {
+            continue;
+        }
+        let engine = make();
+        let mut session = ScoringSession::new();
+        let mut parallel = [1, 2, 4].map(|t| (t, ParallelScoringSession::new(t)));
+        let services = [1, 2].map(|threads| {
+            let config = ServiceConfig {
+                threads,
+                ..ServiceConfig::default()
+            };
+            let service = RankingService::with_config(make(), kb.clone(), rules.clone(), config);
+            (threads, service)
+        });
+        for docs in batches {
+            let n = docs.len();
+            let full = engine.score_all(&env, docs).map(rank);
+            let mut ks = vec![0, 1, 2, n.saturating_sub(1), n, n + 5];
+            ks.sort_unstable();
+            ks.dedup();
+            for k in ks {
+                let want = match &full {
+                    _ if k == 0 => Some(Vec::new()),
+                    Ok(full) => Some(common::bits(&full[..k.min(full.len())])),
+                    Err(_) => None,
+                };
+                let check = |route: String, got: Result<Vec<DocScore>, CoreError>| {
+                    let got = got.ok().map(|top| common::bits(&top));
+                    assert_eq!(got, want, "{name}, {route}, k = {k} of {docs:?}");
+                };
+                check("cold".into(), rank_top_k(&env, &engine, docs, k));
+                check("session".into(), session.rank_top_k(&engine, &env, docs, k));
+                for (threads, session) in &mut parallel {
+                    check(
+                        format!("parallel session, {threads} threads"),
+                        session.rank_top_k(&engine, &env, docs, k),
+                    );
+                }
+                for (threads, service) in &services {
+                    check(
+                        format!("service, {threads} threads"),
+                        service.rank(user, docs, k),
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Two-phase top-k on the random knowledge bases above: the whole
+    /// candidate list (lane and entangled documents mixed, as drawn), its
+    /// lane documents alone, its entangled documents alone, and a list that
+    /// repeats candidates.
+    #[test]
+    fn two_phase_top_k_is_the_exact_prefix_on_every_route(
+        rule_draws in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..5),
+        ctx_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_CTX..N_CTX + 1),
+        feat_draws in prop::collection::vec(
+            (any::<u8>(), 0.05f64..=0.95),
+            N_DOCS * N_FEAT..N_DOCS * N_FEAT + 1,
+        ),
+        genre_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_DOCS..N_DOCS + 1),
+    ) {
+        let Case { kb, rules, user, docs } =
+            build_case(&rule_draws, &ctx_draws, &feat_draws, &genre_draws);
+        let env = ScoringEnv { kb: &kb, rules: &rules, user };
+        let closed = LineageEngine::new()
+            .score_closed_form(&env, &bind_rules_shared(&env), &docs, &mut EvalScratch::new())
+            .unwrap();
+        let (lane, entangled): (Vec<_>, Vec<_>) =
+            docs.iter().zip(&closed).partition(|(_, score)| score.is_some());
+        let only = |part: Vec<(&IndividualId, &Option<f64>)>| -> Vec<IndividualId> {
+            part.into_iter().map(|(&doc, _)| doc).collect()
+        };
+        let repeated = vec![docs[1], docs[0], docs[1], docs[3], docs[0], docs[4]];
+        let mut batches = vec![docs.clone(), only(lane), only(entangled), repeated];
+        batches.retain(|batch| !batch.is_empty());
+        assert_top_k_is_the_exact_prefix_on_every_route(&kb, &rules, user, &batches);
+    }
+}
+
+/// A morning shelf under three rules: `A` and `B` both prefer `Feat0` with
+/// `sigma_ab` — so a document that only *may* have it is entangled, two of
+/// its factors standing on one variable — and `C` prefers `Star` with
+/// `sigma_c`. Documents are `(name, P(Feat0) if asserted, has Star)`, in
+/// id order; every other document is a lane.
+fn shelf(sigma_ab: f64, sigma_c: f64, shelf: &[(&str, Option<f64>, bool)]) -> Case {
+    let mut kb = Kb::new();
+    let user = kb.individual("user");
+    kb.assert_concept(user, "Morning");
+    let docs = shelf
+        .iter()
+        .map(|&(name, feat0, star)| {
+            let doc = kb.individual(name);
+            if let Some(p) = feat0 {
+                kb.assert_concept_prob(doc, "Feat0", p).unwrap();
+            }
+            if star {
+                kb.assert_concept(doc, "Star");
+            }
+            doc
+        })
+        .collect();
+    let mut rules = RuleRepository::new();
+    for (name, preference, sigma) in [
+        ("A", "Feat0", sigma_ab),
+        ("B", "Feat0", sigma_ab),
+        ("C", "Star", sigma_c),
+    ] {
+        rules
+            .add(PreferenceRule::new(
+                name,
+                kb.parse("Morning").unwrap(),
+                kb.parse(preference).unwrap(),
+                Score::new(sigma).unwrap(),
+            ))
+            .unwrap();
+    }
+    Case {
+        kb,
+        rules,
+        user,
+        docs,
+    }
+}
+
+impl Case {
+    /// Holds every route to the full ranking (see
+    /// [`assert_top_k_is_the_exact_prefix_on_every_route`]), then serves
+    /// the top `k` from a fresh lineage service of `threads` and returns
+    /// it with the batch counters that one request left.
+    fn serve_top_k(&self, k: usize, threads: usize) -> (Vec<DocScore>, BatchStats) {
+        let batches = [self.docs.clone()];
+        assert_top_k_is_the_exact_prefix_on_every_route(&self.kb, &self.rules, self.user, &batches);
+        let config = ServiceConfig {
+            threads,
+            ..ServiceConfig::default()
+        };
+        let (kb, rules) = (self.kb.clone(), self.rules.clone());
+        let service = RankingService::with_config(LineageEngine::new(), kb, rules, config);
+        let top = service.rank(self.user, &self.docs, k).unwrap();
+        (top, service.stats().sessions.batch)
+    }
+}
+
+/// The floor the scan starts from is the k-th closed-form score, and a
+/// deferred document whose bound only *ties* it is still evaluated: here it
+/// scores the same bits as the k-th lane document and has the lower id, so
+/// it takes that document's place.
+#[test]
+fn an_entangled_document_tying_the_kth_closed_form_score_wins_on_the_lower_id() {
+    // σ = ½ twice: `tied` scores ¼·(½·¼ + ½·¼) and a plain document
+    // ¼·(½·½), both exactly 1/16, on different routes.
+    let case = shelf(
+        0.5,
+        0.75,
+        &[
+            ("tied", Some(0.5), false),
+            ("star", None, true),
+            ("plain1", None, false),
+            ("plain2", None, false),
+        ],
+    );
+    let (tied, star) = (case.docs[0], case.docs[1]);
+    let (top, batch) = case.serve_top_k(2, 1);
+    assert_eq!(
+        common::bits(&top),
+        [(star, 0.1875f64.to_bits()), (tied, 0.0625f64.to_bits())]
+    );
+    assert_eq!(
+        (batch.sweeps, batch.lanes, batch.fallbacks),
+        (2, 4 + 1, 1),
+        "one closed-form pass over the four candidates, then `tied` alone, exactly"
+    );
+}
+
+/// A deferred document is a candidate like any other: bounded above every
+/// closed-form score, it is evaluated and takes the top.
+#[test]
+fn an_entangled_document_can_beat_every_lane_document() {
+    let case = shelf(
+        0.9,
+        0.75,
+        &[
+            ("star", None, true),
+            ("plain1", None, false),
+            ("plain2", None, false),
+            ("best", Some(0.9), true),
+        ],
+    );
+    let best = case.docs[3];
+    let (top, batch) = case.serve_top_k(1, 1);
+    assert_eq!(top.len(), 1);
+    assert_eq!(top[0].doc, best);
+    // ¾ · (0.9·0.9² + 0.1·0.1²)
+    assert!((top[0].score - 0.5475).abs() < 1e-12, "{}", top[0].score);
+    assert_eq!((batch.sweeps, batch.lanes, batch.fallbacks), (2, 4 + 1, 1));
+}
+
+/// Deferred documents whose bounds are below the k-th closed-form score
+/// are pruned before the scan evaluates anything — on the calling thread,
+/// whose scan is seeded with the closed-form answer, and on forked workers,
+/// who start from nothing but the shared floor: the request is the one
+/// closed-form sweep.
+#[test]
+fn entangled_documents_bounded_below_the_closed_form_floor_are_never_evaluated() {
+    // The two `low`s can reach at most 0.6·0.6·0.1 = 0.036; three lanes
+    // score 0.4·0.4·0.9 = 0.144.
+    let case = shelf(
+        0.6,
+        0.9,
+        &[
+            ("low1", Some(0.5), false),
+            ("low2", Some(0.4), false),
+            ("star1", None, true),
+            ("star2", None, true),
+            ("star3", None, true),
+        ],
+    );
+    let lows = &case.docs[..2];
+    for (k, threads) in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 4)] {
+        let (top, batch) = case.serve_top_k(k, threads);
+        assert!(top.iter().all(|s| !lows.contains(&s.doc)), "k = {k}");
+        assert_eq!(
+            (batch.sweeps, batch.lanes, batch.fallbacks),
+            (1, 5, 0),
+            "k = {k}, {threads} threads: deferred, bounded and skipped"
+        );
     }
 }
 

@@ -9,6 +9,9 @@
 //!   aggressive `MaxAge(1)` eviction policy, multi-threaded scoring):
 //!   caches, eviction and threading may change who pays to derive a
 //!   score, never the transcript.
+//! * **Pins**: the tiny pack of each domain replays to a recorded
+//!   transcript hash, so a response that changes *between commits* fails
+//!   here instead of passing two self-consistent replays.
 
 use capra::prelude::*;
 use proptest::prelude::*;
@@ -57,6 +60,51 @@ fn config(policy_sel: u8, sessions_sel: u8, threads_sel: u8) -> ServiceConfig {
         max_sessions: 1 + (sessions_sel % 4) as usize,
         threads: 1 + (threads_sel % 2) as usize,
         ..ServiceConfig::default()
+    }
+}
+
+/// The transcript of every domain's `WorkloadConfig::tiny()` pack on the
+/// two serving engines, as recorded (`xtask generate --tiny` + `replay`
+/// print the same hashes). tvtouch and commerce rank with
+/// `k < docs.len()`, so they hold the top-k path still as well as the full
+/// rank. A change that means to alter a response updates its constant and
+/// says so.
+#[test]
+fn tiny_pack_transcripts_are_pinned() {
+    let packs = [
+        (
+            "commerce",
+            capra::commerce::workload::build_workload(
+                capra::commerce::workload::WorkloadConfig::tiny(),
+            ),
+            (0xfcbd4e42fc2a4bed, 0x620429cbeecd050e),
+        ),
+        (
+            "teamctx",
+            capra::teamctx::workload::build_workload(
+                capra::teamctx::workload::WorkloadConfig::tiny(),
+            ),
+            (0xda60c1478bb19f86, 0x00265c5695f89b1d),
+        ),
+        (
+            "tvtouch",
+            capra::tvtouch::workload::build_workload(
+                capra::tvtouch::workload::WorkloadConfig::tiny(),
+            ),
+            (0xd9c9fed683b78f22, 0xab77578d770f5648),
+        ),
+    ];
+    for (pack, workload, (lineage, factorized)) in packs {
+        let replay = |engine: Box<dyn ScoringEngine + Sync>| {
+            let service = workload_service(engine, ServiceConfig::default(), &workload);
+            replay_workload(&service, &workload)
+                .unwrap()
+                .transcript_hash
+        };
+        let got = replay(Box::new(LineageEngine::new()));
+        assert_eq!(got, lineage, "{pack} on lineage: {got:#018x}");
+        let got = replay(Box::new(FactorizedEngine::new()));
+        assert_eq!(got, factorized, "{pack} on factorized: {got:#018x}");
     }
 }
 
