@@ -1,10 +1,9 @@
 //! Engine throughput at a fixed rule count: documents scored per second,
-//! plus the pruning and parallelism ablations.
+//! plus the pruning ablation.
 
 use capra_bench::{bench_db_config, ScalingWorkload};
-use capra_core::parallel::score_all_parallel;
 use capra_core::{FactorizedEngine, LineageEngine, NaiveEnumEngine, ScoringEngine};
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 fn engine_throughput(c: &mut Criterion) {
     let workload = ScalingWorkload::new(bench_db_config(), &[4]);
@@ -70,32 +69,5 @@ fn pruning_ablation(c: &mut Criterion) {
     group.finish();
 }
 
-fn parallel_scaling(c: &mut Criterion) {
-    let workload = ScalingWorkload::new(bench_db_config(), &[6]);
-    let (_, rules) = &workload.rule_sets[0];
-    let env = workload.env(rules);
-    let docs = workload.docs();
-
-    let mut group = c.benchmark_group("parallel_scoring");
-    group.throughput(Throughput::Elements(docs.len() as u64));
-    group.sample_size(15);
-    for threads in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("lineage", threads),
-            &threads,
-            |b, &threads| {
-                let engine = LineageEngine::new();
-                b.iter(|| score_all_parallel(&engine, &env, docs, threads).expect("scores"));
-            },
-        );
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    engine_throughput,
-    pruning_ablation,
-    parallel_scaling
-);
+criterion_group!(benches, engine_throughput, pruning_ablation);
 criterion_main!(benches);

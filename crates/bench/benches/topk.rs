@@ -1,10 +1,8 @@
 //! Top-k early termination vs. full ranking on a `LIMIT`-shaped workload:
 //! 256 candidate programs, 4 rules, k = 10 — the paper's "ten best programs
-//! for this situation" query. Also measures the cross-shard bound sharing
-//! of the parallel variant.
+//! for this situation" query.
 
 use capra_bench::ScalingWorkload;
-use capra_core::parallel::rank_top_k_parallel;
 use capra_core::{rank, rank_top_k, FactorizedEngine, LineageEngine, ScoringEngine};
 use capra_tvtouch::generate::DbConfig;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
@@ -55,10 +53,6 @@ fn topk(c: &mut Criterion) {
     group.bench_function("lineage/rank_top_k/10", |b| {
         let engine = LineageEngine::new();
         b.iter(|| rank_top_k(&env, &engine, docs, K).expect("top-k"));
-    });
-    group.bench_function("lineage/rank_top_k_parallel/10x4", |b| {
-        let engine = LineageEngine::new();
-        b.iter(|| rank_top_k_parallel(&engine, &env, docs, K, 4).expect("top-k"));
     });
     group.finish();
 }

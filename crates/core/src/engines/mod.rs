@@ -150,8 +150,8 @@ impl EvalScratch {
         self.batch += stats;
     }
 
-    /// Drains the accumulated batch counters (the pool moves them into its
-    /// own accumulator when a worker scratch is returned).
+    /// Drains the accumulated batch counters (the service's pool moves them
+    /// into its own accumulator when a checked-out scratch is returned).
     pub(crate) fn take_batch_stats(&mut self) -> BatchStats {
         std::mem::take(&mut self.batch)
     }
@@ -160,9 +160,9 @@ impl EvalScratch {
     /// since the last call, the private memo overlays are folded into the
     /// scratch's epoch-tagged snapshot chains, dropping tiers that went
     /// unrefreshed beyond the scratch's [`EvictionPolicy`] — the
-    /// mutation-driven counterpart of the pool republish, keeping a
-    /// sequential session's footprint bounded in mutate-heavy serving
-    /// loops. A no-op on stable KBs (and under [`EvictionPolicy::Never`]),
+    /// mutation-driven counterpart of the service pool's republish, keeping
+    /// a [`crate::ScoringSession`]'s footprint bounded in mutate-heavy
+    /// serving loops. A no-op on stable KBs (and under [`EvictionPolicy::Never`]),
     /// so warm paths keep their exact pre-eviction behaviour.
     pub fn advance_epoch(&mut self, epoch: u64) {
         if self.epoch == epoch {
@@ -182,8 +182,8 @@ impl EvalScratch {
         self.prob.footprint() + self.expect.footprint()
     }
 
-    /// Footprint of the private overlays alone — for the pool, whose
-    /// parked worker scratches all share the pool's own snapshot chains
+    /// Footprint of the private overlays alone — for the service's pool,
+    /// whose parked scratches all share the pool's own snapshot chains
     /// (counting each scratch's full footprint would recount those chains
     /// once per scratch).
     pub(crate) fn overlay_footprint(&self) -> CacheFootprint {
@@ -192,9 +192,9 @@ impl EvalScratch {
 
     /// A scratch whose memos start as empty overlays over shared frozen
     /// snapshots, pre-bound to the KB the snapshots were computed over —
-    /// the worker-side view of [`crate::parallel::ScratchPool`]. Lookups
-    /// consult the snapshots lock-free; new entries land in the private
-    /// overlay for a later merge-and-republish.
+    /// what a request checks out of the service's shared pool
+    /// (`serve/pool.rs`). Lookups consult the snapshots lock-free; new
+    /// entries land in the private overlay for a later merge-and-republish.
     pub(crate) fn with_snapshots(
         kb_id: u64,
         prob: Arc<FrozenEvalCache>,
@@ -204,7 +204,7 @@ impl EvalScratch {
             kb_id,
             prob: EvalCache::with_snapshot(prob),
             expect: ExpectCache::with_snapshot(expect),
-            // Pool workers never rotate — the pool's republish owns the
+            // Checkouts never rotate — the pool's republish owns the
             // epoch tagging and eviction for their overlays.
             ..Self::default()
         }

@@ -19,8 +19,6 @@
 //!   users*);
 //! * [`ranking`] — the `preferencescore` SQL integration of the paper's
 //!   introduction;
-//! * [`parallel`] — work-stealing parallel scoring over a shared frozen
-//!   evaluation-cache tier, including [`parallel::ParallelScoringSession`];
 //! * [`ScoringSession`] — prepared scoring: cached rule bindings
 //!   (invalidated by KB epoch), persistent evaluation memos and cached
 //!   scores across repeated calls;
@@ -28,7 +26,8 @@
 //!   documents ranked outright, early termination over the rest;
 //! * [`serve`] — the multi-tenant [`RankingService`]: LRU-capped per-user
 //!   sessions over one shared, bounded evaluation tier, with typed
-//!   requests and batch coalescing;
+//!   requests and batch coalescing. Concurrency lives here, *between*
+//!   requests — one lock per tenant shard — never inside one;
 //! * [`persist`] — durability: a versioned binary codec for KB / rule /
 //!   frozen-tier snapshots and a checksummed, segmented context-event
 //!   WAL with opt-in covered-prefix compaction ([`CompactionPolicy`]),
@@ -84,7 +83,6 @@ mod explain;
 pub mod history;
 mod kb;
 pub mod multiuser;
-pub mod parallel;
 pub mod persist;
 pub mod ranking;
 mod repository;

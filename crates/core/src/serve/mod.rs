@@ -5,8 +5,7 @@
 //! preference rules and a stream of context switches, ranking a shared
 //! candidate set (TV programs, query results). The core crate gives each
 //! *caller* fast machinery for that — [`crate::ScoringSession`] for the
-//! repeat-call warm path, [`crate::parallel::ScratchPool`] for shared
-//! evaluation memos, [`capra_events::EvictionPolicy`] for bounded
+//! repeat-call warm path, [`capra_events::EvictionPolicy`] for bounded
 //! footprints — but a production front-end would have to hand-assemble all
 //! of it per user and invent its own eviction story for the session map
 //! itself. This module owns that lifecycle:
@@ -16,14 +15,14 @@
 //!   in a sharded map, LRU-capped by [`ServiceConfig::max_sessions`]:
 //!   evicting a tenant only costs that tenant a deterministic re-derivation
 //!   on their next request, never a changed score.
-//! * **Shared evaluation tier** — all tenants score through one
-//!   [`crate::parallel::ScratchPool`]: evaluation memos are pure functions
-//!   of hash-consed expression identity and carry no per-user data, so one
-//!   tenant's work warms every other tenant that touches the same
-//!   documents. The pool's frozen snapshot chains are epoch-tagged and aged
-//!   out per the service's [`EvictionPolicy`](capra_events::EvictionPolicy),
-//!   so the *total* footprint stays bounded even when every request mutates
-//!   context.
+//! * **Shared evaluation tier** — all tenants score through one pool of
+//!   frozen memo snapshots (`serve/pool.rs`): evaluation memos are pure
+//!   functions of hash-consed expression identity and carry no per-user
+//!   data, so one tenant's work warms every other tenant that touches the
+//!   same documents. The pool's frozen snapshot chains are epoch-tagged
+//!   and aged out per the service's
+//!   [`EvictionPolicy`](capra_events::EvictionPolicy), so the *total*
+//!   footprint stays bounded even when every request mutates context.
 //! * **Typed requests** — [`RankingService::rank`],
 //!   [`RankingService::rank_group`] and [`RankingService::assert`] cover
 //!   the three request shapes of the paper's serving story (one user ranks,
@@ -37,11 +36,13 @@
 //!   one service directly (`Arc` or `thread::scope`). The KB and rules are
 //!   *epoch-published*: readers grab an immutable [`SharedSnapshot`] (two
 //!   `Arc` bumps) and never see a half-applied write; tenant sessions live
-//!   behind per-shard locks so disjoint tenants rank in parallel; all
-//!   mutation ([`RankingService::assert`], rule edits, durability) is
-//!   serialized behind one writer lock that publishes the next snapshot
-//!   atomically. See "Concurrency & locking order" in `ARCHITECTURE.md`
-//!   for the lock hierarchy and the in-place writer fast path.
+//!   behind per-shard locks so disjoint tenants rank in parallel — the
+//!   only parallelism there is: a request runs on the thread that made it
+//!   and never forks; all mutation ([`RankingService::assert`], rule
+//!   edits, durability) is serialized behind one writer lock that
+//!   publishes the next snapshot atomically. See "Concurrency & locking
+//!   order" in `ARCHITECTURE.md` for the lock hierarchy and the in-place
+//!   writer fast path.
 //! * **Batching front-end** — [`ServiceQueue`] puts a bounded MPSC queue
 //!   and a worker thread in front of a shared service: producers
 //!   [`ServiceHandle::enqueue`] typed [`Request`]s (backpressure via
@@ -70,6 +71,7 @@
 //! See `ARCHITECTURE.md` at the workspace root for where this layer sits in
 //! the stack and a request-time walkthrough.
 
+mod pool;
 mod queue;
 mod replay;
 mod replica;

@@ -28,20 +28,15 @@
 //! path acquires against that order. See "Concurrency & locking order"
 //! in `ARCHITECTURE.md` for the full walkthrough.
 
-use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use capra_dl::{Concept, IndividualId, Vocabulary};
 use capra_events::EvictionPolicy;
 
-use crate::bind::RuleBinding;
 use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
 use crate::multiuser::{group_scores, GroupStrategy};
-use crate::parallel::{
-    effective_threads, rank_top_k_bound_parallel, score_all_bound_parallel, ScratchPool,
-};
 use crate::persist::compact::{covered_prefix, delete_segments};
 use crate::persist::snapshot::encode_snapshot;
 use crate::persist::wal::{
@@ -52,11 +47,11 @@ use crate::persist::{
     recover, snapshot_paths, sync_dir, CompactionPolicy, FlushPolicy, PersistError, Recovered,
     WalStats,
 };
+use crate::serve::pool::ScratchPool;
 use crate::serve::queue::QueueStats;
 use crate::serve::request::{Fact, Request, Response};
 use crate::serve::tenants::TenantSessions;
-use crate::session::{read_through_scores, score_key, SessionStats};
-use crate::topk::rank_top_k_bound;
+use crate::session::SessionStats;
 use crate::{Kb, PreferenceRule, Result, RuleRepository, ScoringEnv};
 
 /// The persistence attachment of a durable service.
@@ -138,10 +133,10 @@ pub struct ServiceConfig {
     /// [`capra_events::EvictionPolicy`]); bounds the service's
     /// [`capra_events::CacheFootprint`] under KB mutation.
     pub policy: EvictionPolicy,
-    /// Worker threads for scoring dispatch. `1` (the default) serves
-    /// requests sequentially on the caller's thread; larger values fan
-    /// uncached documents out over the work-stealing parallel path, and
-    /// fan [`RankingService::rank_group`] members out over the pool.
+    /// Accepted and ignored since PR 20; deleted once the benchmark stops
+    /// setting it. Nothing reads it: a request runs on its caller's
+    /// thread, and concurrency is between requests (one lock per tenant
+    /// shard).
     pub threads: usize,
     /// Snapshots kept on disk after [`RankingService::save_snapshot`]
     /// prunes (newest first; clamped ≥ 1, and ≥ 2 when `compaction` is
@@ -160,9 +155,8 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// Eight shards, 1024 live sessions, the default eviction policy,
-    /// sequential dispatch, two retained snapshots,
-    /// 8 MiB WAL segments, and no compaction.
+    /// Eight shards, 1024 live sessions, the default eviction policy, two
+    /// retained snapshots, 8 MiB WAL segments, and no compaction.
     fn default() -> Self {
         Self {
             shards: 8,
@@ -245,10 +239,6 @@ impl std::iter::Sum for ServiceStats {
     }
 }
 
-/// What the parallel group fan-out hands back to the read-through pass:
-/// scores computed off-thread, member → document → σ.
-type GroupFanout = HashMap<IndividualId, HashMap<IndividualId, f64>>;
-
 /// Translates a [`Fact`] into its WAL operation, resolving IDs back to
 /// names so the record is stable across restarts.
 fn fact_op(voc: &Vocabulary, subject: IndividualId, fact: &Fact) -> WalOp {
@@ -329,7 +319,6 @@ pub struct RankingService<E> {
     published: Mutex<SharedSnapshot>,
     tenants: TenantSessions,
     pool: ScratchPool,
-    threads: usize,
     rank_requests: AtomicU64,
     asserts: AtomicU64,
     coalesced_runs: AtomicU64,
@@ -369,7 +358,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             }),
             tenants: TenantSessions::new(config.shards, config.max_sessions),
             pool: ScratchPool::with_policy(config.policy),
-            threads: config.threads.max(1),
             rank_requests: AtomicU64::new(0),
             asserts: AtomicU64::new(0),
             coalesced_runs: AtomicU64::new(0),
@@ -504,7 +492,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                 user,
             };
             self.tenants
-                .with_session(user, |tenant| tenant.bindings.bind(&env));
+                .with_session(user, |tenant| tenant.session.bind(&env));
         }
         *self.published.get_mut().expect("published lock poisoned") = SharedSnapshot {
             kb: Arc::new(kb),
@@ -878,9 +866,8 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// `k < docs.len()` is two-phase top-k ([`crate::rank_top_k`]): one
     /// closed-form engine sweep over the candidates, ranked and cut at `k`,
     /// plus — only for documents the engine deferred — a bound-ordered
-    /// scan that starts from the k-th closed-form score; with
-    /// [`ServiceConfig::threads`] > 1 that scan, and nothing else, forks.
-    /// Its scores are not added to the score cache.
+    /// scan that starts from the k-th closed-form score. Its scores are
+    /// not added to the score cache.
     ///
     /// Scores are bit-identical to a cold [`crate::bind_rules`] +
     /// `score_all` + [`crate::rank`] for the same user, whatever mix of
@@ -922,16 +909,13 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// Executes a request batch in order, coalescing every run of
-    /// consecutive rank-shaped requests into one dispatch: with
-    /// sequential dispatch the run shares a single lazily checked-out
-    /// evaluation scratch and pays at most one snapshot republish, so
-    /// every request after the first starts from its predecessors' memos
-    /// for free; with [`ServiceConfig::threads`] > 1 uncached work fans
-    /// out through the shared pool exactly as direct requests do (sharing
-    /// then happens via the pool's republished snapshots). An
-    /// [`Request::Assert`] bumps the KB epoch and therefore acts as a
-    /// barrier between runs; each run loads one KB snapshot, so every
-    /// request in it scores the same published state.
+    /// consecutive rank-shaped requests into one dispatch: the run shares
+    /// a single lazily checked-out evaluation scratch and pays at most one
+    /// snapshot republish, so every request after the first starts from
+    /// its predecessors' memos for free. An [`Request::Assert`] bumps the
+    /// KB epoch and therefore acts as a barrier between runs; each run
+    /// loads one KB snapshot, so every request in it scores the same
+    /// published state.
     ///
     /// Responses are returned in request order; a failed request yields
     /// its error without aborting the rest of the batch.
@@ -992,14 +976,11 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// The one request path behind [`RankingService::rank`] and the
-    /// batched dispatch, over a lazily checked-out scratch: a
-    /// steady-state warm request is answered from the score cache without
-    /// ever touching the pool — same cost as a hand-managed session.
-    /// Uncached work either uses the lazily checked-out scratch
-    /// (sequential) or, with [`ServiceConfig::threads`] > 1, fans out
-    /// through the shared pool directly — the same split for direct and
-    /// batched requests, so batching never silently loses parallelism.
-    /// The caller settles the scratch via
+    /// batched dispatch: the tenant's session core
+    /// ([`crate::session::SessionCore::rank_top_k`]) over a lazily
+    /// checked-out scratch. A steady-state warm request is answered from
+    /// the score cache without ever touching the pool — same cost as a
+    /// hand-managed session. The caller settles the scratch via
     /// [`RankingService::finish_scratch`].
     ///
     /// The whole request body runs inside the tenant's shard-lock scope
@@ -1016,67 +997,19 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     ) -> Result<Vec<DocScore>> {
         self.rank_requests.fetch_add(1, Ordering::Relaxed);
         self.tenants.with_session(user, |tenant| {
-            let env = snap.env(user);
-            let bindings = tenant.bindings.bind(&env);
-            if k < docs.len() {
-                if self.threads > 1 {
-                    rank_top_k_bound_parallel(
-                        &self.engine,
-                        &env,
-                        &bindings,
-                        docs,
-                        k,
-                        self.threads,
-                        &self.pool,
-                        true,
-                    )
-                } else {
-                    let scratch = scratch.get_or_insert_with(|| self.pool.checkout(snap.kb()));
-                    rank_top_k_bound(&env, &self.engine, &bindings, docs, k, scratch)
-                }
-            } else {
-                let scores = read_through_scores(
-                    &self.engine,
-                    user,
-                    &mut tenant.scores,
-                    docs,
-                    &bindings,
-                    |missing| {
-                        if self.threads > 1 {
-                            score_all_bound_parallel(
-                                &self.engine,
-                                &env,
-                                &bindings,
-                                missing,
-                                self.threads,
-                                &self.pool,
-                                true,
-                            )
-                        } else {
-                            let scratch =
-                                scratch.get_or_insert_with(|| self.pool.checkout(snap.kb()));
-                            self.engine
-                                .score_all_bound(&env, &bindings, missing, scratch)
-                        }
-                    },
-                )?;
-                Ok(rank(scores))
-            }
+            tenant
+                .session
+                .rank_top_k(&self.engine, &snap.env(user), docs, k, || {
+                    scratch.get_or_insert_with(|| self.pool.checkout(snap.kb()))
+                })
         })
     }
 
     /// The group path behind [`RankingService::rank_group`] and the
     /// batched dispatch (see [`RankingService::rank_with_scratch`] for
-    /// the scratch and parallel-dispatch contract).
-    ///
-    /// With [`ServiceConfig::threads`] > 1 and more than one member, the
-    /// *members* are the unit of parallelism: [`RankingService::group_fanout`]
-    /// scores every member's uncached documents over the shared pool
-    /// first, and the per-member read-through below then consumes those
-    /// precomputed scores. Documents a member loses between the fan-out
-    /// and their read-through (a mid-group LRU eviction re-derives the
-    /// bindings, dropping the tenant's score entry) are scored again as
-    /// `gaps` — rare, and bit-identical either way.
+    /// the scratch contract): every member's full score list through
+    /// their own session core, one shard lock per member, in request
+    /// order, then the combine and the cut.
     fn rank_group_with_scratch(
         &self,
         snap: &SharedSnapshot,
@@ -1087,186 +1020,21 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         scratch: &mut Option<EvalScratch>,
     ) -> Result<Vec<DocScore>> {
         self.rank_requests.fetch_add(1, Ordering::Relaxed);
-        let computed = if self.threads > 1 && users.len() > 1 {
-            self.group_fanout(snap, users, docs)?
-        } else {
-            GroupFanout::default()
-        };
         let per_user = users
             .iter()
             .map(|&user| {
                 self.tenants.with_session(user, |tenant| {
-                    let env = snap.env(user);
-                    let bindings = tenant.bindings.bind(&env);
-                    read_through_scores(
-                        &self.engine,
-                        user,
-                        &mut tenant.scores,
-                        docs,
-                        &bindings,
-                        |missing| {
-                            let ready = computed.get(&user);
-                            let mut out = Vec::with_capacity(missing.len());
-                            let mut gaps: Vec<IndividualId> = Vec::new();
-                            for &doc in missing {
-                                match ready.and_then(|scores| scores.get(&doc)) {
-                                    Some(&score) => out.push(DocScore { doc, score }),
-                                    None => gaps.push(doc),
-                                }
-                            }
-                            if !gaps.is_empty() {
-                                if self.threads > 1 {
-                                    out.extend(score_all_bound_parallel(
-                                        &self.engine,
-                                        &env,
-                                        &bindings,
-                                        &gaps,
-                                        self.threads,
-                                        &self.pool,
-                                        true,
-                                    )?);
-                                } else {
-                                    let scratch = scratch
-                                        .get_or_insert_with(|| self.pool.checkout(snap.kb()));
-                                    out.extend(
-                                        self.engine
-                                            .score_all_bound(&env, &bindings, &gaps, scratch)?,
-                                    );
-                                }
-                            }
-                            Ok(out)
-                        },
-                    )
+                    tenant
+                        .session
+                        .score_all(&self.engine, &snap.env(user), docs, || {
+                            scratch.get_or_insert_with(|| self.pool.checkout(snap.kb()))
+                        })
                 })
             })
             .collect::<Result<Vec<_>>>()?;
         let mut ranked = rank(group_scores(&per_user, strategy)?);
         ranked.truncate(k);
         Ok(ranked)
-    }
-
-    /// The planning and scoring phases of the parallel group path: preview
-    /// each *distinct* member's bindings and cached scores without touching
-    /// any counters ([`crate::session::BindingCache::peek`] and
-    /// `peek_missing`), then fan the members with work out over the shared
-    /// pool — workers claim members from an atomic cursor and keep one
-    /// pooled scratch across claims, the same shape as parallel top-k's
-    /// chunk stealing. Binding stays on the planning side: it is a point
-    /// membership per rule plus views every member shares, and a member
-    /// whose bindings came out unchanged keeps their cached scores, so only
-    /// the documents actually missing are fanned out. Memos travel between
-    /// workers through the pool's republished snapshots. The counting
-    /// cache pass happens afterwards, per member in request order, so
-    /// counters and the surviving error (the minimum member index's) match
-    /// the sequential path exactly.
-    ///
-    /// Each planning peek takes one shard lock and releases it before the
-    /// fan-out spawns; the workers themselves touch only the pool and the
-    /// immutable snapshot, never a tenant lock.
-    fn group_fanout(
-        &self,
-        snap: &SharedSnapshot,
-        users: &[IndividualId],
-        docs: &[IndividualId],
-    ) -> Result<GroupFanout> {
-        let mut seen = HashSet::new();
-        type PlanEntry = (IndividualId, Vec<Arc<RuleBinding>>, Vec<IndividualId>);
-        let mut plan: Vec<PlanEntry> = Vec::new();
-        for &user in users {
-            if !seen.insert(user) {
-                continue;
-            }
-            let env = snap.env(user);
-            let (bindings, missing) = self.tenants.with_session(user, |tenant| {
-                let bindings = tenant.bindings.peek(&env);
-                let key = score_key(&self.engine, user);
-                let missing = tenant.scores.peek_missing(&key, &bindings, docs);
-                (bindings, missing)
-            });
-            if !missing.is_empty() {
-                plan.push((user, bindings, missing));
-            }
-        }
-        if plan.is_empty() {
-            return Ok(GroupFanout::default());
-        }
-        let engine = &self.engine;
-        let kb = snap.kb();
-        let rules = snap.rules();
-        let pool = &self.pool;
-        let plan_ref = &plan;
-        let threads = effective_threads(self.threads, plan.len());
-        let cursor = AtomicUsize::new(0);
-        // Raised by the first worker that hits an engine error: the rest
-        // stop claiming members instead of scoring doomed ones.
-        let failed = AtomicBool::new(false);
-        type WorkerItem = (usize, Result<Vec<DocScore>>);
-        let worker_outputs: Vec<Vec<WorkerItem>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|_| {
-                    let cursor = &cursor;
-                    let failed = &failed;
-                    scope.spawn(move || {
-                        let mut scratch = pool.checkout(kb);
-                        let mut out = Vec::new();
-                        while !failed.load(Ordering::Relaxed) {
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= plan_ref.len() {
-                                break;
-                            }
-                            let (user, bindings, missing) = &plan_ref[i];
-                            let env = ScoringEnv {
-                                kb,
-                                rules,
-                                user: *user,
-                            };
-                            let result =
-                                engine.score_all_bound(&env, bindings, missing, &mut scratch);
-                            let stop = result.is_err();
-                            if stop {
-                                failed.store(true, Ordering::Relaxed);
-                            }
-                            out.push((i, result));
-                            if stop {
-                                break;
-                            }
-                        }
-                        pool.give_back(scratch);
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("group scoring worker panicked"))
-                .collect()
-        });
-        self.pool.republish();
-        let mut fanout = GroupFanout::default();
-        let mut first_err: Option<(usize, crate::CoreError)> = None;
-        for (i, result) in worker_outputs.into_iter().flatten() {
-            match result {
-                Ok(scores) => {
-                    fanout.insert(
-                        plan[i].0,
-                        scores.into_iter().map(|s| (s.doc, s.score)).collect(),
-                    );
-                }
-                Err(e) => {
-                    let earlier = match &first_err {
-                        None => true,
-                        Some((j, _)) => i < *j,
-                    };
-                    if earlier {
-                        first_err = Some((i, e));
-                    }
-                }
-            }
-        }
-        match first_err {
-            Some((_, e)) => Err(e),
-            None => Ok(fanout),
-        }
     }
 
     /// Service-wide counters and footprints (see [`ServiceStats`]).
@@ -1597,68 +1365,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_dispatch_matches_sequential() {
-        let (kb, rules, users, docs) = fixture(2, 24);
-        let seq = RankingService::new(LineageEngine::new(), kb.clone(), rules.clone());
-        let par = RankingService::with_config(
-            LineageEngine::new(),
-            kb,
-            rules,
-            ServiceConfig {
-                threads: 4,
-                ..ServiceConfig::default()
-            },
-        );
-        for &user in &users {
-            for k in [4, docs.len()] {
-                let a = seq.rank(user, &docs, k).unwrap();
-                let b = par.rank(user, &docs, k).unwrap();
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.doc, y.doc);
-                    assert_eq!(x.score.to_bits(), y.score.to_bits());
-                }
-            }
-        }
-        // Batched dispatch honours the thread count too: a batch through
-        // the parallel service matches the sequential one bit for bit.
-        let batch = |docs: &[IndividualId]| {
-            vec![
-                Request::Assert {
-                    subject: users[0],
-                    fact: Fact::ConceptProb("Ctx0".into(), 0.85),
-                },
-                Request::Rank {
-                    user: users[0],
-                    docs: docs.to_vec(),
-                    k: 6,
-                },
-                Request::RankGroup {
-                    users: users.to_vec(),
-                    docs: docs.to_vec(),
-                    k: docs.len(),
-                    strategy: GroupStrategy::Product,
-                },
-            ]
-        };
-        let a = seq.submit(batch(&docs));
-        let b = par.submit(batch(&docs));
-        for (x, y) in a.iter().zip(&b) {
-            match (x.as_ref().unwrap(), y.as_ref().unwrap()) {
-                (Response::Asserted, Response::Asserted) => {}
-                (Response::Ranked(xs), Response::Ranked(ys)) => {
-                    assert_eq!(xs.len(), ys.len());
-                    for (s, t) in xs.iter().zip(ys) {
-                        assert_eq!(s.doc, t.doc);
-                        assert_eq!(s.score.to_bits(), t.score.to_bits());
-                    }
-                }
-                other => panic!("response shape mismatch: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn batch_counters_surface_in_service_stats() {
         let (kb, rules, users, docs) = fixture(2, 8);
         let service = RankingService::new(LineageEngine::new(), kb, rules);
@@ -1683,29 +1389,28 @@ mod tests {
     }
 
     #[test]
-    fn group_fanout_matches_sequential_groups() {
-        // The member fan-out (threads > 1) against the sequential group
-        // path, including duplicate members and an LRU cap smaller than
-        // the group — the mid-group eviction hazard the phased design
-        // covers with its gap recompute.
+    fn rank_group_with_duplicate_members_survives_mid_group_eviction() {
+        // A group with a repeated member under an LRU cap smaller than the
+        // group: members are evicted while the request is still collecting
+        // their score lists, and come back re-derived — to the same bits
+        // an uncapped service returns.
         let (kb, rules, users, docs) = fixture(4, 12);
         let members: Vec<_> = users.iter().copied().chain([users[1]]).collect();
-        let seq = RankingService::new(LineageEngine::new(), kb.clone(), rules.clone());
-        let fan = RankingService::with_config(
+        let roomy = RankingService::new(LineageEngine::new(), kb.clone(), rules.clone());
+        let capped = RankingService::with_config(
             LineageEngine::new(),
             kb,
             rules,
             ServiceConfig {
                 max_sessions: 2,
-                threads: 4,
                 ..ServiceConfig::default()
             },
         );
         for strategy in [GroupStrategy::Product, GroupStrategy::LeastMisery] {
-            let want = seq
+            let want = roomy
                 .rank_group(&members, &docs, docs.len(), &strategy)
                 .unwrap();
-            let got = fan
+            let got = capped
                 .rank_group(&members, &docs, docs.len(), &strategy)
                 .unwrap();
             assert_eq!(want.len(), got.len());
@@ -1714,10 +1419,36 @@ mod tests {
                 assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
         }
-        assert!(
-            fan.stats().sessions.batch.sweeps > 0,
-            "the fan-out's pooled scratches feed the batch counters"
+        let stats = capped.stats();
+        assert_eq!(stats.sessions_live, 2, "cap holds");
+        assert!(stats.sessions_evicted > 0, "the group outgrew the cap");
+    }
+
+    #[test]
+    fn a_warm_group_request_takes_one_shard_lock_per_member() {
+        let (kb, rules, users, docs) = fixture(4, 10);
+        let service = RankingService::new(LineageEngine::new(), kb, rules);
+        let strategy = GroupStrategy::Product;
+        // First sight inserts every member (an all-shard sweep each).
+        let cold = service.rank_group(&users, &docs, 3, &strategy).unwrap();
+        let before = service.stats();
+        let warm = service.rank_group(&users, &docs, 3, &strategy).unwrap();
+        // `stats()` itself sweeps every shard once for the tenant totals.
+        let sweep = service.shard_lock_counts().len() as u64;
+        let after = service.stats();
+        assert_eq!(cold, warm);
+        assert_eq!(
+            after.shard_lock_acquisitions - before.shard_lock_acquisitions - sweep,
+            users.len() as u64,
+            "live members cost one shard lock each, and nothing else does"
         );
+        let (was, now) = (before.sessions.scores, after.sessions.scores);
+        assert_eq!(
+            (now.hits - was.hits, now.misses - was.misses),
+            ((users.len() * docs.len()) as u64, 0),
+            "the repeat is answered from the members' score caches"
+        );
+        assert_eq!(after.sessions.batch, before.sessions.batch, "no sweep ran");
     }
 
     #[test]
@@ -2008,7 +1739,7 @@ mod tests {
         let [a, b] = shoppers.map(|shopper| {
             service
                 .tenants
-                .with_session(shopper, |tenant| tenant.bindings.peek(&snap.env(shopper)))
+                .with_session(shopper, |tenant| tenant.session.bind(&snap.env(shopper)))
         });
         for (x, y) in a.iter().zip(&b) {
             assert!(

@@ -1,11 +1,11 @@
 //! Sharded, LRU-capped storage of per-tenant session state.
 //!
-//! Each tenant owns the two *user-specific* cache layers of a
-//! [`crate::ScoringSession`] — the rule-binding cache and the per-document
-//! score cache. The third layer (evaluation memos) carries no per-user
-//! data and lives in the service's shared
-//! [`crate::parallel::ScratchPool`] instead, so it is *not* duplicated per
-//! tenant and survives tenant eviction.
+//! Each tenant is a [`SessionCore`] — the two *user-specific* cache layers
+//! of a [`crate::ScoringSession`], rule bindings and per-document scores,
+//! and the request sequence over them. The third layer (evaluation memos)
+//! carries no per-user data and lives in the service's shared pool
+//! (`serve/pool.rs`) instead, so it is *not* duplicated per tenant and
+//! survives tenant eviction.
 //!
 //! Tenants are routed to shards by hashing their [`IndividualId`], and each
 //! shard sits behind its own [`Mutex`]: requests for tenants in different
@@ -35,15 +35,13 @@ use std::sync::{Mutex, MutexGuard};
 
 use capra_dl::IndividualId;
 
-use crate::session::{BindingCache, ScoreCache, SessionStats};
+use crate::session::{SessionCore, SessionStats};
 
-/// One tenant's session state: the user-specific cache layers plus the
-/// recency stamp the LRU cap works from.
+/// One tenant: a session core plus the recency stamp the LRU cap works
+/// from.
 pub(crate) struct Tenant {
-    /// Cached rule bindings (layer 1 of the session stack).
-    pub bindings: BindingCache,
-    /// Cached per-document scores (layer 3).
-    pub scores: ScoreCache,
+    /// The tenant's caches and the request path over them.
+    pub session: SessionCore,
     /// Logical timestamp of the last access (global clock tick).
     last_used: u64,
 }
@@ -51,22 +49,17 @@ pub(crate) struct Tenant {
 impl Tenant {
     fn new(now: u64) -> Self {
         Self {
-            bindings: BindingCache::new(),
-            scores: ScoreCache::default(),
+            session: SessionCore::default(),
             last_used: now,
         }
     }
 
     /// This tenant's cache counters as a [`SessionStats`]. The footprint
-    /// is zero by construction: tenants hold no evaluation memos of their
-    /// own — those live in the service's shared pool and are reported
-    /// once, service-wide.
+    /// and batch counters are zero by construction: tenants hold no
+    /// evaluation memos of their own — those live in the service's shared
+    /// pool and are reported once, service-wide.
     fn stats(&self) -> SessionStats {
-        SessionStats {
-            bindings: self.bindings.stats(),
-            scores: self.scores.stats(),
-            ..SessionStats::default()
-        }
+        self.session.stats(Default::default(), Default::default())
     }
 }
 
@@ -329,7 +322,7 @@ mod tests {
             rules: &rules,
             user: u0,
         };
-        map.with_session(u0, |t| t.bindings.bind(&env));
+        map.with_session(u0, |t| t.session.bind(&env));
         let before = map.total_stats();
         assert!(before.bindings.misses > 0, "the bind registered a counter");
         touch(&map, u1); // evicts u0, retiring its counters

@@ -52,7 +52,6 @@ use capra_events::{BatchStats, CacheFootprint, EvictionPolicy};
 
 use crate::bind::RuleBinding;
 use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
-use crate::persist::WalStats;
 use crate::topk::rank_top_k_bound;
 use crate::{PreferenceRule, Result, ScoringEnv};
 
@@ -141,12 +140,6 @@ pub struct SessionStats {
     /// lanes, and the lanes that needed an exact evaluation of their own
     /// (see [`capra_events::BatchStats`]). The naive engines record none.
     pub batch: BatchStats,
-    /// Write-ahead-log traffic (see [`crate::persist::WalStats`]). Always
-    /// zero for plain in-memory sessions — the WAL belongs to the service
-    /// layer, which reports it in [`crate::ServiceStats::wal`]. The field
-    /// exists here so aggregated stats keep one shape through the same
-    /// `Add`/`Sum` path.
-    pub wal: WalStats,
 }
 
 impl std::ops::Add for SessionStats {
@@ -158,7 +151,6 @@ impl std::ops::Add for SessionStats {
             scores: self.scores + other.scores,
             footprint: self.footprint + other.footprint,
             batch: self.batch + other.batch,
-            wal: self.wal + other.wal,
         }
     }
 }
@@ -347,27 +339,6 @@ impl BindingCache {
         *self = Self::default();
     }
 
-    /// The bindings [`BindingCache::bind`] would return for `env`, without
-    /// counting hits or misses and without storing what had to be derived
-    /// — a read-only preview for phased callers (see
-    /// [`crate::serve::RankingService::rank_group`]) that plan work before
-    /// the counting pass commits it. Bindings that are still valid are the
-    /// cached `Arc`s themselves.
-    pub fn peek(&self, env: &ScoringEnv<'_>) -> Vec<Arc<RuleBinding>> {
-        let slots = self.entries.get(&env.user).map_or(&[][..], Vec::as_slice);
-        let reasoner = view_reasoner(env);
-        let rules = env.rules.rules().iter().enumerate();
-        rules
-            .map(|(i, rule)| {
-                let previous = find_slot(slots, i, &rule.name).map(|at| &slots[at]);
-                match previous {
-                    Some(entry) if entry.is_current(env, rule) => Arc::clone(&entry.binding),
-                    _ => CacheEntry::derive(env, rule, &reasoner, previous).binding,
-                }
-            })
-            .collect()
-    }
-
     /// Binds every rule in the environment, serving unchanged rules from the
     /// cache and re-deriving the rest with one shared reasoner. Returns one
     /// binding per rule, in repository order — the same contract as
@@ -421,44 +392,23 @@ struct ScoreEntry {
 }
 
 /// Key of one score-cache entry: user, engine name, engine configuration.
-pub(crate) type ScoreKey = (IndividualId, &'static str, u64);
+type ScoreKey = (IndividualId, &'static str, u64);
 
-/// The per-document score layer shared by [`ScoringSession`] and
-/// [`crate::parallel::ParallelScoringSession`]: entries keyed by
+/// The per-document score layer of a [`SessionCore`]: entries keyed by
 /// [`ScoreKey`], each valid while the exact binding `Arc`s it was computed
 /// under are unchanged (pointer identity — see [`ScoreEntry`]).
-///
-/// The split lookup protocol ([`ScoreCache::missing`] → compute →
-/// [`ScoreCache::record`] → [`ScoreCache::collect`]) lets the caller choose
-/// *how* the missing documents are scored — sequentially with one scratch,
-/// or fanned out over a worker pool.
 #[derive(Default)]
-pub(crate) struct ScoreCache {
+struct ScoreCache {
     entries: HashMap<ScoreKey, ScoreEntry>,
     hits: u64,
     misses: u64,
 }
 
 impl ScoreCache {
-    /// Hit/miss counters accumulated since creation or the last
-    /// [`ScoreCache::clear`].
-    pub(crate) fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-        }
-    }
-
-    /// Drops every cached score and resets the hit/miss counters, so
-    /// post-clear stats describe the fresh cache only.
-    pub(crate) fn clear(&mut self) {
-        *self = Self::default();
-    }
-
     /// Ensures the entry under `key` reflects exactly `bindings` (clearing
     /// it if they changed) and returns the documents not yet cached, in
     /// input order, counting hits and misses.
-    pub(crate) fn missing(
+    fn missing(
         &mut self,
         key: ScoreKey,
         bindings: &[Arc<RuleBinding>],
@@ -485,39 +435,9 @@ impl ScoreCache {
         missing
     }
 
-    /// The documents of `docs` not cached under `key` with exactly
-    /// `bindings`, in input order, *without* touching the entry or the
-    /// hit/miss counters — a read-only preview. Phased callers (the
-    /// service's group fan-out) use this to plan work before the
-    /// counting [`ScoreCache::missing`] pass commits it, so each request
-    /// still counts every document exactly once.
-    pub(crate) fn peek_missing(
-        &self,
-        key: &ScoreKey,
-        bindings: &[Arc<RuleBinding>],
-        docs: &[IndividualId],
-    ) -> Vec<IndividualId> {
-        let Some(entry) = self.entries.get(key) else {
-            return docs.to_vec();
-        };
-        let same_bindings = entry.bindings.len() == bindings.len()
-            && entry
-                .bindings
-                .iter()
-                .zip(bindings)
-                .all(|(a, b)| Arc::ptr_eq(a, b));
-        if !same_bindings {
-            return docs.to_vec();
-        }
-        docs.iter()
-            .copied()
-            .filter(|d| !entry.scores.contains_key(d))
-            .collect()
-    }
-
     /// Stores freshly computed scores under `key` (which
     /// [`ScoreCache::missing`] must have ensured).
-    pub(crate) fn record(&mut self, key: &ScoreKey, computed: Vec<DocScore>) {
+    fn record(&mut self, key: &ScoreKey, computed: Vec<DocScore>) {
         let entry = self
             .entries
             .get_mut(key)
@@ -529,7 +449,7 @@ impl ScoreCache {
 
     /// Reads the scores for `docs` (all of which must be cached by now),
     /// in input order.
-    pub(crate) fn collect(&self, key: &ScoreKey, docs: &[IndividualId]) -> Vec<DocScore> {
+    fn collect(&self, key: &ScoreKey, docs: &[IndividualId]) -> Vec<DocScore> {
         let entry = &self.entries[key];
         docs.iter()
             .map(|&doc| DocScore {
@@ -540,39 +460,109 @@ impl ScoreCache {
     }
 }
 
-/// The read-through protocol over a [`ScoreCache`], shared by
-/// [`ScoringSession`], [`crate::parallel::ParallelScoringSession`] and
-/// [`crate::serve::RankingService`]: ensure the entry under
-/// `(user, engine)` reflects `bindings`, compute whatever documents are
-/// missing with `compute` (sequentially, fanned out, lazily — the caller's
-/// choice), and read the full list back in input order. Keeping the
-/// missing → compute → record → collect ordering in one place keeps the
-/// cache's "record must follow missing" invariant in one place too.
-pub(crate) fn read_through_scores<E>(
-    engine: &E,
-    user: IndividualId,
-    cache: &mut ScoreCache,
-    docs: &[IndividualId],
-    bindings: &[Arc<RuleBinding>],
-    compute: impl FnOnce(&[IndividualId]) -> Result<Vec<DocScore>>,
-) -> Result<Vec<DocScore>>
-where
-    E: ScoringEngine + ?Sized,
-{
-    let key = score_key(engine, user);
-    let missing = cache.missing(key, bindings, docs);
-    if !missing.is_empty() {
-        cache.record(&key, compute(&missing)?);
-    }
-    Ok(cache.collect(&key, docs))
+/// The session core: the two *user-specific* cache layers — rule bindings
+/// and per-document scores — and the one request sequence over them: bind,
+/// then two-phase top-k or a read-through of the score cache, then rank.
+///
+/// The third layer, the evaluation memos, is not the core's: every entry
+/// point takes `scratch`, which it calls at most once and only when a
+/// document has to be evaluated. [`ScoringSession`] hands out the scratch
+/// it owns; a tenant of [`crate::serve::RankingService`] *is* a core (plus
+/// an LRU stamp) and lazily checks a scratch out of the service's shared
+/// pool, so a request answered from the score cache never touches it.
+#[derive(Default)]
+pub(crate) struct SessionCore {
+    bindings: BindingCache,
+    scores: ScoreCache,
 }
 
-/// The score-cache key for `(user, engine)`.
-pub(crate) fn score_key<E>(engine: &E, user: IndividualId) -> ScoreKey
-where
-    E: ScoringEngine + ?Sized,
-{
-    (user, engine.name(), engine.config_tag())
+impl SessionCore {
+    /// The core's cache counters beside the footprint and batch counters of
+    /// whatever evaluation state its owner scores through.
+    pub(crate) fn stats(&self, footprint: CacheFootprint, batch: BatchStats) -> SessionStats {
+        SessionStats {
+            bindings: self.bindings.stats(),
+            scores: CacheStats {
+                hits: self.scores.hits,
+                misses: self.scores.misses,
+            },
+            footprint,
+            batch,
+        }
+    }
+
+    /// Current bindings for the environment, served from the cache where
+    /// valid (see [`BindingCache::bind`]).
+    pub(crate) fn bind(&mut self, env: &ScoringEnv<'_>) -> Vec<Arc<RuleBinding>> {
+        self.bindings.bind(env)
+    }
+
+    /// Reads `docs`' scores under `bindings` through the score cache, in
+    /// input order: whatever is missing is computed by the engine on
+    /// `scratch()` and recorded first.
+    fn read_through<'s, E>(
+        &mut self,
+        engine: &E,
+        env: &ScoringEnv<'_>,
+        bindings: &[Arc<RuleBinding>],
+        docs: &[IndividualId],
+        scratch: impl FnOnce() -> &'s mut EvalScratch,
+    ) -> Result<Vec<DocScore>>
+    where
+        E: ScoringEngine + ?Sized,
+    {
+        let key = (env.user, engine.name(), engine.config_tag());
+        let missing = self.scores.missing(key, bindings, docs);
+        if !missing.is_empty() {
+            let computed = engine.score_all_bound(env, bindings, &missing, scratch())?;
+            self.scores.record(&key, computed);
+        }
+        Ok(self.scores.collect(&key, docs))
+    }
+
+    /// Scores every document in `docs`, in order: bind, then read through
+    /// the score cache. The unranked half of [`SessionCore::rank_top_k`],
+    /// for callers that combine score lists before ranking.
+    pub(crate) fn score_all<'s, E>(
+        &mut self,
+        engine: &E,
+        env: &ScoringEnv<'_>,
+        docs: &[IndividualId],
+        scratch: impl FnOnce() -> &'s mut EvalScratch,
+    ) -> Result<Vec<DocScore>>
+    where
+        E: ScoringEngine + ?Sized,
+    {
+        let bindings = self.bindings.bind(env);
+        self.read_through(engine, env, &bindings, docs, scratch)
+    }
+
+    /// The top `k` of the ranking of `docs` (best first) — the request
+    /// path. `k < docs.len()` is two-phase top-k ([`crate::rank_top_k`])
+    /// over the cached bindings, whose scores are *not* added to the score
+    /// cache (it skips the cache bookkeeping, and on deferred documents
+    /// covers an adaptively chosen subset of `docs`); otherwise there is
+    /// nothing to cut and the full ranking is read through the score
+    /// cache, where a warm repeat is a table lookup plus the sort.
+    pub(crate) fn rank_top_k<'s, E>(
+        &mut self,
+        engine: &E,
+        env: &ScoringEnv<'_>,
+        docs: &[IndividualId],
+        k: usize,
+        scratch: impl FnOnce() -> &'s mut EvalScratch,
+    ) -> Result<Vec<DocScore>>
+    where
+        E: ScoringEngine + ?Sized,
+    {
+        let bindings = self.bindings.bind(env);
+        if k < docs.len() {
+            rank_top_k_bound(env, engine, &bindings, docs, k, scratch())
+        } else {
+            let scores = self.read_through(engine, env, &bindings, docs, scratch)?;
+            Ok(rank(scores))
+        }
+    }
 }
 
 /// A prepared scoring session: binding cache + persistent evaluation memos
@@ -606,9 +596,8 @@ where
 /// ```
 #[derive(Default)]
 pub struct ScoringSession {
-    bindings: BindingCache,
+    core: SessionCore,
     scratch: EvalScratch,
-    scores: ScoreCache,
 }
 
 impl ScoringSession {
@@ -636,35 +625,29 @@ impl ScoringSession {
     /// Work counters accumulated so far, plus the current evaluation-memo
     /// footprint (see [`SessionStats::footprint`]).
     pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            bindings: self.bindings.stats(),
-            scores: self.scores.stats(),
-            footprint: self.scratch.footprint(),
-            batch: self.scratch.batch_stats(),
-            wal: WalStats::default(),
-        }
+        self.core
+            .stats(self.scratch.footprint(), self.scratch.batch_stats())
     }
 
-    /// The session's binding cache (e.g. for warm-up or inspection).
-    pub fn binding_cache(&mut self) -> &mut BindingCache {
-        &mut self.bindings
-    }
-
-    /// Current bindings for the environment, served from the cache where
-    /// valid (see [`BindingCache::bind`]).
-    pub fn bindings(&mut self, env: &ScoringEnv<'_>) -> Vec<Arc<RuleBinding>> {
-        self.bindings.bind(env)
-    }
-
-    /// Drops all cached scores (bindings and evaluation memos are kept).
-    /// Benchmarks use this to isolate the pure-evaluation warm path.
+    /// Drops all cached scores and resets their counters, so post-clear
+    /// stats describe the fresh cache only (bindings and evaluation memos
+    /// are kept). Benchmarks use this to isolate the pure-evaluation warm
+    /// path.
     pub fn invalidate_scores(&mut self) {
-        self.scores.clear();
+        self.core.scores = ScoreCache::default();
     }
 
     /// Drops every layer of cached state (the eviction policy is kept).
     pub fn clear(&mut self) {
         *self = Self::with_policy(self.scratch.policy());
+    }
+
+    /// The session's own scratch, moved on to `env`'s KB and binding epoch
+    /// — what it hands the core to evaluate on.
+    fn scratch_at(&mut self, env: &ScoringEnv<'_>) -> (&mut SessionCore, &mut EvalScratch) {
+        self.scratch.ensure_kb(env.kb);
+        self.scratch.advance_epoch(env.kb.binding_epoch());
+        (&mut self.core, &mut self.scratch)
     }
 
     /// Scores every document in `docs`, in order — bit-identical to
@@ -679,17 +662,8 @@ impl ScoringSession {
     where
         E: ScoringEngine + ?Sized,
     {
-        let bindings = self.bindings.bind(env);
-        self.scratch.ensure_kb(env.kb);
-        self.scratch.advance_epoch(env.kb.binding_epoch());
-        read_through_scores(
-            engine,
-            env.user,
-            &mut self.scores,
-            docs,
-            &bindings,
-            |missing| engine.score_all_bound(env, &bindings, missing, &mut self.scratch),
-        )
+        let (core, scratch) = self.scratch_at(env);
+        core.score_all(engine, env, docs, move || scratch)
     }
 
     /// [`ScoringSession::score_all`] followed by the descending sort of
@@ -703,18 +677,17 @@ impl ScoringSession {
     where
         E: ScoringEngine + ?Sized,
     {
-        Ok(rank(self.score_all(engine, env, docs)?))
+        self.rank_top_k(engine, env, docs, docs.len())
     }
 
-    /// The top `k` of [`ScoringSession::rank`] in two phases (see
-    /// [`crate::rank_top_k`]): the documents the engine scores in closed
-    /// form are ranked from one sweep, and the ones it defers are evaluated
-    /// only while their score upper bound can still reach the top `k` —
-    /// starting from the k-th best closed-form score. Uses the session's
-    /// cached bindings and evaluation memos; the scores it computes are
-    /// *not* added to the score cache (the path exists to skip the cache
-    /// bookkeeping, and on deferred documents covers an adaptively chosen
-    /// subset of `docs`).
+    /// The top `k` of [`ScoringSession::rank`]. With `k < docs.len()` it
+    /// runs in two phases (see [`crate::rank_top_k`]): the documents the
+    /// engine scores in closed form are ranked from one sweep, and the ones
+    /// it defers are evaluated only while their score upper bound can still
+    /// reach the top `k` — starting from the k-th best closed-form score.
+    /// That path uses the session's cached bindings and evaluation memos;
+    /// the scores it computes are *not* added to the score cache. With
+    /// nothing to cut (`k >= docs.len()`) it is [`ScoringSession::rank`].
     pub fn rank_top_k<E>(
         &mut self,
         engine: &E,
@@ -725,10 +698,8 @@ impl ScoringSession {
     where
         E: ScoringEngine + ?Sized,
     {
-        let bindings = self.bindings.bind(env);
-        self.scratch.ensure_kb(env.kb);
-        self.scratch.advance_epoch(env.kb.binding_epoch());
-        rank_top_k_bound(env, engine, &bindings, docs, k, &mut self.scratch)
+        let (core, scratch) = self.scratch_at(env);
+        core.rank_top_k(engine, env, docs, k, move || scratch)
     }
 }
 
@@ -961,20 +932,14 @@ mod tests {
         // `Breakfast` is R2's context table: it moved, but not in this
         // user's row.
         kb.assert_concept_prob(other, "Breakfast", 0.2).unwrap();
-        let peeked = cache.peek(&env_of(&kb, &rules, user));
         let after = cache.bind(&env_of(&kb, &rules, user));
-        for ((b, p), a) in before.iter().zip(&peeked).zip(&after) {
+        for (b, a) in before.iter().zip(&after) {
             assert!(Arc::ptr_eq(b, a), "{}: unchanged binding, same Arc", b.name);
-            assert!(
-                Arc::ptr_eq(b, p),
-                "{}: peek previews what bind returns",
-                b.name
-            );
         }
         assert_eq!(
             cache.stats(),
             CacheStats { hits: 2, misses: 2 },
-            "peek counts nothing; a re-check that changes nothing is a hit"
+            "a re-check that changes nothing is a hit"
         );
         // The user's own row is another matter.
         kb.assert_concept_prob(user, "Breakfast", 0.2).unwrap();

@@ -53,7 +53,6 @@
 //! before any of them is pruned. (`k = 0` asks for nothing and touches
 //! nothing.)
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use capra_dl::IndividualId;
@@ -108,191 +107,62 @@ pub fn rank_top_k_bound<E>(
 where
     E: ScoringEngine + ?Sized,
 {
-    TopK::first_phase(env, engine, bindings, docs, k, scratch)?.finish(scratch)
-}
-
-/// A monotonically increasing lower bound on the global k-th best score,
-/// shared across scan workers. Scores live in `[0, 1]`, where the IEEE-754
-/// bit pattern is monotone in the value, so an atomic `fetch_max` on the
-/// bits implements a lock-free floating-point maximum.
-struct SharedThreshold(AtomicU64);
-
-impl SharedThreshold {
-    fn new(floor: f64) -> Self {
-        Self(AtomicU64::new(floor.to_bits()))
+    if k == 0 || docs.is_empty() {
+        return Ok(Vec::new());
     }
-
-    fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
+    if k >= docs.len() {
+        // Nothing to cut; a full ranking is the same answer.
+        return Ok(rank(engine.score_all_bound(env, bindings, docs, scratch)?));
     }
-
-    fn raise(&self, value: f64) {
-        self.0.fetch_max(value.to_bits(), Ordering::Relaxed);
-    }
-}
-
-/// A top-k request after its first phase: the closed-form answer so far,
-/// and the work queue of the second phase — the shared state of the
-/// sequential finish and of the parallel path's scan workers alike.
-pub(crate) struct TopK<'a, E: ?Sized> {
-    env: &'a ScoringEnv<'a>,
-    engine: &'a E,
-    bindings: &'a [Arc<RuleBinding>],
-    k: usize,
-    /// The best `k` closed-form scores, ranked.
-    head: Vec<DocScore>,
-    /// The deferred documents with their upper bounds, descending by bound
-    /// (ties by document id), each listed once.
-    order: Vec<(f64, IndividualId)>,
-    /// Index into `order` that scan workers steal batches through.
-    cursor: AtomicUsize,
-    /// Proven lower bound on the k-th best score: the k-th closed-form
-    /// score to begin with, raised by every worker that holds `k` scores.
-    floor: SharedThreshold,
-}
-
-impl<'a, E> TopK<'a, E>
-where
-    E: ScoringEngine + ?Sized,
-{
-    /// Runs the first phase on the calling thread: one closed-form pass
-    /// over `docs`, then — only if the engine deferred documents — their
-    /// validation, bounds and bound order.
-    pub(crate) fn first_phase(
-        env: &'a ScoringEnv<'a>,
-        engine: &'a E,
-        bindings: &'a [Arc<RuleBinding>],
-        docs: &[IndividualId],
-        k: usize,
-        scratch: &mut EvalScratch,
-    ) -> Result<Self> {
-        let mut deferred: Vec<IndividualId> = Vec::new();
-        let head = if k == 0 || docs.is_empty() {
-            Vec::new()
-        } else if k >= docs.len() {
-            // Nothing to cut; a full ranking is the same answer.
-            rank(engine.score_all_bound(env, bindings, docs, scratch)?)
-        } else {
-            let closed = engine.score_closed_form(env, bindings, docs, scratch)?;
-            let mut scored: Vec<DocScore> = Vec::with_capacity(docs.len());
-            for (&doc, score) in docs.iter().zip(closed) {
-                match score {
-                    Some(score) => scored.push(DocScore { doc, score }),
-                    None => deferred.push(doc),
-                }
-            }
-            let mut head = rank(scored);
-            head.truncate(k);
-            head
-        };
-        let mut order: Vec<(f64, IndividualId)> = Vec::new();
-        if !deferred.is_empty() {
-            // A pruned document is never handed to the engine, so its
-            // per-document input validation runs up front — top-k must
-            // error exactly when a full rank would.
-            engine.validate_workload(env, bindings, &deferred)?;
-            let bounds = doc_upper_bounds(env, bindings, &deferred, scratch);
-            order = bounds.into_iter().zip(deferred).collect();
-            // A repeated candidate sorts next to itself and is kept once,
-            // the cut `rank` makes.
-            order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
-            order.dedup_by_key(|&mut (_, doc)| doc);
+    // First phase: one closed-form pass over every candidate.
+    let closed = engine.score_closed_form(env, bindings, docs, scratch)?;
+    let mut scored: Vec<DocScore> = Vec::with_capacity(docs.len());
+    let mut deferred: Vec<IndividualId> = Vec::new();
+    for (&doc, score) in docs.iter().zip(closed) {
+        match score {
+            Some(score) => scored.push(DocScore { doc, score }),
+            None => deferred.push(doc),
         }
-        let floor = if head.len() == k && k > 0 {
-            head[k - 1].score
-        } else {
-            0.0
-        };
-        Ok(Self {
-            env,
-            engine,
-            bindings,
-            k,
-            head,
-            order,
-            cursor: AtomicUsize::new(0),
-            floor: SharedThreshold::new(floor),
-        })
     }
-
-    /// How many documents the engine deferred — the second phase's work.
-    pub(crate) fn deferred(&self) -> usize {
-        self.order.len()
+    let mut top = rank(scored);
+    top.truncate(k);
+    if deferred.is_empty() {
+        return Ok(top);
     }
+    // A pruned document is never handed to the engine, so its per-document
+    // input validation runs up front — top-k must error exactly when a full
+    // rank would.
+    engine.validate_workload(env, bindings, &deferred)?;
+    let bounds = doc_upper_bounds(env, bindings, &deferred, scratch);
+    // Descending by bound (ties by document id). A repeated candidate sorts
+    // next to itself and is kept once, the cut `rank` makes.
+    let mut order: Vec<(f64, IndividualId)> = bounds.into_iter().zip(deferred).collect();
+    order.sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+    order.dedup_by_key(|&mut (_, doc)| doc);
 
-    /// Completes the request on the calling thread: the first phase's
-    /// answer when nothing was deferred, otherwise one scan seeded with it.
-    pub(crate) fn finish(mut self, scratch: &mut EvalScratch) -> Result<Vec<DocScore>> {
-        let head = std::mem::take(&mut self.head);
-        if self.order.is_empty() {
-            return Ok(head);
+    // Second phase: evaluate the deferred documents in batches, best bound
+    // first, against a floor that is the k-th best score so far — the k-th
+    // closed-form score to begin with.
+    let batch = k.max(16);
+    let mut start = 0;
+    while start < order.len() {
+        let floor = top.get(k - 1).map_or(0.0, |kth| kth.score);
+        // Clip the batch at the pruning frontier: bounds are sorted
+        // descending, so everything past it is out too.
+        let mut end = (start + batch).min(order.len());
+        while end > start && order[end - 1].0 + BOUND_SLACK < floor {
+            end -= 1;
         }
-        self.scan(scratch, head)
-    }
-
-    /// Completes a request whose scan ran on workers seeded with nothing:
-    /// the closed-form answer and every worker's `tops`, ranked and cut.
-    pub(crate) fn merge(self, tops: impl IntoIterator<Item = Vec<DocScore>>) -> Vec<DocScore> {
-        let mut merged = self.head;
-        for top in tops {
-            merged.extend(top);
+        if end == start {
+            break;
         }
-        let mut merged = rank(merged);
-        merged.truncate(self.k);
-        merged
+        let chunk: Vec<IndividualId> = order[start..end].iter().map(|&(_, d)| d).collect();
+        top.extend(engine.score_all_bound(env, bindings, &chunk, scratch)?);
+        top = rank(top);
+        top.truncate(k);
+        start = end;
     }
-
-    /// One worker of the second phase: steals fixed-size batches of the
-    /// bound-sorted deferred documents through the shared cursor, folds
-    /// their exact scores into `top` (its running best `k`, seeded by the
-    /// caller), and stops when the queue is drained or the next bound falls
-    /// below the shared pruning floor.
-    ///
-    /// Pruning stays exact under stealing: bounds are sorted descending, so
-    /// when a stolen batch is clipped at the frontier (every remaining bound
-    /// is below the floor — a proven lower bound on the global k-th best
-    /// score), the documents skipped by *all* workers are exactly documents
-    /// that cannot reach the top-k. Fast workers steal more batches than
-    /// slow ones, so a straggler never pins the tail of the queue.
-    pub(crate) fn scan(
-        &self,
-        scratch: &mut EvalScratch,
-        mut top: Vec<DocScore>,
-    ) -> Result<Vec<DocScore>> {
-        let (k, order) = (self.k, &self.order);
-        let batch = k.max(16);
-        loop {
-            // Never below this worker's own k-th score: whoever holds `k`
-            // scores has raised the floor to the k-th of them.
-            let floor = self.floor.get();
-            let start = self.cursor.fetch_add(batch, Ordering::Relaxed);
-            if start >= order.len() {
-                break;
-            }
-            // Clip the batch at the pruning frontier: bounds are sorted
-            // descending, so everything past it is out too.
-            let mut end = (start + batch).min(order.len());
-            while end > start && order[end - 1].0 + BOUND_SLACK < floor {
-                end -= 1;
-            }
-            if end == start {
-                break;
-            }
-            let chunk: Vec<IndividualId> = order[start..end].iter().map(|&(_, d)| d).collect();
-            top.extend(
-                self.engine
-                    .score_all_bound(self.env, self.bindings, &chunk, scratch)?,
-            );
-            top = rank(top);
-            top.truncate(k);
-            if top.len() == k {
-                // k scored documents prove the global k-th best is at least
-                // this good.
-                self.floor.raise(top[k - 1].score);
-            }
-        }
-        Ok(top)
-    }
+    Ok(top)
 }
 
 /// What one applicable rule contributes at most to a document that matches

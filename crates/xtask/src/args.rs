@@ -7,16 +7,25 @@ pub struct Args {
 }
 
 impl Args {
-    /// Parses an argument list. Every argument must be a `--key`
-    /// optionally followed by a value; stray positionals are an error
-    /// (each command names its inputs explicitly).
-    pub fn parse(argv: &[String]) -> Result<Self, String> {
+    /// Parses an argument list against `accepted`, the flag names (without
+    /// `--`) the command takes. Every argument must be an accepted `--key`
+    /// optionally followed by a value; an unknown flag is an error naming
+    /// it — a mistyped option must not replay with defaults — and so are
+    /// stray positionals (each command names its inputs explicitly).
+    pub fn parse(argv: &[String], accepted: &[&str]) -> Result<Self, String> {
         let mut pairs = Vec::new();
         let mut it = argv.iter().peekable();
         while let Some(arg) = it.next() {
             let Some(key) = arg.strip_prefix("--") else {
                 return Err(format!("unexpected positional argument `{arg}`"));
             };
+            if !accepted.contains(&key) {
+                let accepted: Vec<String> = accepted.iter().map(|f| format!("--{f}")).collect();
+                return Err(format!(
+                    "unknown flag `--{key}` (this command takes {})",
+                    accepted.join(", ")
+                ));
+            }
             let value = match it.peek() {
                 Some(v) if !v.starts_with("--") => Some(it.next().unwrap().clone()),
                 _ => None,
@@ -58,5 +67,50 @@ impl Args {
     /// `--name N` parsed as usize, if given.
     pub fn usize_opt(&self, name: &str) -> Result<Option<usize>, String> {
         Ok(self.u64_opt(name)?.map(|v| v as usize))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn known_flags_are_parsed() {
+        let args = Args::parse(
+            &argv(&["--file", "w.capra", "--tiny", "--iters", "4"]),
+            &["file", "tiny", "iters", "engine"],
+        )
+        .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(args.require("file"), Ok("w.capra"));
+        assert!(args.has("tiny") && args.opt("tiny").is_none());
+        assert_eq!(args.usize_opt("iters"), Ok(Some(4)));
+        assert_eq!(args.opt("engine"), None, "accepted, not given");
+    }
+
+    #[test]
+    fn an_unknown_flag_is_rejected_by_name() {
+        for typo in ["--engin", "--thread"] {
+            let err = Args::parse(
+                &argv(&["--file", "w.capra", typo, "x"]),
+                crate::replay::FLAGS,
+            )
+            .err()
+            .expect("a flag the command does not take");
+            assert!(err.contains(&format!("`{typo}`")), "{err}");
+        }
+    }
+
+    #[test]
+    fn the_removed_threads_flag_is_rejected_not_ignored() {
+        for flags in [crate::replay::FLAGS, crate::bench::FLAGS] {
+            let err = Args::parse(&argv(&["--file", "w.capra", "--threads", "4"]), flags)
+                .err()
+                .expect("--threads is gone");
+            assert!(err.contains("`--threads`"), "{err}");
+        }
     }
 }

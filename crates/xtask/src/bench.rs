@@ -10,6 +10,9 @@ use crate::engine;
 use capra_core::persist::Workload;
 use capra_core::serve::{replay_workload, workload_service, ServiceConfig};
 
+/// The flags `bench` takes.
+pub const FLAGS: &[&str] = &["file", "engine", "iters"];
+
 /// Replays `--file` `--iters` times (default 3) on `--engine` and
 /// prints per-iteration wall time and request throughput. The service
 /// is rebuilt each iteration so every replay pays the cold path.
@@ -17,15 +20,11 @@ pub fn run(args: &Args) -> Result<(), String> {
     let path = args.require("file")?;
     let engine_name = args.opt("engine").unwrap_or("lineage");
     let iters = args.usize_opt("iters")?.unwrap_or(3).max(1);
-    let threads = args.usize_opt("threads")?.unwrap_or(1);
 
     let workload = Workload::load(path).map_err(|e| format!("reading {path}: {e}"))?;
     let mut first_hash = None;
     for i in 0..iters {
-        let config = ServiceConfig {
-            threads,
-            ..ServiceConfig::default()
-        };
+        let config = ServiceConfig::default();
         let service = workload_service(engine::by_name(engine_name)?, config, &workload);
         let start = Instant::now();
         let report = replay_workload(&service, &workload).map_err(|e| e.to_string())?;

@@ -3,6 +3,9 @@
 use crate::args::Args;
 use capra_core::persist::Workload;
 
+/// The flags `generate` takes.
+pub const FLAGS: &[&str] = &["domain", "out", "tiny", "seed", "requests"];
+
 /// Builds the selected domain's workload (default-sized, or `--tiny`),
 /// applying `--seed` / `--requests` overrides to the request stream.
 pub fn run(args: &Args) -> Result<(), String> {

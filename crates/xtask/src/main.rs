@@ -31,9 +31,8 @@ COMMANDS:
                [--tiny] [--seed N] [--requests N]
     replay     Replay a workload file against a fresh RankingService
                --file FILE  [--engine naive-view|naive-enum|factorized|lineage]
-               [--threads N]
     bench      Time repeated replays of a workload file
-               --file FILE  [--engine E] [--iters N] [--threads N]
+               --file FILE  [--engine E] [--iters N]
     stats      Describe a workload file without replaying it
                --file FILE
 ";
@@ -44,23 +43,27 @@ fn main() -> ExitCode {
         eprint!("{USAGE}");
         return ExitCode::from(2);
     };
-    let parsed = match args::Args::parse(rest) {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let result = match command.as_str() {
-        "generate" => generate::run(&parsed),
-        "replay" => replay::run(&parsed),
-        "bench" => bench::run(&parsed),
-        "stats" => stats::run(&parsed),
+    type Run = fn(&args::Args) -> Result<(), String>;
+    let (flags, run): (&[&str], Run) = match command.as_str() {
+        "generate" => (generate::FLAGS, generate::run),
+        "replay" => (replay::FLAGS, replay::run),
+        "bench" => (bench::FLAGS, bench::run),
+        "stats" => (stats::FLAGS, stats::run),
         "help" | "--help" | "-h" => {
             print!("{USAGE}");
             return ExitCode::SUCCESS;
         }
-        other => Err(format!("unknown command `{other}`\n\n{USAGE}")),
+        other => {
+            eprintln!("error: unknown command `{other}`\n\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+    };
+    let result = match args::Args::parse(rest, flags) {
+        Ok(parsed) => run(&parsed),
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,

@@ -10,19 +10,16 @@ use crate::engine;
 use capra_core::persist::Workload;
 use capra_core::serve::{replay_workload, workload_service, ServiceConfig};
 
-/// Loads `--file`, replays it on `--engine` (default `lineage`) with
-/// `--threads` scoring threads, and prints the digest + report.
+/// The flags `replay` takes.
+pub const FLAGS: &[&str] = &["file", "engine"];
+
+/// Loads `--file`, replays it on `--engine` (default `lineage`), and
+/// prints the digest + report.
 pub fn run(args: &Args) -> Result<(), String> {
     let path = args.require("file")?;
     let engine = engine::by_name(args.opt("engine").unwrap_or("lineage"))?;
-    let threads = args.usize_opt("threads")?.unwrap_or(1);
-
     let workload = Workload::load(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let config = ServiceConfig {
-        threads,
-        ..ServiceConfig::default()
-    };
-    let service = workload_service(engine, config, &workload);
+    let service = workload_service(engine, ServiceConfig::default(), &workload);
     let report = replay_workload(&service, &workload).map_err(|e| e.to_string())?;
     println!(
         "file {path}: domain={} seed={} digest={:#018x}",

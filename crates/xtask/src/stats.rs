@@ -3,6 +3,9 @@
 use crate::args::Args;
 use capra_core::persist::{Workload, WorkloadRecord};
 
+/// The flags `stats` takes.
+pub const FLAGS: &[&str] = &["file"];
+
 /// Loads `--file` and prints its provenance, record mix and sizes.
 pub fn run(args: &Args) -> Result<(), String> {
     let path = args.require("file")?;

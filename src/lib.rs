@@ -65,9 +65,6 @@ pub use capra_tvtouch as tvtouch;
 
 /// The most common imports in one place.
 pub mod prelude {
-    pub use capra_core::parallel::{
-        rank_top_k_parallel, score_all_parallel, ParallelScoringSession,
-    };
     pub use capra_core::serve::{Fact, Request, Response};
     pub use capra_core::{
         bind_rules, bind_rules_shared, explain, group_scores, rank, rank_top_k, score_group,

@@ -1,9 +1,15 @@
+//! What the consistency suites share.
+//!
 //! The bit-level reference for `LineageEngine`, built on the test side from
 //! public pieces only: per document, the three-case factor of every rule
 //! from the binding's public fields, through `capra::events::expectation`
 //! on fresh state. One document at a time, nothing memoised, no route to
 //! choose — whatever the engine does per batch has to come out at these
-//! bits.
+//! bits. Beside it, the cold-bind ranking every cached path is held to and
+//! the eviction policies the suites draw from.
+
+// Each suite uses its own subset.
+#![allow(dead_code)]
 
 use std::sync::Arc;
 
@@ -46,4 +52,28 @@ pub fn reference_scores(
 /// `(document, score bits)` of a score list, for whole-list comparisons.
 pub fn bits(scores: &[DocScore]) -> Vec<(IndividualId, u64)> {
     scores.iter().map(|s| (s.doc, s.score.to_bits())).collect()
+}
+
+/// Maps a random draw onto an eviction policy, so every property also holds
+/// under aggressive tier eviction (`MaxAge(1)` drops memo tiers after
+/// nearly every mutation, forcing constant deterministic recomputes) and
+/// under the grow-only escape hatch.
+pub fn decode_policy(sel: u8) -> EvictionPolicy {
+    match sel % 3 {
+        0 => EvictionPolicy::Never,
+        1 => EvictionPolicy::MaxAge(1),
+        _ => EvictionPolicy::default(),
+    }
+}
+
+/// The cold reference: bind from scratch, score everything, rank, cut.
+pub fn cold_rank<E: ScoringEngine + ?Sized>(
+    engine: &E,
+    env: &ScoringEnv<'_>,
+    docs: &[IndividualId],
+    k: usize,
+) -> Vec<DocScore> {
+    let mut full = rank(engine.score_all(env, docs).unwrap());
+    full.truncate(k);
+    full
 }

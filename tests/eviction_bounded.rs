@@ -2,8 +2,9 @@
 //! call** (re-asserted facts mint fresh variables, superseding last call's
 //! expressions) must keep a *bounded* evaluation-memo footprint under an
 //! epoch [`EvictionPolicy`] — while every call stays bit-identical to a
-//! cold `bind_rules` + `score_all` run — for all four engines, through
-//! both the sequential and the parallel session.
+//! cold `bind_rules` + `score_all` run — for all four engines, through a
+//! session (whose memos are its own) and through a `RankingService` (whose
+//! memos are the pool every tenant shares).
 //!
 //! The loop runs 48 mutate-and-score calls, i.e. well over 10 × the
 //! snapshot chain bound (`MAX_CHAIN` = 4 tiers), so the chains compact and
@@ -40,6 +41,33 @@ fn fixture() -> (Kb, RuleRepository, capra::dl::IndividualId) {
     (kb, rules, user)
 }
 
+/// What the loop mutates: a bare KB, or the one a service publishes.
+trait Target {
+    fn individual(&mut self, name: &str) -> capra::dl::IndividualId;
+    fn assert_prob(&mut self, subject: capra::dl::IndividualId, concept: &str, p: f64);
+}
+
+impl Target for Kb {
+    fn individual(&mut self, name: &str) -> capra::dl::IndividualId {
+        Kb::individual(self, name)
+    }
+
+    fn assert_prob(&mut self, subject: capra::dl::IndividualId, concept: &str, p: f64) {
+        self.assert_concept_prob(subject, concept, p).unwrap();
+    }
+}
+
+impl<E: ScoringEngine + Sync> Target for &RankingService<E> {
+    fn individual(&mut self, name: &str) -> capra::dl::IndividualId {
+        RankingService::individual(self, name)
+    }
+
+    fn assert_prob(&mut self, subject: capra::dl::IndividualId, concept: &str, p: f64) {
+        self.assert(subject, Fact::ConceptProb(concept.into(), p))
+            .unwrap();
+    }
+}
+
 /// One serving-loop mutation, steady-state shaped: the user's context
 /// features are **re-asserted** (each re-assert mints a fresh event
 /// variable, superseding last call's context expressions) and the call
@@ -47,16 +75,20 @@ fn fixture() -> (Kb, RuleRepository, capra::dl::IndividualId) {
 /// (yesterday's programs are never scored again). Per-call work is
 /// constant, yet every expression from the previous call is superseded —
 /// the exact pattern whose memo entries leaked before eviction.
-fn mutate(kb: &mut Kb, user: capra::dl::IndividualId, call: usize) -> Vec<capra::dl::IndividualId> {
+fn mutate(
+    kb: &mut impl Target,
+    user: capra::dl::IndividualId,
+    call: usize,
+) -> Vec<capra::dl::IndividualId> {
     let p = |salt: usize| 0.05 + 0.9 * (((call * 7 + salt * 3) % 17) as f64 / 17.0);
-    kb.assert_concept_prob(user, "Ctx0", p(0)).unwrap();
-    kb.assert_concept_prob(user, "Ctx1", p(1)).unwrap();
+    kb.assert_prob(user, "Ctx0", p(0));
+    kb.assert_prob(user, "Ctx1", p(1));
     (0..N_DOCS)
         .map(|d| {
             let doc = kb.individual(&format!("doc{call}x{d}"));
-            kb.assert_concept_prob(doc, "Feat0", p(2 + 3 * d)).unwrap();
-            kb.assert_concept_prob(doc, "Feat1", p(3 + 3 * d)).unwrap();
-            kb.assert_concept_prob(doc, "Feat2", p(4 + 3 * d)).unwrap();
+            kb.assert_prob(doc, "Feat0", p(2 + 3 * d));
+            kb.assert_prob(doc, "Feat1", p(3 + 3 * d));
+            kb.assert_prob(doc, "Feat2", p(4 + 3 * d));
             doc
         })
         .collect()
@@ -111,8 +143,8 @@ fn run_loop<E: ScoringEngine + Sync + ?Sized>(
     (bounded_series, unbounded_series)
 }
 
-/// Footprint assertions shared by the sequential and parallel variants:
-/// the evicting session flattens out (its second-half peak does not exceed
+/// Footprint assertions shared by the session and service variants: the
+/// evicting session flattens out (its second-half peak does not exceed
 /// its first-half peak) and ends well below the grow-only session, which
 /// demonstrably leaks on this workload.
 fn assert_bounded(engine: &str, bounded: &[usize], unbounded: &[usize]) {
@@ -167,22 +199,45 @@ fn sequential_session_footprint_is_bounded_in_mutating_loop() {
     }
 }
 
+/// The same loop through a service: the memos are the shared pool's, aged
+/// at each republish, and every request is a context switch followed by a
+/// rank of candidates nobody has seen.
 #[test]
-fn parallel_session_footprint_is_bounded_in_mutating_loop() {
-    for engine in engines() {
-        let mut bounded = ParallelScoringSession::with_policy(3, EvictionPolicy::MaxAge(AGE));
-        let mut unbounded = ParallelScoringSession::with_policy(3, EvictionPolicy::Never);
-        let (b, u) = run_loop(
-            engine.as_ref(),
-            &mut |env, docs| {
-                let scores = bounded.score_all(engine.as_ref(), env, docs).unwrap();
-                (scores, bounded.stats().footprint.entries)
-            },
-            &mut |env, docs| {
-                let scores = unbounded.score_all(engine.as_ref(), env, docs).unwrap();
-                (scores, unbounded.stats().footprint.entries)
-            },
-        );
-        assert_bounded(engine.name(), &b, &u);
+fn service_footprint_is_bounded_in_mutating_loop() {
+    for (engine, twin) in engines().into_iter().zip(engines()) {
+        let name = engine.name();
+        let (kb, rules, user) = fixture();
+        let services = [
+            (engine, EvictionPolicy::MaxAge(AGE)),
+            (twin, EvictionPolicy::Never),
+        ]
+        .map(|(engine, policy)| {
+            let config = ServiceConfig {
+                policy,
+                ..ServiceConfig::default()
+            };
+            RankingService::with_config(engine, kb.clone(), rules.clone(), config)
+        });
+        let mut series = [Vec::with_capacity(CALLS), Vec::with_capacity(CALLS)];
+        for call in 0..CALLS {
+            for (mut service, series) in services.iter().zip(&mut series) {
+                let docs = mutate(&mut service, user, call);
+                let snap = service.snapshot();
+                let env = ScoringEnv {
+                    kb: snap.kb(),
+                    rules: snap.rules(),
+                    user,
+                };
+                let cold = rank(service.engine().score_all(&env, &docs).unwrap());
+                let got = service.rank(user, &docs, docs.len()).unwrap();
+                assert_eq!(cold.len(), got.len());
+                for (a, b) in cold.iter().zip(&got) {
+                    assert_eq!(a.doc, b.doc);
+                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "{name} call {call}");
+                }
+                series.push(service.stats().sessions.footprint.entries);
+            }
+        }
+        assert_bounded(name, &series[0], &series[1]);
     }
 }

@@ -1,11 +1,10 @@
 //! Fast-path coverage for the hash-consing refactor: the four engines must
 //! produce *identical rankings* (not just close scores), the Section 4.2
 //! worked example must agree with the brute-force oracle to 1e-12, and the
-//! cross-layer caches (evaluator memo, reasoner views, shared interner in
-//! parallel shards) must be observably at work.
+//! cross-layer caches (evaluator memo, reasoner views, the interner shared
+//! between threads) must be observably at work.
 
 use capra::prelude::*;
-use capra_core::parallel::score_all_parallel;
 use capra_events::{brute_force_expectation, Factor};
 use proptest::prelude::*;
 
@@ -84,9 +83,10 @@ fn engines_agree_on_ranking_for_paper_scenario() {
 
 #[test]
 fn parallel_shards_share_node_identity() {
-    // The interner is process-global: the same KB scored on 1 and 4 threads
-    // must give bit-identical scores (shards reconstruct the same interned
-    // nodes), and binding twice yields pointer-identical context events.
+    // The interner is process-global: the same KB scored on this thread
+    // and on four others at once must give bit-identical scores (every
+    // thread reconstructs the same interned nodes), and binding twice
+    // yields pointer-identical context events.
     let scenario = capra::tvtouch::scenario::paper_scenario();
     let env = scenario.env();
     let b1 = bind_rules(&env);
@@ -98,11 +98,19 @@ fn parallel_shards_share_node_identity() {
     let seq = LineageEngine::new()
         .score_all(&env, &scenario.programs)
         .unwrap();
-    let par = score_all_parallel(&LineageEngine::new(), &env, &scenario.programs, 4).unwrap();
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.doc, b.doc);
-        assert_eq!(a.score.to_bits(), b.score.to_bits(), "bit-identical scores");
-    }
+    std::thread::scope(|scope| {
+        for _ in 0..4 {
+            scope.spawn(|| {
+                let par = LineageEngine::new()
+                    .score_all(&env, &scenario.programs)
+                    .unwrap();
+                for (a, b) in seq.iter().zip(&par) {
+                    assert_eq!(a.doc, b.doc);
+                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "bit-identical scores");
+                }
+            });
+        }
+    });
 }
 
 /// Random independent-feature KBs: every engine must yield the same ranking.

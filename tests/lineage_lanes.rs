@@ -287,13 +287,13 @@ fn top_k_engines() -> Vec<TopKEngine> {
 }
 
 /// Holds every route that serves a top-k request — cold `rank_top_k`, a
-/// sequential session, parallel sessions at 1, 2 and 4 threads, the service
-/// at 1 and 2 — to `rank(score_all(docs))[..k]` on each of `batches`, for
+/// session, the service — to `rank(score_all(docs))[..k]` on each of
+/// `batches`, for
 /// `k ∈ {0, 1, 2, n − 1, n, n + 5}` and every engine of [`top_k_engines`]:
 /// the same documents, the same score bits, and an error exactly when the
 /// full ranking is one (`k = 0` asks for nothing and touches nothing).
-/// Sessions and services live across batches and `k`s, so later requests
-/// meet whatever earlier ones left in the caches.
+/// The session and the service live across batches and `k`s, so later
+/// requests meet whatever earlier ones left in the caches.
 fn assert_top_k_is_the_exact_prefix_on_every_route(
     kb: &Kb,
     rules: &RuleRepository,
@@ -307,15 +307,7 @@ fn assert_top_k_is_the_exact_prefix_on_every_route(
         }
         let engine = make();
         let mut session = ScoringSession::new();
-        let mut parallel = [1, 2, 4].map(|t| (t, ParallelScoringSession::new(t)));
-        let services = [1, 2].map(|threads| {
-            let config = ServiceConfig {
-                threads,
-                ..ServiceConfig::default()
-            };
-            let service = RankingService::with_config(make(), kb.clone(), rules.clone(), config);
-            (threads, service)
-        });
+        let service = RankingService::new(make(), kb.clone(), rules.clone());
         for docs in batches {
             let n = docs.len();
             let full = engine.score_all(&env, docs).map(rank);
@@ -328,24 +320,13 @@ fn assert_top_k_is_the_exact_prefix_on_every_route(
                     Ok(full) => Some(common::bits(&full[..k.min(full.len())])),
                     Err(_) => None,
                 };
-                let check = |route: String, got: Result<Vec<DocScore>, CoreError>| {
+                let check = |route: &str, got: Result<Vec<DocScore>, CoreError>| {
                     let got = got.ok().map(|top| common::bits(&top));
                     assert_eq!(got, want, "{name}, {route}, k = {k} of {docs:?}");
                 };
-                check("cold".into(), rank_top_k(&env, &engine, docs, k));
-                check("session".into(), session.rank_top_k(&engine, &env, docs, k));
-                for (threads, session) in &mut parallel {
-                    check(
-                        format!("parallel session, {threads} threads"),
-                        session.rank_top_k(&engine, &env, docs, k),
-                    );
-                }
-                for (threads, service) in &services {
-                    check(
-                        format!("service, {threads} threads"),
-                        service.rank(user, docs, k),
-                    );
-                }
+                check("cold", rank_top_k(&env, &engine, docs, k));
+                check("session", session.rank_top_k(&engine, &env, docs, k));
+                check("service", service.rank(user, docs, k));
             }
         }
     }
@@ -434,17 +415,13 @@ fn shelf(sigma_ab: f64, sigma_c: f64, shelf: &[(&str, Option<f64>, bool)]) -> Ca
 impl Case {
     /// Holds every route to the full ranking (see
     /// [`assert_top_k_is_the_exact_prefix_on_every_route`]), then serves
-    /// the top `k` from a fresh lineage service of `threads` and returns
-    /// it with the batch counters that one request left.
-    fn serve_top_k(&self, k: usize, threads: usize) -> (Vec<DocScore>, BatchStats) {
+    /// the top `k` from a fresh lineage service and returns it with the
+    /// batch counters that one request left.
+    fn serve_top_k(&self, k: usize) -> (Vec<DocScore>, BatchStats) {
         let batches = [self.docs.clone()];
         assert_top_k_is_the_exact_prefix_on_every_route(&self.kb, &self.rules, self.user, &batches);
-        let config = ServiceConfig {
-            threads,
-            ..ServiceConfig::default()
-        };
         let (kb, rules) = (self.kb.clone(), self.rules.clone());
-        let service = RankingService::with_config(LineageEngine::new(), kb, rules, config);
+        let service = RankingService::new(LineageEngine::new(), kb, rules);
         let top = service.rank(self.user, &self.docs, k).unwrap();
         (top, service.stats().sessions.batch)
     }
@@ -469,7 +446,7 @@ fn an_entangled_document_tying_the_kth_closed_form_score_wins_on_the_lower_id() 
         ],
     );
     let (tied, star) = (case.docs[0], case.docs[1]);
-    let (top, batch) = case.serve_top_k(2, 1);
+    let (top, batch) = case.serve_top_k(2);
     assert_eq!(
         common::bits(&top),
         [(star, 0.1875f64.to_bits()), (tied, 0.0625f64.to_bits())]
@@ -496,7 +473,7 @@ fn an_entangled_document_can_beat_every_lane_document() {
         ],
     );
     let best = case.docs[3];
-    let (top, batch) = case.serve_top_k(1, 1);
+    let (top, batch) = case.serve_top_k(1);
     assert_eq!(top.len(), 1);
     assert_eq!(top[0].doc, best);
     // ¾ · (0.9·0.9² + 0.1·0.1²)
@@ -505,9 +482,7 @@ fn an_entangled_document_can_beat_every_lane_document() {
 }
 
 /// Deferred documents whose bounds are below the k-th closed-form score
-/// are pruned before the scan evaluates anything — on the calling thread,
-/// whose scan is seeded with the closed-form answer, and on forked workers,
-/// who start from nothing but the shared floor: the request is the one
+/// are pruned before the scan evaluates anything: the request is the one
 /// closed-form sweep.
 #[test]
 fn entangled_documents_bounded_below_the_closed_form_floor_are_never_evaluated() {
@@ -525,13 +500,13 @@ fn entangled_documents_bounded_below_the_closed_form_floor_are_never_evaluated()
         ],
     );
     let lows = &case.docs[..2];
-    for (k, threads) in [(1, 1), (2, 1), (3, 1), (2, 2), (3, 4)] {
-        let (top, batch) = case.serve_top_k(k, threads);
+    for k in [1, 2, 3] {
+        let (top, batch) = case.serve_top_k(k);
         assert!(top.iter().all(|s| !lows.contains(&s.doc)), "k = {k}");
         assert_eq!(
             (batch.sweeps, batch.lanes, batch.fallbacks),
             (1, 5, 0),
-            "k = {k}, {threads} threads: deferred, bounded and skipped"
+            "k = {k}: deferred, bounded and skipped"
         );
     }
 }

@@ -128,25 +128,3 @@ fn group_ranking_over_paper_scenario() {
     // Product scores stay probabilities.
     assert!(product.iter().all(|s| (0.0..=1.0).contains(&s.score)));
 }
-
-#[test]
-fn parallel_scoring_over_generated_db() {
-    use capra::core::parallel::score_all_parallel;
-    use capra::tvtouch::generate::{generate, scaling_rules, DbConfig};
-    let mut db = generate(DbConfig::tiny());
-    let rules = scaling_rules(&mut db, 4);
-    let env = ScoringEnv {
-        kb: &db.kb,
-        rules: &rules,
-        user: db.user,
-    };
-    let seq = FactorizedEngine::new()
-        .score_all(&env, &db.programs)
-        .unwrap();
-    let par = score_all_parallel(&FactorizedEngine::new(), &env, &db.programs, 4).unwrap();
-    assert_eq!(seq.len(), par.len());
-    for (a, b) in seq.iter().zip(&par) {
-        assert_eq!(a.doc, b.doc);
-        assert!((a.score - b.score).abs() < 1e-12);
-    }
-}

@@ -26,17 +26,6 @@ const N_DOCS: usize = 4;
 const N_USERS: usize = 4;
 const N_FEATS: usize = 2;
 
-/// Random draw → snapshot-tier eviction policy, including the aggressive
-/// `MaxAge(1)` (tiers dropped after nearly every mutation) and the
-/// grow-only escape hatch.
-fn decode_policy(sel: u8) -> EvictionPolicy {
-    match sel % 3 {
-        0 => EvictionPolicy::Never,
-        1 => EvictionPolicy::MaxAge(1),
-        _ => EvictionPolicy::default(),
-    }
-}
-
 /// One step of the interleaved request sequence, decoded from raw draws.
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -95,23 +84,6 @@ fn fixture() -> (
             .unwrap();
     }
     (kb, rules, users, docs)
-}
-
-/// The cold reference: bind from scratch, score everything, rank, cut.
-fn cold_rank<E: ScoringEngine + ?Sized>(
-    engine: &E,
-    kb: &Kb,
-    rules: &RuleRepository,
-    user: capra::dl::IndividualId,
-    docs: &[capra::dl::IndividualId],
-    k: usize,
-) -> Vec<DocScore> {
-    let env = ScoringEnv { kb, rules, user };
-    let bindings = bind_rules(&env);
-    assert_eq!(bindings.len(), rules.len());
-    let mut full = rank(engine.score_all(&env, docs).unwrap());
-    full.truncate(k);
-    full
 }
 
 /// Rooms users can be in and genres documents can have (two of each).
@@ -256,16 +228,15 @@ proptest! {
     /// then on, so a view that missed the domain growing shows), a rule
     /// removed or re-defined under its name — followed by a `rank` or
     /// `rank_group` of a random tenant out of four, with and without an LRU
-    /// cap of two, sequential and pooled. Every response, engine errors
-    /// included, equals the cold bind on the snapshot it was served from,
-    /// bit for bit, on all four engines.
+    /// cap of two. Every response, engine errors included, equals the cold
+    /// bind on the snapshot it was served from, bit for bit, on all four
+    /// engines.
     #[test]
     fn footprint_validated_bindings_match_cold_bind(
         steps in prop::collection::vec(
             (any::<u8>(), 0usize..N_USERS, 0usize..N_USERS, 0.05f64..=0.95, 1usize..=N_DOCS + 1),
             6..14,
         ),
-        pooled in any::<bool>(),
         evicting in any::<bool>(),
     ) {
         let fixture = footprint_fixture();
@@ -286,7 +257,6 @@ proptest! {
                     // are re-validated rather than re-derived after an LRU
                     // eviction.
                     max_sessions: if evicting { 2 } else { N_USERS },
-                    threads: if pooled { 3 } else { 1 },
                     ..ServiceConfig::default()
                 },
             );
@@ -388,7 +358,7 @@ proptest! {
                 ServiceConfig {
                     shards,
                     max_sessions: 2,
-                    policy: decode_policy(policy_sel),
+                    policy: common::decode_policy(policy_sel),
                     ..ServiceConfig::default()
                 },
             );
@@ -409,14 +379,8 @@ proptest! {
                         shadow.assert_concept_prob(users[user], &concept, p).unwrap();
                     }
                     Op::Rank { user, k } => {
-                        let want = cold_rank(
-                            service.engine().as_ref(),
-                            &shadow,
-                            &rules,
-                            users[user],
-                            &docs,
-                            k,
-                        );
+                        let env = ScoringEnv { kb: &shadow, rules: &rules, user: users[user] };
+                        let want = common::cold_rank(service.engine().as_ref(), &env, &docs, k);
                         let got = service.rank(users[user], &docs, k).unwrap();
                         prop_assert_eq!(got.len(), k.min(docs.len()));
                         for (a, b) in want.iter().zip(&got) {
@@ -437,9 +401,9 @@ proptest! {
 
     /// The serving-layer two-route property: a lineage service absorbing
     /// an interleaved assert/rank/rank_group sequence — under LRU tenant
-    /// churn and a random snapshot eviction policy, with sequential and
-    /// pooled dispatch alike — answers every request with the test-side
-    /// factor reference on the snapshot it served, bit for bit. With
+    /// churn and a random snapshot eviction policy — answers every request
+    /// with the test-side factor reference on the snapshot it served, bit
+    /// for bit. With
     /// `entangle`, doc0's two features read one sensor: the lane test
     /// rejects doc0 alone, so exact evaluations and closed-form lanes share
     /// batches, tenants and the memo tier.
@@ -457,7 +421,6 @@ proptest! {
             1..7,
         ),
         policy_sel in any::<u8>(),
-        pooled in any::<bool>(),
         entangle in any::<bool>(),
     ) {
         let (mut kb, rules, users, docs) = fixture();
@@ -476,8 +439,7 @@ proptest! {
             rules,
             ServiceConfig {
                 max_sessions: 2,
-                policy: decode_policy(policy_sel),
-                threads: if pooled { 4 } else { 1 },
+                policy: common::decode_policy(policy_sel),
                 ..ServiceConfig::default()
             },
         );
@@ -491,8 +453,8 @@ proptest! {
                     service.assert(users[user], Fact::ConceptProb(format!("Ctx{feat}"), p)).unwrap();
                     continue;
                 }
-                // Odd draws become group requests, so the pooled member
-                // fan-out is held to the reference too.
+                // Odd draws become group requests, so the group path is
+                // held to the reference too.
                 Op::Rank { user, .. } if kind % 2 == 1 => {
                     (&users[..=user], Some(GroupStrategy::LeastMisery))
                 }
@@ -548,7 +510,7 @@ proptest! {
         let (kb, rules, users, docs) = fixture();
         let config = ServiceConfig {
             max_sessions: 2,
-            policy: decode_policy(policy_sel),
+            policy: common::decode_policy(policy_sel),
             ..ServiceConfig::default()
         };
         let batched = RankingService::with_config(

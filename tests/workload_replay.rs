@@ -6,9 +6,8 @@
 //! * **Replay**: replaying one file twice — same engine, fresh services
 //!   — produces *identical transcript hashes*, for every engine and
 //!   under randomized service configurations (tiny session caps, the
-//!   aggressive `MaxAge(1)` eviction policy, multi-threaded scoring):
-//!   caches, eviction and threading may change who pays to derive a
-//!   score, never the transcript.
+//!   aggressive `MaxAge(1)` eviction policy): caches and eviction may
+//!   change who pays to derive a score, never the transcript.
 //! * **Pins**: the tiny pack of each domain replays to a recorded
 //!   transcript hash, so a response that changes *between commits* fails
 //!   here instead of passing two self-consistent replays.
@@ -50,7 +49,7 @@ fn engine(sel: u8) -> Box<dyn ScoringEngine + Sync> {
 /// Random draw → service configuration, including the aggressive
 /// `MaxAge(1)` policy and a session cap small enough to evict tenants
 /// mid-replay.
-fn config(policy_sel: u8, sessions_sel: u8, threads_sel: u8) -> ServiceConfig {
+fn config(policy_sel: u8, sessions_sel: u8) -> ServiceConfig {
     ServiceConfig {
         policy: match policy_sel % 3 {
             0 => EvictionPolicy::Never,
@@ -58,7 +57,6 @@ fn config(policy_sel: u8, sessions_sel: u8, threads_sel: u8) -> ServiceConfig {
             _ => EvictionPolicy::default(),
         },
         max_sessions: 1 + (sessions_sel % 4) as usize,
-        threads: 1 + (threads_sel % 2) as usize,
         ..ServiceConfig::default()
     }
 }
@@ -124,7 +122,7 @@ proptest! {
     }
 
     /// Two replays of one file agree bit-for-bit, whatever engine,
-    /// eviction policy, session cap or thread count serves them — and a
+    /// eviction policy or session cap serves them — and a
     /// decode of the encoded file replays to the same transcript as the
     /// in-memory original.
     #[test]
@@ -135,13 +133,12 @@ proptest! {
         policy_a in 0u8..3,
         policy_b in 0u8..3,
         sessions in 0u8..4,
-        threads in 0u8..2,
     ) {
         let w = build(domain, seed);
         let decoded = Workload::decode(&w.encode()).unwrap();
 
         let replay = |w: &Workload, policy: u8| {
-            let svc = workload_service(engine(engine_sel), config(policy, sessions, threads), w);
+            let svc = workload_service(engine(engine_sel), config(policy, sessions), w);
             replay_workload(&svc, w).unwrap()
         };
         let a = replay(&w, policy_a);
