@@ -5,6 +5,7 @@ use std::sync::Arc;
 use capra_dl::{parse_concept, ABox, Concept, IndividualId, Reasoner, TBox, ViewCache, Vocabulary};
 use capra_events::{EventExpr, Universe, VarId};
 
+use crate::session::PlanSlot;
 use crate::Result;
 
 /// Source of process-unique knowledge-base identities (see [`Kb::id`]).
@@ -47,6 +48,9 @@ pub struct Kb {
     /// [`Kb::views`]). Tied to the identity: fresh and empty wherever `id`
     /// is fresh, shared wherever `id` is kept.
     views: Arc<ViewCache>,
+    /// The rule plans resolved along this KB's history (see [`Kb::plans`]);
+    /// tied to the identity exactly as `views` is.
+    plans: Arc<PlanSlot>,
 }
 
 impl Default for Kb {
@@ -59,6 +63,7 @@ impl Default for Kb {
             id: fresh_kb_id(),
             fresh_suffix: HashMap::new(),
             views: Arc::default(),
+            plans: Arc::default(),
         }
     }
 }
@@ -67,7 +72,7 @@ impl Clone for Kb {
     /// Clones the knowledge base under a **fresh identity** (see [`Kb::id`]):
     /// the clone can be mutated independently, so caches keyed by the
     /// original's `(id, epoch)` must not accept it — and it starts with no
-    /// derived views of its own.
+    /// derived views or rule plans of its own.
     fn clone(&self) -> Self {
         Self {
             voc: self.voc.clone(),
@@ -77,6 +82,7 @@ impl Clone for Kb {
             id: fresh_kb_id(),
             fresh_suffix: self.fresh_suffix.clone(),
             views: Arc::default(),
+            plans: Arc::default(),
         }
     }
 }
@@ -97,7 +103,8 @@ impl Kb {
     /// then observe one linear `(id, epoch)` history — exactly as if a
     /// single owned KB had been mutated in place — so every cache keyed by
     /// `(id, epoch)` or `(id, binding_epoch)` stays valid across the swap,
-    /// and the clone shares the original's derived views ([`Kb::views`]).
+    /// and the clone shares the original's derived views ([`Kb::views`]) and
+    /// rule plans ([`Kb::plans`]).
     /// Using this outside a serialized clone → mutate → publish chain forks
     /// the epoch history of one id and corrupts those caches.
     pub(crate) fn clone_for_publish(&self) -> Self {
@@ -109,6 +116,7 @@ impl Kb {
             id: self.id,
             fresh_suffix: self.fresh_suffix.clone(),
             views: Arc::clone(&self.views),
+            plans: Arc::clone(&self.plans),
         }
     }
 
@@ -237,6 +245,15 @@ impl Kb {
     /// reads a newer view.
     pub(crate) fn views(&self) -> &ViewCache {
         &self.views
+    }
+
+    /// The slot for the user-independent half of the bindings — every rule
+    /// of one repository resolved against one state of this KB — shared,
+    /// like [`Kb::views`], by every [`crate::BindingCache`] that binds
+    /// against this KB or a publish-chain successor. Binders accept what it
+    /// holds only on equality with their own KB state and rules.
+    pub(crate) fn plans(&self) -> &PlanSlot {
+        &self.plans
     }
 
     fn fresh_var(&mut self, base: &str, p: f64) -> Result<VarId> {

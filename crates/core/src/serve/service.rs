@@ -1751,6 +1751,108 @@ mod tests {
     }
 
     #[test]
+    fn tenants_share_one_plan_resolve_per_kb_state() {
+        let (kb, rules, users, docs) = fixture(50, 6);
+        let service = RankingService::new(LineageEngine::new(), kb, rules);
+        let counters = || {
+            let kb = service.kb();
+            (kb.plans().resolved(), kb.views().derived())
+        };
+        let rank_all = || {
+            for &user in &users {
+                service.rank(user, &docs, 3).unwrap();
+            }
+        };
+        rank_all();
+        assert_eq!(
+            counters(),
+            (1, 3),
+            "50 first sights: one resolve, and `Feat0`, `Feat1` and their \
+             conjunction derived once"
+        );
+        // A context switch moves the epoch and no preference table: one
+        // more resolve, however many tenants rank after it, and no view.
+        service
+            .assert(users[7], Fact::ConceptProb("Ctx0".into(), 0.9))
+            .unwrap();
+        rank_all();
+        rank_all();
+        assert_eq!(counters(), (2, 3));
+    }
+
+    #[test]
+    fn rule_edits_at_an_unchanged_epoch_re_bind_only_the_edited_rule() {
+        let (service, shoppers, products) = shop();
+        let epoch = service.kb().binding_epoch();
+        let bound = |user| {
+            let snap = service.snapshot();
+            service
+                .tenants
+                .with_session(user, |tenant| tenant.session.bind(&snap.env(user)))
+        };
+        let named = |bindings: &[Arc<crate::RuleBinding>], name: &str| {
+            Arc::clone(bindings.iter().find(|b| b.name == name).unwrap())
+        };
+        let mut held = shoppers.map(bound);
+        // Every tenant re-binds `changed` rules and is handed back the rest
+        // as they were; what it is served is the cold bind's, bit for bit.
+        let mut step = |what: &str, changed: u64, kept: &[&str]| {
+            assert_eq!(service.kb().binding_epoch(), epoch, "{what}");
+            for (user, held) in shoppers.into_iter().zip(&mut held) {
+                let delta = rank_delta(&service, user, &products).bindings;
+                let rules = service.rules().len() as u64;
+                assert_eq!(
+                    (delta.misses, delta.hits),
+                    (changed, rules - changed),
+                    "{what}"
+                );
+                let now = bound(user);
+                for name in kept {
+                    assert!(
+                        Arc::ptr_eq(&named(held, name), &named(&now, name)),
+                        "{what}: {name} is handed back as the same `Arc`"
+                    );
+                }
+                *held = now;
+                let n = products.len();
+                let want = cold_rank(&service.kb(), &service.rules(), user, &products, n);
+                let got = service.rank(user, &products, n).unwrap();
+                for (a, b) in want.iter().zip(&got) {
+                    assert_eq!((a.doc, a.score.to_bits()), (b.doc, b.score.to_bits()));
+                }
+            }
+        };
+        let resolved = service.kb().plans().resolved();
+        let gift = service.remove_rule("F-gift").unwrap();
+        let resigma = PreferenceRule {
+            sigma: Score::new(0.5).unwrap(),
+            ..gift.clone()
+        };
+        service.add_rule(resigma).unwrap();
+        step("same name, another σ", 1, &["F-bargain"]);
+        service.remove_rule("F-gift").unwrap();
+        let bargain = service.rules().get("F-bargain").unwrap().clone();
+        let reworded = PreferenceRule {
+            name: "F-gift".into(),
+            sigma: gift.sigma,
+            ..bargain
+        };
+        service.add_rule(reworded).unwrap();
+        step("same name, other concepts", 1, &["F-bargain"]);
+        let unrelated = PreferenceRule {
+            name: "F-new".into(),
+            ..gift
+        };
+        service.add_rule(unrelated).unwrap();
+        step("an unrelated rule", 1, &["F-bargain", "F-gift"]);
+        assert_eq!(
+            service.kb().plans().resolved() - resolved,
+            3,
+            "one resolve per published repository that was ranked against"
+        );
+    }
+
+    #[test]
     fn rule_updates_apply_to_subsequent_requests() {
         let (kb, rules, users, docs) = fixture(1, 6);
         let service = RankingService::new(LineageEngine::new(), kb, rules);

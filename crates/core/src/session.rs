@@ -10,14 +10,17 @@
 //! between calls:
 //!
 //! 1. **bindings** — a [`BindingCache`] holding one `Arc<RuleBinding>` per
-//!    `(user, rule)`, validated against the KB's identity, the rule's
-//!    current definition and [`crate::Kb::binding_epoch`] (one integer
-//!    compare while nothing moved). After a mutation a binding stays valid
-//!    unless the mutation touched a table in *that rule's* footprint; one
-//!    that did costs a point membership of the user, and the preference
-//!    view — which does not depend on the user — is derived once per KB
-//!    state and shared by every cache bound to that KB. A binding that
-//!    comes out unchanged is handed back as the same `Arc`;
+//!    `(user, rule)`. The half of a binding that does not depend on the
+//!    user — the rule's definition with its concepts unfolded, the stamps
+//!    of the tables behind them, the preference view — is a *rule plan*,
+//!    resolved once per `(KB state, rule set)` by the first binder after a
+//!    change and shared through the `Kb` by every cache bound to it;
+//!    accepted only on equality of the KB's identity, epochs and every
+//!    rule's definition. While a user is bound against the same plan set
+//!    nothing moved, and that is the check. Against a new one a binding
+//!    stays valid unless the mutation touched a table in *that rule's*
+//!    footprint; one that did costs a point membership of the user. A
+//!    binding that comes out unchanged is handed back as the same `Arc`;
 //! 2. **evaluation memos** — an [`crate::engines::EvalScratch`] carrying the
 //!    probability/expectation memo tables across calls, so unchanged
 //!    sub-problems answer from cache even when new documents appear;
@@ -44,16 +47,18 @@
 //! only force deterministic recomputes, never change a score; the current
 //! footprint is reported by [`SessionStats::footprint`].
 
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use capra_dl::{Concept, IndividualId, Reasoner};
-use capra_events::{BatchStats, CacheFootprint, EvictionPolicy};
+use capra_events::{BatchStats, CacheFootprint, EventExpr, EvictionPolicy};
 
 use crate::bind::RuleBinding;
 use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
 use crate::topk::rank_top_k_bound;
-use crate::{PreferenceRule, Result, ScoringEnv};
+use crate::{Kb, PreferenceRule, Result, ScoringEnv};
 
 /// Hit/miss counters of one cache layer, as returned by the `stats()`
 /// methods of [`BindingCache`] and the score cache. Counters reset to zero
@@ -163,147 +168,269 @@ impl std::iter::Sum for SessionStats {
     }
 }
 
-/// One cached rule binding plus everything needed to decide its staleness.
-/// The rule's name and σ are the binding's own.
-struct CacheEntry {
-    /// `Kb::id` of the KB the binding was derived from.
-    kb_id: u64,
-    /// `Kb::binding_epoch` the binding was last found current at. While the
-    /// KB still reports it nothing moved, and that compare is the check.
-    epoch: u64,
-    /// The rule definition the binding reflects. Compared on lookup so a
-    /// repository whose rule was removed and re-added under the same name
-    /// (different concepts or σ) can never be served a stale binding.
+/// A derived concept view: membership event per instance.
+type View = BTreeMap<IndividualId, EventExpr>;
+
+/// The half of a rule's binding that is the same whoever asks and whatever
+/// the ABox holds: the rule as its repository states it, and its two
+/// concepts with every defined name expanded — what the reasoner is asked,
+/// and whose ABox footprint says whether a binding's inputs moved. Built
+/// once per `(KB, terminology, rule definition)` and handed on from one
+/// [`PlanSet`] to the next, so holders compare definitions by pointer.
+struct RuleDef {
+    name: String,
+    sigma: f64,
     context: Concept,
     preference: Concept,
-    /// `TBox::epoch` the two concepts below were unfolded at.
-    tbox_epoch: u64,
-    /// The rule's concepts with every defined name expanded: what the
-    /// reasoner is asked, and — once the epoch has moved — whose ABox
-    /// footprint says whether this binding's inputs did.
     context_unfolded: Concept,
     preference_unfolded: Concept,
-    /// [`capra_dl::ABox::stamp`] of each at derivation time.
+}
+
+impl RuleDef {
+    fn unfold(kb: &Kb, rule: &PreferenceRule) -> RuleDef {
+        RuleDef {
+            name: rule.name.clone(),
+            sigma: rule.sigma.get(),
+            context: rule.context.clone(),
+            preference: rule.preference.clone(),
+            context_unfolded: kb.tbox.unfold(&rule.context),
+            preference_unfolded: kb.tbox.unfold(&rule.preference),
+        }
+    }
+
+    /// Whether this is `rule` as its repository states it now. A rule
+    /// removed and re-added under the same name with another σ or other
+    /// concepts is a different rule.
+    fn states(&self, rule: &PreferenceRule) -> bool {
+        self.name == rule.name
+            && self.sigma == rule.sigma.get()
+            && self.context == rule.context
+            && self.preference == rule.preference
+    }
+}
+
+/// One rule resolved against one KB state: everything of its binding but
+/// the user's context event.
+struct RulePlan {
+    def: Arc<RuleDef>,
+    /// [`capra_dl::ABox::stamp`] of the unfolded context and preference.
     context_stamp: u64,
     preference_stamp: u64,
+    /// The preference view at `preference_stamp`, from the KB's shared
+    /// views.
+    view: Arc<View>,
+}
+
+/// Every rule of one repository resolved against one KB state, in
+/// repository order — shared by all who bind that repository at that state.
+struct PlanSet {
+    /// `Kb::id` and `TBox::epoch` every definition in `plans` was unfolded
+    /// at. A clone's terminology can differ at an equal epoch, hence both.
+    kb_id: u64,
+    tbox_epoch: u64,
+    binding_epoch: u64,
+    plans: Vec<RulePlan>,
+}
+
+impl PlanSet {
+    /// Whether the set is what [`PlanSet::resolve`] builds for `env`,
+    /// decided by **equality** and never by order: same KB, same binding
+    /// and TBox epochs, and rule for rule the definitions `env.rules`
+    /// holds now. Rules live outside the KB — a repository can change, or
+    /// another one come along, at an unchanged epoch — so no epoch vouches
+    /// for them.
+    fn accepts(&self, env: &ScoringEnv<'_>) -> bool {
+        let rules = env.rules.rules();
+        self.kb_id == env.kb.id()
+            && self.binding_epoch == env.kb.binding_epoch()
+            && self.tbox_epoch == env.kb.tbox.epoch()
+            && self.plans.len() == rules.len()
+            && self.plans.iter().zip(rules).all(|(p, r)| p.def.states(r))
+    }
+
+    /// Resolves `env.rules` against `env.kb`, carrying over from `previous`
+    /// (an earlier or later set of the same KB history) what still holds:
+    /// a definition — found by name — while the rule and the terminology
+    /// are what they were, and its preference view while the stamp of the
+    /// tables behind it is. Only a view whose stamp moved is asked of the
+    /// KB's shared views, which derive it once for everybody.
+    fn resolve(env: &ScoringEnv<'_>, previous: Option<&PlanSet>) -> PlanSet {
+        let kb = env.kb;
+        let tbox_epoch = kb.tbox.epoch();
+        let reasoner = Reasoner::with_views(&kb.abox, kb.views());
+        let unfolded = previous
+            .filter(|set| set.kb_id == kb.id() && set.tbox_epoch == tbox_epoch)
+            .map_or(&[][..], |set| &set.plans);
+        let plan = |(i, rule): (usize, &PreferenceRule)| {
+            let named = |p: &&RulePlan| p.def.name == rule.name;
+            let kept = unfolded
+                .get(i)
+                .filter(named)
+                .or_else(|| unfolded.iter().find(named))
+                .filter(|p| p.def.states(rule));
+            let def = match kept {
+                Some(p) => Arc::clone(&p.def),
+                None => Arc::new(RuleDef::unfold(kb, rule)),
+            };
+            let preference_stamp = kb.abox.stamp(&def.preference_unfolded);
+            let view = match kept {
+                Some(p) if p.preference_stamp == preference_stamp => Arc::clone(&p.view),
+                _ => reasoner.instances_shared(&def.preference_unfolded),
+            };
+            RulePlan {
+                context_stamp: kb.abox.stamp(&def.context_unfolded),
+                preference_stamp,
+                view,
+                def,
+            }
+        };
+        PlanSet {
+            kb_id: kb.id(),
+            binding_epoch: kb.binding_epoch(),
+            tbox_epoch,
+            plans: env.rules.rules().iter().enumerate().map(plan).collect(),
+        }
+    }
+
+    /// The set to bind `env` against: the binder's `own` from its last bind
+    /// or the KB's published one if either [`PlanSet::accepts`] `env`, else
+    /// one resolved here — outside the slot's lock — and offered to the
+    /// slot.
+    fn current(env: &ScoringEnv<'_>, own: Option<&Arc<PlanSet>>) -> Arc<PlanSet> {
+        if let Some(own) = own.filter(|set| set.accepts(env)) {
+            return Arc::clone(own);
+        }
+        let slot = env.kb.plans();
+        let held = slot.lock().clone();
+        if let Some(held) = held.as_ref().filter(|set| set.accepts(env)) {
+            return Arc::clone(held);
+        }
+        let resolved = Arc::new(PlanSet::resolve(env, held.as_deref()));
+        slot.publish(env, resolved)
+    }
+}
+
+/// The latest [`PlanSet`] resolved along one KB's `(id, epoch)` history.
+/// It hangs off the `Kb` exactly as its `ViewCache` does: fresh and empty
+/// wherever the identity is fresh, shared along a publish chain.
+///
+/// One slot, not one per repository: a service has one rule set at a time,
+/// and two repositories alternating on one `Kb` merely re-resolve.
+#[derive(Default)]
+pub(crate) struct PlanSlot {
+    latest: Mutex<Option<Arc<PlanSet>>>,
+    resolved: AtomicU64,
+}
+
+impl PlanSlot {
+    /// Sets resolved (rather than found) through this slot so far.
+    #[cfg(test)]
+    pub(crate) fn resolved(&self) -> u64 {
+        self.resolved.load(Ordering::Relaxed)
+    }
+
+    /// A leaf lock: held to read or swap the `Arc`, never while resolving.
+    fn lock(&self) -> MutexGuard<'_, Option<Arc<PlanSet>>> {
+        // The `Arc` is replaced whole, so the slot is valid at every step.
+        self.latest.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Offers a set freshly resolved for `env` and returns the one to use:
+    /// the slot's if a racing binder published the same first (so everyone
+    /// at one state compares the same definition `Arc`s), `set` otherwise.
+    /// A binder on an older snapshot keeps its set to itself instead of
+    /// evicting the newer.
+    fn publish(&self, env: &ScoringEnv<'_>, set: Arc<PlanSet>) -> Arc<PlanSet> {
+        self.resolved.fetch_add(1, Ordering::Relaxed);
+        let mut latest = self.lock();
+        match latest.as_ref() {
+            Some(held) if held.accepts(env) => return Arc::clone(held),
+            Some(held) if held.binding_epoch > set.binding_epoch => {}
+            _ => *latest = Some(Arc::clone(&set)),
+        }
+        set
+    }
+}
+
+impl fmt::Debug for PlanSlot {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("PlanSlot")
+            .field("resolved", &self.resolved.load(Ordering::Relaxed))
+            .finish_non_exhaustive()
+    }
+}
+
+/// One user's binding of one rule, and what it was derived from.
+struct CacheEntry {
+    /// The rule definition the binding reflects; the name and σ are its.
+    def: Arc<RuleDef>,
+    /// [`capra_dl::ABox::stamp`] of the unfolded context when the user's
+    /// context event was looked up. (The preference's counterpart is the
+    /// view `Arc` inside `binding`.)
+    context_stamp: u64,
     binding: Arc<RuleBinding>,
 }
 
 impl CacheEntry {
-    /// Whether the entry was derived from `rule`'s current concepts.
-    fn reads(&self, rule: &PreferenceRule) -> bool {
-        self.context == rule.context && self.preference == rule.preference
-    }
-
-    /// Whether the cached binding is what `env` derives for `rule`, decided
-    /// without deriving anything: same KB and definition, and either no
-    /// binding-relevant mutation at all since the last check (one integer)
-    /// or none to the tables and terminology this rule reads.
-    fn is_current(&self, env: &ScoringEnv<'_>, rule: &PreferenceRule) -> bool {
-        let kb = env.kb;
-        self.kb_id == kb.id()
-            && self.binding.sigma == rule.sigma.get()
-            && self.reads(rule)
-            && (self.epoch == kb.binding_epoch()
-                || (self.tbox_epoch == kb.tbox.epoch()
-                    && self.context_stamp == kb.abox.stamp(&self.context_unfolded)
-                    && self.preference_stamp == kb.abox.stamp(&self.preference_unfolded)))
-    }
-
-    /// Derives `rule`'s entry: the user's context event by point membership,
-    /// the preference view from the KB's shared views. When that leaves
-    /// `previous`'s binding as it was — the same hash-consed context event,
-    /// the same view `Arc`, the same σ — the entry carries the **same**
-    /// `Arc<RuleBinding>`, so pointer-keyed score caches stay warm across a
-    /// mutation that reached this rule's tables but not this user's rows.
-    fn derive(
-        env: &ScoringEnv<'_>,
-        rule: &PreferenceRule,
-        reasoner: &Reasoner<'_>,
-        previous: Option<&CacheEntry>,
-    ) -> CacheEntry {
-        let kb = env.kb;
-        let tbox_epoch = kb.tbox.epoch();
-        let (context_unfolded, preference_unfolded) = match previous {
-            Some(p) if p.kb_id == kb.id() && p.tbox_epoch == tbox_epoch && p.reads(rule) => {
-                (p.context_unfolded.clone(), p.preference_unfolded.clone())
-            }
-            _ => (
-                kb.tbox.unfold(&rule.context),
-                kb.tbox.unfold(&rule.preference),
-            ),
-        };
-        let context_event = reasoner.membership(env.user, &context_unfolded);
-        let preference_events = reasoner.instances_shared(&preference_unfolded);
-        let sigma = rule.sigma.get();
-        let binding = match previous {
-            Some(p)
-                if p.binding.sigma == sigma
-                    && p.binding.context_event == context_event
-                    && Arc::ptr_eq(&p.binding.preference_events, &preference_events) =>
-            {
-                Arc::clone(&p.binding)
-            }
-            _ => Arc::new(RuleBinding {
-                name: rule.name.clone(),
-                context_event,
-                preference_events,
-                sigma,
-            }),
-        };
-        CacheEntry {
-            kb_id: kb.id(),
-            epoch: kb.binding_epoch(),
-            context: rule.context.clone(),
-            preference: rule.preference.clone(),
-            tbox_epoch,
-            context_stamp: kb.abox.stamp(&context_unfolded),
-            preference_stamp: kb.abox.stamp(&preference_unfolded),
-            context_unfolded,
-            preference_unfolded,
-            binding,
-        }
+    /// Whether the binding is what `plan` and the user's rows derive,
+    /// decided without deriving anything: the same definition, and neither
+    /// the context's tables nor the preference view moved.
+    fn is_current(&self, plan: &RulePlan) -> bool {
+        Arc::ptr_eq(&self.def, &plan.def)
+            && self.context_stamp == plan.context_stamp
+            && Arc::ptr_eq(&self.binding.preference_events, &plan.view)
     }
 }
 
-/// Where `name`'s entry sits in `slots`: slot `i` in the steady state (one
-/// short string compare), anywhere after a rule was added or removed.
-fn find_slot(slots: &[CacheEntry], i: usize, name: &str) -> Option<usize> {
-    let named = |e: &CacheEntry| e.binding.name == name;
-    if slots.get(i).is_some_and(named) {
+/// One user's bindings: an entry per rule in repository order, and the plan
+/// set they were last bound against.
+#[derive(Default)]
+struct UserBindings {
+    set: Option<Arc<PlanSet>>,
+    entries: Vec<CacheEntry>,
+}
+
+/// Where `def`'s rule has its entry in `entries`: at `i` in the steady state
+/// (one pointer compare), anywhere — by name — after a rule was added,
+/// removed or redefined.
+fn find_entry(entries: &[CacheEntry], i: usize, def: &Arc<RuleDef>) -> Option<usize> {
+    if entries.get(i).is_some_and(|e| Arc::ptr_eq(&e.def, def)) {
         Some(i)
     } else {
-        slots.iter().position(named)
+        entries.iter().position(|e| e.def.name == def.name)
     }
 }
 
-/// A reasoner that reads and feeds the views shared along `env.kb`'s
-/// history. It has no TBox; [`CacheEntry::derive`] hands it unfolded
-/// concepts.
-fn view_reasoner<'a>(env: &ScoringEnv<'a>) -> Reasoner<'a> {
-    Reasoner::with_views(&env.kb.abox, env.kb.views())
-}
-
-/// A cache of [`RuleBinding`]s per user, one slot per rule in repository
-/// order, validated by `(KB identity, rule definition)` and then by what
-/// the rule *reads*.
+/// A cache of [`RuleBinding`]s per user, one entry per rule in repository
+/// order.
 ///
-/// While [`crate::Kb::binding_epoch`] is what it was at the last check, a
-/// probe is that one integer compare (plus a pointer-cheap compare of the
-/// rule's concepts); universe-only declarations never move it. Once it has
-/// moved, a binding is still current if the ABox tables in its TBox-unfolded
-/// footprint — and the closed-world domain, under `TOP`/`NOT`/`FORALL`/
-/// nominals — are at the versions it was derived from
-/// ([`capra_dl::ABox::stamp`]). Otherwise it is re-derived, cheaply: the
-/// context event is a point membership of this user, the preference view is
-/// derived once per KB state and shared by every cache bound to that KB. A
-/// re-derivation that comes out unchanged hands back the same `Arc`.
+/// A binding has two halves. What does not depend on the user — the rule's
+/// definition with its concepts unfolded, the [`capra_dl::ABox::stamp`]s of
+/// their footprints and the preference view — is a *rule plan*, resolved
+/// once per `(KB state, rule set)` by the first binder after a change and
+/// published on the `Kb` for every cache that binds against it (or against
+/// its publish-chain successors). A plan set is accepted only on equality
+/// of the KB's identity, its binding and TBox epochs and every rule's
+/// definition, so a binder on an older snapshot resolves its own and
+/// neither takes nor displaces the newer. What does depend on the user is
+/// kept here: per rule the definition `Arc` it was bound under, the
+/// context's stamp and the `Arc<RuleBinding>`.
+///
+/// A bind against the set the user was last bound against is that one
+/// check: nothing moved ([`crate::Kb::binding_epoch`] stands still under
+/// universe-only declarations). Against another set, a rule's binding is
+/// current if its definition `Arc`, context stamp and view `Arc` are the
+/// plan's — a mutation moves only those of the rules whose tables (or,
+/// under `TOP`/`NOT`/`FORALL`/nominals, the closed-world domain) it
+/// touched. Otherwise the context event is looked up again, a point
+/// membership of this user, and a binding that comes out unchanged is handed
+/// back as the same `Arc`.
 ///
 /// [`CacheStats::misses`] counts bindings that *changed* (first sight
 /// included); everything handed back as it was is a hit.
 #[derive(Default)]
 pub struct BindingCache {
-    entries: HashMap<IndividualId, Vec<CacheEntry>>,
+    users: HashMap<IndividualId, UserBindings>,
     hits: u64,
     misses: u64,
 }
@@ -325,7 +452,7 @@ impl BindingCache {
 
     /// Number of cached bindings (including stale ones not yet refreshed).
     pub fn len(&self) -> usize {
-        self.entries.values().map(Vec::len).sum()
+        self.users.values().map(|u| u.entries.len()).sum()
     }
 
     /// True if nothing is cached.
@@ -340,42 +467,71 @@ impl BindingCache {
     }
 
     /// Binds every rule in the environment, serving unchanged rules from the
-    /// cache and re-deriving the rest with one shared reasoner. Returns one
-    /// binding per rule, in repository order — the same contract as
-    /// [`crate::bind_rules_shared`], with which the result is bit-identical.
+    /// cache and looking the user's context event up again for the rest.
+    /// Returns one binding per rule, in repository order — the same contract
+    /// as [`crate::bind_rules_shared`], with which the result is
+    /// bit-identical.
     pub fn bind(&mut self, env: &ScoringEnv<'_>) -> Vec<Arc<RuleBinding>> {
-        let slots = self.entries.entry(env.user).or_default();
-        let reasoner = view_reasoner(env);
-        let rules = env.rules.rules();
-        let mut out = Vec::with_capacity(rules.len());
-        for (i, rule) in rules.iter().enumerate() {
-            // Slots `..i` hold the (uniquely named) rules before this one,
+        let user = self.users.entry(env.user).or_default();
+        let set = PlanSet::current(env, user.set.as_ref());
+        let entries = &mut user.entries;
+        if user.set.as_ref().is_some_and(|own| Arc::ptr_eq(own, &set)) {
+            self.hits += entries.len() as u64;
+            return entries.iter().map(|e| Arc::clone(&e.binding)).collect();
+        }
+        // Membership walks the user's own rows: no view, hence no TBox
+        // (the plans' concepts are unfolded) and no shared views.
+        let reasoner = Reasoner::new(&env.kb.abox);
+        let mut out = Vec::with_capacity(set.plans.len());
+        for (i, plan) in set.plans.iter().enumerate() {
+            // Entries `..i` hold the (uniquely named) rules before this one,
             // so a hit is at `i` or later and moving it here displaces
             // nothing that is in place.
-            let found = find_slot(slots, i, &rule.name);
+            let found = find_entry(entries, i, &plan.def);
             if let Some(at) = found {
-                slots.swap(i, at);
+                entries.swap(i, at);
             }
-            let previous = found.map(|_| &slots[i]);
-            if previous.is_some_and(|p| p.is_current(env, rule)) {
-                slots[i].epoch = env.kb.binding_epoch();
+            let previous = found.map(|_| &entries[i]);
+            if previous.is_some_and(|p| p.is_current(plan)) {
                 self.hits += 1;
             } else {
-                let entry = CacheEntry::derive(env, rule, &reasoner, previous);
-                if previous.is_some_and(|p| Arc::ptr_eq(&p.binding, &entry.binding)) {
-                    self.hits += 1;
-                } else {
-                    self.misses += 1;
-                }
+                let def = &plan.def;
+                let context_event = reasoner.membership(env.user, &def.context_unfolded);
+                let unchanged = previous.map(|p| &p.binding).filter(|b| {
+                    b.sigma == def.sigma
+                        && b.context_event == context_event
+                        && Arc::ptr_eq(&b.preference_events, &plan.view)
+                });
+                let binding = match unchanged {
+                    Some(binding) => {
+                        self.hits += 1;
+                        Arc::clone(binding)
+                    }
+                    None => {
+                        self.misses += 1;
+                        Arc::new(RuleBinding {
+                            name: def.name.clone(),
+                            context_event,
+                            preference_events: Arc::clone(&plan.view),
+                            sigma: def.sigma,
+                        })
+                    }
+                };
+                let entry = CacheEntry {
+                    def: Arc::clone(def),
+                    context_stamp: plan.context_stamp,
+                    binding,
+                };
                 match found {
-                    Some(_) => slots[i] = entry,
-                    None => slots.insert(i, entry),
+                    Some(_) => entries[i] = entry,
+                    None => entries.insert(i, entry),
                 }
             }
-            out.push(Arc::clone(&slots[i].binding));
+            out.push(Arc::clone(&entries[i].binding));
         }
         // Whatever is left belongs to rules no longer in the repository.
-        slots.truncate(rules.len());
+        entries.truncate(set.plans.len());
+        user.set = Some(set);
         out
     }
 }
@@ -976,6 +1132,11 @@ mod tests {
         );
         assert_matches_cold(&after, &env_of(&kb, &rules, user));
         assert!(Arc::ptr_eq(&before[0], &after[0]) && Arc::ptr_eq(&before[1], &after[1]));
+        assert_eq!(
+            (cache.stats(), kb.plans().resolved()),
+            (CacheStats { hits: 2, misses: 4 }, 2),
+            "one resolve for the new terminology; only R3 names `Lazy`"
+        );
         // …and follows the body's tables from here on.
         kb.assert_concept_prob(user, "Breakfast", 0.4).unwrap();
         assert_matches_cold(
@@ -1029,6 +1190,158 @@ mod tests {
             &behind.bind(&env_of(&old, &rules, user)),
             &env_of(&old, &rules, user),
         );
+    }
+
+    /// The plan set the KB's slot holds.
+    fn published(kb: &Kb) -> Option<Arc<PlanSet>> {
+        kb.plans().lock().clone()
+    }
+
+    #[test]
+    fn a_reader_on_an_older_snapshot_neither_takes_nor_evicts_the_newer_plans() {
+        let (old, rules, user, docs) = fixture();
+        let mut new = old.clone_for_publish();
+        new.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
+        let mut ahead = BindingCache::new();
+        let newest = ahead.bind(&env_of(&new, &rules, user));
+        let held = published(&new).expect("the first binder publishes");
+        // A tenant still pinned on the old snapshot resolves its own…
+        let mut behind = BindingCache::new();
+        assert_matches_cold(
+            &behind.bind(&env_of(&old, &rules, user)),
+            &env_of(&old, &rules, user),
+        );
+        assert_eq!(old.plans().resolved(), 2);
+        assert!(
+            Arc::ptr_eq(&held, &published(&old).unwrap()),
+            "…and leaves the newer set where it is"
+        );
+        // …once: it keeps what it resolved for as long as it stays there.
+        behind.bind(&env_of(&old, &rules, user));
+        assert_eq!(behind.stats(), CacheStats { hits: 2, misses: 2 });
+        // A late arrival on the successor takes the published set as it is,
+        // and so does the straggler when it moves on.
+        let mut late = BindingCache::new();
+        for cache in [&mut late, &mut behind] {
+            let got = cache.bind(&env_of(&new, &rules, user));
+            for (a, b) in newest.iter().zip(&got) {
+                assert_eq!(a.context_event, b.context_event);
+                assert!(Arc::ptr_eq(&a.preference_events, &b.preference_events));
+            }
+        }
+        assert_eq!(new.plans().resolved(), 2);
+        assert!(Arc::ptr_eq(&held, &published(&new).unwrap()));
+    }
+
+    #[test]
+    fn first_sights_at_one_state_share_one_resolve() {
+        let (mut kb, rules, _, docs) = fixture();
+        let users: Vec<IndividualId> = (0..50)
+            .map(|i| {
+                let u = kb.individual(&format!("u{i}"));
+                kb.assert_concept_prob(u, "Breakfast", 0.5).unwrap();
+                u
+            })
+            .collect();
+        let mut tenants: Vec<BindingCache> = users.iter().map(|_| BindingCache::new()).collect();
+        let mut bind_all = |kb: &Kb| {
+            for (cache, &u) in tenants.iter_mut().zip(&users) {
+                assert_matches_cold(&cache.bind(&env_of(kb, &rules, u)), &env_of(kb, &rules, u));
+            }
+        };
+        bind_all(&kb);
+        assert_eq!(kb.plans().resolved(), 1, "the first binder's");
+        assert_eq!(
+            kb.views().derived(),
+            4,
+            "`TvProgram`, `Nice`, their conjunction and `News`, once"
+        );
+        // One assert: one more resolve, however many rank after it, and
+        // only the views over the table it touched are derived again.
+        kb.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
+        bind_all(&kb);
+        bind_all(&kb);
+        assert_eq!((kb.plans().resolved(), kb.views().derived()), (2, 6));
+        let misses: u64 = tenants.iter().map(|t| t.stats().misses).sum();
+        assert_eq!(misses, 50 * 3, "first sight of two rules, then R1's view");
+    }
+
+    #[test]
+    fn two_repositories_alternating_on_one_kb_bind_what_a_cold_bind_does() {
+        let (kb, rules, user, docs) = fixture();
+        // `R1` under the same name with other concepts, and a rule of its own.
+        let mut other = RuleRepository::new();
+        for (name, context, preference) in [("R1", "Breakfast", "Nice"), ("R9", "Weekend", "News")]
+        {
+            other
+                .add(PreferenceRule::new(
+                    name,
+                    Concept::atomic(kb.voc.find_concept(context).unwrap()),
+                    Concept::atomic(kb.voc.find_concept(preference).unwrap()),
+                    Score::new(0.3).unwrap(),
+                ))
+                .unwrap();
+        }
+        let engine = LineageEngine::new();
+        // One session serving both owners thrashes the KB's single slot;
+        // one session per owner keeps what it resolved.
+        let mut both = ScoringSession::new();
+        let mut own = [ScoringSession::new(), ScoringSession::new()];
+        for round in 0..3 {
+            for (repository, own) in [&rules, &other].into_iter().zip(&mut own) {
+                let env = env_of(&kb, repository, user);
+                let want = engine.score_all(&env, &docs).unwrap();
+                for session in [&mut both, &mut *own] {
+                    assert_matches_cold(&session.core.bind(&env), &env);
+                    let got = session.score_all(&engine, &env, &docs).unwrap();
+                    for (a, b) in want.iter().zip(&got) {
+                        assert_eq!((a.doc, a.score.to_bits()), (b.doc, b.score.to_bits()));
+                    }
+                }
+                if round > 0 {
+                    assert_eq!(own.stats().bindings.misses, 2, "nothing re-bound");
+                }
+            }
+        }
+        assert_eq!(
+            both.stats().bindings.misses,
+            2 + 5 * 2,
+            "every switch re-binds"
+        );
+    }
+
+    #[test]
+    fn a_diverged_clone_at_an_equal_epoch_starts_with_no_plans() {
+        let (mut kb, mut rules, user, _) = fixture();
+        rules
+            .add(PreferenceRule::new(
+                "R3",
+                kb.parse("Lazy").unwrap(),
+                kb.parse("News").unwrap(),
+                Score::new(0.5).unwrap(),
+            ))
+            .unwrap();
+        let mut cache = BindingCache::new();
+        cache.bind(&env_of(&kb, &rules, user));
+        let mut fork = kb.clone();
+        assert!(published(&kb).is_some() && published(&fork).is_none());
+        // The two terminologies part ways at one and the same epoch.
+        let lazy = kb.voc.concept("Lazy");
+        for (kb, body) in [(&mut kb, "Breakfast"), (&mut fork, "Weekend")] {
+            let body = kb.parse(body).unwrap();
+            kb.tbox.define(lazy, body, &kb.voc).unwrap();
+        }
+        assert_eq!(
+            (fork.binding_epoch(), fork.tbox.epoch()),
+            (kb.binding_epoch(), kb.tbox.epoch())
+        );
+        for kb in [&kb, &fork, &kb, &fork] {
+            assert_matches_cold(
+                &cache.bind(&env_of(kb, &rules, user)),
+                &env_of(kb, &rules, user),
+            );
+        }
+        assert_eq!((kb.plans().resolved(), fork.plans().resolved()), (2, 1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Concurrency coverage: a shared `&RankingService` under real thread
 //! interleavings must stay bit-identical to a sequential replay.
 //!
-//! Three angles, each across all four engines with randomized shard
+//! Four angles, each across all four engines with randomized shard
 //! counts and snapshot-tier eviction policies:
 //!
 //! * **Disjoint tenants** — threads own distinct users and mutate only
@@ -13,6 +13,11 @@
 //!   sums in universe-variable order, which is the global commit order,
 //!   so the oracle must share the concurrent run's universe — a
 //!   per-thread replay can drift in the last ulp by design.)
+//! * **First-sight storm** — threads of never-seen users rank while a
+//!   writer moves contexts and the catalog, so binders race to resolve
+//!   the rule plans of each new KB state (the loser adopts the winner's).
+//!   After the join every stranger ranks as on the cold twin and, rule by
+//!   rule, all of them hold one preference view `Arc`.
 //! * **Overlapping tenants** — threads race asserts on *shared* users
 //!   and documents against a durable service. The WAL records the
 //!   committed order, so `open_durable` on the same directory *is* the
@@ -28,10 +33,12 @@
 //! takes `&self`. Set `CAPRA_STRESS_ITERS` to repeat the interleaving
 //! with fresh seeds (CI runs a multi-iteration pass).
 
+use capra::core::BindingCache;
 use capra::dl::IndividualId;
 use capra::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier};
 use std::thread;
 
 const N_USERS: usize = 4;
@@ -270,6 +277,95 @@ fn disjoint_tenants_converge_to_the_cold_oracle() {
                 service.shard_lock_counts().iter().sum::<u64>(),
                 "{name}: aggregate equals the per-shard breakdown"
             );
+        }
+    }
+}
+
+/// First-sight storm: readers rank users the service has never seen —
+/// and, the session cap being below the thread count, keeps forgetting —
+/// while a writer asserts contexts and catalog facts, so every publish
+/// has several tenants racing to resolve the new state's rule plans.
+/// Whoever wins, the end state is the cold twin's, and at the final state
+/// all tenants bind one and the same preference view per rule.
+#[test]
+fn a_first_sight_storm_converges_on_one_plan_per_state() {
+    const READERS: usize = 3;
+    const STRANGERS_PER_READER: usize = 8;
+    for iter in 0..stress_iters() {
+        for (name, engine) in engines() {
+            let seed = 0x51a7 ^ (iter << 8) ^ name.len() as u64;
+            let (mut kb, rules, users, docs) = fixture();
+            let strangers: Vec<_> = (0..READERS * STRANGERS_PER_READER)
+                .map(|s| {
+                    let stranger = kb.individual(&format!("stranger{s}"));
+                    kb.assert_concept_prob(stranger, &format!("Ctx{}", s % 2), 0.5)
+                        .unwrap();
+                    stranger
+                })
+                .collect();
+            let service = RankingService::with_config(engine, kb, rules, config(seed));
+
+            // The barrier starts readers and writer together; from there
+            // the interleaving is the scheduler's (and CI's repeats').
+            let start = Barrier::new(READERS + 1);
+            thread::scope(|scope| {
+                for mine in strangers.chunks(STRANGERS_PER_READER) {
+                    let (service, docs, start) = (&service, &docs, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for round in 0..3 {
+                            for &stranger in mine {
+                                let k = 1 + (round + stranger.index()) % N_DOCS;
+                                let got = service.rank(stranger, docs, k).unwrap();
+                                assert_eq!(got.len(), k);
+                            }
+                        }
+                    });
+                }
+                let (service, start) = (&service, &start);
+                let (users, docs) = (&users, &docs);
+                scope.spawn(move || {
+                    let mut rng = Rng::new(seed);
+                    start.wait();
+                    for _ in 0..OPS_PER_THREAD {
+                        let (subject, table) = match rng.below(3) {
+                            0 => (docs[rng.below(N_DOCS)], "Feat"),
+                            _ => (users[rng.below(N_USERS)], "Ctx"),
+                        };
+                        let concept = format!("{table}{}", rng.below(N_FEATS));
+                        service
+                            .assert(subject, Fact::ConceptProb(concept, rng.prob()))
+                            .unwrap();
+                    }
+                });
+            });
+
+            let twin = cold_twin(name, &service, seed);
+            for (i, &s) in strangers.iter().enumerate() {
+                let want = twin.rank(s, &docs, N_DOCS).unwrap();
+                let got = service.rank(s, &docs, N_DOCS).unwrap();
+                assert_same_ranks(&format!("{name} seed {seed} stranger {i}"), &want, &got);
+            }
+            let snap = service.snapshot();
+            let bound: Vec<_> = strangers
+                .iter()
+                .map(|&user| {
+                    BindingCache::new().bind(&ScoringEnv {
+                        kb: snap.kb(),
+                        rules: snap.rules(),
+                        user,
+                    })
+                })
+                .collect();
+            for bindings in &bound[1..] {
+                for (a, b) in bound[0].iter().zip(bindings) {
+                    assert!(
+                        Arc::ptr_eq(&a.preference_events, &b.preference_events),
+                        "{name} seed {seed}: one view of {} for every tenant",
+                        a.name
+                    );
+                }
+            }
         }
     }
 }
