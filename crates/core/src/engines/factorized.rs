@@ -5,7 +5,7 @@ use capra_dl::IndividualId;
 use capra_events::{BatchEvaluator, EventExpr, VarId};
 
 use crate::bind::RuleBinding;
-use crate::engines::{DocScore, EvalScratch, LaneOrder, ScoringEngine};
+use crate::engines::{Cell, DocScore, EvalScratch, ScoringEngine};
 use crate::{CoreError, Result, ScoringEnv};
 
 /// What to do when rule events share random variables (i.e. features are
@@ -87,32 +87,30 @@ impl FactorizedEngine {
         Ok(owner)
     }
 
-    /// Verifies that no variable backs two different rule events for `doc`.
+    /// Verifies that no variable backs two different rule events of the
+    /// document whose feature row is `row`.
     /// Context–context conflicts were ruled out by [`Self::context_owners`];
     /// here a preference variable conflicts if it appears in *any* context
     /// event (context and preference of one rule are distinct events whose
     /// independence also matters) or in another rule's preference event.
     /// Supports come from the per-node caches — no tree walks.
     fn check_doc_independence(
-        bindings: &[Arc<RuleBinding>],
-        doc: IndividualId,
+        row: &[Cell],
         ctx_owner: &HashMap<VarId, usize>,
         scratch: &mut HashMap<VarId, usize>,
         kb: &crate::Kb,
     ) -> Result<()> {
         scratch.clear();
-        for (slot, binding) in bindings.iter().enumerate() {
-            let Some(event) = binding.preference_events.get(&doc) else {
-                continue; // absent ⇒ event False ⇒ empty support
-            };
-            for &var in event.support_slice() {
+        // A rule without a cell has the event `False`: empty support.
+        for cell in row {
+            for &var in cell.event.support_slice() {
                 if ctx_owner.contains_key(&var) {
                     return Err(Self::correlated(kb, var));
                 }
                 match scratch.get(&var) {
-                    Some(&prev) if prev != slot => return Err(Self::correlated(kb, var)),
+                    Some(&prev) if prev != cell.rule => return Err(Self::correlated(kb, var)),
                     _ => {
-                        scratch.insert(var, slot);
+                        scratch.insert(var, cell.rule);
                     }
                 }
             }
@@ -178,11 +176,12 @@ impl ScoringEngine for FactorizedEngine {
         if let CorrelationPolicy::Error = self.on_correlation {
             let ctx_owner = Self::context_owners(bindings, env.kb)?;
             if Self::preference_screen_suspicious(bindings, &ctx_owner) {
+                let set = env.kb.rows().set_for(env.kb, bindings);
+                let rows = set.rows(bindings, docs);
                 let mut owner_scratch: HashMap<VarId, usize> = HashMap::new();
-                for &doc in docs {
+                for slot in 0..docs.len() {
                     Self::check_doc_independence(
-                        bindings,
-                        doc,
+                        rows.row(slot),
                         &ctx_owner,
                         &mut owner_scratch,
                         env.kb,
@@ -204,20 +203,23 @@ impl ScoringEngine for FactorizedEngine {
             return Ok(Vec::new());
         }
         scratch.ensure_kb(env.kb);
+        let set = env.kb.rows().set_for(env.kb, bindings);
+        let rows = set.rows(bindings, docs);
         // One sweep per applicable rule over the whole batch, each distinct
         // preference event evaluated once per sweep; a single document is a
         // one-lane batch. Per lane the factors multiply in rule order.
-        let applicable: Vec<&RuleBinding> = bindings
+        let applicable: Vec<(usize, &RuleBinding)> = bindings
             .iter()
             .map(Arc::as_ref)
-            .filter(|b| !b.is_inapplicable())
+            .enumerate()
+            .filter(|(_, b)| !b.is_inapplicable())
             .collect();
         let (result, stats) = scratch.with_evaluator(&env.kb.universe, |ev| {
             let mut batch = BatchEvaluator::new(ev);
             let result = (|| -> Result<Vec<DocScore>> {
                 let context_probs: Vec<f64> = applicable
                     .iter()
-                    .map(|b| batch.evaluator().prob(&b.context_event))
+                    .map(|(_, b)| batch.evaluator().prob(&b.context_event))
                     .collect();
                 if let CorrelationPolicy::Error = self.on_correlation {
                     let ctx_owner = Self::context_owners(bindings, env.kb)?;
@@ -234,10 +236,9 @@ impl ScoringEngine for FactorizedEngine {
                         || Self::preference_screen_suspicious(bindings, &ctx_owner)
                     {
                         let mut owner_scratch: HashMap<VarId, usize> = HashMap::new();
-                        for &doc in docs {
+                        for slot in 0..docs.len() {
                             Self::check_doc_independence(
-                                bindings,
-                                doc,
+                                rows.row(slot),
                                 &ctx_owner,
                                 &mut owner_scratch,
                                 env.kb,
@@ -246,15 +247,25 @@ impl ScoringEngine for FactorizedEngine {
                     }
                 }
                 let mut scores = vec![1.0f64; docs.len()];
-                // Each rule sweep drops its bound view's in-batch events into
-                // their lanes; absent documents keep the `False` their lane
-                // was seeded with.
-                let lanes = LaneOrder::new(docs);
+                // Each rule sweep reads its column off the documents' feature
+                // rows; a document without a cell under the rule has the
+                // event `False`.
                 let mut column: Vec<EventExpr> = Vec::with_capacity(docs.len());
-                for (b, &pg) in applicable.iter().zip(&context_probs) {
+                // Rules come in ascending order, like a row's cells: one
+                // cursor per slot walks its row once over all the sweeps.
+                let mut cursors = vec![0usize; docs.len()];
+                for (&(rule, b), &pg) in applicable.iter().zip(&context_probs) {
                     column.clear();
-                    column.resize(docs.len(), EventExpr::False);
-                    lanes.for_each_event(b, |slot, event| column[slot] = event.clone());
+                    column.extend(cursors.iter_mut().enumerate().map(|(slot, at)| {
+                        let row = rows.row(slot);
+                        while row.get(*at).is_some_and(|c| c.rule < rule) {
+                            *at += 1;
+                        }
+                        match row.get(*at) {
+                            Some(cell) if cell.rule == rule => cell.event.clone(),
+                            _ => EventExpr::False,
+                        }
+                    }));
                     let pfs = batch.probs(&column);
                     for (score, pf) in scores.iter_mut().zip(&pfs) {
                         let matched = pf * b.sigma + (1.0 - pf) * (1.0 - b.sigma);

@@ -4,7 +4,7 @@ use capra_dl::IndividualId;
 use capra_events::{BatchExpectation, BatchStats, EventExpr, Expectation, Factor, VarId};
 
 use crate::bind::RuleBinding;
-use crate::engines::{ContextSupport, DocScore, EvalScratch, LaneOrder, ScoringEngine};
+use crate::engines::{join, Cell, ContextSupport, DocScore, EvalScratch, ScoringEngine};
 use crate::{Result, ScoringEnv};
 
 /// The exact engine: evaluates the Section 3.3 expectation over the event
@@ -32,16 +32,24 @@ use crate::{Result, ScoringEnv};
 ///   context and from the document's other features, and no conjunction
 ///   `G_r ∧ F_rd` / `G_r ∧ ¬F_rd` would flatten (neither `G_r`, `F_rd` nor
 ///   `¬F_rd` is an `And`). The score is then the closed form
-///   `Π_r Σ_cases w·clamp(P(case))` over `P(G_r)`, computed once per
-///   request, and the user-independent `P(F_rd)`
-///   ([`capra_events::Expectation::prob_split`]) — a dozen flops per rule
-///   in exactly `compute`'s floating-point order, with no node interned
-///   and nothing memoised per (context, document) pair. This is the
-///   factorized engine's linear cost, with the exact engine's bits.
+///   `Π_r Σ_cases w·clamp(P(case))`: per rule one multiply, clamp and case
+///   sum over `P(G_r)`, read from the memo once per request, and the
+///   `(P(F_rd), P(¬F_rd))` the document's **feature row** holds — the parts
+///   [`capra_events::Expectation::prob_split`] multiplies, in exactly
+///   `compute`'s floating-point order, with no node interned and nothing
+///   memoised per (context, document) pair. This is the factorized
+///   engine's linear cost, with the exact engine's bits.
 /// * **exact** — any other document, and only that document, has its
 ///   factors built and goes through `compute`: Shannon expansion over the
 ///   shared variables with memoisation, one evaluation per distinct
 ///   per-rule event signature in the batch.
+///
+/// What a document contributes — its feature event under every rule, the
+/// events' shapes and probabilities — depends on no request, so the sweep
+/// does not derive it: it fetches the document's row (`engines/rows.rs`:
+/// joined from the preference views once per KB state, shared by every
+/// tenant, carried over catalogue changes view by view) and runs the lane
+/// test over the row's supports.
 ///
 /// [`capra_events::BatchStats::fallbacks`] counts the second route.
 #[derive(Debug, Clone, Default)]
@@ -61,9 +69,14 @@ impl LineageEngine {
 }
 
 /// What one rule contributes that does not depend on the document.
-struct ContextHalf<'a> {
-    g: &'a EventExpr,
+struct ContextHalf {
     sigma: f64,
+    /// The unclamped `P(G)` a feature's parts are multiplied by — `1.0`
+    /// when `G` is `True`.
+    p_g: f64,
+    /// `G` is an `And`: a conjunction with a non-constant feature would
+    /// flatten, so any document that has one under this rule is deferred.
+    flattens: bool,
     /// `1·P(¬G)`, the first term of the case sum — `None` when `G` is
     /// `True` and the case vanishes.
     not_g_term: Option<f64>,
@@ -73,11 +86,49 @@ struct ContextHalf<'a> {
     sure_hit: f64,
 }
 
-impl ContextHalf<'_> {
+impl ContextHalf {
+    /// Reads `P(G)` — the request's one look at the memo for this rule.
+    fn new(b: &RuleBinding, expectation: &mut Expectation<'_>) -> Self {
+        let g = &b.context_event;
+        let (p_g, not_g_term) = if g.is_true() {
+            (1.0, None)
+        } else {
+            let (p_g, p_not_g) = expectation.prob_parts(g);
+            (p_g, Some(p_not_g.clamp(0.0, 1.0)))
+        };
+        let p_applies = p_g.clamp(0.0, 1.0);
+        Self {
+            sigma: b.sigma,
+            p_g,
+            flattens: matches!(g, EventExpr::And(_)),
+            not_g_term,
+            miss: case_sum([not_g_term, None, weighted(1.0 - b.sigma, p_applies)]),
+            sure_hit: case_sum([not_g_term, weighted(b.sigma, p_applies), None]),
+        }
+    }
+
     /// `G` is `True`: a document whose feature event is constant too makes
     /// the factor a constant.
     fn certain(&self) -> bool {
         self.not_g_term.is_none()
+    }
+
+    /// The factor of a document whose feature event is `cell`'s, neither
+    /// constant: `P(G ∧ F)` and `P(G ∧ ¬F)` as
+    /// [`Expectation::prob_split`] multiplies and clamps them, from the
+    /// hoisted `P(G)` and the row's `(P(F), P(¬F))`. `None` where
+    /// `prob_split` declines for a shape; the lane test has already seen to
+    /// it that `G` and `F` share no variable.
+    fn factor(&self, cell: &Cell, expectation: &mut Expectation<'_>) -> Option<f64> {
+        if !self.certain() && (self.flattens || cell.flattens) {
+            return None;
+        }
+        let (p_f, p_not_f) = cell.parts(expectation);
+        Some(case_sum([
+            self.not_g_term,
+            weighted(self.sigma, (self.p_g * p_f).clamp(0.0, 1.0)),
+            weighted(1.0 - self.sigma, (self.p_g * p_not_f).clamp(0.0, 1.0)),
+        ]))
     }
 }
 
@@ -92,74 +143,74 @@ fn weighted(w: f64, p: f64) -> Option<f64> {
     (w != 0.0).then_some(w * p)
 }
 
-/// The doc-invariant half of a request, computed once: one
-/// [`ContextHalf`] per active rule (`None` for a `False` context, whose
-/// factor is the constant 1 and multiplies nothing), and what the lane
-/// test needs to know about the contexts together.
+/// A rule the request evaluates: its position in the bindings (the index
+/// its cells carry), the binding, and its context half — `None` for a
+/// `False` context kept by `prune_inapplicable: false`, whose factor is the
+/// constant 1 and multiplies nothing.
+struct ActiveRule<'a> {
+    rule: usize,
+    binding: &'a RuleBinding,
+    half: Option<ContextHalf>,
+}
+
+/// The doc-invariant half of a request, computed once: the active rules in
+/// rule order, and what the lane test needs to know about their contexts
+/// together.
 struct Contexts<'a> {
-    halves: Vec<Option<ContextHalf<'a>>>,
+    active: Vec<ActiveRule<'a>>,
     support: ContextSupport,
 }
 
 impl<'a> Contexts<'a> {
-    fn new(active: &[&'a RuleBinding], expectation: &mut Expectation<'_>) -> Self {
-        let halves = active
+    fn new(
+        bindings: &'a [Arc<RuleBinding>],
+        prune_inapplicable: bool,
+        expectation: &mut Expectation<'_>,
+    ) -> Self {
+        let active: Vec<ActiveRule<'a>> = bindings
             .iter()
-            .map(|b| {
-                let g = &b.context_event;
-                if g.is_false() {
-                    return None;
-                }
-                let (p_g, not_g_term) = if g.is_true() {
-                    (1.0, None)
-                } else {
-                    let (p_g, p_not_g) = expectation
-                        .prob_split(&EventExpr::True, g)
-                        .expect("a non-constant event splits the certain event");
-                    (p_g, Some(p_not_g))
-                };
-                Some(ContextHalf {
-                    g,
-                    sigma: b.sigma,
-                    not_g_term,
-                    miss: case_sum([not_g_term, None, weighted(1.0 - b.sigma, p_g)]),
-                    sure_hit: case_sum([not_g_term, weighted(b.sigma, p_g), None]),
-                })
+            .enumerate()
+            .filter(|(_, b)| !(prune_inapplicable && b.is_inapplicable()))
+            .map(|(rule, b)| ActiveRule {
+                rule,
+                binding: b,
+                half: (!b.is_inapplicable()).then(|| ContextHalf::new(b, expectation)),
             })
             .collect();
-        Self {
-            halves,
-            support: ContextSupport::new(active.iter().map(|b| &b.context_event)),
-        }
+        let support = ContextSupport::new(active.iter().map(|a| &a.binding.context_event));
+        Self { active, support }
     }
 
-    /// The lane route for one document: `row` holds its feature event per
-    /// active rule (`None` when absent or `False`). Returns what
+    /// Every rule that has a factor to contribute, with the document's cell
+    /// under it (`None`: the document does not match).
+    fn factors<'r>(
+        &'r self,
+        row: &'r [Cell],
+    ) -> impl Iterator<Item = (&'r ContextHalf, Option<&'r Cell>)> {
+        join(row, self.active.iter().map(|a| (a.rule, &a.half)))
+            .filter_map(|(half, cell)| Some((half.as_ref()?, cell)))
+    }
+
+    /// The lane route for one document, from its row. Returns what
     /// [`Expectation::compute`] would for the document's factors, bit for
     /// bit, or `None` when the lane test rejects the document.
     fn lane_score(
         &self,
-        row: &[Option<&EventExpr>],
+        row: &[Cell],
         seen: &mut Vec<VarId>,
         expectation: &mut Expectation<'_>,
     ) -> Option<f64> {
-        let rules = || {
-            self.halves
-                .iter()
-                .zip(row)
-                .filter_map(|(h, f)| Some((h.as_ref()?, *f)))
-        };
         // `compute` multiplies the constant factors first…
         let mut acc = 1.0;
         let mut pending = false;
         seen.clear();
-        for (half, f) in rules() {
-            match f {
+        for (half, cell) in self.factors(row) {
+            match cell {
                 None if half.certain() => acc *= half.miss,
-                Some(EventExpr::True) if half.certain() => acc *= half.sure_hit,
+                Some(c) if c.event.is_true() && half.certain() => acc *= half.sure_hit,
                 _ => {
                     pending = true;
-                    seen.extend_from_slice(f.map_or(&[][..], EventExpr::support_slice));
+                    seen.extend_from_slice(cell.map_or(&[][..], |c| c.event.support_slice()));
                 }
             }
         }
@@ -171,23 +222,24 @@ impl<'a> Contexts<'a> {
         if !self.support.disjoint_with(seen) {
             return None;
         }
-        for (half, f) in rules() {
-            acc *= match f {
+        for (half, cell) in self.factors(row) {
+            acc *= match cell {
                 None if half.certain() => continue,
-                Some(EventExpr::True) if half.certain() => continue,
+                Some(c) if c.event.is_true() && half.certain() => continue,
                 None => half.miss,
-                Some(EventExpr::True) => half.sure_hit,
-                Some(f) => {
-                    let (hit, miss) = expectation.prob_split(half.g, f)?;
-                    case_sum([
-                        half.not_g_term,
-                        weighted(half.sigma, hit),
-                        weighted(1.0 - half.sigma, miss),
-                    ])
-                }
+                Some(c) if c.event.is_true() => half.sure_hit,
+                Some(c) => half.factor(c, expectation)?,
             };
         }
         Some(acc)
+    }
+
+    /// A document's feature event per active rule — its signature on the
+    /// exact route.
+    fn signature<'r>(&self, row: &'r [Cell]) -> Vec<Option<&'r EventExpr>> {
+        join(row, self.active.iter().map(|a| (a.rule, ())))
+            .map(|((), cell)| cell.map(|c| &c.event))
+            .collect()
     }
 }
 
@@ -196,19 +248,20 @@ impl<'a> Contexts<'a> {
 /// per rule) and runs [`Expectation::compute`] on them once. Returns the
 /// expectations in `rows` order and how many evaluations ran.
 fn exact_scores(
-    active: &[&RuleBinding],
-    rows: &[&[Option<&EventExpr>]],
+    active: &[ActiveRule<'_>],
+    rows: &[Vec<Option<&EventExpr>>],
     expectation: &mut Expectation<'_>,
 ) -> (Vec<f64>, u64) {
     let per_rule: Vec<(&RuleBinding, EventExpr, Factor)> = active
         .iter()
-        .map(|b| {
+        .map(|a| {
+            let b = a.binding;
             let not_g = EventExpr::not(b.context_event.clone());
             let miss_factor = Factor::new([
                 (not_g.clone(), 1.0),
                 (b.context_event.clone(), 1.0 - b.sigma),
             ]);
-            (*b, not_g, miss_factor)
+            (b, not_g, miss_factor)
         })
         .collect();
     let mut batch = BatchExpectation::new(expectation);
@@ -269,8 +322,9 @@ impl ScoringEngine for LineageEngine {
 
 impl LineageEngine {
     /// The engine's one pass over a batch: every slot the lane test admits
-    /// is scored in closed form; the slots it rejects go through
-    /// [`exact_scores`] when `exact` is set and stay `None` when not.
+    /// is scored in closed form from the document's feature row; the slots
+    /// it rejects go through [`exact_scores`] when `exact` is set and stay
+    /// `None` when not.
     fn sweep(
         &self,
         env: &ScoringEnv<'_>,
@@ -283,23 +337,16 @@ impl LineageEngine {
             return Vec::new();
         }
         scratch.ensure_kb(env.kb);
-        let active: Vec<&RuleBinding> = bindings
-            .iter()
-            .map(Arc::as_ref)
-            .filter(|b| !(self.prune_inapplicable && b.is_inapplicable()))
-            .collect();
-        // One row of feature events per slot, one column per active rule.
-        // An event that is `False` counts as absent: `Factor::new` drops
-        // its cases either way.
-        let events = LaneOrder::new(docs).feature_rows(&active);
+        let set = env.kb.rows().set_for(env.kb, bindings);
+        let rows = set.rows(bindings, docs);
         let (scores, fallbacks) = scratch.with_expectation(&env.kb.universe, |expectation| {
-            let contexts = Contexts::new(&active, expectation);
+            let contexts = Contexts::new(bindings, self.prune_inapplicable, expectation);
             let mut seen: Vec<VarId> = Vec::new();
             let mut scores: Vec<Option<f64>> = Vec::with_capacity(docs.len());
             let mut rejected: Vec<usize> = Vec::new();
             for slot in 0..docs.len() {
                 let score = contexts
-                    .lane_score(events.row(slot), &mut seen, expectation)
+                    .lane_score(rows.row(slot), &mut seen, expectation)
                     .map(|raw| raw.clamp(0.0, 1.0));
                 if score.is_none() {
                     rejected.push(slot);
@@ -309,9 +356,11 @@ impl LineageEngine {
             if !exact || rejected.is_empty() {
                 return (scores, 0);
             }
-            let rows: Vec<&[Option<&EventExpr>]> =
-                rejected.iter().map(|&slot| events.row(slot)).collect();
-            let (raw, evaluations) = exact_scores(&active, &rows, expectation);
+            let signatures: Vec<Vec<Option<&EventExpr>>> = rejected
+                .iter()
+                .map(|&slot| contexts.signature(rows.row(slot)))
+                .collect();
+            let (raw, evaluations) = exact_scores(&contexts.active, &signatures, expectation);
             for (&slot, e) in rejected.iter().zip(raw) {
                 scores[slot] = Some(e.clamp(0.0, 1.0));
             }

@@ -15,13 +15,19 @@
 //! |--------|-----------|------------------------------|------------------|----------------|
 //! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | defers every document | the paper's Section 5 PostgreSQL implementation |
 //! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | defers every document | the same maths without the view machinery (ablation) |
-//! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups; independence check walks cached per-node supports, context half hoisted out of the doc loop | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
-//! | [`LineageEngine`] | **always exact** (correlations included) | `O(n · d)` closed form for documents whose rule factors are variable-disjoint (the lane test, per document); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
+//! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups, the columns read off the documents' feature rows; independence check walks cached per-node supports, context half hoisted out of the doc loop | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
+//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies): `P(G_r)` is read once per request, the view join and `P(F_rd)` once per KB state (feature rows); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
 //! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the engine's | the serving path: repeated queries under a changing context |
 //!
 //! All engines share the binding step ([`crate::bind_rules`]), which runs
 //! **one** reasoner across the whole rule set so structurally shared
-//! context/preference concepts are derived once, and all probability work
+//! context/preference concepts are derived once. The two optimised engines
+//! and the top-k bound also share what a *document* brings to a request —
+//! its feature event under every rule, with shape and probability — as
+//! **feature rows** (`engines/rows.rs`): joined from the bound preference
+//! views on a document's first touch, kept on the `Kb` beside its derived
+//! views and rule plans for every tenant on that state, and brought up to
+//! date view by changed view after a catalogue assert. All probability work
 //! sits on hash-consed event expressions: memo tables key by interned node
 //! identity (O(1) hash + pointer compare), pivot choices are cached per
 //! node, and `restrict` skips subtrees whose cached support excludes the
@@ -58,11 +64,13 @@ mod factorized;
 mod lineage;
 mod naive_enum;
 mod naive_view;
+mod rows;
 
 pub use factorized::{CorrelationPolicy, FactorizedEngine};
 pub use lineage::LineageEngine;
 pub use naive_enum::NaiveEnumEngine;
 pub use naive_view::NaiveViewEngine;
+pub(crate) use rows::{join, Cell, RowSlot};
 
 use std::sync::Arc;
 
@@ -448,91 +456,6 @@ pub(crate) fn by_rank(a: &DocScore, b: &DocScore) -> std::cmp::Ordering {
     b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc))
 }
 
-/// The slots of one document batch in ascending document order — the join
-/// order against the bound preference views, which are B-trees keyed by
-/// document. Both optimised engines fill their per-rule lanes through it,
-/// so a document listed twice has its event dropped into *every* slot that
-/// holds it.
-pub(crate) struct LaneOrder {
-    by_doc: Vec<(IndividualId, usize)>,
-}
-
-impl LaneOrder {
-    pub(crate) fn new(docs: &[IndividualId]) -> Self {
-        let mut by_doc: Vec<(IndividualId, usize)> = docs
-            .iter()
-            .enumerate()
-            .map(|(slot, &d)| (d, slot))
-            .collect();
-        by_doc.sort_unstable();
-        Self { by_doc }
-    }
-
-    /// The batch's feature events: one row per slot, one column per rule
-    /// of `rules`, filled rule by rule.
-    pub(crate) fn feature_rows<'b>(&self, rules: &[&'b RuleBinding]) -> FeatureRows<'b> {
-        let width = rules.len();
-        let mut events: Vec<Option<&EventExpr>> = vec![None; self.by_doc.len() * width];
-        for (r, b) in rules.iter().enumerate() {
-            self.for_each_event(b, |slot, event| {
-                if !event.is_false() {
-                    events[slot * width + r] = Some(event);
-                }
-            });
-        }
-        FeatureRows { events, width }
-    }
-
-    /// Calls `hit(slot, event)` for every slot whose document has a
-    /// preference event under `binding`.
-    pub(crate) fn for_each_event<'b>(
-        &self,
-        binding: &'b RuleBinding,
-        mut hit: impl FnMut(usize, &'b EventExpr),
-    ) {
-        let view = &*binding.preference_events;
-        if view.len() > self.by_doc.len().saturating_mul(4) {
-            // The bound view dwarfs the batch: per-document descents are
-            // cheaper than sweeping the whole map.
-            for &(doc, slot) in &self.by_doc {
-                if let Some(event) = view.get(&doc) {
-                    hit(slot, event);
-                }
-            }
-            return;
-        }
-        // One merge pass over the view and the batch, both in document
-        // order, instead of a descent per (rule, document).
-        let mut lanes = self.by_doc.iter().peekable();
-        for (doc, event) in view {
-            while lanes.next_if(|(d, _)| d < doc).is_some() {}
-            while let Some(&(_, slot)) = lanes.next_if(|(d, _)| d == doc) {
-                hit(slot, event);
-            }
-            if lanes.peek().is_none() {
-                break;
-            }
-        }
-    }
-}
-
-/// A batch's feature events by slot and rule ([`LaneOrder::feature_rows`]).
-/// An entry is `None` where the document has no event under the rule or
-/// the event is `False` — a document that does not match, either way.
-pub(crate) struct FeatureRows<'b> {
-    /// Row-major, `width` entries per slot.
-    events: Vec<Option<&'b EventExpr>>,
-    width: usize,
-}
-
-impl<'b> FeatureRows<'b> {
-    /// The feature event of `slot`'s document under each rule, in rule
-    /// order.
-    pub(crate) fn row(&self, slot: usize) -> &[Option<&'b EventExpr>] {
-        &self.events[slot * self.width..(slot + 1) * self.width]
-    }
-}
-
 /// The variables a request's rule contexts stand on: the document-invariant
 /// half of the **variable-disjointness test**. A document's rule factors
 /// are independent — their expectation is the product of the per-rule
@@ -599,5 +522,67 @@ mod tests {
         assert_eq!(ranked[0].doc, b);
         assert_eq!(ranked[1].doc, a, "tie broken by id");
         assert_eq!(ranked[2].doc, c);
+    }
+
+    /// What a replica with contradicted history or a stale client can
+    /// send: an id the KB never interned. No view has it, so its feature
+    /// row is empty and it scores as a document with no features — on the
+    /// cold path, through a session (rows shared and then carried over a
+    /// catalogue change) and in top-k, on every engine.
+    #[test]
+    fn a_candidate_the_kb_never_interned_scores_as_a_document_without_features() {
+        use crate::{PreferenceRule, RuleRepository, Score, ScoringSession};
+
+        let mut kb = Kb::new();
+        let user = kb.individual("peter");
+        kb.assert_concept(user, "Weekend");
+        kb.assert_concept_prob(user, "Breakfast", 0.7).unwrap();
+        let plain = kb.individual("plain");
+        let nice = kb.individual("nice");
+        kb.assert_concept_prob(nice, "Nice", 0.6).unwrap();
+        kb.assert_concept_prob(nice, "News", 0.3).unwrap();
+        let ghost = kb.clone().individual("ghost");
+        assert!(ghost.index() >= kb.voc.num_individuals());
+        let mut rules = RuleRepository::new();
+        for (name, context, preference, sigma) in [
+            ("R1", "Weekend", "Nice", 0.8),
+            ("R2", "Breakfast", "News", 0.35),
+        ] {
+            rules
+                .add(PreferenceRule::new(
+                    name,
+                    kb.parse(context).unwrap(),
+                    kb.parse(preference).unwrap(),
+                    Score::new(sigma).unwrap(),
+                ))
+                .unwrap();
+        }
+        let docs = [ghost, nice, plain, ghost];
+        let engines: [Box<dyn ScoringEngine>; 4] = [
+            Box::new(NaiveViewEngine::new()),
+            Box::new(NaiveEnumEngine::new()),
+            Box::new(FactorizedEngine::new()),
+            Box::new(LineageEngine::new()),
+        ];
+        for engine in &engines {
+            let mut session = ScoringSession::new();
+            for round in 0..2 {
+                let env = ScoringEnv {
+                    kb: &kb,
+                    rules: &rules,
+                    user,
+                };
+                let cold = engine.score_all(&env, &docs).unwrap();
+                let (name, featureless) = (engine.name(), cold[2].score);
+                assert_eq!(cold[0].score.to_bits(), featureless.to_bits(), "{name}");
+                assert_eq!(cold[3].score.to_bits(), featureless.to_bits(), "{name}");
+                assert_ne!(cold[1].score.to_bits(), featureless.to_bits(), "{name}");
+                assert_eq!(session.score_all(engine, &env, &docs).unwrap(), cold);
+                let top = session.rank_top_k(engine, &env, &docs, 2).unwrap();
+                assert_eq!(top, rank(cold)[..2], "{name}, round {round}");
+                // A catalogue change: the rows are carried over it.
+                kb.assert_concept_prob(nice, "Nice", 0.2).unwrap();
+            }
+        }
     }
 }

@@ -143,7 +143,10 @@ impl ScoringEngine for NaiveViewEngine {
 
         // The big preference view, combination by combination.
         let executor = Executor::new(&catalog);
-        let mut scores: HashMap<IndividualId, f64> = docs.iter().map(|&d| (d, 0.0)).collect();
+        // Keyed by the datum a candidate's row carries — a candidate need
+        // not be an individual the KB knows.
+        let datum_id = |doc: IndividualId| doc.index() as u64;
+        let mut scores: HashMap<u64, f64> = docs.iter().map(|&d| (datum_id(d), 0.0)).collect();
         // The memo loan returns to the scratch even when a combination's
         // plan fails mid-run.
         scratch.with_evaluator(&env.kb.universe, |evaluator| -> Result<()> {
@@ -184,13 +187,9 @@ impl ScoringEngine for NaiveViewEngine {
                     }
                     let relation = executor.run(&plan)?;
                     for row in relation.rows() {
-                        let Some(doc) = crate::compile::datum_individual(env.kb, &row.values[0])
-                        else {
-                            continue;
-                        };
-                        let p = evaluator.prob(&row.lineage);
-                        if let Some(slot) = scores.get_mut(&doc) {
-                            *slot += weight * p;
+                        let candidate = row.values[0].as_id();
+                        if let Some(slot) = candidate.and_then(|id| scores.get_mut(&id)) {
+                            *slot += weight * evaluator.prob(&row.lineage);
                         }
                     }
                 }
@@ -201,7 +200,7 @@ impl ScoringEngine for NaiveViewEngine {
             .iter()
             .map(|&doc| DocScore {
                 doc,
-                score: scores[&doc].clamp(0.0, 1.0),
+                score: scores[&datum_id(doc)].clamp(0.0, 1.0),
             })
             .collect())
     }

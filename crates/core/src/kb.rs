@@ -5,6 +5,7 @@ use std::sync::Arc;
 use capra_dl::{parse_concept, ABox, Concept, IndividualId, Reasoner, TBox, ViewCache, Vocabulary};
 use capra_events::{EventExpr, Universe, VarId};
 
+use crate::engines::RowSlot;
 use crate::session::PlanSlot;
 use crate::Result;
 
@@ -51,6 +52,10 @@ pub struct Kb {
     /// The rule plans resolved along this KB's history (see [`Kb::plans`]);
     /// tied to the identity exactly as `views` is.
     plans: Arc<PlanSlot>,
+    /// The feature rows over the latest preference views bound along this
+    /// KB's history (see [`Kb::rows`]); tied to the identity exactly as
+    /// `views` is.
+    rows: Arc<RowSlot>,
 }
 
 impl Default for Kb {
@@ -64,6 +69,7 @@ impl Default for Kb {
             fresh_suffix: HashMap::new(),
             views: Arc::default(),
             plans: Arc::default(),
+            rows: Arc::default(),
         }
     }
 }
@@ -72,7 +78,7 @@ impl Clone for Kb {
     /// Clones the knowledge base under a **fresh identity** (see [`Kb::id`]):
     /// the clone can be mutated independently, so caches keyed by the
     /// original's `(id, epoch)` must not accept it — and it starts with no
-    /// derived views or rule plans of its own.
+    /// derived views, rule plans or feature rows of its own.
     fn clone(&self) -> Self {
         Self {
             voc: self.voc.clone(),
@@ -83,6 +89,7 @@ impl Clone for Kb {
             fresh_suffix: self.fresh_suffix.clone(),
             views: Arc::default(),
             plans: Arc::default(),
+            rows: Arc::default(),
         }
     }
 }
@@ -103,8 +110,8 @@ impl Kb {
     /// then observe one linear `(id, epoch)` history — exactly as if a
     /// single owned KB had been mutated in place — so every cache keyed by
     /// `(id, epoch)` or `(id, binding_epoch)` stays valid across the swap,
-    /// and the clone shares the original's derived views ([`Kb::views`]) and
-    /// rule plans ([`Kb::plans`]).
+    /// and the clone shares the original's derived views ([`Kb::views`]),
+    /// rule plans ([`Kb::plans`]) and feature rows ([`Kb::rows`]).
     /// Using this outside a serialized clone → mutate → publish chain forks
     /// the epoch history of one id and corrupts those caches.
     pub(crate) fn clone_for_publish(&self) -> Self {
@@ -117,6 +124,7 @@ impl Kb {
             fresh_suffix: self.fresh_suffix.clone(),
             views: Arc::clone(&self.views),
             plans: Arc::clone(&self.plans),
+            rows: Arc::clone(&self.rows),
         }
     }
 
@@ -254,6 +262,15 @@ impl Kb {
     /// holds only on equality with their own KB state and rules.
     pub(crate) fn plans(&self) -> &PlanSlot {
         &self.plans
+    }
+
+    /// The slot for the document half of the bindings — per candidate its
+    /// feature event under every rule, joined from the preference views
+    /// once and shared, like [`Kb::views`] and [`Kb::plans`], by every
+    /// request against this KB or a publish-chain successor. Engines accept
+    /// what it holds only for the very view `Arc`s it was built from.
+    pub(crate) fn rows(&self) -> &RowSlot {
+        &self.rows
     }
 
     fn fresh_var(&mut self, base: &str, p: f64) -> Result<VarId> {

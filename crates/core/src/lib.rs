@@ -80,6 +80,7 @@ pub mod compile;
 pub mod engines;
 mod error;
 mod explain;
+mod hash;
 pub mod history;
 mod kb;
 pub mod multiuser;

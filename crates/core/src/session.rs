@@ -47,7 +47,7 @@
 //! only force deterministic recomputes, never change a score; the current
 //! footprint is reported by [`SessionStats::footprint`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -57,6 +57,7 @@ use capra_events::{BatchStats, CacheFootprint, EventExpr, EvictionPolicy};
 
 use crate::bind::RuleBinding;
 use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
+use crate::hash::IdMap;
 use crate::topk::rank_top_k_bound;
 use crate::{Kb, PreferenceRule, Result, ScoringEnv};
 
@@ -430,7 +431,7 @@ fn find_entry(entries: &[CacheEntry], i: usize, def: &Arc<RuleDef>) -> Option<us
 /// included); everything handed back as it was is a hit.
 #[derive(Default)]
 pub struct BindingCache {
-    users: HashMap<IndividualId, UserBindings>,
+    users: IdMap<IndividualId, UserBindings>,
     hits: u64,
     misses: u64,
 }
@@ -544,7 +545,7 @@ impl BindingCache {
 #[derive(Default)]
 struct ScoreEntry {
     bindings: Vec<Arc<RuleBinding>>,
-    scores: HashMap<IndividualId, f64>,
+    scores: IdMap<IndividualId, f64>,
 }
 
 /// Key of one score-cache entry: user, engine name, engine configuration.
@@ -555,7 +556,7 @@ type ScoreKey = (IndividualId, &'static str, u64);
 /// under are unchanged (pointer identity — see [`ScoreEntry`]).
 #[derive(Default)]
 struct ScoreCache {
-    entries: HashMap<ScoreKey, ScoreEntry>,
+    entries: IdMap<ScoreKey, ScoreEntry>,
     hits: u64,
     misses: u64,
 }
@@ -1342,6 +1343,129 @@ mod tests {
             );
         }
         assert_eq!((kb.plans().resolved(), fork.plans().resolved()), (2, 1));
+    }
+
+    /// Ranks `docs` for `user` through `session` and holds the scores to a
+    /// cold engine call — made on a clone of `kb`, whose row slot is its
+    /// own, so the reference leaves `kb`'s rows and counter alone.
+    fn assert_scores_cold(
+        session: &mut ScoringSession,
+        kb: &Kb,
+        rules: &RuleRepository,
+        user: IndividualId,
+        docs: &[IndividualId],
+    ) {
+        let engine = LineageEngine::new();
+        let got = session
+            .score_all(&engine, &env_of(kb, rules, user), docs)
+            .unwrap();
+        let twin = kb.clone();
+        let want = engine.score_all(&env_of(&twin, rules, user), docs).unwrap();
+        for (a, b) in want.iter().zip(&got) {
+            assert_eq!((a.doc, a.score.to_bits()), (b.doc, b.score.to_bits()));
+        }
+    }
+
+    #[test]
+    fn first_touches_at_one_state_share_one_row_per_document() {
+        let (mut kb, rules, _, docs) = fixture();
+        let users: Vec<IndividualId> = (0..50)
+            .map(|i| {
+                let u = kb.individual(&format!("u{i}"));
+                kb.assert_concept_prob(u, "Breakfast", 0.5).unwrap();
+                u
+            })
+            .collect();
+        let mut tenants: Vec<ScoringSession> =
+            users.iter().map(|_| ScoringSession::new()).collect();
+        let mut rank_all = |kb: &Kb| {
+            for (session, &u) in tenants.iter_mut().zip(&users) {
+                assert_scores_cold(session, kb, &rules, u, &docs);
+            }
+        };
+        let cells = (docs.len() * rules.len()) as u64;
+        rank_all(&kb);
+        assert_eq!(
+            kb.rows().reads(),
+            cells,
+            "the first tenant's: every view read once per document"
+        );
+        // A context assert moves no view: nothing is read again.
+        kb.assert_concept_prob(users[7], "Breakfast", 0.9).unwrap();
+        rank_all(&kb);
+        assert_eq!(kb.rows().reads(), cells);
+        // A document assert re-derives the one view over its table, and
+        // only that view is read again — once per document, by whoever
+        // ranks first.
+        kb.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
+        rank_all(&kb);
+        rank_all(&kb);
+        assert_eq!(
+            kb.rows().reads(),
+            cells + docs.len() as u64,
+            "`Nice` feeds R1's view; R2's cells are carried over"
+        );
+        // A candidate list that overlaps the rows already there adds the
+        // new document's alone.
+        let late = kb.individual("late");
+        kb.assert_concept(late, "Interesting");
+        let before = kb.rows().reads();
+        let mut list = docs[2..].to_vec();
+        list.push(late);
+        assert_scores_cold(&mut tenants[0], &kb, &rules, users[0], &list);
+        assert_eq!(
+            kb.rows().reads(),
+            before + rules.len() as u64,
+            "`Interesting` is in no rule's footprint"
+        );
+    }
+
+    #[test]
+    fn a_diverged_clone_at_an_equal_epoch_starts_with_no_rows() {
+        let (mut kb, rules, user, docs) = fixture();
+        let mut session = ScoringSession::new();
+        assert_scores_cold(&mut session, &kb, &rules, user, &docs);
+        let mut fork = kb.clone();
+        assert!(kb.rows().reads() > 0 && fork.rows().reads() == 0);
+        // The two catalogues part ways at one and the same epoch.
+        kb.assert_concept_prob(docs[1], "Nice", 0.9).unwrap();
+        fork.assert_concept_prob(docs[2], "Nice", 0.1).unwrap();
+        assert_eq!(fork.binding_epoch(), kb.binding_epoch());
+        for kb in [&kb, &fork, &kb, &fork] {
+            assert_scores_cold(&mut session, kb, &rules, user, &docs);
+        }
+        let cells = (docs.len() * rules.len()) as u64;
+        assert_eq!(fork.rows().reads(), cells, "all of its own, once");
+        assert_eq!(kb.rows().reads(), cells + docs.len() as u64);
+    }
+
+    #[test]
+    fn a_reader_on_an_older_snapshot_neither_takes_nor_evicts_the_newer_rows() {
+        let (old, rules, user, docs) = fixture();
+        let mut new = old.clone_for_publish();
+        new.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
+        let cells = (docs.len() * rules.len()) as u64;
+        let mut ahead = ScoringSession::new();
+        assert_scores_cold(&mut ahead, &new, &rules, user, &docs);
+        assert_eq!(new.rows().reads(), cells);
+        // A tenant still pinned on the old snapshot reads the old views
+        // into rows of its own — its scores are the old catalogue's…
+        let mut behind = ScoringSession::new();
+        assert_scores_cold(&mut behind, &old, &rules, user, &docs);
+        assert_eq!(old.rows().reads(), 2 * cells, "one slot, shared");
+        // …and leaves the newer rows where they are: a late arrival on the
+        // successor, and the straggler when it moves on, read nothing.
+        let mut late = ScoringSession::new();
+        for session in [&mut late, &mut behind] {
+            assert_scores_cold(session, &new, &rules, user, &docs);
+        }
+        assert_eq!(new.rows().reads(), 2 * cells);
+        // The other way round the table is handed on: the successor's
+        // first request re-reads the one view that changed.
+        let mut newer = new.clone_for_publish();
+        newer.assert_concept_prob(docs[1], "News", 0.5).unwrap();
+        assert_scores_cold(&mut ahead, &newer, &rules, user, &docs);
+        assert_eq!(newer.rows().reads(), 2 * cells + docs.len() as u64);
     }
 
     #[test]

@@ -59,7 +59,7 @@ use capra_dl::IndividualId;
 use capra_events::VarId;
 
 use crate::bind::{bind_rules_shared, RuleBinding};
-use crate::engines::{rank, ContextSupport, DocScore, EvalScratch, LaneOrder, ScoringEngine};
+use crate::engines::{join, rank, ContextSupport, DocScore, EvalScratch, ScoringEngine};
 use crate::{Result, ScoringEnv};
 
 /// Absolute slack added to upper bounds before pruning, absorbing the
@@ -183,19 +183,20 @@ fn doc_upper_bounds(
     scratch: &mut EvalScratch,
 ) -> Vec<f64> {
     // Inapplicable rules contribute the constant 1 and are dropped.
-    let applicable: Vec<&RuleBinding> = bindings
+    let applicable: Vec<(usize, &RuleBinding)> = bindings
         .iter()
         .map(Arc::as_ref)
-        .filter(|b| !b.is_inapplicable())
+        .enumerate()
+        .filter(|(_, b)| !b.is_inapplicable())
         .collect();
     scratch.ensure_kb(env.kb);
-    let rule_bounds: Vec<RuleBound> = scratch.with_evaluator(&env.kb.universe, |ev| {
+    let rule_bounds: Vec<(usize, RuleBound)> = scratch.with_evaluator(&env.kb.universe, |ev| {
         applicable
             .iter()
-            .map(|b| {
+            .map(|&(rule, b)| {
                 let spread = b.sigma.max(1.0 - b.sigma);
                 let pg = ev.prob(&b.context_event);
-                RuleBound {
+                let bound = RuleBound {
                     factorised: ((1.0 - pg) + pg * spread, (1.0 - pg) + pg * (1.0 - b.sigma)),
                     world_wise: if b.context_event.is_true() {
                         // Certain context: the factor is σ/(1−σ) in every
@@ -206,31 +207,37 @@ fn doc_upper_bounds(
                         // world-wise bound is sound.
                         (1.0, 1.0)
                     },
-                }
+                };
+                (rule, bound)
             })
             .collect()
     });
     // A document's row: its feature event under each applicable rule.
-    let events = LaneOrder::new(docs).feature_rows(&applicable);
-    let support = ContextSupport::new(applicable.iter().map(|b| &b.context_event));
+    let set = env.kb.rows().set_for(env.kb, bindings);
+    let rows = set.rows(bindings, docs);
+    let support = ContextSupport::new(applicable.iter().map(|(_, b)| &b.context_event));
     let mut seen: Vec<VarId> = Vec::new();
     (0..docs.len())
         .map(|slot| {
-            let row = events.row(slot);
+            let row = || {
+                join(
+                    rows.row(slot),
+                    rule_bounds.iter().map(|(rule, b)| (*rule, b)),
+                )
+            };
             seen.clear();
-            for f in row.iter().flatten() {
-                seen.extend_from_slice(f.support_slice());
+            for (_, cell) in row() {
+                seen.extend_from_slice(cell.map_or(&[][..], |c| c.event.support_slice()));
             }
             let disjoint = support.disjoint_with(&mut seen);
-            row.iter()
-                .zip(&rule_bounds)
-                .map(|(f, bound)| {
+            row()
+                .map(|(bound, cell)| {
                     let (hit, miss) = if disjoint {
                         bound.factorised
                     } else {
                         bound.world_wise
                     };
-                    if f.is_some() {
+                    if cell.is_some() {
                         hit
                     } else {
                         miss

@@ -428,11 +428,12 @@ impl<'u> Evaluator<'u> {
     /// That works whenever the conjunction's children are exactly the two
     /// parts: [`Evaluator::prob_connective`] then factorises it into two
     /// single-child components and multiplies their *unclamped*
-    /// probabilities (`1.0 * x` is exact and two factors commute, so the
-    /// canonical child order does not matter). `None` when they are not:
-    /// a constant `b`, a `False` `a`, shared variables, or an `And` among
-    /// `a`, `b`, `¬b`, which would flatten into the conjunction and regroup.
-    /// A `True` `a` is accepted: the conjunctions are `b` and `¬b`.
+    /// probabilities ([`Evaluator::prob_parts`]; `1.0 * x` is exact and two
+    /// factors commute, so the canonical child order does not matter).
+    /// `None` when they are not: a constant `b`, a `False` `a`, shared
+    /// variables, or an `And` among `a`, `b`, `¬b`, which would flatten
+    /// into the conjunction and regroup. A `True` `a` is accepted: the
+    /// conjunctions are `b` and `¬b`.
     pub(crate) fn prob_split(&mut self, a: &EventExpr, b: &EventExpr) -> Option<(f64, f64)> {
         if b.is_const() {
             return None;
@@ -452,22 +453,30 @@ impl<'u> Evaluator<'u> {
                 {
                     return None;
                 }
-                self.prob_rec(a)
+                self.prob_parts(a).0
             }
         };
+        let (pb, pnb) = self.prob_parts(b);
+        Some((clamp_prob(pa * pb), clamp_prob(pa * pnb)))
+    }
+
+    /// The unclamped `(P(e), P(¬e))` that [`Evaluator::prob_split`]
+    /// multiplies — its one source of them, so a caller that multiplies and
+    /// clamps the parts itself gets `prob_split`'s bits (see
+    /// [`crate::Expectation::prob_parts`], the public entry point).
+    pub(crate) fn prob_parts(&mut self, e: &EventExpr) -> (f64, f64) {
         // `not(¬x)` is `x` itself, so its probability is `P(x)`, not
         // `1 − (1 − P(x))`.
-        let (pb, pnb) = match b {
+        match e {
             EventExpr::Not(inner) => {
                 let p = self.prob_rec(inner);
                 (1.0 - p, p)
             }
             _ => {
-                let p = self.prob_rec(b);
+                let p = self.prob_rec(e);
                 (p, 1.0 - p)
             }
-        };
-        Some((clamp_prob(pa * pb), clamp_prob(pa * pnb)))
+        }
     }
 
     fn prob_rec(&mut self, expr: &EventExpr) -> f64 {

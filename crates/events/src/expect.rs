@@ -481,6 +481,18 @@ impl<'u> Expectation<'u> {
         self.evaluator.prob_split(a, b)
     }
 
+    /// The unclamped `(P(e), P(¬e))` of any event, read through the shared
+    /// memo — the two numbers [`Expectation::prob_split`] multiplies for
+    /// each of its arguments, from the same body. Wherever `prob_split`
+    /// answers, `P(a)·P(b)` and `P(a)·P(¬b)` over these parts, clamped to
+    /// `[0, 1]`, are its bits, so a caller that holds on to one side's
+    /// parts (a context for the length of a request, a feature for as long
+    /// as its view stands) pays the memo once instead of per pair. Which
+    /// pairs `prob_split` declines is the caller's to check.
+    pub fn prob_parts(&mut self, e: &EventExpr) -> (f64, f64) {
+        self.evaluator.prob_parts(e)
+    }
+
     /// Computes `E[ Π factors ]` exactly.
     pub fn compute(&mut self, factors: &[Factor]) -> f64 {
         let mut acc = 1.0;

@@ -142,6 +142,11 @@ proptest! {
             let want_without = ev.prob(&EventExpr::and([a.clone(), not_b]));
             prop_assert_eq!(with.to_bits(), want_with.to_bits(), "a = {}, b = {}", a, b);
             prop_assert_eq!(without.to_bits(), want_without.to_bits(), "a = {}, b = {}", a, b);
+            // The parts, multiplied and clamped by the caller, are the same bits.
+            let mut ex = Expectation::new(&u);
+            let ((pa, _), (pb, pnb)) = (ex.prob_parts(&a), ex.prob_parts(&b));
+            prop_assert_eq!((pa * pb).clamp(0.0, 1.0).to_bits(), with.to_bits());
+            prop_assert_eq!((pa * pnb).clamp(0.0, 1.0).to_bits(), without.to_bits());
         }
     }
 

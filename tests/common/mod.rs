@@ -18,9 +18,31 @@ use capra::dl::IndividualId;
 use capra::events::{expectation, EventExpr, Factor};
 use capra::prelude::*;
 
+/// One document's rule factors: per rule the three cases `¬G`, `G ∧ F`,
+/// `G ∧ ¬F` with weights `1`, `σ`, `1 − σ`. `prune_inapplicable` mirrors
+/// the engine's field: off, a rule whose context is `False` keeps its
+/// (constant) factor.
+pub fn factors(
+    bindings: &[Arc<RuleBinding>],
+    doc: IndividualId,
+    prune_inapplicable: bool,
+) -> Vec<Factor> {
+    bindings
+        .iter()
+        .filter(|b| !(prune_inapplicable && b.is_inapplicable()))
+        .map(|b| {
+            let (g, f) = (b.context_event.clone(), b.preference_event(doc));
+            Factor::new([
+                (EventExpr::not(g.clone()), 1.0),
+                (EventExpr::and([g.clone(), f.clone()]), b.sigma),
+                (EventExpr::and([g, EventExpr::not(f)]), 1.0 - b.sigma),
+            ])
+        })
+        .collect()
+}
+
 /// `E[Π_r term_r]` for every document of `docs` under `bindings`, clamped
-/// like the engines clamp. `prune_inapplicable` mirrors the engine's field:
-/// off, a rule whose context is `False` keeps its (constant) factor.
+/// like the engines clamp.
 pub fn reference_scores(
     env: &ScoringEnv<'_>,
     bindings: &[Arc<RuleBinding>],
@@ -28,23 +50,13 @@ pub fn reference_scores(
     prune_inapplicable: bool,
 ) -> Vec<DocScore> {
     docs.iter()
-        .map(|&doc| {
-            let factors: Vec<Factor> = bindings
-                .iter()
-                .filter(|b| !(prune_inapplicable && b.is_inapplicable()))
-                .map(|b| {
-                    let (g, f) = (b.context_event.clone(), b.preference_event(doc));
-                    Factor::new([
-                        (EventExpr::not(g.clone()), 1.0),
-                        (EventExpr::and([g.clone(), f.clone()]), b.sigma),
-                        (EventExpr::and([g, EventExpr::not(f)]), 1.0 - b.sigma),
-                    ])
-                })
-                .collect();
-            DocScore {
-                doc,
-                score: expectation(&env.kb.universe, &factors).clamp(0.0, 1.0),
-            }
+        .map(|&doc| DocScore {
+            doc,
+            score: expectation(
+                &env.kb.universe,
+                &factors(bindings, doc, prune_inapplicable),
+            )
+            .clamp(0.0, 1.0),
         })
         .collect()
 }

@@ -19,11 +19,13 @@
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use capra::commerce::generate::{flip_rules, generate, ShopConfig};
-use capra::core::{EvalScratch, RuleBinding};
+use capra::core::{rank_top_k_bound, BindingCache, EvalScratch, RuleBinding};
 use capra::dl::IndividualId;
+use capra::events::{brute_force_expectation, EventExpr, Expectation, Universe, VarId};
 use capra::prelude::*;
 use proptest::prelude::*;
 
@@ -218,6 +220,146 @@ proptest! {
         if let Ok(factorized) = FactorizedEngine::new().score_all(&env, &docs) {
             agree("factorized", &factorized)?;
             agree("naive enum", &NaiveEnumEngine::new().score_all(&env, &docs).unwrap())?;
+        }
+    }
+}
+
+/// The lane test as it stood before documents had feature rows, from the
+/// bindings' public fields and [`Expectation::prob_split`] alone: whether
+/// `doc` is scored in closed form (rather than deferred) under `bindings`.
+fn lane_test_admits(
+    universe: &Universe,
+    bindings: &[Arc<RuleBinding>],
+    doc: IndividualId,
+    prune: bool,
+) -> bool {
+    let active: Vec<&Arc<RuleBinding>> = bindings
+        .iter()
+        .filter(|b| !(prune && b.is_inapplicable()))
+        .collect();
+    // A `False` context is the constant factor 1, whatever the feature.
+    let factors: Vec<(&EventExpr, EventExpr, f64)> = active
+        .iter()
+        .filter(|b| !b.is_inapplicable())
+        .map(|b| (&b.context_event, b.preference_event(doc), b.sigma))
+        .collect();
+    // Constant factors multiply first; a zero among them ends it there.
+    let constant = |(g, f, _): &&(&EventExpr, EventExpr, f64)| g.is_true() && f.is_const();
+    let zero = |(_, f, sigma): &(&EventExpr, EventExpr, f64)| {
+        (if f.is_true() { *sigma } else { 1.0 - *sigma }) == 0.0
+    };
+    if factors.iter().all(|t| constant(&t)) || factors.iter().filter(constant).any(zero) {
+        return true;
+    }
+    // Every context and every feature event on variables of its own…
+    let mut vars: Vec<VarId> = Vec::new();
+    for b in &active {
+        vars.extend_from_slice(b.context_event.support_slice());
+    }
+    for (_, f, _) in &factors {
+        vars.extend_from_slice(f.support_slice());
+    }
+    let distinct: BTreeSet<VarId> = vars.iter().copied().collect();
+    if distinct.len() != vars.len() {
+        return false;
+    }
+    // …and no conjunction `G ∧ F` / `G ∧ ¬F` that would flatten.
+    let mut expectation = Expectation::new(universe);
+    factors
+        .iter()
+        .filter(|(_, f, _)| !f.is_const())
+        .all(|(g, f, _)| expectation.prob_split(g, f).is_some())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Feature rows — shared between users, filled on first touch, carried
+    /// over catalogue changes view by view, taken over and handed back by
+    /// cold calls on the same KB — never show: on the random knowledge
+    /// bases above (atoms, re-asserted `Or`s, `Not`, `And`-shaped and
+    /// `True` feature events; variables shared feature↔feature and
+    /// feature↔context; certain and uncertain contexts; pruning on and
+    /// off), for two users in turn, over a candidate list that repeats
+    /// documents, and again after every one of a few random asserts, the
+    /// row-backed sweep equals `Expectation::compute` on the built factors
+    /// to the bit and brute-force world enumeration to 1e-9,
+    /// `score_closed_form` defers exactly the documents the lane test
+    /// defers, and `rank_top_k` is the prefix of the full ranking.
+    #[test]
+    fn feature_rows_are_invisible_across_users_and_catalogue_changes(
+        rule_draws in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..5),
+        ctx_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_CTX..N_CTX + 1),
+        feat_draws in prop::collection::vec(
+            (any::<u8>(), 0.05f64..=0.95),
+            N_DOCS * N_FEAT..N_DOCS * N_FEAT + 1,
+        ),
+        genre_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_DOCS..N_DOCS + 1),
+        asserts in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), 0.05f64..=0.95), 0..4),
+        prune in any::<bool>(),
+    ) {
+        let Case { mut kb, rules, user, docs } =
+            build_case(&rule_draws, &ctx_draws, &feat_draws, &genre_draws);
+        let other = kb.individual("other");
+        for (c, &(kind, p)) in ctx_draws.iter().rev().enumerate() {
+            assert_fact(&mut kb, other, &format!("Ctx{c}"), kind, p);
+        }
+        let genre_a = kb.voc.find_individual("GenreA").unwrap();
+        let list = [docs[1], docs[0], docs[4], docs[1], docs[2], docs[3]];
+        let engine = LineageEngine { prune_inapplicable: prune };
+        // One binding cache and one scratch throughout: unchanged views
+        // keep their `Arc`s, so rows are carried from step to step.
+        let mut cache = BindingCache::new();
+        let mut scratch = EvalScratch::new();
+        for step in 0..=asserts.len() {
+            if let Some(&(subject, concept, kind, p)) = step.checked_sub(1).map(|i| &asserts[i]) {
+                let doc = docs[subject as usize % N_DOCS];
+                match subject % 3 {
+                    0 => assert_fact(&mut kb, user, &format!("Ctx{}", concept as usize % N_CTX), kind, p),
+                    1 => assert_fact(&mut kb, doc, &format!("Feat{}", concept as usize % N_FEAT), kind, p),
+                    _ => {
+                        kb.assert_role_prob(doc, "hasGenre", genre_a, p).unwrap();
+                    }
+                }
+            }
+            for who in [user, other] {
+                let env = ScoringEnv { kb: &kb, rules: &rules, user: who };
+                let bound = cache.bind(&env);
+                let want = common::reference_scores(&env, &bound, &list, prune);
+                let got = engine.score_all_bound(&env, &bound, &list, &mut scratch).unwrap();
+                prop_assert_eq!(common::bits(&want), common::bits(&got), "step {}", step);
+                for s in &got {
+                    let factors = common::factors(&bound, s.doc, prune);
+                    let support: BTreeSet<VarId> =
+                        factors.iter().flat_map(|f| f.support().iter().copied()).collect();
+                    if support.len() <= 10 {
+                        let worlds = brute_force_expectation(&kb.universe, &factors);
+                        prop_assert!((s.score - worlds).abs() <= 1e-9, "{} vs {}", s.score, worlds);
+                    }
+                }
+                let closed = engine.score_closed_form(&env, &bound, &list, &mut scratch).unwrap();
+                for (slot, (&doc, score)) in list.iter().zip(&closed).enumerate() {
+                    let lane = lane_test_admits(&kb.universe, &bound, doc, prune);
+                    prop_assert_eq!(
+                        score.map(f64::to_bits),
+                        lane.then_some(want[slot].score.to_bits()),
+                        "step {}, slot {}", step, slot
+                    );
+                }
+                let full = rank(got);
+                let top = rank_top_k_bound(&env, &engine, &bound, &list, 2, &mut scratch).unwrap();
+                prop_assert_eq!(common::bits(&top), common::bits(&full[..2]), "step {}", step);
+                // A cold call binds views of its own: it takes the rows
+                // over whole and the next bound call takes them back.
+                let cold = engine.score_all(&env, &list).unwrap();
+                prop_assert_eq!(common::bits(&want), common::bits(&cold), "cold, step {}", step);
+                if let Ok(factorized) =
+                    FactorizedEngine::new().score_all_bound(&env, &bound, &list, &mut scratch)
+                {
+                    let cold = FactorizedEngine::new().score_all(&env, &list).unwrap();
+                    prop_assert_eq!(common::bits(&factorized), common::bits(&cold), "factorized");
+                }
+            }
         }
     }
 }

@@ -284,9 +284,11 @@ fn disjoint_tenants_converge_to_the_cold_oracle() {
 /// First-sight storm: readers rank users the service has never seen —
 /// and, the session cap being below the thread count, keeps forgetting —
 /// while a writer asserts contexts and catalog facts, so every publish
-/// has several tenants racing to resolve the new state's rule plans.
-/// Whoever wins, the end state is the cold twin's, and at the final state
-/// all tenants bind one and the same preference view per rule.
+/// has several tenants racing to resolve the new state's rule plans and,
+/// their candidate lists overlapping (and repeating a document), to touch
+/// the same documents' feature rows first. Whoever wins, the end state is
+/// the cold twin's, and at the final state all tenants bind one and the
+/// same preference view per rule.
 #[test]
 fn a_first_sight_storm_converges_on_one_plan_per_state() {
     const READERS: usize = 3;
@@ -309,15 +311,23 @@ fn a_first_sight_storm_converges_on_one_plan_per_state() {
             // the interleaving is the scheduler's (and CI's repeats').
             let start = Barrier::new(READERS + 1);
             thread::scope(|scope| {
-                for mine in strangers.chunks(STRANGERS_PER_READER) {
+                for (reader, mine) in strangers.chunks(STRANGERS_PER_READER).enumerate() {
                     let (service, docs, start) = (&service, &docs, &start);
                     scope.spawn(move || {
                         start.wait();
                         for round in 0..3 {
                             for &stranger in mine {
+                                // Two to four documents starting at this
+                                // reader's own, then the first once more.
+                                let from = reader + round + stranger.index();
+                                let mut list: Vec<IndividualId> = (0..2 + from % 3)
+                                    .map(|i| docs[(from + i) % N_DOCS])
+                                    .collect();
+                                let distinct = list.len();
+                                list.push(list[0]);
                                 let k = 1 + (round + stranger.index()) % N_DOCS;
-                                let got = service.rank(stranger, docs, k).unwrap();
-                                assert_eq!(got.len(), k);
+                                let got = service.rank(stranger, &list, k).unwrap();
+                                assert_eq!(got.len(), k.min(distinct));
                             }
                         }
                     });
