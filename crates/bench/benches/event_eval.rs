@@ -1,6 +1,6 @@
 //! Event-expression evaluation micro-benchmarks and ablations: the cost of
 //! exact inference, and what memoisation and independent-component
-//! factorisation buy (the design choices called out in DESIGN.md).
+//! factorisation buy (`capra-events`' two design choices).
 
 use capra_events::{Evaluator, EventExpr, Universe};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

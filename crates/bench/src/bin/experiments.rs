@@ -1,5 +1,4 @@
-//! Regenerates every table and figure of the paper. Output is the source of
-//! `EXPERIMENTS.md`.
+//! Regenerates every table and figure of the paper.
 //!
 //! ```text
 //! cargo run --release -p capra-bench --bin experiments            # everything

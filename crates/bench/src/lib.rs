@@ -2,7 +2,7 @@
 //!
 //! Houses the scenario builders reused by the Criterion benches and the
 //! `experiments` binary (which regenerates every table and figure of the
-//! paper; see `EXPERIMENTS.md` at the workspace root).
+//! paper; see this crate's `README.md`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,26 +42,6 @@ impl ScalingWorkload {
     /// The candidate documents (all programs).
     pub fn docs(&self) -> &[IndividualId] {
         &self.db.programs
-    }
-}
-
-/// Emits a non-timing metric (a *gauge*: entry counts, ratios) in the
-/// criterion-shim JSON-lines shape, so the perf tooling (`bench_guard`,
-/// snapshot artifacts) tracks it like any benchmark median. This is the
-/// one definition of the gauge contract — benches must not re-implement
-/// the output format, or the guard's parsers can silently diverge.
-pub fn emit_gauge(name: &str, value: f64) {
-    use std::io::Write as _;
-
-    println!("gauge: {name:<48} {value:>14.1}");
-    if let Ok(path) = std::env::var("CAPRA_BENCH_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"name\":\"{name}\",\"ns_per_iter\":{value:.1}}}");
-        }
     }
 }
 

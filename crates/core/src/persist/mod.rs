@@ -193,8 +193,6 @@ pub(crate) struct Recovered {
     /// Replica read cursor: `(active segment first_seq, byte offset)`
     /// just past the last record the recovered state reflects.
     pub cursor: (u64, u64),
-    /// Whether the log was the legacy single-file `wal.log` layout.
-    pub legacy: bool,
 }
 
 /// The disk fix-up a writer performs after recovery (a replica performs
@@ -214,7 +212,7 @@ pub(crate) struct WriterResume {
 /// newest fully-decodable snapshot, scans the segment chain, and replays
 /// the suffix of records the snapshot does not cover.
 ///
-/// Replay is deliberately forgiving, mirroring the single-file behavior:
+/// Replay is deliberately forgiving:
 /// a record that passes its CRC but fails semantic replay (undecodable
 /// operation, sequence gap, post-apply epoch mismatch) cannot be
 /// un-applied in place, so the pass restarts from the snapshot with the
@@ -331,10 +329,9 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
             )
         }
         None => {
-            let fresh_active = !log.legacy
-                && log.segments.first().is_some_and(|s| {
-                    s.scan.header_ok && s.scan.dropped == 0 && s.first_seq == next_seq
-                });
+            let fresh_active = log.segments.first().is_some_and(|s| {
+                s.scan.header_ok && s.scan.dropped == 0 && s.first_seq == next_seq
+            });
             if fresh_active {
                 (
                     Some(ResumeSegment {
@@ -368,6 +365,5 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
         next_seq,
         resume: WriterResume { active, delete },
         cursor,
-        legacy: log.legacy,
     })
 }

@@ -25,8 +25,7 @@
 //! scans the segments in order, keeps the longest valid record chain,
 //! replays the records newer than the snapshot, and truncates back to that
 //! chain — a torn tail or a bit-flipped record costs the suffix, never the
-//! service. The pre-segment single-file layout (`wal.log`) is still read,
-//! and is renamed to `wal-1.log` the first time a writer opens it.
+//! service.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write as _};
@@ -67,11 +66,6 @@ pub(crate) fn wal_header() -> [u8; WAL_HEADER_LEN] {
 // Segment naming
 // ---------------------------------------------------------------------------
 
-/// File name of the single-file WAL layout that predates segments. Read
-/// support is kept so old directories recover; a writer migrates the file
-/// to `wal-1.log` on open.
-pub(crate) const LEGACY_WAL_FILE: &str = "wal.log";
-
 /// File name of the segment whose first record carries `first_seq`.
 pub(crate) fn segment_file_name(first_seq: u64) -> String {
     format!("wal-{first_seq}.log")
@@ -87,8 +81,7 @@ pub(crate) fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 /// WAL segment files in `dir`, ascending by first sequence number. Only
-/// `wal-<first_seq>.log` names are listed — the legacy `wal.log` is
-/// handled separately by [`scan_segments`].
+/// `wal-<first_seq>.log` names are listed.
 pub(crate) fn segment_paths(dir: &Path) -> Vec<(u64, PathBuf)> {
     let mut out = Vec::new();
     if let Ok(entries) = std::fs::read_dir(dir) {
@@ -596,26 +589,14 @@ pub(crate) struct LogScan {
     /// Frames dropped: torn or corrupt frames, plus every record in
     /// segments that no longer connect to the chain.
     pub dropped: u64,
-    /// Whether the legacy single-file `wal.log` was scanned in place of
-    /// `wal-*.log` segments (pre-segment directory, first record is
-    /// sequence 1 by construction).
-    pub legacy: bool,
 }
 
-/// Scans every WAL segment in `dir` (or the legacy `wal.log` when no
-/// segments exist), chaining the valid records across segment boundaries.
+/// Scans every WAL segment in `dir`, chaining the valid records across
+/// segment boundaries.
 pub(crate) fn scan_segments(dir: &Path) -> Result<LogScan, PersistError> {
-    let mut listed = segment_paths(dir);
     let mut log = LogScan::default();
-    if listed.is_empty() {
-        let legacy = dir.join(LEGACY_WAL_FILE);
-        if legacy.exists() {
-            listed.push((1, legacy));
-            log.legacy = true;
-        }
-    }
     let mut intact = true;
-    for (i, (first_seq, path)) in listed.into_iter().enumerate() {
+    for (i, (first_seq, path)) in segment_paths(dir).into_iter().enumerate() {
         let bytes = std::fs::read(&path)?;
         let mut scan = scan_wal(&bytes);
         // The first record must carry the sequence number the file name

@@ -3,8 +3,8 @@
 //! suffix, and then *tails* the segment chain incrementally — serving warm
 //! `rank`/`rank_group` requests at whatever epoch it has reached.
 //!
-//! The replica never writes to the directory (no migration, no truncation,
-//! no compaction); the one writer retains full ownership of the files. The
+//! The replica never writes to the directory (no truncation, no
+//! compaction); the one writer retains full ownership of the files. The
 //! tail cursor is `(active segment, byte offset)` plus the next expected
 //! sequence number, and each [`ReplicaService::poll`] re-reads the active
 //! segment from that offset:
@@ -40,8 +40,7 @@ use capra_dl::IndividualId;
 use crate::engines::{DocScore, ScoringEngine};
 use crate::multiuser::GroupStrategy;
 use crate::persist::wal::{
-    next_frame, segment_file_name, segment_paths, wal_header, Frame, LEGACY_WAL_FILE,
-    WAL_HEADER_LEN,
+    next_frame, segment_file_name, segment_paths, wal_header, Frame, WAL_HEADER_LEN,
 };
 use crate::persist::{recover, PersistError};
 use crate::serve::service::{RankingService, ServiceConfig, ServiceStats, SharedSnapshot};
@@ -94,9 +93,6 @@ pub struct ReplicaService<E> {
     inner: RankingService<E>,
     /// The directory being followed (never written).
     dir: PathBuf,
-    /// Whether the cursor still points into the legacy single-file
-    /// `wal.log` (switches to segments the moment a writer migrates it).
-    legacy: bool,
     /// First sequence number (= file name) of the segment being tailed.
     seg_first: u64,
     /// Byte offset just past the last applied frame in that segment.
@@ -138,12 +134,10 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
             RankingService::with_config(engine, Kb::new(), RuleRepository::new(), config);
         let next_seq = recovered.next_seq;
         let (seg_first, offset) = recovered.cursor;
-        let legacy = recovered.legacy;
         inner.reinstall(recovered);
         let mut replica = Self {
             inner,
             dir,
-            legacy,
             seg_first,
             offset,
             next_seq,
@@ -188,14 +182,7 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
             let bytes = match std::fs::read(self.active_path()) {
                 Ok(bytes) => bytes,
                 Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    if self.legacy && self.dir.join(segment_file_name(self.seg_first)).exists() {
-                        // The writer migrated `wal.log` to `wal-1.log`:
-                        // the bytes are identical, only the name changed.
-                        self.legacy = false;
-                        continue 'segments;
-                    }
-                    if !self.legacy
-                        && self.next_seq != self.seg_first
+                    if self.next_seq != self.seg_first
                         && self.dir.join(segment_file_name(self.next_seq)).exists()
                     {
                         // The cursor segment was compacted away *after*
@@ -271,8 +258,7 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
             // after the next sequence number. (When the cursor segment has
             // no applied records yet, `next_seq == seg_first` and that
             // "successor" would be the cursor segment itself — stay put.)
-            if !self.legacy
-                && self.next_seq != self.seg_first
+            if self.next_seq != self.seg_first
                 && self.dir.join(segment_file_name(self.next_seq)).exists()
             {
                 if !clean_end {
@@ -298,7 +284,6 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
         let recovered = recover(&self.dir)?;
         self.next_seq = recovered.next_seq;
         (self.seg_first, self.offset) = recovered.cursor;
-        self.legacy = recovered.legacy;
         self.inner.reinstall(recovered);
         self.needs_resnapshot = false;
         self.diverged = false;
@@ -377,11 +362,7 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
 
     /// The file the cursor currently points into.
     fn active_path(&self) -> PathBuf {
-        if self.legacy {
-            self.dir.join(LEGACY_WAL_FILE)
-        } else {
-            self.dir.join(segment_file_name(self.seg_first))
-        }
+        self.dir.join(segment_file_name(self.seg_first))
     }
 
     /// Poisons serving and returns the divergence error.
@@ -413,25 +394,12 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
     /// gauge.
     fn recount_lag(&mut self) {
         let mut lag = 0u64;
-        let mut legacy = self.legacy;
         let mut seg_first = self.seg_first;
         let mut offset = self.offset as usize;
         let mut next_seq = self.next_seq;
         loop {
-            let path = if legacy {
-                self.dir.join(LEGACY_WAL_FILE)
-            } else {
-                self.dir.join(segment_file_name(seg_first))
-            };
-            let Ok(bytes) = std::fs::read(&path) else {
-                if legacy && self.dir.join(segment_file_name(seg_first)).exists() {
-                    legacy = false;
-                    continue;
-                }
-                if !legacy
-                    && next_seq != seg_first
-                    && self.dir.join(segment_file_name(next_seq)).exists()
-                {
+            let Ok(bytes) = std::fs::read(self.dir.join(segment_file_name(seg_first))) else {
+                if next_seq != seg_first && self.dir.join(segment_file_name(next_seq)).exists() {
                     seg_first = next_seq;
                     offset = WAL_HEADER_LEN;
                     continue;
@@ -458,8 +426,7 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
                     }
                 }
             }
-            if legacy
-                || !clean_end
+            if !clean_end
                 || next_seq == seg_first
                 || !self.dir.join(segment_file_name(next_seq)).exists()
             {

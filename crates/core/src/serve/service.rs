@@ -39,10 +39,7 @@ use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
 use crate::multiuser::{group_scores, GroupStrategy};
 use crate::persist::compact::{covered_prefix, delete_segments};
 use crate::persist::snapshot::encode_snapshot;
-use crate::persist::wal::{
-    apply_op, decode_op, segment_file_name, segment_paths, SegmentLimit, Wal, WalOp,
-    LEGACY_WAL_FILE,
-};
+use crate::persist::wal::{apply_op, decode_op, SegmentLimit, Wal, WalOp};
 use crate::persist::{
     recover, snapshot_paths, sync_dir, CompactionPolicy, FlushPolicy, PersistError, Recovered,
     WalStats,
@@ -413,16 +410,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     ) -> Result<Self> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir).map_err(PersistError::from)?;
-
-        // Migrate a pre-segment directory: the single-file `wal.log` is
-        // byte-identical to a first segment (its first record is sequence
-        // 1), so it just changes name. Replicas read it in place; only the
-        // writer renames.
-        let legacy = dir.join(LEGACY_WAL_FILE);
-        if segment_paths(&dir).is_empty() && legacy.exists() {
-            std::fs::rename(&legacy, dir.join(segment_file_name(1))).map_err(PersistError::from)?;
-            sync_dir(&dir).map_err(PersistError::from)?;
-        }
 
         let recovered = recover(&dir)?;
 
@@ -1449,6 +1436,13 @@ mod tests {
             "the repeat is answered from the members' score caches"
         );
         assert_eq!(after.sessions.batch, before.sessions.batch, "no sweep ran");
+        // The single-user case of the same rule: one lock, not one per shard.
+        service.rank(users[0], &docs, docs.len()).unwrap();
+        assert_eq!(
+            service.stats().shard_lock_acquisitions - after.shard_lock_acquisitions - sweep,
+            1,
+            "a warm single-user rank costs exactly one shard lock"
+        );
     }
 
     #[test]

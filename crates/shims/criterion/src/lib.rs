@@ -4,18 +4,13 @@
 //! [`criterion_group!`] / [`criterion_main!`] — over a simple wall-clock
 //! harness: calibrate a batch size, run timed batches, report the median.
 //!
-//! Environment knobs:
-//! * `CAPRA_BENCH_BUDGET_MS` — per-benchmark measurement budget
-//!   (default 300 ms; CI smoke runs set it low);
-//! * `CAPRA_BENCH_JSON` — if set, append one JSON line per benchmark to the
-//!   given file (`{"name":…,"ns_per_iter":…}`), consumed by the perf
-//!   snapshot tooling.
+//! One environment knob: `CAPRA_BENCH_BUDGET_MS`, the per-benchmark
+//! measurement budget (default 300 ms; CI's smoke run sets it low).
 
 #![forbid(unsafe_code)]
 
 use std::fmt::Display;
 use std::hint::black_box;
-use std::io::Write as _;
 use std::time::{Duration, Instant};
 
 /// Top-level benchmark driver.
@@ -96,8 +91,8 @@ fn budget() -> Duration {
     Duration::from_millis(ms.max(1))
 }
 
-/// Runs one benchmark: calibrate, measure, report. Returns ns/iter.
-fn run_bench(name: &str, throughput: Option<Throughput>, mut run: impl FnMut(&mut Bencher)) -> f64 {
+/// Runs one benchmark: calibrate, measure, report.
+fn run_bench(name: &str, throughput: Option<Throughput>, mut run: impl FnMut(&mut Bencher)) {
     let budget = budget();
     // Calibrate: grow the batch until one batch costs ≥ 1/20 of the budget.
     let mut iters: u64 = 1;
@@ -134,16 +129,6 @@ fn run_bench(name: &str, throughput: Option<Throughput>, mut run: impl FnMut(&mu
         None => String::new(),
     };
     println!("bench: {name:<48} {ns:>14.1} ns/iter  ({iters} iters × {batches} batches){rate}");
-    if let Ok(path) = std::env::var("CAPRA_BENCH_JSON") {
-        if let Ok(mut f) = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-        {
-            let _ = writeln!(f, "{{\"name\":\"{name}\",\"ns_per_iter\":{ns:.1}}}");
-        }
-    }
-    ns
 }
 
 /// A named group of benchmarks sharing throughput/sample settings.
@@ -179,21 +164,6 @@ impl BenchmarkGroup<'_> {
         let name = format!("{}/{}", self.name, id.into_id());
         run_bench(&name, self.throughput, f);
         self
-    }
-
-    /// Shim extension (not part of the real criterion API): benchmarks
-    /// `f` under `id` exactly like
-    /// [`BenchmarkGroup::bench_function`], and additionally returns the
-    /// measured median ns/iter — so a bench can derive secondary metrics
-    /// (e.g. a ratio of two medians emitted as a gauge) from the same
-    /// measurement the JSON snapshot records.
-    pub fn bench_function_measured<I: IntoBenchmarkId>(
-        &mut self,
-        id: I,
-        f: impl FnMut(&mut Bencher),
-    ) -> f64 {
-        let name = format!("{}/{}", self.name, id.into_id());
-        run_bench(&name, self.throughput, f)
     }
 
     /// Benchmarks `f` with a borrowed input under `id`.

@@ -1,7 +1,9 @@
 //! `xtask bench` — time repeated replays of a workload file.
 //!
-//! A coarse wall-clock harness for interactive use; the guarded
-//! regression gauge lives in `crates/bench/benches/workload.rs`.
+//! A coarse wall-clock harness for interactive use; timings that gate a
+//! change come from `benchmark/` (every workload there is such a replay),
+//! and the replay's exact transcripts are pinned in
+//! `tests/workload_replay.rs`.
 
 use std::time::Instant;
 

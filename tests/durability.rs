@@ -560,6 +560,24 @@ fn covered_compaction_reclaims_segments_and_stays_bit_identical() {
         segments(&covered_dir),
         segments(&never_dir),
     );
+    // Exact on-disk log bytes (fixed codec, names in the records): the
+    // covered total growing means compaction stopped reclaiming, the
+    // never-compacted total moving means the frame codec changed.
+    let wal_bytes = |dir| -> u64 {
+        segments(dir)
+            .iter()
+            .map(|(_, path)| std::fs::metadata(path).unwrap().len())
+            .sum()
+    };
+    assert_eq!(
+        (
+            wal_bytes(&covered_dir),
+            wal_bytes(&never_dir),
+            cs.bytes_reclaimed
+        ),
+        (170, 1659, 1489),
+        "WAL bytes on disk (covered, never-compacted) and bytes reclaimed"
+    );
     let want: Vec<Vec<DocScore>> = users
         .iter()
         .map(|&u| never.rank(u, &docs, docs.len()).unwrap())
@@ -727,51 +745,6 @@ fn losing_the_newest_snapshot_after_compaction_still_recovers() {
             assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
     }
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// A PR 7 directory holds one unsegmented `wal.log`; opening it with the
-/// segmented writer migrates the file to `wal-1.log` (rename, no
-/// rewrite), replays every record, and keeps appending into it.
-#[test]
-fn legacy_single_file_wal_migrates_on_open() {
-    let dir = scratch("legacy");
-    let mut service = open(engines().remove(3).1, &dir);
-    let (users, docs) = populate(&mut service);
-    let appended = service.stats().wal.records_appended;
-    let want: Vec<Vec<DocScore>> = users
-        .iter()
-        .map(|&u| service.rank(u, &docs, docs.len()).unwrap())
-        .collect();
-    drop(service);
-
-    // Downgrade the directory to the PR 7 layout.
-    std::fs::rename(first_segment(&dir), dir.join("wal.log")).unwrap();
-
-    let restored = open(engines().remove(3).1, &dir);
-    assert!(
-        first_segment(&dir).exists() && !dir.join("wal.log").exists(),
-        "the legacy log is renamed to the first segment"
-    );
-    let wal = restored.stats().wal;
-    assert_eq!(wal.records_truncated, 0, "{wal:?}");
-    assert_eq!(wal.records_replayed, appended, "{wal:?}");
-    for (&u, want) in users.iter().zip(&want) {
-        let got = restored.rank(u, &docs, docs.len()).unwrap();
-        for (a, b) in want.iter().zip(&got) {
-            assert_eq!(a.doc, b.doc);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
-        }
-    }
-    // Appends continue into the migrated segment and survive another kill.
-    restored
-        .assert(users[0], Fact::ConceptProb("Ctx0".into(), 0.9))
-        .unwrap();
-    drop(restored);
-    let clean = open(engines().remove(3).1, &dir);
-    let wal = clean.stats().wal;
-    assert_eq!(wal.records_truncated, 0, "{wal:?}");
-    assert_eq!(wal.records_replayed, appended + 1, "{wal:?}");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -146,8 +146,24 @@ fn run_loop<E: ScoringEngine + Sync + ?Sized>(
 /// Footprint assertions shared by the session and service variants: the
 /// evicting session flattens out (its second-half peak does not exceed
 /// its first-half peak) and ends well below the grow-only session, which
-/// demonstrably leaks on this workload.
+/// demonstrably leaks on this workload. The entry counts are deterministic
+/// (and the same in a session's own memos as in a service's shared pool),
+/// so they are pinned exactly, as recorded at PR 22: retention creeping up
+/// by one tier, or the `Never` reference no longer holding everything,
+/// fails here.
 fn assert_bounded(engine: &str, bounded: &[usize], unbounded: &[usize]) {
+    let pinned = match engine {
+        "naive-view" => [522, 522, 2086, 4174],
+        "naive-enum" | "factorized" => [42, 42, 166, 334],
+        "lineage" => [162, 162, 646, 1294],
+        other => panic!("no pinned footprint for engine {other}"),
+    };
+    let at = |series: &[usize]| [series[CALLS / 2 - 1], series[CALLS - 1]];
+    assert_eq!(
+        [at(bounded), at(unbounded)].concat(),
+        pinned,
+        "{engine}: footprint entries [MaxAge mid, MaxAge end, Never mid, Never end]"
+    );
     let first_peak = *bounded[..CALLS / 2].iter().max().unwrap();
     let second_peak = *bounded[CALLS / 2..].iter().max().unwrap();
     assert!(
