@@ -1,12 +1,16 @@
 //! Hashing for the request path's maps.
 //!
-//! The maps a request probes per document or per user — cached scores,
-//! tenants' bindings, feature rows — are keyed by ids this program handed
-//! out itself ([`capra_dl::IndividualId`] is the vocabulary's dense
-//! interner index), so std's keyed SipHash buys nothing there and costs
-//! more than the probe it guards. [`IdHasher`] folds words with a
-//! xorshift-multiply mix instead. Nothing iterates these maps, so no order
-//! depends on it.
+//! The maps a request probes per document or per user — the service's
+//! tenant shards, tenants' bindings and score entries, feature rows — are
+//! keyed by ids this program handed out itself ([`capra_dl::IndividualId`]
+//! is the vocabulary's dense interner index), so std's keyed SipHash buys
+//! nothing there and costs more than the probe it guards. [`IdHasher`]
+//! folds words with a xorshift-multiply mix instead. No result depends on
+//! the order of these maps: what iterates one sums counters, except for two
+//! readers of the tenant shards — `TenantSessions::evict_lru`, which takes
+//! the minimum over recency stamps that are unique, and `live_users`,
+//! whose callers treat the ids as a set (and which iterated a
+//! `RandomState` map before).
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,4 +1,5 @@
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use capra_dl::{parse_concept, Vocabulary};
 
@@ -17,10 +18,23 @@ use crate::{CoreError, PreferenceRule, Result, Score};
 /// R1 | Weekend   | TvProgram AND EXISTS hasGenre.{HUMAN-INTEREST} | 0.8
 /// R2 | Breakfast | TvProgram AND EXISTS hasSubject.{News}         | 0.9
 /// ```
+///
+/// Rules live outside the KB, so no KB epoch says whether they changed.
+/// The repository carries a stamp of its own instead: `0` while nobody has
+/// touched it, a number no other edit in this process was given after every
+/// successful [`RuleRepository::add`] / [`RuleRepository::remove`], and a
+/// clone keeps its original's. Two repositories with equal stamps hold
+/// equal rules — which is how a session proves "same rules as last time"
+/// without reading them — and never the converse: the same rules built
+/// twice carry two stamps, and are compared rule by rule.
 #[derive(Debug, Clone, Default)]
 pub struct RuleRepository {
     rules: Vec<PreferenceRule>,
+    stamp: u64,
 }
+
+/// The stamp the next successful edit of any repository takes.
+static NEXT_STAMP: AtomicU64 = AtomicU64::new(1);
 
 impl RuleRepository {
     /// Creates an empty repository.
@@ -34,15 +48,30 @@ impl RuleRepository {
             return Err(CoreError::DuplicateRule(rule.name));
         }
         self.rules.push(rule);
+        self.restamp();
         Ok(())
     }
 
     /// Removes a rule by name.
     pub fn remove(&mut self, name: &str) -> Result<PreferenceRule> {
         match self.rules.iter().position(|r| r.name == name) {
-            Some(i) => Ok(self.rules.remove(i)),
+            Some(i) => {
+                self.restamp();
+                Ok(self.rules.remove(i))
+            }
             None => Err(CoreError::UnknownRule(name.to_string())),
         }
+    }
+
+    /// Equal to another repository's only if the two hold the same rules
+    /// (see the type docs).
+    pub(crate) fn stamp(&self) -> u64 {
+        self.stamp
+    }
+
+    fn restamp(&mut self) {
+        // A counter read: it orders nothing and publishes nothing.
+        self.stamp = NEXT_STAMP.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Looks a rule up by name.
@@ -196,6 +225,40 @@ R2 | Breakfast | TvProgram AND EXISTS hasSubject.{News}         | 0.9
             RuleRepository::from_text("R | A | B | 1.5", &mut voc),
             Err(CoreError::BadScore(_))
         ));
+    }
+
+    #[test]
+    fn the_stamp_follows_every_successful_edit_and_nothing_else() {
+        let mut voc = Vocabulary::new();
+        assert_eq!(RuleRepository::new().stamp(), 0, "untouched");
+        let mut repo = RuleRepository::from_text(PAPER_RULES, &mut voc).unwrap();
+        let parsed = repo.stamp();
+        assert_ne!(parsed, 0, "`from_text` adds");
+        assert_eq!(repo.clone().stamp(), parsed, "a clone holds the same rules");
+        let twin = RuleRepository::from_text(PAPER_RULES, &mut voc).unwrap();
+        assert_eq!(repo.rules(), twin.rules());
+        assert_ne!(twin.stamp(), parsed, "built apart: equal rules, two stamps");
+
+        // Rejected edits leave rules and stamp alone.
+        let r1 = repo.get("R1").unwrap().clone();
+        assert!(matches!(
+            repo.add(r1.clone()),
+            Err(CoreError::DuplicateRule(_))
+        ));
+        assert!(matches!(repo.remove("R3"), Err(CoreError::UnknownRule(_))));
+        assert_eq!((repo.stamp(), repo.rules()), (parsed, twin.rules()));
+
+        // Successful ones each take a number nobody else has.
+        let mut seen = vec![0, parsed, twin.stamp()];
+        repo.remove("R1").unwrap();
+        seen.push(repo.stamp());
+        repo.add(r1).unwrap();
+        seen.push(repo.stamp());
+        let before = seen.len();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), before, "every edit's stamp is new");
+        assert_eq!(repo.clone().stamp(), repo.stamp());
     }
 
     #[test]

@@ -849,7 +849,8 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// Ranks `docs` for `user`, returning the top `k` (best first).
     ///
     /// `k >= docs.len()` ranks the full set through the tenant's score
-    /// cache — the steady-state warm path is a table lookup plus a sort.
+    /// cache — the steady-state warm path compares the list with the one it
+    /// holds and copies the kept ranking.
     /// `k < docs.len()` is two-phase top-k ([`crate::rank_top_k`]): one
     /// closed-form engine sweep over the candidates, ranked and cut at `k`,
     /// plus — only for documents the engine deferred — a bound-ordered
@@ -1202,6 +1203,29 @@ mod tests {
                 assert_eq!(a.doc, b.doc, "k={k}");
                 assert_eq!(a.score.to_bits(), b.score.to_bits());
             }
+        }
+    }
+
+    #[test]
+    fn an_empty_cut_answers_empty_on_every_engine() {
+        use crate::{FactorizedEngine, NaiveEnumEngine, NaiveViewEngine, ScoringEngine};
+
+        // `k = 0` evaluates nothing, so no engine gets to reject the
+        // fixture's correlated rules.
+        let engines: [Box<dyn ScoringEngine + Sync>; 4] = [
+            Box::new(NaiveViewEngine::new()),
+            Box::new(NaiveEnumEngine::new()),
+            Box::new(FactorizedEngine::new()),
+            Box::new(LineageEngine::new()),
+        ];
+        for engine in engines {
+            let (kb, rules, users, docs) = fixture(2, 16);
+            let service = RankingService::new(engine, kb, rules);
+            for docs in [&docs[..], &[]] {
+                assert_eq!(service.rank(users[0], docs, 0).unwrap(), []);
+            }
+            let scores = service.stats().sessions.scores;
+            assert_eq!(scores, crate::CacheStats::default());
         }
     }
 
@@ -1697,6 +1721,30 @@ mod tests {
     }
 
     #[test]
+    fn another_tenants_assert_hands_back_the_same_binding_list() {
+        let (service, [ann, bob], products) = shop();
+        let bound = |user| {
+            let snap = service.snapshot();
+            service
+                .tenants
+                .with_session(user, |tenant| tenant.session.bind(&snap.env(user)))
+        };
+        let held = [ann, bob].map(bound);
+        service
+            .assert(ann, Fact::ConceptProb("GiftShopping".into(), 0.8))
+            .unwrap();
+        // A new plan set, against which nothing of Bob's moved: the list he
+        // holds is still the list, and that one pointer keeps his scores.
+        assert!(Arc::ptr_eq(&held[1], &bound(bob)));
+        let next = rank_delta(&service, bob, &products).scores;
+        assert_eq!((next.misses, next.hits), (0, products.len() as u64));
+        // Ann's F-gift binding is a new one, so her list is too.
+        let now = bound(ann);
+        assert!(!Arc::ptr_eq(&held[0], &now));
+        assert!(!Arc::ptr_eq(&held[0][0], &now[0]) && Arc::ptr_eq(&held[0][1], &now[1]));
+    }
+
+    #[test]
     fn a_catalog_change_re_derives_its_views_once_for_all_tenants() {
         let (service, shoppers, products) = shop();
         service
@@ -1735,7 +1783,7 @@ mod tests {
                 .tenants
                 .with_session(shopper, |tenant| tenant.session.bind(&snap.env(shopper)))
         });
-        for (x, y) in a.iter().zip(&b) {
+        for (x, y) in a.iter().zip(b.iter()) {
             assert!(
                 Arc::ptr_eq(&x.preference_events, &y.preference_events),
                 "{}: one view `Arc` for every tenant",

@@ -28,13 +28,13 @@
 //! exactly like the snapshot-tier [`capra_events::EvictionPolicy`] one
 //! layer down.
 
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
 use capra_dl::IndividualId;
 
+use crate::hash::{IdHasher, IdMap};
 use crate::session::{SessionCore, SessionStats};
 
 /// One tenant: a session core plus the recency stamp the LRU cap works
@@ -64,7 +64,7 @@ impl Tenant {
 }
 
 /// One shard: the tenants that hash here, behind this shard's own lock.
-type Shard = HashMap<IndividualId, Tenant>;
+type Shard = IdMap<IndividualId, Tenant>;
 
 /// The sharded tenant map (see module docs).
 pub(crate) struct TenantSessions {
@@ -94,7 +94,7 @@ impl TenantSessions {
     pub fn new(shards: usize, capacity: usize) -> Self {
         let n = shards.max(1);
         Self {
-            shards: (0..n).map(|_| Mutex::new(HashMap::new())).collect(),
+            shards: (0..n).map(|_| Mutex::new(Shard::default())).collect(),
             lock_counts: (0..n).map(|_| AtomicU64::new(0)).collect(),
             capacity: capacity.max(1),
             clock: AtomicU64::new(0),
@@ -104,12 +104,14 @@ impl TenantSessions {
         }
     }
 
-    /// The shard a tenant routes to. `DefaultHasher` is keyed with fixed
-    /// constants, so routing is stable across runs and processes.
+    /// The shard a tenant routes to. [`IdHasher`] has no key, so routing is
+    /// stable across runs and processes. The shard's own map hashes the
+    /// same way and places by the hash's low bits and its top seven; the
+    /// route is taken from the bits in between, so the tenants of one
+    /// shard still spread over its buckets.
     fn shard_of(&self, user: IndividualId) -> usize {
-        let mut hasher = std::hash::DefaultHasher::new();
-        user.hash(&mut hasher);
-        (hasher.finish() % self.shards.len() as u64) as usize
+        let hash = BuildHasherDefault::<IdHasher>::default().hash_one(user);
+        ((hash >> 32) % self.shards.len() as u64) as usize
     }
 
     /// Locks shard `index`, counting the acquisition.

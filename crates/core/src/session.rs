@@ -15,20 +15,26 @@
 //!    of the tables behind them, the preference view — is a *rule plan*,
 //!    resolved once per `(KB state, rule set)` by the first binder after a
 //!    change and shared through the `Kb` by every cache bound to it;
-//!    accepted only on equality of the KB's identity, epochs and every
-//!    rule's definition. While a user is bound against the same plan set
-//!    nothing moved, and that is the check. Against a new one a binding
+//!    accepted only on equality of the KB's identity, epochs and rules —
+//!    the repository's stamp ([`crate::RuleRepository`]), or failing that
+//!    every rule's definition. While a user is bound against the same plan
+//!    set nothing moved, and that is the check. Against a new one a binding
 //!    stays valid unless the mutation touched a table in *that rule's*
 //!    footprint; one that did costs a point membership of the user. A
-//!    binding that comes out unchanged is handed back as the same `Arc`;
+//!    binding that comes out unchanged is handed back as the same `Arc`,
+//!    and a user whose bindings all did is handed back the same list;
 //! 2. **evaluation memos** — an [`crate::engines::EvalScratch`] carrying the
 //!    probability/expectation memo tables across calls, so unchanged
 //!    sub-problems answer from cache even when new documents appear;
-//! 3. **scores** — per-`(user, engine)` document scores, valid while the
-//!    exact same binding `Arc`s are in effect. A warm repeat call is a pure
-//!    table lookup; after a KB mutation that changed one of the user's
-//!    bindings the entry falls out via layer 1 and is recomputed — a
-//!    mutation about someone or something else leaves it warm.
+//! 3. **scores** — per `(user, engine)` the scores of the list last
+//!    computed, by position, and its ranking once asked for; valid while
+//!    the user's binding list is the very `Arc` they were computed under.
+//!    A warm repeat of that list is one pointer compare, a slot-by-slot
+//!    compare of the ids and a copy — no lookup, no sort; another list
+//!    under the same bindings is looked up by document and only what is
+//!    new in it computed. After a KB mutation that changed one of the
+//!    user's bindings the entry falls out via layer 1 and is recomputed —
+//!    a mutation about someone or something else leaves it warm.
 //!
 //! All layers are behaviour-preserving: a session produces bit-identical
 //! scores to a cold call (property-tested in `tests/session_consistency.rs`),
@@ -132,8 +138,8 @@ pub struct SessionStats {
     /// misses produced a new one (first sight, or its context event or
     /// preference view changed).
     pub bindings: CacheStats,
-    /// Score cache traffic: hits served a document score from the table,
-    /// misses computed one through an engine.
+    /// Score cache traffic, per requested candidate: hits were answered
+    /// from the cached scores, misses computed through an engine.
     pub scores: CacheStats,
     /// Footprint of the session's evaluation memos: occupied snapshot
     /// tiers, memo entries (snapshot chains plus private overlays), and an
@@ -230,23 +236,27 @@ struct PlanSet {
     kb_id: u64,
     tbox_epoch: u64,
     binding_epoch: u64,
+    /// [`crate::RuleRepository`]'s stamp when `plans` was resolved from it.
+    rules_stamp: u64,
     plans: Vec<RulePlan>,
 }
 
 impl PlanSet {
     /// Whether the set is what [`PlanSet::resolve`] builds for `env`,
     /// decided by **equality** and never by order: same KB, same binding
-    /// and TBox epochs, and rule for rule the definitions `env.rules`
-    /// holds now. Rules live outside the KB — a repository can change, or
-    /// another one come along, at an unchanged epoch — so no epoch vouches
-    /// for them.
+    /// and TBox epochs, and the rules `env.rules` holds now. Rules live
+    /// outside the KB — a repository can change, or another one come
+    /// along, at an unchanged epoch — so no epoch vouches for them; the
+    /// repository's own stamp does, and where it differs (the same rules
+    /// built twice) the definitions are compared rule for rule.
     fn accepts(&self, env: &ScoringEnv<'_>) -> bool {
         let rules = env.rules.rules();
         self.kb_id == env.kb.id()
             && self.binding_epoch == env.kb.binding_epoch()
             && self.tbox_epoch == env.kb.tbox.epoch()
-            && self.plans.len() == rules.len()
-            && self.plans.iter().zip(rules).all(|(p, r)| p.def.states(r))
+            && (self.rules_stamp == env.rules.stamp()
+                || self.plans.len() == rules.len()
+                    && self.plans.iter().zip(rules).all(|(p, r)| p.def.states(r)))
     }
 
     /// Resolves `env.rules` against `env.kb`, carrying over from `previous`
@@ -289,6 +299,7 @@ impl PlanSet {
             kb_id: kb.id(),
             binding_epoch: kb.binding_epoch(),
             tbox_epoch,
+            rules_stamp: env.rules.stamp(),
             plans: env.rules.rules().iter().enumerate().map(plan).collect(),
         }
     }
@@ -389,6 +400,10 @@ impl CacheEntry {
 struct UserBindings {
     set: Option<Arc<PlanSet>>,
     entries: Vec<CacheEntry>,
+    /// `entries`' bindings in order, as [`BindingCache::bind`] hands them
+    /// out: replaced only when one of its elements is, so holding the same
+    /// list means holding the same bindings.
+    list: Arc<[Arc<RuleBinding>]>,
 }
 
 /// Where `def`'s rule has its entry in `entries`: at `i` in the steady state
@@ -411,11 +426,13 @@ fn find_entry(entries: &[CacheEntry], i: usize, def: &Arc<RuleDef>) -> Option<us
 /// once per `(KB state, rule set)` by the first binder after a change and
 /// published on the `Kb` for every cache that binds against it (or against
 /// its publish-chain successors). A plan set is accepted only on equality
-/// of the KB's identity, its binding and TBox epochs and every rule's
-/// definition, so a binder on an older snapshot resolves its own and
-/// neither takes nor displaces the newer. What does depend on the user is
-/// kept here: per rule the definition `Arc` it was bound under, the
-/// context's stamp and the `Arc<RuleBinding>`.
+/// of the KB's identity, its binding and TBox epochs and the rules — by
+/// the repository's stamp, else definition by definition — so a binder on
+/// an older snapshot resolves its own and neither takes nor displaces the
+/// newer. What does depend on the user is kept here: per rule the
+/// definition `Arc` it was bound under, the context's stamp and the
+/// `Arc<RuleBinding>`, and the list of those bindings that
+/// [`BindingCache::bind`] hands out.
 ///
 /// A bind against the set the user was last bound against is that one
 /// check: nothing moved ([`crate::Kb::binding_epoch`] stands still under
@@ -472,18 +489,23 @@ impl BindingCache {
     /// Returns one binding per rule, in repository order — the same contract
     /// as [`crate::bind_rules_shared`], with which the result is
     /// bit-identical.
-    pub fn bind(&mut self, env: &ScoringEnv<'_>) -> Vec<Arc<RuleBinding>> {
+    ///
+    /// The list is shared, and it is the user's *same* list for as long as
+    /// every binding in it is the same `Arc` — also across KB mutations
+    /// that moved nothing of this user's. [`Arc::ptr_eq`] on two lists a
+    /// caller got for one user therefore says "nothing changed" (never the
+    /// converse: a cleared cache binds equal content into a new list).
+    pub fn bind(&mut self, env: &ScoringEnv<'_>) -> Arc<[Arc<RuleBinding>]> {
         let user = self.users.entry(env.user).or_default();
         let set = PlanSet::current(env, user.set.as_ref());
         let entries = &mut user.entries;
         if user.set.as_ref().is_some_and(|own| Arc::ptr_eq(own, &set)) {
             self.hits += entries.len() as u64;
-            return entries.iter().map(|e| Arc::clone(&e.binding)).collect();
+            return Arc::clone(&user.list);
         }
         // Membership walks the user's own rows: no view, hence no TBox
         // (the plans' concepts are unfolded) and no shared views.
         let reasoner = Reasoner::new(&env.kb.abox);
-        let mut out = Vec::with_capacity(set.plans.len());
         for (i, plan) in set.plans.iter().enumerate() {
             // Entries `..i` hold the (uniquely named) rules before this one,
             // so a hit is at `i` or later and moving it here displaces
@@ -528,93 +550,79 @@ impl BindingCache {
                     None => entries.insert(i, entry),
                 }
             }
-            out.push(Arc::clone(&entries[i].binding));
         }
         // Whatever is left belongs to rules no longer in the repository.
         entries.truncate(set.plans.len());
         user.set = Some(set);
-        out
+        let same_list = user.list.len() == entries.len()
+            && user
+                .list
+                .iter()
+                .zip(entries.iter())
+                .all(|(held, e)| Arc::ptr_eq(held, &e.binding));
+        if !same_list {
+            user.list = entries.iter().map(|e| Arc::clone(&e.binding)).collect();
+        }
+        Arc::clone(&user.list)
     }
 }
 
-/// Cached per-document scores for one `(user, engine)` pair, valid while
-/// the exact binding `Arc`s they were computed under are still the ones the
-/// binding cache hands out. Holding strong references makes the identity
-/// check exact: a pointer can only compare equal to a *live* binding, never
-/// to a recycled allocation.
+/// Cached scores for one `(user, engine)` pair, valid while the binding
+/// list they were computed under is still the one the binding cache hands
+/// out ([`BindingCache::bind`] replaces a user's list exactly when one of
+/// its bindings changes). Holding a strong reference makes the identity
+/// check exact: a pointer can only compare equal to a *live* list, never to
+/// a recycled allocation.
+///
+/// Scores are kept by position, not by document: serving re-ranks the same
+/// list, and a request for the list `scores` holds is answered by comparing
+/// the ids slot by slot and copying — no probe, no sort.
 #[derive(Default)]
 struct ScoreEntry {
-    bindings: Vec<Arc<RuleBinding>>,
-    scores: IdMap<IndividualId, f64>,
+    /// `None` until the first request, and never equal to a live list then.
+    bindings: Option<Arc<[Arc<RuleBinding>]>>,
+    /// Every score computed under `bindings`, in the order the documents
+    /// first arrived: the first list as the engine returned it (one slot
+    /// per candidate, repeats included), then what later lists added.
+    scores: Vec<DocScore>,
+    /// `rank(scores)`, once a request asked for it.
+    ranked: Option<Vec<DocScore>>,
+    /// A slot of each document in `scores` — built by the first request for
+    /// a list other than `scores`' own, kept until the bindings change.
+    index: Option<IdMap<IndividualId, u32>>,
+}
+
+impl ScoreEntry {
+    /// Whether `docs` is, slot by slot, the list `scores` holds.
+    fn holds(&self, docs: &[IndividualId]) -> bool {
+        self.scores.len() == docs.len() && self.scores.iter().zip(docs).all(|(s, d)| s.doc == *d)
+    }
+}
+
+/// Position `at` of [`ScoreEntry::scores`] as its index stores it: half the
+/// bytes of a `usize` per document of every tenant whose lists vary.
+fn slot(at: usize) -> u32 {
+    u32::try_from(at).expect("a score entry holds fewer than 2^32 scores")
 }
 
 /// Key of one score-cache entry: user, engine name, engine configuration.
 type ScoreKey = (IndividualId, &'static str, u64);
 
-/// The per-document score layer of a [`SessionCore`]: entries keyed by
-/// [`ScoreKey`], each valid while the exact binding `Arc`s it was computed
-/// under are unchanged (pointer identity — see [`ScoreEntry`]).
+/// The score layer of a [`SessionCore`]: entries keyed by [`ScoreKey`],
+/// read and filled by [`SessionCore::read_through`]. `hits` and `misses`
+/// count documents: a hit is a requested slot answered from an entry, a
+/// miss one handed to the engine.
 #[derive(Default)]
 struct ScoreCache {
     entries: IdMap<ScoreKey, ScoreEntry>,
     hits: u64,
     misses: u64,
-}
-
-impl ScoreCache {
-    /// Ensures the entry under `key` reflects exactly `bindings` (clearing
-    /// it if they changed) and returns the documents not yet cached, in
-    /// input order, counting hits and misses.
-    fn missing(
-        &mut self,
-        key: ScoreKey,
-        bindings: &[Arc<RuleBinding>],
-        docs: &[IndividualId],
-    ) -> Vec<IndividualId> {
-        let entry = self.entries.entry(key).or_default();
-        let same_bindings = entry.bindings.len() == bindings.len()
-            && entry
-                .bindings
-                .iter()
-                .zip(bindings)
-                .all(|(a, b)| Arc::ptr_eq(a, b));
-        if !same_bindings {
-            entry.bindings = bindings.to_vec();
-            entry.scores.clear();
-        }
-        let missing: Vec<IndividualId> = docs
-            .iter()
-            .copied()
-            .filter(|d| !entry.scores.contains_key(d))
-            .collect();
-        self.hits += (docs.len() - missing.len()) as u64;
-        self.misses += missing.len() as u64;
-        missing
-    }
-
-    /// Stores freshly computed scores under `key` (which
-    /// [`ScoreCache::missing`] must have ensured).
-    fn record(&mut self, key: &ScoreKey, computed: Vec<DocScore>) {
-        let entry = self
-            .entries
-            .get_mut(key)
-            .expect("missing() creates the entry");
-        for s in computed {
-            entry.scores.insert(s.doc, s.score);
-        }
-    }
-
-    /// Reads the scores for `docs` (all of which must be cached by now),
-    /// in input order.
-    fn collect(&self, key: &ScoreKey, docs: &[IndividualId]) -> Vec<DocScore> {
-        let entry = &self.entries[key];
-        docs.iter()
-            .map(|&doc| DocScore {
-                doc,
-                score: entry.scores[&doc],
-            })
-            .collect()
-    }
+    /// Document indexes built and rankings sorted so far — the two things
+    /// a warm request for the stored list must not do.
+    #[cfg(test)]
+    indexed: u64,
+    #[cfg(test)]
+    sorted: u64,
 }
 
 /// The session core: the two *user-specific* cache layers — rule bindings
@@ -650,31 +658,95 @@ impl SessionCore {
 
     /// Current bindings for the environment, served from the cache where
     /// valid (see [`BindingCache::bind`]).
-    pub(crate) fn bind(&mut self, env: &ScoringEnv<'_>) -> Vec<Arc<RuleBinding>> {
+    pub(crate) fn bind(&mut self, env: &ScoringEnv<'_>) -> Arc<[Arc<RuleBinding>]> {
         self.bindings.bind(env)
     }
 
-    /// Reads `docs`' scores under `bindings` through the score cache, in
-    /// input order: whatever is missing is computed by the engine on
-    /// `scratch()` and recorded first.
+    /// Reads `docs`' scores under `bindings` through the score cache — in
+    /// input order, or `ranked` — in one of three ways (an empty list has
+    /// nothing to read and touches no entry). The list the entry
+    /// holds is all hits and a copy of the stored scores or of the kept
+    /// ranking. An empty entry (new, or its bindings just changed) hands
+    /// the whole list to the engine on `scratch()` and keeps what comes
+    /// back. Any other list is looked up document by document: what the
+    /// entry lacks is computed, appended, and the answer ranked afresh.
     fn read_through<'s, E>(
         &mut self,
         engine: &E,
         env: &ScoringEnv<'_>,
-        bindings: &[Arc<RuleBinding>],
+        bindings: &Arc<[Arc<RuleBinding>]>,
         docs: &[IndividualId],
+        ranked: bool,
         scratch: impl FnOnce() -> &'s mut EvalScratch,
     ) -> Result<Vec<DocScore>>
     where
         E: ScoringEngine + ?Sized,
     {
-        let key = (env.user, engine.name(), engine.config_tag());
-        let missing = self.scores.missing(key, bindings, docs);
-        if !missing.is_empty() {
-            let computed = engine.score_all_bound(env, bindings, &missing, scratch())?;
-            self.scores.record(&key, computed);
+        if docs.is_empty() {
+            // Nothing to read — and no ranking of nothing to keep, which an
+            // entry filled later would have to forget.
+            return Ok(Vec::new());
         }
-        Ok(self.scores.collect(&key, docs))
+        let cache = &mut self.scores;
+        let key = (env.user, engine.name(), engine.config_tag());
+        let entry = cache.entries.entry(key).or_default();
+        let current = |held: &Arc<_>| Arc::ptr_eq(held, bindings);
+        if !entry.bindings.as_ref().is_some_and(current) {
+            *entry = ScoreEntry {
+                bindings: Some(Arc::clone(bindings)),
+                ..ScoreEntry::default()
+            };
+        }
+        if entry.holds(docs) {
+            cache.hits += docs.len() as u64;
+        } else if entry.scores.is_empty() {
+            cache.misses += docs.len() as u64;
+            entry.scores = engine.score_all_bound(env, bindings, docs, scratch())?;
+        } else {
+            let index = entry.index.get_or_insert_with(|| {
+                #[cfg(test)]
+                {
+                    cache.indexed += 1;
+                }
+                let slots = entry.scores.iter().enumerate();
+                slots.map(|(at, s)| (s.doc, slot(at))).collect()
+            });
+            // Decided before anything is appended: a candidate the entry
+            // lacks is a miss at every slot it repeats in.
+            let lacks = |d: &IndividualId| !index.contains_key(d);
+            let missing: Vec<IndividualId> = docs.iter().copied().filter(lacks).collect();
+            cache.hits += (docs.len() - missing.len()) as u64;
+            cache.misses += missing.len() as u64;
+            if !missing.is_empty() {
+                let computed = engine.score_all_bound(env, bindings, &missing, scratch())?;
+                entry.ranked = None;
+                for s in computed {
+                    index.insert(s.doc, slot(entry.scores.len()));
+                    entry.scores.push(s);
+                }
+            }
+            let scores = docs.iter().map(|d| entry.scores[index[d] as usize].clone());
+            let scores = scores.collect();
+            if !ranked {
+                return Ok(scores);
+            }
+            #[cfg(test)]
+            {
+                cache.sorted += 1;
+            }
+            return Ok(rank(scores));
+        }
+        if !ranked {
+            return Ok(entry.scores.clone());
+        }
+        let kept = entry.ranked.get_or_insert_with(|| {
+            #[cfg(test)]
+            {
+                cache.sorted += 1;
+            }
+            rank(entry.scores.clone())
+        });
+        Ok(kept.clone())
     }
 
     /// Scores every document in `docs`, in order: bind, then read through
@@ -691,7 +763,7 @@ impl SessionCore {
         E: ScoringEngine + ?Sized,
     {
         let bindings = self.bindings.bind(env);
-        self.read_through(engine, env, &bindings, docs, scratch)
+        self.read_through(engine, env, &bindings, docs, false, scratch)
     }
 
     /// The top `k` of the ranking of `docs` (best first) — the request
@@ -700,7 +772,7 @@ impl SessionCore {
     /// cache (it skips the cache bookkeeping, and on deferred documents
     /// covers an adaptively chosen subset of `docs`); otherwise there is
     /// nothing to cut and the full ranking is read through the score
-    /// cache, where a warm repeat is a table lookup plus the sort.
+    /// cache, where a warm repeat is a compare and a copy.
     pub(crate) fn rank_top_k<'s, E>(
         &mut self,
         engine: &E,
@@ -713,11 +785,14 @@ impl SessionCore {
         E: ScoringEngine + ?Sized,
     {
         let bindings = self.bindings.bind(env);
+        if k == 0 {
+            // Nothing to rank: `scratch()` — a pool checkout — is not due.
+            return Ok(Vec::new());
+        }
         if k < docs.len() {
             rank_top_k_bound(env, engine, &bindings, docs, k, scratch())
         } else {
-            let scores = self.read_through(engine, env, &bindings, docs, scratch)?;
-            Ok(rank(scores))
+            self.read_through(engine, env, &bindings, docs, true, scratch)
         }
     }
 }
@@ -1090,7 +1165,7 @@ mod tests {
         // user's row.
         kb.assert_concept_prob(other, "Breakfast", 0.2).unwrap();
         let after = cache.bind(&env_of(&kb, &rules, user));
-        for (b, a) in before.iter().zip(&after) {
+        for (b, a) in before.iter().zip(after.iter()) {
             assert!(Arc::ptr_eq(b, a), "{}: unchanged binding, same Arc", b.name);
         }
         assert_eq!(
@@ -1225,7 +1300,7 @@ mod tests {
         let mut late = BindingCache::new();
         for cache in [&mut late, &mut behind] {
             let got = cache.bind(&env_of(&new, &rules, user));
-            for (a, b) in newest.iter().zip(&got) {
+            for (a, b) in newest.iter().zip(got.iter()) {
                 assert_eq!(a.context_event, b.context_event);
                 assert!(Arc::ptr_eq(&a.preference_events, &b.preference_events));
             }
@@ -1308,6 +1383,36 @@ mod tests {
             both.stats().bindings.misses,
             2 + 5 * 2,
             "every switch re-binds"
+        );
+    }
+
+    #[test]
+    fn equal_rules_built_apart_share_one_plan_set() {
+        let (kb, rules, user, docs) = fixture();
+        let mut twin = RuleRepository::new();
+        for rule in &rules {
+            twin.add(rule.clone()).unwrap();
+        }
+        assert_ne!(rules.stamp(), twin.stamp());
+        let engine = LineageEngine::new();
+        let mut session = ScoringSession::new();
+        for repository in [&rules, &twin, &rules, &twin] {
+            let env = env_of(&kb, repository, user);
+            session.score_all(&engine, &env, &docs).unwrap();
+        }
+        assert_eq!(
+            kb.plans().resolved(),
+            1,
+            "the stamps differ; the definitions, compared rule for rule, do not"
+        );
+        let (stats, n) = (session.stats(), docs.len() as u64);
+        assert_eq!(stats.bindings, CacheStats { hits: 6, misses: 2 });
+        assert_eq!(
+            stats.scores,
+            CacheStats {
+                hits: 3 * n,
+                misses: n
+            }
         );
     }
 
@@ -1570,6 +1675,79 @@ mod tests {
         session.clear();
         assert_eq!(session.stats().footprint, Default::default());
         assert_eq!(session.scratch.policy(), EvictionPolicy::MaxAge(5));
+    }
+
+    #[test]
+    fn the_stored_list_is_answered_without_an_index_or_a_sort() {
+        let (mut kb, rules, user, docs) = fixture();
+        let engine = LineageEngine::new();
+        let mut session = ScoringSession::new();
+        let work = |s: &ScoringSession| (s.core.scores.indexed, s.core.scores.sorted);
+        let n = docs.len() as u64;
+        // A new entry takes the list whole; the first `rank` sorts it.
+        let cold = session
+            .rank(&engine, &env_of(&kb, &rules, user), &docs)
+            .unwrap();
+        assert_eq!(work(&session), (0, 1));
+        for _ in 0..3 {
+            let env = env_of(&kb, &rules, user);
+            assert_eq!(session.rank(&engine, &env, &docs).unwrap(), cold);
+            let unranked = session.score_all(&engine, &env, &docs).unwrap();
+            assert_eq!(rank(unranked), cold);
+        }
+        assert_eq!(work(&session), (0, 1), "six warm requests: compare, copy");
+        let warm = CacheStats {
+            hits: 6 * n,
+            misses: n,
+        };
+        assert_eq!(session.stats().scores, warm);
+        // So does an entry whose bindings just changed.
+        kb.assert_concept_prob(user, "Breakfast", 0.2).unwrap();
+        for _ in 0..2 {
+            let env = env_of(&kb, &rules, user);
+            session.score_all(&engine, &env, &docs).unwrap();
+            session.rank(&engine, &env, &docs).unwrap();
+        }
+        assert_eq!(
+            work(&session),
+            (0, 2),
+            "the ranking is sorted when asked for"
+        );
+        // Only another list under the same bindings is looked up document
+        // by document, through an index built once, and ranked each time.
+        for _ in 0..2 {
+            let env = env_of(&kb, &rules, user);
+            let got = session.rank(&engine, &env, &docs[1..]).unwrap();
+            assert_eq!(got, rank(engine.score_all(&env, &docs[1..]).unwrap()));
+        }
+        assert_eq!(work(&session), (1, 4));
+        assert_eq!(session.stats().scores.misses, 2 * n, "nothing new in it");
+    }
+
+    #[test]
+    fn an_empty_list_leaves_no_ranking_behind() {
+        let (kb, rules, user, docs) = fixture();
+        let env = env_of(&kb, &rules, user);
+        let engine = FactorizedEngine::new();
+        let mut session = ScoringSession::new();
+        // `k` past the end: a full rank, of nothing.
+        assert_eq!(session.rank_top_k(&engine, &env, &[], 2).unwrap(), []);
+        let got = session.rank(&engine, &env, &docs).unwrap();
+        assert_eq!(got, rank(engine.score_all(&env, &docs).unwrap()));
+    }
+
+    #[test]
+    fn an_empty_cut_asks_for_no_scratch() {
+        let (kb, rules, user, docs) = fixture();
+        let mut core = SessionCore::default();
+        let top = core.rank_top_k(
+            &LineageEngine::new(),
+            &env_of(&kb, &rules, user),
+            &docs,
+            0,
+            || unreachable!("k = 0 evaluates nothing"),
+        );
+        assert_eq!(top.unwrap(), []);
     }
 
     #[test]

@@ -368,7 +368,7 @@ fn a_first_sight_storm_converges_on_one_plan_per_state() {
                 })
                 .collect();
             for bindings in &bound[1..] {
-                for (a, b) in bound[0].iter().zip(bindings) {
+                for (a, b) in bound[0].iter().zip(bindings.iter()) {
                     assert!(
                         Arc::ptr_eq(&a.preference_events, &b.preference_events),
                         "{name} seed {seed}: one view of {} for every tenant",

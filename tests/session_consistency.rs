@@ -2,12 +2,18 @@
 //! memos and score cache must be *invisible* — after arbitrary interleaved
 //! assert/score sequences, every engine scored through the session produces
 //! bit-identical results to a cold `bind_rules` + `score_all` call,
-//! `rank_top_k` through the session equals the full ranking's prefix, and
+//! `rank_top_k` through the session equals the full ranking's prefix,
 //! `LineageEngine` equals the test-side factor reference of
-//! `tests/common` on either of its two routes.
+//! `tests/common` on either of its two routes, and the score cache — of a
+//! session and of a service tenant — answers and counts like a plain set
+//! of documents per binding state, whatever lists it is asked for.
 
 mod common;
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use capra::dl::IndividualId;
 use capra::prelude::*;
 use proptest::prelude::*;
 
@@ -222,6 +228,206 @@ proptest! {
             prop_assert_eq!(want.len(), k.min(docs.len()));
             prop_assert_eq!(common::bits(&want), common::bits(&cold_top), "cold top-{}", k);
             prop_assert_eq!(common::bits(&want), common::bits(&warm_top), "session top-{}", k);
+        }
+    }
+}
+
+/// Documents the score-entry property draws its candidate lists from.
+const N_POOL: usize = 8;
+
+/// Multiplier on the score-entry property's case count (the variable
+/// `tests/serve_concurrent.rs` reads): CI's stress step sets it, tier-1
+/// runs the base count.
+fn stress_iters() -> u32 {
+    std::env::var("CAPRA_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
+
+/// The user's cold bindings by content: while two requests see equal ones,
+/// the binding cache hands out the same `Arc`s, and scores stay valid.
+type BindingState = Vec<(
+    String,
+    u64,
+    EventExpr,
+    Arc<BTreeMap<IndividualId, EventExpr>>,
+)>;
+
+fn binding_state(env: &ScoringEnv<'_>) -> BindingState {
+    bind_rules(env)
+        .into_iter()
+        .map(|b| {
+            (
+                b.name,
+                b.sigma.to_bits(),
+                b.context_event,
+                b.preference_events,
+            )
+        })
+        .collect()
+}
+
+/// What a score cache is, stripped of how it is stored: the set of
+/// documents scored under the current bindings. A requested slot is a hit
+/// if its document was in the set when the request arrived.
+#[derive(Default)]
+struct ScoreModel {
+    state: BindingState,
+    scored: BTreeSet<IndividualId>,
+    stats: CacheStats,
+}
+
+impl ScoreModel {
+    fn request(&mut self, state: BindingState, docs: &[IndividualId]) {
+        if state != self.state {
+            self.state = state;
+            self.scored.clear();
+        }
+        let hits = docs.iter().filter(|d| self.scored.contains(d)).count() as u64;
+        self.stats.hits += hits;
+        self.stats.misses += docs.len() as u64 - hits;
+        self.scored.extend(docs);
+    }
+}
+
+/// The list a step asks for, given the one before it: that list again, a
+/// permutation of it, one that overlaps it, the rest of the pool, nothing,
+/// or a fresh draw with repeats.
+fn next_list(
+    kind: u8,
+    bits: u64,
+    previous: &[IndividualId],
+    pool: &[IndividualId],
+) -> Vec<IndividualId> {
+    let draw = |n: usize| (0..n).map(move |i| pool[(bits >> (4 * i)) as usize % pool.len()]);
+    match kind % 8 {
+        0 | 1 => previous.to_vec(),
+        2 => {
+            let mut list = previous.to_vec();
+            list.rotate_left(bits as usize % previous.len().max(1));
+            if bits >> 63 == 1 {
+                list.reverse();
+            }
+            list
+        }
+        3 => {
+            let kept = &previous[..previous.len() / 2];
+            kept.iter().copied().chain(draw(3)).collect()
+        }
+        4 => {
+            let rest = pool.iter().filter(|d| !previous.contains(d));
+            rest.copied().collect()
+        }
+        5 => Vec::new(),
+        _ => draw((bits >> 56) as usize % 11).collect(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32 * stress_iters()))]
+
+    /// The score entry keeps scores by position and answers the list it
+    /// holds without looking anything up; none of that may show. Every step
+    /// is — sometimes after a mutation: the user's context, someone else's,
+    /// a pool document's feature, a fact no rule reads, a rule removed or
+    /// put back — a `score_all` or a full `rank` of a list derived from the
+    /// previous one, through one session and through one service tenant.
+    /// Every answer equals the cold one bit for bit, and both score caches
+    /// count exactly what [`ScoreModel`] counts, on all four engines.
+    #[test]
+    fn score_entries_answer_and_count_like_a_set_per_binding_state(
+        steps in prop::collection::vec((any::<u8>(), any::<u64>(), 0.05f64..=0.95), 8..20),
+    ) {
+        let engines: Vec<Box<dyn ScoringEngine + Sync>> = vec![
+            Box::new(NaiveViewEngine::new()),
+            Box::new(NaiveEnumEngine::new()),
+            Box::new(FactorizedEngine::new()),
+            Box::new(LineageEngine::new()),
+        ];
+        for engine in engines {
+            let (mut kb, mut rules, user, _) = fixture();
+            let other = kb.individual("other");
+            let pool: Vec<_> = (0..N_POOL)
+                .map(|d| {
+                    let doc = kb.individual(&format!("pool{d}"));
+                    kb.assert_concept(doc, "TvProgram");
+                    kb.assert_concept_prob(doc, "Feat0", 0.1 + 0.1 * d as f64).unwrap();
+                    doc
+                })
+                .collect();
+            kb.assert_concept_prob(user, "Ctx0", 0.6).unwrap();
+            // The service replays every mutation the shadow `kb` / `rules`
+            // take, so both serve the same state at every step.
+            let service = RankingService::new(engine, kb.clone(), rules.clone());
+            let engine = service.engine().as_ref();
+            let mut session = ScoringSession::new();
+            let mut model = ScoreModel::default();
+            let mut removed: Vec<PreferenceRule> = Vec::new();
+            let mut docs = pool[..5].to_vec();
+            for &(kind, bits, p) in &steps {
+                let which = (bits >> 48) as usize % 2;
+                let doc = pool[(bits >> 52) as usize % N_POOL];
+                let fact = |concept: String| Fact::ConceptProb(concept, p);
+                let assert = match kind / 8 % 8 {
+                    3 => Some((user, fact(format!("Ctx{which}")))),
+                    4 => Some((other, fact(format!("Ctx{which}")))),
+                    5 => Some((doc, fact(format!("Feat{which}")))),
+                    6 => Some((doc, fact("Unread".into()))),
+                    _ => None,
+                };
+                if let Some((subject, Fact::ConceptProb(concept, p))) = &assert {
+                    kb.assert_concept_prob(*subject, concept, *p).unwrap();
+                    service.assert(*subject, fact(concept.clone())).unwrap();
+                }
+                if kind / 8 % 8 == 7 {
+                    let name = format!("R{which}");
+                    let rule = match removed.iter().position(|r| r.name == name) {
+                        // Back as it was, or under another σ.
+                        Some(at) if p < 0.5 => removed.remove(at),
+                        Some(at) => PreferenceRule {
+                            sigma: Score::new(p).unwrap(),
+                            ..removed.remove(at)
+                        },
+                        None => {
+                            removed.push(rules.remove(&name).unwrap());
+                            service.remove_rule(&name).unwrap();
+                            continue;
+                        }
+                    };
+                    rules.add(rule.clone()).unwrap();
+                    service.add_rule(rule).unwrap();
+                }
+
+                docs = next_list(kind, bits, &docs, &pool);
+                let k = docs.len() + usize::from(kind >= 128) * 2;
+                let env = ScoringEnv { kb: &kb, rules: &rules, user };
+                model.request(binding_state(&env), &docs);
+                let cold = engine.score_all(&env, &docs).unwrap();
+                let at = format!("{} {:?} k={}", engine.name(), docs, k);
+                if kind / 64 % 2 == 0 {
+                    let want = common::bits(&rank(cold));
+                    let got = session.rank_top_k(engine, &env, &docs, k).unwrap();
+                    prop_assert_eq!(&want, &common::bits(&got), "session rank {}", at);
+                    let got = service.rank(user, &docs, k).unwrap();
+                    prop_assert_eq!(&want, &common::bits(&got), "service rank {}", at);
+                } else {
+                    let got = session.score_all(engine, &env, &docs).unwrap();
+                    prop_assert_eq!(common::bits(&cold), common::bits(&got), "score_all {}", at);
+                    // A group of one is the service's unranked read; a list
+                    // with repeats is not a group's to combine, cold or warm.
+                    let alone = GroupStrategy::LeastMisery;
+                    let bits = |r: Result<Vec<DocScore>, CoreError>| {
+                        r.map(|v| common::bits(&rank(v))).map_err(|e| e.to_string())
+                    };
+                    let want = bits(group_scores(&[cold], &alone));
+                    let got = bits(service.rank_group(&[user], &docs, k, &alone));
+                    prop_assert_eq!(want, got, "service group of one {}", at);
+                }
+                prop_assert_eq!(session.stats().scores, model.stats, "session {}", at);
+                let tenant = service.tenant_stats(user).unwrap();
+                prop_assert_eq!(tenant.scores, model.stats, "service {}", at);
+            }
         }
     }
 }
