@@ -48,8 +48,14 @@ use crate::{Result, ScoringEnv};
 /// events' shapes and probabilities — depends on no request, so the sweep
 /// does not derive it: it fetches the document's row (`engines/rows.rs`:
 /// joined from the preference views once per KB state, shared by every
-/// tenant, carried over catalogue changes view by view) and runs the lane
-/// test over the row's supports.
+/// tenant, carried over catalogue changes view by view). The document's
+/// half of the lane test belongs to the row too: whether its cells share a
+/// variable and, where they do not, the sorted union of their supports,
+/// judged whenever the row is synced. A request merges that union with its
+/// contexts' support, once per document; only a row whose cells share a
+/// variable — maybe under a rule whose context does not apply to the asker
+/// — has the test made again from the cells under the active rules, so the
+/// route of every document is what the per-request test chose.
 ///
 /// [`capra_events::BatchStats::fallbacks`] counts the second route.
 #[derive(Debug, Clone, Default)]
@@ -191,36 +197,43 @@ impl<'a> Contexts<'a> {
             .filter_map(|(half, cell)| Some((half.as_ref()?, cell)))
     }
 
-    /// The lane route for one document, from its row. Returns what
-    /// [`Expectation::compute`] would for the document's factors, bit for
-    /// bit, or `None` when the lane test rejects the document.
+    /// The lane route for one document, from its row and the row's
+    /// verdict (`row_vars`, [`crate::engines::ContextSupport::clears`]).
+    /// Returns what [`Expectation::compute`] would for the document's
+    /// factors, bit for bit, or `None` when the lane test rejects the
+    /// document.
     fn lane_score(
         &self,
         row: &[Cell],
+        row_vars: Option<&[VarId]>,
         seen: &mut Vec<VarId>,
         expectation: &mut Expectation<'_>,
     ) -> Option<f64> {
         // `compute` multiplies the constant factors first…
         let mut acc = 1.0;
         let mut pending = false;
-        seen.clear();
         for (half, cell) in self.factors(row) {
             match cell {
                 None if half.certain() => acc *= half.miss,
                 Some(c) if c.event.is_true() && half.certain() => acc *= half.sure_hit,
-                _ => {
-                    pending = true;
-                    seen.extend_from_slice(cell.map_or(&[][..], |c| c.event.support_slice()));
-                }
+                _ => pending = true,
             }
         }
         if !pending || acc == 0.0 {
             return Some(acc);
         }
         // …then one group per factor, if no two share a variable: no
-        // context and no feature event may touch another.
-        if !self.support.disjoint_with(seen) {
-            return None;
+        // context and no feature event may touch another. The row's verdict
+        // settles that for all of its cells at once; where it cannot, the
+        // cells under the factors at hand decide.
+        if !self.support.clears(row_vars) {
+            seen.clear();
+            for (_, cell) in self.factors(row) {
+                seen.extend_from_slice(cell.map_or(&[][..], |c| c.event.support_slice()));
+            }
+            if !self.support.disjoint_with(seen) {
+                return None;
+            }
         }
         for (half, cell) in self.factors(row) {
             acc *= match cell {
@@ -346,7 +359,7 @@ impl LineageEngine {
             let mut rejected: Vec<usize> = Vec::new();
             for slot in 0..docs.len() {
                 let score = contexts
-                    .lane_score(rows.row(slot), &mut seen, expectation)
+                    .lane_score(rows.row(slot), rows.support(slot), &mut seen, expectation)
                     .map(|raw| raw.clamp(0.0, 1.0));
                 if score.is_none() {
                     rejected.push(slot);

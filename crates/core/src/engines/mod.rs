@@ -16,7 +16,7 @@
 //! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | defers every document | the paper's Section 5 PostgreSQL implementation |
 //! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | defers every document | the same maths without the view machinery (ablation) |
 //! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups, the columns read off the documents' feature rows; independence check walks cached per-node supports, context half hoisted out of the doc loop | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
-//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies): `P(G_r)` is read once per request, the view join and `P(F_rd)` once per KB state (feature rows); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
+//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies): `P(G_r)` is read once per request, the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature rows); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
 //! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the engine's | the serving path: repeated queries under a changing context |
 //!
 //! All engines share the binding step ([`crate::bind_rules`]), which runs
@@ -27,7 +27,9 @@
 //! **feature rows** (`engines/rows.rs`): joined from the bound preference
 //! views on a document's first touch, kept on the `Kb` beside its derived
 //! views and rule plans for every tenant on that state, and brought up to
-//! date view by changed view after a catalogue assert. All probability work
+//! date view by changed view after a catalogue assert. A row also carries
+//! the document's half of the variable-disjointness test
+//! (`ContextSupport`), judged when the row is synced. All probability work
 //! sits on hash-consed event expressions: memo tables key by interned node
 //! identity (O(1) hash + pointer compare), pivot choices are cached per
 //! node, and `restrict` skips subtrees whose cached support excludes the
@@ -484,6 +486,27 @@ impl ContextSupport {
             disjoint: vars.len() == distinct,
             vars,
         }
+    }
+
+    /// The test for a whole feature row at once, from its verdict
+    /// ([`rows::Rows::support`]): the row's cells share no variable, and
+    /// their union, `row_vars`, none with the contexts — one merge of two
+    /// sorted lists. A pass settles [`ContextSupport::disjoint_with`] for
+    /// any of the row's cells; a failure settles nothing, since the shared
+    /// variable may sit under a rule the request does not read.
+    pub(crate) fn clears(&self, row_vars: Option<&[VarId]>) -> bool {
+        let Some(row_vars) = row_vars.filter(|_| self.disjoint) else {
+            return false;
+        };
+        let (mut i, mut j) = (0, 0);
+        while let (Some(a), Some(b)) = (self.vars.get(i), row_vars.get(j)) {
+            match a.cmp(b) {
+                std::cmp::Ordering::Less => i += 1,
+                std::cmp::Ordering::Greater => j += 1,
+                std::cmp::Ordering::Equal => return false,
+            }
+        }
+        true
     }
 
     /// The test for one document: `feature_vars` holds the supports of its

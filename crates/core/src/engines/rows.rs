@@ -32,7 +32,7 @@ use std::sync::{
 };
 
 use capra_dl::IndividualId;
-use capra_events::{EventExpr, Expectation};
+use capra_events::{EventExpr, Expectation, VarId};
 
 use crate::bind::RuleBinding;
 use crate::hash::IdMap;
@@ -109,16 +109,35 @@ pub(crate) fn join<T>(
     })
 }
 
-/// One document's cells, ascending by rule.
+/// One document's cells, ascending by rule, and the document's half of
+/// the lane test over them.
 #[derive(Default)]
 struct Row {
     /// The [`Table::generation`] the cells were last brought up to; `0`
     /// for a row that has none yet.
     synced: u64,
     cells: Vec<Cell>,
+    /// The union of the cells' variable supports, sorted — meaningful only
+    /// while `entangled` is not set.
+    support: Vec<VarId>,
+    /// Two of the cells share a variable.
+    entangled: bool,
 }
 
 impl Row {
+    /// Sets `support` and `entangled` from the cells as they now are, in
+    /// the capacity `support` already has.
+    fn judge(&mut self) {
+        self.support.clear();
+        for cell in &self.cells {
+            self.support.extend_from_slice(cell.event.support_slice());
+        }
+        // A cell's own support is sorted and distinct: a repeat is a
+        // variable two cells share.
+        self.support.sort_unstable();
+        self.entangled = self.support.windows(2).any(|w| w[0] == w[1]);
+    }
+
     /// Makes the cell under `rule` the one for `event` (`None`: the
     /// document does not match); a cell whose event stands, stands.
     fn put(&mut self, rule: usize, event: Option<&EventExpr>) {
@@ -176,7 +195,8 @@ impl Table {
     /// bound in `bindings`, the ones that arrived since it was last synced
     /// (all of them for a new row). A view that dwarfs the batch is
     /// descended into per document; otherwise view and batch, both in
-    /// document order, are walked side by side. Returns the cells read.
+    /// document order, are walked side by side. Each row synced is judged
+    /// afresh ([`Row::judge`]). Returns the cells read.
     fn bring_up(&mut self, bindings: &[Arc<RuleBinding>], behind: &[(IndividualId, u32)]) -> u64 {
         let mut read = 0;
         for (rule, b) in bindings.iter().enumerate() {
@@ -207,6 +227,7 @@ impl Table {
             for cell in &mut row.cells {
                 *cell.p.get_mut() = UNSET;
             }
+            row.judge();
             row.synced = self.generation;
         }
         read
@@ -314,6 +335,15 @@ impl Rows<'_> {
     /// The cells of `slot`'s document, ascending by rule.
     pub(crate) fn row(&self, slot: usize) -> &[Cell] {
         &self.table.rows[self.slots[slot] as usize].cells
+    }
+
+    /// The sorted union of the variable supports of `slot`'s cells, or
+    /// `None` when two of them share a variable — the document's half of
+    /// the lane test ([`crate::engines::ContextSupport::clears`]), made
+    /// once per sync of the row instead of once per request.
+    pub(crate) fn support(&self, slot: usize) -> Option<&[VarId]> {
+        let row = &self.table.rows[self.slots[slot] as usize];
+        (!row.entangled).then_some(row.support.as_slice())
     }
 }
 

@@ -22,7 +22,9 @@
 //!    stays valid unless the mutation touched a table in *that rule's*
 //!    footprint; one that did costs a point membership of the user. A
 //!    binding that comes out unchanged is handed back as the same `Arc`,
-//!    and a user whose bindings all did is handed back the same list;
+//!    and a user whose bindings all did is handed back the same list; a
+//!    binding whose context event is constant is shared by every user it
+//!    is constant for;
 //! 2. **evaluation memos** — an [`crate::engines::EvalScratch`] carrying the
 //!    probability/expectation memo tables across calls, so unchanged
 //!    sub-problems answer from cache even when new documents appear;
@@ -56,7 +58,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use capra_dl::{Concept, IndividualId, Reasoner};
 use capra_events::{BatchStats, CacheFootprint, EventExpr, EvictionPolicy};
@@ -226,6 +228,35 @@ struct RulePlan {
     /// The preference view at `preference_stamp`, from the KB's shared
     /// views.
     view: Arc<View>,
+    /// The one binding of every user whose context event is `False`
+    /// (`[0]`) or `True` (`[1]`) — such a binding depends on nobody. Made
+    /// by the first such binder and carried to the next set while `def`
+    /// and `view` stand.
+    constant: [OnceLock<Arc<RuleBinding>>; 2],
+}
+
+impl RulePlan {
+    /// The binding of a user whose context event is `context_event`: the
+    /// plan's shared one where the event is constant, a new one otherwise.
+    fn binding(&self, context_event: EventExpr) -> Arc<RuleBinding> {
+        let shared = match context_event {
+            EventExpr::False => Some(&self.constant[0]),
+            EventExpr::True => Some(&self.constant[1]),
+            _ => None,
+        };
+        let make = || {
+            Arc::new(RuleBinding {
+                name: self.def.name.clone(),
+                context_event,
+                preference_events: Arc::clone(&self.view),
+                sigma: self.def.sigma,
+            })
+        };
+        match shared {
+            Some(shared) => Arc::clone(shared.get_or_init(make)),
+            None => make(),
+        }
+    }
 }
 
 /// Every rule of one repository resolved against one KB state, in
@@ -262,9 +293,10 @@ impl PlanSet {
     /// Resolves `env.rules` against `env.kb`, carrying over from `previous`
     /// (an earlier or later set of the same KB history) what still holds:
     /// a definition — found by name — while the rule and the terminology
-    /// are what they were, and its preference view while the stamp of the
-    /// tables behind it is. Only a view whose stamp moved is asked of the
-    /// KB's shared views, which derive it once for everybody.
+    /// are what they were, and its preference view, with the constant
+    /// bindings over it, while the stamp of the tables behind it is. Only a
+    /// view whose stamp moved is asked of the KB's shared views, which
+    /// derive it once for everybody.
     fn resolve(env: &ScoringEnv<'_>, previous: Option<&PlanSet>) -> PlanSet {
         let kb = env.kb;
         let tbox_epoch = kb.tbox.epoch();
@@ -284,14 +316,20 @@ impl PlanSet {
                 None => Arc::new(RuleDef::unfold(kb, rule)),
             };
             let preference_stamp = kb.abox.stamp(&def.preference_unfolded);
-            let view = match kept {
-                Some(p) if p.preference_stamp == preference_stamp => Arc::clone(&p.view),
-                _ => reasoner.instances_shared(&def.preference_unfolded),
+            let (view, constant) = match kept {
+                Some(p) if p.preference_stamp == preference_stamp => {
+                    (Arc::clone(&p.view), p.constant.clone())
+                }
+                _ => (
+                    reasoner.instances_shared(&def.preference_unfolded),
+                    Default::default(),
+                ),
             };
             RulePlan {
                 context_stamp: kb.abox.stamp(&def.context_unfolded),
                 preference_stamp,
                 view,
+                constant,
                 def,
             }
         };
@@ -406,14 +444,19 @@ struct UserBindings {
     list: Arc<[Arc<RuleBinding>]>,
 }
 
-/// Where `def`'s rule has its entry in `entries`: at `i` in the steady state
-/// (one pointer compare), anywhere — by name — after a rule was added,
-/// removed or redefined.
+/// Where `def`'s rule, the `i`-th of its set, has its entry in `entries`:
+/// at `i` in the steady state (one pointer compare), later — by name —
+/// after a rule was added, removed or redefined. Never before `i`: entries
+/// `..i` hold the (uniquely named) rules before this one.
 fn find_entry(entries: &[CacheEntry], i: usize, def: &Arc<RuleDef>) -> Option<usize> {
-    if entries.get(i).is_some_and(|e| Arc::ptr_eq(&e.def, def)) {
+    let later = entries.get(i..)?;
+    if later.first().is_some_and(|e| Arc::ptr_eq(&e.def, def)) {
         Some(i)
     } else {
-        entries.iter().position(|e| e.def.name == def.name)
+        later
+            .iter()
+            .position(|e| e.def.name == def.name)
+            .map(|at| i + at)
     }
 }
 
@@ -442,7 +485,10 @@ fn find_entry(entries: &[CacheEntry], i: usize, def: &Arc<RuleDef>) -> Option<us
 /// under `TOP`/`NOT`/`FORALL`/nominals, the closed-world domain) it
 /// touched. Otherwise the context event is looked up again, a point
 /// membership of this user, and a binding that comes out unchanged is handed
-/// back as the same `Arc`.
+/// back as the same `Arc`. A new binding whose context event is constant —
+/// `False` for a rule that does not apply to the user, `True` for one that
+/// certainly does — depends on nobody, and is the plan's one `Arc` for every
+/// such user rather than one of their own.
 ///
 /// [`CacheStats::misses`] counts bindings that *changed* (first sight
 /// included); everything handed back as it was is a hit.
@@ -506,10 +552,10 @@ impl BindingCache {
         // Membership walks the user's own rows: no view, hence no TBox
         // (the plans' concepts are unfolded) and no shared views.
         let reasoner = Reasoner::new(&env.kb.abox);
+        entries.reserve(set.plans.len().saturating_sub(entries.len()));
         for (i, plan) in set.plans.iter().enumerate() {
-            // Entries `..i` hold the (uniquely named) rules before this one,
-            // so a hit is at `i` or later and moving it here displaces
-            // nothing that is in place.
+            // A hit is at `i` or later, so moving it here displaces nothing
+            // that is in place.
             let found = find_entry(entries, i, &plan.def);
             if let Some(at) = found {
                 entries.swap(i, at);
@@ -532,12 +578,7 @@ impl BindingCache {
                     }
                     None => {
                         self.misses += 1;
-                        Arc::new(RuleBinding {
-                            name: def.name.clone(),
-                            context_event,
-                            preference_events: Arc::clone(&plan.view),
-                            sigma: def.sigma,
-                        })
+                        plan.binding(context_event)
                     }
                 };
                 let entry = CacheEntry {
@@ -1179,6 +1220,52 @@ mod tests {
         assert!(Arc::ptr_eq(&before[0], &own[0]), "R1 reads `Weekend`");
         assert!(!Arc::ptr_eq(&before[1], &own[1]), "R2's context changed");
         assert_matches_cold(&own, &env_of(&kb, &rules, user));
+    }
+
+    #[test]
+    fn constant_context_bindings_are_shared_and_follow_their_view() {
+        let (mut kb, rules, _, docs) = fixture();
+        // Neither has `Breakfast`, so R2's context is `False` for both;
+        // `Weekend` is certain, so R1's is `True`.
+        let tenants = ["ann", "bob"].map(|name| {
+            let u = kb.individual(name);
+            kb.assert_concept(u, "Weekend");
+            u
+        });
+        let mut caches = [BindingCache::new(), BindingCache::new()];
+        let mut bind_both = |kb: &Kb| -> Vec<Arc<[Arc<RuleBinding>]>> {
+            let bind = |(cache, u): (&mut BindingCache, IndividualId)| {
+                let got = cache.bind(&env_of(kb, &rules, u));
+                assert_matches_cold(&got, &env_of(kb, &rules, u));
+                got
+            };
+            caches.iter_mut().zip(tenants).map(bind).collect()
+        };
+        let before = bind_both(&kb);
+        assert!(before[0][0].context_event.is_true() && before[0][1].is_inapplicable());
+        for (ann, bob) in before[0].iter().zip(before[1].iter()) {
+            assert!(Arc::ptr_eq(ann, bob), "{}: one Arc for both", ann.name);
+        }
+        // `News` feeds R2's view: it moves, R1's stands.
+        kb.assert_concept_prob(docs[1], "News", 0.5).unwrap();
+        let after = bind_both(&kb);
+        let view = Arc::clone(&published(&kb).unwrap().plans[1].view);
+        assert!(!Arc::ptr_eq(&view, &before[0][1].preference_events));
+        for got in &after {
+            assert!(
+                Arc::ptr_eq(&got[1].preference_events, &view),
+                "the new view"
+            );
+            assert!(Arc::ptr_eq(&got[1], &after[0][1]), "shared again");
+            assert!(Arc::ptr_eq(&got[0], &before[0][0]), "R1 is kept");
+        }
+        for cache in &caches {
+            assert_eq!(
+                cache.stats(),
+                CacheStats { hits: 1, misses: 3 },
+                "first sight of two rules, then R2's view"
+            );
+        }
     }
 
     #[test]

@@ -225,11 +225,15 @@ fn doc_upper_bounds(
                     rule_bounds.iter().map(|(rule, b)| (*rule, b)),
                 )
             };
-            seen.clear();
-            for (_, cell) in row() {
-                seen.extend_from_slice(cell.map_or(&[][..], |c| c.event.support_slice()));
-            }
-            let disjoint = support.disjoint_with(&mut seen);
+            // The row's verdict first, the cells under the applicable
+            // rules where it cannot settle it — the lane test's order.
+            let disjoint = support.clears(rows.support(slot)) || {
+                seen.clear();
+                for (_, cell) in row() {
+                    seen.extend_from_slice(cell.map_or(&[][..], |c| c.event.support_slice()));
+                }
+                support.disjoint_with(&mut seen)
+            };
             row()
                 .map(|(bound, cell)| {
                     let (hit, miss) = if disjoint {

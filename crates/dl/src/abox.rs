@@ -1,5 +1,6 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use capra_events::hashers::FastMap;
 use capra_events::EventExpr;
 
 use crate::{Concept, ConceptName, IndividualId, RoleName};
@@ -35,7 +36,7 @@ const CHAIN_END: u32 = u32::MAX;
 #[derive(Debug, Clone, Default)]
 struct RoleTable {
     edges: Vec<RoleEdge>,
-    ends: HashMap<IndividualId, (u32, u32)>,
+    ends: FastMap<IndividualId, (u32, u32)>,
     next: Vec<u32>,
     version: u64,
 }
@@ -71,8 +72,10 @@ impl RoleTable {
 /// inputs moved ([`ABox::stamp`]) instead of whether anything did.
 #[derive(Debug, Clone, Default)]
 pub struct ABox {
-    concepts: HashMap<ConceptName, ConceptTable>,
-    roles: HashMap<RoleName, RoleTable>,
+    /// Keyed by the vocabulary's dense ids, hashed by the workspace's word
+    /// mixer: a point membership, a stamp and an assert each probe these.
+    concepts: FastMap<ConceptName, ConceptTable>,
+    roles: FastMap<RoleName, RoleTable>,
     domain: BTreeSet<IndividualId>,
     /// [`ABox::epoch`] at which the domain last grew.
     domain_version: u64,
@@ -232,12 +235,13 @@ impl ABox {
         })
     }
 
-    /// Concept names that have at least one assertion.
+    /// Concept names that have at least one assertion, in no particular
+    /// order.
     pub fn concepts(&self) -> impl Iterator<Item = ConceptName> + '_ {
         self.concepts.keys().copied()
     }
 
-    /// Role names that have at least one assertion.
+    /// Role names that have at least one assertion, in no particular order.
     pub fn roles(&self) -> impl Iterator<Item = RoleName> + '_ {
         self.roles.keys().copied()
     }

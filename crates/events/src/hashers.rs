@@ -1,9 +1,13 @@
-//! Fast non-cryptographic hashing for the crate's internal caches.
+//! Fast non-cryptographic hashing for the workspace's internal maps.
 //!
-//! Interned expressions carry precomputed structural hashes, so cache
-//! lookups reduce to hashing a handful of `u64`s — std's SipHash is
+//! Interned expressions carry precomputed structural hashes, and the maps
+//! the request path probes above this crate — the ABox's tables in
+//! `capra-dl`, tenants, bindings, score entries and feature rows in
+//! `capra-core` — are keyed by dense ids the program handed out itself, so
+//! lookups reduce to hashing a handful of words and std's keyed SipHash is
 //! overkill there. [`MixHasher`] folds words with the same xorshift-multiply
-//! mix the interner uses; [`FastMap`] is a `HashMap` using it.
+//! mix the interner uses; [`FastMap`] is a `HashMap` using it. The keys are
+//! fixed, so a hash is the same in every run and every process.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -16,9 +20,9 @@ pub(crate) fn mix(a: u64, b: u64) -> u64 {
     h ^ (h >> 32)
 }
 
-/// Word-at-a-time hasher over [`mix`].
+/// Word-at-a-time hasher over the crate's xorshift-multiply mix.
 #[derive(Default)]
-pub(crate) struct MixHasher(u64);
+pub struct MixHasher(u64);
 
 impl Hasher for MixHasher {
     fn finish(&self) -> u64 {
@@ -55,4 +59,4 @@ impl Hasher for MixHasher {
 }
 
 /// `HashMap` keyed through [`MixHasher`].
-pub(crate) type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;
+pub type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<MixHasher>>;

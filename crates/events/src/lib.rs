@@ -59,7 +59,7 @@ mod error;
 mod eval;
 mod expect;
 mod expr;
-mod hashers;
+pub mod hashers;
 mod parse;
 pub mod tier;
 mod universe;

@@ -15,7 +15,15 @@
 //! * two-phase top-k over the same random knowledge bases: lane documents
 //!   ranked from the closed-form pass, entangled ones bounded and scanned,
 //!   on every engine and every route that serves `k < docs.len()` — always
-//!   the exact prefix of the full ranking.
+//!   the exact prefix of the full ranking;
+//! * the row's verdict — the document's half of the lane test, judged when
+//!   its feature row is synced — pinned case by case: it follows its row
+//!   over a catalogue assert, and where it cannot settle the test (cells
+//!   that share a variable under a rule the asker does not read) the
+//!   per-request test still decides, for the route and for top-k's bound.
+//!
+//! The three properties scale their case counts with `CAPRA_STRESS_ITERS`,
+//! which CI's stress step sets.
 
 mod common;
 
@@ -60,6 +68,16 @@ const PREFERENCES: [&str; 8] = [
 ];
 
 const SIGMAS: [f64; 5] = [0.0, 0.5, 1.0, 0.8, 0.35];
+
+/// Multiplier on the properties' case counts (the variable
+/// `tests/serve_concurrent.rs` reads): CI's stress step sets it, tier-1
+/// runs the base count.
+fn stress_iters() -> u32 {
+    std::env::var("CAPRA_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
 
 /// Asserts `concept` on `subject` the way `kind` says: not at all,
 /// certainly, with probability `p`, re-asserted (the slot becomes
@@ -160,7 +178,7 @@ fn build_case(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(96 * stress_iters()))]
 
     /// On random knowledge bases — uncertain, certain, negated,
     /// re-asserted, conjunctive and disjunctive contexts; the same for
@@ -272,7 +290,7 @@ fn lane_test_admits(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(64 * stress_iters()))]
 
     /// Feature rows — shared between users, filled on first touch, carried
     /// over catalogue changes view by view, taken over and handed back by
@@ -475,7 +493,7 @@ fn assert_top_k_is_the_exact_prefix_on_every_route(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::with_cases(64 * stress_iters()))]
 
     /// Two-phase top-k on the random knowledge bases above: the whole
     /// candidate list (lane and entangled documents mixed, as drawn), its
@@ -988,4 +1006,208 @@ fn a_context_switch_and_catalog_rank_leave_o_rules_entries() {
         "two requests added {added} memo entries for {} products",
         db.products.len()
     );
+}
+
+/// A shelf under four rules on contexts of their own — `R0` prefers
+/// `Feat0`, `R1` `Feat1`, `R2` `Feat2`, `R3` `Star` — asked by `user`,
+/// whose `Ctx2` never holds (so `R2` is inactive for them), and by
+/// `other`, whose may. `stars` documents certainly have `Feat0`, `Feat1`
+/// and `Star`: lanes that outscore anything without `Star`.
+struct Verdicts {
+    kb: Kb,
+    rules: RuleRepository,
+    user: IndividualId,
+    other: IndividualId,
+    stars: Vec<IndividualId>,
+}
+
+impl Verdicts {
+    fn new(stars: usize) -> Self {
+        let mut kb = Kb::new();
+        let user = kb.individual("user");
+        let other = kb.individual("other");
+        for (who, contexts) in [(user, &[0, 1, 3][..]), (other, &[0, 1, 2, 3][..])] {
+            for &c in contexts {
+                let p = 0.4 + 0.1 * c as f64;
+                kb.assert_concept_prob(who, &format!("Ctx{c}"), p).unwrap();
+            }
+        }
+        let stars = (0..stars)
+            .map(|i| {
+                let star = kb.individual(&format!("star{i}"));
+                for feature in ["Feat0", "Feat1", "Star"] {
+                    kb.assert_concept(star, feature);
+                }
+                star
+            })
+            .collect();
+        let mut rules = RuleRepository::new();
+        let sigmas = [
+            ("Feat0", 0.9),
+            ("Feat1", 0.9),
+            ("Feat2", 0.5),
+            ("Star", 0.9),
+        ];
+        for (r, (preference, sigma)) in sigmas.into_iter().enumerate() {
+            rules
+                .add(PreferenceRule::new(
+                    format!("R{r}"),
+                    kb.parse(&format!("Ctx{r}")).unwrap(),
+                    kb.parse(preference).unwrap(),
+                    Score::new(sigma).unwrap(),
+                ))
+                .unwrap();
+        }
+        Self {
+            kb,
+            rules,
+            user,
+            other,
+            stars,
+        }
+    }
+
+    /// A fresh variable's `true` event.
+    fn sensor(&mut self, name: &str) -> EventExpr {
+        let var = self.kb.universe.add_bool(name, 0.35).unwrap();
+        self.kb.universe.bool_event(var).unwrap()
+    }
+
+    /// A document with `Feat1` at ½ and `Feat0` riding on `shared`.
+    fn document(&mut self, name: &str, shared: &EventExpr) -> IndividualId {
+        let doc = self.kb.individual(name);
+        self.kb.assert_concept_event(doc, "Feat0", shared.clone());
+        self.kb.assert_concept_prob(doc, "Feat1", 0.5).unwrap();
+        doc
+    }
+
+    fn env(&self, who: IndividualId) -> ScoringEnv<'_> {
+        ScoringEnv {
+            kb: &self.kb,
+            rules: &self.rules,
+            user: who,
+        }
+    }
+
+    /// One lineage sweep over `docs` for `who` through `cache` and
+    /// `scratch` (so the rows are the ones earlier sweeps left), held to
+    /// the reference bit for bit. Returns the exact evaluations it needed.
+    fn fallbacks(
+        &self,
+        who: IndividualId,
+        docs: &[IndividualId],
+        prune: bool,
+        cache: &mut BindingCache,
+        scratch: &mut EvalScratch,
+    ) -> u64 {
+        let env = self.env(who);
+        let bound = cache.bind(&env);
+        let before = scratch.batch_stats().fallbacks;
+        let engine = LineageEngine {
+            prune_inapplicable: prune,
+        };
+        let got = engine.score_all_bound(&env, &bound, docs, scratch).unwrap();
+        let want = common::reference_scores(&env, &bound, docs, prune);
+        assert_eq!(common::bits(&want), common::bits(&got));
+        scratch.batch_stats().fallbacks - before
+    }
+
+    /// The top `k` of `docs` for `who` through `engine` on a fresh scratch,
+    /// held to the reference ranking; returns the batch counters it left.
+    fn top_k(
+        &self,
+        who: IndividualId,
+        engine: &dyn ScoringEngine,
+        docs: &[IndividualId],
+        k: usize,
+    ) -> (u64, u64, u64) {
+        let env = self.env(who);
+        let bound = bind_rules_shared(&env);
+        let mut scratch = EvalScratch::new();
+        let top = rank_top_k_bound(&env, engine, &bound, docs, k, &mut scratch).unwrap();
+        let want = rank(common::reference_scores(&env, &bound, docs, true));
+        assert_eq!(common::bits(&top), common::bits(&want[..k]));
+        let batch = scratch.batch_stats();
+        (batch.sweeps, batch.lanes, batch.fallbacks)
+    }
+}
+
+/// A catalogue assert that makes a document's two features share a
+/// variable re-syncs its row, and the verdict with it: the next sweep —
+/// on the same binding cache and scratch, so over the row carried from the
+/// last — takes the document off the lanes, and top-k's bound for it is
+/// the world-wise one.
+#[test]
+fn a_document_whose_features_come_to_share_a_variable_leaves_the_lanes() {
+    let mut shelf = Verdicts::new(1);
+    let s1 = shelf.sensor("s1");
+    let drift = shelf.document("drift", &s1);
+    let plain = shelf.kb.individual("plain");
+    let docs = [shelf.stars[0], drift, plain];
+    let (mut cache, mut scratch) = (BindingCache::new(), EvalScratch::new());
+    let user = shelf.user;
+    for prune in [true, false] {
+        assert_eq!(
+            shelf.fallbacks(user, &docs, prune, &mut cache, &mut scratch),
+            0
+        );
+    }
+    let lineage = LineageEngine::new();
+    assert_eq!(
+        shelf.top_k(user, &lineage, &docs, 1),
+        (1, 3, 0),
+        "all lanes"
+    );
+
+    // `Feat1` becomes `fresh ∨ s1`: it now shares `s1` with `Feat0`.
+    shelf.kb.assert_concept_event(drift, "Feat1", s1);
+    for prune in [true, false] {
+        assert_eq!(
+            shelf.fallbacks(user, &docs, prune, &mut cache, &mut scratch),
+            1,
+            "drift is entangled (prune: {prune})"
+        );
+    }
+    // Deferred, its bound is the world-wise 1 — a factorised bound would
+    // fall below the star's score, for `drift` has no `Star`, and prune it
+    // unevaluated — so it is evaluated after the closed-form pass.
+    assert_eq!(shelf.top_k(user, &lineage, &docs, 1), (2, 3 + 1, 1));
+}
+
+/// A row whose cells share a variable only under a rule whose context does
+/// not apply to the asker is not judged entangled for them: the verdict
+/// cannot settle the test, and the per-request test over the active rules
+/// keeps the document on the lanes — and top-k's bound factorised. For an
+/// asker to whom that rule applies, the same row is entangled.
+#[test]
+fn a_row_entangled_only_through_an_inactive_rule_stays_on_the_lanes() {
+    let mut shelf = Verdicts::new(16);
+    let s2 = shelf.sensor("s2");
+    let quiet = shelf.document("quiet", &s2);
+    shelf.kb.assert_concept_event(quiet, "Feat2", s2);
+    let plain = shelf.kb.individual("plain");
+    let docs = [shelf.stars[0], quiet, plain];
+    let (mut cache, mut scratch) = (BindingCache::new(), EvalScratch::new());
+    let (user, other) = (shelf.user, shelf.other);
+    for prune in [true, false] {
+        let fallbacks = shelf.fallbacks(user, &docs, prune, &mut cache, &mut scratch);
+        assert_eq!(fallbacks, 0, "R2 is inactive for the user (prune: {prune})");
+        let fallbacks = shelf.fallbacks(other, &docs, prune, &mut cache, &mut scratch);
+        assert_eq!(fallbacks, 1, "R2 applies to the other (prune: {prune})");
+    }
+    // The bound, for every candidate: behind a forwarding wrapper nothing
+    // is scored in closed form, sixteen stars make the first batch, and
+    // whatever bound is left below their score is pruned. For the user
+    // `quiet`'s bound is factorised — `hit · hit · miss` under R0, R1, R3,
+    // below a star's — and it is never evaluated; for the other it is the
+    // world-wise 1, evaluated first.
+    let mut list = shelf.stars.clone();
+    list.push(quiet);
+    let forward = ForwardOnly(Box::new(LineageEngine::new()));
+    assert_eq!(shelf.top_k(user, &forward, &list, 1), (1, 16, 0));
+    assert_eq!(shelf.top_k(other, &forward, &list, 1), (2, 17, 1));
+    // Natively, a lane for one and deferred for the other.
+    let lineage = LineageEngine::new();
+    assert_eq!(shelf.top_k(user, &lineage, &docs, 1), (1, 3, 0));
+    assert_eq!(shelf.top_k(other, &lineage, &docs, 1), (2, 3 + 1, 1));
 }
