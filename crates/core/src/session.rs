@@ -17,14 +17,19 @@
 //!    change and shared through the `Kb` by every cache bound to it;
 //!    accepted only on equality of the KB's identity, epochs and rules —
 //!    the repository's stamp ([`crate::RuleRepository`]), or failing that
-//!    every rule's definition. While a user is bound against the same plan
-//!    set nothing moved, and that is the check. Against a new one a binding
-//!    stays valid unless the mutation touched a table in *that rule's*
-//!    footprint; one that did costs a point membership of the user. A
-//!    binding that comes out unchanged is handed back as the same `Arc`,
-//!    and a user whose bindings all did is handed back the same list; a
-//!    binding whose context event is constant is shared by every user it
-//!    is constant for;
+//!    every rule's definition. A resolve after asserts re-stamps only the
+//!    plans whose tables the asserts moved ([`capra_dl::ABox::moved_since`])
+//!    and hands the rest on as they were. While a user is bound against the
+//!    same plan set nothing moved, and that is the check. Against a new one
+//!    a binding stays valid unless the mutation touched a table in *that
+//!    rule's* footprint. A context event is looked up only where the
+//!    context reads one of the user's own tables or names the user
+//!    ([`capra_dl::Footprint`]) — a point membership; every other user has
+//!    the context's constant *blank*, so a first sight walks the few rules
+//!    that mention the user. A binding that comes out unchanged is handed
+//!    back as the same `Arc`, and a user whose bindings all did is handed
+//!    back the same list; a binding whose context event is constant is
+//!    shared by every user it is constant for;
 //! 2. **evaluation memos** — an [`crate::engines::EvalScratch`] carrying the
 //!    probability/expectation memo tables across calls, so unchanged
 //!    sub-problems answer from cache even when new documents appear;
@@ -60,7 +65,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use capra_dl::{Concept, IndividualId, Reasoner};
+use capra_dl::{Concept, Footprint, IndividualId, Reasoner, Table};
 use capra_events::{BatchStats, CacheFootprint, EventExpr, EvictionPolicy};
 
 use crate::bind::RuleBinding;
@@ -193,17 +198,32 @@ struct RuleDef {
     preference: Concept,
     context_unfolded: Concept,
     preference_unfolded: Concept,
+    /// What the unfolded context reads of the user, and the context event
+    /// of every user it reads nothing of.
+    context_footprint: Footprint,
+    /// Every table behind either unfolded concept, sorted: while none of
+    /// them moves, neither does the rule's plan.
+    tables: Vec<Table>,
 }
 
 impl RuleDef {
     fn unfold(kb: &Kb, rule: &PreferenceRule) -> RuleDef {
+        let context_unfolded = kb.tbox.unfold(&rule.context);
+        let preference_unfolded = kb.tbox.unfold(&rule.preference);
+        let context_footprint = context_unfolded.footprint();
+        let mut tables = preference_unfolded.footprint().tables;
+        tables.extend_from_slice(&context_footprint.tables);
+        tables.sort_unstable();
+        tables.dedup();
         RuleDef {
             name: rule.name.clone(),
             sigma: rule.sigma.get(),
             context: rule.context.clone(),
             preference: rule.preference.clone(),
-            context_unfolded: kb.tbox.unfold(&rule.context),
-            preference_unfolded: kb.tbox.unfold(&rule.preference),
+            context_unfolded,
+            preference_unfolded,
+            context_footprint,
+            tables,
         }
     }
 
@@ -215,6 +235,33 @@ impl RuleDef {
             && self.sigma == rule.sigma.get()
             && self.context == rule.context
             && self.preference == rule.preference
+    }
+
+    /// Whether none of `moved` is behind the rule's concepts.
+    fn reads_none_of(&self, moved: &[Table]) -> bool {
+        moved.iter().all(|t| self.tables.binary_search(t).is_err())
+    }
+
+    /// `user`'s context event when the context reads nothing of them —
+    /// what [`Reasoner::membership`] would return, found without a walk:
+    /// the context's blank, for a user of the domain (`own` holds their
+    /// [`capra_dl::ABox::own_tables`]) none of whose tables it reads and
+    /// whom none of its nominals names. `None` where it reads something.
+    fn blank(&self, user: IndividualId, own: Option<&[Table]>) -> Option<EventExpr> {
+        let footprint = &self.context_footprint;
+        let misses = |own: &[Table]| {
+            footprint
+                .own_tables
+                .iter()
+                .all(|t| own.binary_search(t).is_err())
+                && footprint.own_nominals.binary_search(&user).is_err()
+        };
+        let blank = if footprint.blank {
+            EventExpr::True
+        } else {
+            EventExpr::False
+        };
+        own.filter(|own| misses(own)).map(|_| blank)
     }
 }
 
@@ -236,6 +283,31 @@ struct RulePlan {
 }
 
 impl RulePlan {
+    /// `def` stamped against `kb`'s ABox. The preference view, and the
+    /// constant bindings over it, are `kept`'s — the rule's plan in an
+    /// earlier or later set — while the stamp behind them is what it was;
+    /// otherwise the view is asked of the KB's shared views (`reasoner`),
+    /// which derive it once for everybody.
+    fn stamp(kb: &Kb, reasoner: &Reasoner<'_>, def: Arc<RuleDef>, kept: Option<&RulePlan>) -> Self {
+        let preference_stamp = kb.abox.stamp(&def.preference_unfolded);
+        let (view, constant) = match kept {
+            Some(p) if p.preference_stamp == preference_stamp => {
+                (Arc::clone(&p.view), p.constant.clone())
+            }
+            _ => (
+                reasoner.instances_shared(&def.preference_unfolded),
+                Default::default(),
+            ),
+        };
+        RulePlan {
+            context_stamp: kb.abox.stamp(&def.context_unfolded),
+            preference_stamp,
+            view,
+            constant,
+            def,
+        }
+    }
+
     /// The binding of a user whose context event is `context_event`: the
     /// plan's shared one where the event is constant, a new one otherwise.
     fn binding(&self, context_event: EventExpr) -> Arc<RuleBinding> {
@@ -266,16 +338,17 @@ struct PlanSet {
     /// at. A clone's terminology can differ at an equal epoch, hence both.
     kb_id: u64,
     tbox_epoch: u64,
-    binding_epoch: u64,
+    /// [`capra_dl::ABox::epoch`] every plan was stamped at.
+    abox_epoch: u64,
     /// [`crate::RuleRepository`]'s stamp when `plans` was resolved from it.
     rules_stamp: u64,
-    plans: Vec<RulePlan>,
+    plans: Vec<Arc<RulePlan>>,
 }
 
 impl PlanSet {
     /// Whether the set is what [`PlanSet::resolve`] builds for `env`,
-    /// decided by **equality** and never by order: same KB, same binding
-    /// and TBox epochs, and the rules `env.rules` holds now. Rules live
+    /// decided by **equality** and never by order: same KB, same ABox and
+    /// TBox epochs, and the rules `env.rules` holds now. Rules live
     /// outside the KB — a repository can change, or another one come
     /// along, at an unchanged epoch — so no epoch vouches for them; the
     /// repository's own stamp does, and where it differs (the same rules
@@ -283,7 +356,7 @@ impl PlanSet {
     fn accepts(&self, env: &ScoringEnv<'_>) -> bool {
         let rules = env.rules.rules();
         self.kb_id == env.kb.id()
-            && self.binding_epoch == env.kb.binding_epoch()
+            && self.abox_epoch == env.kb.abox.epoch()
             && self.tbox_epoch == env.kb.tbox.epoch()
             && (self.rules_stamp == env.rules.stamp()
                 || self.plans.len() == rules.len()
@@ -291,54 +364,58 @@ impl PlanSet {
     }
 
     /// Resolves `env.rules` against `env.kb`, carrying over from `previous`
-    /// (an earlier or later set of the same KB history) what still holds:
-    /// a definition — found by name — while the rule and the terminology
-    /// are what they were, and its preference view, with the constant
-    /// bindings over it, while the stamp of the tables behind it is. Only a
-    /// view whose stamp moved is asked of the KB's shared views, which
-    /// derive it once for everybody.
+    /// (an earlier or later set of the same KB history) what still holds.
+    ///
+    /// From an *earlier* set of the same rules and terminology only the
+    /// tables that moved since ([`capra_dl::ABox::moved_since`]) can have
+    /// moved a plan: every plan that reads none of them is handed on whole,
+    /// and only the others are stamped again. In every other case each rule
+    /// is resolved afresh, keeping a definition — found by name — while
+    /// the rule and the terminology are what they were, and its preference
+    /// view, with the constant bindings over it, while the stamp of the
+    /// tables behind it is.
     fn resolve(env: &ScoringEnv<'_>, previous: Option<&PlanSet>) -> PlanSet {
         let kb = env.kb;
-        let tbox_epoch = kb.tbox.epoch();
+        let (abox_epoch, tbox_epoch) = (kb.abox.epoch(), kb.tbox.epoch());
         let reasoner = Reasoner::with_views(&kb.abox, kb.views());
-        let unfolded = previous
-            .filter(|set| set.kb_id == kb.id() && set.tbox_epoch == tbox_epoch)
-            .map_or(&[][..], |set| &set.plans);
-        let plan = |(i, rule): (usize, &PreferenceRule)| {
-            let named = |p: &&RulePlan| p.def.name == rule.name;
-            let kept = unfolded
-                .get(i)
-                .filter(named)
-                .or_else(|| unfolded.iter().find(named))
-                .filter(|p| p.def.states(rule));
-            let def = match kept {
-                Some(p) => Arc::clone(&p.def),
-                None => Arc::new(RuleDef::unfold(kb, rule)),
-            };
-            let preference_stamp = kb.abox.stamp(&def.preference_unfolded);
-            let (view, constant) = match kept {
-                Some(p) if p.preference_stamp == preference_stamp => {
-                    (Arc::clone(&p.view), p.constant.clone())
-                }
-                _ => (
-                    reasoner.instances_shared(&def.preference_unfolded),
-                    Default::default(),
-                ),
-            };
-            RulePlan {
-                context_stamp: kb.abox.stamp(&def.context_unfolded),
-                preference_stamp,
-                view,
-                constant,
-                def,
+        let previous = previous.filter(|set| set.kb_id == kb.id() && set.tbox_epoch == tbox_epoch);
+        let plans = match previous {
+            Some(set) if set.rules_stamp == env.rules.stamp() && set.abox_epoch < abox_epoch => {
+                let moved: Vec<Table> = kb.abox.moved_since(set.abox_epoch).collect();
+                let carry = |plan: &Arc<RulePlan>| {
+                    if plan.def.reads_none_of(&moved) {
+                        Arc::clone(plan)
+                    } else {
+                        let def = Arc::clone(&plan.def);
+                        Arc::new(RulePlan::stamp(kb, &reasoner, def, Some(plan)))
+                    }
+                };
+                set.plans.iter().map(carry).collect()
+            }
+            _ => {
+                let unfolded = previous.map_or(&[][..], |set| &set.plans);
+                let plan = |(i, rule): (usize, &PreferenceRule)| {
+                    let named = |p: &&Arc<RulePlan>| p.def.name == rule.name;
+                    let kept = unfolded
+                        .get(i)
+                        .filter(named)
+                        .or_else(|| unfolded.iter().find(named))
+                        .filter(|p| p.def.states(rule));
+                    let def = match kept {
+                        Some(p) => Arc::clone(&p.def),
+                        None => Arc::new(RuleDef::unfold(kb, rule)),
+                    };
+                    Arc::new(RulePlan::stamp(kb, &reasoner, def, kept.map(|p| &**p)))
+                };
+                env.rules.rules().iter().enumerate().map(plan).collect()
             }
         };
         PlanSet {
             kb_id: kb.id(),
-            binding_epoch: kb.binding_epoch(),
             tbox_epoch,
+            abox_epoch,
             rules_stamp: env.rules.stamp(),
-            plans: env.rules.rules().iter().enumerate().map(plan).collect(),
+            plans,
         }
     }
 
@@ -395,7 +472,8 @@ impl PlanSlot {
         let mut latest = self.lock();
         match latest.as_ref() {
             Some(held) if held.accepts(env) => return Arc::clone(held),
-            Some(held) if held.binding_epoch > set.binding_epoch => {}
+            // Both of one KB: the sum of epochs orders its states.
+            Some(held) if held.abox_epoch + held.tbox_epoch > set.abox_epoch + set.tbox_epoch => {}
             _ => *latest = Some(Arc::clone(&set)),
         }
         set
@@ -410,93 +488,88 @@ impl fmt::Debug for PlanSlot {
     }
 }
 
-/// One user's binding of one rule, and what it was derived from.
-struct CacheEntry {
-    /// The rule definition the binding reflects; the name and σ are its.
-    def: Arc<RuleDef>,
-    /// [`capra_dl::ABox::stamp`] of the unfolded context when the user's
-    /// context event was looked up. (The preference's counterpart is the
-    /// view `Arc` inside `binding`.)
-    context_stamp: u64,
-    binding: Arc<RuleBinding>,
-}
-
-impl CacheEntry {
-    /// Whether the binding is what `plan` and the user's rows derive,
-    /// decided without deriving anything: the same definition, and neither
-    /// the context's tables nor the preference view moved.
-    fn is_current(&self, plan: &RulePlan) -> bool {
-        Arc::ptr_eq(&self.def, &plan.def)
-            && self.context_stamp == plan.context_stamp
-            && Arc::ptr_eq(&self.binding.preference_events, &plan.view)
-    }
-}
-
-/// One user's bindings: an entry per rule in repository order, and the plan
-/// set they were last bound against.
+/// One user's bindings: the plan set they were last bound against, and one
+/// binding per plan of it, in its order — what those plans and the user's
+/// rows derive.
 #[derive(Default)]
 struct UserBindings {
     set: Option<Arc<PlanSet>>,
-    entries: Vec<CacheEntry>,
-    /// `entries`' bindings in order, as [`BindingCache::bind`] hands them
-    /// out: replaced only when one of its elements is, so holding the same
-    /// list means holding the same bindings.
+    /// As [`BindingCache::bind`] hands it out: replaced only when one of
+    /// its elements is, so holding the same list means holding the same
+    /// bindings.
     list: Arc<[Arc<RuleBinding>]>,
 }
 
-/// Where `def`'s rule, the `i`-th of its set, has its entry in `entries`:
-/// at `i` in the steady state (one pointer compare), later — by name —
-/// after a rule was added, removed or redefined. Never before `i`: entries
-/// `..i` hold the (uniquely named) rules before this one.
-fn find_entry(entries: &[CacheEntry], i: usize, def: &Arc<RuleDef>) -> Option<usize> {
-    let later = entries.get(i..)?;
-    if later.first().is_some_and(|e| Arc::ptr_eq(&e.def, def)) {
+/// Where `def`'s rule, the `i`-th of its set, is in `held`, the plans the
+/// user was last bound against: at `i` in the steady state (one pointer
+/// compare), elsewhere — by name — after a rule was added, removed or
+/// redefined.
+fn find_held(held: &[Arc<RulePlan>], i: usize, def: &Arc<RuleDef>) -> Option<usize> {
+    if held.get(i).is_some_and(|p| Arc::ptr_eq(&p.def, def)) {
         Some(i)
     } else {
-        later
-            .iter()
-            .position(|e| e.def.name == def.name)
-            .map(|at| i + at)
+        held.iter().position(|p| p.def.name == def.name)
     }
 }
 
-/// A cache of [`RuleBinding`]s per user, one entry per rule in repository
-/// order.
+/// Whether `binding`, derived under `held`, is what `plan` and the user's
+/// rows derive, decided without deriving anything: the very plan, or the
+/// same definition with neither the context's tables nor the preference
+/// view moved.
+fn is_current(held: &Arc<RulePlan>, binding: &RuleBinding, plan: &Arc<RulePlan>) -> bool {
+    Arc::ptr_eq(held, plan)
+        || Arc::ptr_eq(&held.def, &plan.def)
+            && held.context_stamp == plan.context_stamp
+            && Arc::ptr_eq(&binding.preference_events, &plan.view)
+}
+
+/// A cache of [`RuleBinding`]s per user, one per rule in repository order.
 ///
 /// A binding has two halves. What does not depend on the user — the rule's
 /// definition with its concepts unfolded, the [`capra_dl::ABox::stamp`]s of
 /// their footprints and the preference view — is a *rule plan*, resolved
 /// once per `(KB state, rule set)` by the first binder after a change and
 /// published on the `Kb` for every cache that binds against it (or against
-/// its publish-chain successors). A plan set is accepted only on equality
-/// of the KB's identity, its binding and TBox epochs and the rules — by
-/// the repository's stamp, else definition by definition — so a binder on
-/// an older snapshot resolves its own and neither takes nor displaces the
-/// newer. What does depend on the user is kept here: per rule the
-/// definition `Arc` it was bound under, the context's stamp and the
-/// `Arc<RuleBinding>`, and the list of those bindings that
-/// [`BindingCache::bind`] hands out.
+/// its publish-chain successors). A resolve from the set of an earlier
+/// state of the same rules and terminology stamps again only the plans
+/// whose tables moved since ([`capra_dl::ABox::moved_since`]) and hands on
+/// the others as the same `Arc`; any other resolve — first, after a rule or
+/// terminology change, or behind a set from a later state — resolves every
+/// rule. A plan set is accepted only on equality of the KB's identity, its
+/// ABox and TBox epochs and the rules — by the repository's stamp, else
+/// definition by definition — so a binder on an older snapshot resolves its
+/// own and neither takes nor displaces the newer. What does depend on the
+/// user is kept here: the plan set the user was last bound against and,
+/// aligned with its plans, the list of bindings [`BindingCache::bind`]
+/// hands out.
 ///
 /// A bind against the set the user was last bound against is that one
 /// check: nothing moved ([`crate::Kb::binding_epoch`] stands still under
 /// universe-only declarations). Against another set, a rule's binding is
-/// current if its definition `Arc`, context stamp and view `Arc` are the
-/// plan's — a mutation moves only those of the rules whose tables (or,
-/// under `TOP`/`NOT`/`FORALL`/nominals, the closed-world domain) it
-/// touched. Otherwise the context event is looked up again, a point
-/// membership of this user, and a binding that comes out unchanged is handed
-/// back as the same `Arc`. A new binding whose context event is constant —
-/// `False` for a rule that does not apply to the user, `True` for one that
-/// certainly does — depends on nobody, and is the plan's one `Arc` for every
-/// such user rather than one of their own.
+/// current if its plan is the very one it was bound under, or has the same
+/// definition `Arc`, context stamp and view `Arc` — a mutation moves only
+/// those of the rules whose tables (or, under `TOP`/`NOT`/`FORALL`/
+/// nominals, the closed-world domain) it touched. Otherwise the context
+/// event is looked up again and a binding that comes out unchanged is
+/// handed back as the same `Arc`. The lookup is a point membership of this
+/// user only where the context reads one of the user's own tables or a
+/// nominal names the user; for everyone else in the domain it is the
+/// context's blank ([`capra_dl::Footprint::blank`]), which is what the walk
+/// would return. A new binding whose context event is constant — `False`
+/// for a rule that does not apply to the user, `True` for one that
+/// certainly does — depends on nobody, and is the plan's one `Arc` for
+/// every such user rather than one of their own.
 ///
 /// [`CacheStats::misses`] counts bindings that *changed* (first sight
-/// included); everything handed back as it was is a hit.
+/// included, blanks too); everything handed back as it was is a hit.
 #[derive(Default)]
 pub struct BindingCache {
     users: IdMap<IndividualId, UserBindings>,
     hits: u64,
     misses: u64,
+    /// Context events looked up by a point membership rather than a blank.
+    #[cfg(test)]
+    walks: u64,
 }
 
 impl BindingCache {
@@ -516,7 +589,7 @@ impl BindingCache {
 
     /// Number of cached bindings (including stale ones not yet refreshed).
     pub fn len(&self) -> usize {
-        self.users.values().map(|u| u.entries.len()).sum()
+        self.users.values().map(|u| u.list.len()).sum()
     }
 
     /// True if nothing is cached.
@@ -544,66 +617,66 @@ impl BindingCache {
     pub fn bind(&mut self, env: &ScoringEnv<'_>) -> Arc<[Arc<RuleBinding>]> {
         let user = self.users.entry(env.user).or_default();
         let set = PlanSet::current(env, user.set.as_ref());
-        let entries = &mut user.entries;
         if user.set.as_ref().is_some_and(|own| Arc::ptr_eq(own, &set)) {
-            self.hits += entries.len() as u64;
+            self.hits += user.list.len() as u64;
             return Arc::clone(&user.list);
         }
+        let held = user.set.as_ref().map_or(&[][..], |held| &held.plans);
         // Membership walks the user's own rows: no view, hence no TBox
-        // (the plans' concepts are unfolded) and no shared views.
-        let reasoner = Reasoner::new(&env.kb.abox);
-        entries.reserve(set.plans.len().saturating_sub(entries.len()));
+        // (the plans' concepts are unfolded) and no shared views. Outside
+        // the domain no blank holds, so every context is walked; a user
+        // with a table of their own is in it.
+        let abox = &env.kb.abox;
+        let reasoner = Reasoner::new(abox);
+        let own = Some(abox.own_tables(env.user))
+            .filter(|own| !own.is_empty() || abox.domain().contains(&env.user));
+        // The new list, from the first binding that differs from the held
+        // list's at its position on; until then the held list is the answer.
+        let n = set.plans.len();
+        let mut fresh = (held.len() != n).then(|| Vec::with_capacity(n));
         for (i, plan) in set.plans.iter().enumerate() {
-            // A hit is at `i` or later, so moving it here displaces nothing
-            // that is in place.
-            let found = find_entry(entries, i, &plan.def);
-            if let Some(at) = found {
-                entries.swap(i, at);
-            }
-            let previous = found.map(|_| &entries[i]);
-            if previous.is_some_and(|p| p.is_current(plan)) {
-                self.hits += 1;
-            } else {
-                let def = &plan.def;
-                let context_event = reasoner.membership(env.user, &def.context_unfolded);
-                let unchanged = previous.map(|p| &p.binding).filter(|b| {
-                    b.sigma == def.sigma
-                        && b.context_event == context_event
-                        && Arc::ptr_eq(&b.preference_events, &plan.view)
-                });
-                let binding = match unchanged {
-                    Some(binding) => {
-                        self.hits += 1;
-                        Arc::clone(binding)
+            let def = &plan.def;
+            let previous = find_held(held, i, def).map(|at| (at, &user.list[at]));
+            // The context event, looked up unless the binding is current.
+            let derived = match previous {
+                Some((at, binding)) if is_current(&held[at], binding, plan) => None,
+                _ => Some(def.blank(env.user, own).unwrap_or_else(|| {
+                    #[cfg(test)]
+                    {
+                        self.walks += 1;
                     }
-                    None => {
-                        self.misses += 1;
-                        plan.binding(context_event)
-                    }
-                };
-                let entry = CacheEntry {
-                    def: Arc::clone(def),
-                    context_stamp: plan.context_stamp,
-                    binding,
-                };
-                match found {
-                    Some(_) => entries[i] = entry,
-                    None => entries.insert(i, entry),
+                    reasoner.membership(env.user, &def.context_unfolded)
+                })),
+            };
+            let kept = previous.filter(|(_, binding)| {
+                derived.as_ref().is_none_or(|event| {
+                    binding.sigma == def.sigma
+                        && binding.context_event == *event
+                        && Arc::ptr_eq(&binding.preference_events, &plan.view)
+                })
+            });
+            let binding = match (kept, derived) {
+                (Some((at, _)), _) if at == i && fresh.is_none() => {
+                    self.hits += 1;
+                    continue;
                 }
-            }
+                (Some((_, binding)), _) => {
+                    self.hits += 1;
+                    Arc::clone(binding)
+                }
+                (None, Some(event)) => {
+                    self.misses += 1;
+                    plan.binding(event)
+                }
+                (None, None) => unreachable!("a binding that is not current is derived"),
+            };
+            let fresh = fresh.get_or_insert_with(|| user.list[..i].to_vec());
+            fresh.push(binding);
         }
-        // Whatever is left belongs to rules no longer in the repository.
-        entries.truncate(set.plans.len());
+        if let Some(fresh) = fresh {
+            user.list = fresh.into();
+        }
         user.set = Some(set);
-        let same_list = user.list.len() == entries.len()
-            && user
-                .list
-                .iter()
-                .zip(entries.iter())
-                .all(|(held, e)| Arc::ptr_eq(held, &e.binding));
-        if !same_list {
-            user.list = entries.iter().map(|e| Arc::clone(&e.binding)).collect();
-        }
         Arc::clone(&user.list)
     }
 }
@@ -1394,6 +1467,110 @@ mod tests {
         }
         assert_eq!(new.plans().resolved(), 2);
         assert!(Arc::ptr_eq(&held, &published(&new).unwrap()));
+    }
+
+    /// The set `cache` last bound `user` against.
+    fn bound_set(cache: &BindingCache, user: IndividualId) -> Arc<PlanSet> {
+        let set = cache.users.get(&user).and_then(|u| u.set.clone());
+        set.expect("the user was bound")
+    }
+
+    #[test]
+    fn a_resolve_carries_every_plan_whose_tables_did_not_move() {
+        let (mut kb, rules, user, docs) = fixture();
+        let mut cache = BindingCache::new();
+        let mut rebind = |kb: &Kb| {
+            let got = cache.bind(&env_of(kb, &rules, user));
+            assert_matches_cold(&got, &env_of(kb, &rules, user));
+            published(kb).expect("the binder publishes")
+        };
+        let before = rebind(&kb);
+        // `Breakfast` is R2's context table and nothing of R1's.
+        kb.assert_concept_prob(user, "Breakfast", 0.2).unwrap();
+        let after = rebind(&kb);
+        assert!(Arc::ptr_eq(&before.plans[0], &after.plans[0]), "R1 carried");
+        let (was, now) = (&before.plans[1], &after.plans[1]);
+        assert!(!Arc::ptr_eq(was, now), "R2 stamped again");
+        assert!(Arc::ptr_eq(&was.def, &now.def) && Arc::ptr_eq(&was.view, &now.view));
+        assert_ne!(was.context_stamp, now.context_stamp);
+        // A document table: R1's preference, R1 alone.
+        kb.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
+        let later = rebind(&kb);
+        assert!(!Arc::ptr_eq(&after.plans[0].view, &later.plans[0].view));
+        assert!(Arc::ptr_eq(&after.plans[1], &later.plans[1]), "R2 carried");
+        // A new individual moves the domain, which neither rule reads.
+        kb.individual("newcomer");
+        let grown = rebind(&kb);
+        assert!(!Arc::ptr_eq(&later, &grown), "a new state, a new set");
+        for (a, b) in later.plans.iter().zip(&grown.plans) {
+            assert!(Arc::ptr_eq(a, b), "{}: carried", a.def.name);
+        }
+        assert_eq!(kb.plans().resolved(), 4);
+    }
+
+    #[test]
+    fn a_binder_behind_the_published_set_resolves_in_full() {
+        let (old, rules, user, docs) = fixture();
+        let mut new = old.clone_for_publish();
+        new.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
+        let mut ahead = BindingCache::new();
+        ahead.bind(&env_of(&new, &rules, user));
+        let newer = published(&new).expect("the first binder publishes");
+        // The slot's set is from a later state than `old`'s: nothing moved
+        // *since* it, yet R1's view at `old` is not the one it holds.
+        let mut behind = BindingCache::new();
+        let got = behind.bind(&env_of(&old, &rules, user));
+        assert_matches_cold(&got, &env_of(&old, &rules, user));
+        let own = bound_set(&behind, user);
+        assert!(!Arc::ptr_eq(&own.plans[0].view, &newer.plans[0].view));
+        // Every plan is resolved afresh, keeping what still holds.
+        for (a, b) in own.plans.iter().zip(&newer.plans) {
+            assert!(!Arc::ptr_eq(a, b), "{}: resolved, not carried", a.def.name);
+            assert!(Arc::ptr_eq(&a.def, &b.def));
+        }
+        assert!(Arc::ptr_eq(&own.plans[1].view, &newer.plans[1].view));
+    }
+
+    #[test]
+    fn a_first_sight_walks_only_the_contexts_that_read_the_user() {
+        let (mut kb, mut rules, ..) = fixture();
+        // R3 names one user outright; R4 holds for everyone without `Weekend`.
+        for (name, context) in [("R3", "{named}"), ("R4", "NOT Weekend")] {
+            let rule = PreferenceRule::new(
+                name,
+                kb.parse(context).unwrap(),
+                kb.parse("News").unwrap(),
+                Score::new(0.4).unwrap(),
+            );
+            rules.add(rule).unwrap();
+        }
+        let bare = kb.individual("bare");
+        let named = kb.individual("named");
+        let weekender = kb.individual("weekender");
+        kb.assert_concept(weekender, "Weekend");
+        let outsider = kb.voc.individual("outsider");
+        for user in [bare, named, weekender, outsider] {
+            let env = env_of(&kb, &rules, user);
+            let mut cache = BindingCache::new();
+            let got = cache.bind(&env);
+            assert_matches_cold(&got, &env);
+            let events: Vec<_> = got.iter().map(|b| b.context_event.is_true()).collect();
+            let (want, walks) = match user {
+                u if u == bare => ([false, false, false, true], 0),
+                u if u == named => ([false, false, true, true], 1),
+                // `Weekend` is R1's context and under R4's `NOT`.
+                u if u == weekender => ([true, false, false, false], 2),
+                // Outside the domain nothing holds, not even `NOT Weekend`,
+                // and no blank answers for it.
+                _ => ([false; 4], 4),
+            };
+            let name = kb.voc.individual_name(user);
+            assert_eq!((events, cache.walks), (want.to_vec(), walks), "{name}");
+            assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 4 }, "{name}");
+        }
+        // A blank is a constant: the plan's one shared binding.
+        let [a, b] = [bare, named].map(|u| BindingCache::new().bind(&env_of(&kb, &rules, u)));
+        assert!(Arc::ptr_eq(&a[3], &b[3]) && Arc::ptr_eq(&a[0], &b[0]));
     }
 
     #[test]

@@ -1,4 +1,5 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound;
 
 use capra_events::hashers::FastMap;
 use capra_events::EventExpr;
@@ -16,6 +17,19 @@ pub struct RoleEdge {
     pub dst: IndividualId,
     /// Event expression under which the edge exists.
     pub event: EventExpr,
+}
+
+/// One table of an [`ABox`]: an atomic concept's membership rows, a role's
+/// edges, or the closed-world domain — the unit [`ABox::stamp`] versions,
+/// [`ABox::moved_since`] reports and a [`crate::Footprint`] lists.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Table {
+    /// The rows of an atomic concept.
+    Concept(ConceptName),
+    /// The edges of a role.
+    Role(RoleName),
+    /// The closed-world domain, read by `TOP`, `NOT`, `FORALL` and nominals.
+    Domain,
 }
 
 /// One concept's membership rows, with the [`ABox::epoch`] at which they
@@ -42,20 +56,26 @@ struct RoleTable {
 }
 
 impl RoleTable {
-    fn push(&mut self, edge: RoleEdge) {
+    /// Appends `edge`; true if it is the first edge leaving its source.
+    fn push(&mut self, edge: RoleEdge) -> bool {
         let at = u32::try_from(self.edges.len())
             .ok()
             .filter(|&at| at != CHAIN_END)
             .expect("a role table holds fewer than u32::MAX edges");
+        let mut first = false;
         self.ends
             .entry(edge.src)
             .and_modify(|(_, last)| {
                 self.next[*last as usize] = at;
                 *last = at;
             })
-            .or_insert((at, at));
+            .or_insert_with(|| {
+                first = true;
+                (at, at)
+            });
         self.next.push(CHAIN_END);
         self.edges.push(edge);
+        first
     }
 }
 
@@ -70,6 +90,21 @@ impl RoleTable {
 /// Every table — and the domain — remembers the [`ABox::epoch`] at which it
 /// last changed, so a view derived from a few of them can tell whether *its*
 /// inputs moved ([`ABox::stamp`]) instead of whether anything did.
+///
+/// Two indexes are derived from the tables, like a role table's per-source
+/// index, and rebuilt by [`ABox::from_parts`]:
+///
+/// * per individual, the concept tables it has a row in and the role tables
+///   it has an out-edge under ([`ABox::own_tables`]) — all a point
+///   membership reads of the individual itself;
+/// * every table, the domain included, ordered by the epoch it last changed
+///   at ([`ABox::moved_since`]) — which tables an epoch range touched, with
+///   no log to keep or bound.
+///
+/// Every mutation keeps both in step. Today rows and edges are only added;
+/// an assert that replaces a row's event must move its table to the new
+/// epoch, and one that removes a row or an individual's last edge under a
+/// role must also drop that table from the individual's list.
 #[derive(Debug, Clone, Default)]
 pub struct ABox {
     /// Keyed by the vocabulary's dense ids, hashed by the workspace's word
@@ -79,6 +114,10 @@ pub struct ABox {
     domain: BTreeSet<IndividualId>,
     /// [`ABox::epoch`] at which the domain last grew.
     domain_version: u64,
+    /// Per individual, sorted: the tables it has a row or an out-edge in.
+    own: FastMap<IndividualId, Vec<Table>>,
+    /// `(version, table)` of every table, and of the domain once it grew.
+    by_version: BTreeSet<(u64, Table)>,
     /// Monotonic version counter, bumped on every mutation (assertions and
     /// domain registrations — a new domain member changes closed-world
     /// answers even without assertions).
@@ -102,7 +141,31 @@ impl ABox {
             self.epoch += 1;
         }
         if grew {
-            self.domain_version = self.epoch;
+            let from = std::mem::replace(&mut self.domain_version, self.epoch);
+            self.moved(Table::Domain, from);
+        }
+    }
+
+    /// Records that `table`, last changed at epoch `from`, changed now.
+    fn moved(&mut self, table: Table, from: u64) {
+        self.by_version.remove(&(from, table));
+        self.by_version.insert((self.epoch, table));
+    }
+
+    /// Records that `ind` has a row or an out-edge in `table`.
+    fn gained(&mut self, ind: IndividualId, table: Table) {
+        let tables = self.own.entry(ind).or_default();
+        if let Err(at) = tables.binary_search(&table) {
+            tables.insert(at, table);
+        }
+    }
+
+    /// The [`ABox::epoch`] at which `table` last changed (0: never).
+    fn version(&self, table: Table) -> u64 {
+        match table {
+            Table::Concept(name) => self.concepts.get(&name).map_or(0, |t| t.version),
+            Table::Role(role) => self.roles.get(&role).map_or(0, |t| t.version),
+            Table::Domain => self.domain_version,
         }
     }
 
@@ -135,20 +198,30 @@ impl ABox {
     pub fn stamp(&self, concept: &Concept) -> u64 {
         let mut stamp = 0;
         concept.walk(&mut |c| {
-            let version = match c {
-                Concept::Atomic(name) => self.concepts.get(name).map_or(0, |t| t.version),
-                Concept::Exists(role, _) => self.roles.get(role).map_or(0, |t| t.version),
-                Concept::Forall(role, _) => self
-                    .roles
-                    .get(role)
-                    .map_or(0, |t| t.version)
-                    .max(self.domain_version),
-                Concept::Top | Concept::Not(_) | Concept::OneOf(_) => self.domain_version,
-                Concept::Bottom | Concept::And(_) | Concept::Or(_) => 0,
-            };
-            stamp = stamp.max(version);
+            for table in c.node_tables().into_iter().flatten() {
+                stamp = stamp.max(self.version(table));
+            }
         });
         stamp
+    }
+
+    /// The concept tables `ind` has a row in and the role tables it has an
+    /// out-edge under, sorted: everything a point membership of `ind` reads
+    /// of `ind` itself besides domain membership and nominals. An
+    /// individual none of whose tables is in a concept's
+    /// [`crate::Footprint::own_tables`] has the concept's blank membership.
+    pub fn own_tables(&self, ind: IndividualId) -> &[Table] {
+        self.own.get(&ind).map_or(&[], Vec::as_slice)
+    }
+
+    /// The tables — the domain included — that changed after `epoch`, in
+    /// the order they last changed: exactly those whose
+    /// [`ABox::stamp`] contribution moved since this ABox was at `epoch`.
+    /// The cost follows the number of tables moved, not the time passed.
+    pub fn moved_since(&self, epoch: u64) -> impl Iterator<Item = Table> + '_ {
+        self.by_version
+            .range((Bound::Excluded((epoch, Table::Domain)), Bound::Unbounded))
+            .map(|&(_, table)| table)
     }
 
     /// Asserts `ind : concept` under `event`. Repeated assertions for the
@@ -163,9 +236,17 @@ impl ABox {
             return;
         }
         let table = self.concepts.entry(concept).or_default();
-        table.version = self.epoch;
-        let slot = table.rows.entry(ind).or_insert(EventExpr::False);
+        let from = std::mem::replace(&mut table.version, self.epoch);
+        let mut first = false;
+        let slot = table.rows.entry(ind).or_insert_with(|| {
+            first = true;
+            EventExpr::False
+        });
         *slot = EventExpr::or([slot.clone(), event]);
+        self.moved(Table::Concept(concept), from);
+        if first {
+            self.gained(ind, Table::Concept(concept));
+        }
     }
 
     /// Asserts `(src, dst) : role` under `event`.
@@ -185,8 +266,12 @@ impl ABox {
             return;
         }
         let table = self.roles.entry(role).or_default();
-        table.version = self.epoch;
-        table.push(RoleEdge { src, dst, event });
+        let from = std::mem::replace(&mut table.version, self.epoch);
+        let first = table.push(RoleEdge { src, dst, event });
+        self.moved(Table::Role(role), from);
+        if first {
+            self.gained(src, Table::Role(role));
+        }
     }
 
     /// The closed-world domain of the ABox.
@@ -255,43 +340,49 @@ impl ABox {
     /// `False` events each bumped it without leaving a distinct row), so
     /// restoring the exact counter is the caller's responsibility. Callers
     /// must pass parts exported from one consistent ABox; this constructor
-    /// does not re-validate domain membership. Per-table versions and the
-    /// per-source role index are derived state and are rebuilt here: every
-    /// table counts as last changed at `epoch`.
+    /// does not re-validate domain membership. Per-table versions, the
+    /// per-source role index and the two indexes of the type docs are
+    /// derived state and are rebuilt here: every table, and the domain,
+    /// counts as last changed at `epoch`.
     pub fn from_parts(
         concepts: HashMap<ConceptName, BTreeMap<IndividualId, EventExpr>>,
         roles: HashMap<RoleName, Vec<RoleEdge>>,
         domain: BTreeSet<IndividualId>,
         epoch: u64,
     ) -> Self {
-        let concepts = concepts
-            .into_iter()
-            .map(|(name, rows)| {
-                let table = ConceptTable {
-                    rows,
-                    version: epoch,
-                };
-                (name, table)
-            })
-            .collect();
-        let roles = roles
-            .into_iter()
-            .map(|(name, edges)| {
-                let mut table = RoleTable {
-                    version: epoch,
-                    ..RoleTable::default()
-                };
-                edges.into_iter().for_each(|edge| table.push(edge));
-                (name, table)
-            })
-            .collect();
-        Self {
-            concepts,
-            roles,
+        let mut abox = Self {
             domain,
             domain_version: epoch,
             epoch,
+            ..Self::default()
+        };
+        for (name, rows) in concepts {
+            for &ind in rows.keys() {
+                abox.gained(ind, Table::Concept(name));
+            }
+            let table = ConceptTable {
+                rows,
+                version: epoch,
+            };
+            abox.concepts.insert(name, table);
         }
+        for (name, edges) in roles {
+            let mut table = RoleTable {
+                version: epoch,
+                ..RoleTable::default()
+            };
+            for edge in edges {
+                let src = edge.src;
+                if table.push(edge) {
+                    abox.gained(src, Table::Role(name));
+                }
+            }
+            abox.roles.insert(name, table);
+        }
+        let tables = abox.concepts.keys().map(|&name| Table::Concept(name));
+        let tables = tables.chain(abox.roles.keys().map(|&role| Table::Role(role)));
+        abox.by_version = tables.chain([Table::Domain]).map(|t| (epoch, t)).collect();
+        abox
     }
 
     /// Number of concept assertions plus role assertions (the paper reports
@@ -434,6 +525,35 @@ mod tests {
                 .role_edges_from(r, src)
                 .eq(abox.role_edges_from(r, src)));
         }
+    }
+
+    #[test]
+    fn own_tables_and_moved_tables_follow_the_asserts() {
+        let mut voc = Vocabulary::new();
+        let mut abox = ABox::new();
+        let (c, d) = (voc.concept("C"), voc.concept("D"));
+        let r = voc.role("r");
+        let (x, y) = (voc.individual("x"), voc.individual("y"));
+        abox.assert_concept(x, d, EventExpr::True);
+        abox.assert_role(x, r, y, EventExpr::True);
+        let start = abox.epoch();
+        abox.assert_concept(x, c, EventExpr::True);
+        abox.assert_concept(x, d, EventExpr::True);
+        let (tc, td, tr) = (Table::Concept(c), Table::Concept(d), Table::Role(r));
+        assert_eq!(abox.own_tables(x), [tc, td, tr], "sorted, once each");
+        // A role's target gains no table of its own.
+        assert!(abox.own_tables(y).is_empty());
+        assert_eq!(abox.moved_since(start).collect::<Vec<_>>(), [tc, td]);
+        assert_eq!(abox.moved_since(abox.epoch()).count(), 0);
+        // A dropped assert that grows the domain moves the domain alone.
+        let z = voc.individual("z");
+        let before = abox.epoch();
+        abox.assert_concept(z, c, EventExpr::False);
+        assert_eq!(
+            abox.moved_since(before).collect::<Vec<_>>(),
+            [Table::Domain]
+        );
+        assert!(abox.own_tables(z).is_empty());
     }
 
     #[test]

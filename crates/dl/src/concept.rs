@@ -2,7 +2,7 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
-use crate::{ConceptName, IndividualId, RoleName, Vocabulary};
+use crate::{ConceptName, IndividualId, RoleName, Table, Vocabulary};
 
 /// A Description Logic concept expression.
 ///
@@ -154,6 +154,76 @@ impl Concept {
         out
     }
 
+    /// The tables this node reads by itself, not through its children:
+    /// what [`crate::ABox::stamp`] and [`Concept::footprint`] fold over the
+    /// tree.
+    pub(crate) fn node_tables(&self) -> [Option<Table>; 2] {
+        match self {
+            Concept::Atomic(name) => [Some(Table::Concept(*name)), None],
+            Concept::Exists(role, _) => [Some(Table::Role(*role)), None],
+            Concept::Forall(role, _) => [Some(Table::Role(*role)), Some(Table::Domain)],
+            Concept::Top | Concept::Not(_) | Concept::OneOf(_) => [Some(Table::Domain), None],
+            Concept::Bottom | Concept::And(_) | Concept::Or(_) => [None, None],
+        }
+    }
+
+    /// What the concept reads of an ABox, and of one individual. Defined
+    /// names are read as plain tables, so unfold first ([`crate::TBox::unfold`]),
+    /// as for [`crate::ABox::stamp`].
+    pub fn footprint(&self) -> Footprint {
+        let mut footprint = Footprint::default();
+        self.walk(&mut |c| {
+            footprint
+                .tables
+                .extend(c.node_tables().into_iter().flatten())
+        });
+        footprint.blank = self.own(&mut footprint.own_tables, &mut footprint.own_nominals);
+        for tables in [&mut footprint.tables, &mut footprint.own_tables] {
+            tables.sort_unstable();
+            tables.dedup();
+        }
+        footprint.own_nominals.sort_unstable();
+        footprint.own_nominals.dedup();
+        footprint
+    }
+
+    /// Collects what a point membership reads of the asked individual
+    /// itself at this node — its rows in atomic concepts, its out-edges
+    /// under restricted roles, whether a nominal names it — and returns the
+    /// membership of an in-domain individual for whom all of it is absent.
+    /// A restriction's filler is read of the edges' targets only, so it
+    /// adds nothing: with no edge, `∃R.C` is `False` and `∀R.C` `True`.
+    fn own(&self, tables: &mut Vec<Table>, nominals: &mut Vec<IndividualId>) -> bool {
+        match self {
+            Concept::Top => true,
+            Concept::Bottom => false,
+            Concept::Atomic(name) => {
+                tables.push(Table::Concept(*name));
+                false
+            }
+            Concept::OneOf(inds) => {
+                nominals.extend(inds.iter().copied());
+                false
+            }
+            Concept::Not(inner) => !inner.own(tables, nominals),
+            // Every child is visited: no short circuit.
+            Concept::And(kids) => kids
+                .iter()
+                .fold(true, |all, k| k.own(tables, nominals) & all),
+            Concept::Or(kids) => kids
+                .iter()
+                .fold(false, |any, k| k.own(tables, nominals) | any),
+            Concept::Exists(role, _) => {
+                tables.push(Table::Role(*role));
+                false
+            }
+            Concept::Forall(role, _) => {
+                tables.push(Table::Role(*role));
+                true
+            }
+        }
+    }
+
     /// Pre-order traversal of the concept tree.
     pub fn walk(&self, f: &mut impl FnMut(&Concept)) {
         f(self);
@@ -181,6 +251,28 @@ impl Concept {
     pub fn display<'a>(&'a self, voc: &'a Vocabulary) -> DisplayConcept<'a> {
         DisplayConcept { concept: self, voc }
     }
+}
+
+/// What a concept reads, as [`Concept::footprint`] reports it: of the ABox
+/// as a whole, and of the one individual a point membership asks about.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Footprint {
+    /// Every table behind the concept's extension, fillers included and the
+    /// domain under `TOP`, `NOT`, `FORALL` and nominals — the tables
+    /// [`crate::ABox::stamp`] takes the latest version of. Sorted.
+    pub tables: Vec<Table>,
+    /// The concept and role tables read of the asked individual itself:
+    /// atomic names and restricted roles outside every `∃R.`/`∀R.` filler.
+    /// Sorted.
+    pub own_tables: Vec<Table>,
+    /// The individuals named by nominals outside every filler. Sorted.
+    pub own_nominals: Vec<IndividualId>,
+    /// The membership of every in-domain individual that has no row or
+    /// out-edge in [`Footprint::own_tables`]
+    /// ([`crate::ABox::own_tables`]) and is not one of
+    /// [`Footprint::own_nominals`] — the same for all of them, and always
+    /// certain: `True` or `False`.
+    pub blank: bool,
 }
 
 /// Helper returned by [`Concept::display`]; round-trips through the parser.
@@ -321,6 +413,28 @@ mod tests {
         assert_eq!(c.atomic_names().len(), 2);
         assert_eq!(c.role_names().len(), 1);
         assert_eq!(c.size(), 4);
+    }
+
+    #[test]
+    fn footprints_read_fillers_of_the_abox_but_not_of_the_individual() {
+        let mut v = Vocabulary::new();
+        let mut parse = |text| crate::parse_concept(text, &mut v).unwrap();
+        let chained = parse("A AND EXISTS r.(B AND {x})").footprint();
+        let closed = parse("NOT A OR FORALL r.B").footprint();
+        let nominal = parse("NOT {x, y}").footprint();
+        let (a, b) = (
+            Table::Concept(v.concept("A")),
+            Table::Concept(v.concept("B")),
+        );
+        let r = Table::Role(v.role("r"));
+        let (x, y) = (v.individual("x"), v.individual("y"));
+        assert_eq!(chained.tables, [a, b, r, Table::Domain]);
+        assert_eq!(chained.own_tables, [a, r]);
+        assert!(chained.own_nominals.is_empty() && !chained.blank);
+        assert_eq!((closed.own_tables, closed.blank), (vec![a, r], true));
+        assert_eq!(nominal.tables, [Table::Domain]);
+        assert_eq!((nominal.own_nominals, nominal.blank), (vec![x, y], true));
+        assert!(Concept::Top.footprint().blank && !Concept::Bottom.footprint().blank);
     }
 
     #[test]

@@ -59,8 +59,8 @@ mod parser;
 mod reasoner;
 mod tbox;
 
-pub use abox::{ABox, RoleEdge};
-pub use concept::Concept;
+pub use abox::{ABox, RoleEdge, Table};
+pub use concept::{Concept, Footprint};
 pub use error::DlError;
 pub use names::{ConceptName, IndividualId, RoleName, Vocabulary};
 pub use parser::parse_concept;

@@ -1,7 +1,10 @@
-//! Property-based tests for the DL layer: parser round-trips and lattice
-//! laws of instance retrieval under lineage semantics.
+//! Property-based tests for the DL layer: parser round-trips, lattice
+//! laws of instance retrieval under lineage semantics, and the footprints
+//! that let a caller skip a membership or a stamp.
 
-use capra_dl::{parse_concept, ABox, Concept, Reasoner, TBox, ViewCache, Vocabulary};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+
+use capra_dl::{parse_concept, ABox, Concept, Reasoner, TBox, Table, ViewCache, Vocabulary};
 use capra_events::{Evaluator, EventExpr, Universe};
 use proptest::prelude::*;
 
@@ -113,6 +116,36 @@ fn terminology(voc: &mut Vocabulary) -> TBox {
 
 const TOL: f64 = 1e-9;
 
+/// Applies mutation `extra` — a row, an edge, or a domain registration —
+/// about one of `x0..x5`.
+fn mutate(abox: &mut ABox, voc: &mut Vocabulary, extra: u8) {
+    let who = voc.individual(&format!("x{}", extra % 6));
+    match extra / 6 % 3 {
+        0 => abox.assert_concept(who, voc.concept("C1"), EventExpr::True),
+        1 => abox.assert_role(voc.individual("x0"), voc.role("r"), who, EventExpr::True),
+        _ => abox.register_individual(who),
+    }
+}
+
+/// The parts the persistence layer exports, read back through the public
+/// accessors.
+fn rebuild(abox: &ABox) -> ABox {
+    let concepts: HashMap<_, BTreeMap<_, _>> = abox
+        .concepts()
+        .map(|c| {
+            (
+                c,
+                abox.concept_rows(c).map(|(i, e)| (i, e.clone())).collect(),
+            )
+        })
+        .collect();
+    let roles: HashMap<_, _> = abox
+        .roles()
+        .map(|r| (r, abox.role_edges(r).to_vec()))
+        .collect();
+    ABox::from_parts(concepts, roles, abox.domain().clone(), abox.epoch())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -215,6 +248,73 @@ proptest! {
                 1 => abox.assert_role(everyone[0], voc.role("r"), who, EventExpr::True),
                 _ => abox.register_individual(who),
             }
+        }
+    }
+
+    #[test]
+    fn an_individual_outside_the_own_footprint_has_the_blank_membership(
+        (mut voc, _u, mut abox) in kb(),
+        program in prop::collection::vec(any::<u8>(), 1..12),
+        extras in prop::collection::vec(any::<u8>(), 2..4),
+    ) {
+        let tbox = terminology(&mut voc);
+        let concept = build_concept(&program, &mut voc);
+        let footprint = tbox.unfold(&concept).footprint();
+        let blank = if footprint.blank { EventExpr::True } else { EventExpr::False };
+        for extra in extras {
+            let reasoner = Reasoner::with_tbox(&abox, &tbox);
+            for &x in abox.domain() {
+                let own = abox.own_tables(x);
+                let met = own.iter().any(|t| footprint.own_tables.binary_search(t).is_ok());
+                if met || footprint.own_nominals.binary_search(&x).is_ok() {
+                    continue;
+                }
+                prop_assert_eq!(
+                    reasoner.membership(x, &concept), blank.clone(),
+                    "{:?} (tables {:?}) in {}", x, own, concept.display(&voc)
+                );
+            }
+            mutate(&mut abox, &mut voc, extra);
+        }
+    }
+
+    #[test]
+    fn a_stamp_moves_exactly_when_a_footprint_table_moved(
+        (mut voc, _u, mut abox) in kb(),
+        program in prop::collection::vec(any::<u8>(), 1..12),
+        extras in prop::collection::vec(any::<u8>(), 1..4),
+    ) {
+        let tbox = terminology(&mut voc);
+        let unfolded = tbox.unfold(&build_concept(&program, &mut voc));
+        let tables = unfolded.footprint().tables;
+        for extra in extras {
+            let (epoch, stamp) = (abox.epoch(), abox.stamp(&unfolded));
+            mutate(&mut abox, &mut voc, extra);
+            let hit = abox.moved_since(epoch).any(|t| tables.binary_search(&t).is_ok());
+            prop_assert_eq!(abox.stamp(&unfolded) != stamp, hit, "{}", unfolded.display(&voc));
+        }
+    }
+
+    #[test]
+    fn from_parts_rebuilds_the_per_individual_and_per_epoch_indexes(
+        (mut voc, _u, mut abox) in kb(),
+        extra in any::<u8>(),
+    ) {
+        let mut rebuilt = rebuild(&abox);
+        let everyone: Vec<_> = (0..6).map(|i| voc.individual(&format!("x{i}"))).collect();
+        let moved = |abox: &ABox, epoch| abox.moved_since(epoch).collect::<Vec<Table>>();
+        let epoch = abox.epoch();
+        for round in 0..2 {
+            for &x in &everyone {
+                prop_assert_eq!(rebuilt.own_tables(x), abox.own_tables(x), "round {}", round);
+            }
+            // Every table has changed since the empty ABox, in whatever
+            // order; the rebuild knows no older history than its epoch.
+            let ever: BTreeSet<Table> = moved(&abox, 0).into_iter().collect();
+            prop_assert_eq!(moved(&rebuilt, 0).into_iter().collect::<BTreeSet<_>>(), ever);
+            prop_assert_eq!(moved(&rebuilt, epoch), moved(&abox, epoch), "round {}", round);
+            mutate(&mut abox, &mut voc, extra);
+            mutate(&mut rebuilt, &mut voc, extra);
         }
     }
 

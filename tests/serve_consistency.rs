@@ -11,10 +11,17 @@
 //!
 //! The binding layer gets a suite of its own
 //! (`footprint_validated_bindings_match_cold_bind`): bindings are kept
-//! across mutations that miss their footprint and preference views are
-//! shared between tenants, so the interleavings there aim at every way a
-//! footprint can differ from a rule's surface — TBox-defined, role-chained
-//! and closed-world concepts, on the user's side and the documents'.
+//! across mutations that miss their footprint, plans across asserts that
+//! miss their tables, a user none of whose tables a context reads gets
+//! its blank without a walk, and preference views are shared between
+//! tenants, so the interleavings there aim at every way a footprint can
+//! differ from a rule's surface — TBox-defined, role-chained, closed-world
+//! and nominal concepts, on the user's side and the documents', for users
+//! who carry none, some or all of a context's names.
+//!
+//! `CAPRA_STRESS_ITERS` multiplies every property's case count, as in
+//! `tests/lineage_lanes.rs`: CI's stress step sets it, tier-1 runs the
+//! base count.
 
 mod common;
 
@@ -25,6 +32,14 @@ use proptest::prelude::*;
 const N_DOCS: usize = 4;
 const N_USERS: usize = 4;
 const N_FEATS: usize = 2;
+
+/// Multiplier on the properties' case counts (see the module docs).
+fn stress_iters() -> u32 {
+    std::env::var("CAPRA_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
 
 /// One step of the interleaved request sequence, decoded from raw draws.
 #[derive(Debug, Clone, Copy)]
@@ -89,6 +104,12 @@ fn fixture() -> (
 /// Rooms users can be in and genres documents can have (two of each).
 const N_PLACES: usize = 2;
 
+/// Tenants of the footprint suite: the first [`N_USERS`] start with `Ctx0`
+/// and a room, so with every own name of `Relaxed`; the next two with one
+/// of them each (`Ctx0`, a room), the last two with none — the very last
+/// named by `F4`'s nominal.
+const FOOTPRINT_USERS: usize = N_USERS + 4;
+
 /// A KB whose rules read more than their surface names say:
 ///
 /// * `F0: Relaxed → TvProgram AND Feat0`, with the TBox definition
@@ -102,7 +123,10 @@ const N_PLACES: usize = 2;
 /// * `F2: NOT Ctx1 → NOT Feat1` — closed-world on both sides;
 /// * `F3: TOP → FORALL hasGenre.Calm` — a default rule whose preference
 ///   view, like F2's, holds every individual of the domain and so grows
-///   with it.
+///   with it;
+/// * `F4: {user7} OR (Ctx1 AND NOT Ctx0) → TvProgram AND NOT Feat0` — a
+///   context that names one user outright, who has no table of their own
+///   until the steps give them one.
 struct Footprints {
     kb: Kb,
     rules: RuleRepository,
@@ -112,7 +136,7 @@ struct Footprints {
     genres: Vec<capra::dl::IndividualId>,
 }
 
-const FOOTPRINT_RULES: [(&str, &str, &str, f64); 4] = [
+const FOOTPRINT_RULES: [(&str, &str, &str, f64); 5] = [
     ("F0", "Relaxed", "TvProgram AND Feat0", 0.8),
     (
         "F1",
@@ -122,6 +146,12 @@ const FOOTPRINT_RULES: [(&str, &str, &str, f64); 4] = [
     ),
     ("F2", "NOT Ctx1", "NOT Feat1", 0.6),
     ("F3", "TOP", "FORALL hasGenre.Calm", 0.55),
+    (
+        "F4",
+        "{user7} OR (Ctx1 AND NOT Ctx0)",
+        "TvProgram AND NOT Feat0",
+        0.7,
+    ),
 ];
 
 fn footprint_rule(
@@ -145,14 +175,18 @@ fn footprint_fixture() -> Footprints {
             .map(|i| kb.individual(&format!("{prefix}{i}")))
             .collect()
     };
-    let users = named(&mut kb, "user", N_USERS);
+    let users = named(&mut kb, "user", FOOTPRINT_USERS);
     let docs = named(&mut kb, "doc", N_DOCS);
     let rooms = named(&mut kb, "room", N_PLACES);
     let genres = named(&mut kb, "genre", N_PLACES);
     for (u, &user) in users.iter().enumerate() {
-        kb.assert_concept_prob(user, "Ctx0", 0.3 + 0.15 * u as f64)
-            .unwrap();
-        kb.assert_role(user, "inRoom", rooms[u % N_PLACES]);
+        if u < N_USERS + 1 {
+            kb.assert_concept_prob(user, "Ctx0", 0.3 + 0.15 * u as f64)
+                .unwrap();
+        }
+        if u < N_USERS || u == N_USERS + 1 {
+            kb.assert_role(user, "inRoom", rooms[u % N_PLACES]);
+        }
     }
     for (d, &doc) in docs.iter().enumerate() {
         kb.assert_concept(doc, "TvProgram");
@@ -218,23 +252,31 @@ fn cold_answer(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+    #![proptest_config(ProptestConfig::with_cases(16 * stress_iters()))]
 
     /// Bindings survive mutations that miss their footprint, are re-checked
     /// by point membership when one hits it, and share preference views
-    /// across tenants — and none of it may show. Every step is a random
-    /// mutation — user-side or document-side, concept or role, certain or
-    /// uncertain, a new individual (which is ranked as a candidate from
-    /// then on, so a view that missed the domain growing shows), a rule
-    /// removed or re-defined under its name — followed by a `rank` or
-    /// `rank_group` of a random tenant out of four, with and without an LRU
-    /// cap of two. Every response, engine errors included, equals the cold
-    /// bind on the snapshot it was served from, bit for bit, on all four
-    /// engines.
+    /// across tenants; plans survive asserts that miss their tables; a user
+    /// a context reads nothing of is handed its blank — and none of it may
+    /// show. Every step is a random mutation — user-side or document-side,
+    /// concept or role, certain or uncertain, a new individual (which is
+    /// ranked as a candidate from then on, so a view that missed the domain
+    /// growing shows), a rule removed or re-defined under its name —
+    /// followed by a `rank` or `rank_group` of a random tenant out of
+    /// eight, who may carry none, some or all of a context's names, with
+    /// and without an LRU cap of two. Every response, engine errors
+    /// included, equals the cold bind on the snapshot it was served from,
+    /// bit for bit, on all four engines.
     #[test]
     fn footprint_validated_bindings_match_cold_bind(
         steps in prop::collection::vec(
-            (any::<u8>(), 0usize..N_USERS, 0usize..N_USERS, 0.05f64..=0.95, 1usize..=N_DOCS + 1),
+            (
+                any::<u8>(),
+                0usize..FOOTPRINT_USERS,
+                0usize..FOOTPRINT_USERS,
+                0.05f64..=0.95,
+                1usize..=N_DOCS + 1,
+            ),
             6..14,
         ),
         evicting in any::<bool>(),
@@ -256,7 +298,7 @@ proptest! {
                     // Without the cap every tenant stays live, so bindings
                     // are re-validated rather than re-derived after an LRU
                     // eviction.
-                    max_sessions: if evicting { 2 } else { N_USERS },
+                    max_sessions: if evicting { 2 } else { FOOTPRINT_USERS },
                     ..ServiceConfig::default()
                 },
             );
@@ -268,11 +310,14 @@ proptest! {
                 let assert = |subject, fact| service.assert(subject, fact).unwrap();
                 match kind % 9 {
                     0 => assert(users[a], Fact::ConceptProb(format!("Ctx{place}"), p)),
-                    1 => assert(docs[a], Fact::ConceptProb(format!("Feat{place}"), p)),
+                    1 => assert(docs[a % N_DOCS], Fact::ConceptProb(format!("Feat{place}"), p)),
                     2 => assert(users[a], Fact::Role("inRoom".into(), rooms[place])),
                     3 if p > 0.5 => assert(rooms[place], Fact::Concept("Cosy".into())),
                     3 => assert(rooms[place], Fact::ConceptProb("Cosy".into(), p)),
-                    4 => assert(docs[a], Fact::RoleProb("hasGenre".into(), genres[place], p)),
+                    4 => assert(
+                        docs[a % N_DOCS],
+                        Fact::RoleProb("hasGenre".into(), genres[place], p),
+                    ),
                     5 => {
                         let tag = if a % 2 == 0 { "Hot" } else { "Calm" };
                         assert(genres[place], Fact::ConceptProb(tag.into(), p));
