@@ -226,19 +226,6 @@ impl EvalScratch {
         (self.kb_id, self.prob, self.expect)
     }
 
-    /// Replaces the two memo overlays wholesale — the import path of the
-    /// persistence layer: a pool checkout is filled with entries decoded
-    /// from a saved snapshot (already re-interned against this process's
-    /// expression interner) and given back, so the next republish publishes
-    /// them as the frozen tier. The KB binding, policy and batch counters
-    /// are untouched; any snapshot the
-    /// checkout's overlays were layered over is dropped, which is safe
-    /// because a freshly recovered pool's chains are empty.
-    pub(crate) fn import_overlays(&mut self, prob: EvalCache, expect: ExpectCache) {
-        self.prob = prob;
-        self.expect = expect;
-    }
-
     /// `Kb::id` the memos were built over (0 = not yet bound to a KB).
     pub(crate) fn kb_id(&self) -> u64 {
         self.kb_id

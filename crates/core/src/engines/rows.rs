@@ -222,8 +222,8 @@ impl Table {
             let row = &mut self.rows[at as usize];
             // To the memo a sync is the evaluation every request used to
             // make: the probabilities are read through it again, so what
-            // its tiers hold (and a snapshot persists) stays what is in
-            // use, whatever the rows remember.
+            // its tiers hold stays what is in use, whatever the rows
+            // remember.
             for cell in &mut row.cells {
                 *cell.p.get_mut() = UNSET;
             }

@@ -28,9 +28,9 @@
 //!   sessions over one shared, bounded evaluation tier, with typed
 //!   requests and batch coalescing. Concurrency lives here, *between*
 //!   requests — one lock per tenant shard — never inside one;
-//! * [`persist`] — durability: a versioned binary codec for KB / rule /
-//!   frozen-tier snapshots and a checksummed, segmented context-event
-//!   WAL with opt-in covered-prefix compaction ([`CompactionPolicy`]),
+//! * [`persist`] — durability: a versioned binary codec for KB and rule
+//!   snapshots and a checksummed, segmented context-event WAL with
+//!   opt-in covered-prefix compaction ([`CompactionPolicy`]),
 //!   powering `RankingService::open_durable` crash recovery and
 //!   read-only [`ReplicaService`] followers.
 //!

@@ -20,9 +20,8 @@
 
 use std::path::{Path, PathBuf};
 
-use super::snapshot::decode_snapshot;
 use super::wal::segment_paths;
-use super::{snapshot_paths, sync_dir, PersistError};
+use super::{decodable_snapshots, sync_dir, PersistError};
 
 /// When (and whether) a durable service deletes covered WAL prefix
 /// segments after a snapshot.
@@ -61,31 +60,14 @@ pub(crate) struct CompactionOutcome {
 /// (`wal-<first_seq>.log`; a segment's last record is the next segment's
 /// `first_seq - 1`), so planning never reads log bytes.
 pub(crate) fn covered_prefix(dir: &Path) -> Vec<PathBuf> {
-    let mut covers = Vec::new();
-    for (seq, path) in snapshot_paths(dir) {
-        let ok = std::fs::read(&path).is_ok_and(|bytes| decode_snapshot(&bytes).is_ok());
-        if ok {
-            covers.push(seq);
-            if covers.len() == 2 {
-                break;
-            }
-        }
-    }
-    if covers.len() < 2 {
+    let Some((cover, ..)) = decodable_snapshots(dir).nth(1) else {
         return Vec::new();
-    }
-    let cover = covers[1];
-    let segments = segment_paths(dir);
-    let mut out = Vec::new();
-    for pair in segments.windows(2) {
-        let last_record_seq = pair[1].0.saturating_sub(1);
-        if last_record_seq <= cover {
-            out.push(pair[0].1.clone());
-        } else {
-            break;
-        }
-    }
-    out
+    };
+    segment_paths(dir)
+        .windows(2)
+        .take_while(|pair| pair[1].0.saturating_sub(1) <= cover)
+        .map(|pair| pair[0].1.clone())
+        .collect()
 }
 
 /// Executes a compaction plan: unlinks the planned segments oldest-first,
@@ -112,7 +94,7 @@ pub(crate) fn delete_segments(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::snapshot::{encode_snapshot, TierExport};
+    use crate::persist::snapshot::encode_snapshot;
     use crate::persist::wal::{segment_file_name, wal_header};
     use crate::{Kb, RuleRepository};
 
@@ -125,13 +107,7 @@ mod tests {
 
     /// Writes a decodable (empty-state) snapshot covering `seq`.
     fn put_snapshot(dir: &Path, seq: u64) {
-        let bytes = encode_snapshot(
-            &Kb::new(),
-            &RuleRepository::new(),
-            &TierExport::default(),
-            &[],
-            seq,
-        );
+        let bytes = encode_snapshot(&Kb::new(), &RuleRepository::new(), &[], seq);
         std::fs::write(dir.join(format!("snapshot-{seq}.snap")), bytes).unwrap();
     }
 

@@ -4,8 +4,8 @@
 //! [`crate::serve::RankingService`] needs to survive a crash:
 //!
 //! * **Snapshots** (`snapshot.rs`) — the full [`crate::Kb`] (universe, ABox,
-//!   TBox, vocabulary, epochs), the [`crate::RuleRepository`], an export of
-//!   the shared evaluation snapshot tier, and the set of warm tenants.
+//!   TBox, vocabulary, epochs), the [`crate::RuleRepository`], and the set
+//!   of warm tenants — state only; caches are rebuilt on first touch.
 //! * **The context-event WAL** (`wal.rs`) — every mutation the service
 //!   applies (individual registrations, probabilistic assertions, rule
 //!   adds/removes) as a checksummed, epoch-stamped record, so recovery is
@@ -58,7 +58,7 @@ pub enum PersistError {
         format: &'static str,
         /// The version found in the file.
         found: u16,
-        /// The single version this build reads and writes.
+        /// The version this build writes (and the newest it reads).
         supported: u16,
     },
     /// A CRC32 check over a section or record payload failed.
@@ -163,6 +163,18 @@ pub(crate) fn snapshot_paths(dir: &Path) -> Vec<(u64, PathBuf)> {
     out
 }
 
+/// The snapshots of `dir` that read and decode, newest first, with their
+/// sequence numbers and bytes (older snapshots and the log cover the rest).
+pub(crate) fn decodable_snapshots(
+    dir: &Path,
+) -> impl Iterator<Item = (u64, Vec<u8>, snapshot::RecoveredSnapshot)> {
+    snapshot_paths(dir).into_iter().filter_map(|(seq, path)| {
+        let bytes = std::fs::read(path).ok()?;
+        let snap = snapshot::decode_snapshot(&bytes).ok()?;
+        Some((seq, bytes, snap))
+    })
+}
+
 /// Everything one read-only recovery pass derives from a durable
 /// directory: the restored state, the replay/truncation counters, and
 /// where the log's valid chain ends — as both a writer resume point and a
@@ -174,10 +186,6 @@ pub(crate) struct Recovered {
     pub kb: crate::Kb,
     /// The recovered rule repository.
     pub rules: crate::RuleRepository,
-    /// The snapshot's evaluation-tier probability memos.
-    pub prob: capra_events::EvalCache,
-    /// The snapshot's expectation memos.
-    pub expect: capra_events::ExpectCache,
     /// Tenants that were live at snapshot time (re-seeded warm at boot).
     pub warm_users: Vec<String>,
     /// Records replayed from the log past the snapshot.
@@ -226,43 +234,23 @@ pub(crate) struct WriterResume {
 pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
     use wal::{apply_op, decode_op, ResumeSegment, WAL_HEADER_LEN};
 
-    // Newest snapshot whose bytes fully decode; corrupt ones are skipped
-    // (older snapshots and the log cover them).
-    let mut snapshot_bytes = None;
-    for (_, path) in snapshot_paths(dir) {
-        if let Ok(bytes) = std::fs::read(&path) {
-            if snapshot::decode_snapshot(&bytes).is_ok() {
-                snapshot_bytes = Some(bytes);
-                break;
-            }
-        }
-    }
+    // The newest snapshot that decodes seeds the first replay pass; only a
+    // restarted pass decodes its bytes again.
+    let (snapshot_bytes, mut decoded) = match decodable_snapshots(dir).next() {
+        Some((_, bytes, snap)) => (Some(bytes), Some(snap)),
+        None => (None, None),
+    };
 
     let log = wal::scan_segments(dir)?;
     let mut truncated = log.dropped;
     let mut limit = log.records.len();
-    let (kb, rules, prob, expect, warm_users, base_seq, replayed) = loop {
-        let (mut kb, mut rules, prob, expect, warm, base_seq) = match &snapshot_bytes {
-            Some(bytes) => match snapshot::decode_snapshot(bytes) {
-                Ok(s) => (
-                    s.kb,
-                    s.rules,
-                    s.prob,
-                    s.expect,
-                    s.warm_users,
-                    s.last_applied_seq,
-                ),
-                Err(_) => unreachable!("snapshot bytes were validated above"),
-            },
-            None => (
-                crate::Kb::new(),
-                crate::RuleRepository::new(),
-                Default::default(),
-                Default::default(),
-                Vec::new(),
-                0,
-            ),
+    let (snap, replayed) = loop {
+        let mut snap = match (decoded.take(), &snapshot_bytes) {
+            (Some(snap), _) => snap,
+            (None, Some(bytes)) => snapshot::decode_snapshot(bytes).expect("decoded before"),
+            (None, None) => Default::default(),
         };
+        let base_seq = snap.last_applied_seq;
         let mut applied = 0u64;
         let mut prev_seq = None;
         let mut failed_at = None;
@@ -284,10 +272,10 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
                 // Already reflected in the snapshot.
                 continue;
             }
-            let ok = decode_op(&rec.body, &mut kb.voc)
-                .and_then(|op| apply_op(&mut kb, &mut rules, op))
+            let ok = decode_op(&rec.body, &mut snap.kb.voc)
+                .and_then(|op| apply_op(&mut snap.kb, &mut snap.rules, op))
                 .is_ok()
-                && kb.epoch() == rec.epoch;
+                && snap.kb.epoch() == rec.epoch;
             if ok {
                 applied += 1;
             } else {
@@ -300,10 +288,11 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
                 truncated += (limit - j) as u64;
                 limit = j;
             }
-            None => break (kb, rules, prob, expect, warm, base_seq, applied),
+            None => break (snap, applied),
         }
     };
 
+    let base_seq = snap.last_applied_seq;
     let next_seq = log.records[..limit]
         .last()
         .map(|(_, r)| r.seq)
@@ -355,15 +344,92 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
         .collect();
 
     Ok(Recovered {
-        kb,
-        rules,
-        prob,
-        expect,
-        warm_users,
+        kb: snap.kb,
+        rules: snap.rules,
+        warm_users: snap.warm_users,
         replayed,
         truncated,
         next_seq,
         resume: WriterResume { active, delete },
         cursor,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::serve::{Fact, RankingService, ServiceConfig};
+    use crate::{
+        FactorizedEngine, LineageEngine, NaiveEnumEngine, NaiveViewEngine, PreferenceRule, Score,
+        ScoringEngine, ScoringEnv,
+    };
+
+    /// A `Covered` directory from a build that wrote version 1: its only
+    /// snapshot carries the memo section and the WAL prefix it covers is
+    /// gone. Refusing the snapshot would truncate the whole log.
+    #[test]
+    fn version_1_snapshot_bridges_a_compacted_prefix() {
+        let dir = std::env::temp_dir().join(format!("capra-persist-v1-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let config = ServiceConfig {
+            segment_records: 3,
+            compaction: CompactionPolicy::Covered,
+            ..ServiceConfig::default()
+        };
+        let flush = FlushPolicy::EveryRecord;
+        let service =
+            RankingService::open_durable(LineageEngine::new(), config, &dir, flush).unwrap();
+        let users = ["u0", "u1"].map(|name| service.individual(name));
+        let docs = ["d0", "d1", "d2"].map(|name| service.individual(name));
+        for (i, &x) in users.iter().chain(&docs).enumerate() {
+            let p = 0.2 + 0.15 * i as f64;
+            for (f, p) in [(0, p), (1, 1.0 - p)] {
+                let name = format!("{}{f}", if i < 2 { "Ctx" } else { "Feat" });
+                service.assert(x, Fact::ConceptProb(name, p)).unwrap();
+            }
+        }
+        for (i, sigma) in [0.7, 0.3].into_iter().enumerate() {
+            let parse = |text: String| service.parse(&text).unwrap();
+            let (context, preference) = (parse(format!("Ctx{i}")), parse(format!("Feat{i}")));
+            let sigma = Score::new(sigma).unwrap();
+            let rule = PreferenceRule::new(format!("R{i}"), context, preference, sigma);
+            service.add_rule(rule).unwrap();
+            service.rank(users[i], &docs, docs.len()).unwrap();
+        }
+        service.save_snapshot().unwrap();
+        let drift = Fact::ConceptProb("Ctx1".into(), 0.9);
+        service.assert(users[0], drift).unwrap();
+        let want = service.snapshot();
+        drop(service);
+
+        let (seq, path) = &snapshot_paths(&dir)[0];
+        let current = std::fs::read(path).unwrap();
+        std::fs::write(path, snapshot::as_version_1(&current, b"\x03memo")).unwrap();
+        let segments = wal::segment_paths(&dir);
+        let covered: Vec<_> = segments.windows(2).filter(|s| s[1].0 - 1 <= *seq).collect();
+        assert!(!covered.is_empty(), "no sealed prefix to delete");
+        for pair in covered {
+            std::fs::remove_file(&pair[0].1).unwrap();
+        }
+
+        let got = recover(&dir).unwrap();
+        assert_eq!((got.truncated, got.replayed), (0, 1));
+        assert_eq!(got.kb.epoch(), want.kb().epoch());
+        assert_eq!(got.warm_users.len(), users.len());
+        let engines: [Box<dyn ScoringEngine>; 4] = [
+            Box::new(NaiveViewEngine::new()),
+            Box::new(NaiveEnumEngine::new()),
+            Box::new(FactorizedEngine::new()),
+            Box::new(LineageEngine::new()),
+        ];
+        for (engine, user) in engines.iter().flat_map(|e| users.map(|u| (e, u))) {
+            let bits = |kb, rules| -> Vec<u64> {
+                let scores = engine.score_all(&ScoringEnv { kb, rules, user }, &docs);
+                scores.unwrap().iter().map(|s| s.score.to_bits()).collect()
+            };
+            let (a, b) = (bits(want.kb(), want.rules()), bits(&got.kb, &got.rules));
+            assert_eq!(a, b, "{}", engine.name());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -1,8 +1,7 @@
 //! The snapshot format: versioned binary codecs for the [`Kb`] (universe,
-//! vocabulary, TBox, ABox with exact epochs), the [`RuleRepository`], and
-//! an export of the shared evaluation snapshot tier, plus the container
-//! file that frames all three (and a small recovery-metadata section)
-//! behind a magic header.
+//! vocabulary, TBox, ABox with exact epochs) and the [`RuleRepository`],
+//! plus the container file that frames both (and a small
+//! recovery-metadata section) behind a magic header.
 //!
 //! Interned handles are process-local, so every format stores *names* and
 //! decodes by re-interning in the original order: the rebuilt vocabulary
@@ -12,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use capra_dl::{ABox, Concept, RoleEdge, Vocabulary};
-use capra_events::{EvalCache, EventExpr, ExpectCache, ExportedGroup, Universe, VarId};
+use capra_events::{EventExpr, Universe, VarId};
 
 use super::codec::{put_section, read_section, Reader, Writer};
 use super::PersistError;
@@ -20,8 +19,11 @@ use crate::{Kb, PreferenceRule, RuleRepository, Score};
 
 /// Magic bytes opening every snapshot file.
 pub(crate) const SNAPSHOT_MAGIC: &[u8; 8] = b"CAPRASNP";
-/// The single snapshot format version this build reads and writes.
-pub(crate) const SNAPSHOT_VERSION: u16 = 1;
+/// The snapshot format version this build writes.
+pub(crate) const SNAPSHOT_VERSION: u16 = 2;
+/// The older version it still reads: a `Covered` directory may hold a
+/// version-1 snapshot whose WAL prefix is already deleted.
+const SNAPSHOT_VERSION_1: u16 = 1;
 
 /// Recursion guard for the expression and concept decoders: corrupt input
 /// could otherwise encode a nesting chain deep enough to overflow the
@@ -39,7 +41,7 @@ fn too_deep(what: &str) -> PersistError {
 /// Tags: 0 ⊤, 1 ⊥, 2 atom `[u32 var index][u16 alt]`, 3 ¬, 4 ∧ `[u32 n]`,
 /// 5 ∨ `[u32 n]`. Variables travel as their dense universe index — the
 /// decoder maps them through the re-interned universe's `var_ids()` order.
-pub(crate) fn put_expr(w: &mut Writer, e: &EventExpr) {
+fn put_expr(w: &mut Writer, e: &EventExpr) {
     match e {
         EventExpr::True => w.u8(0),
         EventExpr::False => w.u8(1),
@@ -75,7 +77,7 @@ pub(crate) fn put_expr(w: &mut Writer, e: &EventExpr) {
 /// Decodes one event expression against the (already rebuilt) universe.
 /// `vars` is the universe's variable list in `var_ids()` order, so stored
 /// dense indices resolve without constructing raw handles.
-pub(crate) fn read_expr(
+fn read_expr(
     r: &mut Reader<'_>,
     universe: &Universe,
     vars: &[VarId],
@@ -461,165 +463,30 @@ pub fn decode_rules(bytes: &[u8], voc: &mut Vocabulary) -> Result<RuleRepository
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot tier
-// ---------------------------------------------------------------------------
-
-/// A plain-data export of the shared frozen snapshot tier (probability and
-/// pivot memos, plus the expectation cache's groups and embedded
-/// evaluator), produced by `ScratchPool::export_tier` and serialized into
-/// the snapshot's tier section.
-#[derive(Default)]
-pub(crate) struct TierExport {
-    /// Probability memo entries of the evaluation tier.
-    pub prob: Vec<(EventExpr, f64)>,
-    /// Shannon-pivot memo entries of the evaluation tier.
-    pub pivots: Vec<(EventExpr, VarId)>,
-    /// Probability memos of the expectation cache's embedded evaluator.
-    pub inner_prob: Vec<(EventExpr, f64)>,
-    /// Pivot memos of the expectation cache's embedded evaluator.
-    pub inner_pivots: Vec<(EventExpr, VarId)>,
-    /// Expectation-group entries `(canonical key, value)`.
-    pub groups: Vec<(ExportedGroup, f64)>,
-}
-
-fn put_memos(w: &mut Writer, probs: &[(EventExpr, f64)], pivots: &[(EventExpr, VarId)]) {
-    w.u32(probs.len() as u32);
-    for (e, p) in probs {
-        put_expr(w, e);
-        w.f64(*p);
-    }
-    w.u32(pivots.len() as u32);
-    for (e, v) in pivots {
-        put_expr(w, e);
-        w.u32(v.index() as u32);
-    }
-}
-
-type Memos = (Vec<(EventExpr, f64)>, Vec<(EventExpr, VarId)>);
-
-fn read_memos(
-    r: &mut Reader<'_>,
-    universe: &Universe,
-    vars: &[VarId],
-) -> Result<Memos, PersistError> {
-    let mut probs = Vec::new();
-    for _ in 0..r.u32()? {
-        let e = read_expr(r, universe, vars, 0)?;
-        probs.push((e, r.f64()?));
-    }
-    let mut pivots = Vec::new();
-    for _ in 0..r.u32()? {
-        let e = read_expr(r, universe, vars, 0)?;
-        let idx = r.u32()? as usize;
-        let var = *vars.get(idx).ok_or_else(|| {
-            PersistError::Invalid(format!("pivot variable index {idx} out of range"))
-        })?;
-        pivots.push((e, var));
-    }
-    Ok((probs, pivots))
-}
-
-/// Tier payload: outer memos, embedded-evaluator memos, then expectation
-/// groups (`[u32 rows][per row: u32 pairs][per pair: expr + u64]` + value).
-pub(crate) fn put_tier(w: &mut Writer, tier: &TierExport) {
-    put_memos(w, &tier.prob, &tier.pivots);
-    put_memos(w, &tier.inner_prob, &tier.inner_pivots);
-    w.u32(tier.groups.len() as u32);
-    for (key, value) in &tier.groups {
-        w.u32(key.len() as u32);
-        for row in key {
-            w.u32(row.len() as u32);
-            for (e, weight) in row {
-                put_expr(w, e);
-                w.u64(*weight);
-            }
-        }
-        w.f64(*value);
-    }
-}
-
-/// Decodes a tier payload into fresh, installable caches. Expressions are
-/// re-interned, so memo keys match anything the recovered process builds
-/// structurally equal.
-pub(crate) fn read_tier(
-    r: &mut Reader<'_>,
-    universe: &Universe,
-    vars: &[VarId],
-) -> Result<(EvalCache, ExpectCache), PersistError> {
-    let mut prob = EvalCache::default();
-    let (probs, pivots) = read_memos(r, universe, vars)?;
-    for (e, p) in probs {
-        prob.insert_prob(e, p);
-    }
-    for (e, v) in pivots {
-        prob.insert_pivot(e, v);
-    }
-    let mut expect = ExpectCache::default();
-    let (probs, pivots) = read_memos(r, universe, vars)?;
-    for (e, p) in probs {
-        expect.eval_mut().insert_prob(e, p);
-    }
-    for (e, v) in pivots {
-        expect.eval_mut().insert_pivot(e, v);
-    }
-    for _ in 0..r.u32()? {
-        let rows = r.u32()? as usize;
-        if rows > r.remaining() {
-            return Err(PersistError::Truncated {
-                needed: rows,
-                available: r.remaining(),
-            });
-        }
-        let mut key = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            let pairs = r.u32()? as usize;
-            if pairs > r.remaining() {
-                return Err(PersistError::Truncated {
-                    needed: pairs,
-                    available: r.remaining(),
-                });
-            }
-            let mut row = Vec::with_capacity(pairs);
-            for _ in 0..pairs {
-                let e = read_expr(r, universe, vars, 0)?;
-                row.push((e, r.u64()?));
-            }
-            key.push(row);
-        }
-        let value = r.f64()?;
-        expect.insert_group(key, value);
-    }
-    Ok((prob, expect))
-}
-
-// ---------------------------------------------------------------------------
 // Snapshot container
 // ---------------------------------------------------------------------------
 
-/// Everything a snapshot restores: the KB, the rules, the installable
-/// snapshot-tier caches, the tenants that were warm at save time, and the
-/// WAL sequence number the snapshot is consistent up to.
+/// Everything a snapshot restores: the KB, the rules, the tenants that
+/// were warm at save time, and the WAL sequence number the snapshot is
+/// consistent up to. The default is a cold start.
+#[derive(Default)]
 pub(crate) struct RecoveredSnapshot {
     /// The restored knowledge base.
     pub kb: Kb,
     /// The restored rule repository.
     pub rules: RuleRepository,
-    /// The evaluation tier to install into the scratch pool.
-    pub prob: EvalCache,
-    /// The expectation tier to install into the scratch pool.
-    pub expect: ExpectCache,
     /// Names of tenants that were live at save time (re-seeded at boot).
     pub warm_users: Vec<String>,
     /// WAL records with `seq <= last_applied_seq` are already reflected.
     pub last_applied_seq: u64,
 }
 
-/// Encodes a complete snapshot file: magic + version, then four CRC-framed
-/// sections (KB, rules, tier, recovery metadata).
+/// Encodes a complete snapshot file: magic + version, then three
+/// CRC-framed sections (KB, rules, recovery metadata). State only — no
+/// caches — so the bytes are a function of the state.
 pub(crate) fn encode_snapshot(
     kb: &Kb,
     rules: &RuleRepository,
-    tier: &TierExport,
     warm_users: &[String],
     last_applied_seq: u64,
 ) -> Vec<u8> {
@@ -628,9 +495,6 @@ pub(crate) fn encode_snapshot(
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     put_section(&mut out, &encode_kb(kb));
     put_section(&mut out, &encode_rules(rules, &kb.voc));
-    let mut w = Writer::new();
-    put_tier(&mut w, tier);
-    put_section(&mut out, &w.into_bytes());
     let mut meta = Writer::new();
     meta.u64(last_applied_seq);
     meta.u32(warm_users.len() as u32);
@@ -641,11 +505,12 @@ pub(crate) fn encode_snapshot(
     out
 }
 
-/// Decodes a snapshot file written by [`encode_snapshot`]. Any corruption —
-/// wrong magic, unsupported version, failed section CRC, truncation,
-/// semantic inconsistency — returns a [`PersistError`]; recovery treats
-/// that as "this snapshot does not exist" and falls back to an older one
-/// or a cold boot.
+/// Decodes a snapshot file written by [`encode_snapshot`], or a version-1
+/// file, whose evaluation-memo section between rules and meta must pass
+/// its CRC and is then dropped. Any corruption — wrong magic, unsupported
+/// version, failed section CRC, truncation, semantic inconsistency —
+/// returns a [`PersistError`]; recovery treats that as "this snapshot
+/// does not exist" and falls back to an older one or a cold boot.
 pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<RecoveredSnapshot, PersistError> {
     if bytes.len() < SNAPSHOT_MAGIC.len() + 2 {
         return Err(PersistError::Truncated {
@@ -657,7 +522,7 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<RecoveredSnapshot, Persist
         return Err(PersistError::BadMagic { format: "snapshot" });
     }
     let version = u16::from_le_bytes(bytes[8..10].try_into().expect("len 2"));
-    if version != SNAPSHOT_VERSION {
+    if version != SNAPSHOT_VERSION && version != SNAPSHOT_VERSION_1 {
         return Err(PersistError::BadVersion {
             format: "snapshot",
             found: version,
@@ -667,16 +532,14 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<RecoveredSnapshot, Persist
     let mut r = Reader::new(&bytes[10..]);
     let kb_bytes = read_section(&mut r)?;
     let rule_bytes = read_section(&mut r)?;
-    let tier_bytes = read_section(&mut r)?;
+    if version == SNAPSHOT_VERSION_1 {
+        read_section(&mut r)?;
+    }
     let meta_bytes = read_section(&mut r)?;
     r.finish()?;
 
     let mut kb = decode_kb(kb_bytes)?;
     let rules = decode_rules(rule_bytes, &mut kb.voc)?;
-    let vars: Vec<VarId> = kb.universe.var_ids().collect();
-    let mut tr = Reader::new(tier_bytes);
-    let (prob, expect) = read_tier(&mut tr, &kb.universe, &vars)?;
-    tr.finish()?;
     let mut mr = Reader::new(meta_bytes);
     let last_applied_seq = mr.u64()?;
     let mut warm_users = Vec::new();
@@ -688,11 +551,24 @@ pub(crate) fn decode_snapshot(bytes: &[u8]) -> Result<RecoveredSnapshot, Persist
     Ok(RecoveredSnapshot {
         kb,
         rules,
-        prob,
-        expect,
         warm_users,
         last_applied_seq,
     })
+}
+
+/// Re-frames a current snapshot as version 1, with `memos` as the
+/// evaluation-memo section that version carried between rules and meta.
+#[cfg(test)]
+pub(crate) fn as_version_1(snapshot: &[u8], memos: &[u8]) -> Vec<u8> {
+    let mut r = Reader::new(&snapshot[10..]);
+    read_section(&mut r).unwrap(); // KB
+    read_section(&mut r).unwrap(); // rules
+    let meta_at = snapshot.len() - r.remaining();
+    let version = SNAPSHOT_VERSION_1.to_le_bytes();
+    let mut out = [SNAPSHOT_MAGIC, &version[..], &snapshot[10..meta_at]].concat();
+    put_section(&mut out, memos);
+    out.extend_from_slice(&snapshot[meta_at..]);
+    out
 }
 
 #[cfg(test)]
@@ -814,7 +690,7 @@ mod tests {
     fn snapshot_container_detects_bad_magic_version_and_crc() {
         let kb = sample_kb();
         let rules = RuleRepository::new();
-        let bytes = encode_snapshot(&kb, &rules, &TierExport::default(), &[], 7);
+        let bytes = encode_snapshot(&kb, &rules, &[], 7);
         let snap = decode_snapshot(&bytes).unwrap();
         assert_eq!(snap.last_applied_seq, 7);
         assert_eq!(snap.kb.epoch(), kb.epoch());
@@ -845,6 +721,28 @@ mod tests {
         assert!(matches!(
             decode_snapshot(&bytes[..bytes.len() - 1]),
             Err(PersistError::Truncated { .. })
+        ));
+    }
+
+    #[test]
+    fn version_1_snapshot_decodes_and_drops_its_memo_section() {
+        let (kb, rules) = (sample_kb(), RuleRepository::new());
+        let current = encode_snapshot(&kb, &rules, &["user".to_string()], 11);
+        let memos: &[u8] = b"\x07 not a codec payload \xff";
+        let v1 = as_version_1(&current, memos);
+        // It decodes to the state it was saved from.
+        let s = decode_snapshot(&v1).unwrap();
+        let again = encode_snapshot(&s.kb, &s.rules, &s.warm_users, s.last_applied_seq);
+        assert_eq!(again, current);
+
+        // Dropped, not trusted: the memo section's CRC must still hold.
+        let memos_at = 10 + 8 + encode_kb(&kb).len() + 8 + encode_rules(&rules, &kb.voc).len() + 8;
+        assert_eq!(&v1[memos_at..memos_at + memos.len()], memos);
+        let mut bad = v1.clone();
+        bad[memos_at + 3] ^= 0x20;
+        assert!(matches!(
+            decode_snapshot(&bad),
+            Err(PersistError::ChecksumMismatch { .. })
         ));
     }
 }

@@ -28,12 +28,10 @@
 use std::sync::{Arc, Mutex};
 
 use capra_events::{
-    BatchStats, CacheFootprint, EvalCache, EvictionPolicy, ExpectCache, FrozenEvalCache,
-    FrozenExpectCache,
+    BatchStats, CacheFootprint, EvictionPolicy, FrozenEvalCache, FrozenExpectCache,
 };
 
 use crate::engines::EvalScratch;
-use crate::persist::snapshot::TierExport;
 use crate::Kb;
 
 /// Aggregate state of one [`ScratchPool`] snapshot generation.
@@ -159,39 +157,6 @@ impl ScratchPool {
         if !expect_overlays.is_empty() {
             inner.expect =
                 FrozenExpectCache::merged_with(Some(&inner.expect), expect_overlays, epoch, policy);
-        }
-    }
-
-    /// Publishes externally produced memo overlays (entries decoded from a
-    /// persisted snapshot and re-interned against this process's expression
-    /// interner) as the pool's frozen tier — the recovery path of
-    /// [`crate::serve::RankingService::open_durable`]. Goes through the
-    /// ordinary checkout → give-back → republish cycle, so the imported
-    /// tier is epoch-tagged and evicted exactly like one produced by a
-    /// scoring run.
-    pub(crate) fn install_snapshot(&self, kb: &Kb, prob: EvalCache, expect: ExpectCache) {
-        let mut scratch = self.checkout(kb);
-        scratch.import_overlays(prob, expect);
-        self.give_back(scratch);
-        self.republish();
-    }
-
-    /// Exports the current frozen tier as plain `(expression, value)`
-    /// data for the persistence layer — the inverse of
-    /// [`ScratchPool::install_snapshot`]. Empty when the pool is serving a
-    /// different KB (or none): a tier is only meaningful alongside the KB
-    /// it was computed against.
-    pub(crate) fn export_tier(&self, kb: &Kb) -> TierExport {
-        let inner = self.lock();
-        if inner.kb_id != kb.id() {
-            return TierExport::default();
-        }
-        TierExport {
-            prob: inner.prob.export_probs(),
-            pivots: inner.prob.export_pivots(),
-            inner_prob: inner.expect.eval().export_probs(),
-            inner_pivots: inner.expect.eval().export_pivots(),
-            groups: inner.expect.export_groups(),
         }
     }
 

@@ -443,17 +443,15 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// Installs a [`Recovered`] state into this service: KB, rules, the
-    /// persisted evaluation tier, the recovery counters, and warm binding
-    /// seeds for the tenants that were live at snapshot time (their first
-    /// post-boot request then needs no cold bind). Everything previously
-    /// cached is dropped — also the re-open path behind
-    /// [`crate::serve::ReplicaService`]'s resnapshot.
+    /// recovery counters, and warm binding seeds for the tenants that were
+    /// live at snapshot time (their first post-boot request then needs no
+    /// cold bind). Everything cached is dropped; the fresh pool fills as on
+    /// a cold start, with bit-identical scores. Also the re-open path
+    /// behind [`crate::serve::ReplicaService`]'s resnapshot.
     pub(crate) fn reinstall(&mut self, recovered: Recovered) {
         let Recovered {
             kb,
             rules,
-            prob,
-            expect,
             warm_users,
             replayed,
             truncated,
@@ -466,9 +464,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             wal.records_replayed = replayed;
             wal.records_truncated = truncated;
         }
-        // Re-publish the persisted evaluation tier through the ordinary
-        // pool cycle (no-op when the snapshot carried none).
-        self.pool.install_snapshot(&kb, prob, expect);
         for name in warm_users {
             let Some(user) = kb.voc.find_individual(&name) else {
                 continue;
@@ -525,10 +520,10 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         Ok(())
     }
 
-    /// Writes a full snapshot of the current state (KB, rules, the shared
-    /// evaluation tier, and the live-tenant set) to the durable directory,
-    /// atomically (write to a temp file, fsync, rename, fsync the
-    /// directory). Older snapshots beyond the newest
+    /// Writes a full snapshot of the current state (KB, rules and the
+    /// live-tenant set — no caches) to the durable directory, atomically
+    /// (write to a temp file, fsync, rename, fsync the directory). Older
+    /// snapshots beyond the newest
     /// [`ServiceConfig::snapshot_retain`] are pruned.
     ///
     /// With [`CompactionPolicy::Never`] (the default) the WAL is kept
@@ -567,14 +562,13 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         // Stable while the writer lock is held: publishes only happen
         // under it.
         let snap = self.load();
-        let tier = self.pool.export_tier(snap.kb());
         let warm: Vec<String> = self
             .tenants
             .live_users()
             .into_iter()
             .map(|u| snap.kb().voc.individual_name(u).to_string())
             .collect();
-        let bytes = encode_snapshot(snap.kb(), snap.rules(), &tier, &warm, seq);
+        let bytes = encode_snapshot(snap.kb(), snap.rules(), &warm, seq);
         let tmp = durable.dir.join("snapshot.tmp");
         {
             use std::io::Write as _;

@@ -149,23 +149,6 @@ impl EvalCache {
         ));
     }
 
-    /// Inserts a probability entry into the private overlay — the import
-    /// path of the persistence layer: entries decoded from a saved snapshot
-    /// are re-interned (so their keys resolve to this process's node
-    /// identities) and handed back one by one before the cache is
-    /// republished as a frozen tier. Values are pure functions of their
-    /// hash-consed keys, so importing an entry computed by another process
-    /// is indistinguishable from having computed it here.
-    pub fn insert_prob(&mut self, expr: EventExpr, p: f64) {
-        self.memo.insert(expr, p);
-    }
-
-    /// Inserts a Shannon-pivot entry into the private overlay (the pivot
-    /// counterpart of [`EvalCache::insert_prob`]).
-    pub fn insert_pivot(&mut self, expr: EventExpr, var: VarId) {
-        self.pivots.insert(expr, var);
-    }
-
     /// Entries and pinned-node estimate of the private overlay alone,
     /// ignoring any backing snapshot — for holders that account for the
     /// shared chain separately (e.g. a pool whose parked worker overlays
@@ -219,9 +202,9 @@ impl TierPayload for EvalTier {
 /// A frozen, read-only [`EvalCache`] snapshot, shared across threads behind
 /// an `Arc` and consulted lock-free before each holder's private overlay.
 ///
-/// Snapshots grow by [`FrozenEvalCache::merged`] (or, epoch-tracked, by
-/// [`FrozenEvalCache::merged_with`]): collect the overlays the workers of
-/// one run accumulated and republish base + overlays as a new snapshot.
+/// Snapshots grow by [`FrozenEvalCache::merged_with`]: collect the
+/// overlays the workers of one run accumulated and republish base +
+/// overlays as a new, epoch-tagged snapshot.
 /// Every memoised value is a **pure function of its hash-consed key**
 /// (probability evaluation is deterministic and universe variables are
 /// immutable), so two workers that memoise the same key store bit-identical
@@ -264,39 +247,6 @@ impl FrozenEvalCache {
             .find_map(|t| t.payload.pivots.get(expr).copied())
     }
 
-    /// All memoised probabilities across the chain, deduplicated with the
-    /// lookup precedence (newest tier wins for shadowed keys — identical
-    /// values by construction, so precedence only avoids emitting
-    /// duplicates). This is the export path of the persistence layer; the
-    /// matching import is [`EvalCache::insert_prob`] after re-interning.
-    pub fn export_probs(&self) -> Vec<(EventExpr, f64)> {
-        let mut seen: FastMap<EventExpr, ()> = FastMap::default();
-        let mut out = Vec::new();
-        for t in self.tiers() {
-            for (e, p) in t.payload.memo.iter() {
-                if seen.insert(e.clone(), ()).is_none() {
-                    out.push((e.clone(), *p));
-                }
-            }
-        }
-        out
-    }
-
-    /// All memoised Shannon pivots across the chain, deduplicated like
-    /// [`FrozenEvalCache::export_probs`].
-    pub fn export_pivots(&self) -> Vec<(EventExpr, VarId)> {
-        let mut seen: FastMap<EventExpr, ()> = FastMap::default();
-        let mut out = Vec::new();
-        for t in self.tiers() {
-            for (e, v) in t.payload.pivots.iter() {
-                if seen.insert(e.clone(), ()).is_none() {
-                    out.push((e.clone(), *v));
-                }
-            }
-        }
-        out
-    }
-
     /// Occupied tiers, memo+pivot entries, and pinned-node estimate of this
     /// chain. Every entry keys a composite hash-consed node it pins in the
     /// process-global interner, so the estimate is the entry count.
@@ -310,17 +260,6 @@ impl FrozenEvalCache {
             entries,
             pinned_nodes: entries,
         }
-    }
-
-    /// [`FrozenEvalCache::merged_with`] without epoch tracking: tiers are
-    /// tagged epoch 0 and nothing is ever evicted — the snapshot only
-    /// grows. One-shot callers (and tests) that never mutate the KB use
-    /// this; epoch-aware holders should prefer `merged_with`.
-    pub fn merged(
-        base: Option<&Arc<FrozenEvalCache>>,
-        overlays: impl IntoIterator<Item = EvalCache>,
-    ) -> Arc<FrozenEvalCache> {
-        Self::merged_with(base, overlays, 0, EvictionPolicy::Never)
     }
 
     /// Merges worker overlays on top of `base` into a new snapshot (the
@@ -882,7 +821,8 @@ mod tests {
         ]);
         let mut first = Evaluator::new(&u);
         let p1 = first.prob(&e);
-        let snapshot = FrozenEvalCache::merged(None, [first.into_cache()]);
+        let snapshot =
+            FrozenEvalCache::merged_with(None, [first.into_cache()], 0, EvictionPolicy::Never);
         assert!(!snapshot.is_empty());
         // A fresh overlay over the snapshot must answer from the shared
         // tier: same bits, zero expansions, empty private overlay.
@@ -927,8 +867,10 @@ mod tests {
         };
         // Merge in both orders; duplicate keys must carry identical bits,
         // so the snapshots answer identically and fully (zero expansions).
-        let merged_ab = FrozenEvalCache::merged(None, [overlay_a(), overlay_b()]);
-        let merged_ba = FrozenEvalCache::merged(None, [overlay_b(), overlay_a()]);
+        let merge =
+            |overlays| FrozenEvalCache::merged_with(None, overlays, 0, EvictionPolicy::Never);
+        let merged_ab = merge([overlay_a(), overlay_b()]);
+        let merged_ba = merge([overlay_b(), overlay_a()]);
         assert_eq!(merged_ab.len(), merged_ba.len());
         for e in [&shared, &only_a] {
             let mut eva =
@@ -970,9 +912,11 @@ mod tests {
                 .unwrap_or_default();
             let mut ev = Evaluator::with_cache(&u, cache);
             expected.push(ev.prob(expr));
-            snapshot = Some(FrozenEvalCache::merged(
+            snapshot = Some(FrozenEvalCache::merged_with(
                 snapshot.as_ref(),
                 [ev.into_cache()],
+                0,
+                EvictionPolicy::Never,
             ));
             let snap = snapshot.as_ref().unwrap();
             assert!(snap.depth <= MAX_CHAIN, "generation {generation}");
@@ -1006,7 +950,7 @@ mod tests {
             .collect();
         let mut ev = Evaluator::new(&u);
         let root_values: Vec<f64> = root_exprs.iter().map(|e| ev.prob(e)).collect();
-        let root = FrozenEvalCache::merged(None, [ev.into_cache()]);
+        let root = FrozenEvalCache::merged_with(None, [ev.into_cache()], 0, EvictionPolicy::Never);
         let root_len = root.payload.memo.len();
 
         let mut snapshot = Arc::clone(&root);
@@ -1015,7 +959,9 @@ mod tests {
             let e = entangled(&mut u, &format!("y{i}"));
             let mut ev = Evaluator::with_cache(&u, EvalCache::with_snapshot(Arc::clone(&snapshot)));
             let want = ev.prob(&e);
-            snapshot = FrozenEvalCache::merged(Some(&snapshot), [ev.into_cache()]);
+            let overlay = [ev.into_cache()];
+            snapshot =
+                FrozenEvalCache::merged_with(Some(&snapshot), overlay, 0, EvictionPolicy::Never);
             assert!(snapshot.depth <= MAX_CHAIN);
             // Young state is far below the root's size, so the root tier
             // is still the original allocation — never cloned.

@@ -134,12 +134,6 @@ impl Factor {
 
 type FactorKey = Vec<(EventExpr, u64)>;
 
-/// A memoised factor group in export form: one `(case event, value-hash)`
-/// key per factor, one inner vec per factor in the group. Produced by
-/// [`FrozenExpectCache::export_groups`], consumed (after re-interning the
-/// expressions) by [`ExpectCache::insert_group`].
-pub type ExportedGroup = Vec<FactorKey>;
-
 /// Reusable exact-expectation computer (see module docs).
 ///
 /// Holds a memo table keyed by canonicalised factor groups; reuse one
@@ -218,29 +212,6 @@ impl ExpectCache {
             epoch,
             policy,
         ));
-    }
-
-    /// Mutable access to the embedded probability cache — the import path
-    /// of the persistence layer, which fills both the group memo (via
-    /// [`ExpectCache::insert_group`]) and the embedded evaluator's memo
-    /// (via [`crate::EvalCache::insert_prob`] / `insert_pivot`) from a
-    /// decoded snapshot before the cache is republished as a frozen tier.
-    pub fn eval_mut(&mut self) -> &mut EvalCache {
-        &mut self.eval
-    }
-
-    /// Inserts a factor-group expectation into the private overlay. The
-    /// key rows are re-canonicalised here: factor keys are ordered by
-    /// [`EventExpr`]'s `Ord`, which compares process-local interner node
-    /// ids, so a key decoded from another process's snapshot must be
-    /// re-sorted after re-interning to match the order lookups use.
-    pub fn insert_group(&mut self, key: Vec<Vec<(EventExpr, u64)>>, value: f64) {
-        let mut key: Vec<FactorKey> = key;
-        for row in &mut key {
-            row.sort_unstable();
-        }
-        key.sort_unstable();
-        self.memo.insert(key, value);
     }
 
     /// Entries and pinned estimate of the private group-memo overlay only
@@ -339,25 +310,6 @@ impl FrozenExpectCache {
         self.tiers().find_map(|t| t.payload.memo.get(key).copied())
     }
 
-    /// All memoised factor groups across the chain, deduplicated with the
-    /// lookup precedence (newest tier wins — values are identical by
-    /// construction). Export path of the persistence layer; the matching
-    /// import is [`ExpectCache::insert_group`] after re-interning. The
-    /// embedded probability chain is exported separately through
-    /// [`FrozenExpectCache::eval`].
-    pub fn export_groups(&self) -> Vec<(ExportedGroup, f64)> {
-        let mut seen: FastMap<Vec<FactorKey>, ()> = FastMap::default();
-        let mut out = Vec::new();
-        for t in self.tiers() {
-            for (k, v) in t.payload.memo.iter() {
-                if seen.insert(k.clone(), ()).is_none() {
-                    out.push((k.clone(), *v));
-                }
-            }
-        }
-        out
-    }
-
     /// Occupied tiers, entries and pinned-node estimate of this chain,
     /// including the embedded probability chain. A factor-group key pins
     /// one interned expression per case event it holds, so the estimate
@@ -378,16 +330,6 @@ impl FrozenExpectCache {
                 .sum::<usize>();
         }
         own + self.eval().footprint()
-    }
-
-    /// [`FrozenExpectCache::merged_with`] without epoch tracking: tiers
-    /// are tagged epoch 0 and nothing is ever evicted (see
-    /// [`FrozenEvalCache::merged`]).
-    pub fn merged(
-        base: Option<&Arc<FrozenExpectCache>>,
-        overlays: impl IntoIterator<Item = ExpectCache>,
-    ) -> Arc<FrozenExpectCache> {
-        Self::merged_with(base, overlays, 0, EvictionPolicy::Never)
     }
 
     /// Merges worker overlays on top of `base` into a new snapshot — the
@@ -745,7 +687,8 @@ mod tests {
         ];
         let mut first = Expectation::new(&u);
         let v1 = first.compute(&factors);
-        let snapshot = FrozenExpectCache::merged(None, [first.into_cache()]);
+        let snapshot =
+            FrozenExpectCache::merged_with(None, [first.into_cache()], 0, EvictionPolicy::Never);
         assert!(!snapshot.is_empty());
         // The snapshot is Sync: fresh overlays on other threads must answer
         // from the shared tier, bit-identically and without expansion.

@@ -69,8 +69,8 @@ pub use batch::{BatchEvaluator, BatchExpectation, BatchStats};
 pub use error::EventError;
 pub use eval::{EvalCache, EvalStats, EvalTier, Evaluator, FrozenEvalCache};
 pub use expect::{
-    brute_force_expectation, expectation, ExpectCache, ExpectTier, Expectation, ExportedGroup,
-    Factor, FrozenExpectCache,
+    brute_force_expectation, expectation, ExpectCache, ExpectTier, Expectation, Factor,
+    FrozenExpectCache,
 };
 pub use expr::{interner_stats, Atom, EventExpr, ExprKey, InternerStats, NaryNode, NotNode};
 pub use parse::parse_event;

@@ -3,11 +3,11 @@
 //! A [`RankingService`] opened with `open_durable` journals every
 //! mutation (context events, rule changes, new individuals) to a
 //! checksummed write-ahead log and can checkpoint its whole state — KB,
-//! rules, the shared evaluation tier, and the set of live tenants — into
-//! a snapshot file. After a crash, `open_durable` finds the newest valid
-//! snapshot, replays the WAL suffix, and re-derives the warm tenants'
-//! rule bindings, so the first post-boot request pays no cold bind and
-//! every score is bit-identical to the uninterrupted run.
+//! rules, and the set of live tenants, no caches — into a snapshot file.
+//! After a crash, `open_durable` finds the newest valid snapshot, replays
+//! the WAL suffix, and re-derives the warm tenants' rule bindings, so the
+//! first post-boot request pays no cold bind and every score is
+//! bit-identical to the uninterrupted run.
 //!
 //! The same directory also feeds read-only followers: the last section
 //! opens a [`ReplicaService`] against the live writer, tails its WAL,
@@ -66,8 +66,8 @@ fn main() -> Result<(), CoreError> {
         Score::new(0.8)?,
     ))?;
 
-    // Serve some traffic (this warms the tenants' binding caches and the
-    // shared evaluation tier), then checkpoint.
+    // Serve some traffic (this warms the tenants' binding caches), then
+    // checkpoint: the snapshot records who is live, not what they cached.
     for &v in &viewers {
         service.rank(v, &programs, 3)?;
     }

@@ -239,6 +239,31 @@ fn kill_restart_replay_is_bit_identical_for_all_engines() {
     }
 }
 
+/// A snapshot is a function of state: two services driven through the
+/// same mutations and binding the same tenants write identical bytes,
+/// though only one evaluated anything (`NaiveViewEngine` memoises through
+/// the pool on this fixture; the others score it in closed form).
+#[test]
+fn snapshot_bytes_do_not_depend_on_cached_evaluations() {
+    let dirs = [scratch("filled-pool"), scratch("empty-pool")];
+    let mut files = Vec::new();
+    for (dir, k) in dirs.iter().zip([usize::MAX, 0]) {
+        let mut service = open(Box::new(NaiveViewEngine::new()), dir);
+        let (users, docs) = populate(&mut service);
+        for &u in &users {
+            service.rank(u, &docs, k).unwrap(); // k = 0 binds, evaluates nothing
+        }
+        let memos = service.stats().sessions.footprint.entries;
+        assert_eq!(memos == 0, k == 0, "{memos} memo entries at k = {k}");
+        service.save_snapshot().unwrap();
+        let seq = snapshot_seqs(dir)[0];
+        files.push(std::fs::read(dir.join(format!("snapshot-{seq}.snap"))).unwrap());
+        drop(service);
+        let _ = std::fs::remove_dir_all(dir);
+    }
+    assert!(files[0] == files[1], "the snapshot bytes differ");
+}
+
 /// A torn final write (the classic crash-mid-append) loses exactly the
 /// torn record: recovery truncates to the valid prefix, reports one
 /// dropped record, and re-applying the lost operation converges back to

@@ -2,8 +2,8 @@
 //! bases and rule sets, `decode(encode(x))` is not just structurally
 //! equal — it re-interns every name to the *same handle* and produces
 //! **bit-identical** `score_all` results for all four engines. The
-//! snapshot-tier leg rides the durable service: save, kill, reopen, and
-//! the served ranks must not drift by a bit either.
+//! snapshot leg rides the durable service: save, kill, reopen, and the
+//! served ranks must not drift by a bit either.
 
 use capra::core::persist::{decode_kb, decode_rules, encode_kb, encode_rules};
 use capra::dl::IndividualId;
@@ -124,10 +124,10 @@ proptest! {
         }
     }
 
-    /// Snapshot-tier round-trip through the durable service: mirror the
-    /// generated KB through the mutation API, rank (which warms the
-    /// shared tier), snapshot, kill, reopen — the served ranks are
-    /// bit-identical for all four engines.
+    /// Snapshot round-trip through the durable service: mirror the
+    /// generated KB through the mutation API, rank (which fills the memo
+    /// pool a snapshot leaves out), snapshot, kill, reopen — the served
+    /// ranks are bit-identical for all four engines.
     #[test]
     fn durable_service_round_trip_bit_identically(
         ctx_probs in prop::collection::vec(0.05f64..=0.9, 2..4),
