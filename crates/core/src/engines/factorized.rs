@@ -217,10 +217,6 @@ impl ScoringEngine for FactorizedEngine {
         let (result, stats) = scratch.with_evaluator(&env.kb.universe, |ev| {
             let mut batch = BatchEvaluator::new(ev);
             let result = (|| -> Result<Vec<DocScore>> {
-                let context_probs: Vec<f64> = applicable
-                    .iter()
-                    .map(|(_, b)| batch.evaluator().prob(&b.context_event))
-                    .collect();
                 if let CorrelationPolicy::Error = self.on_correlation {
                     let ctx_owner = Self::context_owners(bindings, env.kb)?;
                     // The doc-invariant screen costs one pass over every
@@ -254,7 +250,8 @@ impl ScoringEngine for FactorizedEngine {
                 // Rules come in ascending order, like a row's cells: one
                 // cursor per slot walks its row once over all the sweeps.
                 let mut cursors = vec![0usize; docs.len()];
-                for (&(rule, b), &pg) in applicable.iter().zip(&context_probs) {
+                for &(rule, b) in &applicable {
+                    let pg = b.context_prob(&env.kb.universe);
                     column.clear();
                     column.extend(cursors.iter_mut().enumerate().map(|(slot, at)| {
                         let row = rows.row(slot);

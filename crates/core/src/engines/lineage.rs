@@ -1,7 +1,7 @@
 use std::sync::Arc;
 
 use capra_dl::IndividualId;
-use capra_events::{BatchExpectation, BatchStats, EventExpr, Expectation, Factor, VarId};
+use capra_events::{BatchExpectation, BatchStats, EventExpr, Expectation, Factor, Universe, VarId};
 
 use crate::bind::RuleBinding;
 use crate::engines::{join, Cell, ContextSupport, DocScore, EvalScratch, ScoringEngine};
@@ -33,11 +33,15 @@ use crate::{Result, ScoringEnv};
 ///   `G_r ∧ F_rd` / `G_r ∧ ¬F_rd` would flatten (neither `G_r`, `F_rd` nor
 ///   `¬F_rd` is an `And`). The score is then the closed form
 ///   `Π_r Σ_cases w·clamp(P(case))`: per rule one multiply, clamp and case
-///   sum over `P(G_r)`, read from the memo once per request, and the
-///   `(P(F_rd), P(¬F_rd))` the document's **feature row** holds — the parts
+///   sum over `P(G_r)`, which the rule's binding holds (evaluated once per
+///   binding, never through the shared memo:
+///   `RuleBinding::context_parts`), and the `(P(F_rd), P(¬F_rd))` the
+///   document's **feature row** holds — the parts
 ///   [`capra_events::Expectation::prob_split`] multiplies, in exactly
 ///   `compute`'s floating-point order, with no node interned and nothing
-///   memoised per (context, document) pair. This is the factorized
+///   memoised per (context, document) pair. One walk over the row sorts
+///   the factors into the constant ones, multiplied on the way, and the
+///   rest, multiplied after the disjointness test. This is the factorized
 ///   engine's linear cost, with the exact engine's bits.
 /// * **exact** — any other document, and only that document, has its
 ///   factors built and goes through `compute`: Shannon expansion over the
@@ -93,13 +97,13 @@ struct ContextHalf {
 }
 
 impl ContextHalf {
-    /// Reads `P(G)` — the request's one look at the memo for this rule.
-    fn new(b: &RuleBinding, expectation: &mut Expectation<'_>) -> Self {
+    /// Reads `P(G)` off the binding ([`RuleBinding::context_parts`]).
+    fn new(b: &RuleBinding, universe: &Universe) -> Self {
         let g = &b.context_event;
         let (p_g, not_g_term) = if g.is_true() {
             (1.0, None)
         } else {
-            let (p_g, p_not_g) = expectation.prob_parts(g);
+            let (p_g, p_not_g) = b.context_parts(universe);
             (p_g, Some(p_not_g.clamp(0.0, 1.0)))
         };
         let p_applies = p_g.clamp(0.0, 1.0);
@@ -171,7 +175,7 @@ impl<'a> Contexts<'a> {
     fn new(
         bindings: &'a [Arc<RuleBinding>],
         prune_inapplicable: bool,
-        expectation: &mut Expectation<'_>,
+        universe: &Universe,
     ) -> Self {
         let active: Vec<ActiveRule<'a>> = bindings
             .iter()
@@ -180,65 +184,60 @@ impl<'a> Contexts<'a> {
             .map(|(rule, b)| ActiveRule {
                 rule,
                 binding: b,
-                half: (!b.is_inapplicable()).then(|| ContextHalf::new(b, expectation)),
+                half: (!b.is_inapplicable()).then(|| ContextHalf::new(b, universe)),
             })
             .collect();
         let support = ContextSupport::new(active.iter().map(|a| &a.binding.context_event));
         Self { active, support }
     }
 
-    /// Every rule that has a factor to contribute, with the document's cell
-    /// under it (`None`: the document does not match).
-    fn factors<'r>(
-        &'r self,
-        row: &'r [Cell],
-    ) -> impl Iterator<Item = (&'r ContextHalf, Option<&'r Cell>)> {
-        join(row, self.active.iter().map(|a| (a.rule, &a.half)))
-            .filter_map(|(half, cell)| Some((half.as_ref()?, cell)))
-    }
-
     /// The lane route for one document, from its row and the row's
     /// verdict (`row_vars`, [`crate::engines::ContextSupport::clears`]).
     /// Returns what [`Expectation::compute`] would for the document's
     /// factors, bit for bit, or `None` when the lane test rejects the
-    /// document.
-    fn lane_score(
-        &self,
-        row: &[Cell],
+    /// document. `queue` and `seen` are the caller's buffers, reused from
+    /// document to document.
+    fn lane_score<'r>(
+        &'r self,
+        row: &'r [Cell],
         row_vars: Option<&[VarId]>,
+        queue: &mut Vec<(&'r ContextHalf, Option<&'r Cell>)>,
         seen: &mut Vec<VarId>,
         expectation: &mut Expectation<'_>,
     ) -> Option<f64> {
-        // `compute` multiplies the constant factors first…
+        // One walk of the join: `compute` multiplies the constant factors
+        // first, in rule order, so those go into `acc` on the way and the
+        // others — every rule with a factor to contribute, with the
+        // document's cell under it (`None`: no match) — wait in the queue…
         let mut acc = 1.0;
-        let mut pending = false;
-        for (half, cell) in self.factors(row) {
+        queue.clear();
+        for (half, cell) in join(row, self.active.iter().map(|a| (a.rule, &a.half))) {
+            let Some(half) = half else { continue };
             match cell {
                 None if half.certain() => acc *= half.miss,
                 Some(c) if c.event.is_true() && half.certain() => acc *= half.sure_hit,
-                _ => pending = true,
+                _ => queue.push((half, cell)),
             }
         }
-        if !pending || acc == 0.0 {
+        if queue.is_empty() || acc == 0.0 {
             return Some(acc);
         }
         // …then one group per factor, if no two share a variable: no
         // context and no feature event may touch another. The row's verdict
         // settles that for all of its cells at once; where it cannot, the
-        // cells under the factors at hand decide.
+        // cells under the queued factors decide (a constant factor's cell
+        // has no variable to share).
         if !self.support.clears(row_vars) {
             seen.clear();
-            for (_, cell) in self.factors(row) {
+            for (_, cell) in queue.iter() {
                 seen.extend_from_slice(cell.map_or(&[][..], |c| c.event.support_slice()));
             }
             if !self.support.disjoint_with(seen) {
                 return None;
             }
         }
-        for (half, cell) in self.factors(row) {
+        for &(half, cell) in queue.iter() {
             acc *= match cell {
-                None if half.certain() => continue,
-                Some(c) if c.event.is_true() && half.certain() => continue,
                 None => half.miss,
                 Some(c) if c.event.is_true() => half.sure_hit,
                 Some(c) => half.factor(c, expectation)?,
@@ -352,14 +351,15 @@ impl LineageEngine {
         scratch.ensure_kb(env.kb);
         let set = env.kb.rows().set_for(env.kb, bindings);
         let rows = set.rows(bindings, docs);
+        let contexts = Contexts::new(bindings, self.prune_inapplicable, &env.kb.universe);
         let (scores, fallbacks) = scratch.with_expectation(&env.kb.universe, |expectation| {
-            let contexts = Contexts::new(bindings, self.prune_inapplicable, expectation);
-            let mut seen: Vec<VarId> = Vec::new();
+            let (mut queue, mut seen) = (Vec::new(), Vec::new());
             let mut scores: Vec<Option<f64>> = Vec::with_capacity(docs.len());
             let mut rejected: Vec<usize> = Vec::new();
             for slot in 0..docs.len() {
+                let (row, row_vars) = (rows.row(slot), rows.support(slot));
                 let score = contexts
-                    .lane_score(rows.row(slot), rows.support(slot), &mut seen, expectation)
+                    .lane_score(row, row_vars, &mut queue, &mut seen, expectation)
                     .map(|raw| raw.clamp(0.0, 1.0));
                 if score.is_none() {
                     rejected.push(slot);

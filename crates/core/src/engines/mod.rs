@@ -15,8 +15,8 @@
 //! |--------|-----------|------------------------------|------------------|----------------|
 //! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | defers every document | the paper's Section 5 PostgreSQL implementation |
 //! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | defers every document | the same maths without the view machinery (ablation) |
-//! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups, the columns read off the documents' feature rows; independence check walks cached per-node supports, context half hoisted out of the doc loop | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
-//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies): `P(G_r)` is read once per request, the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature rows); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
+//! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups, the columns read off the documents' feature rows; independence check walks cached per-node supports, `P(G_r)` read off the binding | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
+//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies), one walk of the document's row each: `P(G_r)` is evaluated once per binding and kept on it, never in the shared memo; the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature rows); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
 //! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the engine's | the serving path: repeated queries under a changing context |
 //!
 //! All engines share the binding step ([`crate::bind_rules`]), which runs

@@ -9,7 +9,10 @@
 //! conjunction, and — once some request needed it — the unclamped
 //! `(P(F), P(¬F))` of [`capra_events::Expectation::prob_parts`]. The two
 //! optimised engines and the top-k bound read their features from rows and
-//! from nowhere else.
+//! from nowhere else. The other half of a rule's factor, `P(G_r)`, is the
+//! user's and lives on the rule's binding (`RuleBinding::context_parts`,
+//! read once per binding and never through the shared memo); a row holds
+//! nothing of any context.
 //!
 //! Rows belong to a [`RowSet`], which stands for exactly one list of view
 //! `Arc`s, compared by pointer. A row is filled on its document's first

@@ -1600,6 +1600,82 @@ mod tests {
         }
     }
 
+    #[test]
+    fn a_lane_only_rank_memoises_nothing_and_reads_a_context_once_per_binding() {
+        use capra_events::EventExpr;
+
+        let mut kb = Kb::new();
+        let users = ["ann", "bob"].map(|name| {
+            let u = kb.individual(name);
+            kb.assert_concept_prob(u, "Ctx0", 0.3).unwrap();
+            kb.assert_concept_prob(u, "Ctx1", 0.6).unwrap();
+            kb.assert_concept_prob(u, "Ctx2", 0.45).unwrap();
+            kb.assert_concept_prob(u, "Ctx3", 0.8).unwrap();
+            u
+        });
+        // Re-asserting disjoins a fresh event: Ann's `Ctx2` is an `Or`.
+        kb.assert_concept_prob(users[0], "Ctx2", 0.25).unwrap();
+        let docs: Vec<_> = (0..10)
+            .map(|i| {
+                let d = kb.individual(&format!("doc{i}"));
+                for (f, p) in [0.1, 0.5, 0.8].into_iter().enumerate() {
+                    if (i + f) % 3 != 0 {
+                        kb.assert_concept_prob(d, &format!("Feat{f}"), p + 0.01 * i as f64)
+                            .unwrap();
+                    }
+                }
+                d
+            })
+            .collect();
+        let mut rules = RuleRepository::new();
+        for (name, context, preference, sigma) in [
+            ("R0", "Ctx0 OR Ctx1", "Feat0", 0.8),
+            ("R1", "Ctx2", "Feat1", 0.3),
+            ("R2", "NOT Ctx3", "Feat2", 0.65),
+        ] {
+            rules
+                .add(PreferenceRule::new(
+                    name,
+                    kb.parse(context).unwrap(),
+                    kb.parse(preference).unwrap(),
+                    Score::new(sigma).unwrap(),
+                ))
+                .unwrap();
+        }
+        let service = RankingService::new(LineageEngine::new(), kb, rules.clone());
+        let [ann, bob] = users;
+        let bound = || {
+            let snap = service.snapshot();
+            service
+                .tenants
+                .with_session(ann, |tenant| tenant.session.bind(&snap.env(ann)))
+        };
+        let composite = |g: &EventExpr| matches!(g, EventExpr::Or(_) | EventExpr::Not(_));
+        assert!(bound().iter().all(|b| composite(&b.context_event)));
+        for k in [3, docs.len()] {
+            let want = cold_rank(&service.kb(), &rules, ann, &docs, k);
+            let got = service.rank(ann, &docs, k).unwrap();
+            assert_eq!(got, want, "k = {k}");
+        }
+        let stats = service.stats();
+        assert_eq!(stats.sessions.batch.fallbacks, 0, "every document a lane");
+        assert_eq!(
+            stats.sessions.footprint.entries, 0,
+            "a context's probability lives on its binding, not in the memo"
+        );
+        // Someone else's context switch: Ann is handed back the bindings
+        // she had, which already hold their probabilities.
+        let held = bound();
+        assert!(held.iter().all(|b| b.cached_context_parts().is_some()));
+        service
+            .assert(bob, Fact::ConceptProb("Ctx0".into(), 0.9))
+            .unwrap();
+        service.rank(ann, &docs, 3).unwrap();
+        let now = bound();
+        assert!(held.iter().zip(now.iter()).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(service.stats().sessions.footprint.entries, 0);
+    }
+
     /// Two shoppers over six products, the commerce pack's flip rules in
     /// miniature: `F-gift: GiftShopping → Product AND Premium`,
     /// `F-bargain: BargainHunting → Product AND Discounted`.

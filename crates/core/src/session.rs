@@ -317,12 +317,12 @@ impl RulePlan {
             _ => None,
         };
         let make = || {
-            Arc::new(RuleBinding {
-                name: self.def.name.clone(),
+            Arc::new(RuleBinding::new(
+                self.def.name.clone(),
                 context_event,
-                preference_events: Arc::clone(&self.view),
-                sigma: self.def.sigma,
-            })
+                Arc::clone(&self.view),
+                self.def.sigma,
+            ))
         };
         match shared {
             Some(shared) => Arc::clone(shared.get_or_init(make)),
@@ -1920,9 +1920,22 @@ mod tests {
     fn session_clear_drops_footprint_and_keeps_policy() {
         use crate::{EvictionPolicy, LineageEngine};
 
-        let (mut kb, rules, user, docs) = fixture();
-        // Re-asserting disjoins a fresh event: a composite context.
-        kb.assert_concept_prob(user, "Breakfast", 0.4).unwrap();
+        let (mut kb, _, user, docs) = fixture();
+        // A composite feature: its probability is read through the memo
+        // (a context's is kept on its binding).
+        for (i, &d) in docs.iter().enumerate() {
+            kb.assert_concept_prob(d, "Fun", 0.3 + 0.1 * i as f64)
+                .unwrap();
+        }
+        let mut rules = RuleRepository::new();
+        rules
+            .add(PreferenceRule::new(
+                "R",
+                kb.parse("Weekend").unwrap(),
+                kb.parse("Nice AND Fun").unwrap(),
+                Score::new(0.75).unwrap(),
+            ))
+            .unwrap();
         let env = ScoringEnv {
             kb: &kb,
             rules: &rules,
@@ -1934,7 +1947,7 @@ mod tests {
             .unwrap();
         assert!(
             session.stats().footprint.entries > 0,
-            "lineage scoring memoises a composite context's probability"
+            "lineage scoring memoises a composite feature's probability"
         );
         session.clear();
         assert_eq!(session.stats().footprint, Default::default());

@@ -11,14 +11,17 @@
 //!    documents that pass its lane test, for [`crate::FactorizedEngine`]
 //!    all of them — and defers the rest. When nothing is deferred the
 //!    answer is [`rank`] of that pass cut at `k`: one sweep, no bound, no
-//!    bound sort. A dozen flops per rule is less than any bound costs, so
-//!    these documents are never pruned.
+//!    bound sort — and no full sort either, since the `k` best slots are
+//!    selected first and only they are sorted (the whole pass only when a
+//!    candidate repeats among them). A dozen flops per rule is less than
+//!    any bound costs, so these documents are never pruned.
 //! 2. **Bound, prune, evaluate — the deferred documents only.** A deferred
 //!    document costs a Shannon expansion (or, for an engine that implements
 //!    only `score_all_bound`, whatever that costs), which is what a cheap
 //!    upper bound can save. Each rule `r` contributes a factor of at most
 //!    `max(σ_r, 1 − σ_r)` whenever its context applies, so a per-document
-//!    bound needs no event probability beyond `P(G_r)`. The deferred
+//!    bound needs no event probability beyond `P(G_r)`, which the rule's
+//!    binding holds. The deferred
 //!    documents are evaluated in descending bound order, in batches, and
 //!    the scan stops as soon as the next bound falls below the k-th best
 //!    score so far — a floor that **starts** at the k-th best closed-form
@@ -59,7 +62,7 @@ use capra_dl::IndividualId;
 use capra_events::VarId;
 
 use crate::bind::{bind_rules_shared, RuleBinding};
-use crate::engines::{join, rank, ContextSupport, DocScore, EvalScratch, ScoringEngine};
+use crate::engines::{by_rank, join, rank, ContextSupport, DocScore, EvalScratch, ScoringEngine};
 use crate::{Result, ScoringEnv};
 
 /// Absolute slack added to upper bounds before pruning, absorbing the
@@ -124,8 +127,7 @@ where
             None => deferred.push(doc),
         }
     }
-    let mut top = rank(scored);
-    top.truncate(k);
+    let mut top = rank_cut(scored, k);
     if deferred.is_empty() {
         return Ok(top);
     }
@@ -133,7 +135,7 @@ where
     // input validation runs up front — top-k must error exactly when a full
     // rank would.
     engine.validate_workload(env, bindings, &deferred)?;
-    let bounds = doc_upper_bounds(env, bindings, &deferred, scratch);
+    let bounds = doc_upper_bounds(env, bindings, &deferred);
     // Descending by bound (ties by document id). A repeated candidate sorts
     // next to itself and is kept once, the cut `rank` makes.
     let mut order: Vec<(f64, IndividualId)> = bounds.into_iter().zip(deferred).collect();
@@ -158,11 +160,30 @@ where
         }
         let chunk: Vec<IndividualId> = order[start..end].iter().map(|&(_, d)| d).collect();
         top.extend(engine.score_all_bound(env, bindings, &chunk, scratch)?);
-        top = rank(top);
-        top.truncate(k);
+        top = rank_cut(top, k);
         start = end;
     }
     Ok(top)
+}
+
+/// `rank(scores)` cut at `k`, sorting only what survives the cut when it
+/// can: the `k` best slots are selected and ranked, and the whole list is
+/// ranked only when a document repeats among them — [`rank`] lists it once,
+/// so the cut would come out short. Without a repeat those `k` slots are
+/// `k` documents, and no slot outside them ranks above any of them.
+fn rank_cut(mut scores: Vec<DocScore>, k: usize) -> Vec<DocScore> {
+    if k > 0 && scores.len() > k {
+        scores.select_nth_unstable_by(k - 1, by_rank);
+        let head = &mut scores[..k];
+        head.sort_unstable_by(by_rank);
+        if head.windows(2).all(|w| w[0].doc != w[1].doc) {
+            scores.truncate(k);
+            return scores;
+        }
+    }
+    let mut ranked = rank(scores);
+    ranked.truncate(k);
+    ranked
 }
 
 /// What one applicable rule contributes at most to a document that matches
@@ -180,7 +201,6 @@ fn doc_upper_bounds(
     env: &ScoringEnv<'_>,
     bindings: &[Arc<RuleBinding>],
     docs: &[IndividualId],
-    scratch: &mut EvalScratch,
 ) -> Vec<f64> {
     // Inapplicable rules contribute the constant 1 and are dropped.
     let applicable: Vec<(usize, &RuleBinding)> = bindings
@@ -189,29 +209,26 @@ fn doc_upper_bounds(
         .enumerate()
         .filter(|(_, b)| !b.is_inapplicable())
         .collect();
-    scratch.ensure_kb(env.kb);
-    let rule_bounds: Vec<(usize, RuleBound)> = scratch.with_evaluator(&env.kb.universe, |ev| {
-        applicable
-            .iter()
-            .map(|&(rule, b)| {
-                let spread = b.sigma.max(1.0 - b.sigma);
-                let pg = ev.prob(&b.context_event);
-                let bound = RuleBound {
-                    factorised: ((1.0 - pg) + pg * spread, (1.0 - pg) + pg * (1.0 - b.sigma)),
-                    world_wise: if b.context_event.is_true() {
-                        // Certain context: the factor is σ/(1−σ) in every
-                        // world.
-                        (spread, 1.0 - b.sigma)
-                    } else {
-                        // Entangled and uncertain: only the trivial
-                        // world-wise bound is sound.
-                        (1.0, 1.0)
-                    },
-                };
-                (rule, bound)
-            })
-            .collect()
-    });
+    let rule_bounds: Vec<(usize, RuleBound)> = applicable
+        .iter()
+        .map(|&(rule, b)| {
+            let spread = b.sigma.max(1.0 - b.sigma);
+            let pg = b.context_prob(&env.kb.universe);
+            let bound = RuleBound {
+                factorised: ((1.0 - pg) + pg * spread, (1.0 - pg) + pg * (1.0 - b.sigma)),
+                world_wise: if b.context_event.is_true() {
+                    // Certain context: the factor is σ/(1−σ) in every
+                    // world.
+                    (spread, 1.0 - b.sigma)
+                } else {
+                    // Entangled and uncertain: only the trivial world-wise
+                    // bound is sound.
+                    (1.0, 1.0)
+                },
+            };
+            (rule, bound)
+        })
+        .collect();
     // A document's row: its feature event under each applicable rule.
     let set = env.kb.rows().set_for(env.kb, bindings);
     let rows = set.rows(bindings, docs);
@@ -579,7 +596,7 @@ mod tests {
                 );
                 return Ok(());
             }
-            let bounds = doc_upper_bounds(&env, &bindings, &deferred, &mut scratch);
+            let bounds = doc_upper_bounds(&env, &bindings, &deferred);
             // The view engine enumerates worlds: exact under any correlation.
             let exact = crate::NaiveViewEngine::new().score_all(&env, &deferred).unwrap();
             for (ub, s) in bounds.iter().zip(&exact) {

@@ -56,10 +56,7 @@ use crate::expr::EventExpr;
 /// lineage kind; a document that pass deferred and the bounded scan later
 /// evaluates is a lane a second time, in the scan's sweep, and one
 /// fallback there. A lineage top-k request with nothing deferred is
-/// therefore exactly `sweeps = 1`, `lanes = candidates`, `fallbacks = 0` —
-/// and never opens the probability memo the bound pass reads `P(G_r)`
-/// through, which is why those probabilities sit in one tier chain (the
-/// expectation memo's) instead of two.
+/// therefore exactly `sweeps = 1`, `lanes = candidates`, `fallbacks = 0`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct BatchStats {
     /// Sweeps run (one per batched column).
@@ -131,12 +128,6 @@ impl<'a, 'u> BatchEvaluator<'a, 'u> {
             inner,
             stats: BatchStats::default(),
         }
-    }
-
-    /// The wrapped evaluator, for scalar probes between sweeps (e.g. the
-    /// per-rule context probabilities that do not vary across lanes).
-    pub fn evaluator(&mut self) -> &mut Evaluator<'u> {
-        self.inner
     }
 
     /// Evaluates one column: returns `P(column[i])` for every lane `i`.

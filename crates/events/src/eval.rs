@@ -1,4 +1,3 @@
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::hashers::FastMap;
@@ -29,7 +28,10 @@ use crate::{clamp_prob, EventExpr, Universe, VarId};
 ///   or disjunction is partitioned into groups of children that share
 ///   variables; groups are mutually independent, so
 ///   `P(∧ groups) = Π P(group)` and `P(∨ groups) = 1 − Π (1 − P(group))`.
-///   Grouping runs over the per-node support slices cached at construction.
+///   Grouping runs over the per-node support slices cached at construction;
+///   a node whose children share no variable at all — its support is as
+///   long as theirs together — is multiplied child by child, with no
+///   grouping built.
 /// * **Pivot caching** — the Shannon pivot (most-frequent variable) is a
 ///   pure function of the expression node, so it is computed once per node
 ///   id instead of once per expansion.
@@ -455,6 +457,17 @@ impl<'u> Evaluator<'u> {
                 EventExpr::Or(kids) => (&***kids, false),
                 _ => unreachable!("prob_connective called on non-connective"),
             };
+            if pairwise_disjoint(expr, kids) {
+                // Every child is a group of its own, in child order — what
+                // `component_groups` would return, without building it.
+                self.stats.component_splits += 1;
+                let mut acc = 1.0;
+                for kid in kids {
+                    let p = self.prob_rec(kid);
+                    acc *= if is_and { p } else { 1.0 - p };
+                }
+                return if is_and { acc } else { 1.0 - acc };
+            }
             let groups = component_groups(kids);
             if groups.len() > 1 {
                 self.stats.component_splits += 1;
@@ -528,7 +541,7 @@ where
         }
         i
     }
-    let mut owner: HashMap<VarId, usize> = HashMap::new();
+    let mut owner: FastMap<VarId, usize> = FastMap::default();
     for (i, sup) in supports.iter().enumerate() {
         for &v in sup.iter() {
             match owner.get(&v) {
@@ -575,6 +588,14 @@ fn disjoint(a: &[VarId], b: &[VarId]) -> bool {
     true
 }
 
+/// True if no two of `node`'s children share a variable: the node's support
+/// is the union of its children's, each of which is distinct, so it is as
+/// long as theirs together exactly when no variable is counted twice.
+fn pairwise_disjoint(node: &EventExpr, kids: &[EventExpr]) -> bool {
+    let total: usize = kids.iter().map(|k| k.support_slice().len()).sum();
+    node.support_slice().len() == total
+}
+
 /// Partitions sibling expressions into groups connected by shared variables.
 /// Groups are mutually variable-disjoint, hence independent. Uses the
 /// supports cached on each node — no tree walks.
@@ -588,7 +609,7 @@ pub(crate) fn component_groups(kids: &[EventExpr]) -> Vec<Vec<EventExpr>> {
 /// Chooses the Shannon pivot: the variable occurring in the largest number of
 /// atoms, which tends to simplify the most sub-terms per expansion.
 fn pick_pivot(expr: &EventExpr) -> Option<VarId> {
-    let mut counts: HashMap<VarId, usize> = HashMap::new();
+    let mut counts: FastMap<VarId, usize> = FastMap::default();
     count_atoms(expr, &mut counts);
     counts
         .into_iter()
@@ -596,7 +617,7 @@ fn pick_pivot(expr: &EventExpr) -> Option<VarId> {
         .map(|(var, _)| var)
 }
 
-fn count_atoms(expr: &EventExpr, counts: &mut HashMap<VarId, usize>) {
+fn count_atoms(expr: &EventExpr, counts: &mut FastMap<VarId, usize>) {
     match expr {
         EventExpr::True | EventExpr::False => {}
         EventExpr::Atom(a) => *counts.entry(a.var).or_default() += 1,
@@ -1015,5 +1036,51 @@ mod tests {
             EventExpr::and([eb.clone(), ec.clone()]),
         ]);
         assert_eq!(groups.len(), 1, "b links both children");
+    }
+
+    #[test]
+    fn disjoint_children_are_singleton_groups_in_child_order() {
+        let mut u = Universe::new();
+        let (a, b, c) = (
+            u.add_bool("a", 0.5).unwrap(),
+            u.add_bool("b", 0.25).unwrap(),
+            u.add_bool("c", 0.8).unwrap(),
+        );
+        let room = u.add_choice("room", &[0.5, 0.3]).unwrap();
+        let ev = |v| u.bool_event(v).unwrap();
+        let nodes = [
+            EventExpr::and([ev(a), EventExpr::not(ev(b)), u.atom(room, 1).unwrap()]),
+            EventExpr::or([
+                EventExpr::and([ev(a), ev(b)]),
+                ev(c),
+                u.atom(room, 0).unwrap(),
+            ]),
+        ];
+        for node in &nodes {
+            let (EventExpr::And(kids) | EventExpr::Or(kids)) = node else {
+                panic!("{node} is a connective");
+            };
+            assert!(pairwise_disjoint(node, kids), "{node}");
+            let singletons: Vec<Vec<EventExpr>> = kids.iter().map(|k| vec![k.clone()]).collect();
+            assert_eq!(component_groups(kids), singletons, "{node}");
+            // The evaluator multiplies child by child, in that order.
+            let mut evaluator = Evaluator::new(&u);
+            let is_and = matches!(node, EventExpr::And(_));
+            let mut acc = 1.0;
+            for kid in kids.iter() {
+                let p = evaluator.prob_rec(kid);
+                acc *= if is_and { p } else { 1.0 - p };
+            }
+            let want = if is_and { acc } else { 1.0 - acc };
+            assert_eq!(Evaluator::new(&u).prob(node).to_bits(), want.to_bits());
+        }
+        let entangled = EventExpr::or([EventExpr::and([ev(a), ev(b)]), ev(a), ev(c)]);
+        let EventExpr::Or(kids) = &entangled else {
+            panic!("{entangled} is a disjunction");
+        };
+        assert!(
+            !pairwise_disjoint(&entangled, kids),
+            "`a` is in two children"
+        );
     }
 }

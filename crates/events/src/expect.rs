@@ -21,7 +21,6 @@
 //! precomputed hashes) plus the case weights, so keying a sub-problem costs
 //! O(#cases) instead of O(total expression size).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::eval::group_indices;
@@ -489,7 +488,7 @@ impl<'u> Expectation<'u> {
             return v;
         }
         // Pivot: the variable occurring in the most case events.
-        let mut counts: HashMap<VarId, usize> = HashMap::new();
+        let mut counts: FastMap<VarId, usize> = FastMap::default();
         for f in group {
             for (e, _) in &f.cases {
                 for &v in e.support_slice() {

@@ -121,8 +121,58 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// An `And` or an `Or` of two to four variable-disjoint children, each
+    /// drawn by `build_expr` from a pool of variables of its own — atoms,
+    /// negations, nested connectives, choice atoms — and whatever node the
+    /// constructor makes of them.
+    fn disjoint_connective()(
+        bool_ps in prop::collection::vec(any::<u8>(), 8..9),
+        choice_ps in prop::collection::vec((any::<u8>(), any::<u8>()), 4..5),
+        kid_ops in prop::collection::vec(prop::collection::vec(any::<u8>(), 1..10), 2..5),
+        alts in prop::collection::vec(any::<u16>(), 1..8),
+        is_and in any::<bool>(),
+    ) -> (Universe, EventExpr) {
+        let (u, vars) = build_universe(&bool_ps, &choice_ps);
+        let (bools, choices) = vars.split_at(bool_ps.len());
+        let n = kid_ops.len();
+        // Child `i` draws from every `n`-th variable of each kind from `i` on.
+        let kids: Vec<EventExpr> = kid_ops
+            .iter()
+            .enumerate()
+            .map(|(i, ops)| {
+                let mut pool: Vec<VarId> = bools.iter().skip(i).step_by(n).copied().collect();
+                let n_bool = pool.len();
+                pool.extend(choices.iter().skip(i).step_by(n));
+                let kid = build_expr(&pool, n_bool, &alts, ops, &mut 0, 0);
+                // A child of the node's own kind would flatten into it,
+                // and its children, drawn from one pool, share variables.
+                match (&kid, is_and) {
+                    (EventExpr::And(_), true) | (EventExpr::Or(_), false) => EventExpr::not(kid),
+                    _ => kid,
+                }
+            })
+            .collect();
+        let node = if is_and { EventExpr::and(kids) } else { EventExpr::or(kids) };
+        (u, node)
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A connective whose children share no variable is evaluated child by
+    /// child; that product matches the possible worlds.
+    #[test]
+    fn disjoint_connectives_match_brute_force((u, e) in disjoint_connective()) {
+        if let EventExpr::And(kids) | EventExpr::Or(kids) = &e {
+            let total: usize = kids.iter().map(|k| k.support_slice().len()).sum();
+            prop_assert_eq!(total, e.support_slice().len(), "children of {} are disjoint", e);
+        }
+        let exact = Evaluator::new(&u).prob(&e);
+        let brute = brute_force_prob(&u, &e);
+        prop_assert!((exact - brute).abs() < 1e-12, "{exact} vs {brute} for {e}");
+    }
 
     /// `prob_split` answers exactly when the conjunction's children are
     /// the two parts, and then with the bits of the materialised nodes.

@@ -10,10 +10,27 @@
 //! * **ranking** answers per document — `rank`, `rank_top_k` and the
 //!   service's `rank` on either side of `k = docs.len()` list each
 //!   document once, so top-k stays the exact prefix of the full ranking.
+//!
+//! Top-k selects the `k` best slots before it sorts them, which a repeat
+//! among those `k` cuts short; the property below draws lists with repeats
+//! and featureless documents (whose scores tie) and checks every cut.
+//! `CAPRA_STRESS_ITERS` multiplies its case count, which CI's stress step
+//! sets.
 
 use capra::commerce::generate::{flip_rules, generate, CommerceDb, ShopConfig};
 use capra::dl::IndividualId;
 use capra::prelude::*;
+use proptest::prelude::*;
+
+/// Multiplier on the property's case count (the variable
+/// `tests/serve_concurrent.rs` reads): CI's stress step sets it, tier-1
+/// runs the base count.
+fn stress_iters() -> u32 {
+    std::env::var("CAPRA_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
 
 /// The tiny shop with every product carrying both uncertain price tags and
 /// one brand, so all three kinds of rule reach every product.
@@ -118,5 +135,82 @@ fn a_ranking_lists_each_document_once_on_both_sides_of_k() {
             let served = service.rank(user, &listed, k).unwrap();
             assert_eq!(bits(&served), bits(want), "{name}: service rank, k = {k}");
         }
+    }
+}
+
+/// The shop with `featureless` more documents that no rule's view holds —
+/// they all score alike and are ranked by id — and the candidate pool:
+/// every product, then those documents.
+fn shop_with_ties(featureless: usize) -> (CommerceDb, RuleRepository, Vec<IndividualId>) {
+    let (mut db, rules) = shop();
+    let mut pool = db.products.clone();
+    pool.extend((0..featureless).map(|i| db.kb.individual(&format!("plain{i}"))));
+    (db, rules, pool)
+}
+
+/// For every `k` from 1 to one past the list's length, on all four
+/// engines: cold `rank_top_k` and the service's `rank` are the full
+/// ranking cut at `k`, in bits and order.
+fn assert_every_cut(
+    db: &CommerceDb,
+    rules: &RuleRepository,
+    user: IndividualId,
+    listed: &[IndividualId],
+) {
+    let env = ScoringEnv {
+        kb: &db.kb,
+        rules,
+        user,
+    };
+    for engine in engines() {
+        let name = engine.name();
+        let full = rank(engine.score_all(&env, listed).unwrap());
+        let service = RankingService::new(engine, db.kb.clone(), rules.clone());
+        for k in 1..=listed.len() + 1 {
+            let want = bits(&full[..k.min(full.len())]);
+            let cold = rank_top_k(&env, service.engine().as_ref(), listed, k).unwrap();
+            assert_eq!(bits(&cold), want, "{name}: rank_top_k, k = {k}, {listed:?}");
+            let served = service.rank(user, listed, k).unwrap();
+            assert_eq!(
+                bits(&served),
+                want,
+                "{name}: service rank, k = {k}, {listed:?}"
+            );
+        }
+    }
+}
+
+/// The best document three times over and two others: the two best slots
+/// are one document, so the `k = 2` cut needs the rest of the list.
+#[test]
+fn a_cut_that_repeats_one_document_is_filled_from_the_rest() {
+    let (db, rules, pool) = shop_with_ties(2);
+    let user = db.shoppers[0];
+    let env = ScoringEnv {
+        kb: &db.kb,
+        rules: &rules,
+        user,
+    };
+    let full = rank(NaiveEnumEngine::new().score_all(&env, &pool).unwrap());
+    let (best, next, plain) = (full[0].doc, full[1].doc, pool[pool.len() - 1]);
+    let listed = [plain, best, next, best, plain, best];
+    assert_every_cut(&db, &rules, user, &listed);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24 * stress_iters()))]
+
+    /// Random candidate lists, drawn with replacement from the products
+    /// and four featureless documents, for a random shopper.
+    #[test]
+    fn every_cut_of_a_list_with_repeats_and_ties_is_the_full_rankings_prefix(
+        shopper in any::<u16>(),
+        draws in prop::collection::vec(any::<u16>(), 1..13),
+    ) {
+        let (db, rules, pool) = shop_with_ties(4);
+        let user = db.shoppers[usize::from(shopper) % db.shoppers.len()];
+        let listed: Vec<IndividualId> =
+            draws.iter().map(|&d| pool[usize::from(d) % pool.len()]).collect();
+        assert_every_cut(&db, &rules, user, &listed);
     }
 }
