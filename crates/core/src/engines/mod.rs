@@ -78,8 +78,8 @@ use std::sync::Arc;
 
 use capra_dl::IndividualId;
 use capra_events::{
-    BatchStats, CacheFootprint, EvalCache, Evaluator, EventExpr, EvictionPolicy, ExpectCache,
-    Expectation, FrozenEvalCache, FrozenExpectCache, Universe, VarId,
+    BatchStats, CacheFootprint, EvalCache, Evaluator, EventExpr, Expectation, MemoGeneration,
+    Universe, VarId, MAX_AGE,
 };
 
 use crate::bind::bind_rules_shared;
@@ -96,58 +96,39 @@ pub struct DocScore {
 
 /// Reusable evaluation state threaded through the prepared scoring path
 /// ([`ScoringEngine::score_all_bound`]): the probability and expectation
-/// memos engines would otherwise rebuild per call.
+/// memos engines would otherwise rebuild per call, held as one
+/// [`EvalCache`] that an [`Evaluator`] or an [`Expectation`] borrows.
 ///
 /// The scratch is tied to one KB identity; [`EvalScratch::ensure_kb`]
 /// (called by every engine on entry) resets the memos when a different KB
 /// shows up, so stale entries can never leak across knowledge bases. Within
 /// one KB the memos stay valid indefinitely — event probabilities are
 /// immutable and memo keys pin their hash-consed expressions (see
-/// [`capra_events::EvalCache`]).
+/// [`capra_events::MemoGeneration`]).
 ///
 /// Validity is not liveness, though: in a serving loop that re-asserts
 /// facts every call, entries keyed by superseded expressions are never
 /// looked up again yet would accumulate for the life of the KB. Long-lived
 /// holders therefore call [`EvalScratch::advance_epoch`] when the KB's
-/// binding epoch moves, which folds the overlays into an epoch-tagged
-/// snapshot chain and ages out tiers per the scratch's [`EvictionPolicy`]
-/// — see [`capra_events::tier`] for the mechanics and why eviction cannot
-/// change any score.
+/// binding epoch moves, which drops the memos whole once the epoch is more
+/// than [`MAX_AGE`] past the one they were started at — see
+/// [`capra_events::MemoGeneration`] for why that cannot change any score.
 #[derive(Default)]
 pub struct EvalScratch {
     /// `Kb::id` the memos were built over; 0 = not yet bound to a KB.
     kb_id: u64,
-    /// Binding epoch at the last overlay rotation (see
-    /// [`EvalScratch::advance_epoch`]).
+    /// Binding epoch the memos were started at: the KB's when the scratch
+    /// was bound or checked out, moved on when they are dropped.
     epoch: u64,
-    /// Eviction policy applied when rotating.
-    policy: EvictionPolicy,
     /// Batch-path counters accumulated by engines run on this scratch.
     batch: BatchStats,
-    prob: EvalCache,
-    expect: ExpectCache,
+    memo: EvalCache,
 }
 
 impl EvalScratch {
-    /// An empty scratch (equivalent to a cold call) with the default
-    /// [`EvictionPolicy`].
+    /// An empty scratch (equivalent to a cold call).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty scratch whose [`EvalScratch::advance_epoch`] rotations
-    /// evict per `policy` ([`EvictionPolicy::Never`] reproduces the
-    /// grow-only pre-eviction behaviour exactly).
-    pub fn with_policy(policy: EvictionPolicy) -> Self {
-        Self {
-            policy,
-            ..Self::default()
-        }
-    }
-
-    /// The eviction policy applied by this scratch's rotations.
-    pub fn policy(&self) -> EvictionPolicy {
-        self.policy
     }
 
     /// Batch-path counters accumulated by engines run on this scratch.
@@ -166,110 +147,85 @@ impl EvalScratch {
         std::mem::take(&mut self.batch)
     }
 
-    /// Notes that the KB's binding epoch is now `epoch`. When it moved
-    /// since the last call, the private memo overlays are folded into the
-    /// scratch's epoch-tagged snapshot chains, dropping tiers that went
-    /// unrefreshed beyond the scratch's [`EvictionPolicy`] — the
-    /// mutation-driven counterpart of the service pool's republish, keeping
-    /// a [`crate::ScoringSession`]'s footprint bounded in mutate-heavy
-    /// serving loops. A no-op on stable KBs (and under [`EvictionPolicy::Never`]),
-    /// so warm paths keep their exact pre-eviction behaviour.
+    /// Notes that the KB's binding epoch is now `epoch`. Once it is more
+    /// than [`MAX_AGE`] past the epoch the memos were started at, they are
+    /// dropped whole and restarted at `epoch` — keeping a
+    /// [`crate::ScoringSession`]'s footprint bounded in mutate-heavy
+    /// serving loops. A no-op on stable KBs, so warm paths keep every
+    /// entry.
     pub fn advance_epoch(&mut self, epoch: u64) {
-        if self.epoch == epoch {
-            return;
+        if epoch.saturating_sub(self.epoch) > MAX_AGE {
+            self.epoch = epoch;
+            self.memo = EvalCache::default();
         }
-        self.epoch = epoch;
-        if matches!(self.policy, EvictionPolicy::Never) {
-            return;
-        }
-        self.prob.rotate(epoch, self.policy);
-        self.expect.rotate(epoch, self.policy);
     }
 
-    /// Snapshot-tier and memo-entry footprint of this scratch (both memo
-    /// layers, overlays included).
+    /// Generations holding an entry, memo entries and pinned-node estimate
+    /// of this scratch: the shared generation it reads, if any, plus its
+    /// private maps.
     pub fn footprint(&self) -> CacheFootprint {
-        self.prob.footprint() + self.expect.footprint()
+        self.memo.footprint()
     }
 
-    /// Footprint of the private overlays alone — for the service's pool,
-    /// whose parked scratches all share the pool's own snapshot chains
-    /// (counting each scratch's full footprint would recount those chains
-    /// once per scratch).
-    pub(crate) fn overlay_footprint(&self) -> CacheFootprint {
-        self.prob.overlay_footprint() + self.expect.overlay_footprint()
-    }
-
-    /// A scratch whose memos start as empty overlays over shared frozen
-    /// snapshots, pre-bound to the KB the snapshots were computed over —
-    /// what a request checks out of the service's shared pool
-    /// (`serve/pool.rs`). Lookups consult the snapshots lock-free; new
-    /// entries land in the private overlay for a later merge-and-republish.
-    pub(crate) fn with_snapshots(
-        kb_id: u64,
-        prob: Arc<FrozenEvalCache>,
-        expect: Arc<FrozenExpectCache>,
-    ) -> Self {
+    /// A scratch whose memos start empty over a shared generation, bound to
+    /// the KB the generation was computed over at its binding epoch `epoch`
+    /// — what a request checks out of the service's shared pool
+    /// (`serve/pool.rs`). Lookups read the generation lock-free; new
+    /// entries land in the private maps until the pool absorbs them.
+    pub(crate) fn with_generation(kb_id: u64, epoch: u64, generation: Arc<MemoGeneration>) -> Self {
         Self {
             kb_id,
-            prob: EvalCache::with_snapshot(prob),
-            expect: ExpectCache::with_snapshot(expect),
-            // Checkouts never rotate — the pool's republish owns the
-            // epoch tagging and eviction for their overlays.
+            epoch,
+            memo: EvalCache::with_generation(generation),
             ..Self::default()
         }
     }
 
-    /// Decomposes the scratch into its KB identity and the two cache
-    /// overlays, for merging into a shared snapshot.
-    pub(crate) fn into_parts(self) -> (u64, EvalCache, ExpectCache) {
-        (self.kb_id, self.prob, self.expect)
+    /// Decomposes the scratch into its KB identity, the binding epoch it
+    /// was checked out at, and its memos, for the pool to absorb.
+    pub(crate) fn into_memo(self) -> (u64, u64, EvalCache) {
+        (self.kb_id, self.epoch, self.memo)
     }
 
-    /// `Kb::id` the memos were built over (0 = not yet bound to a KB).
-    pub(crate) fn kb_id(&self) -> u64 {
-        self.kb_id
-    }
-
-    /// Binds the scratch to `kb`, discarding all memos (the eviction
-    /// policy and batch counters are kept) if it was previously used with
-    /// a different KB.
+    /// Binds the scratch to `kb`, discarding all memos (the batch counters
+    /// are kept) if it was previously used with a different KB; the fresh
+    /// memos start at the KB's binding epoch.
     pub fn ensure_kb(&mut self, kb: &Kb) {
         if self.kb_id != kb.id() {
             *self = Self {
                 kb_id: kb.id(),
-                policy: self.policy,
+                epoch: kb.binding_epoch(),
                 batch: self.batch,
                 ..Self::default()
             };
         }
     }
 
-    /// Loans the probability memo to an [`Evaluator`] for the duration of
-    /// `f`, restoring it afterwards — including on the error path, so a
-    /// failed call never drops a session's accumulated memo.
+    /// Loans the memo to an [`Evaluator`] for the duration of `f`,
+    /// restoring it afterwards — including on the error path, so a failed
+    /// call never drops a session's accumulated memo.
     pub(crate) fn with_evaluator<'u, T>(
         &mut self,
         universe: &'u Universe,
         f: impl FnOnce(&mut Evaluator<'u>) -> T,
     ) -> T {
-        let mut ev = Evaluator::with_cache(universe, std::mem::take(&mut self.prob));
+        let mut ev = Evaluator::with_cache(universe, std::mem::take(&mut self.memo));
         let out = f(&mut ev);
-        self.prob = ev.into_cache();
+        self.memo = ev.into_cache();
         out
     }
 
-    /// Loans the expectation memo to an [`Expectation`] for the duration of
-    /// `f`, restoring it afterwards (same contract as
+    /// Loans the memo to an [`Expectation`] for the duration of `f`,
+    /// restoring it afterwards (same contract as
     /// [`EvalScratch::with_evaluator`]).
     pub(crate) fn with_expectation<'u, T>(
         &mut self,
         universe: &'u Universe,
         f: impl FnOnce(&mut Expectation<'u>) -> T,
     ) -> T {
-        let mut exp = Expectation::with_cache(universe, std::mem::take(&mut self.expect));
+        let mut exp = Expectation::with_cache(universe, std::mem::take(&mut self.memo));
         let out = f(&mut exp);
-        self.expect = exp.into_cache();
+        self.memo = exp.into_cache();
         out
     }
 }

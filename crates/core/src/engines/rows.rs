@@ -56,7 +56,8 @@ pub(crate) struct Cell {
     /// order than the closed form does.
     pub(crate) flattens: bool,
     /// `prob_parts(event)` as `f64` bits, or [`UNSET`] until the first
-    /// request needs it. `p_not` is written before `p` (release) and read
+    /// request needs it; kept across syncs, which replace only the cells
+    /// whose event changed. `p_not` is written before `p` (release) and read
     /// after it (acquire), so whoever sees `p` set sees its `p_not`.
     p: AtomicU64,
     p_not: AtomicU64,
@@ -223,13 +224,6 @@ impl Table {
         }
         for &(_, at) in behind {
             let row = &mut self.rows[at as usize];
-            // To the memo a sync is the evaluation every request used to
-            // make: the probabilities are read through it again, so what
-            // its tiers hold stays what is in use, whatever the rows
-            // remember.
-            for cell in &mut row.cells {
-                *cell.p.get_mut() = UNSET;
-            }
             row.judge();
             row.synced = self.generation;
         }

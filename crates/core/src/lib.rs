@@ -25,7 +25,7 @@
 //! * [`rank_top_k`] — `LIMIT`-shaped ranking in two phases: closed-form
 //!   documents ranked outright, early termination over the rest;
 //! * [`serve`] — the multi-tenant [`RankingService`]: LRU-capped per-user
-//!   sessions over one shared, bounded evaluation tier, with typed
+//!   sessions over one shared, bounded memo generation, with typed
 //!   requests and batch coalescing. Concurrency lives here, *between*
 //!   requests — one lock per tenant shard — never inside one;
 //! * [`persist`] — durability: a versioned binary codec for KB and rule
@@ -118,10 +118,10 @@ pub use session::{BindingCache, CacheStats, ScoringSession, SessionStats};
 pub use smoothing::{blend, QueryRelevance, Smoothing};
 pub use topk::{rank_top_k, rank_top_k_bound};
 
-// Re-exported from `capra_events`: the eviction knob for the session and
-// pool snapshot tiers, the footprint report in [`SessionStats`], and the
-// batch counters sessions surface alongside it.
-pub use capra_events::{BatchStats, CacheFootprint, EvictionPolicy};
+// Re-exported from `capra_events`: the footprint report in
+// [`SessionStats`], the batch counters sessions surface alongside it, and
+// the age in binding epochs past which session and pool memos are dropped.
+pub use capra_events::{BatchStats, CacheFootprint, MAX_AGE};
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

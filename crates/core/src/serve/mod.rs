@@ -5,32 +5,33 @@
 //! preference rules and a stream of context switches, ranking a shared
 //! candidate set (TV programs, query results). The core crate gives each
 //! *caller* fast machinery for that — [`crate::ScoringSession`] for the
-//! repeat-call warm path, [`capra_events::EvictionPolicy`] for bounded
-//! footprints — but a production front-end would have to hand-assemble all
-//! of it per user and invent its own eviction story for the session map
-//! itself. This module owns that lifecycle:
+//! repeat-call warm path, with memos bounded by [`capra_events::MAX_AGE`] —
+//! but a production front-end would have to hand-assemble it per user and
+//! invent its own eviction story for the session map itself. This module
+//! owns that lifecycle:
 //!
 //! * **Tenancy** — one [`RankingService`] serves any number of users
 //!   ("tenants"). Per-tenant state (rule-binding cache + score cache) lives
 //!   in a sharded map, LRU-capped by [`ServiceConfig::max_sessions`]:
 //!   evicting a tenant only costs that tenant a deterministic re-derivation
 //!   on their next request, never a changed score.
-//! * **Shared evaluation tier** — all tenants score through one pool of
-//!   frozen memo snapshots (`serve/pool.rs`): evaluation memos are pure
-//!   functions of hash-consed expression identity and carry no per-user
-//!   data, so one tenant's work warms every other tenant that touches the
-//!   same documents. The pool's frozen snapshot chains are epoch-tagged
-//!   and aged out per the service's
-//!   [`EvictionPolicy`](capra_events::EvictionPolicy), so the *total*
-//!   footprint stays bounded even when every request mutates context.
+//! * **Shared memo generation** — all tenants score through one pool
+//!   (`serve/pool.rs`) holding one frozen memo generation: evaluation memos
+//!   are pure functions of hash-consed expression identity and carry no
+//!   per-user data, so one tenant's work warms every other tenant that
+//!   touches the same documents. A request reads the generation it checked
+//!   out and the pool absorbs its new entries when it gives the scratch
+//!   back; a generation more than [`capra_events::MAX_AGE`] binding epochs
+//!   old is dropped whole at a give-back, so the *total* footprint stays
+//!   bounded even when every request mutates context.
 //! * **Typed requests** — [`RankingService::rank`],
 //!   [`RankingService::rank_group`] and [`RankingService::assert`] cover
 //!   the three request shapes of the paper's serving story (one user ranks,
 //!   a group ranks together, a context switch arrives), and
 //!   [`RankingService::submit`] accepts a [`Request`] batch, coalescing
 //!   runs of same-KB-epoch rank requests into one dispatch over a single
-//!   checked-out scratch (one snapshot republish per run instead of one per
-//!   request).
+//!   checked-out scratch (one checkout and one give-back per run instead of
+//!   one per request).
 //! * **Concurrency** — the whole serving surface takes `&self`:
 //!   [`RankingService`] is `Sync`, so any number of request threads share
 //!   one service directly (`Arc` or `thread::scope`). The KB and rules are
@@ -54,7 +55,8 @@
 //!   tenant's [`crate::SessionStats`] (plus counters retired with evicted
 //!   tenants) into a [`ServiceStats`]: sessions live/evicted, warm/cold hit
 //!   rates, shard-lock acquisition counts, queue depth/throughput
-//!   ([`QueueStats`]), and the shared-tier [`capra_events::CacheFootprint`].
+//!   ([`QueueStats`]), and the shared generation's
+//!   [`capra_events::CacheFootprint`].
 //! * **Replication** — a [`ReplicaService`] opens a durable writer's
 //!   directory read-only, restores the newest snapshot, and tails the
 //!   segmented WAL incrementally ([`ReplicaService::poll`]) — serving

@@ -8,7 +8,7 @@
 //! and a single worker continuously drains it in batches through
 //! [`RankingService::submit`], so consecutive rank-shaped requests from
 //! *different* producers coalesce into one dispatch run (one shared
-//! scratch, one snapshot republish) exactly as a hand-built batch would.
+//! scratch, given back once) exactly as a hand-built batch would.
 //!
 //! * **Backpressure.** The buffer is bounded by
 //!   [`QueueConfig::capacity`]: [`ServiceHandle::enqueue`] blocks while
@@ -46,7 +46,7 @@ pub struct QueueConfig {
     pub capacity: usize,
     /// Maximum requests the worker drains into one
     /// [`RankingService::submit`] batch (≥ 1) — the coalescing window.
-    /// Larger batches amortize more (one scratch, one republish) at the
+    /// Larger batches amortize more (one scratch, one give-back) at the
     /// cost of tail latency for the batch's last request.
     pub batch: usize,
 }

@@ -33,7 +33,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use capra_dl::{Concept, IndividualId, Vocabulary};
-use capra_events::EvictionPolicy;
 
 use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
 use crate::multiuser::{group_scores, GroupStrategy};
@@ -115,7 +114,7 @@ impl SharedSnapshot {
     }
 }
 
-/// Sizing and policy knobs of a [`RankingService`].
+/// Sizing and durability settings of a [`RankingService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceConfig {
     /// Shards the tenant map is partitioned into (≥ 1). Each shard has
@@ -126,10 +125,6 @@ pub struct ServiceConfig {
     /// past the cap evicts the least-recently-used tenant. Eviction only
     /// forces a deterministic re-derivation on the tenant's next request.
     pub max_sessions: usize,
-    /// Eviction policy of the shared evaluation-snapshot tier (see
-    /// [`capra_events::EvictionPolicy`]); bounds the service's
-    /// [`capra_events::CacheFootprint`] under KB mutation.
-    pub policy: EvictionPolicy,
     /// Accepted and ignored since PR 20; deleted once the benchmark stops
     /// setting it. Nothing reads it: a request runs on its caller's
     /// thread, and concurrency is between requests (one lock per tenant
@@ -152,13 +147,12 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// Eight shards, 1024 live sessions, the default eviction policy, two
-    /// retained snapshots, 8 MiB WAL segments, and no compaction.
+    /// Eight shards, 1024 live sessions, two retained snapshots, 8 MiB WAL
+    /// segments, and no compaction.
     fn default() -> Self {
         Self {
             shards: 8,
             max_sessions: 1024,
-            policy: EvictionPolicy::default(),
             threads: 1,
             snapshot_retain: 2,
             segment_bytes: 8 * 1024 * 1024,
@@ -170,7 +164,7 @@ impl Default for ServiceConfig {
 
 /// Service-wide counters, aggregated from every tenant's
 /// [`SessionStats`] (live tenants plus counters retired with evicted
-/// ones), the shared evaluation tier, and the concurrency layers (shard
+/// ones), the shared memo generation, and the concurrency layers (shard
 /// locks, and the batching queue when one is attached).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
@@ -186,7 +180,8 @@ pub struct ServiceStats {
     /// (e.g. an invalid probability) mutate nothing and do not count.
     pub asserts: u64,
     /// Coalesced dispatch runs executed by [`RankingService::submit`]
-    /// (each run shares one scratch and pays one snapshot republish).
+    /// (each run shares one scratch and takes the pool's lock at most
+    /// twice: one checkout, one give-back).
     pub coalesced_runs: u64,
     /// Tenant-shard lock acquisitions, summed over shards (the per-shard
     /// breakdown is [`RankingService::shard_lock_counts`]). The warm path
@@ -200,7 +195,7 @@ pub struct ServiceStats {
     pub queue: QueueStats,
     /// Component-wise total of every tenant's [`SessionStats`] — binding
     /// and score cache traffic with [`crate::CacheStats::hit_rate`]s —
-    /// with the *shared* evaluation-tier footprint in
+    /// with the *shared* memo generation's footprint in
     /// [`SessionStats::footprint`] (tenants hold no evaluation memos of
     /// their own).
     pub sessions: SessionStats,
@@ -266,7 +261,7 @@ fn fact_op(voc: &Vocabulary, subject: IndividualId, fact: &Fact) -> WalOp {
 
 /// A multi-tenant ranking front-end: one engine, one knowledge base, one
 /// rule repository, any number of users — each with an LRU-capped cached
-/// session, all sharing one bounded evaluation-memo tier. Every request
+/// session, all sharing one bounded memo generation. Every request
 /// path takes `&self`, so one service instance (or an `Arc` of it — see
 /// [`crate::serve::ServiceQueue`]) serves any number of threads
 /// concurrently. See the [module docs](crate::serve) for the design.
@@ -338,7 +333,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         Self::with_config(engine, kb, rules, ServiceConfig::default())
     }
 
-    /// A service with explicit sizing and policy knobs.
+    /// A service with explicit sizing and durability settings.
     pub fn with_config(engine: E, kb: Kb, rules: RuleRepository, config: ServiceConfig) -> Self {
         let retain_floor = match config.compaction {
             CompactionPolicy::Never => 1,
@@ -354,7 +349,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                 rules: Arc::new(rules),
             }),
             tenants: TenantSessions::new(config.shards, config.max_sessions),
-            pool: ScratchPool::with_policy(config.policy),
+            pool: ScratchPool::default(),
             rank_requests: AtomicU64::new(0),
             asserts: AtomicU64::new(0),
             coalesced_runs: AtomicU64::new(0),
@@ -458,7 +453,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             ..
         } = recovered;
         self.tenants.clear();
-        self.pool = ScratchPool::with_policy(self.pool.policy());
+        self.pool = ScratchPool::default();
         {
             let wal = self.wal_stats.get_mut().expect("wal stats lock poisoned");
             wal.records_replayed = replayed;
@@ -865,7 +860,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         let snap = self.load();
         let mut scratch = None;
         let out = self.rank_with_scratch(&snap, user, docs, k, &mut scratch);
-        self.finish_scratch(scratch);
+        self.give_back(scratch);
         out
     }
 
@@ -886,18 +881,17 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         let snap = self.load();
         let mut scratch = None;
         let out = self.rank_group_with_scratch(&snap, users, docs, k, strategy, &mut scratch);
-        self.finish_scratch(scratch);
+        self.give_back(scratch);
         out
     }
 
     /// Executes a request batch in order, coalescing every run of
     /// consecutive rank-shaped requests into one dispatch: the run shares
-    /// a single lazily checked-out evaluation scratch and pays at most one
-    /// snapshot republish, so every request after the first starts from
-    /// its predecessors' memos for free. An [`Request::Assert`] bumps the
-    /// KB epoch and therefore acts as a barrier between runs; each run
-    /// loads one KB snapshot, so every request in it scores the same
-    /// published state.
+    /// a single lazily checked-out evaluation scratch, given back once, so
+    /// every request after the first starts from its predecessors' memos
+    /// for free. An [`Request::Assert`] bumps the KB epoch and therefore
+    /// acts as a barrier between runs; each run loads one KB snapshot, so
+    /// every request in it scores the same published state.
     ///
     /// Responses are returned in request order; a failed request yields
     /// its error without aborting the rest of the batch.
@@ -944,16 +938,15 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             };
             out.push(response);
         }
-        self.finish_scratch(scratch);
+        self.give_back(scratch);
     }
 
-    /// Returns a lazily checked-out scratch to the pool and republishes
-    /// its overlay; a `None` (the fully warm case — no evaluation ran)
-    /// costs nothing.
-    fn finish_scratch(&self, scratch: Option<EvalScratch>) {
+    /// Returns a lazily checked-out scratch to the pool, which absorbs its
+    /// memos; a `None` (the fully warm case — no evaluation ran) costs
+    /// nothing.
+    fn give_back(&self, scratch: Option<EvalScratch>) {
         if let Some(scratch) = scratch {
             self.pool.give_back(scratch);
-            self.pool.republish();
         }
     }
 
@@ -963,7 +956,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// checked-out scratch. A steady-state warm request is answered from
     /// the score cache without ever touching the pool — same cost as a
     /// hand-managed session. The caller settles the scratch via
-    /// [`RankingService::finish_scratch`].
+    /// [`RankingService::give_back`].
     ///
     /// The whole request body runs inside the tenant's shard-lock scope
     /// (`shard → pool` in the documented lock order): the tenant's caches
@@ -1054,7 +1047,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         self.tenants.stats_of(user)
     }
 
-    /// Drops every tenant session and the shared snapshot tier, and
+    /// Drops every tenant session and the shared memo generation, and
     /// resets all [`ServiceStats`] counters — post-clear stats describe
     /// the fresh service only, matching the clear semantics of the cache
     /// layers below. Engine, KB, rules and configuration are kept, and
@@ -1070,7 +1063,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// request; callers holding only `&self` cannot reach it.
     pub fn clear(&mut self) {
         self.tenants.clear();
-        self.pool = ScratchPool::with_policy(self.pool.policy());
+        self.pool = ScratchPool::default();
         *self.rank_requests.get_mut() = 0;
         *self.asserts.get_mut() = 0;
         *self.coalesced_runs.get_mut() = 0;
@@ -1674,6 +1667,63 @@ mod tests {
         let now = bound();
         assert!(held.iter().zip(now.iter()).all(|(a, b)| Arc::ptr_eq(a, b)));
         assert_eq!(service.stats().sessions.footprint.entries, 0);
+    }
+
+    /// A feature row keeps its cells' probabilities across a catalogue
+    /// change: a cell whose event stands is read from the row, not
+    /// evaluated again, and only a cell whose event changed reaches the
+    /// memo.
+    #[test]
+    fn a_catalogue_change_re_evaluates_only_the_cells_it_changed() {
+        let mut kb = Kb::new();
+        // Certain contexts: a conjunctive feature is then a lane of its
+        // own, its probability read off its cell.
+        let user = kb.individual("ann");
+        kb.assert_concept(user, "CtxA");
+        kb.assert_concept(user, "CtxB");
+        let docs: Vec<_> = (0..6)
+            .map(|i| {
+                let d = kb.individual(&format!("doc{i}"));
+                for (f, p) in [("Nice", 0.2), ("Fun", 0.6), ("Cheap", 0.3), ("Fast", 0.5)] {
+                    kb.assert_concept_prob(d, f, p + 0.05 * i as f64).unwrap();
+                }
+                d
+            })
+            .collect();
+        let outsider = kb.individual("outsider");
+        let mut rules = RuleRepository::new();
+        for (name, context, preference, sigma) in [
+            ("A", "CtxA", "Nice AND Fun", 0.8),
+            ("B", "CtxB", "Cheap AND Fast", 0.3),
+        ] {
+            rules
+                .add(PreferenceRule::new(
+                    name,
+                    kb.parse(context).unwrap(),
+                    kb.parse(preference).unwrap(),
+                    Score::new(sigma).unwrap(),
+                ))
+                .unwrap();
+        }
+        let mut service = RankingService::new(LineageEngine::new(), kb, rules.clone());
+        let check = |service: &RankingService<LineageEngine>| {
+            let want = cold_rank(&(*service.kb()).clone(), &rules, user, &docs, docs.len());
+            assert_eq!(service.rank(user, &docs, docs.len()).unwrap(), want);
+            service.stats().sessions.footprint.entries
+        };
+        assert!(check(&service) > 0, "composite features are evaluated once");
+        service.clear();
+        // B's view moves, but no candidate's event under it does: every
+        // cell is read from its row.
+        service
+            .assert(outsider, Fact::ConceptProb("Cheap".into(), 0.9))
+            .unwrap();
+        assert_eq!(check(&service), 0, "no cell re-evaluated");
+        // Now one candidate's B event changes: that cell alone is new.
+        service
+            .assert(docs[0], Fact::ConceptProb("Cheap".into(), 0.9))
+            .unwrap();
+        assert!(check(&service) > 0, "the changed cell is evaluated");
     }
 
     /// Two shoppers over six products, the commerce pack's flip rules in

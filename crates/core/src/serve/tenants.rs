@@ -25,8 +25,8 @@
 //! `ARCHITECTURE.md`). Eviction drops only caches whose contents are pure
 //! functions of the current KB + rules, so a returning tenant is re-derived
 //! bit-identically — the cap trades a cold re-bind for bounded memory,
-//! exactly like the snapshot-tier [`capra_events::EvictionPolicy`] one
-//! layer down.
+//! exactly like the age limit ([`capra_events::MAX_AGE`]) on the shared
+//! memo generation one layer down.
 
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -48,15 +48,12 @@
 //! because cached values *are* the values the cold path would deterministically
 //! recompute.
 //!
-//! Layer 2 is also **bounded**: when the KB's binding epoch moves, the
-//! scratch folds its memo overlays into an epoch-tagged snapshot chain and
-//! ages out tiers per the session's [`EvictionPolicy`]
-//! ([`ScoringSession::with_policy`]; default
-//! [`EvictionPolicy::DEFAULT_MAX_AGE`] epochs, [`EvictionPolicy::Never`]
-//! restores the grow-only behaviour). Entries keyed by superseded
-//! expressions — re-asserted facts mint fresh variables, so the old
-//! expressions are never looked up again — would otherwise accumulate for
-//! the life of the KB in a mutate-every-call serving loop. Eviction can
+//! Layer 2 is also **bounded**: once the KB's binding epoch is more than
+//! [`capra_events::MAX_AGE`] past the epoch the scratch's memos were
+//! started at, they are dropped whole and started afresh. Entries keyed by
+//! superseded expressions — re-asserted facts mint fresh variables, so the
+//! old expressions are never looked up again — would otherwise accumulate
+//! for the life of the KB in a mutate-every-call serving loop. Dropping can
 //! only force deterministic recomputes, never change a score; the current
 //! footprint is reported by [`SessionStats::footprint`].
 
@@ -66,7 +63,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use capra_dl::{Concept, Footprint, IndividualId, Reasoner, Table};
-use capra_events::{BatchStats, CacheFootprint, EventExpr, EvictionPolicy};
+use capra_events::{BatchStats, CacheFootprint, EventExpr};
 
 use crate::bind::RuleBinding;
 use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
@@ -148,11 +145,11 @@ pub struct SessionStats {
     /// Score cache traffic, per requested candidate: hits were answered
     /// from the cached scores, misses computed through an engine.
     pub scores: CacheStats,
-    /// Footprint of the session's evaluation memos: occupied snapshot
-    /// tiers, memo entries (snapshot chains plus private overlays), and an
-    /// estimate of the hash-consed expression nodes those entries pin in
-    /// the process-global interner. Bounded under the session's
-    /// [`EvictionPolicy`] even when every call mutates the KB; see
+    /// Footprint of the session's evaluation memos: shared generations
+    /// holding an entry, memo entries (generation plus private maps), and
+    /// an estimate of the hash-consed expression nodes those entries pin in
+    /// the process-global interner. Bounded by [`capra_events::MAX_AGE`]
+    /// even when every call mutates the KB; see
     /// [`capra_events::CacheFootprint`] for the field semantics.
     pub footprint: CacheFootprint,
     /// Batch counters of the two optimised engines: sweeps run, total
@@ -947,25 +944,14 @@ pub struct ScoringSession {
 }
 
 impl ScoringSession {
-    /// Creates an empty session with the default [`EvictionPolicy`]: in
-    /// serving loops that mutate the KB, evaluation-memo tiers untouched
-    /// for [`EvictionPolicy::DEFAULT_MAX_AGE`] binding epochs are dropped,
-    /// so the session's footprint stays bounded without the manual
+    /// Creates an empty session. In serving loops that mutate the KB its
+    /// evaluation memos are dropped once they are more than
+    /// [`capra_events::MAX_AGE`] binding epochs old, so the session's
+    /// footprint stays bounded without the manual
     /// [`ScoringSession::clear`] workaround. On stable KBs no epoch ever
-    /// advances, so nothing is evicted and hit rates are exactly those of
-    /// a policy-less session.
+    /// advances, so nothing is dropped.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates an empty session with an explicit [`EvictionPolicy`] for
-    /// its evaluation memos ([`EvictionPolicy::Never`] reproduces the
-    /// grow-only pre-eviction behaviour exactly).
-    pub fn with_policy(policy: EvictionPolicy) -> Self {
-        Self {
-            scratch: EvalScratch::with_policy(policy),
-            ..Self::default()
-        }
     }
 
     /// Work counters accumulated so far, plus the current evaluation-memo
@@ -983,9 +969,9 @@ impl ScoringSession {
         self.core.scores = ScoreCache::default();
     }
 
-    /// Drops every layer of cached state (the eviction policy is kept).
+    /// Drops every layer of cached state.
     pub fn clear(&mut self) {
-        *self = Self::with_policy(self.scratch.policy());
+        *self = Self::default();
     }
 
     /// The session's own scratch, moved on to `env`'s KB and binding epoch
@@ -1917,8 +1903,8 @@ mod tests {
     }
 
     #[test]
-    fn session_clear_drops_footprint_and_keeps_policy() {
-        use crate::{EvictionPolicy, LineageEngine};
+    fn session_clear_drops_footprint() {
+        use crate::LineageEngine;
 
         let (mut kb, _, user, docs) = fixture();
         // A composite feature: its probability is read through the memo
@@ -1941,7 +1927,7 @@ mod tests {
             rules: &rules,
             user,
         };
-        let mut session = ScoringSession::with_policy(EvictionPolicy::MaxAge(5));
+        let mut session = ScoringSession::new();
         session
             .score_all(&LineageEngine::new(), &env, &docs)
             .unwrap();
@@ -1951,7 +1937,6 @@ mod tests {
         );
         session.clear();
         assert_eq!(session.stats().footprint, Default::default());
-        assert_eq!(session.scratch.policy(), EvictionPolicy::MaxAge(5));
     }
 
     #[test]

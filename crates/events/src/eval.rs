@@ -1,8 +1,5 @@
-use std::sync::Arc;
-
 use crate::hashers::FastMap;
-use crate::tier::{CacheFootprint, EvictionPolicy, TierChain, TierPayload};
-use crate::{clamp_prob, EventExpr, Universe, VarId};
+use crate::{clamp_prob, EvalCache, EventExpr, Universe, VarId};
 
 /// Exact probability evaluator for [`EventExpr`]s.
 ///
@@ -42,258 +39,26 @@ use crate::{clamp_prob, EventExpr, Universe, VarId};
 /// evaluator lifetimes, e.g. between the repeated `score_all` calls of a
 /// scoring session.
 ///
-/// For **parallel** reuse the cache splits into two tiers: a frozen,
-/// read-only snapshot ([`FrozenEvalCache`]) shared across threads behind an
-/// `Arc` and consulted lock-free before the private overlay, plus the
-/// overlay itself receiving this evaluator's new entries. Worker overlays
-/// are merged and republished deterministically after a run — every entry
-/// is a pure function of its hash-consed key, so merge order cannot change
-/// a single bit. Both tiers are bound to one universe value (the
-/// *universe-affinity invariant*): entries survive further variable
-/// declarations, but caches and snapshots must be discarded when switching
-/// universes, because variable ids would alias.
+/// For **parallel** reuse the cache reads a frozen
+/// [`crate::MemoGeneration`] shared across threads behind an `Arc`,
+/// consulted lock-free before the private maps that receive this
+/// evaluator's new entries; a holder's private maps are absorbed into the
+/// generation afterwards — every entry is a pure function of its
+/// hash-consed key, so absorb order cannot change a single bit. Both are
+/// bound to one universe value (the *universe-affinity invariant*):
+/// entries survive further variable declarations, but caches and
+/// generations must be discarded when switching universes, because
+/// variable ids would alias.
 pub struct Evaluator<'u> {
     universe: &'u Universe,
-    cache: EvalCache,
+    /// Also carries the factor-group memo of an [`crate::Expectation`]
+    /// built around this evaluator.
+    pub(crate) cache: EvalCache,
     stats: EvalStats,
     /// Disable memoisation (for ablation benchmarks).
     use_memo: bool,
     /// Disable component factorisation (for ablation benchmarks).
     use_components: bool,
-}
-
-/// The detachable memo state of an [`Evaluator`]: probability and
-/// Shannon-pivot tables keyed by hash-consed expression identity, split into
-/// **two tiers** — an optional frozen, read-only snapshot shared across
-/// threads ([`FrozenEvalCache`], consulted first) and a small private
-/// overlay receiving this holder's new entries.
-///
-/// Entries are valid for the universe whose expressions they were computed
-/// over, **including after further variable declarations** (declared
-/// variables and their probabilities are immutable, and new variables cannot
-/// occur in already-interned expressions). Reusing a cache with a *different*
-/// universe is a logic error — variable ids would alias — so holders must
-/// discard it when they switch universes. The same *universe affinity*
-/// applies to snapshots: a snapshot and every overlay merged into it must
-/// have been computed over one universe value.
-#[derive(Default)]
-pub struct EvalCache {
-    /// Shared read-only tier, consulted before the overlay. `None` for a
-    /// plain single-holder cache.
-    snapshot: Option<Arc<FrozenEvalCache>>,
-    /// Probability memo over composite nodes. Keys are hash-consed
-    /// expressions, so hashing is the precomputed structural hash and
-    /// equality is pointer identity — O(1) either way — while the key
-    /// itself pins the interned node alive, guaranteeing that rebuilding
-    /// the same structure later resolves to the same node and hits.
-    memo: FastMap<EventExpr, f64>,
-    /// Shannon-pivot choice per node (same identity-keyed scheme).
-    pivots: FastMap<EventExpr, VarId>,
-}
-
-impl EvalCache {
-    /// An empty overlay backed by a shared read-only snapshot: lookups
-    /// consult `snapshot` first and misses are memoised privately, so many
-    /// threads can share one snapshot lock-free while each accumulates only
-    /// the entries the snapshot lacks.
-    pub fn with_snapshot(snapshot: Arc<FrozenEvalCache>) -> Self {
-        Self {
-            snapshot: Some(snapshot),
-            ..Self::default()
-        }
-    }
-
-    /// Number of *privately* memoised probabilities (the overlay only; the
-    /// shared snapshot, if any, is counted by [`FrozenEvalCache::len`]).
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// True if this holder memoised nothing privately yet (a backing
-    /// snapshot may still answer lookups).
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty() && self.pivots.is_empty()
-    }
-
-    fn lookup_prob(&self, expr: &EventExpr) -> Option<f64> {
-        if let Some(p) = self.snapshot.as_ref().and_then(|s| s.get_prob(expr)) {
-            return Some(p);
-        }
-        self.memo.get(expr).copied()
-    }
-
-    fn lookup_pivot(&self, expr: &EventExpr) -> Option<VarId> {
-        if let Some(v) = self.snapshot.as_ref().and_then(|s| s.get_pivot(expr)) {
-            return Some(v);
-        }
-        self.pivots.get(expr).copied()
-    }
-
-    /// Folds the private overlay into the backing snapshot chain (creating
-    /// one if absent), tagging the new tier with the current binding
-    /// `epoch` and evicting stale tiers per `policy` — the single-holder
-    /// version of the pooled merge-and-republish, used by long-lived
-    /// sequential holders to keep their memo footprint bounded under KB
-    /// mutation. Lookups afterwards consult the chain first and keep
-    /// memoising privately; retained values are unchanged and evicted ones
-    /// are recomputed bit-identically, so behaviour is unaffected.
-    pub fn rotate(&mut self, epoch: u64, policy: EvictionPolicy) {
-        if self.is_empty() && self.snapshot.is_none() {
-            return;
-        }
-        let base = self.snapshot.take();
-        let overlay = std::mem::take(self);
-        *self = EvalCache::with_snapshot(FrozenEvalCache::merged_with(
-            base.as_ref(),
-            [overlay],
-            epoch,
-            policy,
-        ));
-    }
-
-    /// Entries and pinned-node estimate of the private overlay alone,
-    /// ignoring any backing snapshot — for holders that account for the
-    /// shared chain separately (e.g. a pool whose parked worker overlays
-    /// all share the pool's own snapshot).
-    pub fn overlay_footprint(&self) -> CacheFootprint {
-        let overlay = self.memo.len() + self.pivots.len();
-        CacheFootprint {
-            tiers: 0,
-            entries: overlay,
-            pinned_nodes: overlay,
-        }
-    }
-
-    /// Occupied tiers, entries and pinned-node estimate of this cache:
-    /// the private overlay plus the backing snapshot chain, if any.
-    pub fn footprint(&self) -> CacheFootprint {
-        let snapshot = self
-            .snapshot
-            .as_ref()
-            .map(|s| s.footprint())
-            .unwrap_or_default();
-        snapshot + self.overlay_footprint()
-    }
-}
-
-/// One tier's worth of [`FrozenEvalCache`] entries: the probability memo
-/// and Shannon-pivot maps published together by one republish. The chain
-/// mechanics (push/compact/fold, epoch tags, eviction) live in
-/// [`TierChain`]; this payload only knows how to count and merge itself.
-#[derive(Default, Clone)]
-pub struct EvalTier {
-    memo: FastMap<EventExpr, f64>,
-    pivots: FastMap<EventExpr, VarId>,
-}
-
-impl TierPayload for EvalTier {
-    fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.memo.is_empty() && self.pivots.is_empty()
-    }
-
-    fn absorb(&mut self, newer: Self) {
-        self.memo.extend(newer.memo);
-        self.pivots.extend(newer.pivots);
-    }
-}
-
-/// A frozen, read-only [`EvalCache`] snapshot, shared across threads behind
-/// an `Arc` and consulted lock-free before each holder's private overlay.
-///
-/// Snapshots grow by [`FrozenEvalCache::merged_with`]: collect the
-/// overlays the workers of one run accumulated and republish base +
-/// overlays as a new, epoch-tagged snapshot.
-/// Every memoised value is a **pure function of its hash-consed key**
-/// (probability evaluation is deterministic and universe variables are
-/// immutable), so two workers that memoise the same key store bit-identical
-/// values and the merge is order-independent — results stay bit-identical
-/// to a sequential run no matter how work was interleaved.
-///
-/// Internally a snapshot is a [`TierChain`] of [`EvalTier`]s — a short
-/// chain of immutable tiers (newest first, bounded by the chain's LSM
-/// policy) in which the big root tier is recopied once per size doubling
-/// and, under an [`EvictionPolicy`], tiers untouched for too many binding
-/// epochs are dropped whenever a compaction or fold rewrites the chain
-/// anyway. See the [`crate::tier`]-module docs for the mechanics and the
-/// eviction-correctness argument.
-///
-/// The universe-affinity rule of [`EvalCache`] applies transitively: all
-/// overlays merged into one snapshot lineage must come from evaluators over
-/// the same universe value, and the snapshot must be discarded when the
-/// universe is replaced.
-pub type FrozenEvalCache = TierChain<EvalTier>;
-
-impl FrozenEvalCache {
-    /// Number of memoised probabilities across all tiers. Keys shadowed in
-    /// several tiers (identical values by construction) count once per
-    /// tier, so this is an upper bound on distinct entries.
-    pub fn len(&self) -> usize {
-        self.entry_count()
-    }
-
-    /// True if no tier holds any entry.
-    pub fn is_empty(&self) -> bool {
-        self.payloads_empty()
-    }
-
-    fn get_prob(&self, expr: &EventExpr) -> Option<f64> {
-        self.tiers().find_map(|t| t.payload.memo.get(expr).copied())
-    }
-
-    fn get_pivot(&self, expr: &EventExpr) -> Option<VarId> {
-        self.tiers()
-            .find_map(|t| t.payload.pivots.get(expr).copied())
-    }
-
-    /// Occupied tiers, memo+pivot entries, and pinned-node estimate of this
-    /// chain. Every entry keys a composite hash-consed node it pins in the
-    /// process-global interner, so the estimate is the entry count.
-    pub fn footprint(&self) -> CacheFootprint {
-        let entries = self
-            .tiers()
-            .map(|t| t.payload.memo.len() + t.payload.pivots.len())
-            .sum();
-        CacheFootprint {
-            tiers: self.occupied_tiers(),
-            entries,
-            pinned_nodes: entries,
-        }
-    }
-
-    /// Merges worker overlays on top of `base` into a new snapshot (the
-    /// *republish* step) per the shared [`TierChain`] LSM policy, tagging
-    /// the new tier with the current binding `epoch` and dropping tiers
-    /// `policy` considers stale whenever a compaction or fold rewrites the
-    /// chain anyway. Order-independent and deterministic: values are pure
-    /// functions of node identity (see the type docs), so duplicate keys
-    /// across overlays carry bit-identical values — and eviction only ever
-    /// forces deterministic recomputes, never different results. Each
-    /// overlay's own backing snapshot is dropped — it is an ancestor of
-    /// `base` in the intended lineage, so its entries are already present.
-    pub fn merged_with(
-        base: Option<&Arc<FrozenEvalCache>>,
-        overlays: impl IntoIterator<Item = EvalCache>,
-        epoch: u64,
-        policy: EvictionPolicy,
-    ) -> Arc<FrozenEvalCache> {
-        let mut tier = EvalTier::default();
-        for overlay in overlays {
-            tier.memo.extend(overlay.memo);
-            tier.pivots.extend(overlay.pivots);
-        }
-        if tier.is_empty() {
-            // Nothing new: keep the base as-is instead of stacking an
-            // empty tier (which would cost a probe on every lookup).
-            if let Some(b) = base {
-                return Arc::clone(b);
-            }
-        }
-        TierChain::publish(base, tier, epoch, policy)
-    }
 }
 
 /// Counters describing the work an [`Evaluator`] performed.
@@ -347,12 +112,6 @@ impl<'u> Evaluator<'u> {
     /// Work counters accumulated so far.
     pub fn stats(&self) -> EvalStats {
         self.stats
-    }
-
-    /// Clears the memo and pivot tables, including any backing snapshot
-    /// (the counters are kept).
-    pub fn clear(&mut self) {
-        self.cache = EvalCache::default();
     }
 
     /// Exact probability of `expr` under the evaluator's universe.
@@ -434,16 +193,14 @@ impl<'u> Evaluator<'u> {
             _ => {}
         }
         if self.use_memo {
-            if let Some(p) = self.cache.lookup_prob(expr) {
+            if let Some(p) = self.cache.get(|m| &m.prob, expr) {
                 self.stats.memo_hits += 1;
                 return p;
             }
         }
         let p = self.prob_connective(expr);
         if self.use_memo {
-            // A lookup miss means the snapshot lacks the key too, so the
-            // overlay insert never shadows a snapshot entry.
-            self.cache.memo.insert(expr.clone(), p);
+            self.cache.memo.prob.insert(expr.clone(), p);
         }
         p
     }
@@ -513,12 +270,12 @@ impl<'u> Evaluator<'u> {
     /// a pure function of the expression, so the atom-count walk runs once
     /// per distinct node instead of once per expansion.
     fn pivot_for(&mut self, expr: &EventExpr) -> VarId {
-        if let Some(var) = self.cache.lookup_pivot(expr) {
+        if let Some(var) = self.cache.get(|m| &m.pivots, expr) {
             self.stats.pivot_hits += 1;
             return var;
         }
         let var = pick_pivot(expr).expect("connective node must have support");
-        self.cache.pivots.insert(expr.clone(), var);
+        self.cache.memo.pivots.insert(expr.clone(), var);
         var
     }
 }
@@ -633,8 +390,9 @@ fn count_atoms(expr: &EventExpr, counts: &mut FastMap<VarId, usize>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tier::MAX_CHAIN;
     use crate::worlds::brute_force_prob;
+    use crate::MemoGeneration;
+    use std::sync::Arc;
 
     fn universe3() -> (Universe, EventExpr, EventExpr, EventExpr) {
         let mut u = Universe::new();
@@ -842,19 +600,19 @@ mod tests {
         ]);
         let mut first = Evaluator::new(&u);
         let p1 = first.prob(&e);
-        let snapshot =
-            FrozenEvalCache::merged_with(None, [first.into_cache()], 0, EvictionPolicy::Never);
-        assert!(!snapshot.is_empty());
-        // A fresh overlay over the snapshot must answer from the shared
-        // tier: same bits, zero expansions, empty private overlay.
-        let mut second = Evaluator::with_cache(&u, EvalCache::with_snapshot(Arc::clone(&snapshot)));
+        let mut generation = Arc::new(MemoGeneration::new(0));
+        MemoGeneration::absorb(&mut generation, first.into_cache());
+        assert!(!generation.is_empty());
+        // Fresh private maps over the generation must answer from it: same
+        // bits, zero expansions, nothing memoised privately.
+        let mut second = Evaluator::with_cache(&u, EvalCache::with_generation(generation));
         let p2 = second.prob(&e);
         assert_eq!(p1.to_bits(), p2.to_bits());
         assert_eq!(second.stats().expansions, 0);
         assert!(second.stats().memo_hits > 0);
         assert!(
             second.into_cache().is_empty(),
-            "snapshot hits must not be copied into the overlay"
+            "generation hits must not be copied into the private maps"
         );
     }
 
@@ -866,7 +624,7 @@ mod tests {
             .collect();
         let es: Vec<_> = vars.iter().map(|&v| u.bool_event(v).unwrap()).collect();
         // Two "workers" evaluate overlapping entangled expressions on
-        // private overlays; one also covers an expression the other lacks.
+        // private maps; one also covers an expression the other lacks.
         let shared = EventExpr::or([
             EventExpr::and([es[0].clone(), es[1].clone()]),
             EventExpr::and([es[1].clone(), es[2].clone()]),
@@ -875,132 +633,38 @@ mod tests {
             EventExpr::and([es[2].clone(), es[3].clone()]),
             EventExpr::and([es[3].clone(), es[4].clone()]),
         ]);
-        let overlay_a = || {
+        let cache_a = || {
             let mut ev = Evaluator::new(&u);
             let _ = ev.prob(&shared);
             let _ = ev.prob(&only_a);
             ev.into_cache()
         };
-        let overlay_b = || {
+        let cache_b = || {
             let mut ev = Evaluator::new(&u);
             let _ = ev.prob(&shared);
             ev.into_cache()
         };
-        // Merge in both orders; duplicate keys must carry identical bits,
-        // so the snapshots answer identically and fully (zero expansions).
-        let merge =
-            |overlays| FrozenEvalCache::merged_with(None, overlays, 0, EvictionPolicy::Never);
-        let merged_ab = merge([overlay_a(), overlay_b()]);
-        let merged_ba = merge([overlay_b(), overlay_a()]);
-        assert_eq!(merged_ab.len(), merged_ba.len());
+        // Absorb in both orders; duplicate keys must carry identical bits,
+        // so the generations answer identically and fully (zero
+        // expansions).
+        let absorb = |caches: [EvalCache; 2]| {
+            let mut generation = Arc::new(MemoGeneration::new(0));
+            for cache in caches {
+                MemoGeneration::absorb(&mut generation, cache);
+            }
+            generation
+        };
+        let merged_ab = absorb([cache_a(), cache_b()]);
+        let merged_ba = absorb([cache_b(), cache_a()]);
+        assert_eq!(merged_ab.footprint(), merged_ba.footprint());
         for e in [&shared, &only_a] {
             let mut eva =
-                Evaluator::with_cache(&u, EvalCache::with_snapshot(Arc::clone(&merged_ab)));
+                Evaluator::with_cache(&u, EvalCache::with_generation(Arc::clone(&merged_ab)));
             let mut evb =
-                Evaluator::with_cache(&u, EvalCache::with_snapshot(Arc::clone(&merged_ba)));
+                Evaluator::with_cache(&u, EvalCache::with_generation(Arc::clone(&merged_ba)));
             assert_eq!(eva.prob(e).to_bits(), evb.prob(e).to_bits());
             assert_eq!(eva.stats().expansions + evb.stats().expansions, 0);
         }
-    }
-
-    #[test]
-    fn snapshot_chain_collapses_and_stays_consistent() {
-        // Republish more times than MAX_CHAIN: every generation must keep
-        // answering every earlier generation's entries (chain lookups span
-        // tiers; the collapse must not drop anything).
-        let mut u = Universe::new();
-        let vars: Vec<_> = (0..2 * (MAX_CHAIN + 2))
-            .map(|i| u.add_bool(&format!("c{i}"), 0.2 + 0.05 * i as f64).unwrap())
-            .collect();
-        let exprs: Vec<EventExpr> = vars
-            .chunks(2)
-            .map(|pair| {
-                let a = u.bool_event(pair[0]).unwrap();
-                let b = u.bool_event(pair[1]).unwrap();
-                // Entangle the pair so a composite memo entry is created.
-                EventExpr::or([
-                    EventExpr::and([a.clone(), b.clone()]),
-                    EventExpr::and([a, EventExpr::not(b)]),
-                ])
-            })
-            .collect();
-        let mut snapshot: Option<Arc<FrozenEvalCache>> = None;
-        let mut expected: Vec<f64> = Vec::new();
-        for (generation, expr) in exprs.iter().enumerate() {
-            let cache = snapshot
-                .as_ref()
-                .map(|s| EvalCache::with_snapshot(Arc::clone(s)))
-                .unwrap_or_default();
-            let mut ev = Evaluator::with_cache(&u, cache);
-            expected.push(ev.prob(expr));
-            snapshot = Some(FrozenEvalCache::merged_with(
-                snapshot.as_ref(),
-                [ev.into_cache()],
-                0,
-                EvictionPolicy::Never,
-            ));
-            let snap = snapshot.as_ref().unwrap();
-            assert!(snap.depth <= MAX_CHAIN, "generation {generation}");
-            // Every entry published so far must still answer, bit-identical.
-            let mut check = Evaluator::with_cache(&u, EvalCache::with_snapshot(Arc::clone(snap)));
-            for (e, want) in exprs[..=generation].iter().zip(&expected) {
-                assert_eq!(check.prob(e).to_bits(), want.to_bits());
-            }
-            assert_eq!(check.stats().expansions, 0, "generation {generation}");
-        }
-    }
-
-    #[test]
-    fn chain_compacts_young_tiers_and_keeps_root_shared() {
-        // A big root followed by a stream of tiny republishes: while the
-        // young state stays small relative to the root, the root tier must
-        // be *shared* (pointer-equal parent, never recopied) and the chain
-        // must compact rather than fold.
-        let mut u = Universe::new();
-        let entangled = |u: &mut Universe, tag: &str| {
-            let a = u.add_bool(&format!("{tag}a"), 0.3).unwrap();
-            let b = u.add_bool(&format!("{tag}b"), 0.6).unwrap();
-            let (ea, eb) = (u.bool_event(a).unwrap(), u.bool_event(b).unwrap());
-            EventExpr::or([
-                EventExpr::and([ea.clone(), eb.clone()]),
-                EventExpr::and([ea, EventExpr::not(eb)]),
-            ])
-        };
-        let root_exprs: Vec<EventExpr> = (0..30)
-            .map(|i| entangled(&mut u, &format!("r{i}")))
-            .collect();
-        let mut ev = Evaluator::new(&u);
-        let root_values: Vec<f64> = root_exprs.iter().map(|e| ev.prob(e)).collect();
-        let root = FrozenEvalCache::merged_with(None, [ev.into_cache()], 0, EvictionPolicy::Never);
-        let root_len = root.payload.memo.len();
-
-        let mut snapshot = Arc::clone(&root);
-        let mut compacted = false;
-        for i in 0..5 {
-            let e = entangled(&mut u, &format!("y{i}"));
-            let mut ev = Evaluator::with_cache(&u, EvalCache::with_snapshot(Arc::clone(&snapshot)));
-            let want = ev.prob(&e);
-            let overlay = [ev.into_cache()];
-            snapshot =
-                FrozenEvalCache::merged_with(Some(&snapshot), overlay, 0, EvictionPolicy::Never);
-            assert!(snapshot.depth <= MAX_CHAIN);
-            // Young state is far below the root's size, so the root tier
-            // is still the original allocation — never cloned.
-            assert!(snapshot.len() - root_len < root_len, "test premise");
-            assert!(
-                Arc::ptr_eq(&snapshot.root_arc(), &root),
-                "generation {i}: small republishes must share the root"
-            );
-            compacted |= snapshot.depth == 2 && snapshot.parent.is_some();
-            let mut check =
-                Evaluator::with_cache(&u, EvalCache::with_snapshot(Arc::clone(&snapshot)));
-            assert_eq!(check.prob(&e).to_bits(), want.to_bits());
-            for (re, rv) in root_exprs.iter().zip(&root_values) {
-                assert_eq!(check.prob(re).to_bits(), rv.to_bits());
-            }
-            assert_eq!(check.stats().expansions, 0, "generation {i}");
-        }
-        assert!(compacted, "MAX_CHAIN must trigger a compaction, not a fold");
     }
 
     #[test]

@@ -21,12 +21,9 @@
 //! precomputed hashes) plus the case weights, so keying a sub-problem costs
 //! O(#cases) instead of O(total expression size).
 
-use std::sync::Arc;
-
 use crate::eval::group_indices;
 use crate::hashers::FastMap;
-use crate::tier::{CacheFootprint, EvictionPolicy, TierChain, TierPayload};
-use crate::{EvalCache, EventExpr, FrozenEvalCache, Universe, VarId};
+use crate::{EvalCache, EventExpr, Universe, VarId};
 
 /// A piecewise-constant random variable: in a world `w` its value is the sum
 /// of the weights of the cases whose event holds in `w`.
@@ -131,266 +128,47 @@ impl Factor {
     }
 }
 
-type FactorKey = Vec<(EventExpr, u64)>;
+pub(crate) type FactorKey = Vec<(EventExpr, u64)>;
 
 /// Reusable exact-expectation computer (see module docs).
 ///
 /// Holds a memo table keyed by canonicalised factor groups; reuse one
 /// instance when scoring many documents against the same rule set so that
 /// shared context sub-problems are solved once — or detach the memo state as
-/// an [`ExpectCache`] to persist it across instances (e.g. between the
+/// an [`EvalCache`] to persist it across instances (e.g. between the
 /// repeated `score_all` calls of a scoring session).
 pub struct Expectation<'u> {
     universe: &'u Universe,
-    /// Shared read-only tier of the factor-group memo (see [`ExpectCache`]).
-    snapshot: Option<Arc<FrozenExpectCache>>,
-    memo: FastMap<Vec<FactorKey>, f64>,
     /// Shared probability evaluator for single-factor groups (linearity of
     /// expectation); its memo — and the interned nodes it pins — persist
-    /// across documents.
+    /// across documents. Its cache holds the factor-group memo too.
     evaluator: crate::Evaluator<'u>,
     expansions: u64,
     memo_hits: u64,
 }
 
-/// The detachable memo state of an [`Expectation`]: the factor-group memo
-/// plus the embedded probability evaluator's [`EvalCache`], each split into
-/// an optional frozen shared snapshot tier ([`FrozenExpectCache`]) and a
-/// private overlay — the same two-tier scheme as [`EvalCache`].
-///
-/// The same validity rule as [`EvalCache`] applies: entries stay correct
-/// under further variable declarations on the same universe, but the cache
-/// (snapshot included) must be discarded when switching to a different
-/// universe.
-///
-/// [`EvalCache`]: crate::EvalCache
-#[derive(Default)]
-pub struct ExpectCache {
-    snapshot: Option<Arc<FrozenExpectCache>>,
-    memo: FastMap<Vec<FactorKey>, f64>,
-    eval: EvalCache,
-}
-
-impl ExpectCache {
-    /// An empty overlay backed by a shared read-only snapshot; the embedded
-    /// probability cache is layered over the snapshot's eval tier likewise.
-    pub fn with_snapshot(snapshot: Arc<FrozenExpectCache>) -> Self {
-        Self {
-            eval: EvalCache::with_snapshot(Arc::clone(snapshot.eval())),
-            snapshot: Some(snapshot),
-            memo: FastMap::default(),
-        }
-    }
-
-    /// Number of *privately* memoised factor groups (excluding the
-    /// probability memo and the shared snapshot).
-    pub fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    /// True if this holder memoised nothing privately yet (a backing
-    /// snapshot may still answer lookups).
-    pub fn is_empty(&self) -> bool {
-        self.memo.is_empty() && self.eval.is_empty()
-    }
-
-    /// Folds the private overlays (group memo and embedded probability
-    /// memo) into the backing snapshot chain, tagging the new tier with
-    /// the current binding `epoch` and evicting stale tiers per `policy` —
-    /// the expectation-side counterpart of [`EvalCache::rotate`], with the
-    /// same behaviour-preservation argument.
-    pub fn rotate(&mut self, epoch: u64, policy: EvictionPolicy) {
-        if self.is_empty() && self.snapshot.is_none() {
-            return;
-        }
-        let base = self.snapshot.take();
-        let overlay = std::mem::take(self);
-        *self = ExpectCache::with_snapshot(FrozenExpectCache::merged_with(
-            base.as_ref(),
-            [overlay],
-            epoch,
-            policy,
-        ));
-    }
-
-    /// Entries and pinned estimate of the private group-memo overlay only
-    /// (excluding the embedded probability cache).
-    fn group_overlay_footprint(&self) -> CacheFootprint {
-        let pinned: usize = self
-            .memo
-            .keys()
-            .map(|key| key.iter().map(Vec::len).sum::<usize>())
-            .sum();
-        CacheFootprint {
-            tiers: 0,
-            entries: self.memo.len(),
-            pinned_nodes: pinned,
-        }
-    }
-
-    /// Entries and pinned-node estimate of the private overlays alone
-    /// (group memo + embedded probability overlay), ignoring any backing
-    /// snapshot — the expectation-side counterpart of
-    /// [`EvalCache::overlay_footprint`].
-    pub fn overlay_footprint(&self) -> CacheFootprint {
-        self.eval.overlay_footprint() + self.group_overlay_footprint()
-    }
-
-    /// Occupied tiers, entries and pinned-node estimate of this cache: the
-    /// private overlays (group memo + embedded probability memo) plus the
-    /// backing snapshot chain, if any. When a snapshot backs this cache,
-    /// the embedded probability overlay's own backing chain *is* the
-    /// snapshot's eval chain, so only the overlay part is added for it.
-    pub fn footprint(&self) -> CacheFootprint {
-        match &self.snapshot {
-            Some(snapshot) => snapshot.footprint() + self.overlay_footprint(),
-            None => self.eval.footprint() + self.group_overlay_footprint(),
-        }
-    }
-}
-
-/// One tier's worth of [`FrozenExpectCache`] entries: the factor-group memo
-/// published by one republish, plus the cumulative eval-chain handle of the
-/// tier's generation. Only the *newest* tier's eval handle is ever read —
-/// the eval chain already subsumes the eval state of older expect tiers —
-/// which is why [`TierPayload::absorb`] lets the newer handle win.
-#[derive(Default, Clone)]
-pub struct ExpectTier {
-    memo: FastMap<Vec<FactorKey>, f64>,
-    /// Cumulative eval tier of this expect tier's generation.
-    eval: Arc<FrozenEvalCache>,
-}
-
-impl TierPayload for ExpectTier {
-    fn len(&self) -> usize {
-        self.memo.len()
-    }
-
-    fn is_empty(&self) -> bool {
-        self.memo.is_empty()
-    }
-
-    fn absorb(&mut self, newer: Self) {
-        self.memo.extend(newer.memo);
-        self.eval = newer.eval;
-    }
-}
-
-/// A frozen, read-only [`ExpectCache`] snapshot shared across threads: the
-/// factor-group memo plus a [`FrozenEvalCache`] for the embedded probability
-/// evaluator. Same merge/validity contract as [`FrozenEvalCache`] — values
-/// are pure functions of their (hash-consed) keys, so merging worker
-/// overlays is order-independent and bit-deterministic — and the same
-/// bounded [`TierChain`] representation, so routine republishes copy only
-/// the young tiers, the root is recopied once per size doubling, and an
-/// [`EvictionPolicy`] can age out tiers of superseded entries.
-pub type FrozenExpectCache = TierChain<ExpectTier>;
-
-impl FrozenExpectCache {
-    /// Number of memoised factor groups across all tiers (keys shadowed in
-    /// several tiers count once per tier — an upper bound on distinct
-    /// entries, as in [`FrozenEvalCache::len`]).
-    pub fn len(&self) -> usize {
-        self.entry_count()
-    }
-
-    /// True if the snapshot holds no group entries and no probability
-    /// entries.
-    pub fn is_empty(&self) -> bool {
-        self.payloads_empty() && self.eval().is_empty()
-    }
-
-    /// The snapshot tier backing the embedded probability evaluator.
-    pub fn eval(&self) -> &Arc<FrozenEvalCache> {
-        &self.payload.eval
-    }
-
-    fn get(&self, key: &Vec<FactorKey>) -> Option<f64> {
-        self.tiers().find_map(|t| t.payload.memo.get(key).copied())
-    }
-
-    /// Occupied tiers, entries and pinned-node estimate of this chain,
-    /// including the embedded probability chain. A factor-group key pins
-    /// one interned expression per case event it holds, so the estimate
-    /// walks the keys (O(entries) — footprints are inspection-path only).
-    pub fn footprint(&self) -> CacheFootprint {
-        let mut own = CacheFootprint {
-            tiers: self.occupied_tiers(),
-            entries: 0,
-            pinned_nodes: 0,
-        };
-        for t in self.tiers() {
-            own.entries += t.payload.memo.len();
-            own.pinned_nodes += t
-                .payload
-                .memo
-                .keys()
-                .map(|key| key.iter().map(Vec::len).sum::<usize>())
-                .sum::<usize>();
-        }
-        own + self.eval().footprint()
-    }
-
-    /// Merges worker overlays on top of `base` into a new snapshot — the
-    /// republish step, with the determinism contract, epoch tagging and
-    /// eviction semantics of [`FrozenEvalCache::merged_with`]; the embedded
-    /// probability chain is republished under the same epoch and policy.
-    pub fn merged_with(
-        base: Option<&Arc<FrozenExpectCache>>,
-        overlays: impl IntoIterator<Item = ExpectCache>,
-        epoch: u64,
-        policy: EvictionPolicy,
-    ) -> Arc<FrozenExpectCache> {
-        let mut memo = FastMap::default();
-        let mut eval_overlays = Vec::new();
-        for overlay in overlays {
-            memo.extend(overlay.memo);
-            eval_overlays.push(overlay.eval);
-        }
-        let eval =
-            FrozenEvalCache::merged_with(base.map(|b| b.eval()), eval_overlays, epoch, policy);
-        if memo.is_empty() {
-            // No new group entries: reuse the base chain unless the
-            // embedded eval tier advanced (then a fresh top tier carries
-            // the new eval handle without stacking group entries).
-            if let Some(b) = base {
-                if Arc::ptr_eq(&eval, b.eval()) {
-                    return Arc::clone(b);
-                }
-            }
-        }
-        TierChain::publish(base, ExpectTier { memo, eval }, epoch, policy)
-    }
-}
-
 impl<'u> Expectation<'u> {
     /// Creates an expectation computer over `universe`.
     pub fn new(universe: &'u Universe) -> Self {
-        Self::with_cache(universe, ExpectCache::default())
+        Self::with_cache(universe, EvalCache::default())
     }
 
     /// Creates an expectation computer seeded with a previously detached
     /// cache (see [`Expectation::into_cache`]). The cache must have been
     /// built over the same universe value.
-    pub fn with_cache(universe: &'u Universe, cache: ExpectCache) -> Self {
+    pub fn with_cache(universe: &'u Universe, cache: EvalCache) -> Self {
         Self {
             universe,
-            snapshot: cache.snapshot,
-            memo: cache.memo,
-            evaluator: crate::Evaluator::with_cache(universe, cache.eval),
+            evaluator: crate::Evaluator::with_cache(universe, cache),
             expansions: 0,
             memo_hits: 0,
         }
     }
 
-    /// Detaches the memo state for reuse by a later instance over the same
-    /// universe.
-    pub fn into_cache(self) -> ExpectCache {
-        ExpectCache {
-            snapshot: self.snapshot,
-            memo: self.memo,
-            eval: self.evaluator.into_cache(),
-        }
+    /// Detaches the memo state — factor groups and probabilities — for
+    /// reuse by a later instance or evaluator over the same universe.
+    pub fn into_cache(self) -> EvalCache {
+        self.evaluator.into_cache()
     }
 
     /// Number of Shannon expansions performed so far.
@@ -475,15 +253,7 @@ impl<'u> Expectation<'u> {
         }
         let mut key: Vec<FactorKey> = group.iter().map(|f| f.key()).collect();
         key.sort_unstable();
-        // Two-tier lookup: the shared frozen snapshot first, then the
-        // private overlay (an overlay insert below therefore never shadows
-        // a snapshot entry).
-        if let Some(v) = self
-            .snapshot
-            .as_ref()
-            .and_then(|s| s.get(&key))
-            .or_else(|| self.memo.get(&key).copied())
-        {
+        if let Some(v) = self.evaluator.cache.get(|m| &m.groups, &key) {
             self.memo_hits += 1;
             return v;
         }
@@ -518,7 +288,7 @@ impl<'u> Expectation<'u> {
             let restricted: Vec<Factor> = group.iter().map(|f| f.restrict(pivot, o)).collect();
             total += p_o * self.compute(&restricted);
         }
-        self.memo.insert(key, total);
+        self.evaluator.cache.memo.groups.insert(key, total);
         total
     }
 }
@@ -550,6 +320,8 @@ pub fn brute_force_expectation(universe: &Universe, factors: &[Factor]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MemoGeneration;
+    use std::sync::Arc;
 
     #[test]
     fn constant_factors_multiply() {
@@ -686,18 +458,19 @@ mod tests {
         ];
         let mut first = Expectation::new(&u);
         let v1 = first.compute(&factors);
-        let snapshot =
-            FrozenExpectCache::merged_with(None, [first.into_cache()], 0, EvictionPolicy::Never);
-        assert!(!snapshot.is_empty());
-        // The snapshot is Sync: fresh overlays on other threads must answer
-        // from the shared tier, bit-identically and without expansion.
+        let mut generation = Arc::new(MemoGeneration::new(0));
+        MemoGeneration::absorb(&mut generation, first.into_cache());
+        assert!(!generation.is_empty());
+        // The generation is Sync: fresh private maps on other threads must
+        // answer from it, bit-identically and without expansion.
         std::thread::scope(|scope| {
             for _ in 0..2 {
-                let snapshot = Arc::clone(&snapshot);
+                let generation = Arc::clone(&generation);
                 let factors = &factors;
                 let u = &u;
                 scope.spawn(move || {
-                    let mut exp = Expectation::with_cache(u, ExpectCache::with_snapshot(snapshot));
+                    let mut exp =
+                        Expectation::with_cache(u, EvalCache::with_generation(generation));
                     let v2 = exp.compute(factors);
                     assert_eq!(v1.to_bits(), v2.to_bits());
                     assert_eq!(exp.expansions(), 0);

@@ -61,20 +61,17 @@ mod expect;
 mod expr;
 pub mod hashers;
 mod parse;
-pub mod tier;
+mod tier;
 mod universe;
 pub mod worlds;
 
 pub use batch::{BatchEvaluator, BatchExpectation, BatchStats};
 pub use error::EventError;
-pub use eval::{EvalCache, EvalStats, EvalTier, Evaluator, FrozenEvalCache};
-pub use expect::{
-    brute_force_expectation, expectation, ExpectCache, ExpectTier, Expectation, Factor,
-    FrozenExpectCache,
-};
+pub use eval::{EvalStats, Evaluator};
+pub use expect::{brute_force_expectation, expectation, Expectation, Factor};
 pub use expr::{interner_stats, Atom, EventExpr, ExprKey, InternerStats, NaryNode, NotNode};
 pub use parse::parse_event;
-pub use tier::{CacheFootprint, EvictionPolicy, TierChain, TierPayload};
+pub use tier::{CacheFootprint, EvalCache, MemoGeneration, MAX_AGE};
 pub use universe::{Universe, VarId};
 
 /// Convenience alias for results in this crate.

@@ -1,138 +1,198 @@
-//! Generic bounded snapshot-tier chains — the shared LSM-flavoured
-//! machinery behind [`crate::FrozenEvalCache`] and
-//! [`crate::FrozenExpectCache`].
-//!
-//! A *chain* is a short immutable linked list of **tiers** (newest first),
-//! each holding one batch of memo entries published together. Publishing
-//! normally just pushes a new tier sharing the rest of the chain via `Arc`
-//! — O(new entries), no copy of the accumulated state. When the chain
-//! reaches `MAX_CHAIN` tiers, the *young* tiers are compacted into one
-//! over the shared root, and only when the young state rivals the root's
-//! size is everything folded into a new root: the
-//! big tier is recopied once per size doubling, so total copying stays
-//! linear in the snapshot's final size while lookups stay at a handful of
-//! O(1) probes.
-//!
-//! **Epoch tags and eviction.** Every tier records the binding epoch
-//! (`Kb::binding_epoch` in the core crate) current when its entries were
-//! published. Memo entries are written exactly once — lookup hits never
-//! rewrite them — so a pushed tier's tag says when *all* of its entries
-//! were computed; compactions and folds keep the **oldest** surviving
-//! constituent's tag, so a merged tier keeps ageing from its oldest
-//! content instead of being rejuvenated by the recopy. An
-//! [`EvictionPolicy`] turns those tags into liveness: whenever a
-//! compaction or fold rewrites the chain anyway, tiers that went
-//! unrefreshed for more than the allowed number of epochs are dropped
-//! instead of recopied. Entries for superseded facts (re-asserted facts
-//! mint fresh variables, so their old expressions are never looked up
-//! again) age out this way; a still-live entry that is evicted with its
-//! tier is simply recomputed on its next miss — bit-identically, every
-//! value being a pure function of its hash-consed key — so eviction can
-//! never change a score, only trade memory for an occasional recompute.
+//! The memo of the exact evaluators: an [`EvalCache`] is an optional
+//! shared [`MemoGeneration`] plus private maps of the same shape.
 
+use std::hash::Hash;
 use std::sync::Arc;
 
-/// How many frozen tiers a snapshot chain may accumulate before a republish
-/// compacts it. Bounds every lookup at `MAX_CHAIN + 1` O(1) map probes.
-pub(crate) const MAX_CHAIN: usize = 4;
+use crate::expect::FactorKey;
+use crate::hashers::FastMap;
+use crate::{EventExpr, VarId};
 
-/// What a republish does to a snapshot chain — one policy shared by every
-/// [`TierChain`] instantiation, kept in a single function
-/// ([`chain_action`]) so the caches cannot silently diverge.
-///
-/// The policy is LSM-flavoured: young tiers are cheap to push and compact,
-/// while the big root tier is recopied only when the accumulated young
-/// state rivals its size — i.e. once per size doubling — so the recurring
-/// republish cost is proportional to the *young* tiers, not the whole
-/// snapshot, and total copying stays linear in the final snapshot size.
-pub(crate) enum ChainAction {
-    /// No usable base: the new entries become a flat root tier.
-    Root,
-    /// Chain has room: push the new entries as a tier on top of the base.
-    Push,
-    /// Chain is at [`MAX_CHAIN`] but the young tiers are still small:
-    /// merge them with the new entries into one tier over the shared root.
-    Compact,
-    /// The young state rivals the root: fold everything into a new root.
-    Fold,
+/// Binding epochs a memo generation lives past its start: generous enough
+/// that serving loops which mutate a handful of facts per call keep their
+/// memos warm across tens of calls, small enough that a mutate-every-call
+/// loop's footprint stays flat instead of growing for the life of the KB.
+pub const MAX_AGE: u64 = 64;
+
+/// The three memo maps (see [`MemoGeneration`]).
+#[derive(Clone, Default)]
+pub(crate) struct Memo {
+    /// Probability memo over composite nodes. Keys are hash-consed
+    /// expressions, so hashing is the precomputed structural hash and
+    /// equality is pointer identity — O(1) either way — while the key
+    /// itself pins the interned node alive, guaranteeing that rebuilding
+    /// the same structure later resolves to the same node and hits.
+    pub(crate) prob: FastMap<EventExpr, f64>,
+    /// Shannon-pivot choice per node (same identity-keyed scheme).
+    pub(crate) pivots: FastMap<EventExpr, VarId>,
+    /// Expectation per canonicalised factor group.
+    pub(crate) groups: FastMap<Vec<FactorKey>, f64>,
 }
 
-/// Chooses the [`ChainAction`] for a republish, from the base chain's
-/// shape (`depth`, young-tier entry count, root entry count, base
-/// emptiness) and the size of the incoming entries.
-pub(crate) fn chain_action(
-    base_is_empty: bool,
-    depth: usize,
-    young_len: usize,
-    root_len: usize,
-    new_len: usize,
-) -> ChainAction {
-    if base_is_empty {
-        ChainAction::Root
-    } else if depth < MAX_CHAIN {
-        ChainAction::Push
-    } else if young_len + new_len >= root_len {
-        ChainAction::Fold
-    } else {
-        ChainAction::Compact
+impl Memo {
+    fn len(&self) -> usize {
+        self.prob.len() + self.pivots.len() + self.groups.len()
     }
-}
 
-/// When a snapshot-tier chain drops tiers (see the module docs).
-///
-/// Age is measured in **binding epochs**: the distance between the epoch a
-/// republish runs under and the epoch tagged on a tier when its entries
-/// were published. A stable KB never advances its binding epoch, so every
-/// tier's age stays zero and *no* policy evicts anything there — warm hit
-/// rates on stable-KB workloads are bit-identical to the pre-eviction
-/// behaviour regardless of the policy chosen.
-///
-/// ```
-/// use capra_events::EvictionPolicy;
-///
-/// assert_eq!(
-///     EvictionPolicy::default(),
-///     EvictionPolicy::MaxAge(EvictionPolicy::DEFAULT_MAX_AGE),
-/// );
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EvictionPolicy {
-    /// Keep every tier for the life of the chain (the pre-eviction
-    /// behaviour: snapshots only ever grow while a KB identity lives).
-    Never,
-    /// Drop tiers whose entries went unrefreshed for more than this many
-    /// binding epochs, whenever a compaction or fold rewrites the chain
-    /// anyway. `MaxAge(0)` keeps only entries of the current epoch.
-    MaxAge(u64),
-}
-
-impl EvictionPolicy {
-    /// Default age limit for [`EvictionPolicy::MaxAge`]: generous enough
-    /// that serving loops which mutate a handful of facts per call keep
-    /// their memos warm across tens of calls, small enough that a
-    /// mutate-every-call loop's footprint stays flat instead of growing
-    /// for the life of the KB.
-    pub const DEFAULT_MAX_AGE: u64 = 64;
-
-    /// True if a tier tagged `tier_epoch` survives a rewrite at `now`.
-    pub(crate) fn keeps(self, tier_epoch: u64, now: u64) -> bool {
-        match self {
-            EvictionPolicy::Never => true,
-            EvictionPolicy::MaxAge(age) => now.saturating_sub(tier_epoch) <= age,
+    /// Entries and pinned-node estimate, counted as no generation. A
+    /// probability or pivot key pins its one node; a factor-group key pins
+    /// one node per case event it holds, so that estimate walks the keys
+    /// (O(entries) — footprints are inspection-path only).
+    fn footprint(&self) -> CacheFootprint {
+        let nodes = self.prob.len() + self.pivots.len();
+        let group_nodes: usize = self
+            .groups
+            .keys()
+            .map(|key| key.iter().map(Vec::len).sum::<usize>())
+            .sum();
+        CacheFootprint {
+            tiers: 0,
+            entries: nodes + self.groups.len(),
+            pinned_nodes: nodes + group_nodes,
         }
     }
 }
 
-impl Default for EvictionPolicy {
-    /// [`EvictionPolicy::MaxAge`] at [`EvictionPolicy::DEFAULT_MAX_AGE`].
-    fn default() -> Self {
-        Self::MaxAge(Self::DEFAULT_MAX_AGE)
+/// A frozen memo generation shared across threads behind an `Arc`: the
+/// three memo maps — the probability memo and Shannon pivots of
+/// [`crate::Evaluator`] and the factor-group memo of
+/// [`crate::Expectation`], keyed by hash-consed expression identity — and
+/// the binding epoch the generation was started at. An [`EvalCache`] reads
+/// its generation first and its private maps second, and memoises a miss
+/// privately, so any number of threads share one generation lock-free
+/// while each memoises only what the generation lacks.
+///
+/// **Absorb.** [`MemoGeneration::absorb`] folds a holder's private maps
+/// into the generation with `Arc::make_mut`: in place when nobody else
+/// holds the `Arc`, into a copy otherwise, so a reader keeps the
+/// generation it was handed. Every memo value is a pure function of its
+/// hash-consed key, so two holders that memoise one key store the same
+/// bits and the order of absorbs cannot change a score.
+///
+/// **Age.** Re-asserted facts mint fresh variables, so entries keyed by
+/// superseded expressions are never looked up again. A generation is
+/// therefore dropped whole once the binding epoch (`Kb::binding_epoch` in
+/// the core crate) is more than [`MAX_AGE`] past its start
+/// ([`MemoGeneration::expired`]) — O(1), with no per-entry stamps. A
+/// still-live entry dropped with it is recomputed on its next miss,
+/// bit-identically, so expiry can trade memory for a recompute but never
+/// change a score. A stable KB never advances its binding epoch, so
+/// nothing expires there.
+///
+/// **Universe affinity.** Entries are valid for the universe whose
+/// expressions they were computed over, including after further variable
+/// declarations (declared variables are immutable, and new variables
+/// cannot occur in already-interned expressions). Reusing a cache or
+/// generation with a *different* universe is a logic error — variable ids
+/// would alias — so holders discard both when they switch universes.
+#[derive(Clone, Default)]
+pub struct MemoGeneration {
+    memo: Memo,
+    epoch: u64,
+}
+
+impl MemoGeneration {
+    /// An empty generation started at binding epoch `epoch`.
+    pub fn new(epoch: u64) -> Self {
+        Self {
+            epoch,
+            ..Self::default()
+        }
+    }
+
+    /// True once the binding epoch `now` is more than [`MAX_AGE`] past the
+    /// generation's start. An epoch before the start never expires it.
+    pub fn expired(&self, now: u64) -> bool {
+        now.saturating_sub(self.epoch) > MAX_AGE
+    }
+
+    /// True if the generation holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.memo.len() == 0
+    }
+
+    /// Folds `cache`'s private maps into `generation` (see the type docs):
+    /// the cache's own handle on a generation is dropped first, then
+    /// the entries go in place when no other holder shares the `Arc`, and
+    /// into a copy — which `generation` then points at — otherwise. A cache
+    /// that memoised nothing changes nothing and copies nothing.
+    pub fn absorb(generation: &mut Arc<MemoGeneration>, cache: EvalCache) {
+        let EvalCache {
+            generation: handed,
+            memo: private,
+        } = cache;
+        drop(handed);
+        if private.len() == 0 {
+            return;
+        }
+        let memo = &mut Arc::make_mut(generation).memo;
+        memo.prob.extend(private.prob);
+        memo.pivots.extend(private.pivots);
+        memo.groups.extend(private.groups);
+    }
+
+    /// Generations holding an entry (0 or 1), entries, and pinned-node
+    /// estimate of this generation.
+    pub fn footprint(&self) -> CacheFootprint {
+        CacheFootprint {
+            tiers: usize::from(!self.is_empty()),
+            ..self.memo.footprint()
+        }
     }
 }
 
-/// Aggregate size of a memo cache: its snapshot chains plus any private
-/// overlay, as reported by the `footprint()` methods across the stack
-/// (frozen caches, `EvalScratch`, `ScratchPool`, sessions, services).
+/// The detachable memo state of an [`crate::Evaluator`] or
+/// [`crate::Expectation`]: an optional shared [`MemoGeneration`], consulted
+/// first, and private maps receiving this holder's new entries (see
+/// [`MemoGeneration`], universe affinity included).
+#[derive(Default)]
+pub struct EvalCache {
+    /// `None` for a plain single-holder cache.
+    generation: Option<Arc<MemoGeneration>>,
+    pub(crate) memo: Memo,
+}
+
+impl EvalCache {
+    /// Empty private maps over a shared generation.
+    pub fn with_generation(generation: Arc<MemoGeneration>) -> Self {
+        Self {
+            generation: Some(generation),
+            memo: Memo::default(),
+        }
+    }
+
+    /// True if this holder memoised nothing privately yet (a backing
+    /// generation may still answer lookups).
+    pub fn is_empty(&self) -> bool {
+        self.memo.len() == 0
+    }
+
+    /// Reads `key` in one of the three maps: the generation's, then the
+    /// private one. A miss there is absent from both, so a private insert
+    /// never shadows a generation entry.
+    pub(crate) fn get<K: Hash + Eq, V: Copy>(
+        &self,
+        map: impl Fn(&Memo) -> &FastMap<K, V>,
+        key: &K,
+    ) -> Option<V> {
+        self.generation
+            .as_ref()
+            .and_then(|g| map(&g.memo).get(key))
+            .or_else(|| map(&self.memo).get(key))
+            .copied()
+    }
+
+    /// Generations holding an entry, entries and pinned-node estimate of
+    /// this cache: the shared generation, if any, plus the private maps.
+    pub fn footprint(&self) -> CacheFootprint {
+        let shared = self.generation.as_deref().map(MemoGeneration::footprint);
+        shared.unwrap_or_default() + self.memo.footprint()
+    }
+}
+
+/// Aggregate size of a memo cache: its shared generation plus any private
+/// maps, as reported by the `footprint()` methods across the stack
+/// (generations, `EvalScratch`, `ScratchPool`, sessions, services).
 ///
 /// Footprints aggregate component-wise with `+` or [`std::iter::Sum`]:
 ///
@@ -147,11 +207,11 @@ impl Default for EvictionPolicy {
 /// ```
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CacheFootprint {
-    /// Frozen snapshot tiers currently holding at least one entry.
+    /// Shared memo generations currently holding at least one entry.
     pub tiers: usize,
-    /// Memo entries across all tiers and private overlays. An upper bound
-    /// on distinct entries: a key shadowed in several tiers counts once
-    /// per tier (shadowed values are bit-identical by construction).
+    /// Memo entries across the generation and private maps. An upper bound
+    /// on distinct entries: a private map never shadows its generation,
+    /// but two holders may each hold a key privately.
     pub entries: usize,
     /// Estimated hash-consed expression nodes pinned alive in the
     /// process-global interner by those entries' keys (each key counts the
@@ -186,320 +246,19 @@ impl std::iter::Sum for CacheFootprint {
     }
 }
 
-/// One tier's worth of entries: the payload a [`TierChain`] stacks,
-/// compacts and folds. Implementations are plain bundles of memo maps —
-/// all merge semantics live here, so the chain mechanics stay generic.
-pub trait TierPayload: Default + Clone {
-    /// Number of entries that count toward the chain-shape policy (the
-    /// count the chain-shape policy weighs young state against the root by).
-    fn len(&self) -> usize;
-
-    /// True if the payload holds nothing at all. May be stricter than
-    /// `len() == 0` when the payload tracks entries [`TierPayload::len`]
-    /// does not count (e.g. pivot-cache entries).
-    fn is_empty(&self) -> bool;
-
-    /// Merges `newer` into `self`, newer entries shadowing. Shared keys
-    /// carry bit-identical values per the determinism contract of the
-    /// frozen caches, so the shadowing direction cannot change results.
-    fn absorb(&mut self, newer: Self);
-}
-
-/// An immutable chain of snapshot tiers, newest first (see module docs).
-/// [`crate::FrozenEvalCache`] and [`crate::FrozenExpectCache`] are
-/// instantiations of this chain over their respective memo payloads.
-pub struct TierChain<P> {
-    /// This tier's entries.
-    pub(crate) payload: P,
-    /// Binding epoch current when this tier's entries were published;
-    /// compactions and folds keep the oldest surviving constituent's tag
-    /// (see the module docs). 0 when the chain is not epoch-tracked.
-    pub(crate) epoch: u64,
-    /// Older tier this one extends (`None` for a flat/root tier).
-    pub(crate) parent: Option<Arc<TierChain<P>>>,
-    /// Chain length including this tier.
-    pub(crate) depth: usize,
-}
-
-impl<P: TierPayload> Default for TierChain<P> {
-    fn default() -> Self {
-        Self {
-            payload: P::default(),
-            epoch: 0,
-            parent: None,
-            depth: 1,
-        }
-    }
-}
-
-impl<P: TierPayload> TierChain<P> {
-    /// The chain of tiers, newest first.
-    pub(crate) fn tiers(&self) -> impl Iterator<Item = &TierChain<P>> {
-        std::iter::successors(Some(self), |t| t.parent.as_deref())
-    }
-
-    /// Policy-counted entries across all tiers (keys shadowed in several
-    /// tiers count once per tier — an upper bound on distinct entries).
-    pub(crate) fn entry_count(&self) -> usize {
-        self.tiers().map(|t| t.payload.len()).sum()
-    }
-
-    /// True if no tier holds any payload entry.
-    pub(crate) fn payloads_empty(&self) -> bool {
-        self.tiers().all(|t| t.payload.is_empty())
-    }
-
-    /// Number of tiers currently holding at least one entry.
-    pub(crate) fn occupied_tiers(&self) -> usize {
-        self.tiers().filter(|t| !t.payload.is_empty()).count()
-    }
-
-    /// The oldest tier of the chain, as an owned handle.
-    pub(crate) fn root_arc(self: &Arc<Self>) -> Arc<Self> {
-        let mut root = Arc::clone(self);
-        while let Some(parent) = &root.parent {
-            let parent = Arc::clone(parent);
-            root = parent;
-        }
-        root
-    }
-
-    /// A flat single-tier chain.
-    fn root_tier(payload: P, epoch: u64) -> Arc<Self> {
-        Arc::new(Self {
-            payload,
-            epoch,
-            parent: None,
-            depth: 1,
-        })
-    }
-
-    /// Merges `newest_first` tiers under `newest` into one payload (older
-    /// entries first, newer shadowing), returning it with the **oldest**
-    /// surviving constituent's epoch tag.
-    fn fold_tiers(newest_first: &[&Self], newest: P, epoch: u64) -> (P, u64) {
-        let Some(oldest) = newest_first.last() else {
-            return (newest, epoch);
-        };
-        let mut acc = oldest.payload.clone();
-        for tier in newest_first[..newest_first.len() - 1].iter().rev() {
-            acc.absorb(tier.payload.clone());
-        }
-        acc.absorb(newest);
-        (acc, oldest.epoch)
-    }
-
-    /// Publishes `payload` — the merged overlays of one run, tagged with
-    /// the current binding `epoch` — on top of `base`, choosing
-    /// push/compact/fold per [`chain_action`]. Whenever a compaction or
-    /// fold rewrites the chain anyway, tiers `policy` considers stale at
-    /// `epoch` are dropped instead of recopied; epoch tags are
-    /// non-increasing from newest to oldest tier, so stale tiers always
-    /// form a suffix of the chain and eviction is a truncation.
-    ///
-    /// Callers handle their cache-specific "nothing new" fast path (empty
-    /// payload → reuse `base` untouched) *before* calling this.
-    pub(crate) fn publish(
-        base: Option<&Arc<Self>>,
-        payload: P,
-        epoch: u64,
-        policy: EvictionPolicy,
-    ) -> Arc<Self> {
-        let Some(base) = base else {
-            return Self::root_tier(payload, epoch);
-        };
-        let root_len = base.root_arc().payload.len();
-        let action = chain_action(
-            base.payloads_empty(),
-            base.depth,
-            base.entry_count() - root_len,
-            root_len,
-            payload.len(),
-        );
-        match action {
-            ChainAction::Root => Self::root_tier(payload, epoch),
-            ChainAction::Push => Arc::new(Self {
-                payload,
-                epoch,
-                parent: Some(Arc::clone(base)),
-                depth: base.depth + 1,
-            }),
-            ChainAction::Compact => {
-                // Young tiers (everything above the root) merge with the
-                // new entries into one tier over the shared root — except
-                // stale young tiers, which are dropped rather than
-                // recopied. A stale root is dropped the same way, making
-                // the compacted tier the new root.
-                let young: Vec<&Self> = base
-                    .tiers()
-                    .take(base.depth - 1)
-                    .take_while(|t| policy.keeps(t.epoch, epoch))
-                    .collect();
-                let (merged, tag) = Self::fold_tiers(&young, payload, epoch);
-                let root = base.root_arc();
-                if policy.keeps(root.epoch, epoch) {
-                    Arc::new(Self {
-                        payload: merged,
-                        epoch: tag,
-                        parent: Some(root),
-                        depth: 2,
-                    })
-                } else {
-                    Self::root_tier(merged, tag)
-                }
-            }
-            ChainAction::Fold => {
-                let live: Vec<&Self> = base
-                    .tiers()
-                    .take_while(|t| policy.keeps(t.epoch, epoch))
-                    .collect();
-                let (merged, tag) = Self::fold_tiers(&live, payload, epoch);
-                Self::root_tier(merged, tag)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
-
-    /// Minimal payload: a plain map, as the frozen caches use.
-    #[derive(Default, Clone)]
-    struct TestTier(HashMap<u32, u32>);
-
-    impl TierPayload for TestTier {
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-
-        fn is_empty(&self) -> bool {
-            self.0.is_empty()
-        }
-
-        fn absorb(&mut self, newer: Self) {
-            self.0.extend(newer.0);
-        }
-    }
-
-    fn tier(entries: &[(u32, u32)]) -> TestTier {
-        TestTier(entries.iter().copied().collect())
-    }
-
-    fn get(chain: &TierChain<TestTier>, key: u32) -> Option<u32> {
-        chain.tiers().find_map(|t| t.payload.0.get(&key).copied())
-    }
 
     #[test]
-    fn policy_keeps_by_epoch_distance() {
-        assert!(EvictionPolicy::Never.keeps(0, u64::MAX));
-        let p = EvictionPolicy::MaxAge(3);
-        assert!(p.keeps(7, 10));
-        assert!(!p.keeps(6, 10));
-        assert!(p.keeps(10, 10));
-        // Epochs from the future (clock reset across KBs) never underflow.
-        assert!(p.keeps(10, 0));
-    }
-
-    #[test]
-    fn pushes_then_compacts_at_max_chain() {
-        let policy = EvictionPolicy::Never;
-        // Big root, so small republishes compact instead of folding.
-        let root: Vec<(u32, u32)> = (100..200).map(|k| (k, k)).collect();
-        let mut chain = TierChain::publish(None, tier(&root), 0, policy);
-        for i in 1..MAX_CHAIN as u32 {
-            chain = TierChain::publish(Some(&chain), tier(&[(i, i)]), u64::from(i), policy);
-            assert_eq!(chain.depth, i as usize + 1);
-        }
-        // One past MAX_CHAIN: young tiers compact over the shared root.
-        let root_before = chain.root_arc();
-        let next = MAX_CHAIN as u32;
-        chain = TierChain::publish(Some(&chain), tier(&[(next, next)]), u64::from(next), policy);
-        assert_eq!(chain.depth, 2);
-        assert!(Arc::ptr_eq(&chain.root_arc(), &root_before));
-        for i in 1..=next {
-            assert_eq!(get(&chain, i), Some(i), "entry {i} survives compaction");
-        }
-        assert_eq!(get(&chain, 150), Some(150), "root entries still answer");
-    }
-
-    #[test]
-    fn folds_when_young_rivals_root() {
-        let policy = EvictionPolicy::Never;
-        let chain = TierChain::publish(None, tier(&[(0, 0), (1, 1)]), 0, policy);
-        let mut chain = chain;
-        for gen in 0..8u32 {
-            let k = 10 + gen;
-            chain = TierChain::publish(Some(&chain), tier(&[(k, k)]), u64::from(gen), policy);
-            assert!(chain.depth <= MAX_CHAIN);
-        }
-        // Everything published must still answer.
-        for k in [0u32, 1, 10, 11, 12, 13, 14, 15, 16, 17] {
-            assert_eq!(get(&chain, k), Some(k));
-        }
-    }
-
-    #[test]
-    fn compaction_tag_is_oldest_constituent() {
-        let policy = EvictionPolicy::Never;
-        // Big root so the chain compacts instead of folding.
-        let root: Vec<(u32, u32)> = (100..200).map(|k| (k, k)).collect();
-        let mut chain = TierChain::publish(None, tier(&root), 1, policy);
-        for gen in 2..=(MAX_CHAIN as u64 + 1) {
-            chain = TierChain::publish(Some(&chain), tier(&[(gen as u32, 0)]), gen, policy);
-        }
-        // The compacted young tier must age from its oldest content (epoch
-        // 2, the first push), not from the compaction epoch.
-        assert_eq!(chain.depth, 2);
-        assert_eq!(chain.epoch, 2);
-        assert_eq!(chain.root_arc().epoch, 1);
-    }
-
-    #[test]
-    fn stale_tiers_evict_at_fold_and_compact() {
-        let policy = EvictionPolicy::MaxAge(2);
-        // Root published at epoch 0, then young tiers at 10, 11, 12: at the
-        // next rewrite (epoch 13) the root and the epoch-10 tier are stale
-        // (age > 2) while the 11/12 tiers are within the window.
-        let mut chain = TierChain::publish(None, tier(&[(0, 0)]), 0, policy);
-        for gen in [10u64, 11, 12] {
-            chain = TierChain::publish(Some(&chain), tier(&[(gen as u32, 1)]), gen, policy);
-        }
-        assert_eq!(chain.depth, MAX_CHAIN);
-        assert_eq!(get(&chain, 0), Some(0), "pushes never evict");
-        chain = TierChain::publish(Some(&chain), tier(&[(13, 1)]), 13, policy);
-        assert_eq!(chain.depth, 1, "full fold, stale root dropped");
-        assert_eq!(get(&chain, 0), None, "stale root dropped at the rewrite");
-        assert_eq!(get(&chain, 10), None, "stale young tier dropped too");
-        for k in [11u32, 12, 13] {
-            assert_eq!(get(&chain, k), Some(1), "fresh tier {k} survives");
-        }
-        // Filling the chain again far in the future ages everything out:
-        // only tiers within the window of the final rewrite remain.
-        for gen in [1000u64, 1001, 1002, 1003] {
-            chain = TierChain::publish(Some(&chain), tier(&[(gen as u32, 2)]), gen, policy);
-        }
-        assert_eq!(chain.entry_count(), 3, "old root and stale push evicted");
-        assert_eq!(get(&chain, 11), None);
-        assert_eq!(get(&chain, 1000), None, "aged out of the final window");
-        for k in [1001u32, 1002, 1003] {
-            assert_eq!(get(&chain, k), Some(2));
-        }
-    }
-
-    #[test]
-    fn never_policy_never_drops() {
-        let policy = EvictionPolicy::Never;
-        let mut chain = TierChain::publish(None, tier(&[(0, 0)]), 0, policy);
-        for gen in 1..32u64 {
-            chain =
-                TierChain::publish(Some(&chain), tier(&[(gen as u32, gen as u32)]), gen, policy);
-            assert!(chain.depth <= MAX_CHAIN);
-        }
-        for k in 0..32u32 {
-            assert_eq!(get(&chain, k), Some(k), "entry {k} retained forever");
-        }
+    fn expiry_is_by_epoch_distance() {
+        let generation = MemoGeneration::new(10);
+        assert!(!generation.expired(10));
+        assert!(!generation.expired(10 + MAX_AGE));
+        assert!(generation.expired(11 + MAX_AGE));
+        // An epoch from before the start (an older snapshot) never
+        // underflows into expiry.
+        assert!(!generation.expired(0));
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! ```
 //!
 //! Serving many users is one [`prelude::RankingService`]: per-tenant
-//! cached sessions (LRU-capped), one shared bounded evaluation tier,
+//! cached sessions (LRU-capped), one shared bounded memo generation,
 //! typed `rank`/`rank_group`/`assert` requests and batch coalescing.
 //! Opened durable (`open_durable`), the service journals every mutation
 //! to a checksummed, segmented WAL and checkpoints snapshots — with
@@ -69,12 +69,12 @@ pub mod prelude {
     pub use capra_core::{
         bind_rules, bind_rules_shared, explain, group_scores, rank, rank_top_k, score_group,
         BatchStats, CacheFootprint, CacheStats, CompactionPolicy, CoreError, CorrelationPolicy,
-        DocScore, Episode, EvictionPolicy, Explanation, FactorizedEngine, FlushPolicy,
-        GroupStrategy, HistoryLog, Kb, LineageEngine, MinedRule, NaiveEnumEngine, NaiveViewEngine,
-        Offer, PersistError, PreferenceRule, QueueConfig, QueueStats, RankingService, ReplayReport,
-        ReplicaService, ReplicaStats, RuleRepository, Score, ScoringEngine, ScoringEnv,
-        ScoringSession, ServiceConfig, ServiceHandle, ServiceQueue, ServiceStats, SessionStats,
-        SharedSnapshot, WalStats, Workload, WorkloadFact, WorkloadMeta, WorkloadRecord,
+        DocScore, Episode, Explanation, FactorizedEngine, FlushPolicy, GroupStrategy, HistoryLog,
+        Kb, LineageEngine, MinedRule, NaiveEnumEngine, NaiveViewEngine, Offer, PersistError,
+        PreferenceRule, QueueConfig, QueueStats, RankingService, ReplayReport, ReplicaService,
+        ReplicaStats, RuleRepository, Score, ScoringEngine, ScoringEnv, ScoringSession,
+        ServiceConfig, ServiceHandle, ServiceQueue, ServiceStats, SessionStats, SharedSnapshot,
+        WalStats, Workload, WorkloadFact, WorkloadMeta, WorkloadRecord,
     };
     pub use capra_core::{replay_workload, workload_service};
     pub use capra_dl::{parse_concept, ABox, Concept, Reasoner, TBox, Vocabulary};

@@ -66,18 +66,6 @@ pub fn bits(scores: &[DocScore]) -> Vec<(IndividualId, u64)> {
     scores.iter().map(|s| (s.doc, s.score.to_bits())).collect()
 }
 
-/// Maps a random draw onto an eviction policy, so every property also holds
-/// under aggressive tier eviction (`MaxAge(1)` drops memo tiers after
-/// nearly every mutation, forcing constant deterministic recomputes) and
-/// under the grow-only escape hatch.
-pub fn decode_policy(sel: u8) -> EvictionPolicy {
-    match sel % 3 {
-        0 => EvictionPolicy::Never,
-        1 => EvictionPolicy::MaxAge(1),
-        _ => EvictionPolicy::default(),
-    }
-}
-
 /// The cold reference: bind from scratch, score everything, rank, cut.
 pub fn cold_rank<E: ScoringEngine + ?Sized>(
     engine: &E,

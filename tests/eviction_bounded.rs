@@ -1,20 +1,24 @@
 //! Serving-loop leak regression: a session over a KB that mutates **every
 //! call** (re-asserted facts mint fresh variables, superseding last call's
-//! expressions) must keep a *bounded* evaluation-memo footprint under an
-//! epoch [`EvictionPolicy`] — while every call stays bit-identical to a
-//! cold `bind_rules` + `score_all` run — for all four engines, through a
-//! session (whose memos are its own) and through a `RankingService` (whose
-//! memos are the pool every tenant shares).
+//! expressions) must keep a *bounded* evaluation-memo footprint — its memo
+//! generation is dropped once the binding epoch is more than [`MAX_AGE`]
+//! past its start — while every call stays bit-identical to a cold
+//! `bind_rules` + `score_all` run, for all four engines, through a session
+//! (whose memos are its own) and through a `RankingService` (whose memos
+//! are the generation every tenant shares).
 //!
-//! The loop runs 48 mutate-and-score calls, i.e. well over 10 × the
-//! snapshot chain bound (`MAX_CHAIN` = 4 tiers), so the chains compact and
-//! fold many times and eviction gets exercised at both rewrite kinds.
+//! The loop runs 48 mutate-and-score calls, well over ten times the calls
+//! one generation lives, so generations are dropped many times.
 
+use capra::core::MAX_AGE;
 use capra::prelude::*;
 
-/// Calls in the serving loop (> 10 × the MAX_CHAIN=4 republish bound).
+/// Calls in the serving loop.
 const CALLS: usize = 48;
 const N_DOCS: usize = 5;
+/// Binding epochs one call moves: it asserts 2 + 3·N_DOCS facts and
+/// registers N_DOCS individuals, and each of them is one epoch.
+const EPOCHS_PER_CALL: u64 = 2 + 4 * N_DOCS as u64;
 
 fn fixture() -> (Kb, RuleRepository, capra::dl::IndividualId) {
     let mut kb = Kb::new();
@@ -94,22 +98,19 @@ fn mutate(
         .collect()
 }
 
-/// Drives the loop for one engine through `bounded` and `unbounded`
-/// score-call closures, checking bit-identity against a cold run each
-/// call, and returns the per-call footprint-entry series of both.
+/// Drives the loop for one engine through `score`, checking bit-identity
+/// against a cold run each call, and returns the footprint-entry series
+/// after each call.
 type ScoreCall<'s> =
     &'s mut dyn FnMut(&ScoringEnv<'_>, &[capra::dl::IndividualId]) -> (Vec<DocScore>, usize);
 
-fn run_loop<E: ScoringEngine + Sync + ?Sized>(
-    engine: &E,
-    score_bounded: ScoreCall<'_>,
-    score_unbounded: ScoreCall<'_>,
-) -> (Vec<usize>, Vec<usize>) {
+fn run_loop<E: ScoringEngine + Sync + ?Sized>(engine: &E, score: ScoreCall<'_>) -> Vec<usize> {
     let (mut kb, rules, user) = fixture();
-    let mut bounded_series = Vec::with_capacity(CALLS);
-    let mut unbounded_series = Vec::with_capacity(CALLS);
+    let mut series = Vec::with_capacity(CALLS);
     for call in 0..CALLS {
+        let before = kb.binding_epoch();
         let docs = mutate(&mut kb, user, call);
+        assert_eq!(kb.binding_epoch() - before, EPOCHS_PER_CALL);
         let env = ScoringEnv {
             kb: &kb,
             rules: &rules,
@@ -117,69 +118,66 @@ fn run_loop<E: ScoringEngine + Sync + ?Sized>(
         };
         // The cold reference: a fresh `bind_rules` + scoring run.
         let cold = engine.score_all(&env, &docs).unwrap();
-        for (label, (scores, entries), series) in [
-            ("bounded", score_bounded(&env, &docs), &mut bounded_series),
-            (
-                "unbounded",
-                score_unbounded(&env, &docs),
-                &mut unbounded_series,
-            ),
-        ] {
-            assert_eq!(scores.len(), cold.len());
-            for (a, b) in cold.iter().zip(&scores) {
-                assert_eq!(a.doc, b.doc);
-                assert_eq!(
-                    a.score.to_bits(),
-                    b.score.to_bits(),
-                    "{} call {call} ({label}): {} vs {}",
-                    engine.name(),
-                    a.score,
-                    b.score
-                );
-            }
-            series.push(entries);
+        let (scores, entries) = score(&env, &docs);
+        assert_eq!(scores.len(), cold.len());
+        for (a, b) in cold.iter().zip(&scores) {
+            assert_eq!(a.doc, b.doc);
+            assert_eq!(
+                a.score.to_bits(),
+                b.score.to_bits(),
+                "{} call {call}: {} vs {}",
+                engine.name(),
+                a.score,
+                b.score
+            );
         }
+        series.push(entries);
     }
-    (bounded_series, unbounded_series)
+    series
 }
 
-/// Footprint assertions shared by the session and service variants: the
-/// evicting session flattens out (its second-half peak does not exceed
-/// its first-half peak) and ends well below the grow-only session, which
-/// demonstrably leaks on this workload. The entry counts are deterministic
-/// (and the same in a session's own memos as in a service's shared pool),
-/// so they are pinned exactly, as recorded at PR 22: retention creeping up
-/// by one tier, or the `Never` reference no longer holding everything,
-/// fails here.
-fn assert_bounded(engine: &str, bounded: &[usize], unbounded: &[usize]) {
+/// Footprint assertions shared by the session and service variants.
+///
+/// Per-call work is constant — but for call 0, whose contexts are single
+/// atoms where every later call's are re-asserted disjunctions — so what
+/// call 1 adds is what any call adds, and a memo that kept everything
+/// would end at `CALLS ×` that; the loop must end under half of it. And
+/// since a generation is dropped once the epoch is more than `MAX_AGE`
+/// past its start, it holds at most the calls that fit in that window plus
+/// the one that drops it: every point of the series is at most
+/// `(⌈MAX_AGE / EPOCHS_PER_CALL⌉ + 1) ×` one call's entries. The series
+/// itself is deterministic, and the same in a session's own memos as in a
+/// service's shared generation (the session drops before a call and keeps
+/// its entries, the pool drops at the give-back after it and absorbs them,
+/// so both end a call holding the same calls), so it is pinned exactly:
+/// per engine, the first three points and the period of three calls it
+/// repeats from call 3 on.
+fn assert_bounded(engine: &str, series: &[usize]) {
     let pinned = match engine {
-        "naive-view" => [522, 522, 2086, 4174],
-        "naive-enum" => [42, 42, 166, 334],
+        "naive-view" => [85, 172, 259, 87, 174, 261],
+        "naive-enum" => [5, 12, 19, 7, 14, 21],
         // The same features, but no context: a binding keeps its own.
-        "factorized" => [30, 30, 120, 240],
-        "lineage" => [162, 162, 646, 1294],
+        "factorized" => [5, 10, 15, 5, 10, 15],
+        "lineage" => [25, 52, 79, 27, 54, 81],
         other => panic!("no pinned footprint for engine {other}"),
     };
-    let at = |series: &[usize]| [series[CALLS / 2 - 1], series[CALLS - 1]];
-    assert_eq!(
-        [at(bounded), at(unbounded)].concat(),
-        pinned,
-        "{engine}: footprint entries [MaxAge mid, MaxAge end, Never mid, Never end]"
-    );
-    let first_peak = *bounded[..CALLS / 2].iter().max().unwrap();
-    let second_peak = *bounded[CALLS / 2..].iter().max().unwrap();
+    let want: Vec<usize> = (0..CALLS)
+        .map(|call| pinned[if call < 3 { call } else { 3 + call % 3 }])
+        .collect();
+    assert_eq!(series, want, "{engine}: footprint entries per call");
+    let per_call = series[1] - series[0];
+    assert!(per_call > 0, "{engine}: the loop memoises something");
+    let leak = CALLS * per_call;
+    let end = *series.last().unwrap();
     assert!(
-        second_peak <= first_peak,
-        "{engine}: footprint must be flat after warm-up \
-         (first-half peak {first_peak}, second-half peak {second_peak})"
+        2 * end < leak,
+        "{engine}: {end} entries at the end, a leak would hold {leak}"
     );
-    let bounded_end = *bounded.last().unwrap();
-    let unbounded_end = *unbounded.last().unwrap();
+    let window = MAX_AGE.div_ceil(EPOCHS_PER_CALL) as usize + 1;
+    let peak = *series.iter().max().unwrap();
     assert!(
-        unbounded_end > 2 * bounded_end.max(1),
-        "{engine}: the Never policy must keep leaking where eviction stays \
-         bounded ({unbounded_end} vs {bounded_end} entries) — otherwise \
-         this test no longer exercises the leak"
+        peak <= window * per_call,
+        "{engine}: peak {peak} past {window} calls of {per_call} entries"
     );
 }
 
@@ -192,70 +190,45 @@ fn engines() -> Vec<Box<dyn ScoringEngine + Sync>> {
     ]
 }
 
-/// An age limit of roughly two calls on this workload (each call asserts
-/// 2 + 3·N_DOCS facts and registers N_DOCS individuals, bumping the
-/// binding epoch by every one of them).
-const AGE: u64 = 2 * (2 + 4 * N_DOCS as u64);
-
 #[test]
 fn sequential_session_footprint_is_bounded_in_mutating_loop() {
     for engine in engines() {
-        let mut bounded = ScoringSession::with_policy(EvictionPolicy::MaxAge(AGE));
-        let mut unbounded = ScoringSession::with_policy(EvictionPolicy::Never);
-        let (b, u) = run_loop(
-            engine.as_ref(),
-            &mut |env, docs| {
-                let scores = bounded.score_all(engine.as_ref(), env, docs).unwrap();
-                (scores, bounded.stats().footprint.entries)
-            },
-            &mut |env, docs| {
-                let scores = unbounded.score_all(engine.as_ref(), env, docs).unwrap();
-                (scores, unbounded.stats().footprint.entries)
-            },
-        );
-        assert_bounded(engine.name(), &b, &u);
+        let mut session = ScoringSession::new();
+        let series = run_loop(engine.as_ref(), &mut |env, docs| {
+            let scores = session.score_all(engine.as_ref(), env, docs).unwrap();
+            (scores, session.stats().footprint.entries)
+        });
+        assert_bounded(engine.name(), &series);
     }
 }
 
-/// The same loop through a service: the memos are the shared pool's, aged
-/// at each republish, and every request is a context switch followed by a
-/// rank of candidates nobody has seen.
+/// The same loop through a service: the memos are the shared generation,
+/// checked for age at each give-back, and every request is a context
+/// switch followed by a rank of candidates nobody has seen.
 #[test]
 fn service_footprint_is_bounded_in_mutating_loop() {
-    for (engine, twin) in engines().into_iter().zip(engines()) {
+    for engine in engines() {
         let name = engine.name();
         let (kb, rules, user) = fixture();
-        let services = [
-            (engine, EvictionPolicy::MaxAge(AGE)),
-            (twin, EvictionPolicy::Never),
-        ]
-        .map(|(engine, policy)| {
-            let config = ServiceConfig {
-                policy,
-                ..ServiceConfig::default()
-            };
-            RankingService::with_config(engine, kb.clone(), rules.clone(), config)
-        });
-        let mut series = [Vec::with_capacity(CALLS), Vec::with_capacity(CALLS)];
+        let service = RankingService::new(engine, kb, rules);
+        let mut series = Vec::with_capacity(CALLS);
         for call in 0..CALLS {
-            for (mut service, series) in services.iter().zip(&mut series) {
-                let docs = mutate(&mut service, user, call);
-                let snap = service.snapshot();
-                let env = ScoringEnv {
-                    kb: snap.kb(),
-                    rules: snap.rules(),
-                    user,
-                };
-                let cold = rank(service.engine().score_all(&env, &docs).unwrap());
-                let got = service.rank(user, &docs, docs.len()).unwrap();
-                assert_eq!(cold.len(), got.len());
-                for (a, b) in cold.iter().zip(&got) {
-                    assert_eq!(a.doc, b.doc);
-                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "{name} call {call}");
-                }
-                series.push(service.stats().sessions.footprint.entries);
+            let docs = mutate(&mut &service, user, call);
+            let snap = service.snapshot();
+            let env = ScoringEnv {
+                kb: snap.kb(),
+                rules: snap.rules(),
+                user,
+            };
+            let cold = rank(service.engine().score_all(&env, &docs).unwrap());
+            let got = service.rank(user, &docs, docs.len()).unwrap();
+            assert_eq!(cold.len(), got.len());
+            for (a, b) in cold.iter().zip(&got) {
+                assert_eq!(a.doc, b.doc);
+                assert_eq!(a.score.to_bits(), b.score.to_bits(), "{name} call {call}");
             }
+            series.push(service.stats().sessions.footprint.entries);
         }
-        assert_bounded(name, &series[0], &series[1]);
+        assert_bounded(name, &series);
     }
 }

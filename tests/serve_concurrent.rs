@@ -2,14 +2,17 @@
 //! interleavings must stay bit-identical to a sequential replay.
 //!
 //! Four angles, each across all four engines with randomized shard
-//! counts and snapshot-tier eviction policies:
+//! counts:
 //!
 //! * **Disjoint tenants** — threads own distinct users and mutate only
-//!   their own context through one shared `&RankingService`. After the
+//!   their own context through one shared `&RankingService`, while one
+//!   more thread asserts more than [`MAX_AGE`] facts on a bystander no
+//!   rule reads, so the shared memo generation expires and is dropped at
+//!   some give-back while other threads hold scratches over it. After the
 //!   threads join, every user's rank must be bit-identical to a *cold
 //!   twin service* rebuilt from the converged KB — the whole warm cache
-//!   stack (sharded tenants, shared scratch, epoch snapshots) must be
-//!   invisible no matter how the asserts interleaved. (Exact inference
+//!   stack (sharded tenants, the shared memo generation, epoch snapshots)
+//!   must be invisible no matter how the asserts interleaved. (Exact inference
 //!   sums in universe-variable order, which is the global commit order,
 //!   so the oracle must share the concurrent run's universe — a
 //!   per-thread replay can drift in the last ulp by design.)
@@ -33,7 +36,7 @@
 //! takes `&self`. Set `CAPRA_STRESS_ITERS` to repeat the interleaving
 //! with fresh seeds (CI runs a multi-iteration pass).
 
-use capra::core::BindingCache;
+use capra::core::{BindingCache, MAX_AGE};
 use capra::dl::IndividualId;
 use capra::prelude::*;
 use std::path::PathBuf;
@@ -80,14 +83,6 @@ fn stress_iters() -> u64 {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(1)
-}
-
-fn decode_policy(sel: u64) -> EvictionPolicy {
-    match sel % 3 {
-        0 => EvictionPolicy::Never,
-        1 => EvictionPolicy::MaxAge(1),
-        _ => EvictionPolicy::default(),
-    }
 }
 
 fn engines() -> Vec<(&'static str, Box<dyn ScoringEngine + Send + Sync>)> {
@@ -142,7 +137,6 @@ fn config(seed: u64) -> ServiceConfig {
         shards: 1 + rng.below(4),
         // Cap below the user count so eviction races the rank paths.
         max_sessions: 2,
-        policy: decode_policy(rng.next()),
         ..ServiceConfig::default()
     }
 }
@@ -210,19 +204,31 @@ fn cold_twin(
 
 /// Disjoint tenants: N threads hammer one shared `&RankingService`, each
 /// mutating only its own user's context, each verifying FIFO visibility
-/// of its *own* asserts mid-flight (the published epoch only grows).
-/// After the join, every user's rank and a whole-group rank must be
-/// bit-identical to the cold twin.
+/// of its *own* asserts mid-flight (the published epoch only grows),
+/// beside a burst of more than `MAX_AGE` asserts on a bystander that
+/// expires the shared memo generation mid-run. After the join, every
+/// user's rank and a whole-group rank must be bit-identical to the cold
+/// twin.
 #[test]
 fn disjoint_tenants_converge_to_the_cold_oracle() {
     for iter in 0..stress_iters() {
         for (name, engine) in engines() {
             let seed = 0x9e37 ^ (iter << 8) ^ name.len() as u64;
-            let (kb, rules, users, docs) = fixture();
-            let service =
-                RankingService::with_config(engine, kb.clone(), rules.clone(), config(seed));
+            let (mut kb, rules, users, docs) = fixture();
+            let bystander = kb.individual("bystander");
+            let service = RankingService::with_config(engine, kb, rules, config(seed));
 
             thread::scope(|scope| {
+                scope.spawn(|| {
+                    // Each assert moves the binding epoch by one, so the
+                    // burst outlives any generation started before it.
+                    for i in 0..=MAX_AGE {
+                        let p = 0.05 + 0.9 * (i % 10) as f64 / 10.0;
+                        service
+                            .assert(bystander, Fact::ConceptProb("Idle".into(), p))
+                            .unwrap();
+                    }
+                });
                 for (t, &user) in users.iter().enumerate() {
                     let service = &service;
                     let docs = &docs;

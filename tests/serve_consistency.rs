@@ -1,11 +1,11 @@
 //! Serving-layer coverage: a [`RankingService`]'s whole cache stack —
-//! LRU-capped tenant sessions, shared evaluation-snapshot tier, score
-//! caches — must be *invisible*. After arbitrary interleaved
+//! LRU-capped tenant sessions, the shared memo generation, score caches —
+//! must be *invisible*. After arbitrary interleaved
 //! assert/rank sequences, every rank served by the service is
 //! bit-identical to a cold `bind_rules` + `score_all` + `rank` for the
 //! same user, for all four engines, under an aggressive session cap
-//! (LRU cap 2, so tenants are constantly evicted and re-derived) and a
-//! randomized snapshot-tier [`EvictionPolicy`]. A lineage service is held
+//! (LRU cap 2, so tenants are constantly evicted and re-derived). A
+//! lineage service is held
 //! to the test-side factor reference of `tests/common` as well, on either
 //! of the engine's two routes.
 //!
@@ -364,8 +364,8 @@ proptest! {
     /// The serving-layer tentpole property: whatever interleaving of
     /// context switches, feature updates and rank requests a service
     /// absorbs — while its LRU cap (2 sessions for 4 users) churns tenants
-    /// and a random eviction policy ages the shared snapshot tier — every
-    /// response is bit-identical to the cold path, for all four engines.
+    /// — every response is bit-identical to the cold path, for all four
+    /// engines.
     #[test]
     fn service_matches_cold_bind_under_eviction(
         ops in prop::collection::vec(
@@ -379,7 +379,6 @@ proptest! {
             ),
             1..8,
         ),
-        policy_sel in any::<u8>(),
         shards in 1usize..=4,
     ) {
         let (kb, rules, users, docs) = fixture();
@@ -403,7 +402,6 @@ proptest! {
                 ServiceConfig {
                     shards,
                     max_sessions: 2,
-                    policy: common::decode_policy(policy_sel),
                     ..ServiceConfig::default()
                 },
             );
@@ -446,12 +444,12 @@ proptest! {
 
     /// The serving-layer two-route property: a lineage service absorbing
     /// an interleaved assert/rank/rank_group sequence — under LRU tenant
-    /// churn and a random snapshot eviction policy — answers every request
+    /// churn — answers every request
     /// with the test-side factor reference on the snapshot it served, bit
     /// for bit. With
     /// `entangle`, doc0's two features read one sensor: the lane test
     /// rejects doc0 alone, so exact evaluations and closed-form lanes share
-    /// batches, tenants and the memo tier.
+    /// batches, tenants and the memo generation.
     #[test]
     fn lineage_service_matches_factor_reference_under_eviction(
         ops in prop::collection::vec(
@@ -465,7 +463,6 @@ proptest! {
             ),
             1..7,
         ),
-        policy_sel in any::<u8>(),
         entangle in any::<bool>(),
     ) {
         let (mut kb, rules, users, docs) = fixture();
@@ -484,7 +481,6 @@ proptest! {
             rules,
             ServiceConfig {
                 max_sessions: 2,
-                policy: common::decode_policy(policy_sel),
                 ..ServiceConfig::default()
             },
         );
@@ -550,12 +546,10 @@ proptest! {
             ),
             1..10,
         ),
-        policy_sel in any::<u8>(),
     ) {
         let (kb, rules, users, docs) = fixture();
         let config = ServiceConfig {
             max_sessions: 2,
-            policy: common::decode_policy(policy_sel),
             ..ServiceConfig::default()
         };
         let batched = RankingService::with_config(

@@ -100,7 +100,6 @@ proptest! {
             (any::<u8>(), 0usize..N_DOCS, 0usize..N_FEATS, 0.05f64..=0.95),
             1..7,
         ),
-        policy_sel in any::<u8>(),
     ) {
         let (mut kb, rules, user, docs) = fixture();
         // Each doc starts with Feat0 so rules are never globally vacuous.
@@ -116,10 +115,8 @@ proptest! {
             Box::new(LineageEngine::new()),
         ];
         // ONE session serves all engines (cache keys include the engine) and
-        // survives every mutation of the sequence — under an arbitrary
-        // eviction policy, since eviction may only force recomputes, never
-        // change a bit.
-        let mut session = ScoringSession::with_policy(common::decode_policy(policy_sel));
+        // survives every mutation of the sequence.
+        let mut session = ScoringSession::new();
         for &(kind, doc, feat, p) in &ops {
             apply(&mut kb, user, &docs, decode_op(kind, doc, feat, p));
             let env = ScoringEnv { kb: &kb, rules: &rules, user };
@@ -146,7 +143,7 @@ proptest! {
     }
 
     /// The two-route property: through a live session — under interleaved
-    /// epoch-bumping mutations and random eviction policies —
+    /// epoch-bumping mutations —
     /// `LineageEngine` returns the test-side factor reference bit for bit,
     /// whichever route a document took: whole batches, one-lane batches
     /// and top-k chunks alike. With `entangle`,
@@ -160,7 +157,6 @@ proptest! {
             1..6,
         ),
         k in 1usize..=N_DOCS,
-        policy_sel in any::<u8>(),
         entangle in any::<bool>(),
     ) {
         let (mut kb, rules, user, docs) = fixture();
@@ -177,7 +173,7 @@ proptest! {
         }
 
         let lineage = LineageEngine::new();
-        let mut session = ScoringSession::with_policy(common::decode_policy(policy_sel));
+        let mut session = ScoringSession::new();
         for &(kind, doc, feat, p) in &ops {
             apply(&mut kb, user, &docs, decode_op(kind, doc, feat, p));
             let env = ScoringEnv { kb: &kb, rules: &rules, user };

@@ -5,9 +5,9 @@
 //!   exact same bytes (and the same FNV file digest).
 //! * **Replay**: replaying one file twice — same engine, fresh services
 //!   — produces *identical transcript hashes*, for every engine and
-//!   under randomized service configurations (tiny session caps, the
-//!   aggressive `MaxAge(1)` eviction policy): caches and eviction may
-//!   change who pays to derive a score, never the transcript.
+//!   under randomized session caps small enough to evict tenants: caches
+//!   and eviction may change who pays to derive a score, never the
+//!   transcript.
 //! * **Pins**: the tiny pack of each domain replays to a recorded
 //!   transcript hash, so a response that changes *between commits* fails
 //!   here instead of passing two self-consistent replays.
@@ -46,16 +46,10 @@ fn engine(sel: u8) -> Box<dyn ScoringEngine + Sync> {
     }
 }
 
-/// Random draw → service configuration, including the aggressive
-/// `MaxAge(1)` policy and a session cap small enough to evict tenants
-/// mid-replay.
-fn config(policy_sel: u8, sessions_sel: u8) -> ServiceConfig {
+/// Random draw → service configuration with a session cap small enough to
+/// evict tenants mid-replay.
+fn config(sessions_sel: u8) -> ServiceConfig {
     ServiceConfig {
-        policy: match policy_sel % 3 {
-            0 => EvictionPolicy::Never,
-            1 => EvictionPolicy::MaxAge(1),
-            _ => EvictionPolicy::default(),
-        },
         max_sessions: 1 + (sessions_sel % 4) as usize,
         ..ServiceConfig::default()
     }
@@ -121,8 +115,8 @@ proptest! {
         prop_assert_eq!(&back.records, &w.records);
     }
 
-    /// Two replays of one file agree bit-for-bit, whatever engine,
-    /// eviction policy or session cap serves them — and a
+    /// Two replays of one file agree bit-for-bit, whatever engine or
+    /// session cap serves them — and a
     /// decode of the encoded file replays to the same transcript as the
     /// in-memory original.
     #[test]
@@ -130,20 +124,19 @@ proptest! {
         domain in 0u8..3,
         seed in 0u64..1000,
         engine_sel in 0u8..4,
-        policy_a in 0u8..3,
-        policy_b in 0u8..3,
-        sessions in 0u8..4,
+        sessions_a in 0u8..4,
+        sessions_b in 0u8..4,
     ) {
         let w = build(domain, seed);
         let decoded = Workload::decode(&w.encode()).unwrap();
 
-        let replay = |w: &Workload, policy: u8| {
-            let svc = workload_service(engine(engine_sel), config(policy, sessions), w);
+        let replay = |w: &Workload, sessions: u8| {
+            let svc = workload_service(engine(engine_sel), config(sessions), w);
             replay_workload(&svc, w).unwrap()
         };
-        let a = replay(&w, policy_a);
-        let b = replay(&w, policy_b);
-        let c = replay(&decoded, policy_a);
+        let a = replay(&w, sessions_a);
+        let b = replay(&w, sessions_b);
+        let c = replay(&decoded, sessions_a);
         prop_assert_eq!(a, b);
         prop_assert_eq!(a, c);
         prop_assert_eq!(a.requests as usize, w.records.len());
