@@ -1,5 +1,4 @@
-//! Engine throughput at a fixed rule count: documents scored per second,
-//! plus the pruning ablation.
+//! Engine throughput at a fixed rule count: documents scored per second.
 
 use capra_bench::{bench_db_config, ScalingWorkload};
 use capra_core::{FactorizedEngine, LineageEngine, NaiveEnumEngine, ScoringEngine};
@@ -29,45 +28,5 @@ fn engine_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation: rule-applicability pruning in the lineage engine. Half the
-/// rules reference contexts that never apply; pruning should skip them.
-fn pruning_ablation(c: &mut Criterion) {
-    let workload = ScalingWorkload::new(bench_db_config(), &[8]);
-    let (_, rules) = &workload.rule_sets[0];
-    // Extend with 8 inapplicable rules.
-    let mut padded = rules.clone();
-    let mut db_kb = workload.db.kb.clone();
-    for i in 0..8 {
-        padded
-            .add(capra_core::PreferenceRule::new(
-                format!("never-{i}"),
-                db_kb.parse(&format!("NeverHappens_{i}")).expect("concept"),
-                db_kb.parse("TvProgram").expect("concept"),
-                capra_core::Score::new(0.5).expect("score"),
-            ))
-            .expect("unique");
-    }
-    let env = capra_core::ScoringEnv {
-        kb: &db_kb,
-        rules: &padded,
-        user: workload.db.user,
-    };
-    let docs = &workload.docs()[..20];
-
-    let mut group = c.benchmark_group("pruning_ablation");
-    group.sample_size(15);
-    group.bench_function("lineage/prune-on", |b| {
-        let engine = LineageEngine::new();
-        b.iter(|| engine.score_all(&env, docs).expect("scores"));
-    });
-    group.bench_function("lineage/prune-off", |b| {
-        let engine = LineageEngine {
-            prune_inapplicable: false,
-        };
-        b.iter(|| engine.score_all(&env, docs).expect("scores"));
-    });
-    group.finish();
-}
-
-criterion_group!(benches, engine_throughput, pruning_ablation);
+criterion_group!(benches, engine_throughput);
 criterion_main!(benches);

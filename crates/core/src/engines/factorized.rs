@@ -5,7 +5,7 @@ use capra_dl::IndividualId;
 use capra_events::{BatchEvaluator, EventExpr, VarId};
 
 use crate::bind::RuleBinding;
-use crate::engines::{Cell, DocScore, EvalScratch, ScoringEngine};
+use crate::engines::{DocScore, EvalScratch, Rows, ScoringEngine};
 use crate::{CoreError, Result, ScoringEnv};
 
 /// What to do when rule events share random variables (i.e. features are
@@ -87,30 +87,35 @@ impl FactorizedEngine {
         Ok(owner)
     }
 
-    /// Verifies that no variable backs two different rule events of the
-    /// document whose feature row is `row`.
+    /// Verifies that no variable backs two different rule events of
+    /// `slot`'s document, read off the columns of every rule in `rows`.
     /// Context–context conflicts were ruled out by [`Self::context_owners`];
     /// here a preference variable conflicts if it appears in *any* context
     /// event (context and preference of one rule are distinct events whose
     /// independence also matters) or in another rule's preference event.
     /// Supports come from the per-node caches — no tree walks.
     fn check_doc_independence(
-        row: &[Cell],
+        rows: &Rows<'_>,
+        rules: usize,
+        slot: usize,
         ctx_owner: &HashMap<VarId, usize>,
         scratch: &mut HashMap<VarId, usize>,
         kb: &crate::Kb,
     ) -> Result<()> {
         scratch.clear();
         // A rule without a cell has the event `False`: empty support.
-        for cell in row {
-            for &var in cell.event.support_slice() {
+        for rule in 0..rules {
+            let Some(event) = rows.column(rule).event(slot) else {
+                continue;
+            };
+            for &var in event.support_slice() {
                 if ctx_owner.contains_key(&var) {
                     return Err(Self::correlated(kb, var));
                 }
                 match scratch.get(&var) {
-                    Some(&prev) if prev != cell.rule => return Err(Self::correlated(kb, var)),
+                    Some(&prev) if prev != rule => return Err(Self::correlated(kb, var)),
                     _ => {
-                        scratch.insert(var, cell.rule);
+                        scratch.insert(var, rule);
                     }
                 }
             }
@@ -181,7 +186,9 @@ impl ScoringEngine for FactorizedEngine {
                 let mut owner_scratch: HashMap<VarId, usize> = HashMap::new();
                 for slot in 0..docs.len() {
                     Self::check_doc_independence(
-                        rows.row(slot),
+                        &rows,
+                        bindings.len(),
+                        slot,
                         &ctx_owner,
                         &mut owner_scratch,
                         env.kb,
@@ -234,7 +241,9 @@ impl ScoringEngine for FactorizedEngine {
                         let mut owner_scratch: HashMap<VarId, usize> = HashMap::new();
                         for slot in 0..docs.len() {
                             Self::check_doc_independence(
-                                rows.row(slot),
+                                &rows,
+                                bindings.len(),
+                                slot,
                                 &ctx_owner,
                                 &mut owner_scratch,
                                 env.kb,
@@ -243,26 +252,18 @@ impl ScoringEngine for FactorizedEngine {
                     }
                 }
                 let mut scores = vec![1.0f64; docs.len()];
-                // Each rule sweep reads its column off the documents' feature
-                // rows; a document without a cell under the rule has the
-                // event `False`.
+                // Each rule sweep reads the rule's feature column at the
+                // documents' rows; a document without a cell under the rule
+                // has the event `False`.
                 let mut column: Vec<EventExpr> = Vec::with_capacity(docs.len());
-                // Rules come in ascending order, like a row's cells: one
-                // cursor per slot walks its row once over all the sweeps.
-                let mut cursors = vec![0usize; docs.len()];
                 for &(rule, b) in &applicable {
                     let pg = b.context_prob(&env.kb.universe);
+                    let cells = rows.column(rule);
                     column.clear();
-                    column.extend(cursors.iter_mut().enumerate().map(|(slot, at)| {
-                        let row = rows.row(slot);
-                        while row.get(*at).is_some_and(|c| c.rule < rule) {
-                            *at += 1;
-                        }
-                        match row.get(*at) {
-                            Some(cell) if cell.rule == rule => cell.event.clone(),
-                            _ => EventExpr::False,
-                        }
-                    }));
+                    column.extend(
+                        (0..docs.len())
+                            .map(|slot| cells.event(slot).cloned().unwrap_or(EventExpr::False)),
+                    );
                     let pfs = batch.probs(&column);
                     for (score, pf) in scores.iter_mut().zip(&pfs) {
                         let matched = pf * b.sigma + (1.0 - pf) * (1.0 - b.sigma);

@@ -4,7 +4,7 @@ use capra_dl::IndividualId;
 use capra_events::{BatchExpectation, BatchStats, EventExpr, Expectation, Factor, Universe, VarId};
 
 use crate::bind::RuleBinding;
-use crate::engines::{join, Cell, ContextSupport, DocScore, EvalScratch, ScoringEngine};
+use crate::engines::{ContextSupport, DocScore, EvalScratch, Kind, Rows, ScoringEngine};
 use crate::{Result, ScoringEnv};
 
 /// The exact engine: evaluates the Section 3.3 expectation over the event
@@ -21,7 +21,8 @@ use crate::{Result, ScoringEnv};
 /// ```
 ///
 /// and the score is the exact expectation of the product
-/// ([`capra_events::Expectation::compute`]). The expectation of
+/// ([`capra_events::Expectation::compute`]). A rule whose context is
+/// `False` contributes the constant 1 and is skipped. The expectation of
 /// variable-disjoint factors is the product of their expectations, and
 /// the expectation of one factor is `Σ_cases w·P(case)`, so the engine
 /// scores each document on one of two routes, chosen by the **lane test**
@@ -36,13 +37,16 @@ use crate::{Result, ScoringEnv};
 ///   sum over `P(G_r)`, which the rule's binding holds (evaluated once per
 ///   binding, never through the shared memo:
 ///   `RuleBinding::context_parts`), and the `(P(F_rd), P(¬F_rd))` the
-///   document's **feature row** holds — the parts
+///   rule's **feature column** holds at the document's row — the parts
 ///   [`capra_events::Expectation::prob_split`] multiplies, in exactly
 ///   `compute`'s floating-point order, with no node interned and nothing
-///   memoised per (context, document) pair. One walk over the row sorts
-///   the factors into the constant ones, multiplied on the way, and the
-///   rest, multiplied after the disjointness test. This is the factorized
-///   engine's linear cost, with the exact engine's bits.
+///   memoised per (context, document) pair. The route is a column pass
+///   over the whole candidate list: `compute` multiplies the constant
+///   factors first, in rule order, and then the others, so one walk down
+///   the active rules' columns multiplies every slot's constant factors,
+///   the lane test runs per slot, and a second walk multiplies the rest
+///   into the slots that passed. This is the factorized engine's linear
+///   cost, with the exact engine's bits.
 /// * **exact** — any other document, and only that document, has its
 ///   factors built and goes through `compute`: Shannon expansion over the
 ///   shared variables with memoisation, one evaluation per distinct
@@ -50,31 +54,26 @@ use crate::{Result, ScoringEnv};
 ///
 /// What a document contributes — its feature event under every rule, the
 /// events' shapes and probabilities — depends on no request, so the sweep
-/// does not derive it: it fetches the document's row (`engines/rows.rs`:
-/// joined from the preference views once per KB state, shared by every
-/// tenant, carried over catalogue changes view by view). The document's
-/// half of the lane test belongs to the row too: whether its cells share a
-/// variable and, where they do not, the sorted union of their supports,
-/// judged whenever the row is synced. A request merges that union with its
-/// contexts' support, once per document; only a row whose cells share a
+/// does not derive it: it reads the rules' columns at the document's row
+/// (`engines/rows.rs`: joined from the preference views once per KB state,
+/// shared by every tenant, carried over catalogue changes view by view).
+/// The document's half of the lane test belongs to the row too: whether
+/// its cells share a variable and, where they do not, the sorted union of
+/// their supports, judged whenever the row is synced. A request compares
+/// that union with its contexts' support, once per document — ranges
+/// first, a merge only where they overlap; only a row whose cells share a
 /// variable — maybe under a rule whose context does not apply to the asker
 /// — has the test made again from the cells under the active rules, so the
 /// route of every document is what the per-request test chose.
 ///
 /// [`capra_events::BatchStats::fallbacks`] counts the second route.
 #[derive(Debug, Clone, Default)]
-pub struct LineageEngine {
-    /// Skip rules whose context event is `False` (constant factor 1).
-    /// On by default; exposed for the pruning ablation benchmark.
-    pub prune_inapplicable: bool,
-}
+pub struct LineageEngine;
 
 impl LineageEngine {
-    /// Creates the engine with pruning enabled.
+    /// Creates the engine.
     pub fn new() -> Self {
-        Self {
-            prune_inapplicable: true,
-        }
+        Self
     }
 }
 
@@ -84,16 +83,26 @@ struct ContextHalf {
     /// The unclamped `P(G)` a feature's parts are multiplied by — `1.0`
     /// when `G` is `True`.
     p_g: f64,
-    /// `G` is an `And`: a conjunction with a non-constant feature would
-    /// flatten, so any document that has one under this rule is deferred.
-    flattens: bool,
-    /// `1·P(¬G)`, the first term of the case sum — `None` when `G` is
+    /// `1·P(¬G)`, the first term of the case sum — [`DROPPED`] when `G` is
     /// `True` and the case vanishes.
-    not_g_term: Option<f64>,
-    /// The factor of a document that does not match (`F` absent or `False`).
-    miss: f64,
-    /// The factor of a document that certainly matches (`F = True`).
-    sure_hit: f64,
+    not_g_term: f64,
+    /// `G` is `True`: a document whose feature event is constant too makes
+    /// the factor a constant.
+    certain: bool,
+    /// Per [`Kind`], what the constant pass multiplies by: the factor where
+    /// it is a constant (`G` and `F` both are), `1.0` where it is not.
+    constant: [f64; Kind::COUNT],
+    /// Per [`Kind`], whether the factor waits for the queued pass.
+    queued: [bool; Kind::COUNT],
+    /// What the queued pass multiplies a [`Kind::Absent`] and a
+    /// [`Kind::True`] cell by: the factor of a document that does not
+    /// match and of one that certainly does, or `1.0` where the constant
+    /// pass took it.
+    later: [f64; 2],
+    /// Per [`Kind`], whether [`Expectation::prob_split`] declines the
+    /// conjunction for its shape — `G` is not `True` and `G` or `F` is an
+    /// `And` — which sends the document down the exact route.
+    declines: [bool; Kind::COUNT],
 }
 
 impl ContextHalf {
@@ -107,60 +116,82 @@ impl ContextHalf {
             (p_g, Some(p_not_g.clamp(0.0, 1.0)))
         };
         let p_applies = p_g.clamp(0.0, 1.0);
+        let certain = not_g_term.is_none();
+        let not_g_term = not_g_term.unwrap_or(DROPPED);
+        let miss = case_sum([not_g_term, DROPPED, weighted(1.0 - b.sigma, p_applies)]);
+        let sure_hit = case_sum([not_g_term, weighted(b.sigma, p_applies), DROPPED]);
+        let flattens = matches!(g, EventExpr::And(_));
         Self {
             sigma: b.sigma,
             p_g,
-            flattens: matches!(g, EventExpr::And(_)),
             not_g_term,
-            miss: case_sum([not_g_term, None, weighted(1.0 - b.sigma, p_applies)]),
-            sure_hit: case_sum([not_g_term, weighted(b.sigma, p_applies), None]),
+            certain,
+            constant: if certain {
+                [miss, sure_hit, 1.0, 1.0]
+            } else {
+                [1.0; Kind::COUNT]
+            },
+            queued: [!certain, !certain, true, true],
+            later: if certain { [1.0; 2] } else { [miss, sure_hit] },
+            declines: [false, false, !certain && flattens, !certain],
         }
     }
 
-    /// `G` is `True`: a document whose feature event is constant too makes
-    /// the factor a constant.
-    fn certain(&self) -> bool {
-        self.not_g_term.is_none()
-    }
-
-    /// The factor of a document whose feature event is `cell`'s, neither
-    /// constant: `P(G ∧ F)` and `P(G ∧ ¬F)` as
-    /// [`Expectation::prob_split`] multiplies and clamps them, from the
-    /// hoisted `P(G)` and the row's `(P(F), P(¬F))`. `None` where
-    /// `prob_split` declines for a shape; the lane test has already seen to
-    /// it that `G` and `F` share no variable.
-    fn factor(&self, cell: &Cell, expectation: &mut Expectation<'_>) -> Option<f64> {
-        if !self.certain() && (self.flattens || cell.flattens) {
-            return None;
-        }
-        let (p_f, p_not_f) = cell.parts(expectation);
-        Some(case_sum([
+    /// The factor of a document whose feature event is neither constant
+    /// nor declined, from its `(P(F), P(¬F))`: `P(G ∧ F)` and `P(G ∧ ¬F)`
+    /// as [`Expectation::prob_split`] multiplies and clamps them, from the
+    /// hoisted `P(G)`. The lane test has already seen to it that `G` and
+    /// `F` share no variable.
+    fn factor(&self, p_f: f64, p_not_f: f64) -> f64 {
+        case_sum([
             self.not_g_term,
             weighted(self.sigma, (self.p_g * p_f).clamp(0.0, 1.0)),
             weighted(1.0 - self.sigma, (self.p_g * p_not_f).clamp(0.0, 1.0)),
-        ]))
+        ])
     }
 }
 
 /// `Σ w·P(case)` over the cases [`Factor::new`] keeps, in its case order
-/// `[¬G, G∧F, G∧¬F]` and with the `Iterator::sum` `compute` folds them by.
-fn case_sum(terms: [Option<f64>; 3]) -> f64 {
-    terms.into_iter().flatten().sum()
+/// `[¬G, G∧F, G∧¬F]` and with the `Iterator::sum` `compute` folds them by;
+/// a case it drops is [`DROPPED`] here.
+fn case_sum(terms: [f64; 3]) -> f64 {
+    terms.into_iter().sum()
 }
 
-/// `w·p`, unless [`Factor::new`] drops the case for its zero weight.
-fn weighted(w: f64, p: f64) -> Option<f64> {
-    (w != 0.0).then_some(w * p)
+/// The term of a case [`Factor::new`] drops: `-0.0`, the one addend that
+/// leaves the bits of every sum as they are (`x + -0.0 = x`, `-0.0`
+/// included), so a sum over all three terms is the sum over the kept ones.
+const DROPPED: f64 = -0.0;
+
+/// `w·p`, or [`DROPPED`] where [`Factor::new`] drops the case for its zero
+/// weight.
+fn weighted(w: f64, p: f64) -> f64 {
+    if w != 0.0 {
+        w * p
+    } else {
+        DROPPED
+    }
 }
 
-/// A rule the request evaluates: its position in the bindings (the index
-/// its cells carry), the binding, and its context half — `None` for a
-/// `False` context kept by `prune_inapplicable: false`, whose factor is the
-/// constant 1 and multiplies nothing.
+/// A rule the request evaluates — one whose context is not `False`: its
+/// position in the bindings (the index of its column), the binding, and
+/// its context half.
 struct ActiveRule<'a> {
     rule: usize,
     binding: &'a RuleBinding,
-    half: Option<ContextHalf>,
+    half: ContextHalf,
+}
+
+/// Where the lane pass stands with one slot.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Lane {
+    /// Scored by the constant factors alone: none is queued, or their
+    /// product is already 0.
+    Settled,
+    /// Passed the lane test; the queued factors multiply in.
+    Open,
+    /// Rejected by the lane test: the exact route's.
+    Deferred,
 }
 
 /// The doc-invariant half of a request, computed once: the active rules in
@@ -172,85 +203,124 @@ struct Contexts<'a> {
 }
 
 impl<'a> Contexts<'a> {
-    fn new(
-        bindings: &'a [Arc<RuleBinding>],
-        prune_inapplicable: bool,
-        universe: &Universe,
-    ) -> Self {
+    fn new(bindings: &'a [Arc<RuleBinding>], universe: &Universe) -> Self {
         let active: Vec<ActiveRule<'a>> = bindings
             .iter()
             .enumerate()
-            .filter(|(_, b)| !(prune_inapplicable && b.is_inapplicable()))
+            .filter(|(_, b)| !b.is_inapplicable())
             .map(|(rule, b)| ActiveRule {
                 rule,
                 binding: b,
-                half: (!b.is_inapplicable()).then(|| ContextHalf::new(b, universe)),
+                half: ContextHalf::new(b, universe),
             })
             .collect();
         let support = ContextSupport::new(active.iter().map(|a| &a.binding.context_event));
         Self { active, support }
     }
 
-    /// The lane route for one document, from its row and the row's
-    /// verdict (`row_vars`, [`crate::engines::ContextSupport::clears`]).
-    /// Returns what [`Expectation::compute`] would for the document's
-    /// factors, bit for bit, or `None` when the lane test rejects the
-    /// document. `queue` and `seen` are the caller's buffers, reused from
-    /// document to document.
-    fn lane_score<'r>(
-        &'r self,
-        row: &'r [Cell],
-        row_vars: Option<&[VarId]>,
-        queue: &mut Vec<(&'r ContextHalf, Option<&'r Cell>)>,
-        seen: &mut Vec<VarId>,
+    /// The lane route over every slot of `docs`, rule by rule down the
+    /// active rules' columns. Returns, per slot, what
+    /// [`Expectation::compute`] would for the document's factors, bit for
+    /// bit and clamped — for a slot the lane test rejects, whatever the
+    /// pass left there — and the rejected slots, ascending.
+    fn lanes(
+        &self,
+        rows: &Rows<'_>,
+        docs: &[IndividualId],
         expectation: &mut Expectation<'_>,
-    ) -> Option<f64> {
-        // One walk of the join: `compute` multiplies the constant factors
-        // first, in rule order, so those go into `acc` on the way and the
-        // others — every rule with a factor to contribute, with the
-        // document's cell under it (`None`: no match) — wait in the queue…
-        let mut acc = 1.0;
-        queue.clear();
-        for (half, cell) in join(row, self.active.iter().map(|a| (a.rule, &a.half))) {
-            let Some(half) = half else { continue };
-            match cell {
-                None if half.certain() => acc *= half.miss,
-                Some(c) if c.event.is_true() && half.certain() => acc *= half.sure_hit,
-                _ => queue.push((half, cell)),
+    ) -> (Vec<DocScore>, Vec<usize>) {
+        let mut scores: Vec<DocScore> = docs
+            .iter()
+            .map(|&doc| DocScore { doc, score: 1.0 })
+            .collect();
+        // `compute` multiplies the constant factors first, in rule order:
+        // one pass down the columns of the rules whose context is `True`
+        // multiplies each slot's, and `1.0` where a factor is not constant,
+        // which leaves the bits as they are. Any other rule has a factor
+        // queued for every slot…
+        let uncertain = self.active.iter().any(|a| !a.half.certain);
+        let mut queued = vec![uncertain; docs.len()];
+        for a in self.active.iter().filter(|a| a.half.certain) {
+            let column = rows.column(a.rule);
+            for (slot, (s, queued)) in scores.iter_mut().zip(&mut queued).enumerate() {
+                let kind = column.kind(slot) as usize;
+                s.score *= a.half.constant[kind];
+                *queued |= a.half.queued[kind];
             }
         }
-        if queue.is_empty() || acc == 0.0 {
-            return Some(acc);
-        }
-        // …then one group per factor, if no two share a variable: no
-        // context and no feature event may touch another. The row's verdict
-        // settles that for all of its cells at once; where it cannot, the
-        // cells under the queued factors decide (a constant factor's cell
-        // has no variable to share).
-        if !self.support.clears(row_vars) {
-            seen.clear();
-            for (_, cell) in queue.iter() {
-                seen.extend_from_slice(cell.map_or(&[][..], |c| c.event.support_slice()));
+        // …then, where any factor is left and the product is not already 0,
+        // one group per factor if no two share a variable: no context and
+        // no feature event may touch another…
+        let mut seen: Vec<VarId> = Vec::new();
+        let mut lanes: Vec<Lane> = (0..docs.len())
+            .map(|slot| {
+                if !queued[slot] || scores[slot].score == 0.0 {
+                    Lane::Settled
+                } else if self.admits(rows, slot, &mut seen) {
+                    Lane::Open
+                } else {
+                    Lane::Deferred
+                }
+            })
+            .collect();
+        // …and a second pass multiplies the others, in rule order, into the
+        // slots that passed. A conjunction that would flatten defers its
+        // slot, after the cells queued before it have had their parts read:
+        // the evaluations a walk of the document's factors in order makes.
+        for a in &self.active {
+            let (column, half) = (rows.column(a.rule), &a.half);
+            for (slot, (s, lane)) in scores.iter_mut().zip(&mut lanes).enumerate() {
+                if *lane != Lane::Open {
+                    continue;
+                }
+                let kind = column.kind(slot);
+                s.score *= match kind {
+                    Kind::Absent | Kind::True => half.later[kind as usize],
+                    _ if half.declines[kind as usize] => {
+                        *lane = Lane::Deferred;
+                        continue;
+                    }
+                    Kind::Uncertain | Kind::Flattens => {
+                        let (p_f, p_not_f) = column.parts(slot, expectation);
+                        half.factor(p_f, p_not_f)
+                    }
+                };
             }
-            if !self.support.disjoint_with(seen) {
-                return None;
+        }
+        for s in &mut scores {
+            s.score = s.score.clamp(0.0, 1.0);
+        }
+        let deferred = (lanes.iter().enumerate())
+            .filter_map(|(slot, lane)| (*lane == Lane::Deferred).then_some(slot))
+            .collect();
+        (scores, deferred)
+    }
+
+    /// The lane test's variable half for `slot`: the row's verdict settles
+    /// it for all of the row's cells at once; where it cannot, the cells
+    /// under the factors queued for the slot decide (a constant factor's
+    /// cell has no variable to share). `seen` is the caller's buffer.
+    fn admits(&self, rows: &Rows<'_>, slot: usize, seen: &mut Vec<VarId>) -> bool {
+        if self.support.clears(rows.support(slot)) {
+            return true;
+        }
+        seen.clear();
+        for a in &self.active {
+            let column = rows.column(a.rule);
+            if a.half.queued[column.kind(slot) as usize] {
+                let event = column.event(slot);
+                seen.extend_from_slice(event.map_or(&[][..], EventExpr::support_slice));
             }
         }
-        for &(half, cell) in queue.iter() {
-            acc *= match cell {
-                None => half.miss,
-                Some(c) if c.event.is_true() => half.sure_hit,
-                Some(c) => half.factor(c, expectation)?,
-            };
-        }
-        Some(acc)
+        self.support.disjoint_with(seen)
     }
 
     /// A document's feature event per active rule — its signature on the
     /// exact route.
-    fn signature<'r>(&self, row: &'r [Cell]) -> Vec<Option<&'r EventExpr>> {
-        join(row, self.active.iter().map(|a| (a.rule, ())))
-            .map(|((), cell)| cell.map(|c| &c.event))
+    fn signature<'r>(&self, rows: &'r Rows<'_>, slot: usize) -> Vec<Option<&'r EventExpr>> {
+        self.active
+            .iter()
+            .map(|a| rows.column(a.rule).event(slot))
             .collect()
     }
 }
@@ -310,15 +380,7 @@ impl ScoringEngine for LineageEngine {
         docs: &[IndividualId],
         scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>> {
-        let scores = self.sweep(env, bindings, docs, scratch, true);
-        Ok(docs
-            .iter()
-            .zip(scores)
-            .map(|(&doc, score)| DocScore {
-                doc,
-                score: score.expect("the exact route scores what the lane test rejects"),
-            })
-            .collect())
+        Ok(self.sweep(env, bindings, docs, scratch, true).0)
     }
 
     fn score_closed_form(
@@ -328,15 +390,20 @@ impl ScoringEngine for LineageEngine {
         docs: &[IndividualId],
         scratch: &mut EvalScratch,
     ) -> Result<Vec<Option<f64>>> {
-        Ok(self.sweep(env, bindings, docs, scratch, false))
+        let (scores, deferred) = self.sweep(env, bindings, docs, scratch, false);
+        let mut closed: Vec<Option<f64>> = scores.into_iter().map(|s| Some(s.score)).collect();
+        for slot in deferred {
+            closed[slot] = None;
+        }
+        Ok(closed)
     }
 }
 
 impl LineageEngine {
     /// The engine's one pass over a batch: every slot the lane test admits
-    /// is scored in closed form from the document's feature row; the slots
-    /// it rejects go through [`exact_scores`] when `exact` is set and stay
-    /// `None` when not.
+    /// is scored in closed form from the feature columns; the slots it
+    /// rejects go through [`exact_scores`] when `exact` is set, and are
+    /// returned, ascending, when not.
     fn sweep(
         &self,
         env: &ScoringEnv<'_>,
@@ -344,47 +411,36 @@ impl LineageEngine {
         docs: &[IndividualId],
         scratch: &mut EvalScratch,
         exact: bool,
-    ) -> Vec<Option<f64>> {
+    ) -> (Vec<DocScore>, Vec<usize>) {
         if docs.is_empty() {
-            return Vec::new();
+            return (Vec::new(), Vec::new());
         }
         scratch.ensure_kb(env.kb);
         let set = env.kb.rows().set_for(env.kb, bindings);
         let rows = set.rows(bindings, docs);
-        let contexts = Contexts::new(bindings, self.prune_inapplicable, &env.kb.universe);
-        let (scores, fallbacks) = scratch.with_expectation(&env.kb.universe, |expectation| {
-            let (mut queue, mut seen) = (Vec::new(), Vec::new());
-            let mut scores: Vec<Option<f64>> = Vec::with_capacity(docs.len());
-            let mut rejected: Vec<usize> = Vec::new();
-            for slot in 0..docs.len() {
-                let (row, row_vars) = (rows.row(slot), rows.support(slot));
-                let score = contexts
-                    .lane_score(row, row_vars, &mut queue, &mut seen, expectation)
-                    .map(|raw| raw.clamp(0.0, 1.0));
-                if score.is_none() {
-                    rejected.push(slot);
+        let contexts = Contexts::new(bindings, &env.kb.universe);
+        let (scores, deferred, fallbacks) =
+            scratch.with_expectation(&env.kb.universe, |expectation| {
+                let (mut scores, deferred) = contexts.lanes(&rows, docs, expectation);
+                if !exact || deferred.is_empty() {
+                    return (scores, deferred, 0);
                 }
-                scores.push(score);
-            }
-            if !exact || rejected.is_empty() {
-                return (scores, 0);
-            }
-            let signatures: Vec<Vec<Option<&EventExpr>>> = rejected
-                .iter()
-                .map(|&slot| contexts.signature(rows.row(slot)))
-                .collect();
-            let (raw, evaluations) = exact_scores(&contexts.active, &signatures, expectation);
-            for (&slot, e) in rejected.iter().zip(raw) {
-                scores[slot] = Some(e.clamp(0.0, 1.0));
-            }
-            (scores, evaluations)
-        });
+                let signatures: Vec<Vec<Option<&EventExpr>>> = deferred
+                    .iter()
+                    .map(|&slot| contexts.signature(&rows, slot))
+                    .collect();
+                let (raw, evaluations) = exact_scores(&contexts.active, &signatures, expectation);
+                for (&slot, e) in deferred.iter().zip(raw) {
+                    scores[slot].score = e.clamp(0.0, 1.0);
+                }
+                (scores, Vec::new(), evaluations)
+            });
         scratch.record_batch(BatchStats {
             sweeps: 1,
             lanes: docs.len() as u64,
             fallbacks,
         });
-        scores
+        (scores, deferred)
     }
 }
 
@@ -473,6 +529,9 @@ mod tests {
         assert_eq!(s.score, 1.0);
     }
 
+    /// A rule whose context never applies is skipped: the score is the
+    /// other rule's factor alone, bit for bit what keeping the skipped
+    /// rule's constant factor 1 would give.
     #[test]
     fn pruning_does_not_change_results() {
         let mut kb = Kb::new();
@@ -506,13 +565,19 @@ mod tests {
             user,
         };
         let pruned = LineageEngine::new().score(&env, doc).unwrap().score;
-        let unpruned = LineageEngine {
-            prune_inapplicable: false,
-        }
-        .score(&env, doc)
-        .unwrap()
-        .score;
-        assert!((pruned - unpruned).abs() < 1e-12);
+        let factors: Vec<Factor> = crate::bind_rules(&env)
+            .iter()
+            .map(|b| {
+                let (g, f) = (b.context_event.clone(), b.preference_event(doc));
+                Factor::new([
+                    (EventExpr::not(g.clone()), 1.0),
+                    (EventExpr::and([g.clone(), f.clone()]), b.sigma),
+                    (EventExpr::and([g, EventExpr::not(f)]), 1.0 - b.sigma),
+                ])
+            })
+            .collect();
+        let kept = capra_events::expectation(&kb.universe, &factors);
+        assert_eq!(pruned.to_bits(), kept.to_bits());
         assert!((pruned - (0.5 * 0.7 + 0.5 * 0.3)).abs() < 1e-12);
     }
 }

@@ -15,8 +15,8 @@
 //! |--------|-----------|------------------------------|------------------|----------------|
 //! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | defers every document | the paper's Section 5 PostgreSQL implementation |
 //! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | defers every document | the same maths without the view machinery (ablation) |
-//! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups, the columns read off the documents' feature rows; independence check walks cached per-node supports, `P(G_r)` read off the binding | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
-//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies), one walk of the document's row each: `P(G_r)` is evaluated once per binding and kept on it, never in the shared memo; the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature rows); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
+//! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups, each rule's events read off its feature column at the documents' rows; independence check walks cached per-node supports, `P(G_r)` read off the binding | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
+//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies), as a column pass: the constant factors down the columns of the `a` rules, the lane test per document, the other factors down the columns again; `P(G_r)` is evaluated once per binding and kept on it, never in the shared memo; the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature columns); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
 //! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the engine's | the serving path: repeated queries under a changing context |
 //!
 //! All engines share the binding step ([`crate::bind_rules`]), which runs
@@ -24,12 +24,14 @@
 //! context/preference concepts are derived once. The two optimised engines
 //! and the top-k bound also share what a *document* brings to a request —
 //! its feature event under every rule, with shape and probability — as
-//! **feature rows** (`engines/rows.rs`): joined from the bound preference
-//! views on a document's first touch, kept on the `Kb` beside its derived
-//! views and rule plans for every tenant on that state, and brought up to
-//! date view by changed view after a catalogue assert. A row also carries
-//! the document's half of the variable-disjointness test
-//! (`ContextSupport`), judged when the row is synced. All probability work
+//! **feature rows** (`engines/rows.rs`), held as one column per rule
+//! indexed by row position: joined from the bound preference views on a
+//! document's first touch, kept on the `Kb` beside its derived views and
+//! rule plans for every tenant on that state, and brought up to date view
+//! by changed view after a catalogue assert. A row also carries the
+//! document's half of the variable-disjointness test (`ContextSupport`),
+//! judged when the row is synced. A ranking sorts packed integer keys
+//! ([`rank`]). All probability work
 //! sits on hash-consed event expressions: memo tables key by interned node
 //! identity (O(1) hash + pointer compare), pivot choices are cached per
 //! node, and `restrict` skips subtrees whose cached support excludes the
@@ -72,7 +74,7 @@ pub use factorized::{CorrelationPolicy, FactorizedEngine};
 pub use lineage::LineageEngine;
 pub use naive_enum::NaiveEnumEngine;
 pub use naive_view::NaiveViewEngine;
-pub(crate) use rows::{join, Cell, RowSlot};
+pub(crate) use rows::{ColumnView, Kind, RowSlot, Rows};
 
 use std::sync::Arc;
 
@@ -385,18 +387,98 @@ impl<T: ScoringEngine + ?Sized> ScoringEngine for Box<T> {
 /// A ranking lists each document **once**: a candidate list that repeats a
 /// document yields one equal score per repeat (engines score every slot),
 /// the repeats sort next to each other, and all but one are dropped here.
-/// [`crate::rank_top_k`] ranks through this function too, so it stays the
-/// exact prefix of this ranking on any candidate list.
-pub fn rank(mut scores: Vec<DocScore>) -> Vec<DocScore> {
-    // The order is total and repeats are identical elements, so the
-    // unstable sort yields the one possible ranking.
-    scores.sort_unstable_by(by_rank);
-    scores.dedup_by_key(|s| s.doc);
-    scores
+/// [`crate::rank_top_k`] ranks in the same order, so it stays the exact
+/// prefix of this ranking on any candidate list.
+pub fn rank(scores: Vec<DocScore>) -> Vec<DocScore> {
+    ranked(&scores)
 }
 
-/// The ranking order — score descending, document id ascending — and the
-/// only comparator any ranking path sorts by.
+/// [`rank`] of a borrowed list, sorted as packed integer keys
+/// ([`rank_keys`], [`sort_keys`]): the order is total and repeats are
+/// identical elements, so the unstable sort yields the one possible
+/// ranking, a repeated document's slots side by side.
+pub(crate) fn ranked(scores: &[DocScore]) -> Vec<DocScore> {
+    let mut keys = rank_keys(scores);
+    sort_keys(scores, &mut keys);
+    keys.dedup_by_key(|key| scores[slot_of(*key)].doc);
+    take_ranked(scores, &keys)
+}
+
+/// A score's bits as an unsigned integer whose order is the score's
+/// descending [`f64::total_cmp`] order: `total_cmp`'s own trick — a
+/// negative score has its magnitude bits flipped, the sign bit goes last
+/// to first — complemented.
+fn score_key(score: f64) -> u64 {
+    let bits = score.to_bits();
+    !(bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63))
+}
+
+/// One key per slot of `scores`: the high half of its [`score_key`] above
+/// the slot. The low half of the score and the document decide only where
+/// two high halves tie, which [`sort_keys`] settles. (A `u128` holding the
+/// whole score, the document and the slot needs no such step, but its
+/// compares cost more: it ranked a 256-product catalogue measurably
+/// slower end to end.)
+pub(crate) fn rank_keys(scores: &[DocScore]) -> Vec<u64> {
+    scores
+        .iter()
+        .enumerate()
+        .map(|(slot, s)| {
+            let slot = u32::try_from(slot).expect("a ranking has fewer than 2³² slots");
+            (score_key(s.score) & !u64::from(u32::MAX)) | u64::from(slot)
+        })
+        .collect()
+}
+
+/// The slot a [`rank_keys`] key names.
+pub(crate) fn slot_of(key: u64) -> usize {
+    key as u32 as usize
+}
+
+/// Sorts `keys` into the ranking order — score descending, document id
+/// ascending: by integer order, then each run of keys whose score halves
+/// tie by the whole score and the document.
+pub(crate) fn sort_keys(scores: &[DocScore], keys: &mut [u64]) {
+    keys.sort_unstable();
+    for run in keys.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+        if run.len() > 1 {
+            run.sort_unstable_by_key(|key| {
+                let s = &scores[slot_of(*key)];
+                (score_key(s.score), s.doc)
+            });
+        }
+    }
+}
+
+/// The `k` best of `keys` ([`rank_keys`] of `scores`, `0 < k < len`),
+/// sorted: the `k` best by integer order are selected first, and any key
+/// past them whose score half ties the `k`-th's joins them before they are
+/// sorted, since it may rank above the `k`-th.
+pub(crate) fn top_keys<'k>(scores: &[DocScore], keys: &'k mut [u64], k: usize) -> &'k [u64] {
+    keys.select_nth_unstable(k - 1);
+    let half = keys[k - 1] >> 32;
+    let mut end = k;
+    for at in k..keys.len() {
+        if keys[at] >> 32 == half {
+            keys.swap(at, end);
+            end += 1;
+        }
+    }
+    sort_keys(scores, &mut keys[..end]);
+    &keys[..k]
+}
+
+/// The slots `keys` name, in their order.
+pub(crate) fn take_ranked(scores: &[DocScore], keys: &[u64]) -> Vec<DocScore> {
+    keys.iter()
+        .map(|&key| scores[slot_of(key)].clone())
+        .collect()
+}
+
+/// The ranking order — score descending, document id ascending — as a
+/// comparator: what [`sort_keys`] sorts by, and the reference the tests
+/// hold it to.
+#[cfg(test)]
 pub(crate) fn by_rank(a: &DocScore, b: &DocScore) -> std::cmp::Ordering {
     b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc))
 }
@@ -433,14 +515,27 @@ impl ContextSupport {
 
     /// The test for a whole feature row at once, from its verdict
     /// ([`rows::Rows::support`]): the row's cells share no variable, and
-    /// their union, `row_vars`, none with the contexts — one merge of two
-    /// sorted lists. A pass settles [`ContextSupport::disjoint_with`] for
-    /// any of the row's cells; a failure settles nothing, since the shared
-    /// variable may sit under a rule the request does not read.
+    /// their union, `row_vars`, none with the contexts — two range compares,
+    /// and one merge of the two sorted lists where the ranges overlap. A
+    /// pass settles [`ContextSupport::disjoint_with`] for any of the row's
+    /// cells; a failure settles nothing, since the shared variable may sit
+    /// under a rule the request does not read.
+    #[inline]
     pub(crate) fn clears(&self, row_vars: Option<&[VarId]>) -> bool {
         let Some(row_vars) = row_vars.filter(|_| self.disjoint) else {
             return false;
         };
+        // Both lists are sorted: ranges that do not overlap prove disjoint
+        // supports without the merge.
+        let (Some(lo), Some(hi)) = (self.vars.first(), self.vars.last()) else {
+            return true;
+        };
+        let (Some(row_lo), Some(row_hi)) = (row_vars.first(), row_vars.last()) else {
+            return true;
+        };
+        if row_hi < lo || hi < row_lo {
+            return true;
+        }
         let (mut i, mut j) = (0, 0);
         while let (Some(a), Some(b)) = (self.vars.get(i), row_vars.get(j)) {
             match a.cmp(b) {
@@ -488,6 +583,58 @@ mod tests {
         assert_eq!(ranked[0].doc, b);
         assert_eq!(ranked[1].doc, a, "tie broken by id");
         assert_eq!(ranked[2].doc, c);
+    }
+
+    /// `rank` sorts packed keys; the order is the comparator's, on the
+    /// values where a key could go wrong: both zeros, subnormals of either
+    /// sign, 1.0, a NaN, equal scores on different ids, and a document
+    /// listed more than once.
+    #[test]
+    fn rank_by_packed_keys_is_the_comparator_sort() {
+        let mut kb = crate::Kb::new();
+        let docs: Vec<IndividualId> = (0..6).map(|d| kb.individual(&format!("d{d}"))).collect();
+        let subnormal = f64::MIN_POSITIVE / 8.0;
+        let scores = [
+            (5, 0.0),
+            (1, -0.0),
+            (2, 1.0),
+            (0, subnormal),
+            (3, -subnormal),
+            (4, 0.0),
+            (1, -0.0),
+            (2, 1.0),
+            (5, 0.0),
+            (0, subnormal),
+        ];
+        let mut list: Vec<DocScore> = scores
+            .iter()
+            .map(|&(d, score)| DocScore {
+                doc: docs[d],
+                score,
+            })
+            .collect();
+        list.push(DocScore {
+            doc: kb.individual("nan"),
+            score: f64::NAN,
+        });
+        let mut want = list.clone();
+        want.sort_by(by_rank);
+        want.dedup_by_key(|s| s.doc);
+        let bits = |scores: &[DocScore]| -> Vec<(IndividualId, u64)> {
+            scores.iter().map(|s| (s.doc, s.score.to_bits())).collect()
+        };
+        let got = rank(list);
+        assert_eq!(bits(&got), bits(&want));
+        assert_eq!(got.len(), 7, "one entry per document");
+        assert_eq!(
+            got[1].score, 1.0,
+            "a NaN with the sign bit clear is above 1.0"
+        );
+        assert_eq!(
+            (got[4].doc, got[5].doc),
+            (docs[5], docs[1]),
+            "+0.0 (on `d4` and `d5`) ranks above -0.0"
+        );
     }
 
     /// What a replica with contradicted history or a stale client can

@@ -1136,6 +1136,32 @@ mod tests {
         full
     }
 
+    /// A cold engine call on the served `Kb` — what `explain`,
+    /// `ranked_query` or a verifying oracle makes — binds views of its own
+    /// and reads rows into a set of its own, beside the served one: the
+    /// next served request reads no view again, and drops the cold set
+    /// with its rows, since no request can present its views again.
+    #[test]
+    fn a_cold_call_between_two_served_ranks_leaves_the_served_rows_alone() {
+        let (kb, rules, users, docs) = fixture(3, 12);
+        let service = RankingService::new(LineageEngine::new(), kb, rules.clone());
+        let kb = service.kb();
+        let cells = (docs.len() * rules.len()) as u64;
+        let reads = || kb.rows().reads();
+        service.rank(users[0], &docs, docs.len()).unwrap();
+        assert_eq!(reads(), cells);
+        for (cold, user) in [(1, users[1]), (2, users[2])] {
+            let want = cold_rank(&kb, &rules, user, &docs, docs.len());
+            assert_eq!(reads(), (1 + cold) * cells, "the cold call's own rows");
+            assert_eq!(kb.rows().held(), 2, "the cold set beside the served");
+            // Every cache of the service misses for this user but the rows.
+            let served = service.rank(user, &docs, docs.len()).unwrap();
+            assert_eq!(served, want);
+            assert_eq!(reads(), (1 + cold) * cells, "the served rows stayed");
+            assert_eq!(kb.rows().held(), 1, "the done cold call's rows went");
+        }
+    }
+
     #[test]
     fn warm_rank_is_bit_identical_and_cached() {
         let (kb, rules, users, docs) = fixture(3, 12);

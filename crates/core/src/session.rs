@@ -66,7 +66,7 @@ use capra_dl::{Concept, Footprint, IndividualId, Reasoner, Table};
 use capra_events::{BatchStats, CacheFootprint, EventExpr};
 
 use crate::bind::RuleBinding;
-use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
+use crate::engines::{self, rank, DocScore, EvalScratch, ScoringEngine};
 use crate::hash::IdMap;
 use crate::topk::rank_top_k_bound;
 use crate::{Kb, PreferenceRule, Result, ScoringEnv};
@@ -855,7 +855,7 @@ impl SessionCore {
             {
                 cache.sorted += 1;
             }
-            rank(entry.scores.clone())
+            engines::ranked(&entry.scores)
         });
         Ok(kept.clone())
     }

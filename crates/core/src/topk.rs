@@ -59,10 +59,13 @@
 use std::sync::Arc;
 
 use capra_dl::IndividualId;
-use capra_events::VarId;
+use capra_events::{EventExpr, VarId};
 
 use crate::bind::{bind_rules_shared, RuleBinding};
-use crate::engines::{by_rank, join, rank, ContextSupport, DocScore, EvalScratch, ScoringEngine};
+use crate::engines::{
+    rank, rank_keys, ranked, slot_of, take_ranked, top_keys, ColumnView, ContextSupport, DocScore,
+    EvalScratch, Kind, ScoringEngine,
+};
 use crate::{Result, ScoringEnv};
 
 /// Absolute slack added to upper bounds before pruning, absorbing the
@@ -167,21 +170,21 @@ where
 }
 
 /// `rank(scores)` cut at `k`, sorting only what survives the cut when it
-/// can: the `k` best slots are selected and ranked, and the whole list is
-/// ranked only when a document repeats among them — [`rank`] lists it once,
-/// so the cut would come out short. Without a repeat those `k` slots are
-/// `k` documents, and no slot outside them ranks above any of them.
-fn rank_cut(mut scores: Vec<DocScore>, k: usize) -> Vec<DocScore> {
+/// can: the `k` best slots are selected and ranked ([`top_keys`]), and the
+/// whole list is ranked only when a document repeats among them — [`rank`]
+/// lists it once, so the cut would come out short. Without a repeat those
+/// `k` slots are `k` documents, and no slot outside them ranks above any
+/// of them.
+fn rank_cut(scores: Vec<DocScore>, k: usize) -> Vec<DocScore> {
     if k > 0 && scores.len() > k {
-        scores.select_nth_unstable_by(k - 1, by_rank);
-        let head = &mut scores[..k];
-        head.sort_unstable_by(by_rank);
-        if head.windows(2).all(|w| w[0].doc != w[1].doc) {
-            scores.truncate(k);
-            return scores;
+        let mut keys = rank_keys(&scores);
+        let head = top_keys(&scores, &mut keys, k);
+        let doc = |key: u64| scores[slot_of(key)].doc;
+        if head.windows(2).all(|w| doc(w[0]) != doc(w[1])) {
+            return take_ranked(&scores, head);
         }
     }
-    let mut ranked = rank(scores);
+    let mut ranked = ranked(&scores);
     ranked.truncate(k);
     ranked
 }
@@ -229,39 +232,39 @@ fn doc_upper_bounds(
             (rule, bound)
         })
         .collect();
-    // A document's row: its feature event under each applicable rule.
+    // A document's features: the applicable rules' columns at its row.
     let set = env.kb.rows().set_for(env.kb, bindings);
     let rows = set.rows(bindings, docs);
+    let columns: Vec<(ColumnView<'_>, &RuleBound)> = rule_bounds
+        .iter()
+        .map(|(rule, bound)| (rows.column(*rule), bound))
+        .collect();
     let support = ContextSupport::new(applicable.iter().map(|(_, b)| &b.context_event));
     let mut seen: Vec<VarId> = Vec::new();
     (0..docs.len())
         .map(|slot| {
-            let row = || {
-                join(
-                    rows.row(slot),
-                    rule_bounds.iter().map(|(rule, b)| (*rule, b)),
-                )
-            };
             // The row's verdict first, the cells under the applicable
             // rules where it cannot settle it — the lane test's order.
             let disjoint = support.clears(rows.support(slot)) || {
                 seen.clear();
-                for (_, cell) in row() {
-                    seen.extend_from_slice(cell.map_or(&[][..], |c| c.event.support_slice()));
+                for (column, _) in &columns {
+                    let event = column.event(slot);
+                    seen.extend_from_slice(event.map_or(&[][..], EventExpr::support_slice));
                 }
                 support.disjoint_with(&mut seen)
             };
-            row()
-                .map(|(bound, cell)| {
+            columns
+                .iter()
+                .map(|(column, bound)| {
                     let (hit, miss) = if disjoint {
                         bound.factorised
                     } else {
                         bound.world_wise
                     };
-                    if cell.is_some() {
-                        hit
-                    } else {
+                    if column.kind(slot) == Kind::Absent {
                         miss
+                    } else {
+                        hit
                     }
                 })
                 .product()
@@ -478,6 +481,59 @@ mod tests {
             (batch.sweeps, batch.lanes, batch.fallbacks),
             (1, docs.len() as u64, 0)
         );
+    }
+
+    /// Scores where a packed key could go wrong: both zeros, subnormals of
+    /// either sign, 1.0, neighbours of 1.0 and ½ — ½ and the next score up
+    /// differ only in their lowest bit, below the key's score half.
+    const EDGE_SCORES: [f64; 8] = [
+        0.0,
+        -0.0,
+        f64::MIN_POSITIVE / 8.0,
+        -f64::MIN_POSITIVE / 8.0,
+        1.0,
+        1.0f64.next_down(),
+        0.5,
+        0.5f64.next_up(),
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// `rank` and `rank_cut` at every `k` from 1 to one past the list's
+        /// length select and sort packed keys; the answer is the
+        /// comparator's — `by_rank` over the whole list, each document
+        /// once — cut at `k`. Documents draw their score from
+        /// [`EDGE_SCORES`], so equal scores on different ids are common,
+        /// and lists repeat documents.
+        #[test]
+        fn every_cut_by_packed_keys_is_the_comparator_sorts_prefix(
+            per_doc in proptest::collection::vec(proptest::any::<u8>(), 8..9),
+            slots in proptest::collection::vec(proptest::any::<u8>(), 1..24),
+        ) {
+            let mut kb = Kb::new();
+            let docs: Vec<IndividualId> =
+                (0..per_doc.len()).map(|d| kb.individual(&format!("d{d}"))).collect();
+            let list: Vec<DocScore> = slots
+                .iter()
+                .map(|&slot| {
+                    let d = usize::from(slot) % docs.len();
+                    let score = EDGE_SCORES[usize::from(per_doc[d]) % EDGE_SCORES.len()];
+                    DocScore { doc: docs[d], score }
+                })
+                .collect();
+            let mut want = list.clone();
+            want.sort_by(crate::engines::by_rank);
+            want.dedup_by_key(|s| s.doc);
+            let bits = |scores: &[DocScore]| -> Vec<(IndividualId, u64)> {
+                scores.iter().map(|s| (s.doc, s.score.to_bits())).collect()
+            };
+            proptest::prop_assert_eq!(bits(&rank(list.clone())), bits(&want));
+            for k in 1..=list.len() + 1 {
+                let got = rank_cut(list.clone(), k);
+                proptest::prop_assert_eq!(bits(&got), bits(&want[..k.min(want.len())]), "k = {}", k);
+            }
+        }
     }
 
     const CONTEXTS: [&str; 5] = ["Ctx0", "Ctx1", "Ctx0 AND Ctx2", "Ctx1 OR Ctx2", "Ctx3"];

@@ -15,21 +15,16 @@ use std::sync::Arc;
 
 use capra::core::RuleBinding;
 use capra::dl::IndividualId;
-use capra::events::{expectation, EventExpr, Factor};
+use capra::events::{expectation, Evaluator, EventExpr, Factor};
 use capra::prelude::*;
 
-/// One document's rule factors: per rule the three cases `¬G`, `G ∧ F`,
-/// `G ∧ ¬F` with weights `1`, `σ`, `1 − σ`. `prune_inapplicable` mirrors
-/// the engine's field: off, a rule whose context is `False` keeps its
-/// (constant) factor.
-pub fn factors(
-    bindings: &[Arc<RuleBinding>],
-    doc: IndividualId,
-    prune_inapplicable: bool,
-) -> Vec<Factor> {
+/// One document's rule factors: per rule whose context is not `False`
+/// the three cases `¬G`, `G ∧ F`, `G ∧ ¬F` with weights `1`, `σ`, `1 − σ`
+/// (a `False` context's factor is the constant 1).
+pub fn factors(bindings: &[Arc<RuleBinding>], doc: IndividualId) -> Vec<Factor> {
     bindings
         .iter()
-        .filter(|b| !(prune_inapplicable && b.is_inapplicable()))
+        .filter(|b| !b.is_inapplicable())
         .map(|b| {
             let (g, f) = (b.context_event.clone(), b.preference_event(doc));
             Factor::new([
@@ -47,16 +42,38 @@ pub fn reference_scores(
     env: &ScoringEnv<'_>,
     bindings: &[Arc<RuleBinding>],
     docs: &[IndividualId],
-    prune_inapplicable: bool,
 ) -> Vec<DocScore> {
     docs.iter()
         .map(|&doc| DocScore {
             doc,
-            score: expectation(
-                &env.kb.universe,
-                &factors(bindings, doc, prune_inapplicable),
-            )
-            .clamp(0.0, 1.0),
+            score: expectation(&env.kb.universe, &factors(bindings, doc)).clamp(0.0, 1.0),
+        })
+        .collect()
+}
+
+/// `FactorizedEngine`'s closed form for every document of `docs`, from
+/// public pieces: per rule whose context is not `False`, in rule order,
+/// `(1 − P(G)) + P(G)·(P(F)·σ + (1 − P(F))·(1 − σ))` with `P` the
+/// evaluator's, the product clamped.
+pub fn factorized_reference(
+    env: &ScoringEnv<'_>,
+    bindings: &[Arc<RuleBinding>],
+    docs: &[IndividualId],
+) -> Vec<DocScore> {
+    let mut evaluator = Evaluator::new(&env.kb.universe);
+    docs.iter()
+        .map(|&doc| {
+            let mut score = 1.0f64;
+            for b in bindings.iter().filter(|b| !b.is_inapplicable()) {
+                let pg = evaluator.prob(&b.context_event);
+                let pf = evaluator.prob(&b.preference_event(doc));
+                let matched = pf * b.sigma + (1.0 - pf) * (1.0 - b.sigma);
+                score *= (1.0 - pg) + pg * matched;
+            }
+            DocScore {
+                doc,
+                score: score.clamp(0.0, 1.0),
+            }
         })
         .collect()
 }

@@ -12,6 +12,10 @@
 //!   lane test picks (it is observable: `BatchStats::fallbacks`);
 //! * counter pins through `RankingService`: what independent traffic
 //!   leaves in the shared memo tier, and what entangled traffic does;
+//! * the lane route as a column pass, cell kind by cell kind: dropped
+//!   cases, `True` contexts and features, a constant product of 0, cells
+//!   that flatten, rows inside the contexts' support range — on lineage
+//!   and on factorized, which reads the same columns;
 //! * two-phase top-k over the same random knowledge bases: lane documents
 //!   ranked from the closed-form pass, entangled ones bounded and scanned,
 //!   on every engine and every route that serves `k < docs.len()` — always
@@ -22,7 +26,7 @@
 //!   that share a variable under a rule the asker does not read) the
 //!   per-request test still decides, for the route and for top-k's bound.
 //!
-//! The three properties scale their case counts with `CAPRA_STRESS_ITERS`,
+//! The four properties scale their case counts with `CAPRA_STRESS_ITERS`,
 //! which CI's stress step sets.
 
 mod common;
@@ -184,7 +188,7 @@ proptest! {
     /// re-asserted, conjunctive and disjunctive contexts; the same for
     /// features; σ ∈ {0, 0.5, 1, …}; documents matching no rule; rules
     /// sharing a context variable; exclusive genres across rules; a sensor
-    /// read by a context and a document alike; pruning on and off —
+    /// read by a context and a document alike —
     /// `LineageEngine::score_all_bound` equals the factor reference bit
     /// for bit on batches of one, two, many and repeated documents, over
     /// fresh and over shared memo state, and the naive engines to 1e-12.
@@ -197,14 +201,13 @@ proptest! {
             N_DOCS * N_FEAT..N_DOCS * N_FEAT + 1,
         ),
         genre_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_DOCS..N_DOCS + 1),
-        prune in any::<bool>(),
     ) {
         let Case { kb, rules, user, docs } =
             build_case(&rule_draws, &ctx_draws, &feat_draws, &genre_draws);
         let env = ScoringEnv { kb: &kb, rules: &rules, user };
         let bindings = bind_rules_shared(&env);
-        let engine = LineageEngine { prune_inapplicable: prune };
-        let want = common::reference_scores(&env, &bindings, &docs, prune);
+        let engine = LineageEngine::new();
+        let want = common::reference_scores(&env, &bindings, &docs);
 
         // One scratch across every batch below: later batches answer from
         // what earlier ones memoised, on either route.
@@ -245,20 +248,11 @@ proptest! {
 /// The lane test as it stood before documents had feature rows, from the
 /// bindings' public fields and [`Expectation::prob_split`] alone: whether
 /// `doc` is scored in closed form (rather than deferred) under `bindings`.
-fn lane_test_admits(
-    universe: &Universe,
-    bindings: &[Arc<RuleBinding>],
-    doc: IndividualId,
-    prune: bool,
-) -> bool {
-    let active: Vec<&Arc<RuleBinding>> = bindings
-        .iter()
-        .filter(|b| !(prune && b.is_inapplicable()))
-        .collect();
+fn lane_test_admits(universe: &Universe, bindings: &[Arc<RuleBinding>], doc: IndividualId) -> bool {
     // A `False` context is the constant factor 1, whatever the feature.
+    let active: Vec<&Arc<RuleBinding>> = bindings.iter().filter(|b| !b.is_inapplicable()).collect();
     let factors: Vec<(&EventExpr, EventExpr, f64)> = active
         .iter()
-        .filter(|b| !b.is_inapplicable())
         .map(|b| (&b.context_event, b.preference_event(doc), b.sigma))
         .collect();
     // Constant factors multiply first; a zero among them ends it there.
@@ -293,12 +287,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64 * stress_iters()))]
 
     /// Feature rows — shared between users, filled on first touch, carried
-    /// over catalogue changes view by view, taken over and handed back by
-    /// cold calls on the same KB — never show: on the random knowledge
+    /// over catalogue changes view by view, kept beside the sets of cold
+    /// calls on the same KB — never show: on the random knowledge
     /// bases above (atoms, re-asserted `Or`s, `Not`, `And`-shaped and
     /// `True` feature events; variables shared feature↔feature and
-    /// feature↔context; certain and uncertain contexts; pruning on and
-    /// off), for two users in turn, over a candidate list that repeats
+    /// feature↔context; certain and uncertain contexts), for two users in
+    /// turn, over a candidate list that repeats
     /// documents, and again after every one of a few random asserts, the
     /// row-backed sweep equals `Expectation::compute` on the built factors
     /// to the bit and brute-force world enumeration to 1e-9,
@@ -314,7 +308,6 @@ proptest! {
         ),
         genre_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_DOCS..N_DOCS + 1),
         asserts in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), 0.05f64..=0.95), 0..4),
-        prune in any::<bool>(),
     ) {
         let Case { mut kb, rules, user, docs } =
             build_case(&rule_draws, &ctx_draws, &feat_draws, &genre_draws);
@@ -324,7 +317,7 @@ proptest! {
         }
         let genre_a = kb.voc.find_individual("GenreA").unwrap();
         let list = [docs[1], docs[0], docs[4], docs[1], docs[2], docs[3]];
-        let engine = LineageEngine { prune_inapplicable: prune };
+        let engine = LineageEngine::new();
         // One binding cache and one scratch throughout: unchanged views
         // keep their `Arc`s, so rows are carried from step to step.
         let mut cache = BindingCache::new();
@@ -343,11 +336,11 @@ proptest! {
             for who in [user, other] {
                 let env = ScoringEnv { kb: &kb, rules: &rules, user: who };
                 let bound = cache.bind(&env);
-                let want = common::reference_scores(&env, &bound, &list, prune);
+                let want = common::reference_scores(&env, &bound, &list);
                 let got = engine.score_all_bound(&env, &bound, &list, &mut scratch).unwrap();
                 prop_assert_eq!(common::bits(&want), common::bits(&got), "step {}", step);
                 for s in &got {
-                    let factors = common::factors(&bound, s.doc, prune);
+                    let factors = common::factors(&bound, s.doc);
                     let support: BTreeSet<VarId> =
                         factors.iter().flat_map(|f| f.support().iter().copied()).collect();
                     if support.len() <= 10 {
@@ -357,7 +350,7 @@ proptest! {
                 }
                 let closed = engine.score_closed_form(&env, &bound, &list, &mut scratch).unwrap();
                 for (slot, (&doc, score)) in list.iter().zip(&closed).enumerate() {
-                    let lane = lane_test_admits(&kb.universe, &bound, doc, prune);
+                    let lane = lane_test_admits(&kb.universe, &bound, doc);
                     prop_assert_eq!(
                         score.map(f64::to_bits),
                         lane.then_some(want[slot].score.to_bits()),
@@ -367,8 +360,9 @@ proptest! {
                 let full = rank(got);
                 let top = rank_top_k_bound(&env, &engine, &bound, &list, 2, &mut scratch).unwrap();
                 prop_assert_eq!(common::bits(&top), common::bits(&full[..2]), "step {}", step);
-                // A cold call binds views of its own: it takes the rows
-                // over whole and the next bound call takes them back.
+                // A cold call binds views of its own: it reads rows into a
+                // set of its own, beside the bound calls' set, and each
+                // later cold call takes over the last one's.
                 let cold = engine.score_all(&env, &list).unwrap();
                 prop_assert_eq!(common::bits(&want), common::bits(&cold), "cold, step {}", step);
                 if let Ok(factorized) =
@@ -380,6 +374,137 @@ proptest! {
             }
         }
     }
+}
+
+/// Contexts of the column-pass property: `Ctx0`, `Ctx1` are asserted
+/// before the documents' features and `Ctx2`, `Ctx3` after them, so a
+/// document's variables fall inside the contexts' support range without
+/// being any of its variables; a conjunction that spans both; one that
+/// never applies.
+const COLUMN_CONTEXTS: [&str; 6] = ["Ctx0", "Ctx1", "Ctx2", "Ctx3", "Ctx0 AND Ctx3", "Never"];
+
+/// Preferences of the column-pass property: plain (certain, uncertain,
+/// re-asserted or on the sensor, as drawn), conjunctive — a cell that
+/// flattens — and negated.
+const COLUMN_PREFERENCES: [&str; 5] = ["Feat0", "Feat1", "Feat2", "Feat0 AND Feat1", "NOT Feat2"];
+
+/// σ = 0 and σ = 1 drop a case of the factor; the others keep all three.
+const COLUMN_SIGMAS: [f64; 4] = [0.0, 1.0, 0.5, 0.8];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96 * stress_iters()))]
+
+    /// The lane route is a column pass — constant factors down the rules'
+    /// columns, the lane test per slot, the queued factors down the
+    /// columns again — and it equals `Expectation::compute` over the
+    /// factor reference bit for bit, whatever each cell holds: σ ∈ {0, 1}
+    /// with a dropped case; `True` contexts and `True` features; a constant
+    /// product that reaches 0 before any factor is queued (a certain
+    /// context, σ = 1 and no match — the slot is settled even where the
+    /// lane test would defer it); conjunctive cells, which still defer
+    /// under an uncertain context; rows inside the contexts' support range
+    /// but off their variables; a candidate list with repeats.
+    /// `score_closed_form` defers exactly what the lane test defers, and
+    /// `FactorizedEngine`, which reads the same columns, equals its own
+    /// closed form from public pieces bit for bit.
+    #[test]
+    fn the_column_pass_equals_the_factor_reference_cell_kind_by_cell_kind(
+        rule_draws in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..5),
+        ctx_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_CTX..N_CTX + 1),
+        feat_draws in prop::collection::vec(
+            (any::<u8>(), 0.05f64..=0.95),
+            N_DOCS * N_FEAT..N_DOCS * N_FEAT + 1,
+        ),
+    ) {
+        let mut kb = Kb::new();
+        let user = kb.individual("user");
+        let assert_contexts = |kb: &mut Kb, range: std::ops::Range<usize>| {
+            for c in range {
+                let (kind, p) = ctx_draws[c];
+                assert_fact(kb, user, &format!("Ctx{c}"), kind, p);
+            }
+        };
+        assert_contexts(&mut kb, 0..2);
+        let docs: Vec<IndividualId> = (0..N_DOCS)
+            .map(|d| {
+                let doc = kb.individual(&format!("doc{d}"));
+                for f in 0..N_FEAT {
+                    let (kind, p) = feat_draws[d * N_FEAT + f];
+                    assert_fact(&mut kb, doc, &format!("Feat{f}"), kind, p);
+                }
+                doc
+            })
+            .collect();
+        assert_contexts(&mut kb, 2..N_CTX);
+        let mut rules = RuleRepository::new();
+        for (i, &(ctx, pref, sigma)) in rule_draws.iter().enumerate() {
+            rules
+                .add(PreferenceRule::new(
+                    format!("R{i}"),
+                    kb.parse(COLUMN_CONTEXTS[ctx as usize % COLUMN_CONTEXTS.len()]).unwrap(),
+                    kb.parse(COLUMN_PREFERENCES[pref as usize % COLUMN_PREFERENCES.len()]).unwrap(),
+                    Score::new(COLUMN_SIGMAS[sigma as usize % COLUMN_SIGMAS.len()]).unwrap(),
+                ))
+                .unwrap();
+        }
+        let env = ScoringEnv { kb: &kb, rules: &rules, user };
+        let bindings = bind_rules_shared(&env);
+        let list = [docs[1], docs[0], docs[1], docs[4], docs[2], docs[3], docs[4], docs[4]];
+        let want = common::reference_scores(&env, &bindings, &list);
+        let mut scratch = EvalScratch::new();
+        let engine = LineageEngine::new();
+        let got = engine.score_all_bound(&env, &bindings, &list, &mut scratch).unwrap();
+        prop_assert_eq!(common::bits(&want), common::bits(&got));
+        let closed = engine.score_closed_form(&env, &bindings, &list, &mut scratch).unwrap();
+        for (slot, (&doc, score)) in list.iter().zip(&closed).enumerate() {
+            let lane = lane_test_admits(&kb.universe, &bindings, doc);
+            prop_assert_eq!(
+                score.map(f64::to_bits),
+                lane.then_some(want[slot].score.to_bits()),
+                "slot {}", slot
+            );
+        }
+        if let Ok(factorized) =
+            FactorizedEngine::new().score_all_bound(&env, &bindings, &list, &mut scratch)
+        {
+            let closed_form = common::factorized_reference(&env, &bindings, &list);
+            prop_assert_eq!(common::bits(&closed_form), common::bits(&factorized), "factorized");
+        }
+    }
+}
+
+/// A `True` context, σ = 1 and a document that does not match: the
+/// constant factors' product is 0 before any factor is queued, so the slot
+/// is scored 0 in closed form — even though its queued factor's feature
+/// shares a variable with another rule's context, which would defer it.
+#[test]
+fn a_constant_product_of_zero_settles_a_slot_the_lane_test_would_defer() {
+    let mut shape = Shape::new()
+        .rule("Ctx0", "Star", 1.0)
+        .rule("Ctx1", "Feat0", 0.5)
+        .user_sure("Ctx0");
+    let sensor = shape.kb.universe.add_bool("sensor", 0.3).unwrap();
+    let reading = shape.kb.universe.bool_event(sensor).unwrap();
+    shape
+        .kb
+        .assert_concept_event(shape.user, "Ctx1", reading.clone());
+    shape.kb.assert_concept_event(shape.doc, "Feat0", reading);
+    let (score, fallbacks) = shape.score();
+    assert_eq!((score, fallbacks), (0.0, 0));
+    let env = ScoringEnv {
+        kb: &shape.kb,
+        rules: &shape.rules,
+        user: shape.user,
+    };
+    let closed = LineageEngine::new()
+        .score_closed_form(
+            &env,
+            &bind_rules_shared(&env),
+            &[shape.doc],
+            &mut EvalScratch::new(),
+        )
+        .unwrap();
+    assert_eq!(closed, [Some(score)]);
 }
 
 type BoxedEngine = Box<dyn ScoringEngine + Sync>;
@@ -721,23 +846,20 @@ impl Shape {
         self
     }
 
-    /// Scores the document with pruning as given; returns the score and
-    /// how many exact evaluations the one-lane batch needed (0 or 1).
-    fn score(&self, prune: bool) -> (f64, u64) {
+    /// Scores the document; returns the score and how many exact
+    /// evaluations the one-lane batch needed (0 or 1).
+    fn score(&self) -> (f64, u64) {
         let env = ScoringEnv {
             kb: &self.kb,
             rules: &self.rules,
             user: self.user,
         };
         let bindings = bind_rules_shared(&env);
-        let engine = LineageEngine {
-            prune_inapplicable: prune,
-        };
         let mut scratch = EvalScratch::new();
-        let got = engine
+        let got = LineageEngine::new()
             .score_all_bound(&env, &bindings, &[self.doc], &mut scratch)
             .unwrap();
-        let want = common::reference_scores(&env, &bindings, &[self.doc], prune);
+        let want = common::reference_scores(&env, &bindings, &[self.doc]);
         assert_eq!(common::bits(&want), common::bits(&got));
         let batch = scratch.batch_stats();
         assert_eq!((batch.sweeps, batch.lanes), (1, 1), "a one-lane batch");
@@ -858,6 +980,16 @@ fn the_lane_test_picks_the_route_by_supports_and_shapes() {
             LANE,
         ),
         (
+            "a feature between the contexts' variables: ranges overlap, supports do not",
+            Shape::new()
+                .rule("Ctx0", "Feat0", 0.8)
+                .rule("Ctx1", "Feat1", 0.35)
+                .user_prob("Ctx0", 0.6)
+                .doc_prob("Feat0", 0.7)
+                .user_prob("Ctx1", 0.4),
+            LANE,
+        ),
+        (
             "two rules reading one feature variable",
             independent()
                 .rule("Ctx2", "Feat0", 0.5)
@@ -866,20 +998,17 @@ fn the_lane_test_picks_the_route_by_supports_and_shapes() {
         ),
     ];
     for (name, shape, route) in rows {
-        for prune in [true, false] {
-            let (_, fallbacks) = shape.score(prune);
-            assert_eq!(fallbacks, route, "{name} (prune: {prune})");
-        }
+        let (_, fallbacks) = shape.score();
+        assert_eq!(fallbacks, route, "{name}");
     }
 
-    // A `False` context is a constant factor 1 with pruning off, and its
-    // feature entangles nothing.
-    let never = independent().rule("Never", "Feat0", 0.5);
-    let (pruned, _) = never.score(true);
-    let (kept, fallbacks) = never.score(false);
+    // A `False` context is a constant factor 1, and its feature entangles
+    // nothing.
+    let (plain, _) = independent().score();
+    let (never, fallbacks) = independent().rule("Never", "Feat0", 0.5).score();
     assert_eq!(
-        (pruned.to_bits(), fallbacks),
-        (kept.to_bits(), LANE),
+        (never.to_bits(), fallbacks),
+        (plain.to_bits(), LANE),
         "a rule that never applies changes nothing"
     );
 
@@ -888,7 +1017,7 @@ fn the_lane_test_picks_the_route_by_supports_and_shapes() {
     let (empty, fallbacks) = Shape::new()
         .rule("Ctx0", "Feat0", 1.0)
         .user_sure("Ctx0")
-        .score(true);
+        .score();
     assert_eq!((empty, fallbacks), (0.0, LANE));
 
     // A sensor read by a context and by the document.
@@ -900,7 +1029,7 @@ fn the_lane_test_picks_the_route_by_supports_and_shapes() {
         .assert_concept_event(shared.user, "Ctx1", reading.clone());
     shared.kb.assert_concept_event(shared.doc, "Feat0", reading);
     assert_eq!(
-        shared.score(true).1,
+        shared.score().1,
         EXACT,
         "context and feature share a sensor"
     );
@@ -984,7 +1113,7 @@ fn a_context_switch_and_catalog_rank_leave_o_rules_entries() {
             rules: snap.rules(),
             user: shopper,
         };
-        let want = common::reference_scores(&env, &bind_rules_shared(&env), &db.products, true);
+        let want = common::reference_scores(&env, &bind_rules_shared(&env), &db.products);
         assert_eq!(common::bits(&ranked), common::bits(&rank(want)));
     };
     rank_all();
@@ -1096,18 +1225,16 @@ impl Verdicts {
         &self,
         who: IndividualId,
         docs: &[IndividualId],
-        prune: bool,
         cache: &mut BindingCache,
         scratch: &mut EvalScratch,
     ) -> u64 {
         let env = self.env(who);
         let bound = cache.bind(&env);
         let before = scratch.batch_stats().fallbacks;
-        let engine = LineageEngine {
-            prune_inapplicable: prune,
-        };
-        let got = engine.score_all_bound(&env, &bound, docs, scratch).unwrap();
-        let want = common::reference_scores(&env, &bound, docs, prune);
+        let got = LineageEngine::new()
+            .score_all_bound(&env, &bound, docs, scratch)
+            .unwrap();
+        let want = common::reference_scores(&env, &bound, docs);
         assert_eq!(common::bits(&want), common::bits(&got));
         scratch.batch_stats().fallbacks - before
     }
@@ -1125,7 +1252,7 @@ impl Verdicts {
         let bound = bind_rules_shared(&env);
         let mut scratch = EvalScratch::new();
         let top = rank_top_k_bound(&env, engine, &bound, docs, k, &mut scratch).unwrap();
-        let want = rank(common::reference_scores(&env, &bound, docs, true));
+        let want = rank(common::reference_scores(&env, &bound, docs));
         assert_eq!(common::bits(&top), common::bits(&want[..k]));
         let batch = scratch.batch_stats();
         (batch.sweeps, batch.lanes, batch.fallbacks)
@@ -1146,12 +1273,7 @@ fn a_document_whose_features_come_to_share_a_variable_leaves_the_lanes() {
     let docs = [shelf.stars[0], drift, plain];
     let (mut cache, mut scratch) = (BindingCache::new(), EvalScratch::new());
     let user = shelf.user;
-    for prune in [true, false] {
-        assert_eq!(
-            shelf.fallbacks(user, &docs, prune, &mut cache, &mut scratch),
-            0
-        );
-    }
+    assert_eq!(shelf.fallbacks(user, &docs, &mut cache, &mut scratch), 0);
     let lineage = LineageEngine::new();
     assert_eq!(
         shelf.top_k(user, &lineage, &docs, 1),
@@ -1161,13 +1283,11 @@ fn a_document_whose_features_come_to_share_a_variable_leaves_the_lanes() {
 
     // `Feat1` becomes `fresh ∨ s1`: it now shares `s1` with `Feat0`.
     shelf.kb.assert_concept_event(drift, "Feat1", s1);
-    for prune in [true, false] {
-        assert_eq!(
-            shelf.fallbacks(user, &docs, prune, &mut cache, &mut scratch),
-            1,
-            "drift is entangled (prune: {prune})"
-        );
-    }
+    assert_eq!(
+        shelf.fallbacks(user, &docs, &mut cache, &mut scratch),
+        1,
+        "drift is entangled"
+    );
     // Deferred, its bound is the world-wise 1 — a factorised bound would
     // fall below the star's score, for `drift` has no `Star`, and prune it
     // unevaluated — so it is evaluated after the closed-form pass.
@@ -1189,12 +1309,10 @@ fn a_row_entangled_only_through_an_inactive_rule_stays_on_the_lanes() {
     let docs = [shelf.stars[0], quiet, plain];
     let (mut cache, mut scratch) = (BindingCache::new(), EvalScratch::new());
     let (user, other) = (shelf.user, shelf.other);
-    for prune in [true, false] {
-        let fallbacks = shelf.fallbacks(user, &docs, prune, &mut cache, &mut scratch);
-        assert_eq!(fallbacks, 0, "R2 is inactive for the user (prune: {prune})");
-        let fallbacks = shelf.fallbacks(other, &docs, prune, &mut cache, &mut scratch);
-        assert_eq!(fallbacks, 1, "R2 applies to the other (prune: {prune})");
-    }
+    let fallbacks = shelf.fallbacks(user, &docs, &mut cache, &mut scratch);
+    assert_eq!(fallbacks, 0, "R2 is inactive for the user");
+    let fallbacks = shelf.fallbacks(other, &docs, &mut cache, &mut scratch);
+    assert_eq!(fallbacks, 1, "R2 applies to the other");
     // The bound, for every candidate: behind a forwarding wrapper nothing
     // is scored in closed form, sixteen stars make the first batch, and
     // whatever bound is left below their score is pruned. For the user

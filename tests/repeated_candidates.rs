@@ -12,12 +12,19 @@
 //!   document once, so top-k stays the exact prefix of the full ranking.
 //!
 //! Top-k selects the `k` best slots before it sorts them, which a repeat
-//! among those `k` cuts short; the property below draws lists with repeats
-//! and featureless documents (whose scores tie) and checks every cut.
-//! `CAPRA_STRESS_ITERS` multiplies its case count, which CI's stress step
-//! sets.
+//! among those `k` cuts short; the properties below draw lists with repeats
+//! and featureless documents (whose scores tie) and check every cut. Both
+//! sort packed integer keys rather than calling a comparator, so a second
+//! property hands the ranking scores chosen to trip a key up — `±0.0`,
+//! subnormals, `1.0`, ties across documents — and holds every cut to a
+//! comparator sort. `CAPRA_STRESS_ITERS` multiplies their case counts,
+//! which CI's stress step sets.
+
+use std::collections::HashMap;
+use std::sync::Arc;
 
 use capra::commerce::generate::{flip_rules, generate, CommerceDb, ShopConfig};
+use capra::core::{EvalScratch, RuleBinding};
 use capra::dl::IndividualId;
 use capra::prelude::*;
 use proptest::prelude::*;
@@ -212,5 +219,101 @@ proptest! {
         let listed: Vec<IndividualId> =
             draws.iter().map(|&d| pool[usize::from(d) % pool.len()]).collect();
         assert_every_cut(&db, &rules, user, &listed);
+    }
+}
+
+/// An engine whose scores are given: every slot of a document gets the
+/// document's, and every document is scored in closed form, so top-k's cut
+/// is the only thing between the scores and the answer.
+struct Given(HashMap<IndividualId, f64>);
+
+impl ScoringEngine for Given {
+    fn name(&self) -> &'static str {
+        "given"
+    }
+
+    fn score_all_bound(
+        &self,
+        _: &ScoringEnv<'_>,
+        _: &[Arc<RuleBinding>],
+        docs: &[IndividualId],
+        _: &mut EvalScratch,
+    ) -> Result<Vec<DocScore>, CoreError> {
+        Ok(docs
+            .iter()
+            .map(|&doc| DocScore {
+                doc,
+                score: self.0[&doc],
+            })
+            .collect())
+    }
+
+    fn score_closed_form(
+        &self,
+        _: &ScoringEnv<'_>,
+        _: &[Arc<RuleBinding>],
+        docs: &[IndividualId],
+        _: &mut EvalScratch,
+    ) -> Result<Vec<Option<f64>>, CoreError> {
+        Ok(docs.iter().map(|doc| Some(self.0[doc])).collect())
+    }
+}
+
+/// Scores where a packed key could go wrong: both zeros, subnormals of
+/// either sign, `1.0` and its neighbour, and two scores that differ only
+/// in their lowest bit.
+const EDGE_SCORES: [f64; 8] = [
+    0.0,
+    -0.0,
+    f64::MIN_POSITIVE / 8.0,
+    -f64::MIN_POSITIVE / 8.0,
+    1.0,
+    1.0f64.next_down(),
+    0.5,
+    0.5f64.next_up(),
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64 * stress_iters()))]
+
+    /// `rank`, cold `rank_top_k` at every `k` from 1 to one past the
+    /// list's length (the select-then-sort cut below the length, a full
+    /// rank at and above it) and the service's `rank` are a comparator sort
+    /// of the scores — descending by `total_cmp`, ties by id, each document
+    /// once — cut at `k`, on lists that repeat documents and tie scores
+    /// across them.
+    #[test]
+    fn ranking_by_packed_keys_is_the_comparator_sort_at_every_cut(
+        per_doc in prop::collection::vec(any::<u8>(), 6..7),
+        draws in prop::collection::vec(any::<u8>(), 1..13),
+    ) {
+        let mut kb = Kb::new();
+        let user = kb.individual("user");
+        let docs: Vec<IndividualId> =
+            (0..per_doc.len()).map(|d| kb.individual(&format!("d{d}"))).collect();
+        let given: HashMap<IndividualId, f64> = docs
+            .iter()
+            .zip(&per_doc)
+            .map(|(&doc, &s)| (doc, EDGE_SCORES[usize::from(s) % EDGE_SCORES.len()]))
+            .collect();
+        let listed: Vec<IndividualId> =
+            draws.iter().map(|&d| docs[usize::from(d) % docs.len()]).collect();
+        let mut want: Vec<DocScore> =
+            listed.iter().map(|&doc| DocScore { doc, score: given[&doc] }).collect();
+        want.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
+        want.dedup_by_key(|s| s.doc);
+
+        let rules = RuleRepository::new();
+        let env = ScoringEnv { kb: &kb, rules: &rules, user };
+        let engine = Given(given.clone());
+        prop_assert_eq!(bits(&rank(engine.score_all(&env, &listed).unwrap())), bits(&want));
+        let service = RankingService::new(Given(given), kb.clone(), rules.clone());
+        for k in 1..=listed.len() + 1 {
+            let cut = bits(&want[..k.min(want.len())]);
+            let cold = rank_top_k(&env, &engine, &listed, k).unwrap();
+            prop_assert_eq!(bits(&cold), cut.clone(), "rank_top_k, k = {}", k);
+            let served = service.rank(user, &listed, k).unwrap();
+            prop_assert_eq!(bits(&served), cut, "service rank, k = {}", k);
+        }
     }
 }

@@ -506,7 +506,7 @@ proptest! {
                 .iter()
                 .map(|&user| {
                     let env = ScoringEnv { kb: snap.kb(), rules: snap.rules(), user };
-                    common::reference_scores(&env, &bind_rules_shared(&env), &docs, true)
+                    common::reference_scores(&env, &bind_rules_shared(&env), &docs)
                 })
                 .collect();
             let (want, got) = match &strategy {

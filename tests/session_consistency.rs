@@ -177,7 +177,7 @@ proptest! {
         for &(kind, doc, feat, p) in &ops {
             apply(&mut kb, user, &docs, decode_op(kind, doc, feat, p));
             let env = ScoringEnv { kb: &kb, rules: &rules, user };
-            let want = common::reference_scores(&env, &bind_rules_shared(&env), &docs, true);
+            let want = common::reference_scores(&env, &bind_rules_shared(&env), &docs);
             let got = session.score_all(&lineage, &env, &docs).unwrap();
             prop_assert_eq!(common::bits(&want), common::bits(&got), "session");
             // A single document is a one-lane batch of the same path.
