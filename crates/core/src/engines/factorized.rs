@@ -1,18 +1,20 @@
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use capra_dl::IndividualId;
-use capra_events::{BatchEvaluator, EventExpr, VarId};
 
 use crate::bind::RuleBinding;
-use crate::engines::{DocScore, EvalScratch, Rows, ScoringEngine};
+use crate::engines::lineage::column_pass;
+use crate::engines::{DocScore, EvalScratch, ScoringEngine};
 use crate::{CoreError, Result, ScoringEnv};
 
-/// What to do when rule events share random variables (i.e. features are
-/// *not* independent and the factorized closed form is only approximate).
+/// What to do with a document whose rule events share a random variable —
+/// whose features are *not* independent, so that the product of their
+/// marginals is only an approximation of its score.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CorrelationPolicy {
-    /// Refuse to score and point the caller at [`crate::LineageEngine`].
+    /// Refuse to score and point the caller at [`crate::LineageEngine`]:
+    /// [`CoreError::CorrelatedFeatures`], naming the shared variable of the
+    /// first such document in the batch.
     #[default]
     Error,
     /// Compute anyway, treating the marginals as independent (the paper's
@@ -37,9 +39,16 @@ pub enum CorrelationPolicy {
 /// stages"): cost is `O(#rules · #docs)` instead of `O(4^#rules · #docs)`,
 /// and rules with `P(G_r) = 0` drop out entirely.
 ///
-/// Correctness requires independence; the engine *verifies* it by checking
-/// that no random variable is shared between any two of the involved events
-/// (see [`CorrelationPolicy`]).
+/// The closed form is the [`crate::LineageEngine`]'s column pass, run by
+/// the same code: a document its lane test admits gets lineage's score, bit
+/// for bit. For a document the lane test rejects, the engine takes the
+/// product of the marginals — the row's `(P(F_rd), P(¬F_rd))` and the
+/// binding's `P(G_r)` — instead of lineage's Shannon expansion. That is
+/// exact where the rejection was for the shape of an event alone (a
+/// conjunction the exact route would flatten); where two of the document's
+/// factors share a variable, [`CorrelationPolicy`] decides. Only rules whose
+/// context applies count, and a document whose certain factors already
+/// multiply to 0 scores 0 whatever the others share.
 #[derive(Debug, Clone, Default)]
 pub struct FactorizedEngine {
     /// Behaviour when shared variables are detected.
@@ -57,101 +66,6 @@ impl FactorizedEngine {
         Self {
             on_correlation: CorrelationPolicy::AssumeIndependent,
         }
-    }
-
-    fn correlated(kb: &crate::Kb, var: VarId) -> CoreError {
-        CoreError::CorrelatedFeatures {
-            variable: kb.universe.name(var).unwrap_or("<unknown>").to_string(),
-        }
-    }
-
-    /// Maps every variable backing a *context* event to its rule slot,
-    /// erroring if two rules' contexts share a variable. Context events do
-    /// not depend on the document, so this runs **once per `score_all`**;
-    /// the per-document check below only walks the preference supports.
-    fn context_owners(
-        bindings: &[Arc<RuleBinding>],
-        kb: &crate::Kb,
-    ) -> Result<HashMap<VarId, usize>> {
-        let mut owner: HashMap<VarId, usize> = HashMap::new();
-        for (slot, binding) in bindings.iter().enumerate() {
-            for &var in binding.context_event.support_slice() {
-                match owner.get(&var) {
-                    Some(&prev) if prev != slot => return Err(Self::correlated(kb, var)),
-                    _ => {
-                        owner.insert(var, slot);
-                    }
-                }
-            }
-        }
-        Ok(owner)
-    }
-
-    /// Verifies that no variable backs two different rule events of
-    /// `slot`'s document, read off the columns of every rule in `rows`.
-    /// Context–context conflicts were ruled out by [`Self::context_owners`];
-    /// here a preference variable conflicts if it appears in *any* context
-    /// event (context and preference of one rule are distinct events whose
-    /// independence also matters) or in another rule's preference event.
-    /// Supports come from the per-node caches — no tree walks.
-    fn check_doc_independence(
-        rows: &Rows<'_>,
-        rules: usize,
-        slot: usize,
-        ctx_owner: &HashMap<VarId, usize>,
-        scratch: &mut HashMap<VarId, usize>,
-        kb: &crate::Kb,
-    ) -> Result<()> {
-        scratch.clear();
-        // A rule without a cell has the event `False`: empty support.
-        for rule in 0..rules {
-            let Some(event) = rows.column(rule).event(slot) else {
-                continue;
-            };
-            for &var in event.support_slice() {
-                if ctx_owner.contains_key(&var) {
-                    return Err(Self::correlated(kb, var));
-                }
-                match scratch.get(&var) {
-                    Some(&prev) if prev != rule => return Err(Self::correlated(kb, var)),
-                    _ => {
-                        scratch.insert(var, rule);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Doc-invariant screen over the preference supports: one pass over
-    /// each rule's bound view instead of per-document lookups. `false`
-    /// proves no preference variable (for *any* document) collides with a
-    /// context variable or another rule's preference variable — then no
-    /// per-document conflict is possible and the exact check can be
-    /// skipped. `true` may be a false alarm (the collision can involve
-    /// unrequested documents, or two *different* documents, which is
-    /// legal) and only means [`Self::check_doc_independence`] must run.
-    fn preference_screen_suspicious(
-        bindings: &[Arc<RuleBinding>],
-        ctx_owner: &HashMap<VarId, usize>,
-    ) -> bool {
-        let mut pref_owner: HashMap<VarId, usize> = HashMap::new();
-        for (slot, binding) in bindings.iter().enumerate() {
-            for event in binding.preference_events.values() {
-                for &var in event.support_slice() {
-                    if ctx_owner.contains_key(&var) {
-                        return true;
-                    }
-                    match pref_owner.get(&var) {
-                        Some(&prev) if prev != slot => return true,
-                        _ => {
-                            pref_owner.insert(var, slot);
-                        }
-                    }
-                }
-            }
-        }
-        false
     }
 }
 
@@ -173,28 +87,10 @@ impl ScoringEngine for FactorizedEngine {
         bindings: &[Arc<RuleBinding>],
         docs: &[IndividualId],
     ) -> Result<()> {
-        // The same independence checks `score_all_bound` performs, over
-        // every document handed in — for top-k behind a wrapper that defers
-        // on this engine's behalf, which must reject a correlated workload
-        // even when pruning would never evaluate the offending document.
-        // (The engine's own first phase scores, and so checks, every slot.)
-        if let CorrelationPolicy::Error = self.on_correlation {
-            let ctx_owner = Self::context_owners(bindings, env.kb)?;
-            if Self::preference_screen_suspicious(bindings, &ctx_owner) {
-                let set = env.kb.rows().set_for(env.kb, bindings);
-                let rows = set.rows(bindings, docs);
-                let mut owner_scratch: HashMap<VarId, usize> = HashMap::new();
-                for slot in 0..docs.len() {
-                    Self::check_doc_independence(
-                        &rows,
-                        bindings.len(),
-                        slot,
-                        &ctx_owner,
-                        &mut owner_scratch,
-                        env.kb,
-                    )?;
-                }
-            }
+        // For top-k behind a wrapper that defers on this engine's behalf:
+        // the scoring pass itself is the test, on a scratch of its own.
+        if self.on_correlation == CorrelationPolicy::Error {
+            self.score_all_bound(env, bindings, docs, &mut EvalScratch::new())?;
         }
         Ok(())
     }
@@ -206,83 +102,33 @@ impl ScoringEngine for FactorizedEngine {
         docs: &[IndividualId],
         scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>> {
-        if docs.is_empty() {
-            return Ok(Vec::new());
-        }
-        scratch.ensure_kb(env.kb);
-        let set = env.kb.rows().set_for(env.kb, bindings);
-        let rows = set.rows(bindings, docs);
-        // One sweep per applicable rule over the whole batch, each distinct
-        // preference event evaluated once per sweep; a single document is a
-        // one-lane batch. Per lane the factors multiply in rule order.
-        let applicable: Vec<(usize, &RuleBinding)> = bindings
-            .iter()
-            .map(Arc::as_ref)
-            .enumerate()
-            .filter(|(_, b)| !b.is_inapplicable())
-            .collect();
-        let (result, stats) = scratch.with_evaluator(&env.kb.universe, |ev| {
-            let mut batch = BatchEvaluator::new(ev);
-            let result = (|| -> Result<Vec<DocScore>> {
-                if let CorrelationPolicy::Error = self.on_correlation {
-                    let ctx_owner = Self::context_owners(bindings, env.kb)?;
-                    // The doc-invariant screen costs one pass over every
-                    // bound view; worth it only when the views are batch-
-                    // sized. When they dwarf the batch (a short candidate
-                    // list over a large catalog), the per-document checks
-                    // are cheaper — and either route
-                    // raises the same first error in the same document
-                    // order.
-                    let view_total: usize =
-                        bindings.iter().map(|b| b.preference_events.len()).sum();
-                    if view_total > docs.len().saturating_mul(4)
-                        || Self::preference_screen_suspicious(bindings, &ctx_owner)
-                    {
-                        let mut owner_scratch: HashMap<VarId, usize> = HashMap::new();
-                        for slot in 0..docs.len() {
-                            Self::check_doc_independence(
-                                &rows,
-                                bindings.len(),
-                                slot,
-                                &ctx_owner,
-                                &mut owner_scratch,
-                                env.kb,
-                            )?;
-                        }
+        let strict = self.on_correlation == CorrelationPolicy::Error;
+        let (scores, _) = column_pass(
+            env,
+            bindings,
+            docs,
+            scratch,
+            |contexts, rows, deferred, scores, expectation| {
+                let mut seen = Vec::new();
+                for &slot in deferred {
+                    let shared = if strict {
+                        contexts.shared(rows, slot, &mut seen)
+                    } else {
+                        None
+                    };
+                    if let Some(var) = shared {
+                        let name = env.kb.universe.name(var).unwrap_or("<unknown>");
+                        return Err(CoreError::CorrelatedFeatures {
+                            variable: name.to_string(),
+                        });
                     }
+                    scores[slot].score = contexts.marginal(rows, slot, expectation);
                 }
-                let mut scores = vec![1.0f64; docs.len()];
-                // Each rule sweep reads the rule's feature column at the
-                // documents' rows; a document without a cell under the rule
-                // has the event `False`.
-                let mut column: Vec<EventExpr> = Vec::with_capacity(docs.len());
-                for &(rule, b) in &applicable {
-                    let pg = b.context_prob(&env.kb.universe);
-                    let cells = rows.column(rule);
-                    column.clear();
-                    column.extend(
-                        (0..docs.len())
-                            .map(|slot| cells.event(slot).cloned().unwrap_or(EventExpr::False)),
-                    );
-                    let pfs = batch.probs(&column);
-                    for (score, pf) in scores.iter_mut().zip(&pfs) {
-                        let matched = pf * b.sigma + (1.0 - pf) * (1.0 - b.sigma);
-                        *score *= (1.0 - pg) + pg * matched;
-                    }
-                }
-                Ok(docs
-                    .iter()
-                    .zip(scores)
-                    .map(|(&doc, score)| DocScore {
-                        doc,
-                        score: score.clamp(0.0, 1.0),
-                    })
-                    .collect())
-            })();
-            (result, batch.stats())
-        });
-        scratch.record_batch(stats);
-        result
+                // A marginal product is a closed form: no fallback.
+                Ok(0)
+            },
+        )?;
+        Ok(scores)
     }
 
     fn score_closed_form(
@@ -292,8 +138,7 @@ impl ScoringEngine for FactorizedEngine {
         docs: &[IndividualId],
         scratch: &mut EvalScratch,
     ) -> Result<Vec<Option<f64>>> {
-        // The closed form is all this engine has: nothing is deferred, and
-        // the independence checks above cover every slot.
+        // The closed form is all this engine has: nothing is deferred.
         let scores = self.score_all_bound(env, bindings, docs, scratch)?;
         Ok(scores.into_iter().map(|s| Some(s.score)).collect())
     }
@@ -302,7 +147,41 @@ impl ScoringEngine for FactorizedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Kb, PreferenceRule, RuleRepository, Score};
+    use crate::{bind_rules_shared, Kb, LineageEngine, RuleRepository};
+
+    /// `doc`'s score on `engine` for `user` under the rules of `text`
+    /// ([`RuleRepository::from_text`]).
+    fn score(
+        engine: &dyn ScoringEngine,
+        kb: &mut Kb,
+        user: IndividualId,
+        doc: IndividualId,
+        text: &str,
+    ) -> Result<f64> {
+        let rules = RuleRepository::from_text(text, &mut kb.voc).unwrap();
+        let env = ScoringEnv {
+            kb,
+            rules: &rules,
+            user,
+        };
+        Ok(engine.score(&env, doc)?.score)
+    }
+
+    /// `peter`, sure to be in the `Morning`, and a document whose genres
+    /// `A` and `B` are the two alternatives of one variable, `kind`.
+    fn two_genres() -> (Kb, IndividualId, IndividualId) {
+        let mut kb = Kb::new();
+        let user = kb.individual("peter");
+        kb.assert_concept(user, "Morning");
+        let doc = kb.individual("doc");
+        let kind = kb.universe.add_choice("kind", &[0.5, 0.5]).unwrap();
+        for (alt, genre) in [(0, "A"), (1, "B")] {
+            let genre = kb.individual(genre);
+            let event = kb.universe.atom(kind, alt).unwrap();
+            kb.assert_role_event(doc, "hasGenre", genre, event);
+        }
+        (kb, user, doc)
+    }
 
     /// The paper's Section 4.2 worked example, rule R1 only, on Channel 5
     /// news: term = 0.95·0.8 + 0.05·0.2 = 0.77.
@@ -315,23 +194,9 @@ mod tests {
         kb.assert_concept(ch5, "TvProgram");
         let hi = kb.individual("HUMAN-INTEREST");
         kb.assert_role_prob(ch5, "hasGenre", hi, 0.95).unwrap();
-        let mut rules = RuleRepository::new();
-        rules
-            .add(PreferenceRule::new(
-                "R1",
-                kb.parse("Weekend").unwrap(),
-                kb.parse("TvProgram AND EXISTS hasGenre.{HUMAN-INTEREST}")
-                    .unwrap(),
-                Score::new(0.8).unwrap(),
-            ))
-            .unwrap();
-        let env = ScoringEnv {
-            kb: &kb,
-            rules: &rules,
-            user,
-        };
-        let s = FactorizedEngine::new().score(&env, ch5).unwrap();
-        assert!((s.score - 0.77).abs() < 1e-12, "{}", s.score);
+        let rules = "R1 | Weekend | TvProgram AND EXISTS hasGenre.{HUMAN-INTEREST} | 0.8";
+        let s = score(&FactorizedEngine::new(), &mut kb, user, ch5, rules).unwrap();
+        assert!((s - 0.77).abs() < 1e-12, "{s}");
     }
 
     #[test]
@@ -342,71 +207,85 @@ mod tests {
         kb.assert_concept_prob(user, "Breakfast", 0.5).unwrap();
         let doc = kb.individual("doc");
         kb.assert_concept(doc, "News");
-        let mut rules = RuleRepository::new();
-        rules
-            .add(PreferenceRule::new(
-                "R",
-                kb.parse("Breakfast").unwrap(),
-                kb.parse("News").unwrap(),
-                Score::new(0.9).unwrap(),
-            ))
-            .unwrap();
-        let env = ScoringEnv {
-            kb: &kb,
-            rules: &rules,
-            user,
-        };
-        let s = FactorizedEngine::new().score(&env, doc).unwrap();
-        assert!((s.score - 0.95).abs() < 1e-12);
+        let rules = "R | Breakfast | News | 0.9";
+        let s = score(&FactorizedEngine::new(), &mut kb, user, doc, rules).unwrap();
+        assert!((s - 0.95).abs() < 1e-12);
     }
 
     #[test]
     fn detects_correlation_and_policy_overrides() {
+        let (mut kb, user, doc) = two_genres();
+        let rules = "A | Morning | EXISTS hasGenre.{A} | 0.8\n\
+                     B | Morning | EXISTS hasGenre.{B} | 0.6";
+        let err = score(&FactorizedEngine::new(), &mut kb, user, doc, rules);
+        assert!(
+            matches!(&err, Err(CoreError::CorrelatedFeatures { variable }) if variable == "kind"),
+            "{err:?}"
+        );
+        // Permissive policy computes the independence approximation.
+        let lenient = FactorizedEngine::assuming_independence();
+        let s = score(&lenient, &mut kb, user, doc, rules).unwrap();
+        let approx = (0.5 * 0.8 + 0.5 * 0.2) * (0.5 * 0.6 + 0.5 * 0.4);
+        assert!((s - approx).abs() < 1e-12);
+    }
+
+    /// A variable the document shares only with a rule whose context does
+    /// not apply correlates nothing: the strict engine scores it, with the
+    /// lineage engine's bits.
+    #[test]
+    fn a_variable_shared_with_an_inactive_rule_is_no_correlation() {
+        let (mut kb, user, doc) = two_genres();
+        let rules = "A | Morning | EXISTS hasGenre.{A} | 0.8\n\
+                     B | Holiday | EXISTS hasGenre.{B} | 0.6";
+        let strict = score(&FactorizedEngine::new(), &mut kb, user, doc, rules).unwrap();
+        let exact = score(&LineageEngine::new(), &mut kb, user, doc, rules).unwrap();
+        assert_eq!(strict.to_bits(), exact.to_bits());
+        assert!((strict - (0.5 * 0.8 + 0.5 * 0.2)).abs() < 1e-12);
+    }
+
+    /// A conjunctive feature under an uncertain context: lineage defers the
+    /// document for the shape alone, and the strict engine scores it from
+    /// the marginals, which are exact here.
+    #[test]
+    fn a_document_deferred_for_its_shape_alone_is_scored() {
         let mut kb = Kb::new();
         let user = kb.individual("peter");
-        kb.assert_concept(user, "Morning");
+        kb.assert_concept_prob(user, "Breakfast", 0.5).unwrap();
         let doc = kb.individual("doc");
-        let a = kb.individual("A");
-        let b = kb.individual("B");
-        let kind = kb.universe.add_choice("kind", &[0.5, 0.5]).unwrap();
-        let e0 = kb.universe.atom(kind, 0).unwrap();
-        let e1 = kb.universe.atom(kind, 1).unwrap();
-        kb.assert_role_event(doc, "hasGenre", a, e0);
-        kb.assert_role_event(doc, "hasGenre", b, e1);
-        let mut rules = RuleRepository::new();
-        let ctx = kb.parse("Morning").unwrap();
-        rules
-            .add(PreferenceRule::new(
-                "A",
-                ctx.clone(),
-                kb.parse("EXISTS hasGenre.{A}").unwrap(),
-                Score::new(0.8).unwrap(),
-            ))
-            .unwrap();
-        rules
-            .add(PreferenceRule::new(
-                "B",
-                ctx,
-                kb.parse("EXISTS hasGenre.{B}").unwrap(),
-                Score::new(0.6).unwrap(),
-            ))
-            .unwrap();
+        kb.assert_concept_prob(doc, "News", 0.6).unwrap();
+        kb.assert_concept_prob(doc, "Local", 0.7).unwrap();
+        let text = "R | Breakfast | News AND Local | 0.9";
+        let rules = RuleRepository::from_text(text, &mut kb.voc).unwrap();
         let env = ScoringEnv {
             kb: &kb,
             rules: &rules,
             user,
         };
-        let err = FactorizedEngine::new().score(&env, doc);
-        assert!(
-            matches!(err, Err(CoreError::CorrelatedFeatures { .. })),
-            "{err:?}"
-        );
-        // Permissive policy computes the independence approximation.
-        let s = FactorizedEngine::assuming_independence()
-            .score(&env, doc)
-            .unwrap();
-        let approx = (0.5 * 0.8 + 0.5 * 0.2) * (0.5 * 0.6 + 0.5 * 0.4);
-        assert!((s.score - approx).abs() < 1e-12);
+        let (bindings, mut scratch) = (bind_rules_shared(&env), EvalScratch::new());
+        let closed = LineageEngine::new().score_closed_form(&env, &bindings, &[doc], &mut scratch);
+        assert_eq!(closed.unwrap(), [None]);
+        let strict = score(&FactorizedEngine::new(), &mut kb, user, doc, text).unwrap();
+        let exact = score(&LineageEngine::new(), &mut kb, user, doc, text).unwrap();
+        assert!((strict - exact).abs() < 1e-12, "{strict} vs {exact}");
+        assert!((strict - (0.5 + 0.5 * (0.42 * 0.9 + 0.58 * 0.1))).abs() < 1e-12);
+    }
+
+    /// A certain context, σ = 1 and a document that does not match: the
+    /// certain factors multiply to 0, so the document scores 0 however the
+    /// other rule's context and feature are correlated.
+    #[test]
+    fn a_slot_whose_certain_factors_multiply_to_zero_scores_zero() {
+        let mut kb = Kb::new();
+        let user = kb.individual("peter");
+        kb.assert_concept(user, "Weekend");
+        let doc = kb.individual("doc");
+        let sensor = kb.universe.add_bool("sensor", 0.3).unwrap();
+        let reading = kb.universe.bool_event(sensor).unwrap();
+        kb.assert_concept_event(user, "Kitchen", reading.clone());
+        kb.assert_concept_event(doc, "Cooking", reading);
+        let rules = "Star | Weekend | Star | 1.0\nCook | Kitchen | Cooking | 0.5";
+        let strict = score(&FactorizedEngine::new(), &mut kb, user, doc, rules);
+        assert_eq!(strict.unwrap(), 0.0);
     }
 
     #[test]
@@ -414,21 +293,8 @@ mod tests {
         let mut kb = Kb::new();
         let user = kb.individual("peter");
         let doc = kb.individual("doc");
-        let mut rules = RuleRepository::new();
-        rules
-            .add(PreferenceRule::new(
-                "Never",
-                kb.parse("Holiday").unwrap(),
-                kb.parse("TvProgram").unwrap(),
-                Score::new(0.1).unwrap(),
-            ))
-            .unwrap();
-        let env = ScoringEnv {
-            kb: &kb,
-            rules: &rules,
-            user,
-        };
-        let s = FactorizedEngine::new().score(&env, doc).unwrap();
-        assert_eq!(s.score, 1.0);
+        let rules = "Never | Holiday | TvProgram | 0.1";
+        let s = score(&FactorizedEngine::new(), &mut kb, user, doc, rules).unwrap();
+        assert_eq!(s, 1.0);
     }
 }

@@ -45,8 +45,9 @@ use crate::{Result, ScoringEnv};
 ///   factors first, in rule order, and then the others, so one walk down
 ///   the active rules' columns multiplies every slot's constant factors,
 ///   the lane test runs per slot, and a second walk multiplies the rest
-///   into the slots that passed. This is the factorized engine's linear
-///   cost, with the exact engine's bits.
+///   into the slots that passed. This is the linear cost the paper's
+///   Discussion asks for, with the exact engine's bits — and the very pass
+///   [`crate::FactorizedEngine`] scores with.
 /// * **exact** — any other document, and only that document, has its
 ///   factors built and goes through `compute`: Shannon expansion over the
 ///   shared variables with memoisation, one evaluation per distinct
@@ -197,7 +198,7 @@ enum Lane {
 /// The doc-invariant half of a request, computed once: the active rules in
 /// rule order, and what the lane test needs to know about their contexts
 /// together.
-struct Contexts<'a> {
+pub(super) struct Contexts<'a> {
     active: Vec<ActiveRule<'a>>,
     support: ContextSupport,
 }
@@ -301,9 +302,18 @@ impl<'a> Contexts<'a> {
     /// under the factors queued for the slot decide (a constant factor's
     /// cell has no variable to share). `seen` is the caller's buffer.
     fn admits(&self, rows: &Rows<'_>, slot: usize, seen: &mut Vec<VarId>) -> bool {
-        if self.support.clears(rows.support(slot)) {
-            return true;
-        }
+        self.support.clears(rows.support(slot)) || self.shared(rows, slot, seen).is_none()
+    }
+
+    /// The lane test's variable half for `slot` from the cells themselves:
+    /// `None` where no two of the factors queued for the slot share a
+    /// variable, else one they share ([`ContextSupport::shared_with`]).
+    pub(super) fn shared(
+        &self,
+        rows: &Rows<'_>,
+        slot: usize,
+        seen: &mut Vec<VarId>,
+    ) -> Option<VarId> {
         seen.clear();
         for a in &self.active {
             let column = rows.column(a.rule);
@@ -312,7 +322,34 @@ impl<'a> Contexts<'a> {
                 seen.extend_from_slice(event.map_or(&[][..], EventExpr::support_slice));
             }
         }
-        self.support.disjoint_with(seen)
+        self.support.shared_with(seen)
+    }
+
+    /// `slot`'s factors as if no two of their events shared a variable: per
+    /// active rule, in rule order, the closed form from the rule's `P(G)`
+    /// and the cell's `(P(F), P(¬F))`, multiplied and clamped. Where the
+    /// lane test admits the slot this is its score up to rounding.
+    pub(super) fn marginal(
+        &self,
+        rows: &Rows<'_>,
+        slot: usize,
+        expectation: &mut Expectation<'_>,
+    ) -> f64 {
+        let factors = self.active.iter().map(|a| {
+            let column = rows.column(a.rule);
+            // A constant factor is in `constant` or `later`, whichever
+            // pass takes it, and the other holds 1.0 for it.
+            match column.kind(slot) {
+                kind @ (Kind::Absent | Kind::True) => {
+                    a.half.constant[kind as usize] * a.half.later[kind as usize]
+                }
+                Kind::Uncertain | Kind::Flattens => {
+                    let (p_f, p_not_f) = column.parts(slot, expectation);
+                    a.half.factor(p_f, p_not_f)
+                }
+            }
+        });
+        factors.product::<f64>().clamp(0.0, 1.0)
     }
 
     /// A document's feature event per active rule — its signature on the
@@ -327,14 +364,17 @@ impl<'a> Contexts<'a> {
 
 /// The exact route, for the documents the lane test rejected: builds each
 /// distinct signature's factors (a signature is a document's feature event
-/// per rule) and runs [`Expectation::compute`] on them once. Returns the
-/// expectations in `rows` order and how many evaluations ran.
-fn exact_scores(
-    active: &[ActiveRule<'_>],
-    rows: &[Vec<Option<&EventExpr>>],
+/// per active rule) and runs [`Expectation::compute`] on them once, into
+/// the `deferred` slots of `scores`. Returns how many evaluations ran.
+fn exact_route(
+    contexts: &Contexts<'_>,
+    rows: &Rows<'_>,
+    deferred: &[usize],
+    scores: &mut [DocScore],
     expectation: &mut Expectation<'_>,
-) -> (Vec<f64>, u64) {
-    let per_rule: Vec<(&RuleBinding, EventExpr, Factor)> = active
+) -> Result<u64> {
+    let per_rule: Vec<(&RuleBinding, EventExpr, Factor)> = contexts
+        .active
         .iter()
         .map(|a| {
             let b = a.binding;
@@ -346,8 +386,12 @@ fn exact_scores(
             (b, not_g, miss_factor)
         })
         .collect();
+    let signatures: Vec<Vec<Option<&EventExpr>>> = deferred
+        .iter()
+        .map(|&slot| contexts.signature(rows, slot))
+        .collect();
     let mut batch = BatchExpectation::new(expectation);
-    let raw = batch.compute_grouped(rows, |signature| {
+    let raw = batch.compute_grouped(&signatures, |signature| {
         signature
             .iter()
             .zip(&per_rule)
@@ -365,7 +409,10 @@ fn exact_scores(
             })
             .collect()
     });
-    (raw, batch.stats().fallbacks)
+    for (&slot, e) in deferred.iter().zip(raw) {
+        scores[slot].score = e.clamp(0.0, 1.0);
+    }
+    Ok(batch.stats().fallbacks)
 }
 
 impl ScoringEngine for LineageEngine {
@@ -380,7 +427,7 @@ impl ScoringEngine for LineageEngine {
         docs: &[IndividualId],
         scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>> {
-        Ok(self.sweep(env, bindings, docs, scratch, true).0)
+        Ok(column_pass(env, bindings, docs, scratch, exact_route)?.0)
     }
 
     fn score_closed_form(
@@ -390,7 +437,7 @@ impl ScoringEngine for LineageEngine {
         docs: &[IndividualId],
         scratch: &mut EvalScratch,
     ) -> Result<Vec<Option<f64>>> {
-        let (scores, deferred) = self.sweep(env, bindings, docs, scratch, false);
+        let (scores, deferred) = column_pass(env, bindings, docs, scratch, |_, _, _, _, _| Ok(0))?;
         let mut closed: Vec<Option<f64>> = scores.into_iter().map(|s| Some(s.score)).collect();
         for slot in deferred {
             closed[slot] = None;
@@ -399,49 +446,48 @@ impl ScoringEngine for LineageEngine {
     }
 }
 
-impl LineageEngine {
-    /// The engine's one pass over a batch: every slot the lane test admits
-    /// is scored in closed form from the feature columns; the slots it
-    /// rejects go through [`exact_scores`] when `exact` is set, and are
-    /// returned, ascending, when not.
-    fn sweep(
-        &self,
-        env: &ScoringEnv<'_>,
-        bindings: &[Arc<RuleBinding>],
-        docs: &[IndividualId],
-        scratch: &mut EvalScratch,
-        exact: bool,
-    ) -> (Vec<DocScore>, Vec<usize>) {
-        if docs.is_empty() {
-            return (Vec::new(), Vec::new());
-        }
-        scratch.ensure_kb(env.kb);
-        let set = env.kb.rows().set_for(env.kb, bindings);
-        let rows = set.rows(bindings, docs);
-        let contexts = Contexts::new(bindings, &env.kb.universe);
-        let (scores, deferred, fallbacks) =
-            scratch.with_expectation(&env.kb.universe, |expectation| {
-                let (mut scores, deferred) = contexts.lanes(&rows, docs, expectation);
-                if !exact || deferred.is_empty() {
-                    return (scores, deferred, 0);
-                }
-                let signatures: Vec<Vec<Option<&EventExpr>>> = deferred
-                    .iter()
-                    .map(|&slot| contexts.signature(&rows, slot))
-                    .collect();
-                let (raw, evaluations) = exact_scores(&contexts.active, &signatures, expectation);
-                for (&slot, e) in deferred.iter().zip(raw) {
-                    scores[slot].score = e.clamp(0.0, 1.0);
-                }
-                (scores, Vec::new(), evaluations)
-            });
-        scratch.record_batch(BatchStats {
-            sweeps: 1,
-            lanes: docs.len() as u64,
-            fallbacks,
-        });
-        (scores, deferred)
+/// One pass of an optimised engine over a batch: every slot the lane test
+/// admits is scored in closed form from the feature columns
+/// ([`Contexts::lanes`]); the slots it rejects, if any, are handed to
+/// `settle`, ascending, to score in place, and `settle` returns how many
+/// evaluations of their own they took ([`BatchStats::fallbacks`]). Returns
+/// the scores and the rejected slots. One sweep of `docs.len()` lanes.
+pub(super) fn column_pass(
+    env: &ScoringEnv<'_>,
+    bindings: &[Arc<RuleBinding>],
+    docs: &[IndividualId],
+    scratch: &mut EvalScratch,
+    settle: impl FnOnce(
+        &Contexts<'_>,
+        &Rows<'_>,
+        &[usize],
+        &mut [DocScore],
+        &mut Expectation<'_>,
+    ) -> Result<u64>,
+) -> Result<(Vec<DocScore>, Vec<usize>)> {
+    if docs.is_empty() {
+        return Ok((Vec::new(), Vec::new()));
     }
+    scratch.ensure_kb(env.kb);
+    let set = env.kb.rows().set_for(env.kb, bindings);
+    let rows = set.rows(bindings, docs);
+    let contexts = Contexts::new(bindings, &env.kb.universe);
+    let (scores, deferred, fallbacks) =
+        scratch.with_expectation(&env.kb.universe, |expectation| -> Result<_> {
+            let (mut scores, deferred) = contexts.lanes(&rows, docs, expectation);
+            let fallbacks = if deferred.is_empty() {
+                0
+            } else {
+                settle(&contexts, &rows, &deferred, &mut scores, expectation)?
+            };
+            Ok((scores, deferred, fallbacks))
+        })?;
+    scratch.record_batch(BatchStats {
+        sweeps: 1,
+        lanes: docs.len() as u64,
+        fallbacks,
+    });
+    Ok((scores, deferred))
 }
 
 #[cfg(test)]

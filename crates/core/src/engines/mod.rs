@@ -15,7 +15,7 @@
 //! |--------|-----------|------------------------------|------------------|----------------|
 //! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | defers every document | the paper's Section 5 PostgreSQL implementation |
 //! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | defers every document | the same maths without the view machinery (ablation) |
-//! | [`FactorizedEngine`] | exact under feature independence | `O(n · d)` probability lookups, each rule's events read off its feature column at the documents' rows; independence check walks cached per-node supports, `P(G_r)` read off the binding | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
+//! | [`FactorizedEngine`] | exact under feature independence (checked per document by the lane test's variable half; [`CorrelationPolicy`] decides the rest) | [`LineageEngine`]'s column pass, bit for bit on every document it admits; the others get the product of their marginals from the same row and binding — `O(a · d)` in all | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
 //! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies), as a column pass: the constant factors down the columns of the `a` rules, the lane test per document, the other factors down the columns again; `P(G_r)` is evaluated once per binding and kept on it, never in the shared memo; the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature columns); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
 //! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the engine's | the serving path: repeated queries under a changing context |
 //!
@@ -255,7 +255,8 @@ pub trait ScoringEngine {
     }
 
     /// Checks whether the engine would accept scoring *every* document of
-    /// `docs` under `bindings`, without computing any score. Top-k calls
+    /// `docs` under `bindings`; whatever it computes to tell is dropped
+    /// (the strict factorized engine runs its scoring pass). Top-k calls
     /// this on the documents [`ScoringEngine::score_closed_form`] deferred,
     /// before pruning any of them: an engine that rejects inputs per
     /// document (e.g. the strict factorized engine on correlated features,
@@ -488,12 +489,13 @@ pub(crate) fn by_rank(a: &DocScore, b: &DocScore) -> std::cmp::Ordering {
 /// are independent — their expectation is the product of the per-rule
 /// expectations — when no two contexts share a variable and none of the
 /// document's feature events touches a context or another feature. The
-/// lineage engine's lane test and the top-k bound's choice of regime are
-/// both this test, on the same supports.
+/// lineage engine's lane test, the strict factorized engine's refusal and
+/// the top-k bound's choice of regime are all this test, on the same
+/// supports.
 pub(crate) struct ContextSupport {
-    /// The contexts' supports are pairwise disjoint. When they are not,
-    /// every document's factors are entangled through them.
-    disjoint: bool,
+    /// The least variable two contexts share, if any. When there is one,
+    /// every document's factors are entangled through it.
+    shared: Option<VarId>,
     /// Union of the contexts' supports, sorted.
     vars: Vec<VarId>,
 }
@@ -505,24 +507,21 @@ impl ContextSupport {
             vars.extend_from_slice(g.support_slice());
         }
         vars.sort_unstable();
-        let distinct = vars.len();
+        let shared = repeated(&vars);
         vars.dedup();
-        Self {
-            disjoint: vars.len() == distinct,
-            vars,
-        }
+        Self { shared, vars }
     }
 
     /// The test for a whole feature row at once, from its verdict
     /// ([`rows::Rows::support`]): the row's cells share no variable, and
     /// their union, `row_vars`, none with the contexts — two range compares,
     /// and one merge of the two sorted lists where the ranges overlap. A
-    /// pass settles [`ContextSupport::disjoint_with`] for any of the row's
+    /// pass settles [`ContextSupport::shared_with`] for any of the row's
     /// cells; a failure settles nothing, since the shared variable may sit
     /// under a rule the request does not read.
     #[inline]
     pub(crate) fn clears(&self, row_vars: Option<&[VarId]>) -> bool {
-        let Some(row_vars) = row_vars.filter(|_| self.disjoint) else {
+        let Some(row_vars) = row_vars.filter(|_| self.shared.is_none()) else {
             return false;
         };
         // Both lists are sorted: ranges that do not overlap prove disjoint
@@ -548,21 +547,28 @@ impl ContextSupport {
     }
 
     /// The test for one document: `feature_vars` holds the supports of its
-    /// feature events, one after the other, and is sorted in place.
-    pub(crate) fn disjoint_with(&self, feature_vars: &mut [VarId]) -> bool {
-        if !self.disjoint {
-            return false;
+    /// feature events, one after the other, and is sorted in place. Passes
+    /// with `None`; fails naming a shared variable — the least one two
+    /// contexts share, else the first feature variable a context has, else
+    /// the least one two features share.
+    pub(crate) fn shared_with(&self, feature_vars: &mut [VarId]) -> Option<VarId> {
+        if self.shared.is_some() {
+            return self.shared;
         }
-        if !self.vars.is_empty()
-            && feature_vars
-                .iter()
-                .any(|v| self.vars.binary_search(v).is_ok())
-        {
-            return false;
+        let on_context = feature_vars
+            .iter()
+            .find(|v| self.vars.binary_search(v).is_ok());
+        if let Some(&v) = on_context {
+            return Some(v);
         }
         feature_vars.sort_unstable();
-        feature_vars.windows(2).all(|w| w[0] != w[1])
+        repeated(feature_vars)
     }
+}
+
+/// The least variable a sorted list holds more than once.
+fn repeated(sorted: &[VarId]) -> Option<VarId> {
+    sorted.windows(2).find(|w| w[0] == w[1]).map(|w| w[0])
 }
 
 #[cfg(test)]

@@ -23,8 +23,11 @@ pub enum CoreError {
         /// The engine's limit.
         max: usize,
     },
-    /// The factorized engine detected correlated features (a shared random
-    /// variable across rule events) in strict mode.
+    /// The strict factorized engine met a document whose factors share a
+    /// random variable — between two active rules' contexts, or a context
+    /// and a feature, or two features of the document — and which its
+    /// certain factors do not already settle at 0. Names the variable, for
+    /// the first such document of the batch.
     CorrelatedFeatures {
         /// Name of the shared variable.
         variable: String,

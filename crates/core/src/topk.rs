@@ -251,7 +251,7 @@ fn doc_upper_bounds(
                     let event = column.event(slot);
                     seen.extend_from_slice(event.map_or(&[][..], EventExpr::support_slice));
                 }
-                support.disjoint_with(&mut seen)
+                support.shared_with(&mut seen).is_none()
             };
             columns
                 .iter()

@@ -116,8 +116,13 @@ fn run_loop<E: ScoringEngine + Sync + ?Sized>(engine: &E, score: ScoreCall<'_>) 
             rules: &rules,
             user,
         };
-        // The cold reference: a fresh `bind_rules` + scoring run.
-        let cold = engine.score_all(&env, &docs).unwrap();
+        // The cold reference: a fresh `bind_rules` + scoring run, on a
+        // clone — whoever reads a feature row first evaluates its
+        // probabilities, and the series counts the scored side's memo.
+        let shadow = kb.clone();
+        let cold = engine
+            .score_all(&ScoringEnv { kb: &shadow, ..env }, &docs)
+            .unwrap();
         let (scores, entries) = score(&env, &docs);
         assert_eq!(scores.len(), cold.len());
         for (a, b) in cold.iter().zip(&scores) {
@@ -215,8 +220,10 @@ fn service_footprint_is_bounded_in_mutating_loop() {
         for call in 0..CALLS {
             let docs = mutate(&mut &service, user, call);
             let snap = service.snapshot();
+            // On a clone, as in `run_loop`.
+            let shadow = snap.kb().clone();
             let env = ScoringEnv {
-                kb: snap.kb(),
+                kb: &shadow,
                 rules: snap.rules(),
                 user,
             };
