@@ -35,8 +35,11 @@
 //! * **Concurrency** — the whole serving surface takes `&self`:
 //!   [`RankingService`] is `Sync`, so any number of request threads share
 //!   one service directly (`Arc` or `thread::scope`). The KB and rules are
-//!   *epoch-published*: readers grab an immutable [`SharedSnapshot`] (two
-//!   `Arc` bumps) and never see a half-applied write; tenant sessions live
+//!   *epoch-published*: a request that binds or scores grabs an immutable
+//!   [`SharedSnapshot`] (two `Arc` bumps) and never sees a half-applied
+//!   write, and a full-page rank whose tenant was bound at the current
+//!   publish sequence grabs none and answers from its score entry; tenant
+//!   sessions live
 //!   behind per-shard locks so disjoint tenants rank in parallel — the
 //!   only parallelism there is: a request runs on the thread that made it
 //!   and never forks; all mutation ([`RankingService::assert`], rule

@@ -9,12 +9,15 @@
 //!
 //! * **Epoch-published reads.** The KB and rule repository live behind a
 //!   [`SharedSnapshot`] — a pair of `Arc`s republished atomically as a
-//!   unit. A reader [`RankingService::snapshot`]s once per request and
-//!   scores against that immutable state for the request's whole
+//!   unit, with a *publish sequence* that moves whenever the KB's epoch
+//!   or the rules do. A request that must bind or score loads one
+//!   snapshot and scores against that immutable state for its whole
 //!   lifetime; writers clone-mutate-publish, never touching a snapshot a
 //!   reader may hold. (The clone preserves the KB's identity — see
 //!   [`Kb::clone_for_publish`] — so every `(kb_id, epoch)`-keyed cache
-//!   survives a publish.)
+//!   survives a publish.) A full-page rank whose tenant was last bound at
+//!   the published sequence loads no snapshot at all: one atomic load,
+//!   and its score entry answers.
 //! * **Sharded tenant locks.** Per-tenant cache state is reached only
 //!   through [`TenantSessions::with_session`], which locks exactly the
 //!   tenant's shard: different-shard requests run in parallel, same-user
@@ -24,9 +27,11 @@
 //!   publish order *is* the log order, so durability semantics are
 //!   unchanged from the single-owner service.
 //!
-//! Lock order is `writer → shard → pool` (leaf stat mutexes last); no
-//! path acquires against that order. See "Concurrency & locking order"
-//! in `ARCHITECTURE.md` for the full walkthrough.
+//! Lock order is `writer → shard → {published slot | pool}` (leaf stat
+//! mutexes last); no path acquires against that order, and no writer
+//! takes a shard lock while it holds the published slot. See
+//! "Concurrency & locking order" in `ARCHITECTURE.md` for the full
+//! walkthrough.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,12 +76,13 @@ struct WriterState {
 /// repository, published as a unit — the read layer of the concurrent
 /// service.
 ///
-/// Readers obtain one via [`RankingService::snapshot`] (every request
-/// path loads its own internally) and hold it for the request's
+/// Readers obtain one via [`RankingService::snapshot`] (a request that
+/// binds or scores loads its own internally) and hold it for the request's
 /// lifetime: a concurrent assert publishes a *successor* snapshot and
 /// never mutates this one, so scores computed against it are exactly the
-/// scores of the service state at load time. Cloning is two `Arc`
-/// bumps.
+/// scores of the service state at load time. Cloning is two `Arc` bumps.
+/// A warm full-page rank loads none: it compares the publish sequence its
+/// tenant was bound at with the published one.
 ///
 /// The replica layer serves from the same type: a
 /// [`crate::serve::ReplicaService`] exposes the epoch it has replayed up
@@ -85,6 +91,10 @@ struct WriterState {
 pub struct SharedSnapshot {
     kb: Arc<Kb>,
     rules: Arc<RuleRepository>,
+    /// The publish sequence: moved by every publish that moves the KB's
+    /// epoch or changes the rules, so two snapshots with one sequence bind
+    /// every user alike.
+    seq: u64,
 }
 
 impl SharedSnapshot {
@@ -112,6 +122,13 @@ impl SharedSnapshot {
             user,
         }
     }
+}
+
+/// Moves `published`'s sequence on and stores it in `seq` (with
+/// `Release`; the caller holds the published slot or owns the service).
+fn advance(published: &mut SharedSnapshot, seq: &AtomicU64) {
+    published.seq += 1;
+    seq.store(published.seq, Ordering::Release);
 }
 
 /// Sizing and durability settings of a [`RankingService`].
@@ -305,10 +322,19 @@ fn fact_op(voc: &Vocabulary, subject: IndividualId, fact: &Fact) -> WalOp {
 /// ```
 pub struct RankingService<E> {
     engine: E,
-    /// The epoch-published read state. Readers clone it out (two `Arc`
-    /// bumps) and never hold this lock while scoring; writers replace it
-    /// under `writer`.
+    /// The epoch-published read state. A request that binds or scores
+    /// clones it out (two `Arc` bumps; a warm page reads only `seq`) and
+    /// never holds this lock while scoring; writers replace it under
+    /// `writer`.
     published: Mutex<SharedSnapshot>,
+    /// `published`'s sequence, stored with `Release` under its lock by
+    /// every writer that moves it and loaded with `Acquire` by a full-page
+    /// rank, which answers from its tenant's score entry while the tenant
+    /// was last bound at this sequence.
+    seq: AtomicU64,
+    /// Snapshots loaded so far.
+    #[cfg(test)]
+    loads: AtomicU64,
     tenants: TenantSessions,
     pool: ScratchPool,
     rank_requests: AtomicU64,
@@ -347,7 +373,11 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             published: Mutex::new(SharedSnapshot {
                 kb: Arc::new(kb),
                 rules: Arc::new(rules),
+                seq: 0,
             }),
+            seq: AtomicU64::new(0),
+            #[cfg(test)]
+            loads: AtomicU64::new(0),
             tenants: TenantSessions::new(config.shards, config.max_sessions),
             pool: ScratchPool::default(),
             rank_requests: AtomicU64::new(0),
@@ -471,10 +501,10 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             self.tenants
                 .with_session(user, |tenant| tenant.session.bind(&env));
         }
-        *self.published.get_mut().expect("published lock poisoned") = SharedSnapshot {
-            kb: Arc::new(kb),
-            rules: Arc::new(rules),
-        };
+        let published = self.published.get_mut().expect("published lock poisoned");
+        published.kb = Arc::new(kb);
+        published.rules = Arc::new(rules);
+        advance(published, &self.seq);
     }
 
     /// Replays one WAL record body against the live state — the replica
@@ -492,6 +522,9 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         body: &[u8],
     ) -> std::result::Result<(), PersistError> {
         let published = self.published.get_mut().expect("published lock poisoned");
+        // Every record moves the epoch or the rules, and one that fails
+        // part-way must leave no tenant warm either: move it first.
+        advance(published, &self.seq);
         if Arc::get_mut(&mut published.kb).is_none() {
             published.kb = Arc::new(published.kb.clone_for_publish());
         }
@@ -629,54 +662,74 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// Loads the current published snapshot — the internal name for what
     /// [`RankingService::snapshot`] exposes.
     fn load(&self) -> SharedSnapshot {
-        self.published
-            .lock()
-            .expect("published lock poisoned")
-            .clone()
+        #[cfg(test)]
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        self.lock_published().clone()
     }
 
-    /// Atomically replaces the published snapshot. Callers hold the
-    /// writer lock, so publishes are totally ordered.
-    fn publish(&self, next: SharedSnapshot) {
-        *self.published.lock().expect("published lock poisoned") = next;
+    /// The published slot — held to clone, swap or mutate in place, never
+    /// across a deep clone or a shard lock.
+    fn lock_published(&self) -> std::sync::MutexGuard<'_, SharedSnapshot> {
+        self.published.lock().expect("published lock poisoned")
     }
 
-    /// Runs `mutate` against the published KB under the published-slot
-    /// lock: **in place** when no loaded snapshot pins the `Arc` (the
-    /// steady state between requests — readers briefly block on the slot
-    /// lock and then see the successor), via identity-preserving
-    /// clone-and-swap when a reader holds the snapshot (its view stays
-    /// immutable). Callers hold the writer lock, so mutations are
-    /// totally ordered either way and the returned snapshot — for WAL
-    /// encoding after the slot lock is released — cannot be superseded
-    /// until the caller releases it. On `Err` nothing is swapped in and
-    /// nothing the caller observes has changed: the KB's mutating
-    /// primitives validate before touching scored state (a rejected op
-    /// can leave interned names or an advanced fresh-variable suffix
-    /// behind, both epoch-neutral and invisible to scoring and replay).
+    /// Publishes `rules` beside the current KB and moves the sequence.
+    /// Callers hold the writer lock, so publishes are totally ordered.
+    fn publish_rules(&self, rules: RuleRepository) -> SharedSnapshot {
+        let mut published = self.lock_published();
+        published.rules = Arc::new(rules);
+        advance(&mut published, &self.seq);
+        published.clone()
+    }
+
+    /// Runs `mutate` against the published KB and publishes the result,
+    /// moving the sequence if the KB's epoch moved. **In place** under the
+    /// published-slot lock when no loaded snapshot pins the `Arc` (the
+    /// steady state — a warm rank pins nothing; readers that load block
+    /// briefly on the slot lock and then see the successor). When a reader
+    /// holds the snapshot, its view stays immutable: the identity-preserving
+    /// clone and the mutation run *outside* the slot lock, which is taken
+    /// again only to swap the result in — so no load stalls behind a deep
+    /// clone. Callers hold the writer lock, so mutations are totally ordered
+    /// either way, the slot cannot change between the clone and the swap,
+    /// and the returned snapshot — for WAL encoding after the slot lock is
+    /// released — cannot be superseded until the caller releases it. On
+    /// `Err` nothing is swapped in and nothing the caller observes has
+    /// changed: the KB's mutating primitives validate before touching
+    /// scored state (a rejected op can leave interned names or an advanced
+    /// fresh-variable suffix behind, both epoch-neutral and invisible to
+    /// scoring and replay).
     fn mutate_kb<R>(
         &self,
         mutate: impl FnOnce(&mut Kb) -> Result<R>,
     ) -> Result<(R, SharedSnapshot)> {
-        let mut published = self.published.lock().expect("published lock poisoned");
-        match Arc::get_mut(&mut published.kb) {
-            Some(kb) => {
+        let pinned = {
+            let mut published = self.lock_published();
+            if let Some(kb) = Arc::get_mut(&mut published.kb) {
+                let before = kb.epoch();
                 let value = mutate(kb)?;
-                Ok((value, published.clone()))
+                if kb.epoch() != before {
+                    advance(&mut published, &self.seq);
+                }
+                return Ok((value, published.clone()));
             }
-            None => {
-                let mut kb = published.kb.clone_for_publish();
-                let value = mutate(&mut kb)?;
-                published.kb = Arc::new(kb);
-                Ok((value, published.clone()))
-            }
+            Arc::clone(&published.kb)
+        };
+        let mut kb = pinned.clone_for_publish();
+        let value = mutate(&mut kb)?;
+        let moved = kb.epoch() != pinned.epoch();
+        let mut published = self.lock_published();
+        published.kb = Arc::new(kb);
+        if moved {
+            advance(&mut published, &self.seq);
         }
+        Ok((value, published.clone()))
     }
 
     /// The current consistent `(kb, rules)` snapshot (two `Arc` bumps).
-    /// Every request path loads its own internally; use this to run
-    /// read-only analysis against the same immutable state a request
-    /// would see.
+    /// A request that binds or scores loads its own internally; use this
+    /// to run read-only analysis against the same immutable state a
+    /// request would see.
     pub fn snapshot(&self) -> SharedSnapshot {
         self.load()
     }
@@ -744,20 +797,15 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// tenant's next request (the binding cache validates per rule).
     pub fn add_rule(&self, rule: PreferenceRule) -> Result<()> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let snap = self.load();
         let op = writer.durable.is_some().then(|| WalOp::AddRule {
             name: rule.name.clone(),
             context: rule.context.clone(),
             preference: rule.preference.clone(),
             sigma: rule.sigma.get(),
         });
-        let mut rules = (*snap.rules).clone();
+        let mut rules = (*self.load().rules).clone();
         rules.add(rule)?;
-        let next = SharedSnapshot {
-            kb: Arc::clone(&snap.kb),
-            rules: Arc::new(rules),
-        };
-        self.publish(next.clone());
+        let next = self.publish_rules(rules);
         if let Some(op) = op {
             self.log_op(&mut writer.durable, next.kb(), &op)?;
         }
@@ -771,14 +819,9 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// is returned — the caller knows durability lagged.
     pub fn remove_rule(&self, name: &str) -> Result<PreferenceRule> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let snap = self.load();
-        let mut rules = (*snap.rules).clone();
+        let mut rules = (*self.load().rules).clone();
         let rule = rules.remove(name)?;
-        let next = SharedSnapshot {
-            kb: Arc::clone(&snap.kb),
-            rules: Arc::new(rules),
-        };
-        self.publish(next.clone());
+        let next = self.publish_rules(rules);
         self.log_op(
             &mut writer.durable,
             next.kb(),
@@ -851,15 +894,21 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// caches serves the request. Takes `&self`: concurrent ranks for
     /// users in different tenant shards run in parallel; same-user
     /// requests serialize on the shard lock.
+    ///
+    /// The request takes the tenant's shard lock first. A full-page rank
+    /// whose tenant was last bound at the published sequence, and whose
+    /// score entry holds this list under the tenant's bindings, is answered
+    /// there and then — no snapshot load, no bind, no reference count
+    /// touched. Any other request loads the snapshot under the shard lock
+    /// and binds against it.
     pub fn rank(
         &self,
         user: IndividualId,
         docs: &[IndividualId],
         k: usize,
     ) -> Result<Vec<DocScore>> {
-        let snap = self.load();
         let mut scratch = None;
-        let out = self.rank_with_scratch(&snap, user, docs, k, &mut scratch);
+        let out = self.rank_on(None, user, docs, k, &mut scratch);
         self.give_back(scratch);
         out
     }
@@ -924,7 +973,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         for request in pending.drain(..) {
             let response = match request {
                 Request::Rank { user, docs, k } => self
-                    .rank_with_scratch(&snap, user, &docs, k, &mut scratch)
+                    .rank_on(Some(&snap), user, &docs, k, &mut scratch)
                     .map(Response::Ranked),
                 Request::RankGroup {
                     users,
@@ -951,20 +1000,23 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// The one request path behind [`RankingService::rank`] and the
-    /// batched dispatch: the tenant's session core
-    /// ([`crate::session::SessionCore::rank_top_k`]) over a lazily
-    /// checked-out scratch. A steady-state warm request is answered from
-    /// the score cache without ever touching the pool — same cost as a
-    /// hand-managed session. The caller settles the scratch via
+    /// batched dispatch, against `run` — a coalesced run's snapshot — or,
+    /// with `None`, the published state. Under the tenant's shard lock: a
+    /// full page whose tenant was last bound at `run`'s sequence (or the
+    /// published one) is offered to the score entry
+    /// ([`crate::session::SessionCore::rank_warm`]); anything else loads
+    /// the snapshot if `run` is `None`, records its sequence on the tenant
+    /// and runs the session core ([`crate::session::SessionCore::rank_top_k`])
+    /// over a lazily checked-out scratch, which the caller settles via
     /// [`RankingService::give_back`].
     ///
     /// The whole request body runs inside the tenant's shard-lock scope
-    /// (`shard → pool` in the documented lock order): the tenant's caches
-    /// cannot be touched by another thread mid-request, which is what
-    /// makes same-user requests serialize.
-    fn rank_with_scratch(
+    /// (`shard → {published slot | pool}` in the documented lock order):
+    /// the tenant's caches cannot be touched by another thread mid-request,
+    /// which is what makes same-user requests serialize.
+    fn rank_on(
         &self,
-        snap: &SharedSnapshot,
+        run: Option<&SharedSnapshot>,
         user: IndividualId,
         docs: &[IndividualId],
         k: usize,
@@ -972,6 +1024,23 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     ) -> Result<Vec<DocScore>> {
         self.rank_requests.fetch_add(1, Ordering::Relaxed);
         self.tenants.with_session(user, |tenant| {
+            if k >= docs.len() {
+                let seq = run.map_or_else(|| self.seq.load(Ordering::Acquire), |snap| snap.seq);
+                if tenant.bound_at == Some(seq) {
+                    if let Some(warm) = tenant.session.rank_warm(&self.engine, user, docs) {
+                        return Ok(warm);
+                    }
+                }
+            }
+            let loaded;
+            let snap = match run {
+                Some(snap) => snap,
+                None => {
+                    loaded = self.load();
+                    &loaded
+                }
+            };
+            tenant.bound_at = Some(snap.seq);
             tenant
                 .session
                 .rank_top_k(&self.engine, &snap.env(user), docs, k, || {
@@ -981,10 +1050,10 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// The group path behind [`RankingService::rank_group`] and the
-    /// batched dispatch (see [`RankingService::rank_with_scratch`] for
-    /// the scratch contract): every member's full score list through
-    /// their own session core, one shard lock per member, in request
-    /// order, then the combine and the cut.
+    /// batched dispatch (see [`RankingService::rank_on`] for the scratch
+    /// contract): every member's full score list through their own session
+    /// core, bound against `snap` and recording its sequence, one shard
+    /// lock per member, in request order, then the combine and the cut.
     fn rank_group_with_scratch(
         &self,
         snap: &SharedSnapshot,
@@ -999,6 +1068,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             .iter()
             .map(|&user| {
                 self.tenants.with_session(user, |tenant| {
+                    tenant.bound_at = Some(snap.seq);
                     tenant
                         .session
                         .score_all(&self.engine, &snap.env(user), docs, || {
@@ -1473,13 +1543,91 @@ mod tests {
             "the repeat is answered from the members' score caches"
         );
         assert_eq!(after.sessions.batch, before.sessions.batch, "no sweep ran");
-        // The single-user case of the same rule: one lock, not one per shard.
+        // The single-user case of the same rule: one lock, not one per
+        // shard — on a warm answer, which loads no snapshot either ...
+        let loads = || service.loads.load(Ordering::Relaxed);
+        let loaded = loads();
         service.rank(users[0], &docs, docs.len()).unwrap();
+        let warm = service.stats();
         assert_eq!(
-            service.stats().shard_lock_acquisitions - after.shard_lock_acquisitions - sweep,
+            warm.shard_lock_acquisitions - after.shard_lock_acquisitions - sweep,
             1,
             "a warm single-user rank costs exactly one shard lock"
         );
+        assert_eq!(loads(), loaded, "and no snapshot load");
+        // ... and on a miss, which loads the snapshot under that lock.
+        service
+            .assert(users[0], Fact::ConceptProb("Ctx0".into(), 0.9))
+            .unwrap();
+        service.rank(users[0], &docs, docs.len()).unwrap();
+        assert_eq!(
+            service.stats().shard_lock_acquisitions - warm.shard_lock_acquisitions - sweep,
+            1,
+            "a missing single-user rank costs exactly one shard lock"
+        );
+        assert_eq!(loads(), loaded + 1, "and one snapshot load");
+    }
+
+    /// The publish sequence stands in for the snapshot on a warm page: `N`
+    /// tenants re-ranking one page load nothing until a publish moves it,
+    /// then load once each and are warm again — counting the binding and
+    /// score hits a bind and a read-through would, and answering the cold
+    /// rank on the state they were bound at.
+    #[test]
+    fn a_warm_page_loads_no_snapshot_until_the_sequence_moves() {
+        let (kb, rules, users, docs) = fixture(4, 10);
+        let service = RankingService::new(LineageEngine::new(), kb, rules);
+        let n = users.len() as u64;
+        let round = || {
+            let loaded = service.loads.load(Ordering::Relaxed);
+            let got: Vec<_> = users
+                .iter()
+                .map(|&user| service.rank(user, &docs, docs.len()).unwrap())
+                .collect();
+            let loads = service.loads.load(Ordering::Relaxed) - loaded;
+            let snap = service.snapshot();
+            for (&user, got) in users.iter().zip(&got) {
+                let want = cold_rank(snap.kb(), snap.rules(), user, &docs, docs.len());
+                assert_eq!(got, &want);
+            }
+            loads
+        };
+        assert_eq!(round(), n, "first sight");
+        let before = service.stats().sessions;
+        assert_eq!(round(), 0, "warm");
+        let after = service.stats().sessions;
+        let rules = service.rules().len() as u64;
+        let delta =
+            |c: crate::CacheStats, w: crate::CacheStats| (c.hits - w.hits, c.misses - w.misses);
+        assert_eq!(delta(after.bindings, before.bindings), (n * rules, 0));
+        assert_eq!(
+            delta(after.scores, before.scores),
+            (n * docs.len() as u64, 0)
+        );
+        assert_eq!(round(), 0, "still warm");
+
+        service
+            .assert(users[0], Fact::ConceptProb("Ctx0".into(), 0.4))
+            .unwrap();
+        assert_eq!(round(), n, "an assert moves the sequence for every tenant");
+        assert_eq!(round(), 0, "then they are warm again");
+
+        assert_eq!(service.individual("user1"), users[1]);
+        service.parse("Ctx0 AND NOT Feat1").unwrap();
+        assert_eq!(round(), 0, "a name lookup and a parse move nothing");
+
+        service.individual("newcomer");
+        assert_eq!(round(), n, "a new individual moves the epoch");
+        assert_eq!(round(), 0);
+
+        let context = service.parse("Ctx1").unwrap();
+        let preference = service.parse("Feat1").unwrap();
+        let rule = PreferenceRule::new("R2", context, preference, Score::new(0.6).unwrap());
+        service.add_rule(rule).unwrap();
+        assert_eq!(round(), n, "a rule edit moves the sequence");
+        assert_eq!(round(), 0);
+        service.remove_rule("R2").unwrap();
+        assert_eq!(round(), n);
     }
 
     #[test]

@@ -37,11 +37,16 @@ use capra_dl::IndividualId;
 use crate::hash::{IdHasher, IdMap};
 use crate::session::{SessionCore, SessionStats};
 
-/// One tenant: a session core plus the recency stamp the LRU cap works
-/// from.
+/// One tenant: a session core, the publish sequence it was last bound at
+/// and the recency stamp the LRU cap works from.
 pub(crate) struct Tenant {
     /// The tenant's caches and the request path over them.
     pub session: SessionCore,
+    /// The publish sequence of the snapshot `session`'s bindings were last
+    /// bound against; `None` until the first bind. Every path that binds
+    /// the tenant sets it, so while it equals the published sequence the
+    /// bindings are current without a bind.
+    pub bound_at: Option<u64>,
     /// Logical timestamp of the last access (global clock tick).
     last_used: u64,
 }
@@ -50,6 +55,7 @@ impl Tenant {
     fn new(now: u64) -> Self {
         Self {
             session: SessionCore::default(),
+            bound_at: None,
             last_used: now,
         }
     }

@@ -708,6 +708,26 @@ impl ScoreEntry {
     fn holds(&self, docs: &[IndividualId]) -> bool {
         self.scores.len() == docs.len() && self.scores.iter().zip(docs).all(|(s, d)| s.doc == *d)
     }
+
+    /// The answer to a request for the list the entry [`ScoreEntry::holds`],
+    /// `hits` of whose slots were not computed for it: a copy of the stored
+    /// scores, or of the kept ranking — sorted on the first request that
+    /// asks for it.
+    fn answer(&mut self, hits: usize, ranked: bool, tally: &mut ScoreTally) -> Vec<DocScore> {
+        tally.hits += hits as u64;
+        if !ranked {
+            return self.scores.clone();
+        }
+        let scores = &self.scores;
+        let kept = self.ranked.get_or_insert_with(|| {
+            #[cfg(test)]
+            {
+                tally.sorted += 1;
+            }
+            engines::ranked(scores)
+        });
+        kept.clone()
+    }
 }
 
 /// Position `at` of [`ScoreEntry::scores`] as its index stores it: half the
@@ -720,12 +740,18 @@ fn slot(at: usize) -> u32 {
 type ScoreKey = (IndividualId, &'static str, u64);
 
 /// The score layer of a [`SessionCore`]: entries keyed by [`ScoreKey`],
-/// read and filled by [`SessionCore::read_through`]. `hits` and `misses`
-/// count documents: a hit is a requested slot answered from an entry, a
-/// miss one handed to the engine.
+/// read and filled by [`SessionCore::read_through`].
 #[derive(Default)]
 struct ScoreCache {
     entries: IdMap<ScoreKey, ScoreEntry>,
+    tally: ScoreTally,
+}
+
+/// The score layer's counters. `hits` and `misses` count documents: a hit
+/// is a requested slot answered from an entry, a miss one handed to the
+/// engine.
+#[derive(Default)]
+struct ScoreTally {
     hits: u64,
     misses: u64,
     /// Document indexes built and rankings sorted so far — the two things
@@ -744,8 +770,9 @@ struct ScoreCache {
 /// point takes `scratch`, which it calls at most once and only when a
 /// document has to be evaluated. [`ScoringSession`] hands out the scratch
 /// it owns; a tenant of [`crate::serve::RankingService`] *is* a core (plus
-/// an LRU stamp) and lazily checks a scratch out of the service's shared
-/// pool, so a request answered from the score cache never touches it.
+/// an LRU stamp and the publish sequence it was last bound at) and lazily
+/// checks a scratch out of the service's shared pool, so a request answered
+/// from the score cache never touches it.
 #[derive(Default)]
 pub(crate) struct SessionCore {
     bindings: BindingCache,
@@ -759,8 +786,8 @@ impl SessionCore {
         SessionStats {
             bindings: self.bindings.stats(),
             scores: CacheStats {
-                hits: self.scores.hits,
-                misses: self.scores.misses,
+                hits: self.scores.tally.hits,
+                misses: self.scores.tally.misses,
             },
             footprint,
             batch,
@@ -771,6 +798,37 @@ impl SessionCore {
     /// valid (see [`BindingCache::bind`]).
     pub(crate) fn bind(&mut self, env: &ScoringEnv<'_>) -> Arc<[Arc<RuleBinding>]> {
         self.bindings.bind(env)
+    }
+
+    /// The full ranking of `docs` for `user` without a KB: what
+    /// [`SessionCore::rank_top_k`] answers for `k >= docs.len()` when the
+    /// bind finds the user's set current, taken only if the score entry
+    /// holds the user's binding list and this very list — counting the
+    /// binding and score hits that bind and read-through count. Anything
+    /// else changes nothing and is `None`. The caller vouches that nothing
+    /// the user was bound against has moved since (the service: the
+    /// publish sequence the tenant was bound at is still the published one).
+    pub(crate) fn rank_warm<E>(
+        &mut self,
+        engine: &E,
+        user: IndividualId,
+        docs: &[IndividualId],
+    ) -> Option<Vec<DocScore>>
+    where
+        E: ScoringEngine + ?Sized,
+    {
+        let list = &self.bindings.users.get(&user)?.list;
+        let key = (user, engine.name(), engine.config_tag());
+        let entry = self.scores.entries.get_mut(&key)?;
+        let current = entry
+            .bindings
+            .as_ref()
+            .is_some_and(|held| Arc::ptr_eq(held, list));
+        if !current || docs.is_empty() || !entry.holds(docs) {
+            return None;
+        }
+        self.bindings.hits += list.len() as u64;
+        Some(entry.answer(docs.len(), true, &mut self.scores.tally))
     }
 
     /// Reads `docs`' scores under `bindings` through the score cache — in
@@ -798,9 +856,9 @@ impl SessionCore {
             // entry filled later would have to forget.
             return Ok(Vec::new());
         }
-        let cache = &mut self.scores;
+        let ScoreCache { entries, tally } = &mut self.scores;
         let key = (env.user, engine.name(), engine.config_tag());
-        let entry = cache.entries.entry(key).or_default();
+        let entry = entries.entry(key).or_default();
         let current = |held: &Arc<_>| Arc::ptr_eq(held, bindings);
         if !entry.bindings.as_ref().is_some_and(current) {
             *entry = ScoreEntry {
@@ -808,16 +866,17 @@ impl SessionCore {
                 ..ScoreEntry::default()
             };
         }
-        if entry.holds(docs) {
-            cache.hits += docs.len() as u64;
+        let hits = if entry.holds(docs) {
+            docs.len()
         } else if entry.scores.is_empty() {
-            cache.misses += docs.len() as u64;
+            tally.misses += docs.len() as u64;
             entry.scores = engine.score_all_bound(env, bindings, docs, scratch())?;
+            0
         } else {
             let index = entry.index.get_or_insert_with(|| {
                 #[cfg(test)]
                 {
-                    cache.indexed += 1;
+                    tally.indexed += 1;
                 }
                 let slots = entry.scores.iter().enumerate();
                 slots.map(|(at, s)| (s.doc, slot(at))).collect()
@@ -826,8 +885,8 @@ impl SessionCore {
             // lacks is a miss at every slot it repeats in.
             let lacks = |d: &IndividualId| !index.contains_key(d);
             let missing: Vec<IndividualId> = docs.iter().copied().filter(lacks).collect();
-            cache.hits += (docs.len() - missing.len()) as u64;
-            cache.misses += missing.len() as u64;
+            tally.hits += (docs.len() - missing.len()) as u64;
+            tally.misses += missing.len() as u64;
             if !missing.is_empty() {
                 let computed = engine.score_all_bound(env, bindings, &missing, scratch())?;
                 entry.ranked = None;
@@ -843,21 +902,11 @@ impl SessionCore {
             }
             #[cfg(test)]
             {
-                cache.sorted += 1;
+                tally.sorted += 1;
             }
             return Ok(rank(scores));
-        }
-        if !ranked {
-            return Ok(entry.scores.clone());
-        }
-        let kept = entry.ranked.get_or_insert_with(|| {
-            #[cfg(test)]
-            {
-                cache.sorted += 1;
-            }
-            engines::ranked(&entry.scores)
-        });
-        Ok(kept.clone())
+        };
+        Ok(entry.answer(hits, ranked, tally))
     }
 
     /// Scores every document in `docs`, in order: bind, then read through
@@ -1944,7 +1993,7 @@ mod tests {
         let (mut kb, rules, user, docs) = fixture();
         let engine = LineageEngine::new();
         let mut session = ScoringSession::new();
-        let work = |s: &ScoringSession| (s.core.scores.indexed, s.core.scores.sorted);
+        let work = |s: &ScoringSession| (s.core.scores.tally.indexed, s.core.scores.tally.sorted);
         let n = docs.len() as u64;
         // A new entry takes the list whole; the first `rank` sorts it.
         let cold = session

@@ -353,3 +353,42 @@ fn contradicted_history_poisons_serving_until_resnapshot() {
     assert_eq!(f.stats().resnapshots, 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A follower's warm full page follows what it applies: a page served
+/// twice (the second time from the tenant's score entry), then a polled
+/// record that changes it — an assert, then a rule edit — answers the
+/// writer's new page, and so does the page after a resnapshot reinstalls
+/// a later state, for all four engines.
+#[test]
+fn a_followers_warm_page_follows_polls_and_resnapshots() {
+    let config = ServiceConfig::default();
+    for (name, eng) in engines() {
+        let dir = scratch(&format!("warm-page-{name}"));
+        let mut w = writer(eng, &dir, config);
+        let (users, docs) = populate(&mut w);
+        let mut f = follower(engine(name), &dir, config);
+        let user = users[0];
+        let same_page = |w: &RankingService<_>, f: &ReplicaService<_>, step: &str| {
+            let want = w.rank(user, &docs, docs.len()).unwrap();
+            for _ in 0..2 {
+                let got = f.rank(user, &docs, docs.len()).unwrap();
+                assert_same(&format!("{name}: {step}"), &want, &got);
+            }
+        };
+        same_page(&w, &f, "opened");
+        w.assert(user, Fact::ConceptProb("Ctx0".into(), 0.9))
+            .unwrap();
+        assert_eq!(f.poll().unwrap(), 1, "{name}");
+        same_page(&w, &f, "polled assert");
+        w.remove_rule("R1").unwrap();
+        assert_eq!(f.poll().unwrap(), 1, "{name}");
+        same_page(&w, &f, "polled rule edit");
+        w.assert(user, Fact::ConceptProb("Ctx2".into(), 0.2))
+            .unwrap();
+        w.save_snapshot().unwrap();
+        f.resnapshot().unwrap();
+        assert_eq!(f.stats().resnapshots, 1, "{name}");
+        same_page(&w, &f, "resnapshot");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}

@@ -287,6 +287,76 @@ fn disjoint_tenants_converge_to_the_cold_oracle() {
     }
 }
 
+/// The cold rank of `user`'s full page on the service's current snapshot.
+fn cold_page(
+    service: &RankingService<Box<dyn ScoringEngine + Send + Sync>>,
+    user: IndividualId,
+    docs: &[IndividualId],
+) -> Vec<DocScore> {
+    let snap = service.snapshot();
+    let env = ScoringEnv {
+        kb: snap.kb(),
+        rules: snap.rules(),
+        user,
+    };
+    rank(service.engine().score_all(&env, docs).unwrap())
+}
+
+/// A rank after an assert sees the assert. A full page answered from the
+/// tenant's score entry, an assert on that user, and the page again: the
+/// second answer is the cold rank on the post-assert snapshot, at 1, 2, 4
+/// and 16 shards. Then across two threads, ordered by a [`Barrier`] and no
+/// sleep: the reader ranks warm while the writer asserts, both pass the
+/// barrier, and the reader's next page is the post-assert oracle (the
+/// racing page is the one before the assert or the one after it).
+#[test]
+fn a_rank_after_an_assert_sees_the_assert() {
+    for iter in 0..stress_iters() {
+        let p = 0.1 + 0.8 * (iter % 8) as f64 / 8.0;
+        for shards in [1, 2, 4, 16] {
+            for (name, engine) in engines() {
+                let context = format!("{name} shards {shards} iter {iter}");
+                let (kb, rules, users, docs) = fixture();
+                let config = ServiceConfig {
+                    shards,
+                    ..ServiceConfig::default()
+                };
+                let service = RankingService::with_config(engine, kb, rules, config);
+                let user = users[iter as usize % N_USERS];
+                let page = || service.rank(user, &docs, N_DOCS).unwrap();
+                let cold = page();
+                assert_eq!(page(), cold, "{context}: the warm page");
+                service
+                    .assert(user, Fact::ConceptProb("Ctx0".into(), p))
+                    .unwrap();
+                let after = page();
+                assert_same_ranks(&context, &cold_page(&service, user, &docs), &after);
+                assert_ne!(after, cold, "{context}: the assert moved the page");
+
+                // The same across two threads.
+                let before = page();
+                let barrier = Barrier::new(2);
+                thread::scope(|scope| {
+                    scope.spawn(|| {
+                        let racing = page();
+                        barrier.wait();
+                        let got = page();
+                        assert_same_ranks(&context, &cold_page(&service, user, &docs), &got);
+                        assert_ne!(got, before, "{context}: the assert moved the page");
+                        assert!(racing == before || racing == got, "{context}: {racing:?}");
+                    });
+                    scope.spawn(|| {
+                        service
+                            .assert(user, Fact::ConceptProb("Ctx1".into(), p))
+                            .unwrap();
+                        barrier.wait();
+                    });
+                });
+            }
+        }
+    }
+}
+
 /// First-sight storm: readers rank users the service has never seen —
 /// and, the session cap being below the thread count, keeps forgetting —
 /// while a writer asserts contexts and catalog facts, so every publish

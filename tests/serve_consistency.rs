@@ -63,6 +63,67 @@ fn decode_op(kind: u8, user: usize, idx: usize, feat: usize, p: f64, k: usize) -
     }
 }
 
+/// One step of `service_matches_cold_bind_under_eviction`: an [`Op`], or
+/// one of the service's other publishing entry points — each of which must
+/// move the publish sequence exactly when it changes what a tenant binds,
+/// or a warm page would answer from the state before it.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Op(Op),
+    /// Add the third rule `R2` (σ = `sigma`) if it is absent, else remove it.
+    ToggleRule {
+        sigma: f64,
+    },
+    /// Register an individual: a new one, appended to the page, or one the
+    /// service already has.
+    Individual {
+        fresh: bool,
+    },
+    /// Parse an expression that names a new concept.
+    Parse,
+    /// Assert `Ctx{feat}` on `user` with certainty.
+    CertainContext {
+        user: usize,
+        feat: usize,
+    },
+    /// Assert `hasGenre` from `doc` to the genre `R2` reads, with
+    /// probability `p`.
+    DocGenre {
+        doc: usize,
+        p: f64,
+    },
+    /// Rank the last ranked user's full page again — a warm answer unless
+    /// something since moved the sequence.
+    RankAgain,
+}
+
+fn decode_step(kind: u8, user: usize, idx: usize, feat: usize, p: f64, k: usize) -> Step {
+    match kind % 12 {
+        4 => Step::ToggleRule { sigma: p },
+        5 => Step::Individual {
+            fresh: idx.is_multiple_of(2),
+        },
+        6 => Step::Parse,
+        7 => Step::CertainContext { user, feat },
+        8 => Step::DocGenre { doc: idx, p },
+        9..=11 => Step::RankAgain,
+        _ => Step::Op(decode_op(kind, user, idx, feat, p, k)),
+    }
+}
+
+/// `R2: TOP → TvProgram AND EXISTS hasGenre.Hot`, parsed by `parse` — a
+/// rule that moves every user's scores, and whose events read none of
+/// `R0`'s and `R1`'s variables, so the strict factorized engine accepts it
+/// beside them.
+fn third_rule(mut parse: impl FnMut(&str) -> Concept, sigma: f64) -> PreferenceRule {
+    PreferenceRule::new(
+        "R2",
+        parse("TOP"),
+        parse("TvProgram AND EXISTS hasGenre.Hot"),
+        Score::new(sigma).unwrap(),
+    )
+}
+
 fn fixture() -> (
     Kb,
     RuleRepository,
@@ -362,9 +423,11 @@ proptest! {
     }
 
     /// The serving-layer tentpole property: whatever interleaving of
-    /// context switches, feature updates and rank requests a service
-    /// absorbs — while its LRU cap (2 sessions for 4 users) churns tenants
-    /// — every response is bit-identical to the cold path, for all four
+    /// context switches, feature updates, rule edits, registrations,
+    /// parses and rank requests a service absorbs — while its LRU cap (2
+    /// sessions for 4 users) churns tenants, and full pages are ranked
+    /// again so that warm answers occur — every response is bit-identical
+    /// to the cold path on a shadow KB and shadow rules, for all four
     /// engines.
     #[test]
     fn service_matches_cold_bind_under_eviction(
@@ -377,11 +440,13 @@ proptest! {
                 0.05f64..=0.95,
                 1usize..=N_DOCS + 2,
             ),
-            1..8,
+            1..16,
         ),
         shards in 1usize..=4,
     ) {
-        let (kb, rules, users, docs) = fixture();
+        let (mut kb, rules, users, docs) = fixture();
+        let genre = kb.individual("genre");
+        kb.assert_concept(genre, "Hot");
         let engines: Vec<Box<dyn ScoringEngine + Sync>> = vec![
             Box::new(NaiveViewEngine::new()),
             Box::new(NaiveEnumEngine::new()),
@@ -390,11 +455,13 @@ proptest! {
         ];
         for engine in engines {
             // Each engine gets its own service over its own KB clone, and
-            // the same op sequence is replayed against a shadow KB that
-            // serves the cold reference — the service may never drift from
-            // it. LRU cap 2 for 4 users: most ranks re-derive an evicted
-            // tenant.
+            // the same op sequence is replayed against a shadow KB and
+            // shadow rules that serve the cold reference — the service may
+            // never drift from them. LRU cap 2 for 4 users: most ranks
+            // re-derive an evicted tenant.
             let mut shadow = kb.clone();
+            let mut shadow_rules = rules.clone();
+            let mut docs = docs.clone();
             let service = RankingService::with_config(
                 engine,
                 kb.clone(),
@@ -405,36 +472,75 @@ proptest! {
                     ..ServiceConfig::default()
                 },
             );
+            let mut last = 0;
             for &(kind, user, idx, feat, p, k) in &ops {
-                match decode_op(kind, user, idx, feat, p, k) {
-                    Op::DocFeature { doc, feat, p } => {
+                let (user, k) = match decode_step(kind, user, idx, feat, p, k) {
+                    Step::Op(Op::DocFeature { doc, feat, p }) => {
                         let concept = format!("Feat{feat}");
                         service
                             .assert(docs[doc], Fact::ConceptProb(concept.clone(), p))
                             .unwrap();
                         shadow.assert_concept_prob(docs[doc], &concept, p).unwrap();
+                        continue;
                     }
-                    Op::UserContext { user, feat, p } => {
+                    Step::Op(Op::UserContext { user, feat, p }) => {
                         let concept = format!("Ctx{feat}");
                         service
                             .assert(users[user], Fact::ConceptProb(concept.clone(), p))
                             .unwrap();
                         shadow.assert_concept_prob(users[user], &concept, p).unwrap();
+                        continue;
                     }
-                    Op::Rank { user, k } => {
-                        let env = ScoringEnv { kb: &shadow, rules: &rules, user: users[user] };
-                        let want = common::cold_rank(service.engine().as_ref(), &env, &docs, k);
-                        let got = service.rank(users[user], &docs, k).unwrap();
-                        prop_assert_eq!(got.len(), k.min(docs.len()));
-                        for (a, b) in want.iter().zip(&got) {
-                            prop_assert_eq!(a.doc, b.doc);
-                            prop_assert_eq!(
-                                a.score.to_bits(), b.score.to_bits(),
-                                "engine {}: {} vs {}",
-                                service.engine().name(), a.score, b.score
-                            );
+                    Step::ToggleRule { sigma } => {
+                        if shadow_rules.remove("R2").is_ok() {
+                            service.remove_rule("R2").unwrap();
+                        } else {
+                            service.add_rule(third_rule(|t| service.parse(t).unwrap(), sigma)).unwrap();
+                            shadow_rules.add(third_rule(|t| shadow.parse(t).unwrap(), sigma)).unwrap();
                         }
+                        continue;
                     }
+                    Step::Individual { fresh } => {
+                        let name = if fresh { format!("fresh{}", docs.len()) } else { "doc0".into() };
+                        let id = service.individual(&name);
+                        prop_assert_eq!(id, shadow.individual(&name));
+                        if fresh {
+                            docs.push(id);
+                        }
+                        continue;
+                    }
+                    Step::Parse => {
+                        let text = format!("Novel{} AND Feat1", docs.len());
+                        prop_assert_eq!(service.parse(&text).unwrap(), shadow.parse(&text).unwrap());
+                        continue;
+                    }
+                    Step::CertainContext { user, feat } => {
+                        let concept = format!("Ctx{feat}");
+                        service.assert(users[user], Fact::Concept(concept.clone())).unwrap();
+                        shadow.assert_concept(users[user], &concept);
+                        continue;
+                    }
+                    Step::DocGenre { doc, p } => {
+                        let role = "hasGenre".to_string();
+                        service.assert(docs[doc], Fact::RoleProb(role.clone(), genre, p)).unwrap();
+                        shadow.assert_role_prob(docs[doc], &role, genre, p).unwrap();
+                        continue;
+                    }
+                    Step::Op(Op::Rank { user, k }) => (user, k),
+                    Step::RankAgain => (last, docs.len()),
+                };
+                last = user;
+                let env = ScoringEnv { kb: &shadow, rules: &shadow_rules, user: users[user] };
+                let want = common::cold_rank(service.engine().as_ref(), &env, &docs, k);
+                let got = service.rank(users[user], &docs, k).unwrap();
+                prop_assert_eq!(got.len(), k.min(docs.len()));
+                for (a, b) in want.iter().zip(&got) {
+                    prop_assert_eq!(a.doc, b.doc);
+                    prop_assert_eq!(
+                        a.score.to_bits(), b.score.to_bits(),
+                        "engine {}: {} vs {}",
+                        service.engine().name(), a.score, b.score
+                    );
                 }
             }
             let stats = service.stats();
