@@ -48,12 +48,13 @@
 //!   order" in `ARCHITECTURE.md` for the lock hierarchy and the in-place
 //!   writer fast path.
 //! * **Batching front-end** — [`ServiceQueue`] puts a bounded MPSC queue
-//!   and a worker thread in front of a shared service: producers
-//!   [`ServiceHandle::enqueue`] typed [`Request`]s (backpressure via
-//!   [`ServiceHandle::try_enqueue`]), each gets a [`Ticket`] to
-//!   [`Ticket::wait`] on, and the worker drains in arrival order, feeding
-//!   runs through [`RankingService::submit`] so same-epoch requests
-//!   coalesce.
+//!   in front of a shared service: producers [`ServiceHandle::enqueue`]
+//!   typed [`Request`]s (backpressure via [`ServiceHandle::try_enqueue`])
+//!   and each gets a [`Ticket`] to [`Ticket::wait`] on. No thread of its
+//!   own drains it: whichever caller needs a result while no drain is in
+//!   progress runs the next batch, in arrival order, through
+//!   [`RankingService::submit`], so same-epoch requests from different
+//!   producers coalesce.
 //! * **Observability** — [`RankingService::stats`] aggregates every
 //!   tenant's [`crate::SessionStats`] (plus counters retired with evicted
 //!   tenants) into a [`ServiceStats`]: sessions live/evicted, warm/cold hit

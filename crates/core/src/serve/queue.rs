@@ -1,36 +1,29 @@
 //! The batching front-end: a bounded request queue between callers and a
-//! shared [`RankingService`].
+//! shared [`RankingService`], drained by the callers themselves.
 //!
-//! Direct calls on a [`RankingService`] couple the caller's rate to the
-//! scoring rate: each thread blocks for its own request's full latency.
-//! The queue decouples them — any number of producer threads
-//! [`ServiceHandle::enqueue`] typed [`Request`]s into a bounded buffer
-//! and a single worker continuously drains it in batches through
-//! [`RankingService::submit`], so consecutive rank-shaped requests from
-//! *different* producers coalesce into one dispatch run (one shared
-//! scratch, given back once) exactly as a hand-built batch would.
+//! Any number of producer threads [`ServiceHandle::enqueue`] typed
+//! [`Request`]s into a bounded buffer. Whichever caller needs a result
+//! while no drain is in progress takes the *drain role*: it runs up to
+//! [`QueueConfig::batch`] of the oldest requests through
+//! [`RankingService::submit`] on its own thread and delivers each result
+//! to its ticket. Consecutive rank-shaped requests from *different*
+//! producers therefore coalesce into one dispatch run (one shared
+//! scratch, given back once), and a producer that arrives during a drain
+//! joins the next one.
 //!
-//! * **Backpressure.** The buffer is bounded by
-//!   [`QueueConfig::capacity`]: [`ServiceHandle::enqueue`] blocks while
-//!   full (ingestion degrades to the scoring rate instead of buffering
-//!   unboundedly), and [`ServiceHandle::try_enqueue`] refuses instead —
-//!   refusals are counted in [`QueueStats::rejected`].
+//! * **Backpressure.** [`ServiceHandle::enqueue`] on a full queue drains
+//!   (or parks while another caller does), so ingestion degrades to the
+//!   scoring rate; [`ServiceHandle::try_enqueue`] refuses instead,
+//!   counted in [`QueueStats::rejected`].
 //! * **Per-request results.** Every accepted request yields a
-//!   [`Ticket`]; [`Ticket::wait`] blocks until the worker delivers that
-//!   request's own `Result<Response>` — errors stay per-request, a
-//!   failed rank never poisons its batch neighbours.
+//!   [`Ticket`] whose own `Result<Response>` a failed neighbour never
+//!   poisons. A batch whose `submit` panics answers every ticket it still
+//!   owes with an error before the panic reaches its drainer's caller.
 //! * **Shutdown.** Dropping (or [`ServiceQueue::shutdown`]ing) the queue
-//!   closes intake, drains every already-accepted request, and joins the
-//!   worker — no accepted ticket is left unresolved.
-//!
-//! The handle is `Clone + Send + Sync`: hand one to each producer
-//! thread. The worker holds the service as an `Arc`, so direct `&self`
-//! calls on the same service (e.g. an admin thread asserting facts)
-//! interleave safely with queued traffic.
+//!   closes intake and drains every accepted request, waited on or not.
 
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::engines::ScoringEngine;
 use crate::serve::request::{Request, Response};
@@ -40,14 +33,15 @@ use crate::{CoreError, Result};
 /// Sizing knobs of a [`ServiceQueue`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueueConfig {
-    /// Maximum requests buffered at once (≥ 1). A full queue blocks
-    /// [`ServiceHandle::enqueue`] and refuses
+    /// Maximum requests buffered at once (≥ 1). A full queue makes
+    /// [`ServiceHandle::enqueue`] drain before it pushes and refuses
     /// [`ServiceHandle::try_enqueue`].
     pub capacity: usize,
-    /// Maximum requests the worker drains into one
+    /// Maximum requests one drain runs through one
     /// [`RankingService::submit`] batch (≥ 1) — the coalescing window.
-    /// Larger batches amortize more (one scratch, one give-back) at the
-    /// cost of tail latency for the batch's last request.
+    /// Larger batches amortize more (one scratch, one give-back), but a
+    /// draining caller may run up to `batch − 1` other producers'
+    /// requests before its own in the batch that answers it.
     pub batch: usize,
 }
 
@@ -67,7 +61,7 @@ impl Default for QueueConfig {
 pub struct QueueStats {
     /// Requests accepted into the queue.
     pub enqueued: u64,
-    /// Requests handed to the service by the worker (≤ `enqueued`; the
+    /// Requests handed to the service by a drain (≤ `enqueued`; the
     /// difference is the current depth).
     pub drained: u64,
     /// `try_enqueue` refusals while the queue was full — the
@@ -104,64 +98,156 @@ impl std::iter::Sum for QueueStats {
     }
 }
 
-/// The slot a queued request's result is delivered into.
-struct TicketCell {
-    slot: Mutex<Option<Result<Response>>>,
-    ready: Condvar,
-}
+/// The slot a queued request's result is delivered into. It is written
+/// and read only under the queue's state lock, so a caller that finds it
+/// empty and parks on [`Shared::progress`] cannot miss the delivery.
+type Slot = Arc<Mutex<Option<Result<Response>>>>;
 
 /// A claim on one queued request's result.
 ///
-/// The worker delivers exactly one `Result<Response>` into each ticket —
-/// the same value the equivalent [`RankingService::submit`] entry would
-/// have produced. [`Ticket::wait`] consumes the ticket; to poll instead,
-/// use [`Ticket::try_take`].
-pub struct Ticket(Arc<TicketCell>);
+/// Exactly one `Result<Response>` is delivered into each ticket — the
+/// same value the equivalent [`RankingService::submit`] entry would have
+/// produced. [`Ticket::wait`] consumes the ticket; to poll instead, use
+/// [`Ticket::try_take`].
+pub struct Ticket<E> {
+    shared: Arc<Shared<E>>,
+    slot: Slot,
+}
 
-impl Ticket {
-    /// Blocks until the worker delivers this request's result.
+impl<E: ScoringEngine + Sync> Ticket<E> {
+    /// Blocks until this request's result is delivered, draining batches
+    /// on this thread whenever no other caller is draining. A panic in a
+    /// batch this caller drains continues here.
     pub fn wait(self) -> Result<Response> {
-        let mut slot = self.0.slot.lock().expect("ticket lock poisoned");
-        loop {
-            match slot.take() {
-                Some(result) => return result,
-                None => slot = self.0.ready.wait(slot).expect("ticket lock poisoned"),
-            }
-        }
+        let _state = self
+            .shared
+            .drain_until(self.shared.lock(), |_| self.filled());
+        let result = self.slot.lock().expect("ticket lock poisoned").take();
+        result.expect("a filled ticket holds its result")
     }
 
-    /// The result, if the worker has already delivered it (consuming it
-    /// from the ticket).
+    /// The result, if it has been delivered (consuming it from the
+    /// ticket). When it has not and no drain is in progress, this first
+    /// runs at most one batch on this thread; it never parks.
     pub fn try_take(&self) -> Option<Result<Response>> {
-        self.0.slot.lock().expect("ticket lock poisoned").take()
+        let mut state = self.shared.lock();
+        if !self.filled() && !state.draining && !state.items.is_empty() {
+            state = self.shared.run_batch(state);
+        }
+        let result = self.slot.lock().expect("ticket lock poisoned").take();
+        drop(state);
+        result
+    }
+
+    /// Whether the result has been delivered (call under the state lock).
+    fn filled(&self) -> bool {
+        self.slot.lock().expect("ticket lock poisoned").is_some()
     }
 }
 
 /// The queue's mutable state, behind one mutex.
 struct QueueState {
-    items: VecDeque<(Request, Arc<TicketCell>)>,
-    /// Set on shutdown: enqueues refuse, the worker drains what is left
-    /// and exits.
+    items: VecDeque<(Request, Slot)>,
+    /// Set on shutdown: enqueues refuse; what is left still drains.
     closed: bool,
+    /// Some caller holds the drain role (see [`Drain`]).
+    draining: bool,
     stats: QueueStats,
 }
 
-/// Everything the handles and the worker share.
+/// Everything the handles and tickets share.
 struct Shared<E> {
     service: Arc<RankingService<E>>,
     state: Mutex<QueueState>,
-    /// Signalled when items (or the closed flag) arrive — wakes the worker.
-    not_empty: Condvar,
-    /// Signalled when the worker frees space — wakes blocked enqueuers.
-    not_full: Condvar,
+    /// Signalled when a drain ends: its tickets are filled, its requests'
+    /// space is free and the drain role is free.
+    progress: Condvar,
     capacity: usize,
     batch: usize,
+}
+
+impl<E> Shared<E> {
+    /// The state lock. Every update under it leaves the state valid, and
+    /// [`Drain`] takes it while a panic unwinds: a poisoned lock is used.
+    fn lock(&self) -> MutexGuard<'_, QueueState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl<E: ScoringEngine + Sync> Shared<E> {
+    /// Returns the state lock once `done` holds, meanwhile running a batch
+    /// whenever the drain role is free and requests are waiting, and
+    /// parking on [`Shared::progress`] otherwise.
+    fn drain_until<'a>(
+        &'a self,
+        mut state: MutexGuard<'a, QueueState>,
+        done: impl Fn(&QueueState) -> bool,
+    ) -> MutexGuard<'a, QueueState> {
+        while !done(&state) {
+            state = if state.draining || state.items.is_empty() {
+                self.progress
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner)
+            } else {
+                self.run_batch(state)
+            };
+        }
+        state
+    }
+
+    /// Takes the drain role and up to `batch` of the oldest requests,
+    /// runs them through [`RankingService::submit`] with the state lock
+    /// released, and re-takes the lock once [`Drain`] has delivered.
+    fn run_batch(&self, mut state: MutexGuard<'_, QueueState>) -> MutexGuard<'_, QueueState> {
+        let n = state.items.len().min(self.batch);
+        let (requests, slots): (Vec<_>, Vec<_>) = state.items.drain(..n).unzip();
+        state.stats.drained += n as u64;
+        state.draining = true;
+        drop(state);
+        let mut role = Drain {
+            shared: self,
+            slots,
+            responses: Vec::new(),
+        };
+        role.responses = self.service.submit(requests);
+        drop(role);
+        self.lock()
+    }
+}
+
+/// The drain role while a batch runs outside the state lock. Its `Drop`,
+/// the one place the role is freed, takes the state lock (so never drop
+/// it with that lock held), delivers the responses — an error to each
+/// ticket still owed one if `submit` panicked — and wakes every caller.
+struct Drain<'a, E> {
+    shared: &'a Shared<E>,
+    slots: Vec<Slot>,
+    /// `submit`'s responses, in request order; empty while it runs.
+    responses: Vec<Result<Response>>,
+}
+
+impl<E> Drop for Drain<'_, E> {
+    fn drop(&mut self) {
+        let mut state = self.shared.lock();
+        let mut responses = std::mem::take(&mut self.responses).into_iter();
+        for slot in &self.slots {
+            let response = responses.next().unwrap_or_else(|| {
+                Err(CoreError::Ranking(
+                    "the service queue's batch panicked".into(),
+                ))
+            });
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(response);
+        }
+        state.draining = false;
+        drop(state);
+        self.shared.progress.notify_all();
+    }
 }
 
 /// A cloneable, thread-safe producer handle onto a [`ServiceQueue`].
 ///
 /// `ServiceHandle: Clone + Send + Sync` — clone one per producer thread;
-/// all clones feed the same bounded buffer and worker.
+/// all clones feed the same bounded buffer.
 pub struct ServiceHandle<E> {
     shared: Arc<Shared<E>>,
 }
@@ -175,26 +261,24 @@ impl<E> Clone for ServiceHandle<E> {
 }
 
 impl<E: ScoringEngine + Sync> ServiceHandle<E> {
-    /// Enqueues a request, blocking while the queue is full (the
-    /// backpressure path), and returns the [`Ticket`] its result will be
-    /// delivered into. Errors only if the queue has been shut down.
-    pub fn enqueue(&self, request: Request) -> Result<Ticket> {
-        let mut state = self.shared.state.lock().expect("queue lock poisoned");
-        while state.items.len() >= self.shared.capacity && !state.closed {
-            state = self
-                .shared
-                .not_full
-                .wait(state)
-                .expect("queue lock poisoned");
-        }
+    /// Enqueues a request and returns the [`Ticket`] its result will be
+    /// delivered into. On a full queue this caller first drains a batch
+    /// (or parks while another caller does) — the backpressure path.
+    /// Errors only if the queue has been shut down.
+    pub fn enqueue(&self, request: Request) -> Result<Ticket<E>> {
+        let capacity = self.shared.capacity;
+        let state = self.shared.drain_until(self.shared.lock(), |state| {
+            state.closed || state.items.len() < capacity
+        });
         self.push(state, request)
     }
 
-    /// Enqueues without blocking: a full queue returns the request to the
-    /// caller as `Err` and counts a [`QueueStats::rejected`] — the signal
-    /// an ingestion front-end sheds load on.
-    pub fn try_enqueue(&self, request: Request) -> std::result::Result<Ticket, Request> {
-        let mut state = self.shared.state.lock().expect("queue lock poisoned");
+    /// Enqueues without blocking or draining: a full queue returns the
+    /// request to the caller as `Err` and counts a
+    /// [`QueueStats::rejected`] — the signal an ingestion front-end sheds
+    /// load on.
+    pub fn try_enqueue(&self, request: Request) -> std::result::Result<Ticket<E>, Request> {
+        let mut state = self.shared.lock();
         if state.closed || state.items.len() >= self.shared.capacity {
             if !state.closed {
                 state.stats.rejected += 1;
@@ -206,39 +290,27 @@ impl<E: ScoringEngine + Sync> ServiceHandle<E> {
             .expect("queue verified open under the lock"))
     }
 
-    /// Appends under the held lock, stamps the counters, and wakes the
-    /// worker.
-    fn push(
-        &self,
-        mut state: std::sync::MutexGuard<'_, QueueState>,
-        request: Request,
-    ) -> Result<Ticket> {
+    /// Appends under the held lock and stamps the counters.
+    fn push(&self, mut state: MutexGuard<'_, QueueState>, request: Request) -> Result<Ticket<E>> {
         if state.closed {
             return Err(CoreError::Ranking(
                 "the service queue has been shut down".into(),
             ));
         }
-        let cell = Arc::new(TicketCell {
-            slot: Mutex::new(None),
-            ready: Condvar::new(),
-        });
-        state.items.push_back((request, Arc::clone(&cell)));
+        let slot = Slot::default();
+        state.items.push_back((request, Arc::clone(&slot)));
         state.stats.enqueued += 1;
         let depth = state.items.len() as u64;
         state.stats.depth_high_water = state.stats.depth_high_water.max(depth);
-        drop(state);
-        self.shared.not_empty.notify_one();
-        Ok(Ticket(cell))
+        Ok(Ticket {
+            shared: Arc::clone(&self.shared),
+            slot,
+        })
     }
 
     /// Requests currently buffered (enqueued but not yet drained).
     pub fn depth(&self) -> usize {
-        self.shared
-            .state
-            .lock()
-            .expect("queue lock poisoned")
-            .items
-            .len()
+        self.shared.lock().items.len()
     }
 
     /// The service this handle feeds.
@@ -250,53 +322,17 @@ impl<E: ScoringEngine + Sync> ServiceHandle<E> {
     /// this queue.
     pub fn stats(&self) -> ServiceStats {
         let mut stats = self.shared.service.stats();
-        stats.queue = self.shared.state.lock().expect("queue lock poisoned").stats;
+        stats.queue = self.shared.lock().stats;
         stats
     }
 }
 
-/// The worker loop: sleep until requests (or shutdown) arrive, drain up
-/// to `batch` of them preserving arrival order, dispatch through
-/// [`RankingService::submit`] (which coalesces the rank-shaped runs),
-/// and deliver each result into its ticket. Exits when the queue is
-/// closed *and* empty — every accepted request is answered first.
-fn worker_loop<E: ScoringEngine + Sync>(shared: &Shared<E>) {
-    loop {
-        let drained: Vec<(Request, Arc<TicketCell>)> = {
-            let mut state = shared.state.lock().expect("queue lock poisoned");
-            loop {
-                if !state.items.is_empty() {
-                    break;
-                }
-                if state.closed {
-                    return;
-                }
-                state = shared.not_empty.wait(state).expect("queue lock poisoned");
-            }
-            let n = state.items.len().min(shared.batch);
-            let drained: Vec<_> = state.items.drain(..n).collect();
-            state.stats.drained += n as u64;
-            drained
-        };
-        // Space was freed: wake every blocked producer (they re-check the
-        // capacity under the lock).
-        shared.not_full.notify_all();
-        let (requests, tickets): (Vec<_>, Vec<_>) = drained.into_iter().unzip();
-        let responses = shared.service.submit(requests);
-        debug_assert_eq!(responses.len(), tickets.len());
-        for (ticket, response) in tickets.into_iter().zip(responses) {
-            *ticket.slot.lock().expect("ticket lock poisoned") = Some(response);
-            ticket.ready.notify_all();
-        }
-    }
-}
-
-/// A running batching front-end: owns the worker thread draining a
-/// bounded request queue into an `Arc`-shared [`RankingService`].
+/// A batching front-end: a bounded request queue in front of an
+/// `Arc`-shared [`RankingService`], drained by its callers.
 ///
 /// Construct with [`ServiceQueue::start`], fan [`ServiceHandle`] clones
 /// out to producers, and drop (or [`ServiceQueue::shutdown`]) to stop:
-/// intake closes, the backlog drains, the worker joins.
+/// intake closes and the backlog drains.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -326,43 +362,32 @@ fn worker_loop<E: ScoringEngine + Sync>(shared: &Shared<E>) {
 /// assert_eq!(ranked[0].doc, doc);
 /// queue.shutdown();
 /// ```
-pub struct ServiceQueue<E> {
+pub struct ServiceQueue<E: ScoringEngine + Sync> {
     handle: ServiceHandle<E>,
-    worker: Option<JoinHandle<()>>,
 }
 
-impl<E: ScoringEngine + Send + Sync + 'static> ServiceQueue<E> {
-    /// Starts the worker over `service` with the given sizing. The
-    /// service stays directly usable through its own `&self` API
-    /// alongside the queue.
+impl<E: ScoringEngine + Sync> ServiceQueue<E> {
+    /// An empty queue over `service` with the given sizing. The service
+    /// stays directly usable through its own `&self` API alongside the
+    /// queue.
     pub fn start(service: Arc<RankingService<E>>, config: QueueConfig) -> Self {
         let shared = Arc::new(Shared {
             service,
             state: Mutex::new(QueueState {
                 items: VecDeque::new(),
                 closed: false,
+                draining: false,
                 stats: QueueStats::default(),
             }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
+            progress: Condvar::new(),
             capacity: config.capacity.max(1),
             batch: config.batch.max(1),
         });
-        let worker = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("capra-service-queue".into())
-                .spawn(move || worker_loop(&shared))
-                .expect("spawning the queue worker thread")
-        };
         Self {
             handle: ServiceHandle { shared },
-            worker: Some(worker),
         }
     }
-}
 
-impl<E: ScoringEngine + Sync> ServiceQueue<E> {
     /// A producer handle (clone freely — one per producer thread).
     pub fn handle(&self) -> ServiceHandle<E> {
         self.handle.clone()
@@ -373,50 +398,21 @@ impl<E: ScoringEngine + Sync> ServiceQueue<E> {
         self.handle.stats()
     }
 
-    /// Closes intake, waits for the backlog to drain, and joins the
-    /// worker. Every already-accepted ticket receives its result before
-    /// this returns; enqueues after shutdown fail. (Dropping the queue
-    /// does the same.)
-    pub fn shutdown(mut self) {
-        self.close_and_join();
-    }
-
-    fn close_and_join(&mut self) {
-        {
-            let mut state = self
-                .handle
-                .shared
-                .state
-                .lock()
-                .expect("queue lock poisoned");
-            state.closed = true;
-        }
-        // Wake everyone: the worker (to observe `closed`) and any blocked
-        // producers (to fail their enqueue).
-        self.handle.shared.not_empty.notify_all();
-        self.handle.shared.not_full.notify_all();
-        if let Some(worker) = self.worker.take() {
-            worker.join().expect("queue worker panicked");
-        }
+    /// Closes intake and drains the backlog on this thread (waiting out a
+    /// drain another caller is running). Every already-accepted ticket
+    /// receives its result before this returns; enqueues after shutdown
+    /// fail. (Dropping the queue does the same.)
+    pub fn shutdown(self) {
+        drop(self);
     }
 }
 
-impl<E> Drop for ServiceQueue<E> {
+impl<E: ScoringEngine + Sync> Drop for ServiceQueue<E> {
     fn drop(&mut self) {
-        {
-            let mut state = self
-                .handle
-                .shared
-                .state
-                .lock()
-                .expect("queue lock poisoned");
-            state.closed = true;
-        }
-        self.handle.shared.not_empty.notify_all();
-        self.handle.shared.not_full.notify_all();
-        if let Some(worker) = self.worker.take() {
-            worker.join().expect("queue worker panicked");
-        }
+        let shared = &self.handle.shared;
+        let mut state = shared.lock();
+        state.closed = true;
+        drop(shared.drain_until(state, |state| state.items.is_empty() && !state.draining));
     }
 }
 
@@ -533,9 +529,9 @@ mod tests {
     #[test]
     fn try_enqueue_sheds_load_when_full() {
         let (service, users, docs) = fixture();
-        // Capacity 1 and a worker that can't outrun this thread's loop
-        // guarantees at least one refusal without timing assumptions:
-        // enqueue the first without waiting on it, then spam.
+        // `try_enqueue` never drains and nothing else does until a ticket
+        // is waited on, so capacity 1 accepts the first attempt and
+        // refuses the other 63, every run.
         let queue = ServiceQueue::start(
             service,
             QueueConfig {
@@ -556,7 +552,8 @@ mod tests {
                 Err(_returned) => rejected += 1,
             }
         }
-        assert!(!accepted.is_empty(), "an empty queue accepts");
+        assert_eq!(accepted.len(), 1, "an empty queue accepts once");
+        assert_eq!(rejected, 63, "a full queue refuses the rest");
         for ticket in accepted {
             ticket.wait().unwrap();
         }
@@ -649,6 +646,151 @@ mod tests {
             stats.queue.depth_high_water <= 8,
             "the bound holds: {stats:?}"
         );
+        queue.shutdown();
+    }
+
+    fn rank(user: IndividualId, docs: &[IndividualId]) -> Request {
+        Request::Rank {
+            user,
+            docs: docs.to_vec(),
+            k: docs.len(),
+        }
+    }
+
+    fn assert_same_ranks(want: &[crate::DocScore], got: &Response) {
+        let got = got.ranked().unwrap();
+        assert_eq!(want.len(), got.len());
+        for (a, b) in want.iter().zip(got) {
+            assert_eq!(a.doc, b.doc);
+            assert_eq!(a.score.to_bits(), b.score.to_bits());
+        }
+    }
+
+    #[test]
+    fn one_wait_drains_two_producers_as_one_run() {
+        let (service, users, docs) = fixture();
+        let queue = ServiceQueue::start(Arc::clone(&service), QueueConfig::default());
+        let first = queue.handle().enqueue(rank(users[0], &docs)).unwrap();
+        let second = queue.handle().enqueue(rank(users[1], &docs)).unwrap();
+        let runs = service.stats().coalesced_runs;
+        assert!(first.wait().is_ok());
+        let after_wait = queue.stats();
+        assert_eq!(
+            after_wait.coalesced_runs,
+            runs + 1,
+            "both producers' ranks ran as one dispatch"
+        );
+        assert_eq!(after_wait.queue.drained, 2);
+        assert!(second.try_take().expect("already answered").is_ok());
+        let after_take = queue.stats();
+        assert_eq!(after_take.queue.drained, 2, "no further drain");
+        assert_eq!(after_take.coalesced_runs, after_wait.coalesced_runs);
+        queue.shutdown();
+    }
+
+    #[test]
+    fn unwaited_requests_still_run() {
+        let (service, users, docs) = fixture();
+        let oracle = RankingService::new(
+            LineageEngine::new(),
+            (*service.kb()).clone_for_publish(),
+            (*service.rules()).clone(),
+        );
+        let fact = || Fact::ConceptProb("Ctx".into(), 0.95);
+        oracle.assert(users[0], fact()).unwrap();
+        let queue = ServiceQueue::start(service, QueueConfig::default());
+        let (writer, reader) = (queue.handle(), queue.handle());
+        drop(
+            writer
+                .enqueue(Request::Assert {
+                    subject: users[0],
+                    fact: fact(),
+                })
+                .unwrap(),
+        );
+        let got = reader.enqueue(rank(users[0], &docs)).unwrap().wait();
+        let want = oracle.rank(users[0], &docs, docs.len()).unwrap();
+        assert_same_ranks(&want, &got.unwrap());
+
+        let pending = reader.enqueue(rank(users[1], &docs)).unwrap();
+        queue.shutdown();
+        let stats = reader.stats().queue;
+        assert_eq!(stats.drained, stats.enqueued, "shutdown drained it");
+        let want = oracle.rank(users[1], &docs, docs.len()).unwrap();
+        assert_same_ranks(&want, &pending.try_take().unwrap().unwrap());
+    }
+
+    /// Scores as `LineageEngine`, and panics when asked to score `sentinel`.
+    struct PanicsOn {
+        inner: LineageEngine,
+        sentinel: IndividualId,
+    }
+
+    impl ScoringEngine for PanicsOn {
+        fn name(&self) -> &'static str {
+            "panics-on"
+        }
+
+        fn score_all_bound(
+            &self,
+            env: &crate::ScoringEnv<'_>,
+            bindings: &[Arc<crate::RuleBinding>],
+            docs: &[IndividualId],
+            scratch: &mut crate::EvalScratch,
+        ) -> Result<Vec<crate::DocScore>> {
+            assert!(!docs.contains(&self.sentinel), "scored the sentinel");
+            self.inner.score_all_bound(env, bindings, docs, scratch)
+        }
+    }
+
+    #[test]
+    fn a_panicking_drainer_strands_no_ticket() {
+        let (lineage, users, docs) = fixture();
+        let service = Arc::new(RankingService::new(
+            PanicsOn {
+                inner: LineageEngine::new(),
+                sentinel: docs[0],
+            },
+            (*lineage.kb()).clone_for_publish(),
+            (*lineage.rules()).clone(),
+        ));
+        // The panic poisons the shard of the tenant it ran under, and a
+        // first sight locks every shard: warm every tenant, and find one
+        // whose shard differs from the panicking tenant's.
+        let safe = &docs[1..];
+        let shard_of = |user| {
+            service.rank(user, safe, safe.len()).unwrap();
+            let before = service.shard_lock_counts();
+            service.rank(user, safe, safe.len()).unwrap();
+            let after = service.shard_lock_counts();
+            (0..after.len()).find(|&i| after[i] != before[i]).unwrap()
+        };
+        let victim = shard_of(users[0]);
+        let bystander = *users[1..]
+            .iter()
+            .find(|&&u| shard_of(u) != victim)
+            .expect("a user in another shard");
+
+        let queue = ServiceQueue::start(
+            Arc::clone(&service),
+            QueueConfig {
+                capacity: 8,
+                batch: 2,
+            },
+        );
+        let handle = queue.handle();
+        let poisoned = handle.enqueue(rank(users[0], &docs)).unwrap();
+        let neighbour = handle.enqueue(rank(bystander, safe)).unwrap();
+        let drained = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| poisoned.wait()));
+        assert!(drained.is_err(), "the drainer's caller sees the panic");
+        assert!(
+            matches!(neighbour.try_take(), Some(Err(CoreError::Ranking(_)))),
+            "the batch's other ticket is answered with an error"
+        );
+
+        let later = handle.enqueue(rank(bystander, safe)).unwrap().wait();
+        let want = lineage.rank(bystander, safe, safe.len()).unwrap();
+        assert_same_ranks(&want, &later.unwrap());
         queue.shutdown();
     }
 }

@@ -185,8 +185,10 @@ fn main() -> Result<(), CoreError> {
     // Every request path takes `&self`, so producer threads could call
     // `service.rank` directly through a shared reference. A bounded
     // ServiceQueue adds backpressure and coalescing on top: producers
-    // enqueue typed requests and wait on tickets while one worker drains
-    // arrivals in order, batching same-epoch runs through `submit`.
+    // enqueue typed requests and wait on tickets, and whichever waiter
+    // finds no drain in progress runs the next batch of arrivals, in
+    // order, through `submit`, so same-epoch runs from different
+    // producers coalesce.
     let service = Arc::new(service);
     let queue = ServiceQueue::start(
         Arc::clone(&service),
@@ -207,7 +209,7 @@ fn main() -> Result<(), CoreError> {
                             docs: programs.clone(),
                             k: 3,
                         })
-                        .expect("enqueue blocks rather than fails under capacity")
+                        .expect("enqueue drains rather than fails on a full queue")
                         .wait()
                         .expect("ranking a warm viewer succeeds");
                     assert!(response.ranked().is_some());
@@ -216,7 +218,7 @@ fn main() -> Result<(), CoreError> {
         }
     });
     let stats = queue.stats();
-    println!("\n── queued round: 3 producer threads, one worker ──");
+    println!("\n── queued round: 3 producer threads draining their own batches ──");
     println!(
         "  {} enqueued / {} drained (depth high-water {}), {} coalesced runs total",
         stats.queue.enqueued,

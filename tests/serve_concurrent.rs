@@ -28,8 +28,9 @@
 //!   live one bit-for-bit on every user's final rank and a group rank.
 //! * **Queued producers** — the same convergence property driven
 //!   through [`ServiceQueue`]/[`ServiceHandle`]: producers enqueue from
-//!   many threads, the single worker batches across producers, and the
-//!   drained end state must match the cold twin bit-for-bit.
+//!   many threads, whichever waiter holds the drain role batches across
+//!   producers, and the drained end state must match the cold twin
+//!   bit-for-bit.
 //!
 //! Every test shares the service across [`std::thread::scope`] threads
 //! by `&` reference — compile-time proof that the warm serving surface
@@ -600,10 +601,10 @@ fn overlapping_tenants_replay_to_the_committed_order() {
 
 /// The queue front-end preserves the convergence property: producers
 /// enqueue through cloned [`ServiceHandle`]s from many threads, the
-/// single worker batches across producers (so asserts and ranks from
-/// different producers coalesce into shared dispatch runs), and the
-/// drained end state — read back *through the queue* — must be
-/// bit-identical to the cold twin. Queue accounting must balance.
+/// waiter holding the drain role batches across producers (so asserts
+/// and ranks from different producers coalesce into shared dispatch
+/// runs), and the drained end state — read back *through the queue* —
+/// must be bit-identical to the cold twin. Queue accounting must balance.
 #[test]
 fn queued_producers_converge_to_the_cold_oracle() {
     for iter in 0..stress_iters() {
