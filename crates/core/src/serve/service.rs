@@ -203,8 +203,9 @@ pub struct ServiceStats {
     /// Tenant-shard lock acquisitions, summed over shards (the per-shard
     /// breakdown is [`RankingService::shard_lock_counts`]). The warm path
     /// takes exactly one lock per request, so this racing far ahead of
-    /// `rank_requests + asserts` flags first-sight churn (each insert
-    /// scans every shard for the LRU victim).
+    /// `rank_requests + asserts` flags first-sight churn: every first
+    /// sight of a tenant locks every shard, to keep the global LRU exact,
+    /// and at the cap scans them all for the victim.
     pub shard_lock_acquisitions: u64,
     /// Counters of the batching front-end queue (all zero for a service
     /// driven directly; populated by
@@ -1027,7 +1028,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             if k >= docs.len() {
                 let seq = run.map_or_else(|| self.seq.load(Ordering::Acquire), |snap| snap.seq);
                 if tenant.bound_at == Some(seq) {
-                    if let Some(warm) = tenant.session.rank_warm(&self.engine, user, docs) {
+                    if let Some(warm) = tenant.session.rank_warm(&self.engine, docs) {
                         return Ok(warm);
                     }
                 }

@@ -1,11 +1,14 @@
 //! Sharded, LRU-capped storage of per-tenant session state.
 //!
-//! Each tenant is a [`SessionCore`] — the two *user-specific* cache layers
-//! of a [`crate::ScoringSession`], rule bindings and per-document scores,
-//! and the request sequence over them. The third layer (evaluation memos)
-//! carries no per-user data and lives in the service's shared pool
-//! (`serve/pool.rs`) instead, so it is *not* duplicated per tenant and
-//! survives tenant eviction.
+//! Each tenant is one user's [`SessionCore`] — that user's share of the two
+//! *user-specific* cache layers of a [`crate::ScoringSession`], their rule
+//! bindings and their score entry, and the request sequence over them. A
+//! session keeps one core per user in a map; a tenant holds its core in
+//! place, so once the shard's map has found the tenant a warm page reads
+//! the bindings and the score entry without hashing the user again. The
+//! third layer (evaluation memos) carries no per-user data and lives in the
+//! service's shared pool (`serve/pool.rs`) instead, so it is *not*
+//! duplicated per tenant and survives tenant eviction.
 //!
 //! Tenants are routed to shards by hashing their [`IndividualId`], and each
 //! shard sits behind its own [`Mutex`]: requests for tenants in different
@@ -37,10 +40,11 @@ use capra_dl::IndividualId;
 use crate::hash::{IdHasher, IdMap};
 use crate::session::{SessionCore, SessionStats};
 
-/// One tenant: a session core, the publish sequence it was last bound at
-/// and the recency stamp the LRU cap works from.
+/// One tenant: its user's session core, the publish sequence it was last
+/// bound at and the recency stamp the LRU cap works from.
 pub(crate) struct Tenant {
-    /// The tenant's caches and the request path over them.
+    /// The user's caches and the request path over them; every caller
+    /// binds it for the user the tenant is keyed by.
     pub session: SessionCore,
     /// The publish sequence of the snapshot `session`'s bindings were last
     /// bound against; `None` until the first bind. Every path that binds
@@ -65,7 +69,7 @@ impl Tenant {
     /// evaluation memos of their own — those live in the service's shared
     /// pool and are reported once, service-wide.
     fn stats(&self) -> SessionStats {
-        self.session.stats(Default::default(), Default::default())
+        self.session.stats()
     }
 }
 

@@ -33,15 +33,19 @@
 //! 2. **evaluation memos** — an [`crate::engines::EvalScratch`] carrying the
 //!    probability/expectation memo tables across calls, so unchanged
 //!    sub-problems answer from cache even when new documents appear;
-//! 3. **scores** — per `(user, engine)` the scores of the list last
-//!    computed, by position, and its ranking once asked for; valid while
-//!    the user's binding list is the very `Arc` they were computed under.
-//!    A warm repeat of that list is one pointer compare, a slot-by-slot
-//!    compare of the ids and a copy — no lookup, no sort; another list
-//!    under the same bindings is looked up by document and only what is
-//!    new in it computed. After a KB mutation that changed one of the
-//!    user's bindings the entry falls out via layer 1 and is recomputed —
-//!    a mutation about someone or something else leaves it warm.
+//! 3. **scores** — per `(user, engine)` the ids of the list last computed
+//!    and their scores, by position, in two slices, and its ranking once
+//!    asked for; valid while the user's binding list is the very `Arc`
+//!    they were computed under. A warm repeat of that list is one pointer
+//!    compare, one slice compare of the ids and a copy — no lookup, no
+//!    sort: both layers' user state is one [`SessionCore`] per user,
+//!    holding the user's bindings and score entries in place, so whoever
+//!    holds the core (a service tenant, or a session that found it by
+//!    user) reads them without hashing the user again. Another list under
+//!    the same bindings is looked up by document and only what is new in
+//!    it computed. After a KB mutation that changed one of the user's
+//!    bindings the entry falls out via layer 1 and is recomputed — a
+//!    mutation about someone or something else leaves it warm.
 //!
 //! All layers are behaviour-preserving: a session produces bit-identical
 //! scores to a cold call (property-tested in `tests/session_consistency.rs`),
@@ -66,7 +70,7 @@ use capra_dl::{Concept, Footprint, IndividualId, Reasoner, Table};
 use capra_events::{BatchStats, CacheFootprint, EventExpr};
 
 use crate::bind::RuleBinding;
-use crate::engines::{self, rank, DocScore, EvalScratch, ScoringEngine};
+use crate::engines::{self, DocScore, EvalScratch, ScoringEngine};
 use crate::hash::IdMap;
 use crate::topk::rank_top_k_bound;
 use crate::{Kb, PreferenceRule, Result, ScoringEnv};
@@ -495,6 +499,9 @@ struct UserBindings {
     /// its elements is, so holding the same list means holding the same
     /// bindings.
     list: Arc<[Arc<RuleBinding>]>,
+    /// Context events looked up by a point membership rather than a blank.
+    #[cfg(test)]
+    walks: u64,
 }
 
 /// Where `def`'s rule, the `i`-th of its set, is in `held`, the plans the
@@ -562,11 +569,7 @@ fn is_current(held: &Arc<RulePlan>, binding: &RuleBinding, plan: &Arc<RulePlan>)
 #[derive(Default)]
 pub struct BindingCache {
     users: IdMap<IndividualId, UserBindings>,
-    hits: u64,
-    misses: u64,
-    /// Context events looked up by a point membership rather than a blank.
-    #[cfg(test)]
-    walks: u64,
+    stats: CacheStats,
 }
 
 impl BindingCache {
@@ -578,10 +581,7 @@ impl BindingCache {
     /// Hit/miss counters accumulated since creation or the last
     /// [`BindingCache::clear`].
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits,
-            misses: self.misses,
-        }
+        self.stats
     }
 
     /// Number of cached bindings (including stale ones not yet refreshed).
@@ -613,12 +613,20 @@ impl BindingCache {
     /// converse: a cleared cache binds equal content into a new list).
     pub fn bind(&mut self, env: &ScoringEnv<'_>) -> Arc<[Arc<RuleBinding>]> {
         let user = self.users.entry(env.user).or_default();
-        let set = PlanSet::current(env, user.set.as_ref());
-        if user.set.as_ref().is_some_and(|own| Arc::ptr_eq(own, &set)) {
-            self.hits += user.list.len() as u64;
-            return Arc::clone(&user.list);
+        user.bind(env, &mut self.stats)
+    }
+}
+
+impl UserBindings {
+    /// [`BindingCache::bind`] for the user these bindings are `env.user`'s,
+    /// counting into `stats`.
+    fn bind(&mut self, env: &ScoringEnv<'_>, stats: &mut CacheStats) -> Arc<[Arc<RuleBinding>]> {
+        let set = PlanSet::current(env, self.set.as_ref());
+        if self.set.as_ref().is_some_and(|own| Arc::ptr_eq(own, &set)) {
+            stats.hits += self.list.len() as u64;
+            return Arc::clone(&self.list);
         }
-        let held = user.set.as_ref().map_or(&[][..], |held| &held.plans);
+        let held = self.set.as_ref().map_or(&[][..], |held| &held.plans);
         // Membership walks the user's own rows: no view, hence no TBox
         // (the plans' concepts are unfolded) and no shared views. Outside
         // the domain no blank holds, so every context is walked; a user
@@ -633,7 +641,7 @@ impl BindingCache {
         let mut fresh = (held.len() != n).then(|| Vec::with_capacity(n));
         for (i, plan) in set.plans.iter().enumerate() {
             let def = &plan.def;
-            let previous = find_held(held, i, def).map(|at| (at, &user.list[at]));
+            let previous = find_held(held, i, def).map(|at| (at, &self.list[at]));
             // The context event, looked up unless the binding is current.
             let derived = match previous {
                 Some((at, binding)) if is_current(&held[at], binding, plan) => None,
@@ -654,97 +662,126 @@ impl BindingCache {
             });
             let binding = match (kept, derived) {
                 (Some((at, _)), _) if at == i && fresh.is_none() => {
-                    self.hits += 1;
+                    stats.hits += 1;
                     continue;
                 }
                 (Some((_, binding)), _) => {
-                    self.hits += 1;
+                    stats.hits += 1;
                     Arc::clone(binding)
                 }
                 (None, Some(event)) => {
-                    self.misses += 1;
+                    stats.misses += 1;
                     plan.binding(event)
                 }
                 (None, None) => unreachable!("a binding that is not current is derived"),
             };
-            let fresh = fresh.get_or_insert_with(|| user.list[..i].to_vec());
+            let fresh = fresh.get_or_insert_with(|| self.list[..i].to_vec());
             fresh.push(binding);
         }
         if let Some(fresh) = fresh {
-            user.list = fresh.into();
+            self.list = fresh.into();
         }
-        user.set = Some(set);
-        Arc::clone(&user.list)
+        self.set = Some(set);
+        Arc::clone(&self.list)
     }
 }
 
-/// Cached scores for one `(user, engine)` pair, valid while the binding
-/// list they were computed under is still the one the binding cache hands
-/// out ([`BindingCache::bind`] replaces a user's list exactly when one of
-/// its bindings changes). Holding a strong reference makes the identity
-/// check exact: a pointer can only compare equal to a *live* list, never to
-/// a recycled allocation.
+/// One engine's cached scores for one user, valid while the binding list
+/// they were computed under is still the one the user's bindings hand out
+/// ([`BindingCache::bind`] replaces a user's list exactly when one of its
+/// bindings changes). Holding a strong reference makes the identity check
+/// exact: a pointer can only compare equal to a *live* list, never to a
+/// recycled allocation.
 ///
-/// Scores are kept by position, not by document: serving re-ranks the same
-/// list, and a request for the list `scores` holds is answered by comparing
-/// the ids slot by slot and copying — no probe, no sort.
+/// Scores are kept by position, not by document, ids and scores apart:
+/// serving re-ranks the same list, and a request for the list `ids` holds
+/// is answered by one slice compare and a copy — no probe, no sort.
 #[derive(Default)]
 struct ScoreEntry {
+    /// The engine's name and configuration tag: whose scores these are.
+    engine: (&'static str, u64),
     /// `None` until the first request, and never equal to a live list then.
     bindings: Option<Arc<[Arc<RuleBinding>]>>,
-    /// Every score computed under `bindings`, in the order the documents
-    /// first arrived: the first list as the engine returned it (one slot
-    /// per candidate, repeats included), then what later lists added.
-    scores: Vec<DocScore>,
-    /// `rank(scores)`, once a request asked for it.
+    /// Every document scored under `bindings`, in the order they first
+    /// arrived: the first list as it was asked for (one slot per
+    /// candidate, repeats included), then what later lists added.
+    ids: Vec<IndividualId>,
+    /// The score of `ids`' document, slot for slot.
+    scores: Vec<f64>,
+    /// The ranking of `ids`, once a request asked for it.
     ranked: Option<Vec<DocScore>>,
-    /// A slot of each document in `scores` — built by the first request for
-    /// a list other than `scores`' own, kept until the bindings change.
+    /// A slot of each document in `ids` — built by the first request for a
+    /// list other than `ids` itself, kept until the bindings change.
     index: Option<IdMap<IndividualId, u32>>,
 }
 
 impl ScoreEntry {
-    /// Whether `docs` is, slot by slot, the list `scores` holds.
+    /// Whether `docs` is, slot by slot, the list `ids` holds: one pass
+    /// over the two slices that never stops early, which the compiler
+    /// vectorises (a slice `==` of a derived-`PartialEq` id stops at the
+    /// first difference, and compares one id at a time).
     fn holds(&self, docs: &[IndividualId]) -> bool {
-        self.scores.len() == docs.len() && self.scores.iter().zip(docs).all(|(s, d)| s.doc == *d)
+        let pairs = self.ids.iter().zip(docs);
+        self.ids.len() == docs.len() && pairs.fold(true, |all, (a, b)| all & (a == b))
+    }
+
+    /// Empties the entry for scores computed under `bindings`, keeping the
+    /// two lists' capacity.
+    fn reset(&mut self, bindings: &Arc<[Arc<RuleBinding>]>) {
+        self.bindings = Some(Arc::clone(bindings));
+        self.ids.clear();
+        self.scores.clear();
+        self.ranked = None;
+        self.index = None;
     }
 
     /// The answer to a request for the list the entry [`ScoreEntry::holds`],
-    /// `hits` of whose slots were not computed for it: a copy of the stored
-    /// scores, or of the kept ranking — sorted on the first request that
-    /// asks for it.
-    fn answer(&mut self, hits: usize, ranked: bool, tally: &mut ScoreTally) -> Vec<DocScore> {
-        tally.hits += hits as u64;
+    /// every slot a hit: the stored scores, or a copy of the kept ranking —
+    /// sorted on the first request that asks for it.
+    fn answer(&mut self, ranked: bool, tally: &mut ScoreTally) -> Vec<DocScore> {
+        tally.hits += self.ids.len() as u64;
+        let ScoreEntry {
+            ids,
+            scores,
+            ranked: kept,
+            ..
+        } = self;
         if !ranked {
-            return self.scores.clone();
+            return doc_scores(ids, scores);
         }
-        let scores = &self.scores;
-        let kept = self.ranked.get_or_insert_with(|| {
-            #[cfg(test)]
-            {
-                tally.sorted += 1;
-            }
-            engines::ranked(scores)
-        });
+        let kept = kept.get_or_insert_with(|| tally.rank(&doc_scores(ids, scores)));
         kept.clone()
     }
 }
 
-/// Position `at` of [`ScoreEntry::scores`] as its index stores it: half the
+/// The entry's `ids` and `scores` zipped back into [`DocScore`]s.
+fn doc_scores(ids: &[IndividualId], scores: &[f64]) -> Vec<DocScore> {
+    let slots = ids.iter().zip(scores);
+    slots
+        .map(|(&doc, &score)| DocScore { doc, score })
+        .collect()
+}
+
+/// The entry in `entries` of the engine `key` names, made empty on first
+/// use.
+fn entry_of<'e>(entries: &'e mut Vec<ScoreEntry>, key: (&'static str, u64)) -> &'e mut ScoreEntry {
+    let at = match entries.iter().position(|e| e.engine == key) {
+        Some(at) => at,
+        None => {
+            entries.push(ScoreEntry {
+                engine: key,
+                ..ScoreEntry::default()
+            });
+            entries.len() - 1
+        }
+    };
+    &mut entries[at]
+}
+
+/// Position `at` of [`ScoreEntry::ids`] as its index stores it: half the
 /// bytes of a `usize` per document of every tenant whose lists vary.
 fn slot(at: usize) -> u32 {
     u32::try_from(at).expect("a score entry holds fewer than 2^32 scores")
-}
-
-/// Key of one score-cache entry: user, engine name, engine configuration.
-type ScoreKey = (IndividualId, &'static str, u64);
-
-/// The score layer of a [`SessionCore`]: entries keyed by [`ScoreKey`],
-/// read and filled by [`SessionCore::read_through`].
-#[derive(Default)]
-struct ScoreCache {
-    entries: IdMap<ScoreKey, ScoreEntry>,
-    tally: ScoreTally,
 }
 
 /// The score layer's counters. `hits` and `misses` count documents: a hit
@@ -762,64 +799,88 @@ struct ScoreTally {
     sorted: u64,
 }
 
-/// The session core: the two *user-specific* cache layers — rule bindings
-/// and per-document scores — and the one request sequence over them: bind,
-/// then two-phase top-k or a read-through of the score cache, then rank.
+impl ScoreTally {
+    /// [`crate::rank`] of `scores`, counted.
+    fn rank(&mut self, scores: &[DocScore]) -> Vec<DocScore> {
+        #[cfg(test)]
+        {
+            self.sorted += 1;
+        }
+        engines::ranked(scores)
+    }
+}
+
+/// The session core: what one user owns of the two *user-specific* cache
+/// layers — their rule bindings and one score entry per engine — with
+/// their counters, and the one request sequence over them: bind, then
+/// two-phase top-k or a read-through of the score entry, then rank.
+///
+/// A core is one user's; its owner keys it. [`ScoringSession`] keeps one
+/// per user it has seen, and a tenant of [`crate::serve::RankingService`]
+/// *is* one (plus an LRU stamp and the publish sequence it was last bound
+/// at), so a warm tenant's bindings and score entry are read in place.
+/// The entries are a `Vec`, searched by engine: a service scores with one
+/// engine, a session with the few it is handed.
 ///
 /// The third layer, the evaluation memos, is not the core's: every entry
 /// point takes `scratch`, which it calls at most once and only when a
 /// document has to be evaluated. [`ScoringSession`] hands out the scratch
-/// it owns; a tenant of [`crate::serve::RankingService`] *is* a core (plus
-/// an LRU stamp and the publish sequence it was last bound at) and lazily
-/// checks a scratch out of the service's shared pool, so a request answered
-/// from the score cache never touches it.
+/// it owns; a tenant lazily checks one out of the service's shared pool,
+/// so a request answered from the score entry never touches it.
 #[derive(Default)]
 pub(crate) struct SessionCore {
-    bindings: BindingCache,
-    scores: ScoreCache,
+    bindings: UserBindings,
+    binding_stats: CacheStats,
+    entries: Vec<ScoreEntry>,
+    tally: ScoreTally,
 }
 
 impl SessionCore {
-    /// The core's cache counters beside the footprint and batch counters of
-    /// whatever evaluation state its owner scores through.
-    pub(crate) fn stats(&self, footprint: CacheFootprint, batch: BatchStats) -> SessionStats {
+    /// The core's cache counters; the footprint and batch counters are
+    /// those of whatever evaluation state its owner scores through, and
+    /// zero here.
+    pub(crate) fn stats(&self) -> SessionStats {
         SessionStats {
-            bindings: self.bindings.stats(),
+            bindings: self.binding_stats,
             scores: CacheStats {
-                hits: self.scores.tally.hits,
-                misses: self.scores.tally.misses,
+                hits: self.tally.hits,
+                misses: self.tally.misses,
             },
-            footprint,
-            batch,
+            ..SessionStats::default()
         }
     }
 
-    /// Current bindings for the environment, served from the cache where
-    /// valid (see [`BindingCache::bind`]).
-    pub(crate) fn bind(&mut self, env: &ScoringEnv<'_>) -> Arc<[Arc<RuleBinding>]> {
-        self.bindings.bind(env)
+    /// Drops every score entry and resets the score counters.
+    fn invalidate_scores(&mut self) {
+        self.entries = Vec::new();
+        self.tally = ScoreTally::default();
     }
 
-    /// The full ranking of `docs` for `user` without a KB: what
+    /// Current bindings for the environment, served from the cache where
+    /// valid (see [`BindingCache::bind`]). `env.user` is the core's user.
+    pub(crate) fn bind(&mut self, env: &ScoringEnv<'_>) -> Arc<[Arc<RuleBinding>]> {
+        self.bindings.bind(env, &mut self.binding_stats)
+    }
+
+    /// The full ranking of `docs` without a KB: what
     /// [`SessionCore::rank_top_k`] answers for `k >= docs.len()` when the
-    /// bind finds the user's set current, taken only if the score entry
-    /// holds the user's binding list and this very list — counting the
-    /// binding and score hits that bind and read-through count. Anything
-    /// else changes nothing and is `None`. The caller vouches that nothing
-    /// the user was bound against has moved since (the service: the
+    /// bind finds the user's set current, taken only if `engine`'s score
+    /// entry holds the user's binding list and this very list — counting
+    /// the binding and score hits that bind and read-through count.
+    /// Anything else changes nothing and is `None`. The caller vouches that
+    /// nothing the user was bound against has moved since (the service: the
     /// publish sequence the tenant was bound at is still the published one).
     pub(crate) fn rank_warm<E>(
         &mut self,
         engine: &E,
-        user: IndividualId,
         docs: &[IndividualId],
     ) -> Option<Vec<DocScore>>
     where
         E: ScoringEngine + ?Sized,
     {
-        let list = &self.bindings.users.get(&user)?.list;
-        let key = (user, engine.name(), engine.config_tag());
-        let entry = self.scores.entries.get_mut(&key)?;
+        let key = (engine.name(), engine.config_tag());
+        let entry = self.entries.iter_mut().find(|e| e.engine == key)?;
+        let list = &self.bindings.list;
         let current = entry
             .bindings
             .as_ref()
@@ -827,14 +888,14 @@ impl SessionCore {
         if !current || docs.is_empty() || !entry.holds(docs) {
             return None;
         }
-        self.bindings.hits += list.len() as u64;
-        Some(entry.answer(docs.len(), true, &mut self.scores.tally))
+        self.binding_stats.hits += list.len() as u64;
+        Some(entry.answer(true, &mut self.tally))
     }
 
-    /// Reads `docs`' scores under `bindings` through the score cache — in
-    /// input order, or `ranked` — in one of three ways (an empty list has
-    /// nothing to read and touches no entry). The list the entry
-    /// holds is all hits and a copy of the stored scores or of the kept
+    /// Reads `docs`' scores under `bindings` through `engine`'s score
+    /// entry — in input order, or `ranked` — in one of three ways (an
+    /// empty list has nothing to read and touches no entry). The list the
+    /// entry holds is all hits and the stored scores or a copy of the kept
     /// ranking. An empty entry (new, or its bindings just changed) hands
     /// the whole list to the engine on `scratch()` and keeps what comes
     /// back. Any other list is looked up document by document: what the
@@ -856,61 +917,67 @@ impl SessionCore {
             // entry filled later would have to forget.
             return Ok(Vec::new());
         }
-        let ScoreCache { entries, tally } = &mut self.scores;
-        let key = (env.user, engine.name(), engine.config_tag());
-        let entry = entries.entry(key).or_default();
-        let current = |held: &Arc<_>| Arc::ptr_eq(held, bindings);
-        if !entry.bindings.as_ref().is_some_and(current) {
-            *entry = ScoreEntry {
-                bindings: Some(Arc::clone(bindings)),
-                ..ScoreEntry::default()
-            };
+        let tally = &mut self.tally;
+        let entry = entry_of(&mut self.entries, (engine.name(), engine.config_tag()));
+        let current = entry.bindings.as_ref();
+        if !current.is_some_and(|held| Arc::ptr_eq(held, bindings)) {
+            entry.reset(bindings);
         }
-        let hits = if entry.holds(docs) {
-            docs.len()
-        } else if entry.scores.is_empty() {
+        if entry.holds(docs) {
+            return Ok(entry.answer(ranked, tally));
+        }
+        if entry.ids.is_empty() {
+            // The list the entry is to hold: kept as two slices, and
+            // answered — ranked, if asked — from the engine's own list.
             tally.misses += docs.len() as u64;
-            entry.scores = engine.score_all_bound(env, bindings, docs, scratch())?;
-            0
-        } else {
-            let index = entry.index.get_or_insert_with(|| {
-                #[cfg(test)]
-                {
-                    tally.indexed += 1;
-                }
-                let slots = entry.scores.iter().enumerate();
-                slots.map(|(at, s)| (s.doc, slot(at))).collect()
-            });
-            // Decided before anything is appended: a candidate the entry
-            // lacks is a miss at every slot it repeats in.
-            let lacks = |d: &IndividualId| !index.contains_key(d);
-            let missing: Vec<IndividualId> = docs.iter().copied().filter(lacks).collect();
-            tally.hits += (docs.len() - missing.len()) as u64;
-            tally.misses += missing.len() as u64;
-            if !missing.is_empty() {
-                let computed = engine.score_all_bound(env, bindings, &missing, scratch())?;
-                entry.ranked = None;
-                for s in computed {
-                    index.insert(s.doc, slot(entry.scores.len()));
-                    entry.scores.push(s);
-                }
-            }
-            let scores = docs.iter().map(|d| entry.scores[index[d] as usize].clone());
-            let scores = scores.collect();
+            let computed = engine.score_all_bound(env, bindings, docs, scratch())?;
+            entry.ids.extend(computed.iter().map(|s| s.doc));
+            entry.scores.extend(computed.iter().map(|s| s.score));
             if !ranked {
-                return Ok(scores);
+                return Ok(computed);
             }
+            return Ok(entry.ranked.insert(tally.rank(&computed)).clone());
+        }
+        let ScoreEntry {
+            ids,
+            scores,
+            ranked: kept,
+            index,
+            ..
+        } = entry;
+        let index = index.get_or_insert_with(|| {
             #[cfg(test)]
             {
-                tally.sorted += 1;
+                tally.indexed += 1;
             }
-            return Ok(rank(scores));
+            let slots = ids.iter().enumerate();
+            slots.map(|(at, &doc)| (doc, slot(at))).collect()
+        });
+        // Decided before anything is appended: a candidate the entry
+        // lacks is a miss at every slot it repeats in.
+        let lacks = |d: &IndividualId| !index.contains_key(d);
+        let missing: Vec<IndividualId> = docs.iter().copied().filter(lacks).collect();
+        tally.hits += (docs.len() - missing.len()) as u64;
+        tally.misses += missing.len() as u64;
+        if !missing.is_empty() {
+            let computed = engine.score_all_bound(env, bindings, &missing, scratch())?;
+            *kept = None;
+            for s in computed {
+                index.insert(s.doc, slot(ids.len()));
+                ids.push(s.doc);
+                scores.push(s.score);
+            }
+        }
+        let score = |&doc: &IndividualId| DocScore {
+            doc,
+            score: scores[index[&doc] as usize],
         };
-        Ok(entry.answer(hits, ranked, tally))
+        let scores: Vec<DocScore> = docs.iter().map(score).collect();
+        Ok(if ranked { tally.rank(&scores) } else { scores })
     }
 
     /// Scores every document in `docs`, in order: bind, then read through
-    /// the score cache. The unranked half of [`SessionCore::rank_top_k`],
+    /// the score entry. The unranked half of [`SessionCore::rank_top_k`],
     /// for callers that combine score lists before ranking.
     pub(crate) fn score_all<'s, E>(
         &mut self,
@@ -922,17 +989,17 @@ impl SessionCore {
     where
         E: ScoringEngine + ?Sized,
     {
-        let bindings = self.bindings.bind(env);
+        let bindings = self.bind(env);
         self.read_through(engine, env, &bindings, docs, false, scratch)
     }
 
     /// The top `k` of the ranking of `docs` (best first) — the request
     /// path. `k < docs.len()` is two-phase top-k ([`crate::rank_top_k`])
     /// over the cached bindings, whose scores are *not* added to the score
-    /// cache (it skips the cache bookkeeping, and on deferred documents
+    /// entry (it skips the cache bookkeeping, and on deferred documents
     /// covers an adaptively chosen subset of `docs`); otherwise there is
     /// nothing to cut and the full ranking is read through the score
-    /// cache, where a warm repeat is a compare and a copy.
+    /// entry, where a warm repeat is a compare and a copy.
     pub(crate) fn rank_top_k<'s, E>(
         &mut self,
         engine: &E,
@@ -944,7 +1011,7 @@ impl SessionCore {
     where
         E: ScoringEngine + ?Sized,
     {
-        let bindings = self.bindings.bind(env);
+        let bindings = self.bind(env);
         if k == 0 {
             // Nothing to rank: `scratch()` — a pool checkout — is not due.
             return Ok(Vec::new());
@@ -988,7 +1055,8 @@ impl SessionCore {
 /// ```
 #[derive(Default)]
 pub struct ScoringSession {
-    core: SessionCore,
+    /// One core per user the session has scored for.
+    users: IdMap<IndividualId, SessionCore>,
     scratch: EvalScratch,
 }
 
@@ -1006,8 +1074,11 @@ impl ScoringSession {
     /// Work counters accumulated so far, plus the current evaluation-memo
     /// footprint (see [`SessionStats::footprint`]).
     pub fn stats(&self) -> SessionStats {
-        self.core
-            .stats(self.scratch.footprint(), self.scratch.batch_stats())
+        SessionStats {
+            footprint: self.scratch.footprint(),
+            batch: self.scratch.batch_stats(),
+            ..self.users.values().map(SessionCore::stats).sum()
+        }
     }
 
     /// Drops all cached scores and resets their counters, so post-clear
@@ -1015,7 +1086,9 @@ impl ScoringSession {
     /// are kept). Benchmarks use this to isolate the pure-evaluation warm
     /// path.
     pub fn invalidate_scores(&mut self) {
-        self.core.scores = ScoreCache::default();
+        self.users
+            .values_mut()
+            .for_each(SessionCore::invalidate_scores);
     }
 
     /// Drops every layer of cached state.
@@ -1023,12 +1096,12 @@ impl ScoringSession {
         *self = Self::default();
     }
 
-    /// The session's own scratch, moved on to `env`'s KB and binding epoch
-    /// — what it hands the core to evaluate on.
+    /// `env.user`'s core, and the session's own scratch moved on to
+    /// `env`'s KB and binding epoch — what it hands the core to evaluate on.
     fn scratch_at(&mut self, env: &ScoringEnv<'_>) -> (&mut SessionCore, &mut EvalScratch) {
         self.scratch.ensure_kb(env.kb);
         self.scratch.advance_epoch(env.kb.binding_epoch());
-        (&mut self.core, &mut self.scratch)
+        (self.users.entry(env.user).or_default(), &mut self.scratch)
     }
 
     /// Scores every document in `docs`, in order — bit-identical to
@@ -1087,7 +1160,7 @@ impl ScoringSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{FactorizedEngine, Kb, LineageEngine, PreferenceRule, RuleRepository, Score};
+    use crate::{rank, FactorizedEngine, Kb, LineageEngine, PreferenceRule, RuleRepository, Score};
 
     fn fixture() -> (Kb, RuleRepository, IndividualId, Vec<IndividualId>) {
         let mut kb = Kb::new();
@@ -1600,7 +1673,11 @@ mod tests {
                 _ => ([false; 4], 4),
             };
             let name = kb.voc.individual_name(user);
-            assert_eq!((events, cache.walks), (want.to_vec(), walks), "{name}");
+            assert_eq!(
+                (events, cache.users[&user].walks),
+                (want.to_vec(), walks),
+                "{name}"
+            );
             assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 4 }, "{name}");
         }
         // A blank is a constant: the plan's one shared binding.
@@ -1667,7 +1744,7 @@ mod tests {
                 let env = env_of(&kb, repository, user);
                 let want = engine.score_all(&env, &docs).unwrap();
                 for session in [&mut both, &mut *own] {
-                    assert_matches_cold(&session.core.bind(&env), &env);
+                    assert_matches_cold(&session.users.entry(user).or_default().bind(&env), &env);
                     let got = session.score_all(&engine, &env, &docs).unwrap();
                     for (a, b) in want.iter().zip(&got) {
                         assert_eq!((a.doc, a.score.to_bits()), (b.doc, b.score.to_bits()));
@@ -1993,7 +2070,10 @@ mod tests {
         let (mut kb, rules, user, docs) = fixture();
         let engine = LineageEngine::new();
         let mut session = ScoringSession::new();
-        let work = |s: &ScoringSession| (s.core.scores.tally.indexed, s.core.scores.tally.sorted);
+        let work = |s: &ScoringSession| {
+            let tally = &s.users[&user].tally;
+            (tally.indexed, tally.sorted)
+        };
         let n = docs.len() as u64;
         // A new entry takes the list whole; the first `rank` sorts it.
         let cold = session
@@ -2033,6 +2113,61 @@ mod tests {
         }
         assert_eq!(work(&session), (1, 4));
         assert_eq!(session.stats().scores.misses, 2 * n, "nothing new in it");
+    }
+
+    /// What a warm page compared before the ids had a slice of their own:
+    /// the stored scores' documents, slot by slot.
+    fn slot_by_slot(entry: &ScoreEntry, docs: &[IndividualId]) -> bool {
+        let stored = doc_scores(&entry.ids, &entry.scores);
+        stored.len() == docs.len() && stored.iter().zip(docs).all(|(s, d)| s.doc == *d)
+    }
+
+    #[test]
+    fn the_slice_compare_answers_the_lists_the_slot_compare_did() {
+        let (kb, rules, user, docs) = fixture();
+        let env = env_of(&kb, &rules, user);
+        let engine = LineageEngine::new();
+        let stored = docs[..5].to_vec();
+        let mut last = stored.clone();
+        last[4] = docs[5];
+        let mut repeat = stored.clone();
+        repeat[4] = stored[0];
+        // (list in the entry, list asked for, answered warm)
+        let cases = [
+            (&stored, stored.clone(), true),
+            (&stored, last, false),
+            (&stored, stored[..4].to_vec(), false),
+            (&stored, docs.clone(), false),
+            (&stored, repeat.clone(), false),
+            (&repeat, repeat.clone(), true),
+            (&repeat, stored.clone(), false),
+            (&stored, Vec::new(), false),
+        ];
+        for (held, asked, warm) in cases {
+            let mut core = SessionCore::default();
+            let mut scratch = EvalScratch::new();
+            scratch.ensure_kb(&kb);
+            let mut full = |core: &mut SessionCore, list: &[IndividualId]| {
+                let got = core.rank_top_k(&engine, &env, list, list.len(), || &mut scratch);
+                got.unwrap()
+            };
+            full(&mut core, held);
+            let entry = &core.entries[0];
+            assert_eq!(
+                entry.holds(&asked),
+                slot_by_slot(entry, &asked),
+                "{asked:?}"
+            );
+            assert_eq!(entry.holds(&asked), warm, "{asked:?}");
+            let answered = core.rank_warm(&engine, &asked);
+            assert_eq!(answered.is_some(), warm, "{asked:?}");
+            let got = answered.unwrap_or_else(|| full(&mut core, &asked));
+            let cold = rank(engine.score_all(&env, &asked).unwrap());
+            let bits = |r: &[DocScore]| -> Vec<_> {
+                r.iter().map(|s| (s.doc, s.score.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&cold), "{asked:?}");
+        }
     }
 
     #[test]

@@ -264,25 +264,32 @@ fn binding_state(env: &ScoringEnv<'_>) -> BindingState {
         .collect()
 }
 
-/// What a score cache is, stripped of how it is stored: the set of
-/// documents scored under the current bindings. A requested slot is a hit
-/// if its document was in the set when the request arrived.
+/// What the binding and score caches are, stripped of how they are
+/// stored. A request binds every rule: a binding equal, by content, to the
+/// one of that name the request before it saw is a hit, any other a miss.
+/// The score cache is the set of documents scored under the current
+/// bindings: a requested slot is a hit if its document was in the set when
+/// the request arrived.
 #[derive(Default)]
-struct ScoreModel {
+struct CacheModel {
     state: BindingState,
     scored: BTreeSet<IndividualId>,
-    stats: CacheStats,
+    bindings: CacheStats,
+    scores: CacheStats,
 }
 
-impl ScoreModel {
+impl CacheModel {
     fn request(&mut self, state: BindingState, docs: &[IndividualId]) {
+        let kept = state.iter().filter(|b| self.state.contains(b)).count() as u64;
+        self.bindings.hits += kept;
+        self.bindings.misses += state.len() as u64 - kept;
         if state != self.state {
             self.state = state;
             self.scored.clear();
         }
         let hits = docs.iter().filter(|d| self.scored.contains(d)).count() as u64;
-        self.stats.hits += hits;
-        self.stats.misses += docs.len() as u64 - hits;
+        self.scores.hits += hits;
+        self.scores.misses += docs.len() as u64 - hits;
         self.scored.extend(docs);
     }
 }
@@ -320,95 +327,142 @@ fn next_list(
     }
 }
 
+/// The score-entry stream's world: a shadow KB and rule set, a service
+/// that replays every mutation they take — so both serve the same state at
+/// every step — and the candidate list of the last step.
+struct Stream {
+    kb: Kb,
+    rules: RuleRepository,
+    service: RankingService<Box<dyn ScoringEngine + Sync>>,
+    user: IndividualId,
+    other: IndividualId,
+    pool: Vec<IndividualId>,
+    removed: Vec<PreferenceRule>,
+    docs: Vec<IndividualId>,
+}
+
+impl Stream {
+    fn new(engine: Box<dyn ScoringEngine + Sync>) -> Self {
+        let (mut kb, rules, user, _) = fixture();
+        let other = kb.individual("other");
+        let pool: Vec<_> = (0..N_POOL)
+            .map(|d| {
+                let doc = kb.individual(&format!("pool{d}"));
+                kb.assert_concept(doc, "TvProgram");
+                kb.assert_concept_prob(doc, "Feat0", 0.1 + 0.1 * d as f64)
+                    .unwrap();
+                doc
+            })
+            .collect();
+        kb.assert_concept_prob(user, "Ctx0", 0.6).unwrap();
+        let service = RankingService::new(engine, kb.clone(), rules.clone());
+        let docs = pool[..5].to_vec();
+        Stream {
+            kb,
+            rules,
+            service,
+            user,
+            other,
+            pool,
+            removed: Vec::new(),
+            docs,
+        }
+    }
+
+    /// One step, on both sides: sometimes a mutation first — the user's
+    /// context, someone else's, a pool document's feature, a fact no rule
+    /// reads, a rule removed or put back — then the next candidate list.
+    /// Returns the step's `k`, or `None` where it removed a rule and asks
+    /// for nothing.
+    fn step(&mut self, kind: u8, bits: u64, p: f64) -> Option<usize> {
+        let which = (bits >> 48) as usize % 2;
+        let doc = self.pool[(bits >> 52) as usize % N_POOL];
+        let fact = |concept: String| Fact::ConceptProb(concept, p);
+        let assert = match kind / 8 % 8 {
+            3 => Some((self.user, fact(format!("Ctx{which}")))),
+            4 => Some((self.other, fact(format!("Ctx{which}")))),
+            5 => Some((doc, fact(format!("Feat{which}")))),
+            6 => Some((doc, fact("Unread".into()))),
+            _ => None,
+        };
+        if let Some((subject, Fact::ConceptProb(concept, p))) = &assert {
+            self.kb.assert_concept_prob(*subject, concept, *p).unwrap();
+            self.service
+                .assert(*subject, fact(concept.clone()))
+                .unwrap();
+        }
+        if kind / 8 % 8 == 7 {
+            let name = format!("R{which}");
+            let rule = match self.removed.iter().position(|r| r.name == name) {
+                // Back as it was, or under another σ.
+                Some(at) if p < 0.5 => self.removed.remove(at),
+                Some(at) => PreferenceRule {
+                    sigma: Score::new(p).unwrap(),
+                    ..self.removed.remove(at)
+                },
+                None => {
+                    self.removed.push(self.rules.remove(&name).unwrap());
+                    self.service.remove_rule(&name).unwrap();
+                    return None;
+                }
+            };
+            self.rules.add(rule.clone()).unwrap();
+            self.service.add_rule(rule).unwrap();
+        }
+        self.docs = next_list(kind, bits, &self.docs, &self.pool);
+        Some(self.docs.len() + usize::from(kind >= 128) * 2)
+    }
+
+    fn env(&self) -> ScoringEnv<'_> {
+        ScoringEnv {
+            kb: &self.kb,
+            rules: &self.rules,
+            user: self.user,
+        }
+    }
+}
+
+fn engines() -> Vec<Box<dyn ScoringEngine + Sync>> {
+    vec![
+        Box::new(NaiveViewEngine::new()),
+        Box::new(NaiveEnumEngine::new()),
+        Box::new(FactorizedEngine::new()),
+        Box::new(LineageEngine::new()),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32 * stress_iters()))]
 
     /// The score entry keeps scores by position and answers the list it
     /// holds without looking anything up; none of that may show. Every step
-    /// is — sometimes after a mutation: the user's context, someone else's,
-    /// a pool document's feature, a fact no rule reads, a rule removed or
-    /// put back — a `score_all` or a full `rank` of a list derived from the
-    /// previous one, through one session and through one service tenant.
-    /// Every answer equals the cold one bit for bit, and both score caches
-    /// count exactly what [`ScoreModel`] counts, on all four engines.
+    /// of a [`Stream`] is a `score_all` or a full `rank` of its list,
+    /// through one session and through one service tenant. Every answer
+    /// equals the cold one bit for bit, and both score caches count exactly
+    /// what [`CacheModel`] counts, on all four engines.
     #[test]
     fn score_entries_answer_and_count_like_a_set_per_binding_state(
         steps in prop::collection::vec((any::<u8>(), any::<u64>(), 0.05f64..=0.95), 8..20),
     ) {
-        let engines: Vec<Box<dyn ScoringEngine + Sync>> = vec![
-            Box::new(NaiveViewEngine::new()),
-            Box::new(NaiveEnumEngine::new()),
-            Box::new(FactorizedEngine::new()),
-            Box::new(LineageEngine::new()),
-        ];
-        for engine in engines {
-            let (mut kb, mut rules, user, _) = fixture();
-            let other = kb.individual("other");
-            let pool: Vec<_> = (0..N_POOL)
-                .map(|d| {
-                    let doc = kb.individual(&format!("pool{d}"));
-                    kb.assert_concept(doc, "TvProgram");
-                    kb.assert_concept_prob(doc, "Feat0", 0.1 + 0.1 * d as f64).unwrap();
-                    doc
-                })
-                .collect();
-            kb.assert_concept_prob(user, "Ctx0", 0.6).unwrap();
-            // The service replays every mutation the shadow `kb` / `rules`
-            // take, so both serve the same state at every step.
-            let service = RankingService::new(engine, kb.clone(), rules.clone());
-            let engine = service.engine().as_ref();
+        for engine in engines() {
+            let mut stream = Stream::new(engine);
             let mut session = ScoringSession::new();
-            let mut model = ScoreModel::default();
-            let mut removed: Vec<PreferenceRule> = Vec::new();
-            let mut docs = pool[..5].to_vec();
+            let mut model = CacheModel::default();
             for &(kind, bits, p) in &steps {
-                let which = (bits >> 48) as usize % 2;
-                let doc = pool[(bits >> 52) as usize % N_POOL];
-                let fact = |concept: String| Fact::ConceptProb(concept, p);
-                let assert = match kind / 8 % 8 {
-                    3 => Some((user, fact(format!("Ctx{which}")))),
-                    4 => Some((other, fact(format!("Ctx{which}")))),
-                    5 => Some((doc, fact(format!("Feat{which}")))),
-                    6 => Some((doc, fact("Unread".into()))),
-                    _ => None,
-                };
-                if let Some((subject, Fact::ConceptProb(concept, p))) = &assert {
-                    kb.assert_concept_prob(*subject, concept, *p).unwrap();
-                    service.assert(*subject, fact(concept.clone())).unwrap();
-                }
-                if kind / 8 % 8 == 7 {
-                    let name = format!("R{which}");
-                    let rule = match removed.iter().position(|r| r.name == name) {
-                        // Back as it was, or under another σ.
-                        Some(at) if p < 0.5 => removed.remove(at),
-                        Some(at) => PreferenceRule {
-                            sigma: Score::new(p).unwrap(),
-                            ..removed.remove(at)
-                        },
-                        None => {
-                            removed.push(rules.remove(&name).unwrap());
-                            service.remove_rule(&name).unwrap();
-                            continue;
-                        }
-                    };
-                    rules.add(rule.clone()).unwrap();
-                    service.add_rule(rule).unwrap();
-                }
-
-                docs = next_list(kind, bits, &docs, &pool);
-                let k = docs.len() + usize::from(kind >= 128) * 2;
-                let env = ScoringEnv { kb: &kb, rules: &rules, user };
-                model.request(binding_state(&env), &docs);
-                let cold = engine.score_all(&env, &docs).unwrap();
+                let Some(k) = stream.step(kind, bits, p) else { continue };
+                let (env, docs, service) = (stream.env(), &stream.docs, &stream.service);
+                let engine = service.engine().as_ref();
+                model.request(binding_state(&env), docs);
+                let cold = engine.score_all(&env, docs).unwrap();
                 let at = format!("{} {:?} k={}", engine.name(), docs, k);
                 if kind / 64 % 2 == 0 {
                     let want = common::bits(&rank(cold));
-                    let got = session.rank_top_k(engine, &env, &docs, k).unwrap();
+                    let got = session.rank_top_k(engine, &env, docs, k).unwrap();
                     prop_assert_eq!(&want, &common::bits(&got), "session rank {}", at);
-                    let got = service.rank(user, &docs, k).unwrap();
+                    let got = service.rank(stream.user, docs, k).unwrap();
                     prop_assert_eq!(&want, &common::bits(&got), "service rank {}", at);
                 } else {
-                    let got = session.score_all(engine, &env, &docs).unwrap();
+                    let got = session.score_all(engine, &env, docs).unwrap();
                     prop_assert_eq!(common::bits(&cold), common::bits(&got), "score_all {}", at);
                     // A group of one is the service's unranked read; a list
                     // with repeats is not a group's to combine, cold or warm.
@@ -417,12 +471,50 @@ proptest! {
                         r.map(|v| common::bits(&rank(v))).map_err(|e| e.to_string())
                     };
                     let want = bits(group_scores(&[cold], &alone));
-                    let got = bits(service.rank_group(&[user], &docs, k, &alone));
+                    let got = bits(service.rank_group(&[stream.user], docs, k, &alone));
                     prop_assert_eq!(want, got, "service group of one {}", at);
                 }
-                prop_assert_eq!(session.stats().scores, model.stats, "session {}", at);
-                let tenant = service.tenant_stats(user).unwrap();
-                prop_assert_eq!(tenant.scores, model.stats, "service {}", at);
+                prop_assert_eq!(session.stats().scores, model.scores, "session {}", at);
+                let tenant = service.tenant_stats(stream.user).unwrap();
+                prop_assert_eq!(tenant.scores, model.scores, "service {}", at);
+            }
+        }
+    }
+
+    /// Tenants count like sessions: a service tenant driven by the
+    /// [`Stream`] — warm repeats of the stored list, other lists through
+    /// the entry's index, asserts and rule edits in between — reports in
+    /// `tenant_stats` exactly the binding and score hits and misses
+    /// [`CacheModel`] counts, and so does a session asked the same, on all
+    /// four engines. The benchmark's `session.*` ratios are these counters.
+    #[test]
+    fn tenants_count_bindings_and_scores_like_the_model(
+        steps in prop::collection::vec((any::<u8>(), any::<u64>(), 0.05f64..=0.95), 8..20),
+    ) {
+        for engine in engines() {
+            let mut stream = Stream::new(engine);
+            let mut session = ScoringSession::new();
+            let mut model = CacheModel::default();
+            for &(kind, bits, p) in &steps {
+                let Some(k) = stream.step(kind, bits, p) else { continue };
+                let (env, docs, service) = (stream.env(), &stream.docs, &stream.service);
+                let engine = service.engine().as_ref();
+                model.request(binding_state(&env), docs);
+                if kind / 64 % 2 == 0 {
+                    service.rank(stream.user, docs, k).unwrap();
+                    session.rank_top_k(engine, &env, docs, k).unwrap();
+                } else {
+                    // A list with repeats is refused after the member's
+                    // scores are read, and counted.
+                    service.rank_group(&[stream.user], docs, k, &GroupStrategy::LeastMisery).ok();
+                    session.score_all(engine, &env, docs).unwrap();
+                }
+                let at = format!("{} {:?} k={}", engine.name(), docs, k);
+                let want = (model.bindings, model.scores);
+                let tenant = service.tenant_stats(stream.user).unwrap();
+                prop_assert_eq!((tenant.bindings, tenant.scores), want, "tenant {}", at);
+                let session = session.stats();
+                prop_assert_eq!((session.bindings, session.scores), want, "session {}", at);
             }
         }
     }
