@@ -1153,6 +1153,74 @@ mod tests {
         ));
     }
 
+    /// The log bytes of one record per operation tag, as the live service
+    /// writes them: two registrations (tag 0), the four fact kinds (1–4),
+    /// a rule whose concepts nest (5) and its removal (6). Pinned, so a
+    /// change to how an operation is built, encoded or applied cannot move
+    /// a byte on disk; each record also decodes and re-encodes to itself.
+    #[test]
+    fn every_op_tag_writes_pinned_bytes() {
+        use crate::persist::digest;
+        use crate::serve::{Fact, RankingService};
+        use crate::{NaiveViewEngine, PreferenceRule};
+
+        let dir = std::env::temp_dir().join(format!("capra-wal-golden-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let flush = FlushPolicy::EveryRecord;
+        let service =
+            RankingService::open_durable(NaiveViewEngine::new(), Default::default(), &dir, flush)
+                .unwrap();
+        let user = service.individual("user");
+        let genre = service.individual("genre");
+        let facts = [
+            (user, Fact::Concept("Weekend".into())),
+            (user, Fact::ConceptProb("Home".into(), 0.25)),
+            (user, Fact::Role("likes".into(), genre)),
+            (genre, Fact::RoleProb("near".into(), user, 0.625)),
+        ];
+        for (subject, fact) in facts {
+            service.assert(subject, fact).unwrap();
+        }
+        let context = service.parse("Weekend AND NOT Home").unwrap();
+        let preference = service
+            .parse("EXISTS likes.({genre} OR FORALL near.TOP)")
+            .unwrap();
+        let sigma = Score::new(0.75).unwrap();
+        let rule = PreferenceRule::new("R", context, preference, sigma);
+        service.add_rule(rule).unwrap();
+        service.remove_rule("R").unwrap();
+        let kb = service.kb();
+        drop(service);
+
+        let bytes = std::fs::read(dir.join(segment_file_name(1))).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let scan = scan_wal(&bytes);
+        assert_eq!((scan.dropped, scan.valid_len), (0, bytes.len()));
+        let stamp = |r: &RawRecord| (r.seq, r.epoch, r.body[0]);
+        let stamps: Vec<_> = scan.records.iter().map(stamp).collect();
+        // (seq, post-apply epoch, op tag): a rule edit leaves the epoch.
+        let want = [
+            (1, 1, 0),
+            (2, 2, 0),
+            (3, 3, 1),
+            (4, 5, 2),
+            (5, 6, 3),
+            (6, 8, 4),
+            (7, 8, 5),
+            (8, 8, 6),
+        ];
+        assert_eq!(stamps, want);
+        let mut voc = kb.voc.clone();
+        let mut start = WAL_HEADER_LEN;
+        for rec in &scan.records {
+            let op = decode_op(&rec.body, &mut voc).unwrap();
+            let frame = encode_record(rec.seq, rec.epoch, &op, &voc);
+            assert_eq!(frame, bytes[start..rec.end_offset], "record {}", rec.seq);
+            start = rec.end_offset;
+        }
+        assert_eq!((bytes.len(), digest(&bytes)), (385, 0x61b6_e810_a5b6_4c13));
+    }
+
     #[test]
     fn every_n_policy_syncs_in_batches() {
         let sink = FaultSink::new();
