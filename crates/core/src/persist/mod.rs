@@ -29,6 +29,7 @@
 
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 pub(crate) mod codec;
 pub(crate) mod compact;
@@ -232,7 +233,7 @@ pub(crate) struct WriterResume {
 /// than silently replaying across the hole. The epoch stamps alone could
 /// not catch that: rule operations don't move the KB epoch.
 pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
-    use wal::{apply_op, decode_op, ResumeSegment, WAL_HEADER_LEN};
+    use wal::{ResumeSegment, WAL_HEADER_LEN};
 
     // The newest snapshot that decodes seeds the first replay pass; only a
     // restarted pass decodes its bytes again.
@@ -244,12 +245,13 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
     let log = wal::scan_segments(dir)?;
     let mut truncated = log.dropped;
     let mut limit = log.records.len();
-    let (snap, replayed) = loop {
+    let (snap, rules, replayed) = loop {
         let mut snap = match (decoded.take(), &snapshot_bytes) {
             (Some(snap), _) => snap,
             (None, Some(bytes)) => snapshot::decode_snapshot(bytes).expect("decoded before"),
             (None, None) => Default::default(),
         };
+        let mut rules = Arc::new(std::mem::take(&mut snap.rules));
         let base_seq = snap.last_applied_seq;
         let mut applied = 0u64;
         let mut prev_seq = None;
@@ -272,11 +274,7 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
                 // Already reflected in the snapshot.
                 continue;
             }
-            let ok = decode_op(&rec.body, &mut snap.kb.voc)
-                .and_then(|op| apply_op(&mut snap.kb, &mut snap.rules, op))
-                .is_ok()
-                && snap.kb.epoch() == rec.epoch;
-            if ok {
+            if wal::replay(&mut snap.kb, &mut rules, rec.epoch, &rec.body).is_ok() {
                 applied += 1;
             } else {
                 failed_at = Some(j);
@@ -288,7 +286,7 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
                 truncated += (limit - j) as u64;
                 limit = j;
             }
-            None => break (snap, applied),
+            None => break (snap, rules, applied),
         }
     };
 
@@ -345,7 +343,7 @@ pub(crate) fn recover(dir: &Path) -> Result<Recovered, PersistError> {
 
     Ok(Recovered {
         kb: snap.kb,
-        rules: snap.rules,
+        rules: Arc::unwrap_or_clone(rules),
         warm_users: snap.warm_users,
         replayed,
         truncated,

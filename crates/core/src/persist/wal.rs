@@ -32,14 +32,16 @@ use std::io::{Seek, SeekFrom, Write as _};
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 #[cfg(test)]
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use capra_dl::{Concept, Vocabulary};
+use capra_dl::{IndividualId, Vocabulary};
 
 use super::codec::{crc32, Reader, Writer};
 use super::snapshot::{put_concept, read_concept};
 use super::{sync_dir, PersistError};
+use crate::serve::Fact;
 use crate::{Kb, PreferenceRule, RuleRepository, Score};
 
 /// Magic bytes opening every WAL file.
@@ -169,68 +171,80 @@ impl Sum for WalStats {
 // Operations
 // ---------------------------------------------------------------------------
 
-/// One logged mutation. Individuals, concepts and roles travel as *names*:
-/// replay re-resolves them against the recovered vocabulary, reproducing
-/// the exact interning the original process performed.
+/// One mutation of the service state. A live writer builds the op,
+/// applies it ([`WalOp::apply`]) and logs that same value, so what is
+/// logged is what was applied; recovery and replicas decode it and run the
+/// same apply. Individuals are [`IndividualId`]s here: names exist only on
+/// disk, where [`decode_op`] resolves them against the recovered
+/// vocabulary, reproducing the exact interning the original process
+/// performed.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) enum WalOp {
-    /// `Kb::individual` that actually registered a new individual.
+    /// `Kb::individual`, logged only when it registered a new individual.
     Individual {
         /// The individual's name.
         name: String,
     },
-    /// A certain concept assertion.
-    AssertConcept {
-        /// Subject individual.
-        subject: String,
-        /// Concept name.
-        concept: String,
+    /// A fact about `subject` (tags 1–4, one per [`Fact`] kind).
+    Assert {
+        /// The individual the fact is about.
+        subject: IndividualId,
+        /// The fact; probabilities travel as raw bits.
+        fact: Fact,
     },
-    /// A probabilistic concept assertion.
-    AssertConceptProb {
-        /// Subject individual.
-        subject: String,
-        /// Concept name.
-        concept: String,
-        /// Probability (raw bits preserved).
-        p: f64,
-    },
-    /// A certain role assertion.
-    AssertRole {
-        /// Source individual.
-        subject: String,
-        /// Role name.
-        role: String,
-        /// Destination individual.
-        object: String,
-    },
-    /// A probabilistic role assertion.
-    AssertRoleProb {
-        /// Source individual.
-        subject: String,
-        /// Role name.
-        role: String,
-        /// Destination individual.
-        object: String,
-        /// Probability (raw bits preserved).
-        p: f64,
-    },
-    /// A rule added to the repository.
-    AddRule {
-        /// Rule name.
-        name: String,
-        /// Context concept.
-        context: Concept,
-        /// Preference concept.
-        preference: Concept,
-        /// Sigma score (raw bits preserved).
-        sigma: f64,
-    },
+    /// A rule added to the repository (sigma as raw bits).
+    AddRule(PreferenceRule),
     /// A rule removed from the repository.
     RemoveRule {
         /// Rule name.
         name: String,
     },
+}
+
+/// What an applied [`WalOp`] hands back to the writer that built it.
+#[derive(Debug)]
+pub(crate) enum Applied {
+    /// An assert or an added rule.
+    Done,
+    /// The individual a registration names.
+    Individual(IndividualId),
+    /// The rule a removal took out.
+    Removed(PreferenceRule),
+}
+
+impl WalOp {
+    /// Applies the operation to `(kb, rules)`: the one mutation behind
+    /// every live writer, crash recovery and replica tailing. The rules
+    /// are copy-on-write, so only a rule edit clones a shared repository.
+    /// The KB's and the repository's primitives validate before they
+    /// mutate, so a rejected op leaves nothing scoring or replay can see.
+    pub(crate) fn apply(
+        &self,
+        kb: &mut Kb,
+        rules: &mut Arc<RuleRepository>,
+    ) -> crate::Result<Applied> {
+        Ok(match self {
+            WalOp::Individual { name } => Applied::Individual(kb.individual(name)),
+            WalOp::Assert { subject, fact } => {
+                match fact {
+                    Fact::Concept(concept) => kb.assert_concept(*subject, concept),
+                    Fact::ConceptProb(concept, p) => {
+                        kb.assert_concept_prob(*subject, concept, *p)?;
+                    }
+                    Fact::Role(role, object) => kb.assert_role(*subject, role, *object),
+                    Fact::RoleProb(role, object, p) => {
+                        kb.assert_role_prob(*subject, role, *object, *p)?;
+                    }
+                }
+                Applied::Done
+            }
+            WalOp::AddRule(rule) => {
+                Arc::make_mut(rules).add(rule.clone())?;
+                Applied::Done
+            }
+            WalOp::RemoveRule { name } => Applied::Removed(Arc::make_mut(rules).remove(name)?),
+        })
+    }
 }
 
 fn put_op(w: &mut Writer, op: &WalOp, voc: &Vocabulary) {
@@ -239,54 +253,29 @@ fn put_op(w: &mut Writer, op: &WalOp, voc: &Vocabulary) {
             w.u8(0);
             w.str(name);
         }
-        WalOp::AssertConcept { subject, concept } => {
-            w.u8(1);
-            w.str(subject);
-            w.str(concept);
-        }
-        WalOp::AssertConceptProb {
-            subject,
-            concept,
-            p,
-        } => {
-            w.u8(2);
-            w.str(subject);
-            w.str(concept);
-            w.f64(*p);
-        }
-        WalOp::AssertRole {
-            subject,
-            role,
-            object,
-        } => {
-            w.u8(3);
-            w.str(subject);
-            w.str(role);
-            w.str(object);
-        }
-        WalOp::AssertRoleProb {
-            subject,
-            role,
-            object,
-            p,
-        } => {
-            w.u8(4);
-            w.str(subject);
-            w.str(role);
-            w.str(object);
-            w.f64(*p);
-        }
-        WalOp::AddRule {
-            name,
-            context,
-            preference,
-            sigma,
-        } => {
-            w.u8(5);
+        WalOp::Assert { subject, fact } => {
+            let (tag, name, object, p) = match fact {
+                Fact::Concept(concept) => (1, concept, None, None),
+                Fact::ConceptProb(concept, p) => (2, concept, None, Some(p)),
+                Fact::Role(role, object) => (3, role, Some(object), None),
+                Fact::RoleProb(role, object, p) => (4, role, Some(object), Some(p)),
+            };
+            w.u8(tag);
+            w.str(voc.individual_name(*subject));
             w.str(name);
-            put_concept(w, context, voc);
-            put_concept(w, preference, voc);
-            w.f64(*sigma);
+            if let Some(&object) = object {
+                w.str(voc.individual_name(object));
+            }
+            if let Some(&p) = p {
+                w.f64(p);
+            }
+        }
+        WalOp::AddRule(rule) => {
+            w.u8(5);
+            w.str(&rule.name);
+            put_concept(w, &rule.context, voc);
+            put_concept(w, &rule.preference, voc);
+            w.f64(rule.sigma.get());
         }
         WalOp::RemoveRule { name } => {
             w.u8(6);
@@ -295,37 +284,35 @@ fn put_op(w: &mut Writer, op: &WalOp, voc: &Vocabulary) {
     }
 }
 
-/// Decodes one operation body (the payload after `seq` and `epoch`).
+/// Decodes one operation body (the payload after `seq` and `epoch`),
+/// resolving individual names through `voc`: a record may only name an
+/// individual an earlier record (or the snapshot) registered.
 pub(crate) fn decode_op(body: &[u8], voc: &mut Vocabulary) -> Result<WalOp, PersistError> {
+    fn find(r: &mut Reader<'_>, voc: &Vocabulary) -> Result<IndividualId, PersistError> {
+        let name = r.str()?;
+        voc.find_individual(&name).ok_or_else(|| {
+            PersistError::Invalid(format!("WAL references unknown individual `{name}`"))
+        })
+    }
     let mut r = Reader::new(body);
     let op = match r.u8()? {
         0 => WalOp::Individual { name: r.str()? },
-        1 => WalOp::AssertConcept {
-            subject: r.str()?,
-            concept: r.str()?,
-        },
-        2 => WalOp::AssertConceptProb {
-            subject: r.str()?,
-            concept: r.str()?,
-            p: r.f64()?,
-        },
-        3 => WalOp::AssertRole {
-            subject: r.str()?,
-            role: r.str()?,
-            object: r.str()?,
-        },
-        4 => WalOp::AssertRoleProb {
-            subject: r.str()?,
-            role: r.str()?,
-            object: r.str()?,
-            p: r.f64()?,
-        },
-        5 => WalOp::AddRule {
-            name: r.str()?,
-            context: read_concept(&mut r, voc, 0)?,
-            preference: read_concept(&mut r, voc, 0)?,
-            sigma: r.f64()?,
-        },
+        tag @ 1..=4 => {
+            let subject = find(&mut r, voc)?;
+            let fact = match tag {
+                1 => Fact::Concept(r.str()?),
+                2 => Fact::ConceptProb(r.str()?, r.f64()?),
+                3 => Fact::Role(r.str()?, find(&mut r, voc)?),
+                _ => Fact::RoleProb(r.str()?, find(&mut r, voc)?, r.f64()?),
+            };
+            WalOp::Assert { subject, fact }
+        }
+        5 => WalOp::AddRule(PreferenceRule::new(
+            r.str()?,
+            read_concept(&mut r, voc, 0)?,
+            read_concept(&mut r, voc, 0)?,
+            Score::new(r.f64()?).map_err(|e| PersistError::Invalid(e.to_string()))?,
+        )),
         6 => WalOp::RemoveRule { name: r.str()? },
         t => {
             return Err(PersistError::Invalid(format!(
@@ -337,78 +324,23 @@ pub(crate) fn decode_op(body: &[u8], voc: &mut Vocabulary) -> Result<WalOp, Pers
     Ok(op)
 }
 
-/// Replays one operation against the recovered state, mirroring exactly
-/// what the service did when it logged the record.
-///
-/// Assertion subjects/objects resolve through
-/// [`Vocabulary::find_individual`] — *not* [`Kb::individual`] — because a
-/// logged assertion's individuals are guaranteed to be in the recovered
-/// vocabulary already, and `Kb::individual` would additionally register
-/// them in the ABox domain, bumping the epoch once more than the original
-/// mutation did. Only an explicit [`WalOp::Individual`] record performs a
-/// registration.
-pub(crate) fn apply_op(
+/// Replays one record: decodes its body against `kb`'s vocabulary,
+/// applies it, and checks the post-apply epoch against the record's stamp
+/// — the step crash recovery and replica tailing share.
+pub(crate) fn replay(
     kb: &mut Kb,
-    rules: &mut RuleRepository,
-    op: WalOp,
+    rules: &mut Arc<RuleRepository>,
+    epoch: u64,
+    body: &[u8],
 ) -> Result<(), PersistError> {
-    fn find(kb: &Kb, name: &str) -> Result<capra_dl::IndividualId, PersistError> {
-        kb.voc.find_individual(name).ok_or_else(|| {
-            PersistError::Invalid(format!("WAL references unknown individual `{name}`"))
-        })
-    }
-    fn invalid(e: impl std::fmt::Display) -> PersistError {
-        PersistError::Invalid(e.to_string())
-    }
-    match op {
-        WalOp::Individual { name } => {
-            kb.individual(&name);
-        }
-        WalOp::AssertConcept { subject, concept } => {
-            let s = find(kb, &subject)?;
-            kb.assert_concept(s, &concept);
-        }
-        WalOp::AssertConceptProb {
-            subject,
-            concept,
-            p,
-        } => {
-            let s = find(kb, &subject)?;
-            kb.assert_concept_prob(s, &concept, p).map_err(invalid)?;
-        }
-        WalOp::AssertRole {
-            subject,
-            role,
-            object,
-        } => {
-            let s = find(kb, &subject)?;
-            let o = find(kb, &object)?;
-            kb.assert_role(s, &role, o);
-        }
-        WalOp::AssertRoleProb {
-            subject,
-            role,
-            object,
-            p,
-        } => {
-            let s = find(kb, &subject)?;
-            let o = find(kb, &object)?;
-            kb.assert_role_prob(s, &role, o, p).map_err(invalid)?;
-        }
-        WalOp::AddRule {
-            name,
-            context,
-            preference,
-            sigma,
-        } => {
-            let sigma = Score::new(sigma).map_err(invalid)?;
-            rules
-                .add(PreferenceRule::new(&name, context, preference, sigma))
-                .map_err(invalid)?;
-        }
-        WalOp::RemoveRule { name } => {
-            rules.remove(&name).map_err(invalid)?;
-        }
+    let op = decode_op(body, &mut kb.voc)?;
+    op.apply(kb, rules)
+        .map_err(|e| PersistError::Invalid(e.to_string()))?;
+    if kb.epoch() != epoch {
+        return Err(PersistError::Invalid(format!(
+            "replayed record's epoch stamp {epoch} does not match the post-apply epoch {}",
+            kb.epoch()
+        )));
     }
     Ok(())
 }
@@ -1012,7 +944,8 @@ mod tests {
 
     fn sample_ops() -> (Kb, Vec<(u64, WalOp)>) {
         // (epoch stamps are arbitrary here; scanning does not check them.)
-        let kb = Kb::new();
+        let mut kb = Kb::new();
+        let user = kb.individual("user");
         let ops = vec![
             (
                 1,
@@ -1022,10 +955,9 @@ mod tests {
             ),
             (
                 2,
-                WalOp::AssertConceptProb {
-                    subject: "user".into(),
-                    concept: "Ctx".into(),
-                    p: 0.25,
+                WalOp::Assert {
+                    subject: user,
+                    fact: Fact::ConceptProb("Ctx".into(), 0.25),
                 },
             ),
             (3, WalOp::RemoveRule { name: "R0".into() }),

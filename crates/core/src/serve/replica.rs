@@ -6,8 +6,9 @@
 //! The replica never writes to the directory (no truncation, no
 //! compaction); the one writer retains full ownership of the files. The
 //! tail cursor is `(active segment, byte offset)` plus the next expected
-//! sequence number, and each [`ReplicaService::poll`] re-reads the active
-//! segment from that offset:
+//! sequence number, and each [`ReplicaService::poll`] walks the chain from
+//! it — the same walk, on a copy of the cursor and applying nothing,
+//! measures [`ReplicaStats::lag_records`]:
 //!
 //! * A **torn or checksum-failing frame at the tail** is "not yet", not
 //!   corruption — the writer may be mid-append, so the poll counts a
@@ -28,9 +29,10 @@
 //!   hits this path (compaction only deletes segments covered by the two
 //!   newest snapshots).
 //!
-//! Replays go through the same semantic checks crash recovery applies
-//! (decodable op, successful apply, post-apply epoch match), so a caught-up
-//! replica's scores are bit-identical to the writer's for every engine.
+//! A record replays through the step crash recovery runs (decode, the
+//! writer's own [`WalOp::apply`](crate::persist::wal::WalOp::apply), the
+//! post-apply epoch check), so a caught-up replica's scores are
+//! bit-identical to the writer's for every engine.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -40,9 +42,9 @@ use capra_dl::IndividualId;
 use crate::engines::{DocScore, ScoringEngine};
 use crate::multiuser::GroupStrategy;
 use crate::persist::wal::{
-    next_frame, segment_file_name, segment_paths, wal_header, Frame, WAL_HEADER_LEN,
+    next_frame, segment_file_name, segment_paths, wal_header, Frame, RawRecord, WAL_HEADER_LEN,
 };
-use crate::persist::{recover, PersistError};
+use crate::persist::{recover, PersistError, Recovered};
 use crate::serve::service::{RankingService, ServiceConfig, ServiceStats, SharedSnapshot};
 use crate::{Kb, Result, RuleRepository};
 
@@ -93,12 +95,8 @@ pub struct ReplicaService<E> {
     inner: RankingService<E>,
     /// The directory being followed (never written).
     dir: PathBuf,
-    /// First sequence number (= file name) of the segment being tailed.
-    seg_first: u64,
-    /// Byte offset just past the last applied frame in that segment.
-    offset: u64,
-    /// Sequence number the next applied record must carry.
-    next_seq: u64,
+    /// Just past the last applied record.
+    cursor: Cursor,
     /// Valid on-disk records past the cursor, as of the last poll.
     lag_records: u64,
     /// Tail reads that ended at an in-flight frame.
@@ -132,15 +130,12 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
         let recovered = recover(&dir)?;
         let mut inner =
             RankingService::with_config(engine, Kb::new(), RuleRepository::new(), config);
-        let next_seq = recovered.next_seq;
-        let (seg_first, offset) = recovered.cursor;
+        let cursor = Cursor::recovered(&recovered);
         inner.reinstall(recovered);
         let mut replica = Self {
             inner,
             dir,
-            seg_first,
-            offset,
-            next_seq,
+            cursor,
             lag_records: 0,
             torn_reads: 0,
             resnapshots: 0,
@@ -173,107 +168,29 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
         }
         if self.needs_resnapshot {
             return Err(PersistError::Resnapshot {
-                next_seq: self.next_seq,
+                next_seq: self.cursor.next_seq,
             }
             .into());
         }
-        let mut applied = 0u64;
-        'segments: while applied < max {
-            let bytes = match std::fs::read(self.active_path()) {
-                Ok(bytes) => bytes,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                    if self.next_seq != self.seg_first
-                        && self.dir.join(segment_file_name(self.next_seq)).exists()
-                    {
-                        // The cursor segment was compacted away *after*
-                        // every one of its records was applied: its exact
-                        // successor exists, so continuing there skips
-                        // nothing.
-                        self.seg_first = self.next_seq;
-                        self.offset = WAL_HEADER_LEN as u64;
-                        continue 'segments;
-                    }
-                    if segment_paths(&self.dir)
-                        .iter()
-                        .any(|&(first_seq, _)| first_seq > self.seg_first)
-                    {
-                        // Later segments exist but ours is gone: compaction
-                        // outran this replica. State is consistent, just
-                        // too old for the remaining log.
-                        self.needs_resnapshot = true;
-                        return Err(PersistError::Resnapshot {
-                            next_seq: self.next_seq,
-                        }
-                        .into());
-                    }
-                    // The writer has not created this segment yet.
-                    break;
+        let start = self.cursor.next_seq;
+        let end = self.cursor.walk(&self.dir, max, |rec| {
+            let applied = self.inner.apply_replayed(rec.epoch, &rec.body);
+            applied.map_err(|e| format!("record {} failed: {e}", rec.seq))
+        });
+        match end.map_err(PersistError::from)? {
+            WalkEnd::CaughtUp => {}
+            WalkEnd::Torn => self.torn_reads += 1,
+            WalkEnd::Compacted => {
+                self.needs_resnapshot = true;
+                return Err(PersistError::Resnapshot {
+                    next_seq: self.cursor.next_seq,
                 }
-                Err(e) => return Err(PersistError::from(e).into()),
-            };
-            if (bytes.len() as u64) < self.offset {
-                return self.diverge("the active segment shrank beneath the cursor");
+                .into());
             }
-            if self.offset == WAL_HEADER_LEN as u64 {
-                if bytes.len() < WAL_HEADER_LEN {
-                    // Freshly created file, header still in flight.
-                    self.torn_reads += 1;
-                    break;
-                }
-                if bytes[..WAL_HEADER_LEN] != wal_header() {
-                    return self.diverge("segment header mismatch");
-                }
-            }
-            let mut clean_end = true;
-            while applied < max {
-                match next_frame(&bytes, self.offset as usize) {
-                    None => break,
-                    Some(Frame::Ok(rec)) => {
-                        if rec.seq != self.next_seq {
-                            return self.diverge(&format!(
-                                "expected sequence {}, segment holds {}",
-                                self.next_seq, rec.seq
-                            ));
-                        }
-                        if let Err(e) = self.inner.apply_replayed(rec.epoch, &rec.body) {
-                            return self.diverge(&format!("record {} failed: {e}", rec.seq));
-                        }
-                        self.offset = rec.end_offset as u64;
-                        self.next_seq += 1;
-                        applied += 1;
-                    }
-                    Some(Frame::Torn) | Some(Frame::Corrupt { .. }) => {
-                        // An in-flight append at the tail — "not yet".
-                        self.torn_reads += 1;
-                        clean_end = false;
-                        break;
-                    }
-                }
-            }
-            if applied >= max {
-                break;
-            }
-            // End of this segment's readable bytes. Advance only into the
-            // exact successor of our cursor: rotation names the new file
-            // after the next sequence number. (When the cursor segment has
-            // no applied records yet, `next_seq == seg_first` and that
-            // "successor" would be the cursor segment itself — stay put.)
-            if self.next_seq != self.seg_first
-                && self.dir.join(segment_file_name(self.next_seq)).exists()
-            {
-                if !clean_end {
-                    // A successor exists, so this segment is sealed and
-                    // the writer will never complete that frame.
-                    return self.diverge("torn frame in a sealed segment");
-                }
-                self.seg_first = self.next_seq;
-                self.offset = WAL_HEADER_LEN as u64;
-                continue 'segments;
-            }
-            break;
+            WalkEnd::Diverged(why) => return self.diverge(&why),
         }
         self.recount_lag();
-        Ok(applied)
+        Ok(self.cursor.next_seq - start)
     }
 
     /// Re-opens from the newest valid snapshot + WAL suffix — the recovery
@@ -282,14 +199,13 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
     /// returns the sequence number caught up to.
     pub fn resnapshot(&mut self) -> Result<u64> {
         let recovered = recover(&self.dir)?;
-        self.next_seq = recovered.next_seq;
-        (self.seg_first, self.offset) = recovered.cursor;
+        self.cursor = Cursor::recovered(&recovered);
         self.inner.reinstall(recovered);
         self.needs_resnapshot = false;
         self.diverged = false;
         self.resnapshots += 1;
         self.recount_lag();
-        Ok(self.next_seq - 1)
+        Ok(self.cursor.next_seq - 1)
     }
 
     /// Ranks `docs` for `user` at the epoch the replica has reached (see
@@ -342,7 +258,7 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
     /// Replication progress counters.
     pub fn stats(&self) -> ReplicaStats {
         ReplicaStats {
-            applied_seq: self.next_seq - 1,
+            applied_seq: self.cursor.next_seq - 1,
             lag_records: self.lag_records,
             torn_reads: self.torn_reads,
             resnapshots: self.resnapshots,
@@ -358,11 +274,6 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
     /// can make progress again.
     pub fn needs_resnapshot(&self) -> bool {
         self.needs_resnapshot
-    }
-
-    /// The file the cursor currently points into.
-    fn active_path(&self) -> PathBuf {
-        self.dir.join(segment_file_name(self.seg_first))
     }
 
     /// Poisons serving and returns the divergence error.
@@ -389,52 +300,139 @@ impl<E: ScoringEngine + Sync> ReplicaService<E> {
         }
     }
 
-    /// Dry-run of the tail walk: counts the valid records on disk past the
-    /// cursor without applying them — the [`ReplicaStats::lag_records`]
-    /// gauge.
+    /// Counts the valid records on disk past the cursor — the
+    /// [`ReplicaStats::lag_records`] gauge: the tail walk of a copy of the
+    /// cursor, applying nothing.
     fn recount_lag(&mut self) {
-        let mut lag = 0u64;
-        let mut seg_first = self.seg_first;
-        let mut offset = self.offset as usize;
-        let mut next_seq = self.next_seq;
-        loop {
-            let Ok(bytes) = std::fs::read(self.dir.join(segment_file_name(seg_first))) else {
-                if next_seq != seg_first && self.dir.join(segment_file_name(next_seq)).exists() {
-                    seg_first = next_seq;
-                    offset = WAL_HEADER_LEN;
-                    continue;
-                }
-                break;
-            };
-            if offset == WAL_HEADER_LEN
-                && (bytes.len() < WAL_HEADER_LEN || bytes[..WAL_HEADER_LEN] != wal_header())
-            {
-                break;
-            }
-            let mut clean_end = true;
-            loop {
-                match next_frame(&bytes, offset) {
-                    Some(Frame::Ok(rec)) if rec.seq == next_seq => {
-                        offset = rec.end_offset;
-                        next_seq += 1;
-                        lag += 1;
-                    }
-                    None => break,
-                    Some(_) => {
-                        clean_end = false;
-                        break;
-                    }
-                }
-            }
-            if !clean_end
-                || next_seq == seg_first
-                || !self.dir.join(segment_file_name(next_seq)).exists()
-            {
-                break;
-            }
-            seg_first = next_seq;
-            offset = WAL_HEADER_LEN;
+        let mut ahead = self.cursor;
+        let _ = ahead.walk(&self.dir, u64::MAX, |_| Ok(()));
+        self.lag_records = ahead.next_seq - self.cursor.next_seq;
+    }
+}
+
+/// Why a walk of the segment chain stopped.
+enum WalkEnd {
+    /// Past the last complete record the chain holds, or at the budget.
+    CaughtUp,
+    /// At an incomplete or checksum-failing frame at the tail, or a
+    /// segment header still in flight: the writer is mid-append.
+    Torn,
+    /// The cursor's segment was compacted away while later ones remain.
+    Compacted,
+    /// The log contradicts the walked history (or a visit failed).
+    Diverged(String),
+}
+
+/// The tail cursor: `(segment, byte offset)` just past the last visited
+/// record, and the sequence number the next one must carry.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    /// First sequence number (= file name) of the segment being tailed.
+    seg_first: u64,
+    /// Byte offset just past the last visited frame in that segment.
+    offset: u64,
+    /// Sequence number the next visited record must carry.
+    next_seq: u64,
+}
+
+impl Cursor {
+    /// Just past the last record a recovery reflects.
+    fn recovered(recovered: &Recovered) -> Self {
+        let (seg_first, offset) = recovered.cursor;
+        Self {
+            seg_first,
+            offset,
+            next_seq: recovered.next_seq,
         }
-        self.lag_records = lag;
+    }
+
+    /// Walks the segment chain in `dir` from this cursor, handing at most
+    /// `budget` records, in sequence, to `visit` and moving past each one
+    /// it accepts. A rotation is followed only into the *exact* successor
+    /// (`wal-<next_seq>.log`), so glimpsing a newer segment mid-rotation
+    /// never skips records, and a cursor segment compacted away after all
+    /// its records were visited is left the same way. An I/O error other
+    /// than a missing segment is returned as is.
+    fn walk(
+        &mut self,
+        dir: &Path,
+        budget: u64,
+        mut visit: impl FnMut(&RawRecord) -> std::result::Result<(), String>,
+    ) -> std::io::Result<WalkEnd> {
+        // When the cursor segment has no visited records yet, `next_seq ==
+        // seg_first` and that "successor" would be the segment itself.
+        let successor = |c: &Cursor| {
+            c.next_seq != c.seg_first && dir.join(segment_file_name(c.next_seq)).exists()
+        };
+        let diverged = |why: String| Ok(WalkEnd::Diverged(why));
+        let mut visited = 0u64;
+        while visited < budget {
+            let bytes = match std::fs::read(dir.join(segment_file_name(self.seg_first))) {
+                Ok(bytes) => bytes,
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                    if successor(self) {
+                        self.enter_successor();
+                        continue;
+                    }
+                    // Later segments without ours: compaction outran the
+                    // cursor. None: the writer has not created it yet.
+                    let later = segment_paths(dir).iter().any(|&(s, _)| s > self.seg_first);
+                    return Ok(if later {
+                        WalkEnd::Compacted
+                    } else {
+                        WalkEnd::CaughtUp
+                    });
+                }
+                Err(e) => return Err(e),
+            };
+            if (bytes.len() as u64) < self.offset {
+                return diverged("the active segment shrank beneath the cursor".into());
+            }
+            if self.offset == WAL_HEADER_LEN as u64 {
+                if bytes.len() < WAL_HEADER_LEN {
+                    return Ok(WalkEnd::Torn);
+                }
+                if bytes[..WAL_HEADER_LEN] != wal_header() {
+                    return diverged("segment header mismatch".into());
+                }
+            }
+            while visited < budget {
+                match next_frame(&bytes, self.offset as usize) {
+                    None => break,
+                    Some(Frame::Ok(rec)) => {
+                        if rec.seq != self.next_seq {
+                            let (want, got) = (self.next_seq, rec.seq);
+                            return diverged(format!(
+                                "expected sequence {want}, segment holds {got}"
+                            ));
+                        }
+                        if let Err(why) = visit(&rec) {
+                            return diverged(why);
+                        }
+                        self.offset = rec.end_offset as u64;
+                        self.next_seq += 1;
+                        visited += 1;
+                    }
+                    // A successor means this segment is sealed, and the
+                    // writer will never complete the frame; otherwise it
+                    // is an append in flight — "not yet".
+                    Some(Frame::Torn | Frame::Corrupt { .. }) if successor(self) => {
+                        return diverged("torn frame in a sealed segment".into());
+                    }
+                    Some(Frame::Torn | Frame::Corrupt { .. }) => return Ok(WalkEnd::Torn),
+                }
+            }
+            if visited == budget || !successor(self) {
+                break;
+            }
+            self.enter_successor();
+        }
+        Ok(WalkEnd::CaughtUp)
+    }
+
+    /// Moves to the start of the successor segment, `wal-<next_seq>.log`.
+    fn enter_successor(&mut self) {
+        self.seg_first = self.next_seq;
+        self.offset = WAL_HEADER_LEN as u64;
     }
 }

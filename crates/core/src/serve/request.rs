@@ -20,9 +20,10 @@ pub enum Fact {
     /// `subject : concept`, certain.
     Concept(String),
     /// `subject : concept` under a fresh independent event with this
-    /// probability. Re-asserting the same concept supersedes the previous
-    /// assertion's influence by disjunction over a fresh variable (see
-    /// [`crate::Kb::assert_concept_prob`]).
+    /// probability. Re-asserting the same concept does not replace the
+    /// earlier assertion: it disjoins a fresh variable onto it (see
+    /// [`crate::Kb::assert_concept_prob`]), so the concept's probability
+    /// can only rise — `0.9` then `0.1` leaves it at `0.91`.
     ConceptProb(String, f64),
     /// `(subject, object) : role`, certain.
     Role(String, IndividualId),

@@ -37,13 +37,13 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use capra_dl::{Concept, IndividualId, Vocabulary};
+use capra_dl::{Concept, IndividualId};
 
 use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
 use crate::multiuser::{group_scores, GroupStrategy};
 use crate::persist::compact::{covered_prefix, delete_segments};
 use crate::persist::snapshot::encode_snapshot;
-use crate::persist::wal::{apply_op, decode_op, SegmentLimit, Wal, WalOp};
+use crate::persist::wal::{replay, Applied, SegmentLimit, Wal, WalOp};
 use crate::persist::{
     recover, snapshot_paths, sync_dir, CompactionPolicy, FlushPolicy, PersistError, Recovered,
     WalStats,
@@ -246,34 +246,6 @@ impl std::ops::Add for ServiceStats {
 impl std::iter::Sum for ServiceStats {
     fn sum<I: Iterator<Item = Self>>(iter: I) -> Self {
         iter.fold(Self::default(), std::ops::Add::add)
-    }
-}
-
-/// Translates a [`Fact`] into its WAL operation, resolving IDs back to
-/// names so the record is stable across restarts.
-fn fact_op(voc: &Vocabulary, subject: IndividualId, fact: &Fact) -> WalOp {
-    let subject = voc.individual_name(subject).to_string();
-    match fact {
-        Fact::Concept(concept) => WalOp::AssertConcept {
-            subject,
-            concept: concept.clone(),
-        },
-        Fact::ConceptProb(concept, p) => WalOp::AssertConceptProb {
-            subject,
-            concept: concept.clone(),
-            p: *p,
-        },
-        Fact::Role(role, object) => WalOp::AssertRole {
-            subject,
-            role: role.clone(),
-            object: voc.individual_name(*object).to_string(),
-        },
-        Fact::RoleProb(role, object, p) => WalOp::AssertRoleProb {
-            subject,
-            role: role.clone(),
-            object: voc.individual_name(*object).to_string(),
-            p: *p,
-        },
     }
 }
 
@@ -509,14 +481,14 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// Replays one WAL record body against the live state — the replica
-    /// tail-apply path, enforcing the same semantic checks recovery does
+    /// tail-apply path, through the same [`replay`] step recovery runs
     /// (decodable operation, successful apply, post-apply epoch match).
     ///
     /// Takes `&mut self`, so no snapshot can be loaded concurrently;
-    /// the published state is edited in place when this service holds the
+    /// the published KB is edited in place when this service holds the
     /// only reference to it (the steady tailing case), and re-cloned once
     /// — identity-preserving — when an outstanding reader still pins the
-    /// current `Arc`.
+    /// current `Arc` (the rules are copy-on-write inside the apply).
     pub(crate) fn apply_replayed(
         &mut self,
         epoch: u64,
@@ -529,19 +501,8 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         if Arc::get_mut(&mut published.kb).is_none() {
             published.kb = Arc::new(published.kb.clone_for_publish());
         }
-        if Arc::get_mut(&mut published.rules).is_none() {
-            published.rules = Arc::new((*published.rules).clone());
-        }
         let kb = Arc::get_mut(&mut published.kb).expect("kb Arc just made unique");
-        let rules = Arc::get_mut(&mut published.rules).expect("rules Arc just made unique");
-        let op = decode_op(body, &mut kb.voc)?;
-        apply_op(kb, rules, op)?;
-        if kb.epoch() != epoch {
-            return Err(PersistError::Invalid(format!(
-                "replayed record's epoch stamp {epoch} does not match the post-apply epoch {}",
-                kb.epoch()
-            )));
-        }
+        replay(kb, &mut published.rules, epoch, body)?;
         self.wal_stats
             .get_mut()
             .expect("wal stats lock poisoned")
@@ -639,20 +600,27 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             .is_some()
     }
 
-    /// Appends one operation to the WAL, stamped with `kb`'s (post-apply)
-    /// KB epoch. No-op for non-durable services. The caller holds the
-    /// writer lock (`durable` borrows from it).
-    fn log_op(&self, durable: &mut Option<DurableState>, kb: &Kb, op: &WalOp) -> Result<()> {
-        if let Some(durable) = durable {
-            let out = durable.wal.append(kb.epoch(), op, &kb.voc)?;
+    /// Applies `op` to the published state and publishes the result (see
+    /// [`RankingService::mutate`]). An op that moved the state is then
+    /// logged, stamped with the post-apply KB epoch: what is logged is what
+    /// was applied, and replay runs the same [`WalOp::apply`]. A rejected
+    /// op moves nothing and logs nothing (the outer error); a failed
+    /// append leaves the applied op published and comes back as the inner
+    /// one. Non-durable services log nothing.
+    fn apply(&self, op: &WalOp) -> Result<(Applied, Result<()>)> {
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let (applied, next, moved) = self.mutate(|kb, rules| op.apply(kb, rules))?;
+        let Some(durable) = writer.durable.as_mut().filter(|_| moved) else {
+            return Ok((applied, Ok(())));
+        };
+        let logged = durable.wal.append(next.kb().epoch(), op, &next.kb().voc);
+        let logged = logged.map(|out| {
             let mut wal = self.wal_stats.lock().expect("wal stats lock poisoned");
             wal.records_appended += 1;
             wal.bytes_appended += out.bytes;
-            if out.rotated {
-                wal.rotations += 1;
-            }
-        }
-        Ok(())
+            wal.rotations += u64::from(out.rotated);
+        });
+        Ok((applied, logged.map_err(Into::into)))
     }
 
     /// The engine every request scores through.
@@ -674,57 +642,55 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         self.published.lock().expect("published lock poisoned")
     }
 
-    /// Publishes `rules` beside the current KB and moves the sequence.
-    /// Callers hold the writer lock, so publishes are totally ordered.
-    fn publish_rules(&self, rules: RuleRepository) -> SharedSnapshot {
-        let mut published = self.lock_published();
-        published.rules = Arc::new(rules);
-        advance(&mut published, &self.seq);
-        published.clone()
-    }
-
-    /// Runs `mutate` against the published KB and publishes the result,
-    /// moving the sequence if the KB's epoch moved. **In place** under the
-    /// published-slot lock when no loaded snapshot pins the `Arc` (the
-    /// steady state — a warm rank pins nothing; readers that load block
-    /// briefly on the slot lock and then see the successor). When a reader
-    /// holds the snapshot, its view stays immutable: the identity-preserving
-    /// clone and the mutation run *outside* the slot lock, which is taken
-    /// again only to swap the result in — so no load stalls behind a deep
-    /// clone. Callers hold the writer lock, so mutations are totally ordered
-    /// either way, the slot cannot change between the clone and the swap,
-    /// and the returned snapshot — for WAL encoding after the slot lock is
-    /// released — cannot be superseded until the caller releases it. On
-    /// `Err` nothing is swapped in and nothing the caller observes has
-    /// changed: the KB's mutating primitives validate before touching
+    /// Runs `mutate` against the published KB and rules and publishes the
+    /// result, moving the sequence if the KB's epoch or the rules' stamp
+    /// moved (returned as the flag). **In place** under the published-slot
+    /// lock when no loaded snapshot pins the KB's `Arc` (the steady state —
+    /// a warm rank pins nothing; readers that load block briefly on the
+    /// slot lock and then see the successor). When a reader holds the
+    /// snapshot, its view stays immutable: the identity-preserving clone
+    /// and the mutation run *outside* the slot lock, which is taken again
+    /// only to swap the result in — so no load stalls behind a deep clone.
+    /// The rules are copy-on-write either way (`Arc::make_mut` in
+    /// [`WalOp::apply`]). Callers hold the writer lock, so mutations are
+    /// totally ordered, the slot cannot change between the clone and the
+    /// swap, and the returned snapshot — for WAL encoding after the slot
+    /// lock is released — cannot be superseded until the caller releases
+    /// it. On `Err` nothing is swapped in and nothing the caller observes
+    /// has changed: the KB's mutating primitives validate before touching
     /// scored state (a rejected op can leave interned names or an advanced
     /// fresh-variable suffix behind, both epoch-neutral and invisible to
     /// scoring and replay).
-    fn mutate_kb<R>(
+    fn mutate<R>(
         &self,
-        mutate: impl FnOnce(&mut Kb) -> Result<R>,
-    ) -> Result<(R, SharedSnapshot)> {
-        let pinned = {
+        mutate: impl FnOnce(&mut Kb, &mut Arc<RuleRepository>) -> Result<R>,
+    ) -> Result<(R, SharedSnapshot, bool)> {
+        let state = |kb: &Kb, rules: &RuleRepository| (kb.epoch(), rules.stamp());
+        let (kb, rules) = {
             let mut published = self.lock_published();
+            let published = &mut *published;
             if let Some(kb) = Arc::get_mut(&mut published.kb) {
-                let before = kb.epoch();
-                let value = mutate(kb)?;
-                if kb.epoch() != before {
-                    advance(&mut published, &self.seq);
+                let before = state(kb, &published.rules);
+                let value = mutate(kb, &mut published.rules)?;
+                let moved = state(kb, &published.rules) != before;
+                if moved {
+                    advance(published, &self.seq);
                 }
-                return Ok((value, published.clone()));
+                return Ok((value, published.clone(), moved));
             }
-            Arc::clone(&published.kb)
+            (Arc::clone(&published.kb), Arc::clone(&published.rules))
         };
-        let mut kb = pinned.clone_for_publish();
-        let value = mutate(&mut kb)?;
-        let moved = kb.epoch() != pinned.epoch();
+        let mut next_kb = kb.clone_for_publish();
+        let mut next_rules = Arc::clone(&rules);
+        let value = mutate(&mut next_kb, &mut next_rules)?;
+        let moved = state(&next_kb, &next_rules) != state(&kb, &rules);
         let mut published = self.lock_published();
-        published.kb = Arc::new(kb);
+        published.kb = Arc::new(next_kb);
+        published.rules = next_rules;
         if moved {
             advance(&mut published, &self.seq);
         }
-        Ok((value, published.clone()))
+        Ok((value, published.clone(), moved))
     }
 
     /// The current consistent `(kb, rules)` snapshot (two `Arc` bumps).
@@ -761,24 +727,12 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// references the unknown name truncates at that point rather than
     /// crashing.
     pub fn individual(&self, name: &str) -> IndividualId {
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let ((id, moved), next) = self
-            .mutate_kb(|kb| {
-                let before = kb.epoch();
-                let id = kb.individual(name);
-                Ok((id, kb.epoch() != before))
-            })
-            .expect("interning is infallible");
-        if !moved {
-            return id;
-        }
-        let _ = self.log_op(
-            &mut writer.durable,
-            next.kb(),
-            &WalOp::Individual {
-                name: name.to_string(),
-            },
-        );
+        let op = WalOp::Individual {
+            name: name.to_string(),
+        };
+        let Ok((Applied::Individual(id), _logged)) = self.apply(&op) else {
+            unreachable!("registration is infallible and names its individual")
+        };
         id
     }
 
@@ -790,27 +744,15 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// published so later requests resolve the new names.
     pub fn parse(&self, text: &str) -> Result<Concept> {
         let _writer = self.writer.lock().expect("writer lock poisoned");
-        let (concept, _snap) = self.mutate_kb(|kb| kb.parse(text))?;
+        let (concept, _snap, _moved) = self.mutate(|kb, _rules| kb.parse(text))?;
         Ok(concept)
     }
 
     /// Adds a preference rule. Affected bindings re-derive lazily on each
     /// tenant's next request (the binding cache validates per rule).
     pub fn add_rule(&self, rule: PreferenceRule) -> Result<()> {
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let op = writer.durable.is_some().then(|| WalOp::AddRule {
-            name: rule.name.clone(),
-            context: rule.context.clone(),
-            preference: rule.preference.clone(),
-            sigma: rule.sigma.get(),
-        });
-        let mut rules = (*self.load().rules).clone();
-        rules.add(rule)?;
-        let next = self.publish_rules(rules);
-        if let Some(op) = op {
-            self.log_op(&mut writer.durable, next.kb(), &op)?;
-        }
-        Ok(())
+        let (_, logged) = self.apply(&WalOp::AddRule(rule))?;
+        logged
     }
 
     /// Removes the named preference rule.
@@ -819,18 +761,11 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// the append itself fails the published removal stands and the error
     /// is returned — the caller knows durability lagged.
     pub fn remove_rule(&self, name: &str) -> Result<PreferenceRule> {
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let mut rules = (*self.load().rules).clone();
-        let rule = rules.remove(name)?;
-        let next = self.publish_rules(rules);
-        self.log_op(
-            &mut writer.durable,
-            next.kb(),
-            &WalOp::RemoveRule {
-                name: name.to_string(),
-            },
-        )?;
-        Ok(rule)
+        let name = name.to_string();
+        let (Applied::Removed(rule), logged) = self.apply(&WalOp::RemoveRule { name })? else {
+            unreachable!("a removal hands back its rule")
+        };
+        logged.map(|()| rule)
     }
 
     /// Asserts a typed [`Fact`] — the context-switch path. Bumps the KB's
@@ -852,31 +787,9 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// skipping the clone; requests arriving after either form see the
     /// new epoch.
     pub fn assert(&self, subject: IndividualId, fact: Fact) -> Result<()> {
-        let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let durable = writer.durable.is_some();
-        let (op, next) = self.mutate_kb(|kb| {
-            let op = durable.then(|| fact_op(&kb.voc, subject, &fact));
-            match &fact {
-                Fact::Concept(concept) => {
-                    kb.assert_concept(subject, concept);
-                }
-                Fact::ConceptProb(concept, p) => {
-                    kb.assert_concept_prob(subject, concept, *p)?;
-                }
-                Fact::Role(role, object) => {
-                    kb.assert_role(subject, role, *object);
-                }
-                Fact::RoleProb(role, object, p) => {
-                    kb.assert_role_prob(subject, role, *object, *p)?;
-                }
-            }
-            Ok(op)
-        })?;
+        let (_, logged) = self.apply(&WalOp::Assert { subject, fact })?;
         self.asserts.fetch_add(1, Ordering::Relaxed);
-        if let Some(op) = op {
-            self.log_op(&mut writer.durable, next.kb(), &op)?;
-        }
-        Ok(())
+        logged
     }
 
     /// Ranks `docs` for `user`, returning the top `k` (best first).

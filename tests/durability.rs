@@ -11,6 +11,7 @@
 //! [`CompactionPolicy::Covered`], recovery after *any* crash point must
 //! be bit-identical to a never-compacted log's.
 
+use capra::core::persist::{encode_kb, encode_rules};
 use capra::dl::IndividualId;
 use capra::prelude::*;
 use std::path::{Path, PathBuf};
@@ -107,6 +108,10 @@ fn engines() -> Vec<(&'static str, Box<dyn ScoringEngine + Sync>)> {
         ("factorized", Box::new(FactorizedEngine::new())),
         ("lineage", Box::new(LineageEngine::new())),
     ]
+}
+
+fn engine_named(name: &str) -> Box<dyn ScoringEngine + Sync> {
+    engines().into_iter().find(|(n, _)| *n == name).unwrap().1
 }
 
 fn open(
@@ -234,6 +239,79 @@ fn kill_restart_replay_is_bit_identical_for_all_engines() {
                     b.score
                 );
             }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Every operation kind through a kill and a log-only restart: after
+/// `populate`, one record of each of the seven kinds — a registration,
+/// the four fact kinds (the certain role, tag 3, is written nowhere
+/// else), a rule removal and a rule add — with two out-of-range
+/// probabilities asserted between them. Each of those is an error that
+/// appends nothing and leaves the epoch where it was. The reopened KB and
+/// rules encode to the live service's bytes, and rank bit-identically.
+#[test]
+fn every_op_kind_replays_and_rejected_facts_log_nothing() {
+    for (name, engine) in engines() {
+        let dir = scratch(&format!("op-kinds-{name}"));
+        let mut service = open(engine, &dir);
+        let (users, docs) = populate(&mut service);
+        let genre = service.individual("HUMAN-INTEREST");
+        let reject = |service: &RankingService<_>, subject, fact: Fact| {
+            let state = |s: &RankingService<_>| (s.stats().wal.records_appended, s.kb().epoch());
+            let before = state(service);
+            assert!(
+                service.assert(subject, fact.clone()).is_err(),
+                "{name}: {fact:?}"
+            );
+            assert_eq!(state(service), before, "{name}: {fact:?} left a trace");
+        };
+        let late = service.individual("late");
+        service.assert(late, Fact::Concept("Ctx0".into())).unwrap();
+        reject(&service, users[0], Fact::ConceptProb("Ctx1".into(), 1.5));
+        service
+            .assert(users[1], Fact::ConceptProb("Ctx2".into(), 0.45))
+            .unwrap();
+        service
+            .assert(docs[0], Fact::Role("hasGenre".into(), genre))
+            .unwrap();
+        reject(
+            &service,
+            docs[1],
+            Fact::RoleProb("hasGenre".into(), genre, -0.25),
+        );
+        service
+            .assert(docs[2], Fact::RoleProb("hasGenre".into(), genre, 0.6))
+            .unwrap();
+        let rule = service.remove_rule("R0").unwrap();
+        service.add_rule(rule).unwrap();
+        let appended = service.stats().wal.records_appended;
+        let users = [users[0], users[1], late];
+        let want: Vec<Vec<DocScore>> = users
+            .iter()
+            .map(|&u| service.rank(u, &docs, docs.len()).unwrap())
+            .collect();
+        let (kb, rules) = (service.kb(), service.rules());
+        drop(service); // kill
+
+        let restored = open(engine_named(name), &dir);
+        let wal = restored.stats().wal;
+        assert_eq!(
+            (wal.records_replayed, wal.records_truncated),
+            (appended, 0),
+            "{name}"
+        );
+        assert_eq!(encode_kb(&restored.kb()), encode_kb(&kb), "{name}");
+        let encoded = |kb: &Kb, rules: &RuleRepository| encode_rules(rules, &kb.voc);
+        let got = encoded(&restored.kb(), &restored.rules());
+        assert_eq!(got, encoded(&kb, &rules), "{name}");
+        for (&u, want) in users.iter().zip(&want) {
+            let got = restored.rank(u, &docs, docs.len()).unwrap();
+            let bits = |ranked: &[DocScore]| -> Vec<(IndividualId, u64)> {
+                ranked.iter().map(|s| (s.doc, s.score.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(want), "{name}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

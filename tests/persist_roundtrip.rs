@@ -2,8 +2,11 @@
 //! bases and rule sets, `decode(encode(x))` is not just structurally
 //! equal — it re-interns every name to the *same handle* and produces
 //! **bit-identical** `score_all` results for all four engines. The
-//! snapshot leg rides the durable service: save, kill, reopen, and the
-//! served ranks must not drift by a bit either.
+//! snapshot leg rides the durable service: save, kill, reopen — from the
+//! snapshot, and from a copy holding only the log, whose every record
+//! replays — and the served ranks must not drift by a bit either.
+//! `CAPRA_STRESS_ITERS` multiplies the case counts, as in the serving
+//! suites.
 
 use capra::core::persist::{decode_kb, decode_rules, encode_kb, encode_rules};
 use capra::dl::IndividualId;
@@ -72,8 +75,16 @@ fn build(
     (kb, rules, users, docs)
 }
 
+/// Multiplier on the properties' case counts (see the module docs).
+fn stress_iters() -> u32 {
+    std::env::var("CAPRA_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(24 * stress_iters()))]
 
     /// KB + rules codec round-trip: re-interning identity and
     /// bit-identical scores for all four engines.
@@ -127,7 +138,9 @@ proptest! {
     /// Snapshot round-trip through the durable service: mirror the
     /// generated KB through the mutation API, rank (which fills the memo
     /// pool a snapshot leaves out), snapshot, kill, reopen — the served
-    /// ranks are bit-identical for all four engines.
+    /// ranks are bit-identical for all four engines. A copy of the
+    /// directory without its snapshot reopens by replaying the whole log,
+    /// and serves the same bits.
     #[test]
     fn durable_service_round_trip_bit_identically(
         ctx_probs in prop::collection::vec(0.05f64..=0.9, 2..4),
@@ -201,26 +214,40 @@ proptest! {
                 .iter()
                 .map(|&u| service.rank(u, &docs, docs.len()).unwrap())
                 .collect();
+            let appended = service.stats().wal.records_appended;
             service.save_snapshot().unwrap();
             drop(service); // kill
 
-            let restored = RankingService::open_durable(
-                make(which),
-                ServiceConfig::default(),
-                &dir,
-                FlushPolicy::EveryN(4),
-            ).unwrap();
-            prop_assert_eq!(restored.stats().wal.records_truncated, 0);
-            for (&u, want) in users.iter().zip(&want) {
-                let got = restored.rank(u, &docs, docs.len()).unwrap();
-                for (a, b) in want.iter().zip(&got) {
-                    prop_assert_eq!(a.doc, b.doc);
-                    prop_assert_eq!(
-                        a.score.to_bits(), b.score.to_bits(),
-                        "engine {}: {} vs {}", restored.engine().name(), a.score, b.score
-                    );
+            let log_only = dir.with_extension("log-only");
+            let _ = std::fs::remove_dir_all(&log_only);
+            std::fs::create_dir_all(&log_only).unwrap();
+            for entry in std::fs::read_dir(&dir).unwrap().map(Result::unwrap) {
+                let name = entry.file_name();
+                if !name.to_string_lossy().starts_with("snapshot-") {
+                    std::fs::copy(entry.path(), log_only.join(name)).unwrap();
                 }
             }
+            for (from, replayed) in [(&dir, 0), (&log_only, appended)] {
+                let restored = RankingService::open_durable(
+                    make(which),
+                    ServiceConfig::default(),
+                    from,
+                    FlushPolicy::EveryN(4),
+                ).unwrap();
+                let wal = restored.stats().wal;
+                prop_assert_eq!((wal.records_replayed, wal.records_truncated), (replayed, 0));
+                for (&u, want) in users.iter().zip(&want) {
+                    let got = restored.rank(u, &docs, docs.len()).unwrap();
+                    for (a, b) in want.iter().zip(&got) {
+                        prop_assert_eq!(a.doc, b.doc);
+                        prop_assert_eq!(
+                            a.score.to_bits(), b.score.to_bits(),
+                            "engine {}: {} vs {}", restored.engine().name(), a.score, b.score
+                        );
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&log_only);
             let _ = std::fs::remove_dir_all(&dir);
         }
     }

@@ -291,22 +291,30 @@ fn compacted_away_cursor_requires_resnapshot_but_keeps_serving() {
 }
 
 /// `poll_n` applies an exact budget and leaves the rest as measured lag,
-/// so callers can amortize catch-up across serving.
+/// so callers can amortize catch-up across serving — and across segment
+/// rotations, one record at a time.
 #[test]
 fn poll_n_applies_incrementally_and_tracks_lag() {
     let dir = scratch("poll-n");
-    let config = ServiceConfig::default();
+    // Four records a segment: one-record polls cross every rotation, and
+    // the lag walk counts across the segments ahead of the cursor.
+    let config = ServiceConfig {
+        segment_records: 4,
+        ..ServiceConfig::default()
+    };
     let mut w = writer(engine("naive-view"), &dir, config);
     let mut f = follower(engine("naive-view"), &dir, config);
     let (users, docs) = populate(&mut w);
     let total = w.stats().wal.records_appended;
+    assert!(w.stats().wal.rotations >= total / 4, "{:?}", w.stats().wal);
 
-    assert_eq!(f.poll_n(10).unwrap(), 10);
-    let stats = f.stats();
-    assert_eq!(stats.applied_seq, 10, "{stats:?}");
-    assert_eq!(stats.lag_records, total - 10, "{stats:?}");
-
-    assert_eq!(f.poll().unwrap(), total - 10);
+    for applied in 1..=total {
+        assert_eq!(f.poll_n(1).unwrap(), 1, "poll {applied}");
+        let stats = f.stats();
+        assert_eq!(stats.applied_seq, applied, "{stats:?}");
+        assert_eq!(stats.lag_records, total - stats.applied_seq, "{stats:?}");
+    }
+    assert_eq!(f.poll().unwrap(), 0);
     assert_eq!(f.stats().lag_records, 0);
     let want = w.rank(users[0], &docs, docs.len()).unwrap();
     let got = f.rank(users[0], &docs, docs.len()).unwrap();

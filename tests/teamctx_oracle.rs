@@ -81,8 +81,8 @@ fn group_strategies_diverge_as_pinned_through_the_service() {
 
 #[test]
 fn mood_swing_changes_the_consensus() {
-    // bob's romance mood fades (context event through the service):
-    // under the product strategy the consensus moves off "Rom Com".
+    // A context event through the service moves the product strategy's
+    // consensus off "Rom Com".
     let s = scenario();
     let service = RankingService::new(LineageEngine::new(), s.kb, s.rules);
     let top = |svc: &RankingService<LineageEngine>| {
@@ -92,10 +92,10 @@ fn mood_swing_changes_the_consensus() {
         svc.kb().voc.individual_name(ranked[0].doc).to_string()
     };
     assert_eq!(top(&service), "Rom Com");
-    // A fresh low-probability MoodRomance assertion supersedes bob's
-    // certain mood only in the sense of adding disjunction — so instead
-    // knock out the *romance tag* pathway: alice's action mood surges via
-    // carol and bob converting to action fans.
+    // A fresh low-probability MoodRomance assertion cannot lower bob's
+    // certain mood: it disjoins a fresh variable, so the probability can
+    // only rise. Instead, move the consensus through action: carol and
+    // bob become certain action fans.
     service
         .assert(s.members[1], Fact::Concept("MoodAction".into()))
         .unwrap();
