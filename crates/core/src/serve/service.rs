@@ -9,29 +9,32 @@
 //!
 //! * **Epoch-published reads.** The KB and rule repository live behind a
 //!   [`SharedSnapshot`] — a pair of `Arc`s republished atomically as a
-//!   unit, with a *publish sequence* that moves whenever the KB's epoch
-//!   or the rules do. A request that must bind or score loads one
-//!   snapshot and scores against that immutable state for its whole
-//!   lifetime; writers clone-mutate-publish, never touching a snapshot a
-//!   reader may hold. (The clone preserves the KB's identity — see
-//!   [`Kb::clone_for_publish`] — so every `(kb_id, epoch)`-keyed cache
-//!   survives a publish.) A full-page rank whose tenant was last bound at
-//!   the published sequence loads no snapshot at all: one atomic load,
+//!   unit, with two *publish sequences*: one that moves whenever the KB's
+//!   epoch or the rules do, and a *shared* one that every such publish
+//!   but an own-row assert moves (an assert that can move no binding but
+//!   its subject's, see [`classify`]). A request that must bind or score
+//!   loads one snapshot and scores against that immutable state for its
+//!   whole lifetime; writers clone-mutate-publish, never touching a
+//!   snapshot a reader may hold. (The clone preserves the KB's identity —
+//!   see [`Kb::clone_for_publish`] — so every `(kb_id, epoch)`-keyed cache
+//!   survives a publish.) A full-page rank whose tenant's mark is the
+//!   published shared sequence loads no snapshot at all: one atomic load,
 //!   and its score entry answers.
 //! * **Sharded tenant locks.** Per-tenant cache state is reached only
 //!   through [`TenantSessions::with_session`], which locks exactly the
 //!   tenant's shard: different-shard requests run in parallel, same-user
-//!   requests serialize.
+//!   requests serialize. An assert's writer holds its subject's shard
+//!   across the publish and clears the subject's mark under it.
 //! * **One writer lock.** Mutations (asserts, rule edits, registration,
 //!   snapshots) serialize behind `writer`, which also owns the WAL — the
 //!   publish order *is* the log order, so durability semantics are
 //!   unchanged from the single-owner service.
 //!
 //! Lock order is `writer → shard → {published slot | pool}` (leaf stat
-//! mutexes last); no path acquires against that order, and no writer
-//! takes a shard lock while it holds the published slot. See
-//! "Concurrency & locking order" in `ARCHITECTURE.md` for the full
-//! walkthrough.
+//! mutexes last); no path acquires against that order: a writer takes
+//! the subject's shard before the published slot, and never while it
+//! holds the slot. See "Concurrency & locking order" in `ARCHITECTURE.md`
+//! for the full walkthrough.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,8 +54,8 @@ use crate::persist::{
 use crate::serve::pool::ScratchPool;
 use crate::serve::queue::QueueStats;
 use crate::serve::request::{Fact, Request, Response};
-use crate::serve::tenants::TenantSessions;
-use crate::session::SessionStats;
+use crate::serve::tenants::{Hold, TenantSessions};
+use crate::session::{SessionStats, SharedTables};
 use crate::{Kb, PreferenceRule, Result, RuleRepository, ScoringEnv};
 
 /// The persistence attachment of a durable service.
@@ -70,6 +73,10 @@ struct WriterState {
     /// `Some` when the service was opened with
     /// [`RankingService::open_durable`]; mutations then append to the WAL.
     durable: Option<DurableState>,
+    /// What tells an own-row assert from a shared one (see
+    /// [`classify`]), for the KB, terminology and rules last classified
+    /// against.
+    shared_tables: SharedTables,
 }
 
 /// A consistent, immutable view of the knowledge base and rule
@@ -81,8 +88,9 @@ struct WriterState {
 /// lifetime: a concurrent assert publishes a *successor* snapshot and
 /// never mutates this one, so scores computed against it are exactly the
 /// scores of the service state at load time. Cloning is two `Arc` bumps.
-/// A warm full-page rank loads none: it compares the publish sequence its
-/// tenant was bound at with the published one.
+/// A warm full-page rank loads none: it compares its tenant's mark with
+/// the published *shared* sequence, which only a publish that can move
+/// more than one user's bindings moves.
 ///
 /// The replica layer serves from the same type: a
 /// [`crate::serve::ReplicaService`] exposes the epoch it has replayed up
@@ -95,6 +103,11 @@ pub struct SharedSnapshot {
     /// epoch or changes the rules, so two snapshots with one sequence bind
     /// every user alike.
     seq: u64,
+    /// The shared sequence: moved by every such publish but an own-row
+    /// assert, which can move no binding but its subject's — so two
+    /// snapshots with one shared sequence bind alike every user no own-row
+    /// assert was about in between.
+    shared: u64,
 }
 
 impl SharedSnapshot {
@@ -124,11 +137,97 @@ impl SharedSnapshot {
     }
 }
 
-/// Moves `published`'s sequence on and stores it in `seq` (with
-/// `Release`; the caller holds the published slot or owns the service).
-fn advance(published: &mut SharedSnapshot, seq: &AtomicU64) {
-    published.seq += 1;
-    seq.store(published.seq, Ordering::Release);
+/// The published snapshot's two sequences, stored with `Release` by the
+/// writer that moves them — under the published slot's lock, or owning
+/// the service — and loaded with `Acquire`.
+#[derive(Default)]
+struct Sequences {
+    /// [`SharedSnapshot::seq`] of the published snapshot.
+    seq: AtomicU64,
+    /// [`SharedSnapshot::shared`] of the published snapshot: a full page
+    /// whose tenant's mark equals it is answered from its score entry.
+    shared: AtomicU64,
+}
+
+impl Sequences {
+    /// Moves `published`'s sequence on — and its shared sequence too, if
+    /// the publish is `shared` — and stores both.
+    fn advance(&self, published: &mut SharedSnapshot, shared: bool) {
+        if shared {
+            published.shared += 1;
+            self.shared.store(published.shared, Ordering::Release);
+        }
+        published.seq += 1;
+        self.seq.store(published.seq, Ordering::Release);
+    }
+
+    /// The mark of a tenant just bound against `snap`: its shared sequence
+    /// if `snap` is still the published snapshot, else none. Read under
+    /// the tenant's shard lock, which a writer asserting about the
+    /// tenant's user holds across its publish: a snapshot that is still
+    /// published then has no own-row assert about the user after it.
+    fn mark(&self, snap: &SharedSnapshot) -> Option<u64> {
+        (snap.seq == self.seq.load(Ordering::Acquire)).then_some(snap.shared)
+    }
+}
+
+/// The counters a mutation is classified by, taken before and after it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Stamps {
+    epoch: u64,
+    abox: u64,
+    tbox: u64,
+    rules: u64,
+}
+
+impl Stamps {
+    fn of(kb: &Kb, rules: &RuleRepository) -> Self {
+        Self {
+            epoch: kb.epoch(),
+            abox: kb.abox.epoch(),
+            tbox: kb.tbox.epoch(),
+            rules: rules.stamp(),
+        }
+    }
+}
+
+/// What a publish moved, and so which sequences it moves.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Moved {
+    /// Neither the KB's epoch nor the rules (a name look-up, a parse):
+    /// no sequence.
+    Nothing,
+    /// An own-row assert: the sequence, and its subject's mark is cleared.
+    Subject,
+    /// Anything else: both sequences.
+    Everyone,
+}
+
+/// Classifies a mutation of `kb` and `rules` from `before`, under the
+/// writer lock. An assert about `subject` is *own-row* when the
+/// terminology and the rules stand and no table it moved
+/// ([`capra_dl::ABox::moved_since`]) is shared — read by a preference
+/// view, by a context beyond the asker's own rows, or the domain
+/// ([`SharedTables`]): then only the subject's bindings can have moved.
+/// Everything else that moved the KB's epoch or the rules is shared.
+fn classify(
+    tables: &mut SharedTables,
+    subject: Option<IndividualId>,
+    before: Stamps,
+    kb: &Kb,
+    rules: &RuleRepository,
+) -> Moved {
+    let after = Stamps::of(kb, rules);
+    if after == before {
+        Moved::Nothing
+    } else if subject.is_some()
+        && (after.tbox, after.rules) == (before.tbox, before.rules)
+        && tables.misses(kb, rules, kb.abox.moved_since(before.abox))
+    {
+        Moved::Subject
+    } else {
+        Moved::Everyone
+    }
 }
 
 /// Sizing and durability settings of a [`RankingService`].
@@ -200,12 +299,13 @@ pub struct ServiceStats {
     /// (each run shares one scratch and takes the pool's lock at most
     /// twice: one checkout, one give-back).
     pub coalesced_runs: u64,
-    /// Tenant-shard lock acquisitions, summed over shards (the per-shard
-    /// breakdown is [`RankingService::shard_lock_counts`]). The warm path
-    /// takes exactly one lock per request, so this racing far ahead of
-    /// `rank_requests + asserts` flags first-sight churn: every first
+    /// Tenant-shard lock acquisitions by requests, summed over shards
+    /// (the per-shard breakdown is [`RankingService::shard_lock_counts`]).
+    /// The warm path takes exactly one lock per request, so this racing
+    /// far ahead of `rank_requests` flags first-sight churn: every first
     /// sight of a tenant locks every shard, to keep the global LRU exact,
-    /// and at the cap scans them all for the victim.
+    /// and at the cap scans them all for the victim. A writer's hold of
+    /// an assert's subject's shard is not counted.
     pub shard_lock_acquisitions: u64,
     /// Counters of the batching front-end queue (all zero for a service
     /// driven directly; populated by
@@ -287,24 +387,26 @@ impl std::iter::Sum for ServiceStats {
 /// assert_eq!(cold[0].doc, warm[0].doc);
 /// assert_eq!(service.stats().sessions_live, 2);
 ///
-/// // A context switch invalidates exactly what it touched (re-asserting
-/// // disjoins a fresh event, so the Weekend probability rises).
+/// // A context switch invalidates exactly what it touched, tenant by
+/// // tenant: Peter's page moves (re-asserting disjoins a fresh event, so
+/// // the Weekend probability rises), and Mary's full page stays warm.
+/// let page = service.rank(mary, &docs, docs.len()).unwrap();
 /// service.assert(peter, Fact::ConceptProb("Weekend".into(), 0.3)).unwrap();
 /// let shifted = service.rank(peter, &docs, 3).unwrap();
 /// assert_ne!(shifted[0].score.to_bits(), warm[0].score.to_bits());
+/// assert_eq!(service.rank(mary, &docs, docs.len()).unwrap(), page);
 /// ```
 pub struct RankingService<E> {
     engine: E,
     /// The epoch-published read state. A request that binds or scores
-    /// clones it out (two `Arc` bumps; a warm page reads only `seq`) and
+    /// clones it out (two `Arc` bumps; a warm page reads only `seqs`) and
     /// never holds this lock while scoring; writers replace it under
     /// `writer`.
     published: Mutex<SharedSnapshot>,
-    /// `published`'s sequence, stored with `Release` under its lock by
-    /// every writer that moves it and loaded with `Acquire` by a full-page
-    /// rank, which answers from its tenant's score entry while the tenant
-    /// was last bound at this sequence.
-    seq: AtomicU64,
+    /// `published`'s two sequences: a full-page rank loads the shared one
+    /// and answers from its tenant's score entry while the tenant's mark
+    /// equals it.
+    seqs: Sequences,
     /// Snapshots loaded so far.
     #[cfg(test)]
     loads: AtomicU64,
@@ -347,8 +449,9 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                 kb: Arc::new(kb),
                 rules: Arc::new(rules),
                 seq: 0,
+                shared: 0,
             }),
-            seq: AtomicU64::new(0),
+            seqs: Sequences::default(),
             #[cfg(test)]
             loads: AtomicU64::new(0),
             tenants: TenantSessions::new(config.shards, config.max_sessions),
@@ -356,7 +459,10 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             rank_requests: AtomicU64::new(0),
             asserts: AtomicU64::new(0),
             coalesced_runs: AtomicU64::new(0),
-            writer: Mutex::new(WriterState { durable: None }),
+            writer: Mutex::new(WriterState {
+                durable: None,
+                shared_tables: SharedTables::default(),
+            }),
             wal_stats: Mutex::new(WalStats::default()),
             snapshot_retain: config.snapshot_retain.max(retain_floor),
             compaction: config.compaction,
@@ -477,7 +583,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         let published = self.published.get_mut().expect("published lock poisoned");
         published.kb = Arc::new(kb);
         published.rules = Arc::new(rules);
-        advance(published, &self.seq);
+        self.seqs.advance(published, true);
     }
 
     /// Replays one WAL record body against the live state — the replica
@@ -496,8 +602,8 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     ) -> std::result::Result<(), PersistError> {
         let published = self.published.get_mut().expect("published lock poisoned");
         // Every record moves the epoch or the rules, and one that fails
-        // part-way must leave no tenant warm either: move it first.
-        advance(published, &self.seq);
+        // part-way must leave no tenant warm either: move both first.
+        self.seqs.advance(published, true);
         if Arc::get_mut(&mut published.kb).is_none() {
             published.kb = Arc::new(published.kb.clone_for_publish());
         }
@@ -601,15 +707,22 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// Applies `op` to the published state and publishes the result (see
-    /// [`RankingService::mutate`]). An op that moved the state is then
-    /// logged, stamped with the post-apply KB epoch: what is logged is what
-    /// was applied, and replay runs the same [`WalOp::apply`]. A rejected
-    /// op moves nothing and logs nothing (the outer error); a failed
-    /// append leaves the applied op published and comes back as the inner
-    /// one. Non-durable services log nothing.
+    /// [`RankingService::mutate`]; an assert's subject is held). An op that
+    /// moved the state is then logged, stamped with the post-apply KB
+    /// epoch: what is logged is what was applied, and replay runs the same
+    /// [`WalOp::apply`]. A rejected op moves nothing and logs nothing (the
+    /// outer error); a failed append leaves the applied op published and
+    /// comes back as the inner one. Non-durable services log nothing.
     fn apply(&self, op: &WalOp) -> Result<(Applied, Result<()>)> {
         let mut writer = self.writer.lock().expect("writer lock poisoned");
-        let (applied, next, moved) = self.mutate(|kb, rules| op.apply(kb, rules))?;
+        let subject = match op {
+            WalOp::Assert { subject, .. } => Some(*subject),
+            _ => None,
+        };
+        let (applied, next, moved) =
+            self.mutate(&mut writer.shared_tables, subject, |kb, rules| {
+                op.apply(kb, rules)
+            })?;
         let Some(durable) = writer.durable.as_mut().filter(|_| moved) else {
             return Ok((applied, Ok(())));
         };
@@ -637,14 +750,14 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// The published slot — held to clone, swap or mutate in place, never
-    /// across a deep clone or a shard lock.
+    /// across a deep clone or while taking a shard lock.
     fn lock_published(&self) -> std::sync::MutexGuard<'_, SharedSnapshot> {
         self.published.lock().expect("published lock poisoned")
     }
 
     /// Runs `mutate` against the published KB and rules and publishes the
-    /// result, moving the sequence if the KB's epoch or the rules' stamp
-    /// moved (returned as the flag). **In place** under the published-slot
+    /// result, moving the sequences as [`classify`] says (the returned flag
+    /// is whether anything moved). **In place** under the published-slot
     /// lock when no loaded snapshot pins the KB's `Arc` (the steady state —
     /// a warm rank pins nothing; readers that load block briefly on the
     /// slot lock and then see the successor). When a reader holds the
@@ -661,36 +774,64 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// scored state (a rejected op can leave interned names or an advanced
     /// fresh-variable suffix behind, both epoch-neutral and invisible to
     /// scoring and replay).
+    ///
+    /// With a `subject` — an assert's — the subject's shard is held
+    /// ([`TenantSessions::hold`]) across the in-place apply and the
+    /// publish, or, for a pinned KB, across the swap alone (the clone and
+    /// the private apply run with it released), and an own-row publish
+    /// clears the subject's mark before letting go: no request of the
+    /// subject's sees the publish with its old mark standing.
     fn mutate<R>(
         &self,
+        tables: &mut SharedTables,
+        subject: Option<IndividualId>,
         mutate: impl FnOnce(&mut Kb, &mut Arc<RuleRepository>) -> Result<R>,
     ) -> Result<(R, SharedSnapshot, bool)> {
-        let state = |kb: &Kb, rules: &RuleRepository| (kb.epoch(), rules.stamp());
+        let hold = || subject.map(|user| self.tenants.hold(user));
+        let held = hold();
         let (kb, rules) = {
             let mut published = self.lock_published();
             let published = &mut *published;
             if let Some(kb) = Arc::get_mut(&mut published.kb) {
-                let before = state(kb, &published.rules);
+                let before = Stamps::of(kb, &published.rules);
                 let value = mutate(kb, &mut published.rules)?;
-                let moved = state(kb, &published.rules) != before;
-                if moved {
-                    advance(published, &self.seq);
-                }
-                return Ok((value, published.clone(), moved));
+                let moved = classify(tables, subject, before, kb, &published.rules);
+                self.publish(published, moved, held);
+                return Ok((value, published.clone(), moved != Moved::Nothing));
             }
             (Arc::clone(&published.kb), Arc::clone(&published.rules))
         };
+        drop(held);
         let mut next_kb = kb.clone_for_publish();
         let mut next_rules = Arc::clone(&rules);
         let value = mutate(&mut next_kb, &mut next_rules)?;
-        let moved = state(&next_kb, &next_rules) != state(&kb, &rules);
+        let moved = classify(
+            tables,
+            subject,
+            Stamps::of(&kb, &rules),
+            &next_kb,
+            &next_rules,
+        );
+        let held = hold();
         let mut published = self.lock_published();
         published.kb = Arc::new(next_kb);
         published.rules = next_rules;
-        if moved {
-            advance(&mut published, &self.seq);
+        self.publish(&mut published, moved, held);
+        Ok((value, published.clone(), moved != Moved::Nothing))
+    }
+
+    /// Moves the sequences a publish `moved` — the sequence alone for an
+    /// own-row assert, whose subject's mark is cleared under `held`, its
+    /// shard — with the published slot held.
+    fn publish(&self, published: &mut SharedSnapshot, moved: Moved, held: Option<Hold<'_>>) {
+        match moved {
+            Moved::Nothing => {}
+            Moved::Subject => {
+                self.seqs.advance(published, false);
+                held.expect("an own-row assert holds its subject").unmark();
+            }
+            Moved::Everyone => self.seqs.advance(published, true),
         }
-        Ok((value, published.clone(), moved))
     }
 
     /// The current consistent `(kb, rules)` snapshot (two `Arc` bumps).
@@ -743,8 +884,9 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// parse). Interning moves no epoch, but the grown vocabulary is
     /// published so later requests resolve the new names.
     pub fn parse(&self, text: &str) -> Result<Concept> {
-        let _writer = self.writer.lock().expect("writer lock poisoned");
-        let (concept, _snap, _moved) = self.mutate(|kb, _rules| kb.parse(text))?;
+        let mut writer = self.writer.lock().expect("writer lock poisoned");
+        let (concept, _snap, _moved) =
+            self.mutate(&mut writer.shared_tables, None, |kb, _rules| kb.parse(text))?;
         Ok(concept)
     }
 
@@ -778,7 +920,13 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// nothing, does not count toward [`ServiceStats::asserts`], and is
     /// never logged.
     ///
-    /// Concurrency: an in-flight rank that loaded the previous snapshot
+    /// A fact that moves only tables read as their own individual's rows —
+    /// a user's context switch under contexts that read nothing of anyone
+    /// else — is *own-row*: it clears the subject's tenant's mark and
+    /// leaves every other tenant's full page warm. Anything else moves the
+    /// shared sequence, and every tenant's next page binds.
+    ///
+    /// Concurrency:an in-flight rank that loaded the previous snapshot
     /// pins it, so the mutation happens on a private identity-preserving
     /// clone and becomes visible atomically at publish — that rank
     /// completes against its immutable view and is linearized before
@@ -810,7 +958,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// requests serialize on the shard lock.
     ///
     /// The request takes the tenant's shard lock first. A full-page rank
-    /// whose tenant was last bound at the published sequence, and whose
+    /// whose tenant's mark is the published shared sequence, and whose
     /// score entry holds this list under the tenant's bindings, is answered
     /// there and then — no snapshot load, no bind, no reference count
     /// touched. Any other request loads the snapshot under the shard lock
@@ -916,12 +1064,14 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// The one request path behind [`RankingService::rank`] and the
     /// batched dispatch, against `run` — a coalesced run's snapshot — or,
     /// with `None`, the published state. Under the tenant's shard lock: a
-    /// full page whose tenant was last bound at `run`'s sequence (or the
-    /// published one) is offered to the score entry
+    /// full page whose tenant's mark is the published shared sequence
+    /// (with a `run`: `run`'s, and `run` still the published snapshot) is
+    /// offered to the score entry
     /// ([`crate::session::SessionCore::rank_warm`]); anything else loads
-    /// the snapshot if `run` is `None`, records its sequence on the tenant
-    /// and runs the session core ([`crate::session::SessionCore::rank_top_k`])
-    /// over a lazily checked-out scratch, which the caller settles via
+    /// the snapshot if `run` is `None`, marks the tenant
+    /// ([`Sequences::mark`]) and runs the session core
+    /// ([`crate::session::SessionCore::rank_top_k`]) over a lazily
+    /// checked-out scratch, which the caller settles via
     /// [`RankingService::give_back`].
     ///
     /// The whole request body runs inside the tenant's shard-lock scope
@@ -939,8 +1089,14 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         self.rank_requests.fetch_add(1, Ordering::Relaxed);
         self.tenants.with_session(user, |tenant| {
             if k >= docs.len() {
-                let seq = run.map_or_else(|| self.seq.load(Ordering::Acquire), |snap| snap.seq);
-                if tenant.bound_at == Some(seq) {
+                let current = match run {
+                    None => tenant.bound_at == Some(self.seqs.shared.load(Ordering::Acquire)),
+                    Some(snap) => {
+                        tenant.bound_at == Some(snap.shared)
+                            && snap.seq == self.seqs.seq.load(Ordering::Acquire)
+                    }
+                };
+                if current {
                     if let Some(warm) = tenant.session.rank_warm(&self.engine, docs) {
                         return Ok(warm);
                     }
@@ -954,7 +1110,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                     &loaded
                 }
             };
-            tenant.bound_at = Some(snap.seq);
+            tenant.bound_at = self.seqs.mark(snap);
             tenant
                 .session
                 .rank_top_k(&self.engine, &snap.env(user), docs, k, || {
@@ -966,8 +1122,9 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// The group path behind [`RankingService::rank_group`] and the
     /// batched dispatch (see [`RankingService::rank_on`] for the scratch
     /// contract): every member's full score list through their own session
-    /// core, bound against `snap` and recording its sequence, one shard
-    /// lock per member, in request order, then the combine and the cut.
+    /// core, bound against `snap` and marked ([`Sequences::mark`]), one
+    /// shard lock per member, in request order, then the combine and the
+    /// cut.
     fn rank_group_with_scratch(
         &self,
         snap: &SharedSnapshot,
@@ -982,7 +1139,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             .iter()
             .map(|&user| {
                 self.tenants.with_session(user, |tenant| {
-                    tenant.bound_at = Some(snap.seq);
+                    tenant.bound_at = self.seqs.mark(snap);
                     tenant
                         .session
                         .score_all(&self.engine, &snap.env(user), docs, || {
@@ -1482,11 +1639,12 @@ mod tests {
         assert_eq!(loads(), loaded + 1, "and one snapshot load");
     }
 
-    /// The publish sequence stands in for the snapshot on a warm page: `N`
-    /// tenants re-ranking one page load nothing until a publish moves it,
-    /// then load once each and are warm again — counting the binding and
-    /// score hits a bind and a read-through would, and answering the cold
-    /// rank on the state they were bound at.
+    /// The shared sequence stands in for the snapshot on a warm page: `N`
+    /// tenants re-ranking one page load nothing until a shared publish
+    /// moves it, then load once each and are warm again — counting the
+    /// binding and score hits a bind and a read-through would, and
+    /// answering the cold rank on the state they were bound at. An own-row
+    /// assert moves no shared sequence and reloads its subject alone.
     #[test]
     fn a_warm_page_loads_no_snapshot_until_the_sequence_moves() {
         let (kb, rules, users, docs) = fixture(4, 10);
@@ -1523,7 +1681,13 @@ mod tests {
         service
             .assert(users[0], Fact::ConceptProb("Ctx0".into(), 0.4))
             .unwrap();
-        assert_eq!(round(), n, "an assert moves the sequence for every tenant");
+        assert_eq!(round(), 1, "a context switch reloads its subject alone");
+        assert_eq!(round(), 0, "then it is warm again");
+
+        service
+            .assert(docs[0], Fact::ConceptProb("Feat0".into(), 0.4))
+            .unwrap();
+        assert_eq!(round(), n, "every tenant's view reads a document's feature");
         assert_eq!(round(), 0, "then they are warm again");
 
         assert_eq!(service.individual("user1"), users[1]);
@@ -1542,6 +1706,98 @@ mod tests {
         assert_eq!(round(), 0);
         service.remove_rule("R2").unwrap();
         assert_eq!(round(), n);
+    }
+
+    /// A request bound against a snapshot an own-row assert superseded —
+    /// a coalesced run's or a group's — is answered on that snapshot and
+    /// leaves its tenant unmarked: the next page of the assert's subject
+    /// and of a bystander alike is the cold page on the published state.
+    #[test]
+    fn a_bind_on_a_superseded_snapshot_leaves_its_tenant_unmarked() {
+        let (kb, rules, users, docs) = fixture(4, 10);
+        let service = RankingService::new(LineageEngine::new(), kb, rules);
+        let n = docs.len();
+        let pair = [users[0], users[1]];
+        let cold = |snap: &SharedSnapshot, user| cold_rank(snap.kb(), snap.rules(), user, &docs, n);
+        let published = |user| {
+            let got = service.rank(user, &docs, n).unwrap();
+            assert_eq!(got, cold(&service.snapshot(), user), "{user:?}");
+        };
+        pair.into_iter().for_each(published);
+        for (p, group) in [(0.9, false), (0.6, true)] {
+            let old = service.snapshot();
+            service
+                .assert(users[0], Fact::ConceptProb("Ctx0".into(), p))
+                .unwrap();
+            let mut scratch = None;
+            if group {
+                let strategy = GroupStrategy::Product;
+                service
+                    .rank_group_with_scratch(&old, &pair, &docs, n, &strategy, &mut scratch)
+                    .unwrap();
+            } else {
+                for user in pair {
+                    let got = service.rank_on(Some(&old), user, &docs, n, &mut scratch);
+                    assert_eq!(got.unwrap(), cold(&old, user), "the run's own snapshot");
+                }
+            }
+            service.give_back(scratch);
+            pair.into_iter().for_each(published);
+        }
+        // An own-row assert about a user with no tenant, then their first
+        // page.
+        service
+            .assert(users[2], Fact::ConceptProb("Ctx0".into(), 0.9))
+            .unwrap();
+        published(users[2]);
+    }
+
+    /// A context that reads a filler reads someone else's rows, so an
+    /// assert about them is shared: Bob's `Cosy` under `EXISTS knows.Cosy`,
+    /// and Bob's `Ctx0` under `Ctx0 AND EXISTS knows.Ctx0` — whose
+    /// footprint's tables are all its own, the filler being read under the
+    /// very name the context reads of the user. Either moves the page of
+    /// Ann, who knows Bob.
+    #[test]
+    fn an_assert_read_through_a_filler_moves_everyone() {
+        for (context, concept) in [
+            ("EXISTS knows.Cosy", "Cosy"),
+            ("Ctx0 AND EXISTS knows.Ctx0", "Ctx0"),
+        ] {
+            let mut kb = Kb::new();
+            let [ann, bob] = ["ann", "bob"].map(|name| {
+                let u = kb.individual(name);
+                kb.assert_concept_prob(u, concept, 0.5).unwrap();
+                u
+            });
+            kb.assert_role(ann, "knows", bob);
+            let docs: Vec<_> = (0..4)
+                .map(|i| {
+                    let d = kb.individual(&format!("doc{i}"));
+                    kb.assert_concept_prob(d, "Feat0", 0.2 + 0.2 * i as f64)
+                        .unwrap();
+                    d
+                })
+                .collect();
+            let context = kb.parse(context).unwrap();
+            let footprint = kb.tbox.unfold(&context).footprint();
+            assert_eq!(footprint.tables == footprint.own_tables, concept == "Ctx0");
+            let preference = kb.parse("Feat0").unwrap();
+            let mut rules = RuleRepository::new();
+            let rule = PreferenceRule::new("R", context, preference, Score::new(0.8).unwrap());
+            rules.add(rule).unwrap();
+            let service = RankingService::new(LineageEngine::new(), kb, rules);
+            let n = docs.len();
+            let before = service.rank(ann, &docs, n).unwrap();
+            assert_eq!(service.rank(ann, &docs, n).unwrap(), before, "warm");
+            service
+                .assert(bob, Fact::ConceptProb(concept.into(), 0.9))
+                .unwrap();
+            let snap = service.snapshot();
+            let want = cold_rank(snap.kb(), snap.rules(), ann, &docs, n);
+            assert_ne!(want, before, "Bob's {concept} is part of Ann's context");
+            assert_eq!(service.rank(ann, &docs, n).unwrap(), want, "{concept}");
+        }
     }
 
     #[test]

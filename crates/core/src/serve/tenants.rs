@@ -17,7 +17,9 @@
 //! runs a closure under exactly the target shard's lock — so the shard lock
 //! also *is* the per-tenant request serialization the service layer relies
 //! on: two threads ranking the same user cannot interleave inside one
-//! tenant's caches.
+//! tenant's caches. A writer asserting about a user holds that user's shard
+//! ([`TenantSessions::hold`]) across its publish, so no request of theirs
+//! interleaves with it either.
 //!
 //! **LRU cap.** The map holds at most `capacity` live tenants across all
 //! shards; touching a tenant refreshes its recency, and inserting past the
@@ -40,16 +42,21 @@ use capra_dl::IndividualId;
 use crate::hash::{IdHasher, IdMap};
 use crate::session::{SessionCore, SessionStats};
 
-/// One tenant: its user's session core, the publish sequence it was last
-/// bound at and the recency stamp the LRU cap works from.
+/// One tenant: its user's session core, its mark — the shared sequence its
+/// bindings are current at — and the recency stamp the LRU cap works from.
 pub(crate) struct Tenant {
     /// The user's caches and the request path over them; every caller
     /// binds it for the user the tenant is keyed by.
     pub session: SessionCore,
-    /// The publish sequence of the snapshot `session`'s bindings were last
-    /// bound against; `None` until the first bind. Every path that binds
-    /// the tenant sets it, so while it equals the published sequence the
-    /// bindings are current without a bind.
+    /// The *shared* publish sequence of the snapshot `session`'s bindings
+    /// were last bound against, set only if that snapshot was still the
+    /// published one when the bind was recorded; `None` until then, after
+    /// a bind against a superseded snapshot, and after an own-row assert
+    /// about this user, whose writer clears it under the shard lock
+    /// ([`Hold::unmark`]). Every path that binds the tenant sets it, so
+    /// while it equals the published shared sequence no publish since has
+    /// moved anything the bindings read, and they are current without a
+    /// bind.
     pub bound_at: Option<u64>,
     /// Logical timestamp of the last access (global clock tick).
     last_used: u64,
@@ -75,6 +82,22 @@ impl Tenant {
 
 /// One shard: the tenants that hash here, behind this shard's own lock.
 type Shard = IdMap<IndividualId, Tenant>;
+
+/// One user's shard, held by a writer (see [`TenantSessions::hold`]).
+pub(crate) struct Hold<'a> {
+    shard: MutexGuard<'a, Shard>,
+    user: IndividualId,
+}
+
+impl Hold<'_> {
+    /// Clears the held user's mark, if they have a live tenant: their
+    /// next full page binds against what the writer published.
+    pub fn unmark(&mut self) {
+        if let Some(tenant) = self.shard.get_mut(&self.user) {
+            tenant.bound_at = None;
+        }
+    }
+}
 
 /// The sharded tenant map (see module docs).
 pub(crate) struct TenantSessions {
@@ -191,6 +214,17 @@ impl TenantSessions {
         let tenant = shard.get_mut(&user).expect("tenant just ensured live");
         tenant.last_used = now;
         f(tenant)
+    }
+
+    /// Locks `user`'s shard for a writer — which holds it across an
+    /// assert's apply and publish, and clears the user's mark through it —
+    /// creating no tenant and counting nothing: [`TenantSessions::lock_counts`]
+    /// counts requests' acquisitions.
+    pub fn hold(&self, user: IndividualId) -> Hold<'_> {
+        let shard = self.shards[self.shard_of(user)]
+            .lock()
+            .expect("shard lock poisoned");
+        Hold { shard, user }
     }
 
     /// The tenant's cache counters, if it is currently live.

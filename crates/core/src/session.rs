@@ -73,7 +73,7 @@ use crate::bind::RuleBinding;
 use crate::engines::{self, DocScore, EvalScratch, ScoringEngine};
 use crate::hash::IdMap;
 use crate::topk::rank_top_k_bound;
-use crate::{Kb, PreferenceRule, Result, ScoringEnv};
+use crate::{Kb, PreferenceRule, Result, RuleRepository, ScoringEnv};
 
 /// Hit/miss counters of one cache layer, as returned by the `stats()`
 /// methods of [`BindingCache`] and the score cache. Counters reset to zero
@@ -205,6 +205,24 @@ struct RuleDef {
     /// Every table behind either unfolded concept, sorted: while none of
     /// them moves, neither does the rule's plan.
     tables: Vec<Table>,
+    /// The part of `tables` read of anyone but the asker: the preference's
+    /// tables, and the context's unless it reads only the asker's own rows
+    /// ([`reads_only_own_rows`]). Sorted. A row that moves in none of them
+    /// moves this rule's binding for its own individual alone.
+    shared: Vec<Table>,
+}
+
+/// Whether a context reads nothing but the asked individual's own concept
+/// rows: every table behind it is a concept table. That is a footprint
+/// whose `tables` are its `own_tables`, with no own nominal — and with no
+/// restricted role either, because a restriction's filler is read of the
+/// edges' targets under names the footprint does not tell apart from the
+/// asker's own (`A AND EXISTS r.A` has one table `A` for both).
+fn reads_only_own_rows(footprint: &Footprint) -> bool {
+    footprint
+        .tables
+        .iter()
+        .all(|table| matches!(table, Table::Concept(_)))
 }
 
 impl RuleDef {
@@ -212,10 +230,17 @@ impl RuleDef {
         let context_unfolded = kb.tbox.unfold(&rule.context);
         let preference_unfolded = kb.tbox.unfold(&rule.preference);
         let context_footprint = context_unfolded.footprint();
-        let mut tables = preference_unfolded.footprint().tables;
-        tables.extend_from_slice(&context_footprint.tables);
-        tables.sort_unstable();
-        tables.dedup();
+        let preference_tables = preference_unfolded.footprint().tables;
+        let mut tables = [&preference_tables[..], &context_footprint.tables].concat();
+        let mut shared = if reads_only_own_rows(&context_footprint) {
+            preference_tables
+        } else {
+            tables.clone()
+        };
+        for tables in [&mut tables, &mut shared] {
+            tables.sort_unstable();
+            tables.dedup();
+        }
         RuleDef {
             name: rule.name.clone(),
             sigma: rule.sigma.get(),
@@ -225,6 +250,7 @@ impl RuleDef {
             preference_unfolded,
             context_footprint,
             tables,
+            shared,
         }
     }
 
@@ -478,6 +504,46 @@ impl PlanSlot {
             _ => *latest = Some(Arc::clone(&set)),
         }
         set
+    }
+}
+
+/// The tables through which an ABox mutation can move the binding of
+/// anyone but the individual whose rows it wrote, for one `(KB,
+/// terminology, rules)`: every rule's [`RuleDef`] shared tables, unfolded
+/// as a plan set unfolds them, and the domain. Built again only when the
+/// KB's identity, its TBox epoch or the rules' stamp moved.
+#[derive(Default)]
+pub(crate) struct SharedTables {
+    /// `Kb::id`, `TBox::epoch` and the rules' stamp `tables` is for.
+    key: Option<(u64, u64, u64)>,
+    /// Sorted.
+    tables: Vec<Table>,
+}
+
+impl SharedTables {
+    /// Whether none of `moved`, tables that moved on `kb` under `rules`,
+    /// is shared: then a mutation that wrote one individual's rows moved
+    /// no binding but that individual's.
+    pub(crate) fn misses(
+        &mut self,
+        kb: &Kb,
+        rules: &RuleRepository,
+        mut moved: impl Iterator<Item = Table>,
+    ) -> bool {
+        let key = (kb.id(), kb.tbox.epoch(), rules.stamp());
+        if self.key != Some(key) {
+            let mut tables = vec![Table::Domain];
+            for rule in rules.rules() {
+                tables.extend(RuleDef::unfold(kb, rule).shared);
+            }
+            tables.sort_unstable();
+            tables.dedup();
+            *self = SharedTables {
+                key: Some(key),
+                tables,
+            };
+        }
+        moved.all(|table| self.tables.binary_search(&table).is_err())
     }
 }
 
@@ -817,8 +883,9 @@ impl ScoreTally {
 ///
 /// A core is one user's; its owner keys it. [`ScoringSession`] keeps one
 /// per user it has seen, and a tenant of [`crate::serve::RankingService`]
-/// *is* one (plus an LRU stamp and the publish sequence it was last bound
-/// at), so a warm tenant's bindings and score entry are read in place.
+/// *is* one (plus an LRU stamp and its mark, the shared publish sequence
+/// its bindings are current at), so a warm tenant's bindings and score
+/// entry are read in place.
 /// The entries are a `Vec`, searched by engine: a service scores with one
 /// engine, a session with the few it is handed.
 ///
@@ -869,7 +936,7 @@ impl SessionCore {
     /// the binding and score hits that bind and read-through count.
     /// Anything else changes nothing and is `None`. The caller vouches that
     /// nothing the user was bound against has moved since (the service: the
-    /// publish sequence the tenant was bound at is still the published one).
+    /// tenant's mark is still the published shared sequence).
     pub(crate) fn rank_warm<E>(
         &mut self,
         engine: &E,

@@ -41,7 +41,7 @@ use capra::core::{BindingCache, MAX_AGE};
 use capra::dl::IndividualId;
 use capra::prelude::*;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier};
 use std::thread;
 
@@ -352,6 +352,86 @@ fn a_rank_after_an_assert_sees_the_assert() {
                             .unwrap();
                         barrier.wait();
                     });
+                });
+            }
+        }
+    }
+}
+
+/// A context switch leaves bystanders right. A writer switches one
+/// user's context again and again — own-row asserts, which move no other
+/// tenant's mark — while readers rank every other user's full page,
+/// directly and in coalesced `submit` runs that also carry the switching
+/// user's page (bound, mid-run, against snapshots the writer keeps
+/// superseding). Every bystander page is its cold page, bit for bit,
+/// throughout; after a [`Barrier`], the switching user's page is the cold
+/// page on the published state, which holds the last switch.
+#[test]
+fn bystanders_stay_right_while_one_user_switches_context() {
+    const SWITCHES: usize = 64;
+    const READERS: usize = 2;
+    for iter in 0..stress_iters() {
+        for shards in [1, 2, 4] {
+            for (name, engine) in engines() {
+                let context = format!("{name} shards {shards} iter {iter}");
+                let (kb, rules, users, docs) = fixture();
+                let config = ServiceConfig {
+                    shards,
+                    ..ServiceConfig::default()
+                };
+                let service = RankingService::with_config(engine, kb, rules, config);
+                let (&switcher, bystanders) = users.split_first().unwrap();
+                let cold: Vec<_> = bystanders
+                    .iter()
+                    .map(|&user| cold_page(&service, user, &docs))
+                    .collect();
+                let writing = AtomicBool::new(true);
+                let barrier = Barrier::new(READERS + 1);
+                thread::scope(|scope| {
+                    for reader in 0..READERS {
+                        let (service, docs, cold, context) = (&service, &docs, &cold, &context);
+                        let (writing, barrier) = (&writing, &barrier);
+                        scope.spawn(move || {
+                            let mut rounds = 0;
+                            while rounds == 0 || writing.load(Ordering::Acquire) {
+                                for (&user, want) in bystanders.iter().zip(cold) {
+                                    let got = service.rank(user, docs, N_DOCS).unwrap();
+                                    assert_same_ranks(&format!("{context} rank"), want, &got);
+                                }
+                                let mut members = bystanders.to_vec();
+                                members.insert((reader + rounds) % members.len(), switcher);
+                                let run = members.iter().map(|&user| Request::Rank {
+                                    user,
+                                    docs: docs.clone(),
+                                    k: N_DOCS,
+                                });
+                                for (user, response) in members.iter().zip(service.submit(run)) {
+                                    let got = response.unwrap();
+                                    if let Some(at) = bystanders.iter().position(|u| u == user) {
+                                        let got = got.ranked().unwrap();
+                                        assert_same_ranks(
+                                            &format!("{context} run"),
+                                            &cold[at],
+                                            got,
+                                        );
+                                    }
+                                }
+                                rounds += 1;
+                            }
+                            barrier.wait();
+                        });
+                    }
+                    for i in 0..SWITCHES {
+                        let p = 0.05 + 0.9 * ((i + iter as usize) % 10) as f64 / 10.0;
+                        let fact = Fact::ConceptProb(format!("Ctx{}", i % N_FEATS), p);
+                        service.assert(switcher, fact).unwrap();
+                        thread::yield_now();
+                    }
+                    writing.store(false, Ordering::Release);
+                    barrier.wait();
+                    let got = service.rank(switcher, &docs, N_DOCS).unwrap();
+                    let want = cold_page(&service, switcher, &docs);
+                    assert_same_ranks(&format!("{context}: the last switch"), &want, &got);
                 });
             }
         }
