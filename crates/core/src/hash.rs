@@ -8,8 +8,8 @@
 //! the workspace's one word mixer, [`capra_events::hashers::MixHasher`]
 //! (the ABox's tables beneath them do too). No result depends on the order
 //! of these maps: what iterates one sums counters, except for two readers
-//! of the tenant shards — `TenantSessions::evict_lru`, which takes the
-//! minimum over recency stamps that are unique, and `live_users`, whose
+//! of the tenant shards — `Shard::pop_lru`, which takes the minimum over
+//! recency stamps that are unique within the shard, and `live_users`, whose
 //! callers treat the ids as a set (and which iterated a `RandomState` map
 //! before).
 

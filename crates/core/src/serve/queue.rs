@@ -754,9 +754,9 @@ mod tests {
             (*lineage.kb()).clone_for_publish(),
             (*lineage.rules()).clone(),
         ));
-        // The panic poisons the shard of the tenant it ran under, and a
-        // first sight locks every shard: warm every tenant, and find one
-        // whose shard differs from the panicking tenant's.
+        // The panic poisons the shard of the tenant it ran under: warm
+        // every tenant, and find one whose shard differs from the
+        // panicking tenant's by the shard lock its warm rank takes.
         let safe = &docs[1..];
         let shard_of = |user| {
             service.rank(user, safe, safe.len()).unwrap();

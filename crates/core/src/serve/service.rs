@@ -237,8 +237,9 @@ pub struct ServiceConfig {
     /// its own lock, so shards are the unit of tenant-level concurrency:
     /// requests for users in different shards proceed in parallel.
     pub shards: usize,
-    /// Maximum live tenant sessions across all shards (≥ 1); inserting
-    /// past the cap evicts the least-recently-used tenant. Eviction only
+    /// Maximum live tenant sessions across all shards (≥ 1), none evicted
+    /// below it; at the cap an insert evicts its shard's least-recently-used
+    /// tenant (or the next such shard's, if its own is empty). Eviction only
     /// forces a deterministic re-derivation on the tenant's next request.
     pub max_sessions: usize,
     /// Accepted and ignored since PR 20; deleted once the benchmark stops
@@ -290,7 +291,8 @@ pub struct ServiceStats {
     pub sessions_evicted: u64,
     /// `rank`/`rank_group` requests *received* (batched or direct),
     /// whether they succeeded or returned an error — the denominator for
-    /// request-level error rates.
+    /// request-level error rates. Each is counted under the shard lock it
+    /// takes (a group's under its first member's).
     pub rank_requests: u64,
     /// Facts *successfully recorded* (batched or direct); rejected facts
     /// (e.g. an invalid probability) mutate nothing and do not count.
@@ -301,11 +303,10 @@ pub struct ServiceStats {
     pub coalesced_runs: u64,
     /// Tenant-shard lock acquisitions by requests, summed over shards
     /// (the per-shard breakdown is [`RankingService::shard_lock_counts`]).
-    /// The warm path takes exactly one lock per request, so this racing
-    /// far ahead of `rank_requests` flags first-sight churn: every first
-    /// sight of a tenant locks every shard, to keep the global LRU exact,
-    /// and at the cap scans them all for the victim. A writer's hold of
-    /// an assert's subject's shard is not counted.
+    /// A single-user request takes one lock, first sight or warm, a group
+    /// one per member; more flags evictions at the cap from an empty
+    /// shard, which lock the next shards for a victim. `stats` counts its
+    /// own walk of the shards; a writer's hold of a shard is not counted.
     pub shard_lock_acquisitions: u64,
     /// Counters of the batching front-end queue (all zero for a service
     /// driven directly; populated by
@@ -412,7 +413,6 @@ pub struct RankingService<E> {
     loads: AtomicU64,
     tenants: TenantSessions,
     pool: ScratchPool,
-    rank_requests: AtomicU64,
     asserts: AtomicU64,
     coalesced_runs: AtomicU64,
     /// Serializes all mutations and owns the WAL (see [`WriterState`]).
@@ -456,7 +456,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             loads: AtomicU64::new(0),
             tenants: TenantSessions::new(config.shards, config.max_sessions),
             pool: ScratchPool::default(),
-            rank_requests: AtomicU64::new(0),
             asserts: AtomicU64::new(0),
             coalesced_runs: AtomicU64::new(0),
             writer: Mutex::new(WriterState {
@@ -578,7 +577,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                 user,
             };
             self.tenants
-                .with_session(user, |tenant| tenant.session.bind(&env));
+                .with_session(user, false, |tenant| tenant.session.bind(&env));
         }
         let published = self.published.get_mut().expect("published lock poisoned");
         published.kb = Arc::new(kb);
@@ -1086,8 +1085,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         k: usize,
         scratch: &mut Option<EvalScratch>,
     ) -> Result<Vec<DocScore>> {
-        self.rank_requests.fetch_add(1, Ordering::Relaxed);
-        self.tenants.with_session(user, |tenant| {
+        self.tenants.with_session(user, true, |tenant| {
             if k >= docs.len() {
                 let current = match run {
                     None => tenant.bound_at == Some(self.seqs.shared.load(Ordering::Acquire)),
@@ -1134,11 +1132,14 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         strategy: &GroupStrategy,
         scratch: &mut Option<EvalScratch>,
     ) -> Result<Vec<DocScore>> {
-        self.rank_requests.fetch_add(1, Ordering::Relaxed);
+        if users.is_empty() {
+            self.tenants.count_rank();
+        }
         let per_user = users
             .iter()
-            .map(|&user| {
-                self.tenants.with_session(user, |tenant| {
+            .enumerate()
+            .map(|(i, &user)| {
+                self.tenants.with_session(user, i == 0, |tenant| {
                     tenant.bound_at = self.seqs.mark(snap);
                     tenant
                         .session
@@ -1158,25 +1159,21 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// traffic the totals are a near-point-in-time reading of monotone
     /// counters, not a frozen cut.
     pub fn stats(&self) -> ServiceStats {
-        let mut sessions = self.tenants.total_stats();
-        sessions.footprint = self.pool.footprint();
-        sessions.batch = self.pool.batch_stats();
+        let mut stats = self.tenants.stats();
+        stats.sessions.footprint = self.pool.footprint();
+        stats.sessions.batch = self.pool.batch_stats();
         ServiceStats {
-            sessions_live: self.tenants.live(),
-            sessions_evicted: self.tenants.evicted(),
-            rank_requests: self.rank_requests.load(Ordering::Relaxed),
             asserts: self.asserts.load(Ordering::Relaxed),
             coalesced_runs: self.coalesced_runs.load(Ordering::Relaxed),
-            shard_lock_acquisitions: self.tenants.lock_counts().iter().sum(),
-            queue: QueueStats::default(),
             wal: *self.wal_stats.lock().expect("wal stats lock poisoned"),
-            sessions,
+            ..stats
         }
     }
 
     /// Shard-lock acquisition counts, one per tenant shard (index order
-    /// matches the shard layout). A hot shard — one counter racing ahead
-    /// of its siblings — means its tenants contend; re-shard or re-key.
+    /// matches the shard layout), read without counting. A hot shard —
+    /// one counter racing ahead of its siblings — means its tenants
+    /// contend; re-shard or re-key.
     pub fn shard_lock_counts(&self) -> Vec<u64> {
         self.tenants.lock_counts()
     }
@@ -1205,7 +1202,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     pub fn clear(&mut self) {
         self.tenants.clear();
         self.pool = ScratchPool::default();
-        *self.rank_requests.get_mut() = 0;
         *self.asserts.get_mut() = 0;
         *self.coalesced_runs.get_mut() = 0;
         *self.wal_stats.get_mut().expect("wal stats lock poisoned") = WalStats::default();
@@ -1591,16 +1587,30 @@ mod tests {
 
     #[test]
     fn a_warm_group_request_takes_one_shard_lock_per_member() {
-        let (kb, rules, users, docs) = fixture(4, 10);
+        let (kb, rules, users, docs) = fixture(5, 10);
+        let (stranger, users) = (users[4], &users[..4]);
         let service = RankingService::new(LineageEngine::new(), kb, rules);
         let strategy = GroupStrategy::Product;
-        // First sight inserts every member (an all-shard sweep each).
-        let cold = service.rank_group(&users, &docs, 3, &strategy).unwrap();
-        let before = service.stats();
-        let warm = service.rank_group(&users, &docs, 3, &strategy).unwrap();
-        // `stats()` itself sweeps every shard once for the tenant totals.
+        // `stats()` itself sweeps every shard once for the tenant totals,
+        // and reading the per-shard counts takes nothing it counts.
         let sweep = service.shard_lock_counts().len() as u64;
+        let (first, second) = (service.stats(), service.stats());
+        assert_eq!(
+            second.shard_lock_acquisitions - first.shard_lock_acquisitions,
+            sweep
+        );
+        // First sight inserts every member under its own shard lock alone.
+        let cold = service.rank_group(users, &docs, 3, &strategy).unwrap();
+        let before = service.stats();
+        assert_eq!(
+            before.shard_lock_acquisitions - second.shard_lock_acquisitions - sweep,
+            users.len() as u64,
+            "a first-sight member costs one shard lock too"
+        );
+        assert_eq!(before.rank_requests, 1, "a group counts once");
+        let warm = service.rank_group(users, &docs, 3, &strategy).unwrap();
         let after = service.stats();
+        assert_eq!(after.rank_requests, 2);
         assert_eq!(cold, warm);
         assert_eq!(
             after.shard_lock_acquisitions - before.shard_lock_acquisitions - sweep,
@@ -1637,6 +1647,116 @@ mod tests {
             "a missing single-user rank costs exactly one shard lock"
         );
         assert_eq!(loads(), loaded + 1, "and one snapshot load");
+        // ... and on a first sight, which inserts the tenant under it.
+        let missed = service.stats();
+        service.rank(stranger, &docs, docs.len()).unwrap();
+        let seen = service.stats();
+        assert_eq!(
+            seen.shard_lock_acquisitions - missed.shard_lock_acquisitions - sweep,
+            1,
+            "a first-sight single-user rank costs exactly one shard lock"
+        );
+        assert_eq!(seen.rank_requests - missed.rank_requests, 1);
+        assert_eq!(seen.sessions_live, users.len() + 1);
+        // An empty group locks no tenant's shard, and still counts.
+        assert!(service
+            .rank_group(&[], &docs, 3, &strategy)
+            .unwrap()
+            .is_empty());
+        let empty = service.stats();
+        assert_eq!(empty.rank_requests - seen.rank_requests, 1);
+        assert_eq!(
+            empty.shard_lock_acquisitions - seen.shard_lock_acquisitions - sweep,
+            0
+        );
+    }
+
+    /// Scores as `LineageEngine`, and panics on its `panic_at`-th call.
+    struct PanicsAt {
+        inner: LineageEngine,
+        calls: AtomicU64,
+        panic_at: AtomicU64,
+    }
+
+    impl ScoringEngine for PanicsAt {
+        fn name(&self) -> &'static str {
+            "panics-at"
+        }
+
+        fn score_all_bound(
+            &self,
+            env: &ScoringEnv<'_>,
+            bindings: &[Arc<crate::RuleBinding>],
+            docs: &[IndividualId],
+            scratch: &mut EvalScratch,
+        ) -> Result<Vec<DocScore>> {
+            let call = self.calls.fetch_add(1, Ordering::Relaxed) + 1;
+            assert_ne!(call, self.panic_at.load(Ordering::Relaxed), "injected");
+            self.inner.score_all_bound(env, bindings, docs, scratch)
+        }
+    }
+
+    /// A panic under a shard lock poisons that shard; the next request to
+    /// reach it drops the shard's tenants and goes on, so every user there
+    /// ranks as before — bit-identically to the cold oracle.
+    #[test]
+    fn a_poisoned_shard_recovers_by_dropping_its_tenants() {
+        let (kb, rules, users, docs) = fixture(12, 8);
+        let engine = PanicsAt {
+            inner: LineageEngine::new(),
+            calls: AtomicU64::new(0),
+            panic_at: AtomicU64::new(u64::MAX),
+        };
+        let service = RankingService::with_config(
+            engine,
+            kb,
+            rules.clone(),
+            ServiceConfig {
+                shards: 2,
+                ..ServiceConfig::default()
+            },
+        );
+        // Warm every user, noting the shard each one's rank locks.
+        let shard_of = |user| {
+            let before = service.shard_lock_counts();
+            service.rank(user, &docs, docs.len()).unwrap();
+            let after = service.shard_lock_counts();
+            (0..after.len()).find(|&i| after[i] != before[i]).unwrap()
+        };
+        let shards: Vec<usize> = users.iter().map(|&user| shard_of(user)).collect();
+        let victim = shards[0];
+        let neighbours: Vec<_> = (0..users.len()).filter(|&i| shards[i] == victim).collect();
+        assert!(neighbours.len() > 1, "the victim's shard holds others too");
+        let live = service.stats().sessions_live;
+        assert_eq!(live, users.len());
+
+        // A context switch sends the user's next page to the engine.
+        service
+            .assert(users[0], Fact::ConceptProb("Ctx0".into(), 0.9))
+            .unwrap();
+        let calls = service.engine().calls.load(Ordering::Relaxed);
+        service
+            .engine()
+            .panic_at
+            .store(calls + 1, Ordering::Relaxed);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            service.rank(users[0], &docs, docs.len())
+        }));
+        assert!(panicked.is_err(), "the engine's panic reaches the caller");
+
+        let stats = service.stats();
+        assert_eq!(stats.sessions_live, live - neighbours.len());
+        assert_eq!(stats.sessions_evicted, 0, "dropped, not evicted");
+        for &i in &neighbours {
+            let want = cold_rank(&service.kb(), &rules, users[i], &docs, docs.len());
+            let got = service.rank(users[i], &docs, docs.len()).unwrap();
+            assert_eq!(want.len(), got.len());
+            for (a, b) in want.iter().zip(&got) {
+                assert_eq!(a.doc, b.doc, "user {i}");
+                assert_eq!(a.score.to_bits(), b.score.to_bits(), "user {i}");
+            }
+        }
+        assert_eq!(service.stats().sessions_live, live);
     }
 
     /// The shared sequence stands in for the snapshot on a warm page: `N`
@@ -1985,7 +2105,7 @@ mod tests {
             let snap = service.snapshot();
             service
                 .tenants
-                .with_session(ann, |tenant| tenant.session.bind(&snap.env(ann)))
+                .with_session(ann, false, |tenant| tenant.session.bind(&snap.env(ann)))
         };
         let composite = |g: &EventExpr| matches!(g, EventExpr::Or(_) | EventExpr::Not(_));
         assert!(bound().iter().all(|b| composite(&b.context_event)));
@@ -2191,7 +2311,7 @@ mod tests {
             let snap = service.snapshot();
             service
                 .tenants
-                .with_session(user, |tenant| tenant.session.bind(&snap.env(user)))
+                .with_session(user, false, |tenant| tenant.session.bind(&snap.env(user)))
         };
         let held = [ann, bob].map(bound);
         service
@@ -2243,9 +2363,9 @@ mod tests {
         );
         let snap = service.snapshot();
         let [a, b] = shoppers.map(|shopper| {
-            service
-                .tenants
-                .with_session(shopper, |tenant| tenant.session.bind(&snap.env(shopper)))
+            service.tenants.with_session(shopper, false, |tenant| {
+                tenant.session.bind(&snap.env(shopper))
+            })
         });
         for (x, y) in a.iter().zip(b.iter()) {
             assert!(
@@ -2294,7 +2414,7 @@ mod tests {
             let snap = service.snapshot();
             service
                 .tenants
-                .with_session(user, |tenant| tenant.session.bind(&snap.env(user)))
+                .with_session(user, false, |tenant| tenant.session.bind(&snap.env(user)))
         };
         let named = |bindings: &[Arc<crate::RuleBinding>], name: &str| {
             Arc::clone(bindings.iter().find(|b| b.name == name).unwrap())

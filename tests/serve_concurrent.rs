@@ -537,6 +537,75 @@ fn a_first_sight_storm_converges_on_one_plan_per_state() {
     }
 }
 
+/// First sights at the cap: threads rank more never-seen users than the
+/// service keeps, so nearly every request evicts — from its own shard, or
+/// from the next shard that has a tenant when its own has none (16 shards
+/// over a cap of 4 leave most shards empty). Recency is per shard and no
+/// request holds two shard locks, so evictions race inserts across shards;
+/// every answer is still the cold page, and after the join no more
+/// tenants are live than the cap.
+#[test]
+fn first_sights_at_the_cap_stay_right_and_under_it() {
+    const THREADS: usize = 3;
+    const STRANGERS: usize = 18;
+    const CAP: usize = 4;
+    for iter in 0..stress_iters() {
+        for shards in [4, 16] {
+            for (name, engine) in engines() {
+                let context = format!("{name} shards {shards} iter {iter}");
+                let (mut kb, rules, _, docs) = fixture();
+                let strangers: Vec<_> = (0..STRANGERS)
+                    .map(|s| {
+                        let stranger = kb.individual(&format!("stranger{s}"));
+                        let p = 0.1 + 0.8 * s as f64 / STRANGERS as f64;
+                        kb.assert_concept_prob(stranger, &format!("Ctx{}", s % 2), p)
+                            .unwrap();
+                        stranger
+                    })
+                    .collect();
+                let config = ServiceConfig {
+                    shards,
+                    max_sessions: CAP,
+                    ..ServiceConfig::default()
+                };
+                let service = RankingService::with_config(engine, kb, rules, config);
+                let cold: Vec<_> = strangers
+                    .iter()
+                    .map(|&user| cold_page(&service, user, &docs))
+                    .collect();
+                let start = Barrier::new(THREADS);
+                thread::scope(|scope| {
+                    for t in 0..THREADS {
+                        let (service, docs, cold, context) = (&service, &docs, &cold, &context);
+                        let (strangers, start) = (&strangers, &start);
+                        scope.spawn(move || {
+                            start.wait();
+                            for round in 0..2 {
+                                for i in 0..STRANGERS {
+                                    // Each thread walks the strangers from
+                                    // its own offset; half its pages cut.
+                                    let at =
+                                        (i + t * STRANGERS / THREADS + iter as usize) % STRANGERS;
+                                    let k = if (i + round) % 2 == 0 { N_DOCS } else { 2 };
+                                    let got = service.rank(strangers[at], docs, k).unwrap();
+                                    assert_same_ranks(
+                                        &format!("{context} stranger {at} k {k}"),
+                                        &cold[at][..k],
+                                        &got,
+                                    );
+                                }
+                            }
+                        });
+                    }
+                });
+                let stats = service.stats();
+                assert!(stats.sessions_live <= CAP, "{context}: {stats:?}");
+                assert!(stats.sessions_evicted > 0, "{context}: the cap was reached");
+            }
+        }
+    }
+}
+
 /// Fresh scratch directory, unique per test and per process.
 fn scratch(tag: &str) -> PathBuf {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
