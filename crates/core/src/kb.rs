@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -179,10 +180,7 @@ impl Kb {
         p: f64,
     ) -> Result<VarId> {
         let c = self.voc.concept(concept);
-        let var = self.fresh_var(
-            &format!("c:{}:{}", concept, self.voc.individual_name(ind)),
-            p,
-        )?;
+        let var = self.fresh_var(["c", concept, self.voc.individual_name(ind)].join(":"), p)?;
         let event = self.universe.bool_event(var)?;
         self.abox.assert_concept(ind, c, event);
         Ok(var)
@@ -204,15 +202,8 @@ impl Kb {
         p: f64,
     ) -> Result<VarId> {
         let r = self.voc.role(role);
-        let var = self.fresh_var(
-            &format!(
-                "r:{}:{}:{}",
-                role,
-                self.voc.individual_name(src),
-                self.voc.individual_name(dst)
-            ),
-            p,
-        )?;
+        let (src_name, dst_name) = (self.voc.individual_name(src), self.voc.individual_name(dst));
+        let var = self.fresh_var(["r", role, src_name, dst_name].join(":"), p)?;
         let event = self.universe.bool_event(var)?;
         self.abox.assert_role(src, r, dst, event);
         Ok(var)
@@ -259,7 +250,8 @@ impl Kb {
     /// of one repository resolved against one state of this KB — shared,
     /// like [`Kb::views`], by every [`crate::BindingCache`] that binds
     /// against this KB or a publish-chain successor. Binders accept what it
-    /// holds only on equality with their own KB state and rules.
+    /// holds for their own rules and terminology, at its KB state or a
+    /// later one that moved none of the tables its plans share.
     pub(crate) fn plans(&self) -> &PlanSlot {
         &self.plans
     }
@@ -273,23 +265,42 @@ impl Kb {
         &self.rows
     }
 
-    fn fresh_var(&mut self, base: &str, p: f64) -> Result<VarId> {
+    fn fresh_var(&mut self, base: String, p: f64) -> Result<VarId> {
         // Assertion events need unique variable names; suffix with a counter
         // when the natural name is taken (e.g. repeated assertions). The
-        // next suffix to try is remembered per base, so a run of repeated
-        // assertions probes once each instead of rescanning from `~1`; the
-        // loop only advances past names the caller declared manually.
-        if self.universe.var(base).is_none() {
-            return Ok(self.universe.add_bool(base, p)?);
+        // next suffix to try is remembered per base, and a base with a
+        // counter is known to be taken, so a run of repeated assertions
+        // probes the universe once each; the loop only advances past names
+        // the caller declared manually. A free name becomes the universe's
+        // key as it is, so it is built at its exact length (`join`, and
+        // `suffixed`'s capacity), not with `format!`'s spare room.
+        if let Some(next) = self.fresh_suffix.get_mut(base.as_str()) {
+            return suffixed(&mut self.universe, &base, next, p);
         }
-        let next = self.fresh_suffix.entry(base.to_string()).or_insert(1);
-        let mut name = format!("{base}~{next}");
-        while self.universe.var(&name).is_some() {
-            *next += 1;
-            name = format!("{base}~{next}");
+        let (var, declared) = self.universe.declare_bool(base, p)?;
+        if declared {
+            return Ok(var);
         }
+        let base = self.universe.name(var)?.to_string();
+        let next = self.fresh_suffix.entry(base.clone()).or_insert(1);
+        suffixed(&mut self.universe, &base, next, p)
+    }
+}
+
+/// Declares `{base}~{n}` for the first `n` from `*next` on that names no
+/// variable yet, and moves `*next` past it.
+fn suffixed(universe: &mut Universe, base: &str, next: &mut u32, p: f64) -> Result<VarId> {
+    loop {
+        let digits = next.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut name = String::with_capacity(base.len() + 1 + digits);
+        name.push_str(base);
+        name.push('~');
+        write!(name, "{next}").expect("a String takes any write");
         *next += 1;
-        Ok(self.universe.add_bool(&name, p)?)
+        let (var, declared) = universe.declare_bool(name, p)?;
+        if declared {
+            return Ok(var);
+        }
     }
 }
 
@@ -341,6 +352,22 @@ mod tests {
         }
         assert_eq!(vars.len(), 500, "all minted variables are distinct");
         assert!(kb.universe.var("c:C:x~4").is_some());
+        // The names, byte for byte: the base, then its suffixes in order
+        // around the squatter.
+        let names: Vec<&str> = vars
+            .iter()
+            .take(5)
+            .map(|&v| kb.universe.name(v).unwrap())
+            .collect();
+        assert_eq!(names, ["c:C:x", "c:C:x~1", "c:C:x~2", "c:C:x~4", "c:C:x~5"]);
+        assert_eq!(
+            kb.universe.name(*vars.last().unwrap()).unwrap(),
+            "c:C:x~500"
+        );
+        // A base taken by a manual declaration starts its suffixes at `~1`.
+        kb.universe.add_bool("c:D:x", 0.5).unwrap();
+        let d = kb.assert_concept_prob(x, "D", 0.5).unwrap();
+        assert_eq!(kb.universe.name(d).unwrap(), "c:D:x~1");
     }
 
     #[test]

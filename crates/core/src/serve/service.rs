@@ -208,7 +208,9 @@ enum Moved {
 /// terminology and the rules stand and no table it moved
 /// ([`capra_dl::ABox::moved_since`]) is shared — read by a preference
 /// view, by a context beyond the asker's own rows, or the domain
-/// ([`SharedTables`]): then only the subject's bindings can have moved.
+/// ([`SharedTables`]): then only the subject's bindings can have moved,
+/// and every binder keeps the plan set published before it, whose
+/// acceptance reads the same tables.
 /// Everything else that moved the KB's epoch or the rules is shared.
 fn classify(
     tables: &mut SharedTables,
@@ -2396,14 +2398,89 @@ mod tests {
             "50 first sights: one resolve, and `Feat0`, `Feat1` and their \
              conjunction derived once"
         );
-        // A context switch moves the epoch and no preference table: one
-        // more resolve, however many tenants rank after it, and no view.
+        // A context switch moves the epoch and only its subject's own row,
+        // which no plan reads as shared: the set is kept, so nobody who
+        // ranks after it resolves, and no view is derived.
         service
             .assert(users[7], Fact::ConceptProb("Ctx0".into(), 0.9))
             .unwrap();
         rank_all();
         rank_all();
-        assert_eq!(counters(), (2, 3));
+        assert_eq!(counters(), (1, 3));
+        // A document's feature is shared: one more resolve however many
+        // tenants rank after it, and the two views over `Feat1` derived
+        // again once.
+        service
+            .assert(docs[2], Fact::ConceptProb("Feat1".into(), 0.5))
+            .unwrap();
+        rank_all();
+        rank_all();
+        assert_eq!(counters(), (2, 5));
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The writer's classification and the binders' plan set read one
+        /// table set ([`crate::session`]'s `shared_tables`): an assert
+        /// leaves the shared sequence where it was exactly when the plan
+        /// set published before it is still taken after it — whatever the
+        /// rules read of whom, and whoever the assert is about.
+        #[test]
+        fn an_assert_keeps_the_shared_sequence_exactly_when_it_keeps_the_plan_set(
+            shapes in proptest::collection::vec((0usize..7, 0usize..4), 1..4),
+            asserts in proptest::collection::vec((0u8..5, 0usize..3, 0usize..5), 1..10),
+        ) {
+            const CONTEXTS: [&str; 7] = [
+                "Ctx0",
+                "Ctx1 AND Ctx0",
+                "Ctx1 OR Ctx2",
+                "EXISTS knows.Ctx0",
+                "NOT Ctx1",
+                "Ctx0 OR {user0}",
+                "Feat0",
+            ];
+            const PREFERENCES: [&str; 4] = ["Feat0", "Feat0 AND Feat1", "Ctx2", "EXISTS knows.Feat1"];
+            const CONCEPTS: [&str; 5] = ["Ctx0", "Ctx1", "Ctx2", "Feat0", "Feat1"];
+            let (mut kb, _, users, docs) = fixture(3, 3);
+            let mut rules = RuleRepository::new();
+            for (i, (context, preference)) in shapes.into_iter().enumerate() {
+                let rule = PreferenceRule::new(
+                    format!("R{i}"),
+                    kb.parse(CONTEXTS[context]).unwrap(),
+                    kb.parse(PREFERENCES[preference]).unwrap(),
+                    Score::new(0.5).unwrap(),
+                );
+                rules.add(rule).unwrap();
+            }
+            let service = RankingService::new(LineageEngine::new(), kb, rules);
+            for (step, (kind, who, what)) in asserts.into_iter().enumerate() {
+                // A cut page binds whatever the tenant's mark says, so the
+                // slot holds the set of the state the assert starts from.
+                service.rank(users[step % users.len()], &docs, 1).unwrap();
+                let snap = service.snapshot();
+                proptest::prop_assert!(snap.kb().plans().accepts(&snap.env(users[0])));
+                let shared = service.seqs.shared.load(Ordering::Acquire);
+                let subject = if kind == 1 { docs[who] } else { users[who] };
+                match kind {
+                    0 | 1 => service.assert(subject, Fact::ConceptProb(CONCEPTS[what].into(), 0.5)),
+                    2 => service.assert(subject, Fact::Role("knows".into(), users[what % 3])),
+                    3 => service.assert(subject, Fact::Role("knows".into(), docs[what % 3])),
+                    _ => {
+                        service.individual(&format!("newcomer{what}"));
+                        Ok(())
+                    }
+                }
+                .unwrap();
+                let after = service.snapshot();
+                let kept = service.seqs.shared.load(Ordering::Acquire) == shared;
+                proptest::prop_assert_eq!(
+                    after.kb().plans().accepts(&after.env(users[0])),
+                    kept,
+                    "step {}: kind {} about {:?}", step, kind, subject
+                );
+            }
+        }
     }
 
     #[test]

@@ -13,16 +13,20 @@
 //!    `(user, rule)`. The half of a binding that does not depend on the
 //!    user — the rule's definition with its concepts unfolded, the stamps
 //!    of the tables behind them, the preference view — is a *rule plan*,
-//!    resolved once per `(KB state, rule set)` by the first binder after a
-//!    change and shared through the `Kb` by every cache bound to it;
-//!    accepted only on equality of the KB's identity, epochs and rules —
-//!    the repository's stamp ([`crate::RuleRepository`]), or failing that
-//!    every rule's definition. A resolve after asserts re-stamps only the
-//!    plans whose tables the asserts moved ([`capra_dl::ABox::moved_since`])
-//!    and hands the rest on as they were. While a user is bound against the
-//!    same plan set nothing moved, and that is the check. Against a new one
-//!    a binding stays valid unless the mutation touched a table in *that
-//!    rule's* footprint. A context event is looked up only where the
+//!    resolved by the first binder after a change and shared through the
+//!    `Kb` by every cache bound to it; accepted on the KB's identity and
+//!    TBox epoch, the rules — the repository's stamp
+//!    ([`crate::RuleRepository`]), or failing that every rule's definition
+//!    — and an ABox that moved none of the tables the plans read of anyone
+//!    but the asker since the set was resolved. A context switch, which
+//!    moves one user's own rows, keeps the set. A resolve after a shared
+//!    move re-stamps only the plans whose shared tables moved
+//!    ([`capra_dl::ABox::moved_since`]) and hands the rest on as they were.
+//!    While a user is bound against the same plan set, the user's own row
+//!    epochs ([`capra_dl::ABox::own_row_epochs`]) say whether anything of
+//!    theirs moved, and that is the check; a binding is re-derived only
+//!    where a moved row of the user's, or a moved shared table, is in
+//!    *that rule's* footprint. A context event is looked up only where the
 //!    context reads one of the user's own tables or names the user
 //!    ([`capra_dl::Footprint`]) — a point membership; every other user has
 //!    the context's constant *blank*, so a first sight walks the few rules
@@ -66,7 +70,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
-use capra_dl::{Concept, Footprint, IndividualId, Reasoner, Table};
+use capra_dl::{ABox, Concept, Footprint, IndividualId, Reasoner, Table};
 use capra_events::{BatchStats, CacheFootprint, EventExpr};
 
 use crate::bind::RuleBinding;
@@ -202,13 +206,17 @@ struct RuleDef {
     /// What the unfolded context reads of the user, and the context event
     /// of every user it reads nothing of.
     context_footprint: Footprint,
-    /// Every table behind either unfolded concept, sorted: while none of
-    /// them moves, neither does the rule's plan.
-    tables: Vec<Table>,
-    /// The part of `tables` read of anyone but the asker: the preference's
-    /// tables, and the context's unless it reads only the asker's own rows
-    /// ([`reads_only_own_rows`]). Sorted. A row that moves in none of them
-    /// moves this rule's binding for its own individual alone.
+    /// Whether the unfolded context reads nothing but the asker's own
+    /// concept rows ([`reads_only_own_rows`]): then a user's context event
+    /// moves exactly when their rows in its tables do
+    /// ([`capra_dl::ABox::own_row_epochs`]), and the plan's context stamp
+    /// says nothing about it.
+    own_context: bool,
+    /// The tables behind either unfolded concept that are read of anyone
+    /// but the asker: the preference's, and the context's unless
+    /// `own_context`. Sorted. While none of them moves, neither does the
+    /// rule's plan, and a row that moves in none of them moves this rule's
+    /// binding for its own individual alone.
     shared: Vec<Table>,
 }
 
@@ -230,16 +238,12 @@ impl RuleDef {
         let context_unfolded = kb.tbox.unfold(&rule.context);
         let preference_unfolded = kb.tbox.unfold(&rule.preference);
         let context_footprint = context_unfolded.footprint();
-        let preference_tables = preference_unfolded.footprint().tables;
-        let mut tables = [&preference_tables[..], &context_footprint.tables].concat();
-        let mut shared = if reads_only_own_rows(&context_footprint) {
-            preference_tables
-        } else {
-            tables.clone()
-        };
-        for tables in [&mut tables, &mut shared] {
-            tables.sort_unstable();
-            tables.dedup();
+        let own_context = reads_only_own_rows(&context_footprint);
+        let mut shared = preference_unfolded.footprint().tables;
+        if !own_context {
+            shared.extend_from_slice(&context_footprint.tables);
+            shared.sort_unstable();
+            shared.dedup();
         }
         RuleDef {
             name: rule.name.clone(),
@@ -249,7 +253,7 @@ impl RuleDef {
             context_unfolded,
             preference_unfolded,
             context_footprint,
-            tables,
+            own_context,
             shared,
         }
     }
@@ -264,9 +268,9 @@ impl RuleDef {
             && self.preference == rule.preference
     }
 
-    /// Whether none of `moved` is behind the rule's concepts.
-    fn reads_none_of(&self, moved: &[Table]) -> bool {
-        moved.iter().all(|t| self.tables.binary_search(t).is_err())
+    /// Whether none of `moved` is one of the rule's shared tables.
+    fn shares_none_of(&self, moved: &[Table]) -> bool {
+        moved.iter().all(|t| self.shared.binary_search(t).is_err())
     }
 
     /// `user`'s context event when the context reads nothing of them —
@@ -358,8 +362,25 @@ impl RulePlan {
     }
 }
 
+/// The tables through which an ABox mutation can move the binding of
+/// anyone but the individual whose rows it wrote, under the rules `defs`
+/// define: every rule's [`RuleDef`] shared tables, and the domain. Sorted.
+/// The writer classifies asserts by it ([`SharedTables`]) and a plan set is
+/// kept across every move outside it ([`PlanSet::accepts`]), so the two
+/// agree by construction.
+fn shared_tables<'d>(defs: impl IntoIterator<Item = &'d RuleDef>) -> Vec<Table> {
+    let mut tables = vec![Table::Domain];
+    for def in defs {
+        tables.extend_from_slice(&def.shared);
+    }
+    tables.sort_unstable();
+    tables.dedup();
+    tables
+}
+
 /// Every rule of one repository resolved against one KB state, in
-/// repository order — shared by all who bind that repository at that state.
+/// repository order — shared by all who bind that repository at that state
+/// or at a later one that moved none of its shared tables.
 struct PlanSet {
     /// `Kb::id` and `TBox::epoch` every definition in `plans` was unfolded
     /// at. A clone's terminology can differ at an equal epoch, hence both.
@@ -370,24 +391,52 @@ struct PlanSet {
     /// [`crate::RuleRepository`]'s stamp when `plans` was resolved from it.
     rules_stamp: u64,
     plans: Vec<Arc<RulePlan>>,
+    /// [`shared_tables`] of the plans' definitions.
+    shared: Arc<[Table]>,
+    /// The latest ABox epoch of the KB's history found accepted, from
+    /// `abox_epoch` on: every state in between is accepted too, so a later
+    /// check looks only at what moved after it.
+    checked: AtomicU64,
 }
 
 impl PlanSet {
-    /// Whether the set is what [`PlanSet::resolve`] builds for `env`,
-    /// decided by **equality** and never by order: same KB, same ABox and
-    /// TBox epochs, and the rules `env.rules` holds now. Rules live
-    /// outside the KB — a repository can change, or another one come
-    /// along, at an unchanged epoch — so no epoch vouches for them; the
-    /// repository's own stamp does, and where it differs (the same rules
-    /// built twice) the definitions are compared rule for rule.
+    /// Whether the set is what [`PlanSet::resolve`] builds for `env`, or
+    /// binds `env` alike: the same KB and TBox epoch, the rules `env.rules`
+    /// holds now, and an ABox at the set's epoch or later by moves of no
+    /// shared table ([`shared_tables`]) — rows that only their own
+    /// individual's context reads, which the user's binding checks for
+    /// itself ([`capra_dl::ABox::own_row_epochs`]). A KB's states form one
+    /// history, so a later state's tables that moved since an earlier one
+    /// are those [`capra_dl::ABox::moved_since`] reports, and no set from a
+    /// later state is accepted on an earlier one. Rules live outside the
+    /// KB — a repository can change, or another one come along, at an
+    /// unchanged epoch — so no epoch vouches for them; the repository's own
+    /// stamp does, and where it differs (the same rules built twice) the
+    /// definitions are compared rule for rule.
     fn accepts(&self, env: &ScoringEnv<'_>) -> bool {
         let rules = env.rules.rules();
         self.kb_id == env.kb.id()
-            && self.abox_epoch == env.kb.abox.epoch()
             && self.tbox_epoch == env.kb.tbox.epoch()
+            && self.holds_at(&env.kb.abox)
             && (self.rules_stamp == env.rules.stamp()
                 || self.plans.len() == rules.len()
                     && self.plans.iter().zip(rules).all(|(p, r)| p.def.states(r)))
+    }
+
+    /// Whether `abox`, a state of the set's KB, is at the set's ABox epoch
+    /// or later by moves of no shared table.
+    fn holds_at(&self, abox: &ABox) -> bool {
+        let epoch = abox.epoch();
+        let checked = self.checked.load(Ordering::Relaxed);
+        let unshared = |table: Table| self.shared.binary_search(&table).is_err();
+        if epoch <= checked {
+            return self.abox_epoch <= epoch;
+        }
+        let holds = abox.moved_since(checked).all(unshared);
+        if holds {
+            self.checked.fetch_max(epoch, Ordering::Relaxed);
+        }
+        holds
     }
 
     /// Resolves `env.rules` against `env.kb`, carrying over from `previous`
@@ -395,8 +444,10 @@ impl PlanSet {
     ///
     /// From an *earlier* set of the same rules and terminology only the
     /// tables that moved since ([`capra_dl::ABox::moved_since`]) can have
-    /// moved a plan: every plan that reads none of them is handed on whole,
-    /// and only the others are stamped again. In every other case each rule
+    /// moved a plan: every plan none of whose shared tables is among them
+    /// is handed on whole, and only the others are stamped again. (A plan
+    /// whose context reads only its asker's own rows is not stamped again
+    /// for a move of them: its context stamp is never read.) In every other case each rule
     /// is resolved afresh, keeping a definition — found by name — while
     /// the rule and the terminology are what they were, and its preference
     /// view, with the constant bindings over it, while the stamp of the
@@ -406,18 +457,21 @@ impl PlanSet {
         let (abox_epoch, tbox_epoch) = (kb.abox.epoch(), kb.tbox.epoch());
         let reasoner = Reasoner::with_views(&kb.abox, kb.views());
         let previous = previous.filter(|set| set.kb_id == kb.id() && set.tbox_epoch == tbox_epoch);
-        let plans = match previous {
+        let (plans, shared) = match previous {
             Some(set) if set.rules_stamp == env.rules.stamp() && set.abox_epoch < abox_epoch => {
                 let moved: Vec<Table> = kb.abox.moved_since(set.abox_epoch).collect();
                 let carry = |plan: &Arc<RulePlan>| {
-                    if plan.def.reads_none_of(&moved) {
+                    if plan.def.shares_none_of(&moved) {
                         Arc::clone(plan)
                     } else {
                         let def = Arc::clone(&plan.def);
                         Arc::new(RulePlan::stamp(kb, &reasoner, def, Some(plan)))
                     }
                 };
-                set.plans.iter().map(carry).collect()
+                (
+                    set.plans.iter().map(carry).collect(),
+                    Arc::clone(&set.shared),
+                )
             }
             _ => {
                 let unfolded = previous.map_or(&[][..], |set| &set.plans);
@@ -434,7 +488,10 @@ impl PlanSet {
                     };
                     Arc::new(RulePlan::stamp(kb, &reasoner, def, kept.map(|p| &**p)))
                 };
-                env.rules.rules().iter().enumerate().map(plan).collect()
+                let plans: Vec<Arc<RulePlan>> =
+                    env.rules.rules().iter().enumerate().map(plan).collect();
+                let shared = shared_tables(plans.iter().map(|p| &*p.def)).into();
+                (plans, shared)
             }
         };
         PlanSet {
@@ -443,6 +500,8 @@ impl PlanSet {
             abox_epoch,
             rules_stamp: env.rules.stamp(),
             plans,
+            shared,
+            checked: AtomicU64::new(abox_epoch),
         }
     }
 
@@ -483,6 +542,12 @@ impl PlanSlot {
         self.resolved.load(Ordering::Relaxed)
     }
 
+    /// Whether a binder of `env` takes the set the slot holds as it is.
+    #[cfg(test)]
+    pub(crate) fn accepts(&self, env: &ScoringEnv<'_>) -> bool {
+        self.lock().as_ref().is_some_and(|set| set.accepts(env))
+    }
+
     /// A leaf lock: held to read or swap the `Arc`, never while resolving.
     fn lock(&self) -> MutexGuard<'_, Option<Arc<PlanSet>>> {
         // The `Arc` is replaced whole, so the slot is valid at every step.
@@ -507,11 +572,10 @@ impl PlanSlot {
     }
 }
 
-/// The tables through which an ABox mutation can move the binding of
-/// anyone but the individual whose rows it wrote, for one `(KB,
-/// terminology, rules)`: every rule's [`RuleDef`] shared tables, unfolded
-/// as a plan set unfolds them, and the domain. Built again only when the
-/// KB's identity, its TBox epoch or the rules' stamp moved.
+/// [`shared_tables`] for one `(KB, terminology, rules)`, each rule unfolded
+/// as a plan set unfolds it — what the writer tells an own-row assert from
+/// a shared one by. Built again only when the KB's identity, its TBox
+/// epoch or the rules' stamp moved.
 #[derive(Default)]
 pub(crate) struct SharedTables {
     /// `Kb::id`, `TBox::epoch` and the rules' stamp `tables` is for.
@@ -532,15 +596,14 @@ impl SharedTables {
     ) -> bool {
         let key = (kb.id(), kb.tbox.epoch(), rules.stamp());
         if self.key != Some(key) {
-            let mut tables = vec![Table::Domain];
-            for rule in rules.rules() {
-                tables.extend(RuleDef::unfold(kb, rule).shared);
-            }
-            tables.sort_unstable();
-            tables.dedup();
+            let defs: Vec<RuleDef> = rules
+                .rules()
+                .iter()
+                .map(|r| RuleDef::unfold(kb, r))
+                .collect();
             *self = SharedTables {
                 key: Some(key),
-                tables,
+                tables: shared_tables(&defs),
             };
         }
         moved.all(|table| self.tables.binary_search(&table).is_err())
@@ -555,12 +618,15 @@ impl fmt::Debug for PlanSlot {
     }
 }
 
-/// One user's bindings: the plan set they were last bound against, and one
-/// binding per plan of it, in its order — what those plans and the user's
-/// rows derive.
+/// One user's bindings: the plan set they were last bound against, the
+/// ABox epoch of the state they were bound at, and one binding per plan of
+/// the set, in its order — what those plans and the user's rows derive at
+/// that state.
 #[derive(Default)]
 struct UserBindings {
     set: Option<Arc<PlanSet>>,
+    /// [`capra_dl::ABox::epoch`] of the last bind's KB, which is `set`'s.
+    epoch: u64,
     /// As [`BindingCache::bind`] hands it out: replaced only when one of
     /// its elements is, so holding the same list means holding the same
     /// bindings.
@@ -582,46 +648,64 @@ fn find_held(held: &[Arc<RulePlan>], i: usize, def: &Arc<RuleDef>) -> Option<usi
     }
 }
 
-/// Whether `binding`, derived under `held`, is what `plan` and the user's
-/// rows derive, decided without deriving anything: the very plan, or the
-/// same definition with neither the context's tables nor the preference
-/// view moved.
-fn is_current(held: &Arc<RulePlan>, binding: &RuleBinding, plan: &Arc<RulePlan>) -> bool {
-    Arc::ptr_eq(held, plan)
-        || Arc::ptr_eq(&held.def, &plan.def)
-            && held.context_stamp == plan.context_stamp
-            && Arc::ptr_eq(&binding.preference_events, &plan.view)
+/// Whether `binding`, derived under `held` at the user's last bind, is what
+/// `plan` and the user's rows derive now, decided without deriving
+/// anything. A context that reads only the user's own rows: the same
+/// definition and view, and none of the user's rows in its tables moved
+/// since (`rows_unmoved`). Any other: the very plan, or the same definition
+/// with neither the context's tables nor the preference view moved — the
+/// two plans' sets were each accepted across moves of no table of theirs.
+fn is_current(
+    held: &Arc<RulePlan>,
+    binding: &RuleBinding,
+    plan: &Arc<RulePlan>,
+    rows_unmoved: impl Fn(&[Table]) -> bool,
+) -> bool {
+    let def = &plan.def;
+    let same =
+        || Arc::ptr_eq(&held.def, def) && Arc::ptr_eq(&binding.preference_events, &plan.view);
+    if def.own_context {
+        same() && rows_unmoved(&def.context_footprint.own_tables)
+    } else {
+        Arc::ptr_eq(held, plan) || same() && held.context_stamp == plan.context_stamp
+    }
 }
 
 /// A cache of [`RuleBinding`]s per user, one per rule in repository order.
 ///
 /// A binding has two halves. What does not depend on the user — the rule's
 /// definition with its concepts unfolded, the [`capra_dl::ABox::stamp`]s of
-/// their footprints and the preference view — is a *rule plan*, resolved
-/// once per `(KB state, rule set)` by the first binder after a change and
-/// published on the `Kb` for every cache that binds against it (or against
-/// its publish-chain successors). A resolve from the set of an earlier
-/// state of the same rules and terminology stamps again only the plans
-/// whose tables moved since ([`capra_dl::ABox::moved_since`]) and hands on
-/// the others as the same `Arc`; any other resolve — first, after a rule or
-/// terminology change, or behind a set from a later state — resolves every
-/// rule. A plan set is accepted only on equality of the KB's identity, its
-/// ABox and TBox epochs and the rules — by the repository's stamp, else
-/// definition by definition — so a binder on an older snapshot resolves its
-/// own and neither takes nor displaces the newer. What does depend on the
-/// user is kept here: the plan set the user was last bound against and,
-/// aligned with its plans, the list of bindings [`BindingCache::bind`]
-/// hands out.
+/// their footprints and the preference view — is a *rule plan*, resolved by
+/// the first binder after a change and published on the `Kb` for every
+/// cache that binds against it (or against its publish-chain successors).
+/// A plan set is accepted on the KB's identity, its TBox epoch and the
+/// rules — by the repository's stamp, else definition by definition — and
+/// on an ABox at the set's epoch or later by moves of none of its *shared*
+/// tables: the preference tables, every context table read of anyone but
+/// the asker, and the domain. A context switch moves only its user's own
+/// rows, so it keeps the set; no set from a later state is accepted on an
+/// earlier one, so a binder on an older snapshot resolves its own and
+/// neither takes nor displaces the newer. A resolve from the set of an
+/// earlier state of the same rules and terminology stamps again only the
+/// plans whose shared tables moved since ([`capra_dl::ABox::moved_since`])
+/// and hands on the others as the same `Arc`; any other resolve — first,
+/// after a rule or terminology change, or behind a set from a later state
+/// — resolves every rule. What does depend on the user is kept here: the
+/// plan set the user was last bound against, the ABox epoch of that bind
+/// and, aligned with the set's plans, the list of bindings
+/// [`BindingCache::bind`] hands out.
 ///
-/// A bind against the set the user was last bound against is that one
-/// check: nothing moved ([`crate::Kb::binding_epoch`] stands still under
-/// universe-only declarations). Against another set, a rule's binding is
-/// current if its plan is the very one it was bound under, or has the same
-/// definition `Arc`, context stamp and view `Arc` — a mutation moves only
-/// those of the rules whose tables (or, under `TOP`/`NOT`/`FORALL`/
-/// nominals, the closed-world domain) it touched. Otherwise the context
-/// event is looked up again and a binding that comes out unchanged is
-/// handed back as the same `Arc`. The lookup is a point membership of this
+/// A bind against the set the user was last bound against, at that bind's
+/// state or a later one, is one check: none of the user's own rows moved
+/// since ([`capra_dl::ABox::own_row_epochs`]). Otherwise, rule by rule, a
+/// binding is current if its definition and view `Arc` are the plan's and
+/// — for a context that reads only its asker's own rows — none of the
+/// user's rows in the context's tables moved since the last bind, or — for
+/// any other — its plan is the very one it was bound under or has the same
+/// context stamp. A bind against a snapshot older than the last bind
+/// counts every row of the user's as moved. Where a binding is not
+/// current, the context event is looked up again and a binding that comes
+/// out unchanged is handed back as the same `Arc`. The lookup is a point membership of this
 /// user only where the context reads one of the user's own tables or a
 /// nominal names the user; for everyone else in the domain it is the
 /// context's blank ([`capra_dl::Footprint::blank`]), which is what the walk
@@ -688,19 +772,33 @@ impl UserBindings {
     /// counting into `stats`.
     fn bind(&mut self, env: &ScoringEnv<'_>, stats: &mut CacheStats) -> Arc<[Arc<RuleBinding>]> {
         let set = PlanSet::current(env, self.set.as_ref());
-        if self.set.as_ref().is_some_and(|own| Arc::ptr_eq(own, &set)) {
+        let abox = &env.kb.abox;
+        let (tables, row_epochs) = (abox.own_tables(env.user), abox.own_row_epochs(env.user));
+        // The last bind's epoch, where the row epochs can tell what moved of
+        // the user's own rows since: along one KB's history, forwards. A
+        // bind on another KB or an older snapshot counts every row as moved.
+        let since = self.set.as_ref().map(|held| held.kb_id);
+        let since = (since == Some(set.kb_id) && self.epoch <= abox.epoch()).then_some(self.epoch);
+        let unmoved = |at: usize| since.is_some_and(|since| row_epochs[at] <= since);
+        if self.set.as_ref().is_some_and(|own| Arc::ptr_eq(own, &set))
+            && since.is_some()
+            && (0..tables.len()).all(unmoved)
+        {
             stats.hits += self.list.len() as u64;
+            self.epoch = abox.epoch();
             return Arc::clone(&self.list);
         }
+        let rows_unmoved = |reads: &[Table]| {
+            let row = |t: &Table| tables.binary_search(t).ok();
+            since.is_some() && reads.iter().filter_map(row).all(unmoved)
+        };
         let held = self.set.as_ref().map_or(&[][..], |held| &held.plans);
         // Membership walks the user's own rows: no view, hence no TBox
         // (the plans' concepts are unfolded) and no shared views. Outside
         // the domain no blank holds, so every context is walked; a user
         // with a table of their own is in it.
-        let abox = &env.kb.abox;
         let reasoner = Reasoner::new(abox);
-        let own = Some(abox.own_tables(env.user))
-            .filter(|own| !own.is_empty() || abox.domain().contains(&env.user));
+        let own = Some(tables).filter(|own| !own.is_empty() || abox.domain().contains(&env.user));
         // The new list, from the first binding that differs from the held
         // list's at its position on; until then the held list is the answer.
         let n = set.plans.len();
@@ -710,7 +808,7 @@ impl UserBindings {
             let previous = find_held(held, i, def).map(|at| (at, &self.list[at]));
             // The context event, looked up unless the binding is current.
             let derived = match previous {
-                Some((at, binding)) if is_current(&held[at], binding, plan) => None,
+                Some((at, binding)) if is_current(&held[at], binding, plan, rows_unmoved) => None,
                 _ => Some(def.blank(env.user, own).unwrap_or_else(|| {
                     #[cfg(test)]
                     {
@@ -748,6 +846,7 @@ impl UserBindings {
             self.list = fresh.into();
         }
         self.set = Some(set);
+        self.epoch = abox.epoch();
         Arc::clone(&self.list)
     }
 }
@@ -1660,19 +1759,19 @@ mod tests {
             published(kb).expect("the binder publishes")
         };
         let before = rebind(&kb);
-        // `Breakfast` is R2's context table and nothing of R1's.
+        // `Breakfast` is R2's context table, read of the user's own row
+        // alone: the set is kept across the move, and nothing resolves.
         kb.assert_concept_prob(user, "Breakfast", 0.2).unwrap();
         let after = rebind(&kb);
-        assert!(Arc::ptr_eq(&before.plans[0], &after.plans[0]), "R1 carried");
-        let (was, now) = (&before.plans[1], &after.plans[1]);
-        assert!(!Arc::ptr_eq(was, now), "R2 stamped again");
-        assert!(Arc::ptr_eq(&was.def, &now.def) && Arc::ptr_eq(&was.view, &now.view));
-        assert_ne!(was.context_stamp, now.context_stamp);
-        // A document table: R1's preference, R1 alone.
+        assert!(Arc::ptr_eq(&before, &after), "no resolve for an own row");
+        // A document table: R1's preference, R1 alone — R2 is carried
+        // with the context stamp it had before `Breakfast` moved, since a
+        // context over its asker's own rows is never re-stamped.
         kb.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
         let later = rebind(&kb);
         assert!(!Arc::ptr_eq(&after.plans[0].view, &later.plans[0].view));
         assert!(Arc::ptr_eq(&after.plans[1], &later.plans[1]), "R2 carried");
+        assert!(later.plans[1].context_stamp < kb.abox.stamp(&later.plans[1].def.context_unfolded));
         // A new individual moves the domain, which neither rule reads.
         kb.individual("newcomer");
         let grown = rebind(&kb);
@@ -1680,7 +1779,91 @@ mod tests {
         for (a, b) in later.plans.iter().zip(&grown.plans) {
             assert!(Arc::ptr_eq(a, b), "{}: carried", a.def.name);
         }
-        assert_eq!(kb.plans().resolved(), 4);
+        assert_eq!(kb.plans().resolved(), 3);
+    }
+
+    /// Context events `cache` looked up by a walk for `user` so far.
+    fn walks(cache: &BindingCache, user: IndividualId) -> u64 {
+        cache.users.get(&user).map_or(0, |u| u.walks)
+    }
+
+    #[test]
+    fn a_bystanders_bind_after_an_own_row_assert_walks_and_resolves_nothing() {
+        let (mut kb, rules, user, _) = fixture();
+        let switcher = kb.individual("mary");
+        kb.assert_concept(switcher, "Weekend");
+        kb.assert_concept_prob(switcher, "Breakfast", 0.4).unwrap();
+        let mut caches = [BindingCache::new(), BindingCache::new()];
+        let held: Vec<_> = caches
+            .iter_mut()
+            .zip([user, switcher])
+            .map(|(cache, u)| cache.bind(&env_of(&kb, &rules, u)))
+            .collect();
+        let (walked, resolved) = (walks(&caches[0], user), kb.plans().resolved());
+        // Two own-row asserts by someone else, and one bind after each.
+        for p in [0.9, 0.1] {
+            kb.assert_concept_prob(switcher, "Breakfast", p).unwrap();
+            let got = caches[0].bind(&env_of(&kb, &rules, user));
+            assert!(Arc::ptr_eq(&held[0], &got), "the held list, as it was");
+            assert_matches_cold(&got, &env_of(&kb, &rules, user));
+        }
+        assert_eq!(walks(&caches[0], user), walked, "no walk");
+        assert_eq!(kb.plans().resolved(), resolved, "no resolve");
+        assert_eq!(caches[0].stats(), CacheStats { hits: 4, misses: 2 });
+        // The switcher's own bind takes the same set.
+        caches[1].bind(&env_of(&kb, &rules, switcher));
+        assert_eq!(kb.plans().resolved(), resolved);
+        assert!(Arc::ptr_eq(
+            &bound_set(&caches[0], user),
+            &bound_set(&caches[1], switcher)
+        ));
+    }
+
+    #[test]
+    fn a_switcher_re_derives_only_the_rules_that_read_its_moved_table() {
+        let (mut kb, rules, user, _) = fixture();
+        let mut cache = BindingCache::new();
+        let before = cache.bind(&env_of(&kb, &rules, user));
+        let walked = walks(&cache, user);
+        // `Breakfast` is R2's context alone.
+        kb.assert_concept_prob(user, "Breakfast", 0.2).unwrap();
+        let after = cache.bind(&env_of(&kb, &rules, user));
+        assert_matches_cold(&after, &env_of(&kb, &rules, user));
+        assert_eq!(walks(&cache, user), walked + 1, "R2's context alone");
+        assert!(Arc::ptr_eq(&before[0], &after[0]) && !Arc::ptr_eq(&before[1], &after[1]));
+        // A row of the user's own that no context reads moves nothing.
+        kb.assert_concept_prob(user, "Sleepy", 0.5).unwrap();
+        let again = cache.bind(&env_of(&kb, &rules, user));
+        assert!(Arc::ptr_eq(&after, &again));
+        assert_eq!(walks(&cache, user), walked + 1);
+        assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 3 });
+        assert_eq!(kb.plans().resolved(), 1);
+    }
+
+    #[test]
+    fn a_bind_on_an_older_snapshot_across_an_own_row_move_is_the_cold_bind() {
+        let (old, rules, user, _) = fixture();
+        let mut old = old;
+        // Someone with `Weekend` only, whose `Breakfast` row appears later.
+        let late = old.individual("mary");
+        old.assert_concept(late, "Weekend");
+        let mut caches = [BindingCache::new(), BindingCache::new()];
+        for (cache, u) in caches.iter_mut().zip([user, late]) {
+            cache.bind(&env_of(&old, &rules, u));
+        }
+        let set = published(&old).expect("the first binder publishes");
+        let mut new = old.clone_for_publish();
+        new.assert_concept_prob(user, "Breakfast", 0.9).unwrap();
+        new.assert_concept_prob(late, "Breakfast", 0.9).unwrap();
+        // Forwards and back, each against the one set: the rows moved only
+        // on the newer snapshot, and the older one has never seen them.
+        for kb in [&new, &old, &new, &old] {
+            for (cache, u) in caches.iter_mut().zip([user, late]) {
+                assert_matches_cold(&cache.bind(&env_of(kb, &rules, u)), &env_of(kb, &rules, u));
+                assert!(Arc::ptr_eq(&bound_set(cache, u), &set));
+            }
+        }
+        assert_eq!(old.plans().resolved(), 1);
     }
 
     #[test]

@@ -79,6 +79,15 @@ impl RoleTable {
     }
 }
 
+/// One individual's own rows: the tables it has a row or an out-edge in,
+/// sorted, and position for position the [`ABox::epoch`] at which that row
+/// or those edges last changed.
+#[derive(Debug, Clone, Default)]
+struct OwnRows {
+    tables: Vec<Table>,
+    epochs: Vec<u64>,
+}
+
 /// An assertional knowledge base with uncertain assertions.
 ///
 /// Mirrors the paper's naive implementation: each concept is a table of
@@ -96,15 +105,18 @@ impl RoleTable {
 ///
 /// * per individual, the concept tables it has a row in and the role tables
 ///   it has an out-edge under ([`ABox::own_tables`]) — all a point
-///   membership reads of the individual itself;
+///   membership reads of the individual itself — each with the epoch at
+///   which the individual's row or out-edges there last changed
+///   ([`ABox::own_row_epochs`]);
 /// * every table, the domain included, ordered by the epoch it last changed
 ///   at ([`ABox::moved_since`]) — which tables an epoch range touched, with
 ///   no log to keep or bound.
 ///
 /// Every mutation keeps both in step. Today rows and edges are only added;
-/// an assert that replaces a row's event must move its table to the new
-/// epoch, and one that removes a row or an individual's last edge under a
-/// role must also drop that table from the individual's list.
+/// an assert that replaces a row's event must move its table, and the
+/// individual's row there, to the new epoch, and one that removes a row or
+/// an individual's last edge under a role must also drop that table from
+/// the individual's list.
 #[derive(Debug, Clone, Default)]
 pub struct ABox {
     /// Keyed by the vocabulary's dense ids, hashed by the workspace's word
@@ -114,8 +126,9 @@ pub struct ABox {
     domain: BTreeSet<IndividualId>,
     /// [`ABox::epoch`] at which the domain last grew.
     domain_version: u64,
-    /// Per individual, sorted: the tables it has a row or an out-edge in.
-    own: FastMap<IndividualId, Vec<Table>>,
+    /// Per individual: the tables it has a row or an out-edge in, and when
+    /// its rows there last changed.
+    own: FastMap<IndividualId, OwnRows>,
     /// `(version, table)` of every table, and of the domain once it grew.
     by_version: BTreeSet<(u64, Table)>,
     /// Monotonic version counter, bumped on every mutation (assertions and
@@ -152,11 +165,15 @@ impl ABox {
         self.by_version.insert((self.epoch, table));
     }
 
-    /// Records that `ind` has a row or an out-edge in `table`.
-    fn gained(&mut self, ind: IndividualId, table: Table) {
-        let tables = self.own.entry(ind).or_default();
-        if let Err(at) = tables.binary_search(&table) {
-            tables.insert(at, table);
+    /// Records that `ind`'s row or out-edges in `table` changed now.
+    fn touched(&mut self, ind: IndividualId, table: Table) {
+        let own = self.own.entry(ind).or_default();
+        match own.tables.binary_search(&table) {
+            Ok(at) => own.epochs[at] = self.epoch,
+            Err(at) => {
+                own.tables.insert(at, table);
+                own.epochs.insert(at, self.epoch);
+            }
         }
     }
 
@@ -211,7 +228,15 @@ impl ABox {
     /// individual none of whose tables is in a concept's
     /// [`crate::Footprint::own_tables`] has the concept's blank membership.
     pub fn own_tables(&self, ind: IndividualId) -> &[Table] {
-        self.own.get(&ind).map_or(&[], Vec::as_slice)
+        self.own.get(&ind).map_or(&[], |own| &own.tables)
+    }
+
+    /// Position for position with [`ABox::own_tables`], the [`ABox::epoch`]
+    /// at which `ind`'s row in that concept table, or its out-edges under
+    /// that role, last changed. An individual none of whose entries is past
+    /// `e` has every point membership over its own rows it had at `e`.
+    pub fn own_row_epochs(&self, ind: IndividualId) -> &[u64] {
+        self.own.get(&ind).map_or(&[], |own| &own.epochs)
     }
 
     /// The tables — the domain included — that changed after `epoch`, in
@@ -237,16 +262,10 @@ impl ABox {
         }
         let table = self.concepts.entry(concept).or_default();
         let from = std::mem::replace(&mut table.version, self.epoch);
-        let mut first = false;
-        let slot = table.rows.entry(ind).or_insert_with(|| {
-            first = true;
-            EventExpr::False
-        });
+        let slot = table.rows.entry(ind).or_insert(EventExpr::False);
         *slot = EventExpr::or([slot.clone(), event]);
         self.moved(Table::Concept(concept), from);
-        if first {
-            self.gained(ind, Table::Concept(concept));
-        }
+        self.touched(ind, Table::Concept(concept));
     }
 
     /// Asserts `(src, dst) : role` under `event`.
@@ -267,11 +286,9 @@ impl ABox {
         }
         let table = self.roles.entry(role).or_default();
         let from = std::mem::replace(&mut table.version, self.epoch);
-        let first = table.push(RoleEdge { src, dst, event });
+        table.push(RoleEdge { src, dst, event });
         self.moved(Table::Role(role), from);
-        if first {
-            self.gained(src, Table::Role(role));
-        }
+        self.touched(src, Table::Role(role));
     }
 
     /// The closed-world domain of the ABox.
@@ -342,8 +359,8 @@ impl ABox {
     /// must pass parts exported from one consistent ABox; this constructor
     /// does not re-validate domain membership. Per-table versions, the
     /// per-source role index and the two indexes of the type docs are
-    /// derived state and are rebuilt here: every table, and the domain,
-    /// counts as last changed at `epoch`.
+    /// derived state and are rebuilt here: every table, every individual's
+    /// row in it, and the domain count as last changed at `epoch`.
     pub fn from_parts(
         concepts: HashMap<ConceptName, BTreeMap<IndividualId, EventExpr>>,
         roles: HashMap<RoleName, Vec<RoleEdge>>,
@@ -358,7 +375,7 @@ impl ABox {
         };
         for (name, rows) in concepts {
             for &ind in rows.keys() {
-                abox.gained(ind, Table::Concept(name));
+                abox.touched(ind, Table::Concept(name));
             }
             let table = ConceptTable {
                 rows,
@@ -374,7 +391,7 @@ impl ABox {
             for edge in edges {
                 let src = edge.src;
                 if table.push(edge) {
-                    abox.gained(src, Table::Role(name));
+                    abox.touched(src, Table::Role(name));
                 }
             }
             abox.roles.insert(name, table);
@@ -554,6 +571,54 @@ mod tests {
             [Table::Domain]
         );
         assert!(abox.own_tables(z).is_empty());
+    }
+
+    #[test]
+    fn own_row_epochs_follow_the_individuals_own_rows() {
+        let mut voc = Vocabulary::new();
+        let mut abox = ABox::new();
+        let (c, d) = (voc.concept("C"), voc.concept("D"));
+        let r = voc.role("r");
+        let (x, y) = (voc.individual("x"), voc.individual("y"));
+        let (tc, tr) = (Table::Concept(c), Table::Role(r));
+        abox.assert_concept(x, c, EventExpr::True);
+        abox.assert_role(x, r, y, EventExpr::True);
+        assert_eq!(abox.own_tables(x), [tc, tr]);
+        assert_eq!(abox.own_row_epochs(x), [1, 2]);
+        // Someone else's row moves the table, not `x`'s row in it.
+        abox.assert_concept(y, c, EventExpr::True);
+        assert_eq!(abox.own_row_epochs(x), [1, 2]);
+        assert_eq!(abox.own_row_epochs(y), [3]);
+        // A re-assert moves the row again; an edge moves its source's
+        // edges alone, not its target's.
+        abox.assert_concept(x, c, EventExpr::True);
+        abox.assert_role(y, r, x, EventExpr::True);
+        assert_eq!(abox.own_row_epochs(x), [4, 2]);
+        assert_eq!(
+            (abox.own_tables(y), abox.own_row_epochs(y)),
+            (&[tc, tr][..], &[3, 5][..])
+        );
+        // So does a source's second edge under a role.
+        abox.assert_role(x, r, x, EventExpr::True);
+        assert_eq!(abox.own_row_epochs(x), [4, 6]);
+        // A dropped assert writes no row.
+        abox.assert_concept(x, d, EventExpr::False);
+        assert_eq!(abox.own_row_epochs(x), [4, 6]);
+        // The rebuild knows no older history than its epoch.
+        let rebuilt = ABox::from_parts(
+            HashMap::from([(
+                c,
+                abox.concept_rows(c).map(|(i, e)| (i, e.clone())).collect(),
+            )]),
+            HashMap::from([(r, abox.role_edges(r).to_vec())]),
+            abox.domain().clone(),
+            abox.epoch(),
+        );
+        for ind in [x, y] {
+            assert_eq!(rebuilt.own_tables(ind), abox.own_tables(ind));
+            assert_eq!(rebuilt.own_row_epochs(ind), [abox.epoch(); 2]);
+        }
+        assert!(abox.own_row_epochs(voc.individual("z")).is_empty());
     }
 
     #[test]

@@ -1,10 +1,15 @@
 //! Property-based tests for the DL layer: parser round-trips, lattice
 //! laws of instance retrieval under lineage semantics, and the footprints
-//! that let a caller skip a membership or a stamp.
+//! and row epochs that let a caller skip a membership or a stamp.
+//!
+//! `CAPRA_STRESS_ITERS` multiplies the case count of the row-epoch
+//! property, as in the serving suites.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use capra_dl::{parse_concept, ABox, Concept, Reasoner, TBox, Table, ViewCache, Vocabulary};
+use capra_dl::{
+    parse_concept, ABox, Concept, IndividualId, Reasoner, TBox, Table, ViewCache, Vocabulary,
+};
 use capra_events::{Evaluator, EventExpr, Universe};
 use proptest::prelude::*;
 
@@ -125,6 +130,47 @@ fn mutate(abox: &mut ABox, voc: &mut Vocabulary, extra: u8) {
         1 => abox.assert_role(voc.individual("x0"), voc.role("r"), who, EventExpr::True),
         _ => abox.register_individual(who),
     }
+}
+
+/// Applies mutation `extra` with a fresh uncertain event: a `C0` or `C1`
+/// row of one of `x0..x5`, an `r` edge between two of them, or a domain
+/// registration.
+fn mutate_rows(abox: &mut ABox, voc: &mut Vocabulary, u: &mut Universe, extra: u8) {
+    let who = voc.individual(&format!("x{}", extra % 6));
+    let var = u.add_bool(&format!("m{}", u.len()), 0.5).unwrap();
+    let event = u.bool_event(var).unwrap();
+    match extra / 6 % 4 {
+        0 => abox.assert_concept(who, voc.concept("C0"), event),
+        1 => abox.assert_concept(who, voc.concept("C1"), event),
+        2 => {
+            let to = voc.individual(&format!("x{}", extra / 24 % 6));
+            abox.assert_role(who, voc.role("r"), to, event);
+        }
+        _ => abox.register_individual(who),
+    }
+}
+
+/// `x` and every individual an `r` path from `x` reaches.
+fn reach(abox: &ABox, voc: &mut Vocabulary, x: IndividualId) -> BTreeSet<IndividualId> {
+    let role = voc.role("r");
+    let (mut seen, mut todo) = (BTreeSet::from([x]), vec![x]);
+    while let Some(at) = todo.pop() {
+        for edge in abox.role_edges_from(role, at) {
+            if seen.insert(edge.dst) {
+                todo.push(edge.dst);
+            }
+        }
+    }
+    seen
+}
+
+/// Multiplier on the row-epoch property's case count (see the module
+/// docs).
+fn stress_iters() -> u32 {
+    std::env::var("CAPRA_STRESS_ITERS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(1)
 }
 
 /// The parts the persistence layer exports, read back through the public
@@ -339,5 +385,50 @@ proptest! {
         let printed = c.display(&voc).to_string();
         let reparsed = parse_concept(&printed, &mut voc).unwrap();
         prop_assert_eq!(reparsed, c);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128 * stress_iters()))]
+
+    /// What lets a returning bind skip a context: a point membership reads
+    /// the individual's own rows, its place in the domain, and — through
+    /// role fillers — the own rows of whoever its edges reach. So an
+    /// individual none of whose own-row epochs moved since `e`, nor those
+    /// of anyone it reaches, and whose place in the domain stands, has
+    /// every membership it had at `e`, under every constructor (TBox names
+    /// included), however much else moved.
+    #[test]
+    fn unmoved_row_epochs_keep_every_membership(
+        (mut voc, mut u, mut abox) in kb(),
+        program in prop::collection::vec(any::<u8>(), 1..12),
+        extras in prop::collection::vec(any::<u8>(), 1..6),
+    ) {
+        let tbox = terminology(&mut voc);
+        let concept = build_concept(&program, &mut voc);
+        let everyone: Vec<_> = (0..6).map(|i| voc.individual(&format!("x{i}"))).collect();
+        let epoch = abox.epoch();
+        let was: Vec<(EventExpr, bool)> = everyone
+            .iter()
+            .map(|&x| {
+                let member = Reasoner::with_tbox(&abox, &tbox).membership(x, &concept);
+                (member, abox.domain().contains(&x))
+            })
+            .collect();
+        for extra in extras {
+            mutate_rows(&mut abox, &mut voc, &mut u, extra);
+        }
+        let reasoner = Reasoner::with_tbox(&abox, &tbox);
+        for (&x, (member, in_domain)) in everyone.iter().zip(was) {
+            let unmoved = reach(&abox, &mut voc, x)
+                .into_iter()
+                .all(|y| abox.own_row_epochs(y).iter().all(|&at| at <= epoch));
+            if unmoved && abox.domain().contains(&x) == in_domain {
+                prop_assert_eq!(
+                    reasoner.membership(x, &concept), member,
+                    "{:?} in {}", x, concept.display(&voc)
+                );
+            }
+        }
     }
 }

@@ -1,3 +1,4 @@
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use crate::{EventError, EventExpr, Result, PROB_EPSILON};
@@ -95,15 +96,24 @@ impl Universe {
                 sum,
             });
         }
-        let id = VarId(u32::try_from(self.vars.len()).expect("too many variables"));
-        self.vars.push(VarInfo {
-            name: name.to_string(),
+        let id = Self::push(&mut self.vars, &mut self.epoch, name.to_string(), alt_probs);
+        self.by_name.insert(name.to_string(), id);
+        Ok(id)
+    }
+
+    /// Appends a variable to `vars` and moves `epoch` on; the caller has
+    /// checked that the name is free and enters it in `by_name`, and that
+    /// the alternatives sum to at most one.
+    fn push(vars: &mut Vec<VarInfo>, epoch: &mut u64, name: String, alt_probs: Vec<f64>) -> VarId {
+        let sum: f64 = alt_probs.iter().sum();
+        let id = VarId(u32::try_from(vars.len()).expect("too many variables"));
+        vars.push(VarInfo {
+            name,
             alt_probs,
             residual: (1.0 - sum).max(0.0),
         });
-        self.by_name.insert(name.to_string(), id);
-        self.epoch += 1;
-        Ok(id)
+        *epoch += 1;
+        id
     }
 
     /// Declares a boolean variable that is true with probability `p`.
@@ -114,6 +124,28 @@ impl Universe {
     pub fn add_bool(&mut self, name: &str, p: f64) -> Result<VarId> {
         Self::validate_prob(p, name)?;
         self.register(name, vec![p.clamp(0.0, 1.0)])
+    }
+
+    /// Declares a boolean variable named `name`, true with probability `p`,
+    /// unless a variable of that name exists: returns the variable of that
+    /// name, and whether it was declared now. The name index is probed
+    /// once, and `name` becomes its key. A taken name declares nothing and
+    /// checks nothing, not even `p`.
+    pub fn declare_bool(&mut self, name: String, p: f64) -> Result<(VarId, bool)> {
+        let slot = match self.by_name.entry(name) {
+            Entry::Occupied(taken) => return Ok((*taken.get(), false)),
+            Entry::Vacant(slot) => slot,
+        };
+        Self::validate_prob(p, slot.key())?;
+        let name = slot.key().clone();
+        let id = Self::push(
+            &mut self.vars,
+            &mut self.epoch,
+            name,
+            vec![p.clamp(0.0, 1.0)],
+        );
+        slot.insert(id);
+        Ok((id, true))
     }
 
     /// Declares a choice variable with mutually exclusive alternatives.
@@ -280,6 +312,22 @@ mod tests {
             u.add_bool("x", 0.1),
             Err(EventError::DuplicateVariable(_))
         ));
+    }
+
+    #[test]
+    fn declare_bool_reports_a_taken_name() {
+        let mut u = Universe::new();
+        let x = u.add_bool("x", 0.5).unwrap();
+        assert_eq!(u.declare_bool("x".into(), 0.1).unwrap(), (x, false));
+        // A taken name checks nothing; a free one is checked, and an error
+        // declares nothing.
+        assert_eq!(u.declare_bool("x".into(), 7.0).unwrap(), (x, false));
+        assert!(u.declare_bool("y".into(), 7.0).is_err());
+        assert_eq!((u.len(), u.var("y")), (1, None));
+        let (y, declared) = u.declare_bool("y".into(), 0.25).unwrap();
+        assert!(declared && u.var("y") == Some(y));
+        assert_eq!((u.name(y).unwrap(), u.alt_prob(y, 0).unwrap()), ("y", 0.25));
+        assert_eq!(u.epoch(), 2);
     }
 
     #[test]
