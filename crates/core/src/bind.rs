@@ -25,9 +25,9 @@ pub struct ScoringEnv<'a> {
 ///
 /// The binding also keeps `P(G)`, the probability of its context event:
 /// the first engine pass that needs it evaluates it on an evaluator of its
-/// own, and every later pass over the same binding — a
-/// [`crate::BindingCache`] hands an unchanged binding back as the same
-/// `Arc` — reads the stored value. The closed-form engines and top-k's
+/// own, and every later pass over the same binding —
+/// [`crate::ScoringSession::bind`] hands an unchanged binding back as the
+/// same `Arc` — reads the stored value. The closed-form engines and top-k's
 /// bound read `P(G)` only from here, never through the shared evaluation
 /// memo, so a request scored in closed form memoises nothing of its
 /// contexts. Treat `context_event` as fixed once the binding has been
@@ -42,9 +42,9 @@ pub struct RuleBinding {
     /// Event per document under which the document matches the preference.
     /// Documents absent from the map match with event `False`. Shared with
     /// the reasoner's sub-concept cache — rules with the same preference
-    /// concept share one map, and bindings handed out by a
-    /// [`crate::BindingCache`] share it across users too (the view does
-    /// not depend on who asks).
+    /// concept share one map, and bindings handed out by
+    /// [`crate::ScoringSession::bind`] share it across users too (the view
+    /// does not depend on who asks).
     pub preference_events: Arc<BTreeMap<IndividualId, EventExpr>>,
     /// The rule's σ.
     pub sigma: f64,

@@ -1,7 +1,9 @@
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use capra_dl::IndividualId;
-use capra_events::{BatchExpectation, BatchStats, EventExpr, Expectation, Factor, Universe, VarId};
+use capra_events::{BatchStats, EventExpr, Expectation, Factor, Universe, VarId};
 
 use crate::bind::RuleBinding;
 use crate::engines::{ContextSupport, DocScore, EvalScratch, Kind, Rows, ScoringEngine};
@@ -362,10 +364,13 @@ impl<'a> Contexts<'a> {
     }
 }
 
-/// The exact route, for the documents the lane test rejected: builds each
-/// distinct signature's factors (a signature is a document's feature event
-/// per active rule) and runs [`Expectation::compute`] on them once, into
-/// the `deferred` slots of `scores`. Returns how many evaluations ran.
+/// The exact route, for the documents the lane test rejected: per
+/// distinct signature (a document's feature event per active rule), in
+/// slot order, builds its factors and runs [`Expectation::compute`] on
+/// them once, and scores every `deferred` slot of `scores` from its
+/// signature's value. Returns how many evaluations ran — the distinct
+/// signatures. Bit-identical to one evaluation per slot: a memo value is a
+/// pure function of its hash-consed key.
 fn exact_route(
     contexts: &Contexts<'_>,
     rows: &Rows<'_>,
@@ -386,33 +391,34 @@ fn exact_route(
             (b, not_g, miss_factor)
         })
         .collect();
-    let signatures: Vec<Vec<Option<&EventExpr>>> = deferred
-        .iter()
-        .map(|&slot| contexts.signature(rows, slot))
-        .collect();
-    let mut batch = BatchExpectation::new(expectation);
-    let raw = batch.compute_grouped(&signatures, |signature| {
-        signature
-            .iter()
-            .zip(&per_rule)
-            .map(|(pref, (b, not_g, miss_factor))| match pref {
-                None => miss_factor.clone(),
-                Some(f) => {
-                    let g = b.context_event.clone();
-                    let f = (*f).clone();
-                    Factor::new([
-                        (not_g.clone(), 1.0),
-                        (EventExpr::and([g.clone(), f.clone()]), b.sigma),
-                        (EventExpr::and([g, EventExpr::not(f)]), 1.0 - b.sigma),
-                    ])
-                }
-            })
-            .collect()
-    });
-    for (&slot, e) in deferred.iter().zip(raw) {
+    let mut values: HashMap<Vec<Option<&EventExpr>>, f64> = HashMap::new();
+    for &slot in deferred {
+        let e = match values.entry(contexts.signature(rows, slot)) {
+            Entry::Occupied(hit) => *hit.get(),
+            Entry::Vacant(miss) => {
+                let factors: Vec<Factor> = miss
+                    .key()
+                    .iter()
+                    .zip(&per_rule)
+                    .map(|(pref, (b, not_g, miss_factor))| match pref {
+                        None => miss_factor.clone(),
+                        Some(f) => {
+                            let g = b.context_event.clone();
+                            let f = (*f).clone();
+                            Factor::new([
+                                (not_g.clone(), 1.0),
+                                (EventExpr::and([g.clone(), f.clone()]), b.sigma),
+                                (EventExpr::and([g, EventExpr::not(f)]), 1.0 - b.sigma),
+                            ])
+                        }
+                    })
+                    .collect();
+                *miss.insert(expectation.compute(&factors))
+            }
+        };
         scores[slot].score = e.clamp(0.0, 1.0);
     }
-    Ok(batch.stats().fallbacks)
+    Ok(values.len() as u64)
 }
 
 impl ScoringEngine for LineageEngine {

@@ -131,7 +131,7 @@ impl Kb {
 
     /// Process-unique identity of this KB value. Clones receive a fresh id,
     /// so `(id, epoch)` pairs identify one immutable snapshot of one KB —
-    /// the key scheme of [`crate::BindingCache`].
+    /// the key scheme of a user's bindings ([`crate::ScoringSession::bind`]).
     pub fn id(&self) -> u64 {
         self.id
     }
@@ -237,7 +237,7 @@ impl Kb {
 
     /// The concept views derived so far along this KB's `(id, epoch)`
     /// history — one per distinct (sub-)concept of the bound rules, shared
-    /// by every [`crate::BindingCache`] that binds against it: a preference
+    /// by every user's bindings against it: a preference
     /// view does not depend on who asks. Reasoners built with
     /// [`Reasoner::with_views`] validate each view against their own ABox
     /// state, so a holder of an older snapshot in the publish chain never
@@ -248,8 +248,8 @@ impl Kb {
 
     /// The slot for the user-independent half of the bindings — every rule
     /// of one repository resolved against one state of this KB — shared,
-    /// like [`Kb::views`], by every [`crate::BindingCache`] that binds
-    /// against this KB or a publish-chain successor. Binders accept what it
+    /// like [`Kb::views`], by every user's bindings against this KB or a
+    /// publish-chain successor. Binders accept what it
     /// holds for their own rules and terminology, at its KB state or a
     /// later one that moved none of the tables its plans share.
     pub(crate) fn plans(&self) -> &PlanSlot {

@@ -26,7 +26,7 @@
 //!   documents ranked outright, early termination over the rest;
 //! * [`serve`] — the multi-tenant [`RankingService`]: LRU-capped per-user
 //!   sessions over one shared, bounded memo generation, with typed
-//!   requests and batch coalescing. Concurrency lives here, *between*
+//!   requests and a batching queue. Concurrency lives here, *between*
 //!   requests — one lock per tenant shard — never inside one;
 //! * [`persist`] — durability: a versioned binary codec for KB and rule
 //!   snapshots and a checksummed, segmented context-event WAL with
@@ -114,7 +114,7 @@ pub use serve::{
     ReplicaService, ReplicaStats, ServiceConfig, ServiceHandle, ServiceQueue, ServiceStats,
     SharedSnapshot, Ticket,
 };
-pub use session::{BindingCache, CacheStats, ScoringSession, SessionStats};
+pub use session::{CacheStats, ScoringSession, SessionStats};
 pub use smoothing::{blend, QueryRelevance, Smoothing};
 pub use topk::{rank_top_k, rank_top_k_bound};
 

@@ -28,10 +28,8 @@
 //!   [`RankingService::rank_group`] and [`RankingService::assert`] cover
 //!   the three request shapes of the paper's serving story (one user ranks,
 //!   a group ranks together, a context switch arrives), and
-//!   [`RankingService::submit`] accepts a [`Request`] batch, coalescing
-//!   runs of same-KB-epoch rank requests into one dispatch over a single
-//!   checked-out scratch (one checkout and one give-back per run instead of
-//!   one per request).
+//!   [`RankingService::submit`] answers a [`Request`] batch in order, each
+//!   request through the matching one of the three.
 //! * **Concurrency** — the whole serving surface takes `&self`:
 //!   [`RankingService`] is `Sync`, so any number of request threads share
 //!   one service directly (`Arc` or `thread::scope`). The KB and rules are
@@ -53,8 +51,8 @@
 //!   and each gets a [`Ticket`] to [`Ticket::wait`] on. No thread of its
 //!   own drains it: whichever caller needs a result while no drain is in
 //!   progress runs the next batch, in arrival order, through
-//!   [`RankingService::submit`], so same-epoch requests from different
-//!   producers coalesce.
+//!   [`RankingService::submit`], so one wait can answer several
+//!   producers' requests.
 //! * **Observability** — [`RankingService::stats`] aggregates every
 //!   tenant's [`crate::SessionStats`] (plus counters retired with evicted
 //!   tenants) into a [`ServiceStats`]: sessions live/evicted, warm/cold hit

@@ -5,7 +5,7 @@
 //! [`crate::serve::RankingService`] scores through one [`ScratchPool`]: a
 //! request that has to evaluate something checks out an [`EvalScratch`]
 //! reading the pool's [`MemoGeneration`] lock-free, and when the request
-//! (or coalesced run) gives it back the pool absorbs what it memoised — in
+//! gives it back the pool absorbs what it memoised — in
 //! place for one client, into a copy while other checkouts hold the
 //! generation, which keep reading the one they were handed. That is how
 //! one tenant's work warms every other tenant that touches the same

@@ -6,10 +6,9 @@
 //! while no drain is in progress takes the *drain role*: it runs up to
 //! [`QueueConfig::batch`] of the oldest requests through
 //! [`RankingService::submit`] on its own thread and delivers each result
-//! to its ticket. Consecutive rank-shaped requests from *different*
-//! producers therefore coalesce into one dispatch run (one shared
-//! scratch, given back once), and a producer that arrives during a drain
-//! joins the next one.
+//! to its ticket. One wait can therefore answer requests of *different*
+//! producers, each through the service's direct call, and a producer that
+//! arrives during a drain joins the next one.
 //!
 //! * **Backpressure.** [`ServiceHandle::enqueue`] on a full queue drains
 //!   (or parks while another caller does), so ingestion degrades to the
@@ -38,10 +37,9 @@ pub struct QueueConfig {
     /// [`ServiceHandle::try_enqueue`].
     pub capacity: usize,
     /// Maximum requests one drain runs through one
-    /// [`RankingService::submit`] batch (≥ 1) — the coalescing window.
-    /// Larger batches amortize more (one scratch, one give-back), but a
-    /// draining caller may run up to `batch − 1` other producers'
-    /// requests before its own in the batch that answers it.
+    /// [`RankingService::submit`] batch (≥ 1). A draining caller may run
+    /// up to `batch − 1` other producers' requests before its own in the
+    /// batch that answers it.
     pub batch: usize,
 }
 
@@ -672,19 +670,14 @@ mod tests {
         let queue = ServiceQueue::start(Arc::clone(&service), QueueConfig::default());
         let first = queue.handle().enqueue(rank(users[0], &docs)).unwrap();
         let second = queue.handle().enqueue(rank(users[1], &docs)).unwrap();
-        let runs = service.stats().coalesced_runs;
         assert!(first.wait().is_ok());
         let after_wait = queue.stats();
-        assert_eq!(
-            after_wait.coalesced_runs,
-            runs + 1,
-            "both producers' ranks ran as one dispatch"
-        );
-        assert_eq!(after_wait.queue.drained, 2);
+        assert_eq!(after_wait.queue.drained, 2, "one wait drained both");
+        assert_eq!(after_wait.rank_requests, 2);
         assert!(second.try_take().expect("already answered").is_ok());
         let after_take = queue.stats();
         assert_eq!(after_take.queue.drained, 2, "no further drain");
-        assert_eq!(after_take.coalesced_runs, after_wait.coalesced_runs);
+        assert_eq!(after_take.rank_requests, 2, "and no further rank");
         queue.shutdown();
     }
 

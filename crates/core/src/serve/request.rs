@@ -35,9 +35,9 @@ pub enum Fact {
 /// One queued service request, as consumed by
 /// [`crate::serve::RankingService::submit`].
 ///
-/// `Rank`/`RankGroup` requests that arrive back-to-back (no `Assert`
-/// between them) see the same KB epoch and are coalesced into one scoring
-/// dispatch; an `Assert` bumps the epoch and so acts as a batch barrier.
+/// `submit` answers each through the matching direct call —
+/// [`crate::serve::RankingService::rank`], `rank_group` or `assert` — in
+/// batch order, so a request sees every `Assert` before it.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Rank `docs` for `user`, returning the top `k` (`k >= docs.len()`

@@ -299,10 +299,6 @@ pub struct ServiceStats {
     /// Facts *successfully recorded* (batched or direct); rejected facts
     /// (e.g. an invalid probability) mutate nothing and do not count.
     pub asserts: u64,
-    /// Coalesced dispatch runs executed by [`RankingService::submit`]
-    /// (each run shares one scratch and takes the pool's lock at most
-    /// twice: one checkout, one give-back).
-    pub coalesced_runs: u64,
     /// Tenant-shard lock acquisitions by requests, summed over shards
     /// (the per-shard breakdown is [`RankingService::shard_lock_counts`]).
     /// A single-user request takes one lock, first sight or warm, a group
@@ -337,7 +333,6 @@ impl std::ops::Add for ServiceStats {
             sessions_evicted: self.sessions_evicted + rhs.sessions_evicted,
             rank_requests: self.rank_requests + rhs.rank_requests,
             asserts: self.asserts + rhs.asserts,
-            coalesced_runs: self.coalesced_runs + rhs.coalesced_runs,
             shard_lock_acquisitions: self.shard_lock_acquisitions + rhs.shard_lock_acquisitions,
             queue: self.queue + rhs.queue,
             sessions: self.sessions + rhs.sessions,
@@ -416,7 +411,6 @@ pub struct RankingService<E> {
     tenants: TenantSessions,
     pool: ScratchPool,
     asserts: AtomicU64,
-    coalesced_runs: AtomicU64,
     /// Serializes all mutations and owns the WAL (see [`WriterState`]).
     writer: Mutex<WriterState>,
     /// WAL traffic counters surfaced via [`ServiceStats::wal`] — a leaf
@@ -459,7 +453,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             tenants: TenantSessions::new(config.shards, config.max_sessions),
             pool: ScratchPool::default(),
             asserts: AtomicU64::new(0),
-            coalesced_runs: AtomicU64::new(0),
             writer: Mutex::new(WriterState {
                 durable: None,
                 shared_tables: SharedTables::default(),
@@ -914,8 +907,8 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// Asserts a typed [`Fact`] — the context-switch path. Bumps the KB's
     /// binding epoch and the version of the one table the fact lands in,
     /// so on their next request tenants re-check only the rules that read
-    /// that table (see [`crate::BindingCache`]): a fact about a user
-    /// re-binds that user's rules and nobody else's, a fact about a
+    /// that table (see [`crate::ScoringSession::bind`]): a fact about a
+    /// user re-binds that user's rules and nobody else's, a fact about a
     /// document re-derives the preference views over it once for all
     /// tenants. A rejected fact (e.g. an invalid probability) mutates
     /// nothing, does not count toward [`ServiceStats::asserts`], and is
@@ -958,12 +951,17 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// users in different tenant shards run in parallel; same-user
     /// requests serialize on the shard lock.
     ///
-    /// The request takes the tenant's shard lock first. A full-page rank
-    /// whose tenant's mark is the published shared sequence, and whose
-    /// score entry holds this list under the tenant's bindings, is answered
-    /// there and then — no snapshot load, no bind, no reference count
-    /// touched. Any other request loads the snapshot under the shard lock
-    /// and binds against it.
+    /// The request takes the tenant's shard lock first and runs whole
+    /// inside it (`shard → {published slot | pool}` in the documented lock
+    /// order), so the tenant's caches cannot be touched by another thread
+    /// mid-request. A full-page rank whose tenant's mark is the published
+    /// shared sequence, and whose score entry holds this list under the
+    /// tenant's bindings, is answered there and then — no snapshot load, no
+    /// bind, no scratch, no reference count touched. Any other request
+    /// loads the snapshot under the shard lock, marks the tenant if that
+    /// snapshot is still the published one, and binds against it,
+    /// checking a scratch out of the pool only if a document has to be
+    /// evaluated.
     pub fn rank(
         &self,
         user: IndividualId,
@@ -971,7 +969,22 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         k: usize,
     ) -> Result<Vec<DocScore>> {
         let mut scratch = None;
-        let out = self.rank_on(None, user, docs, k, &mut scratch);
+        let out = self.tenants.with_session(user, true, |tenant| {
+            let current = k >= docs.len()
+                && tenant.bound_at == Some(self.seqs.shared.load(Ordering::Acquire));
+            if current {
+                if let Some(warm) = tenant.session.rank_warm(&self.engine, docs) {
+                    return Ok(warm);
+                }
+            }
+            let snap = self.load();
+            tenant.bound_at = self.seqs.mark(&snap);
+            tenant
+                .session
+                .rank_top_k(&self.engine, &snap.env(user), docs, k, || {
+                    scratch.get_or_insert_with(|| self.pool.checkout(snap.kb()))
+                })
+        });
         self.give_back(scratch);
         out
     }
@@ -990,153 +1003,51 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         k: usize,
         strategy: &GroupStrategy,
     ) -> Result<Vec<DocScore>> {
-        let snap = self.load();
-        let mut scratch = None;
-        let out = self.rank_group_with_scratch(&snap, users, docs, k, strategy, &mut scratch);
-        self.give_back(scratch);
-        out
+        self.rank_group_on(&self.load(), users, docs, k, strategy)
     }
 
-    /// Executes a request batch in order, coalescing every run of
-    /// consecutive rank-shaped requests into one dispatch: the run shares
-    /// a single lazily checked-out evaluation scratch, given back once, so
-    /// every request after the first starts from its predecessors' memos
-    /// for free. An [`Request::Assert`] bumps the KB epoch and therefore
-    /// acts as a barrier between runs; each run loads one KB snapshot, so
-    /// every request in it scores the same published state.
+    /// Executes a request batch in order, each request through
+    /// [`RankingService::rank`], [`RankingService::rank_group`] or
+    /// [`RankingService::assert`] — the direct call's answer, so a warm
+    /// full page loads no snapshot here either.
     ///
     /// Responses are returned in request order; a failed request yields
     /// its error without aborting the rest of the batch.
     pub fn submit(&self, batch: impl IntoIterator<Item = Request>) -> Vec<Result<Response>> {
-        let mut out = Vec::new();
-        let mut pending = Vec::new();
-        for request in batch {
-            match request {
-                Request::Assert { subject, fact } => {
-                    self.flush_run(&mut pending, &mut out);
-                    out.push(self.assert(subject, fact).map(|()| Response::Asserted));
-                }
-                ranking => pending.push(ranking),
+        let answer = |request| match request {
+            Request::Rank { user, docs, k } => self.rank(user, &docs, k).map(Response::Ranked),
+            Request::RankGroup {
+                users,
+                docs,
+                k,
+                strategy,
+            } => self
+                .rank_group(&users, &docs, k, &strategy)
+                .map(Response::Ranked),
+            Request::Assert { subject, fact } => {
+                self.assert(subject, fact).map(|()| Response::Asserted)
             }
-        }
-        self.flush_run(&mut pending, &mut out);
-        out
+        };
+        batch.into_iter().map(answer).collect()
     }
 
-    /// Dispatches one coalesced run of rank-shaped requests (see
-    /// [`RankingService::submit`]). The scratch is checked out lazily:
-    /// a run answered entirely from score caches never touches the pool.
-    fn flush_run(&self, pending: &mut Vec<Request>, out: &mut Vec<Result<Response>>) {
-        if pending.is_empty() {
-            return;
-        }
-        self.coalesced_runs.fetch_add(1, Ordering::Relaxed);
-        let snap = self.load();
-        let mut scratch = None;
-        for request in pending.drain(..) {
-            let response = match request {
-                Request::Rank { user, docs, k } => self
-                    .rank_on(Some(&snap), user, &docs, k, &mut scratch)
-                    .map(Response::Ranked),
-                Request::RankGroup {
-                    users,
-                    docs,
-                    k,
-                    strategy,
-                } => self
-                    .rank_group_with_scratch(&snap, &users, &docs, k, &strategy, &mut scratch)
-                    .map(Response::Ranked),
-                Request::Assert { .. } => unreachable!("asserts flush the run"),
-            };
-            out.push(response);
-        }
-        self.give_back(scratch);
-    }
-
-    /// Returns a lazily checked-out scratch to the pool, which absorbs its
-    /// memos; a `None` (the fully warm case — no evaluation ran) costs
-    /// nothing.
-    fn give_back(&self, scratch: Option<EvalScratch>) {
-        if let Some(scratch) = scratch {
-            self.pool.give_back(scratch);
-        }
-    }
-
-    /// The one request path behind [`RankingService::rank`] and the
-    /// batched dispatch, against `run` — a coalesced run's snapshot — or,
-    /// with `None`, the published state. Under the tenant's shard lock: a
-    /// full page whose tenant's mark is the published shared sequence
-    /// (with a `run`: `run`'s, and `run` still the published snapshot) is
-    /// offered to the score entry
-    /// ([`crate::session::SessionCore::rank_warm`]); anything else loads
-    /// the snapshot if `run` is `None`, marks the tenant
-    /// ([`Sequences::mark`]) and runs the session core
-    /// ([`crate::session::SessionCore::rank_top_k`]) over a lazily
-    /// checked-out scratch, which the caller settles via
-    /// [`RankingService::give_back`].
-    ///
-    /// The whole request body runs inside the tenant's shard-lock scope
-    /// (`shard → {published slot | pool}` in the documented lock order):
-    /// the tenant's caches cannot be touched by another thread mid-request,
-    /// which is what makes same-user requests serialize.
-    fn rank_on(
-        &self,
-        run: Option<&SharedSnapshot>,
-        user: IndividualId,
-        docs: &[IndividualId],
-        k: usize,
-        scratch: &mut Option<EvalScratch>,
-    ) -> Result<Vec<DocScore>> {
-        self.tenants.with_session(user, true, |tenant| {
-            if k >= docs.len() {
-                let current = match run {
-                    None => tenant.bound_at == Some(self.seqs.shared.load(Ordering::Acquire)),
-                    Some(snap) => {
-                        tenant.bound_at == Some(snap.shared)
-                            && snap.seq == self.seqs.seq.load(Ordering::Acquire)
-                    }
-                };
-                if current {
-                    if let Some(warm) = tenant.session.rank_warm(&self.engine, docs) {
-                        return Ok(warm);
-                    }
-                }
-            }
-            let loaded;
-            let snap = match run {
-                Some(snap) => snap,
-                None => {
-                    loaded = self.load();
-                    &loaded
-                }
-            };
-            tenant.bound_at = self.seqs.mark(snap);
-            tenant
-                .session
-                .rank_top_k(&self.engine, &snap.env(user), docs, k, || {
-                    scratch.get_or_insert_with(|| self.pool.checkout(snap.kb()))
-                })
-        })
-    }
-
-    /// The group path behind [`RankingService::rank_group`] and the
-    /// batched dispatch (see [`RankingService::rank_on`] for the scratch
-    /// contract): every member's full score list through their own session
-    /// core, bound against `snap` and marked ([`Sequences::mark`]), one
-    /// shard lock per member, in request order, then the combine and the
-    /// cut.
-    fn rank_group_with_scratch(
+    /// [`RankingService::rank_group`] against `snap`: every member's full
+    /// score list through their own session core, bound against `snap`
+    /// and marked ([`Sequences::mark`]), one shard lock per member, in
+    /// request order, on one lazily checked-out scratch; then the combine
+    /// and the cut.
+    fn rank_group_on(
         &self,
         snap: &SharedSnapshot,
         users: &[IndividualId],
         docs: &[IndividualId],
         k: usize,
         strategy: &GroupStrategy,
-        scratch: &mut Option<EvalScratch>,
     ) -> Result<Vec<DocScore>> {
         if users.is_empty() {
             self.tenants.count_rank();
         }
+        let mut scratch = None;
         let per_user = users
             .iter()
             .enumerate()
@@ -1150,10 +1061,19 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
                         })
                 })
             })
-            .collect::<Result<Vec<_>>>()?;
-        let mut ranked = rank(group_scores(&per_user, strategy)?);
+            .collect::<Result<Vec<_>>>();
+        self.give_back(scratch);
+        let mut ranked = rank(group_scores(&per_user?, strategy)?);
         ranked.truncate(k);
         Ok(ranked)
+    }
+
+    /// Returns a lazily checked-out scratch to the pool, which absorbs its
+    /// memos; a `None` (no evaluation ran) costs nothing.
+    fn give_back(&self, scratch: Option<EvalScratch>) {
+        if let Some(scratch) = scratch {
+            self.pool.give_back(scratch);
+        }
     }
 
     /// Service-wide counters and footprints (see [`ServiceStats`]).
@@ -1166,7 +1086,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         stats.sessions.batch = self.pool.batch_stats();
         ServiceStats {
             asserts: self.asserts.load(Ordering::Relaxed),
-            coalesced_runs: self.coalesced_runs.load(Ordering::Relaxed),
             wal: *self.wal_stats.lock().expect("wal stats lock poisoned"),
             ..stats
         }
@@ -1205,7 +1124,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         self.tenants.clear();
         self.pool = ScratchPool::default();
         *self.asserts.get_mut() = 0;
-        *self.coalesced_runs.get_mut() = 0;
         *self.wal_stats.get_mut().expect("wal stats lock poisoned") = WalStats::default();
     }
 }
@@ -1412,8 +1330,11 @@ mod tests {
         assert_eq!(&got[..3], &top3[..]);
     }
 
+    /// A batch answers its requests in order, an assert among them moving
+    /// what the requests after it see: each response is the cold answer
+    /// at its point in the batch.
     #[test]
-    fn batch_coalesces_runs_and_preserves_order() {
+    fn batch_preserves_order_across_an_assert() {
         let (kb, rules, users, docs) = fixture(3, 8);
         let service = RankingService::new(LineageEngine::new(), kb, rules);
         let batch = vec![
@@ -1447,10 +1368,6 @@ mod tests {
         assert_eq!(responses.len(), 5);
         assert!(matches!(responses[2], Ok(Response::Asserted)));
         let stats = service.stats();
-        assert_eq!(
-            stats.coalesced_runs, 2,
-            "two rank runs separated by the assert barrier"
-        );
         assert_eq!(stats.rank_requests, 4);
         assert_eq!(stats.asserts, 1);
         // Each ranked response equals the cold reference *at its point in
@@ -1830,10 +1747,52 @@ mod tests {
         assert_eq!(round(), n);
     }
 
-    /// A request bound against a snapshot an own-row assert superseded —
-    /// a coalesced run's or a group's — is answered on that snapshot and
-    /// leaves its tenant unmarked: the next page of the assert's subject
-    /// and of a bystander alike is the cold page on the published state.
+    /// `submit` and a [`crate::serve::ServiceQueue`] answer each request
+    /// through the direct call: a warm full page sent either way loads no
+    /// snapshot, just as a direct `rank` does, and is the same page.
+    #[test]
+    fn a_warm_page_through_submit_or_the_queue_loads_no_snapshot() {
+        use crate::serve::{QueueConfig, ServiceQueue};
+
+        let (kb, rules, users, docs) = fixture(3, 8);
+        let service = Arc::new(RankingService::new(LineageEngine::new(), kb, rules));
+        let page = |user| Request::Rank {
+            user,
+            docs: docs.clone(),
+            k: docs.len(),
+        };
+        let want: Vec<_> = users
+            .iter()
+            .map(|&user| service.rank(user, &docs, docs.len()).unwrap())
+            .collect();
+        let loads = || service.loads.load(Ordering::Relaxed);
+        let loaded = loads();
+        for (&user, want) in users.iter().zip(&want) {
+            assert_eq!(&service.rank(user, &docs, docs.len()).unwrap(), want);
+        }
+        assert_eq!(loads(), loaded, "a direct warm page");
+        let responses = service.submit(users.iter().map(|&user| page(user)));
+        for (response, want) in responses.iter().zip(&want) {
+            assert_eq!(response.as_ref().unwrap().ranked(), Some(&want[..]));
+        }
+        assert_eq!(loads(), loaded, "a warm page through submit");
+        let queue = ServiceQueue::start(Arc::clone(&service), QueueConfig::default());
+        let tickets: Vec<_> = users
+            .iter()
+            .map(|&user| queue.handle().enqueue(page(user)).unwrap())
+            .collect();
+        for (ticket, want) in tickets.into_iter().zip(&want) {
+            assert_eq!(ticket.wait().unwrap().ranked(), Some(&want[..]));
+        }
+        assert_eq!(loads(), loaded, "a warm page through the queue");
+        queue.shutdown();
+    }
+
+    /// A group bound against a snapshot an own-row assert superseded
+    /// between its load and its members' binds is answered on that
+    /// snapshot and leaves its members' tenants unmarked: the next page of
+    /// the assert's subject and of a bystander alike is the cold page on
+    /// the published state.
     #[test]
     fn a_bind_on_a_superseded_snapshot_leaves_its_tenant_unmarked() {
         let (kb, rules, users, docs) = fixture(4, 10);
@@ -1846,24 +1805,14 @@ mod tests {
             assert_eq!(got, cold(&service.snapshot(), user), "{user:?}");
         };
         pair.into_iter().for_each(published);
-        for (p, group) in [(0.9, false), (0.6, true)] {
+        for p in [0.9, 0.6] {
             let old = service.snapshot();
             service
                 .assert(users[0], Fact::ConceptProb("Ctx0".into(), p))
                 .unwrap();
-            let mut scratch = None;
-            if group {
-                let strategy = GroupStrategy::Product;
-                service
-                    .rank_group_with_scratch(&old, &pair, &docs, n, &strategy, &mut scratch)
-                    .unwrap();
-            } else {
-                for user in pair {
-                    let got = service.rank_on(Some(&old), user, &docs, n, &mut scratch);
-                    assert_eq!(got.unwrap(), cold(&old, user), "the run's own snapshot");
-                }
-            }
-            service.give_back(scratch);
+            service
+                .rank_group_on(&old, &pair, &docs, n, &GroupStrategy::Product)
+                .unwrap();
             pair.into_iter().for_each(published);
         }
         // An own-row assert about a user with no tenant, then their first
@@ -2048,8 +1997,8 @@ mod tests {
         assert_eq!(stats.sessions_live, 0);
         assert_eq!(stats.sessions.footprint.entries, 0);
         assert_eq!(
-            (stats.rank_requests, stats.asserts, stats.coalesced_runs),
-            (0, 0, 0),
+            (stats.rank_requests, stats.asserts),
+            (0, 0),
             "clear resets the request counters with the caches, so one \
              stats snapshot never mixes pre- and post-clear epochs"
         );

@@ -9,12 +9,13 @@
 //! when nothing changed. A [`ScoringSession`] keeps three layers of state
 //! between calls:
 //!
-//! 1. **bindings** — a [`BindingCache`] holding one `Arc<RuleBinding>` per
-//!    `(user, rule)`. The half of a binding that does not depend on the
-//!    user — the rule's definition with its concepts unfolded, the stamps
-//!    of the tables behind them, the preference view — is a *rule plan*,
-//!    resolved by the first binder after a change and shared through the
-//!    `Kb` by every cache bound to it; accepted on the KB's identity and
+//! 1. **bindings** — per user a [`UserBindings`] holding one
+//!    `Arc<RuleBinding>` per rule ([`ScoringSession::bind`]). The half of
+//!    a binding that does not depend on the user — the rule's definition
+//!    with its concepts unfolded, the stamps of the tables behind them,
+//!    the preference view — is a *rule plan*, resolved by the first binder
+//!    after a change and shared through the `Kb` by every user's bindings
+//!    against it; accepted on the KB's identity and
 //!    TBox epoch, the rules — the repository's stamp
 //!    ([`crate::RuleRepository`]), or failing that every rule's definition
 //!    — and an ABox that moved none of the tables the plans read of anyone
@@ -79,8 +80,8 @@ use crate::hash::IdMap;
 use crate::topk::rank_top_k_bound;
 use crate::{Kb, PreferenceRule, Result, RuleRepository, ScoringEnv};
 
-/// Hit/miss counters of one cache layer, as returned by the `stats()`
-/// methods of [`BindingCache`] and the score cache. Counters reset to zero
+/// Hit/miss counters of one cache layer, as [`SessionStats::bindings`] and
+/// [`SessionStats::scores`] report them. Counters reset to zero
 /// when the owning cache is cleared, so post-clear ratios describe the
 /// fresh cache rather than blending in pre-clear traffic.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -618,16 +619,58 @@ impl fmt::Debug for PlanSlot {
     }
 }
 
-/// One user's bindings: the plan set they were last bound against, the
-/// ABox epoch of the state they were bound at, and one binding per plan of
-/// the set, in its order — what those plans and the user's rows derive at
-/// that state.
+/// One user's [`RuleBinding`]s, one per rule in repository order: what
+/// [`ScoringSession::bind`] and a service tenant bind through.
+///
+/// A binding has two halves. What does not depend on the user — the rule's
+/// definition with its concepts unfolded, the [`capra_dl::ABox::stamp`]s of
+/// their footprints and the preference view — is a *rule plan*, resolved by
+/// the first binder after a change and published on the `Kb` for every
+/// cache that binds against it (or against its publish-chain successors).
+/// A plan set is accepted on the KB's identity, its TBox epoch and the
+/// rules — by the repository's stamp, else definition by definition — and
+/// on an ABox at the set's epoch or later by moves of none of its *shared*
+/// tables: the preference tables, every context table read of anyone but
+/// the asker, and the domain. A context switch moves only its user's own
+/// rows, so it keeps the set; no set from a later state is accepted on an
+/// earlier one, so a binder on an older snapshot resolves its own and
+/// neither takes nor displaces the newer. A resolve from the set of an
+/// earlier state of the same rules and terminology stamps again only the
+/// plans whose shared tables moved since ([`capra_dl::ABox::moved_since`])
+/// and hands on the others as the same `Arc`; any other resolve — first,
+/// after a rule or terminology change, or behind a set from a later state
+/// — resolves every rule. What does depend on the user is kept here: the
+/// plan set the user was last bound against, the ABox epoch of that bind
+/// and, aligned with the set's plans, the list of bindings
+/// [`UserBindings::bind`] hands out.
+///
+/// A bind against the set the user was last bound against, at that bind's
+/// state or a later one, is one check: none of the user's own rows moved
+/// since ([`capra_dl::ABox::own_row_epochs`]). Otherwise, rule by rule, a
+/// binding is current if its definition and view `Arc` are the plan's and
+/// — for a context that reads only its asker's own rows — none of the
+/// user's rows in the context's tables moved since the last bind, or — for
+/// any other — its plan is the very one it was bound under or has the same
+/// context stamp. A bind against a snapshot older than the last bind
+/// counts every row of the user's as moved. Where a binding is not
+/// current, the context event is looked up again and a binding that comes
+/// out unchanged is handed back as the same `Arc`. The lookup is a point membership of this
+/// user only where the context reads one of the user's own tables or a
+/// nominal names the user; for everyone else in the domain it is the
+/// context's blank ([`capra_dl::Footprint::blank`]), which is what the walk
+/// would return. A new binding whose context event is constant — `False`
+/// for a rule that does not apply to the user, `True` for one that
+/// certainly does — depends on nobody, and is the plan's one `Arc` for
+/// every such user rather than one of their own.
+///
+/// [`CacheStats::misses`] counts bindings that *changed* (first sight
+/// included, blanks too); everything handed back as it was is a hit.
 #[derive(Default)]
 struct UserBindings {
     set: Option<Arc<PlanSet>>,
     /// [`capra_dl::ABox::epoch`] of the last bind's KB, which is `set`'s.
     epoch: u64,
-    /// As [`BindingCache::bind`] hands it out: replaced only when one of
+    /// As [`UserBindings::bind`] hands it out: replaced only when one of
     /// its elements is, so holding the same list means holding the same
     /// bindings.
     list: Arc<[Arc<RuleBinding>]>,
@@ -671,105 +714,9 @@ fn is_current(
     }
 }
 
-/// A cache of [`RuleBinding`]s per user, one per rule in repository order.
-///
-/// A binding has two halves. What does not depend on the user — the rule's
-/// definition with its concepts unfolded, the [`capra_dl::ABox::stamp`]s of
-/// their footprints and the preference view — is a *rule plan*, resolved by
-/// the first binder after a change and published on the `Kb` for every
-/// cache that binds against it (or against its publish-chain successors).
-/// A plan set is accepted on the KB's identity, its TBox epoch and the
-/// rules — by the repository's stamp, else definition by definition — and
-/// on an ABox at the set's epoch or later by moves of none of its *shared*
-/// tables: the preference tables, every context table read of anyone but
-/// the asker, and the domain. A context switch moves only its user's own
-/// rows, so it keeps the set; no set from a later state is accepted on an
-/// earlier one, so a binder on an older snapshot resolves its own and
-/// neither takes nor displaces the newer. A resolve from the set of an
-/// earlier state of the same rules and terminology stamps again only the
-/// plans whose shared tables moved since ([`capra_dl::ABox::moved_since`])
-/// and hands on the others as the same `Arc`; any other resolve — first,
-/// after a rule or terminology change, or behind a set from a later state
-/// — resolves every rule. What does depend on the user is kept here: the
-/// plan set the user was last bound against, the ABox epoch of that bind
-/// and, aligned with the set's plans, the list of bindings
-/// [`BindingCache::bind`] hands out.
-///
-/// A bind against the set the user was last bound against, at that bind's
-/// state or a later one, is one check: none of the user's own rows moved
-/// since ([`capra_dl::ABox::own_row_epochs`]). Otherwise, rule by rule, a
-/// binding is current if its definition and view `Arc` are the plan's and
-/// — for a context that reads only its asker's own rows — none of the
-/// user's rows in the context's tables moved since the last bind, or — for
-/// any other — its plan is the very one it was bound under or has the same
-/// context stamp. A bind against a snapshot older than the last bind
-/// counts every row of the user's as moved. Where a binding is not
-/// current, the context event is looked up again and a binding that comes
-/// out unchanged is handed back as the same `Arc`. The lookup is a point membership of this
-/// user only where the context reads one of the user's own tables or a
-/// nominal names the user; for everyone else in the domain it is the
-/// context's blank ([`capra_dl::Footprint::blank`]), which is what the walk
-/// would return. A new binding whose context event is constant — `False`
-/// for a rule that does not apply to the user, `True` for one that
-/// certainly does — depends on nobody, and is the plan's one `Arc` for
-/// every such user rather than one of their own.
-///
-/// [`CacheStats::misses`] counts bindings that *changed* (first sight
-/// included, blanks too); everything handed back as it was is a hit.
-#[derive(Default)]
-pub struct BindingCache {
-    users: IdMap<IndividualId, UserBindings>,
-    stats: CacheStats,
-}
-
-impl BindingCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Hit/miss counters accumulated since creation or the last
-    /// [`BindingCache::clear`].
-    pub fn stats(&self) -> CacheStats {
-        self.stats
-    }
-
-    /// Number of cached bindings (including stale ones not yet refreshed).
-    pub fn len(&self) -> usize {
-        self.users.values().map(|u| u.list.len()).sum()
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drops every cached binding and resets the hit/miss counters, so
-    /// post-clear stats describe the fresh cache only.
-    pub fn clear(&mut self) {
-        *self = Self::default();
-    }
-
-    /// Binds every rule in the environment, serving unchanged rules from the
-    /// cache and looking the user's context event up again for the rest.
-    /// Returns one binding per rule, in repository order — the same contract
-    /// as [`crate::bind_rules_shared`], with which the result is
-    /// bit-identical.
-    ///
-    /// The list is shared, and it is the user's *same* list for as long as
-    /// every binding in it is the same `Arc` — also across KB mutations
-    /// that moved nothing of this user's. [`Arc::ptr_eq`] on two lists a
-    /// caller got for one user therefore says "nothing changed" (never the
-    /// converse: a cleared cache binds equal content into a new list).
-    pub fn bind(&mut self, env: &ScoringEnv<'_>) -> Arc<[Arc<RuleBinding>]> {
-        let user = self.users.entry(env.user).or_default();
-        user.bind(env, &mut self.stats)
-    }
-}
-
 impl UserBindings {
-    /// [`BindingCache::bind`] for the user these bindings are `env.user`'s,
-    /// counting into `stats`.
+    /// [`ScoringSession::bind`] for the user these bindings are
+    /// `env.user`'s, counting into `stats`.
     fn bind(&mut self, env: &ScoringEnv<'_>, stats: &mut CacheStats) -> Arc<[Arc<RuleBinding>]> {
         let set = PlanSet::current(env, self.set.as_ref());
         let abox = &env.kb.abox;
@@ -853,7 +800,7 @@ impl UserBindings {
 
 /// One engine's cached scores for one user, valid while the binding list
 /// they were computed under is still the one the user's bindings hand out
-/// ([`BindingCache::bind`] replaces a user's list exactly when one of its
+/// ([`UserBindings::bind`] replaces a user's list exactly when one of its
 /// bindings changes). Holding a strong reference makes the identity check
 /// exact: a pointer can only compare equal to a *live* list, never to a
 /// recycled allocation.
@@ -1023,7 +970,7 @@ impl SessionCore {
     }
 
     /// Current bindings for the environment, served from the cache where
-    /// valid (see [`BindingCache::bind`]). `env.user` is the core's user.
+    /// valid (see [`UserBindings::bind`]). `env.user` is the core's user.
     pub(crate) fn bind(&mut self, env: &ScoringEnv<'_>) -> Arc<[Arc<RuleBinding>]> {
         self.bindings.bind(env, &mut self.binding_stats)
     }
@@ -1260,6 +1207,22 @@ impl ScoringSession {
     /// Drops every layer of cached state.
     pub fn clear(&mut self) {
         *self = Self::default();
+    }
+
+    /// Binds every rule in the environment for `env.user`, serving unchanged
+    /// rules from the user's cached bindings and looking the user's context
+    /// event up again for the rest, counted into [`SessionStats::bindings`].
+    /// Returns one binding per rule, in repository order — the same
+    /// contract as [`crate::bind_rules_shared`], with which the result is
+    /// bit-identical.
+    ///
+    /// The list is shared, and it is the user's *same* list for as long as
+    /// every binding in it is the same `Arc` — also across KB mutations
+    /// that moved nothing of this user's. [`Arc::ptr_eq`] on two lists a
+    /// caller got for one user therefore says "nothing changed" (never the
+    /// converse: a cleared session binds equal content into a new list).
+    pub fn bind(&mut self, env: &ScoringEnv<'_>) -> Arc<[Arc<RuleBinding>]> {
+        self.users.entry(env.user).or_default().bind(env)
     }
 
     /// `env.user`'s core, and the session's own scratch moved on to
@@ -1547,7 +1510,7 @@ mod tests {
     fn another_users_context_switch_hands_back_the_same_bindings() {
         let (mut kb, rules, user, _) = fixture();
         let other = kb.individual("mary");
-        let mut cache = BindingCache::new();
+        let mut cache = ScoringSession::new();
         let before = cache.bind(&env_of(&kb, &rules, user));
         // `Breakfast` is R2's context table: it moved, but not in this
         // user's row.
@@ -1557,7 +1520,7 @@ mod tests {
             assert!(Arc::ptr_eq(b, a), "{}: unchanged binding, same Arc", b.name);
         }
         assert_eq!(
-            cache.stats(),
+            cache.stats().bindings,
             CacheStats { hits: 2, misses: 2 },
             "a re-check that changes nothing is a hit"
         );
@@ -1579,9 +1542,9 @@ mod tests {
             kb.assert_concept(u, "Weekend");
             u
         });
-        let mut caches = [BindingCache::new(), BindingCache::new()];
+        let mut caches = [ScoringSession::new(), ScoringSession::new()];
         let mut bind_both = |kb: &Kb| -> Vec<Arc<[Arc<RuleBinding>]>> {
-            let bind = |(cache, u): (&mut BindingCache, IndividualId)| {
+            let bind = |(cache, u): (&mut ScoringSession, IndividualId)| {
                 let got = cache.bind(&env_of(kb, &rules, u));
                 assert_matches_cold(&got, &env_of(kb, &rules, u));
                 got
@@ -1608,7 +1571,7 @@ mod tests {
         }
         for cache in &caches {
             assert_eq!(
-                cache.stats(),
+                cache.stats().bindings,
                 CacheStats { hits: 1, misses: 3 },
                 "first sight of two rules, then R2's view"
             );
@@ -1628,7 +1591,7 @@ mod tests {
                 Score::new(0.5).unwrap(),
             ))
             .unwrap();
-        let mut cache = BindingCache::new();
+        let mut cache = ScoringSession::new();
         let before = cache.bind(&env_of(&kb, &rules, user));
         assert!(before[2].is_inapplicable());
         let lazy = kb.voc.concept("Lazy");
@@ -1643,7 +1606,7 @@ mod tests {
         assert_matches_cold(&after, &env_of(&kb, &rules, user));
         assert!(Arc::ptr_eq(&before[0], &after[0]) && Arc::ptr_eq(&before[1], &after[1]));
         assert_eq!(
-            (cache.stats(), kb.plans().resolved()),
+            (cache.stats().bindings, kb.plans().resolved()),
             (CacheStats { hits: 2, misses: 4 }, 2),
             "one resolve for the new terminology; only R3 names `Lazy`"
         );
@@ -1672,20 +1635,20 @@ mod tests {
         let mut new = old.clone_for_publish();
         new.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
         // A tenant on the successor publishes the new views first…
-        let mut ahead = BindingCache::new();
+        let mut ahead = ScoringSession::new();
         assert_matches_cold(
             &ahead.bind(&env_of(&new, &rules, user)),
             &env_of(&new, &rules, user),
         );
         // …and one still pinned on the old snapshot binds afterwards.
-        let mut behind = BindingCache::new();
+        let mut behind = ScoringSession::new();
         assert_matches_cold(
             &behind.bind(&env_of(&old, &rules, user)),
             &env_of(&old, &rules, user),
         );
         // Neither displaced the other's: the newer views are still shared.
         let derived = new.views().derived();
-        let mut late = BindingCache::new();
+        let mut late = ScoringSession::new();
         assert_matches_cold(
             &late.bind(&env_of(&new, &rules, user)),
             &env_of(&new, &rules, user),
@@ -1712,11 +1675,11 @@ mod tests {
         let (old, rules, user, docs) = fixture();
         let mut new = old.clone_for_publish();
         new.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
-        let mut ahead = BindingCache::new();
+        let mut ahead = ScoringSession::new();
         let newest = ahead.bind(&env_of(&new, &rules, user));
         let held = published(&new).expect("the first binder publishes");
         // A tenant still pinned on the old snapshot resolves its own…
-        let mut behind = BindingCache::new();
+        let mut behind = ScoringSession::new();
         assert_matches_cold(
             &behind.bind(&env_of(&old, &rules, user)),
             &env_of(&old, &rules, user),
@@ -1728,10 +1691,10 @@ mod tests {
         );
         // …once: it keeps what it resolved for as long as it stays there.
         behind.bind(&env_of(&old, &rules, user));
-        assert_eq!(behind.stats(), CacheStats { hits: 2, misses: 2 });
+        assert_eq!(behind.stats().bindings, CacheStats { hits: 2, misses: 2 });
         // A late arrival on the successor takes the published set as it is,
         // and so does the straggler when it moves on.
-        let mut late = BindingCache::new();
+        let mut late = ScoringSession::new();
         for cache in [&mut late, &mut behind] {
             let got = cache.bind(&env_of(&new, &rules, user));
             for (a, b) in newest.iter().zip(got.iter()) {
@@ -1744,15 +1707,18 @@ mod tests {
     }
 
     /// The set `cache` last bound `user` against.
-    fn bound_set(cache: &BindingCache, user: IndividualId) -> Arc<PlanSet> {
-        let set = cache.users.get(&user).and_then(|u| u.set.clone());
+    fn bound_set(cache: &ScoringSession, user: IndividualId) -> Arc<PlanSet> {
+        let set = cache
+            .users
+            .get(&user)
+            .and_then(|core| core.bindings.set.clone());
         set.expect("the user was bound")
     }
 
     #[test]
     fn a_resolve_carries_every_plan_whose_tables_did_not_move() {
         let (mut kb, rules, user, docs) = fixture();
-        let mut cache = BindingCache::new();
+        let mut cache = ScoringSession::new();
         let mut rebind = |kb: &Kb| {
             let got = cache.bind(&env_of(kb, &rules, user));
             assert_matches_cold(&got, &env_of(kb, &rules, user));
@@ -1783,8 +1749,8 @@ mod tests {
     }
 
     /// Context events `cache` looked up by a walk for `user` so far.
-    fn walks(cache: &BindingCache, user: IndividualId) -> u64 {
-        cache.users.get(&user).map_or(0, |u| u.walks)
+    fn walks(cache: &ScoringSession, user: IndividualId) -> u64 {
+        cache.users.get(&user).map_or(0, |core| core.bindings.walks)
     }
 
     #[test]
@@ -1793,7 +1759,7 @@ mod tests {
         let switcher = kb.individual("mary");
         kb.assert_concept(switcher, "Weekend");
         kb.assert_concept_prob(switcher, "Breakfast", 0.4).unwrap();
-        let mut caches = [BindingCache::new(), BindingCache::new()];
+        let mut caches = [ScoringSession::new(), ScoringSession::new()];
         let held: Vec<_> = caches
             .iter_mut()
             .zip([user, switcher])
@@ -1809,7 +1775,10 @@ mod tests {
         }
         assert_eq!(walks(&caches[0], user), walked, "no walk");
         assert_eq!(kb.plans().resolved(), resolved, "no resolve");
-        assert_eq!(caches[0].stats(), CacheStats { hits: 4, misses: 2 });
+        assert_eq!(
+            caches[0].stats().bindings,
+            CacheStats { hits: 4, misses: 2 }
+        );
         // The switcher's own bind takes the same set.
         caches[1].bind(&env_of(&kb, &rules, switcher));
         assert_eq!(kb.plans().resolved(), resolved);
@@ -1822,7 +1791,7 @@ mod tests {
     #[test]
     fn a_switcher_re_derives_only_the_rules_that_read_its_moved_table() {
         let (mut kb, rules, user, _) = fixture();
-        let mut cache = BindingCache::new();
+        let mut cache = ScoringSession::new();
         let before = cache.bind(&env_of(&kb, &rules, user));
         let walked = walks(&cache, user);
         // `Breakfast` is R2's context alone.
@@ -1836,7 +1805,7 @@ mod tests {
         let again = cache.bind(&env_of(&kb, &rules, user));
         assert!(Arc::ptr_eq(&after, &again));
         assert_eq!(walks(&cache, user), walked + 1);
-        assert_eq!(cache.stats(), CacheStats { hits: 3, misses: 3 });
+        assert_eq!(cache.stats().bindings, CacheStats { hits: 3, misses: 3 });
         assert_eq!(kb.plans().resolved(), 1);
     }
 
@@ -1847,7 +1816,7 @@ mod tests {
         // Someone with `Weekend` only, whose `Breakfast` row appears later.
         let late = old.individual("mary");
         old.assert_concept(late, "Weekend");
-        let mut caches = [BindingCache::new(), BindingCache::new()];
+        let mut caches = [ScoringSession::new(), ScoringSession::new()];
         for (cache, u) in caches.iter_mut().zip([user, late]) {
             cache.bind(&env_of(&old, &rules, u));
         }
@@ -1871,12 +1840,12 @@ mod tests {
         let (old, rules, user, docs) = fixture();
         let mut new = old.clone_for_publish();
         new.assert_concept_prob(docs[0], "Nice", 0.5).unwrap();
-        let mut ahead = BindingCache::new();
+        let mut ahead = ScoringSession::new();
         ahead.bind(&env_of(&new, &rules, user));
         let newer = published(&new).expect("the first binder publishes");
         // The slot's set is from a later state than `old`'s: nothing moved
         // *since* it, yet R1's view at `old` is not the one it holds.
-        let mut behind = BindingCache::new();
+        let mut behind = ScoringSession::new();
         let got = behind.bind(&env_of(&old, &rules, user));
         assert_matches_cold(&got, &env_of(&old, &rules, user));
         let own = bound_set(&behind, user);
@@ -1909,7 +1878,7 @@ mod tests {
         let outsider = kb.voc.individual("outsider");
         for user in [bare, named, weekender, outsider] {
             let env = env_of(&kb, &rules, user);
-            let mut cache = BindingCache::new();
+            let mut cache = ScoringSession::new();
             let got = cache.bind(&env);
             assert_matches_cold(&got, &env);
             let events: Vec<_> = got.iter().map(|b| b.context_event.is_true()).collect();
@@ -1924,14 +1893,18 @@ mod tests {
             };
             let name = kb.voc.individual_name(user);
             assert_eq!(
-                (events, cache.users[&user].walks),
+                (events, cache.users[&user].bindings.walks),
                 (want.to_vec(), walks),
                 "{name}"
             );
-            assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 4 }, "{name}");
+            assert_eq!(
+                cache.stats().bindings,
+                CacheStats { hits: 0, misses: 4 },
+                "{name}"
+            );
         }
         // A blank is a constant: the plan's one shared binding.
-        let [a, b] = [bare, named].map(|u| BindingCache::new().bind(&env_of(&kb, &rules, u)));
+        let [a, b] = [bare, named].map(|u| ScoringSession::new().bind(&env_of(&kb, &rules, u)));
         assert!(Arc::ptr_eq(&a[3], &b[3]) && Arc::ptr_eq(&a[0], &b[0]));
     }
 
@@ -1945,7 +1918,8 @@ mod tests {
                 u
             })
             .collect();
-        let mut tenants: Vec<BindingCache> = users.iter().map(|_| BindingCache::new()).collect();
+        let mut tenants: Vec<ScoringSession> =
+            users.iter().map(|_| ScoringSession::new()).collect();
         let mut bind_all = |kb: &Kb| {
             for (cache, &u) in tenants.iter_mut().zip(&users) {
                 assert_matches_cold(&cache.bind(&env_of(kb, &rules, u)), &env_of(kb, &rules, u));
@@ -1964,7 +1938,7 @@ mod tests {
         bind_all(&kb);
         bind_all(&kb);
         assert_eq!((kb.plans().resolved(), kb.views().derived()), (2, 6));
-        let misses: u64 = tenants.iter().map(|t| t.stats().misses).sum();
+        let misses: u64 = tenants.iter().map(|t| t.stats().bindings.misses).sum();
         assert_eq!(misses, 50 * 3, "first sight of two rules, then R1's view");
     }
 
@@ -1994,7 +1968,7 @@ mod tests {
                 let env = env_of(&kb, repository, user);
                 let want = engine.score_all(&env, &docs).unwrap();
                 for session in [&mut both, &mut *own] {
-                    assert_matches_cold(&session.users.entry(user).or_default().bind(&env), &env);
+                    assert_matches_cold(&session.bind(&env), &env);
                     let got = session.score_all(&engine, &env, &docs).unwrap();
                     for (a, b) in want.iter().zip(&got) {
                         assert_eq!((a.doc, a.score.to_bits()), (b.doc, b.score.to_bits()));
@@ -2053,7 +2027,7 @@ mod tests {
                 Score::new(0.5).unwrap(),
             ))
             .unwrap();
-        let mut cache = BindingCache::new();
+        let mut cache = ScoringSession::new();
         cache.bind(&env_of(&kb, &rules, user));
         let mut fork = kb.clone();
         assert!(published(&kb).is_some() && published(&fork).is_none());
@@ -2231,23 +2205,23 @@ mod tests {
             rules: &rules,
             user,
         };
-        let mut cache = BindingCache::new();
+        let mut cache = ScoringSession::new();
         cache.bind(&env);
         cache.bind(&env);
         assert_eq!(
-            cache.stats(),
+            cache.stats().bindings,
             CacheStats { hits: 2, misses: 2 },
             "second bind serves both rules from cache"
         );
         cache.clear();
         assert_eq!(
-            cache.stats(),
+            cache.stats().bindings,
             CacheStats::default(),
             "clear resets the counters along with the entries"
         );
         cache.bind(&env);
         assert_eq!(
-            cache.stats(),
+            cache.stats().bindings,
             CacheStats { hits: 0, misses: 2 },
             "post-clear ratios describe the fresh cache only"
         );

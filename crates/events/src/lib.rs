@@ -65,7 +65,7 @@ mod tier;
 mod universe;
 pub mod worlds;
 
-pub use batch::{BatchExpectation, BatchStats};
+pub use batch::BatchStats;
 pub use error::EventError;
 pub use eval::{EvalStats, Evaluator};
 pub use expect::{brute_force_expectation, expectation, Expectation, Factor};

@@ -1,5 +1,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::{EventError, EventExpr, Result, PROB_EPSILON};
 
@@ -19,7 +20,8 @@ impl VarId {
 
 #[derive(Debug, Clone)]
 struct VarInfo {
-    name: String,
+    /// The variable's name: the same allocation as its `by_name` key.
+    name: Arc<str>,
     /// Probability of each declared alternative; mutually exclusive.
     alt_probs: Vec<f64>,
     /// Probability that none of the declared alternatives happens.
@@ -42,7 +44,7 @@ struct VarInfo {
 #[derive(Debug, Clone, Default)]
 pub struct Universe {
     vars: Vec<VarInfo>,
-    by_name: HashMap<String, VarId>,
+    by_name: HashMap<Arc<str>, VarId>,
     /// Monotonic version counter, bumped on every successful mutation.
     /// Variables are append-only and their probabilities immutable, so two
     /// universes derived from the same value with equal epochs hold exactly
@@ -96,15 +98,26 @@ impl Universe {
                 sum,
             });
         }
-        let id = Self::push(&mut self.vars, &mut self.epoch, name.to_string(), alt_probs);
-        self.by_name.insert(name.to_string(), id);
+        let name: Arc<str> = Arc::from(name);
+        let id = Self::push(
+            &mut self.vars,
+            &mut self.epoch,
+            Arc::clone(&name),
+            alt_probs,
+        );
+        self.by_name.insert(name, id);
         Ok(id)
     }
 
     /// Appends a variable to `vars` and moves `epoch` on; the caller has
     /// checked that the name is free and enters it in `by_name`, and that
     /// the alternatives sum to at most one.
-    fn push(vars: &mut Vec<VarInfo>, epoch: &mut u64, name: String, alt_probs: Vec<f64>) -> VarId {
+    fn push(
+        vars: &mut Vec<VarInfo>,
+        epoch: &mut u64,
+        name: Arc<str>,
+        alt_probs: Vec<f64>,
+    ) -> VarId {
         let sum: f64 = alt_probs.iter().sum();
         let id = VarId(u32::try_from(vars.len()).expect("too many variables"));
         vars.push(VarInfo {
@@ -129,15 +142,15 @@ impl Universe {
     /// Declares a boolean variable named `name`, true with probability `p`,
     /// unless a variable of that name exists: returns the variable of that
     /// name, and whether it was declared now. The name index is probed
-    /// once, and `name` becomes its key. A taken name declares nothing and
-    /// checks nothing, not even `p`.
+    /// once, and `name` becomes its key, shared with the variable. A taken
+    /// name declares nothing and checks nothing, not even `p`.
     pub fn declare_bool(&mut self, name: String, p: f64) -> Result<(VarId, bool)> {
-        let slot = match self.by_name.entry(name) {
+        let slot = match self.by_name.entry(Arc::from(name)) {
             Entry::Occupied(taken) => return Ok((*taken.get(), false)),
             Entry::Vacant(slot) => slot,
         };
         Self::validate_prob(p, slot.key())?;
-        let name = slot.key().clone();
+        let name = Arc::clone(slot.key());
         let id = Self::push(
             &mut self.vars,
             &mut self.epoch,
@@ -170,7 +183,7 @@ impl Universe {
 
     /// Name of a variable.
     pub fn name(&self, var: VarId) -> Result<&str> {
-        self.info(var).map(|v| v.name.as_str())
+        self.info(var).map(|v| &*v.name)
     }
 
     fn info(&self, var: VarId) -> Result<&VarInfo> {
@@ -202,7 +215,7 @@ impl Universe {
             Ok(info.residual)
         } else {
             Err(EventError::AltOutOfRange {
-                var: info.name.clone(),
+                var: info.name.to_string(),
                 alt: o as u16,
                 num_alts: info.alt_probs.len(),
             })
@@ -216,7 +229,7 @@ impl Universe {
             .get(alt as usize)
             .copied()
             .ok_or_else(|| EventError::AltOutOfRange {
-                var: info.name.clone(),
+                var: info.name.to_string(),
                 alt,
                 num_alts: info.alt_probs.len(),
             })

@@ -150,8 +150,8 @@ fn main() -> Result<(), CoreError> {
     }
     let stats = service.stats();
     println!(
-        "\n{} rank requests served in {} coalesced dispatch runs",
-        stats.rank_requests, stats.coalesced_runs
+        "\n{} rank requests and {} asserts served",
+        stats.rank_requests, stats.asserts
     );
 
     // ── A direct group request, and how its lanes were scored ──────────
@@ -184,11 +184,10 @@ fn main() -> Result<(), CoreError> {
     // ── Many threads, one service: the batching front-end ──────────────
     // Every request path takes `&self`, so producer threads could call
     // `service.rank` directly through a shared reference. A bounded
-    // ServiceQueue adds backpressure and coalescing on top: producers
-    // enqueue typed requests and wait on tickets, and whichever waiter
-    // finds no drain in progress runs the next batch of arrivals, in
-    // order, through `submit`, so same-epoch runs from different
-    // producers coalesce.
+    // ServiceQueue adds backpressure on top: producers enqueue typed
+    // requests and wait on tickets, and whichever waiter finds no drain in
+    // progress runs the next batch of arrivals, in order, through
+    // `submit`, which answers each through the direct call.
     let service = Arc::new(service);
     let queue = ServiceQueue::start(
         Arc::clone(&service),
@@ -220,11 +219,11 @@ fn main() -> Result<(), CoreError> {
     let stats = queue.stats();
     println!("\n── queued round: 3 producer threads draining their own batches ──");
     println!(
-        "  {} enqueued / {} drained (depth high-water {}), {} coalesced runs total",
+        "  {} enqueued / {} drained (depth high-water {}), {} rank requests total",
         stats.queue.enqueued,
         stats.queue.drained,
         stats.queue.depth_high_water,
-        stats.coalesced_runs,
+        stats.rank_requests,
     );
     queue.shutdown();
     Ok(())

@@ -39,7 +39,7 @@
 //!
 //! Serving many users is one [`prelude::RankingService`]: per-tenant
 //! cached sessions (LRU-capped), one shared bounded memo generation,
-//! typed `rank`/`rank_group`/`assert` requests and batch coalescing.
+//! typed `rank`/`rank_group`/`assert` requests and a batching queue.
 //! Opened durable (`open_durable`), the service journals every mutation
 //! to a checksummed, segmented WAL and checkpoints snapshots — with
 //! opt-in compaction deleting snapshot-covered prefix segments — so a

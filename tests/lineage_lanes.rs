@@ -35,7 +35,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use capra::commerce::generate::{flip_rules, generate, ShopConfig};
-use capra::core::{rank_top_k_bound, BindingCache, EvalScratch, RuleBinding};
+use capra::core::{rank_top_k_bound, EvalScratch, RuleBinding};
 use capra::dl::IndividualId;
 use capra::events::{brute_force_expectation, EventExpr, Expectation, Universe, VarId};
 use capra::prelude::*;
@@ -320,7 +320,7 @@ proptest! {
         let engine = LineageEngine::new();
         // One binding cache and one scratch throughout: unchanged views
         // keep their `Arc`s, so rows are carried from step to step.
-        let mut cache = BindingCache::new();
+        let mut cache = ScoringSession::new();
         let mut scratch = EvalScratch::new();
         for step in 0..=asserts.len() {
             if let Some(&(subject, concept, kind, p)) = step.checked_sub(1).map(|i| &asserts[i]) {
@@ -1234,7 +1234,7 @@ impl Verdicts {
         &self,
         who: IndividualId,
         docs: &[IndividualId],
-        cache: &mut BindingCache,
+        cache: &mut ScoringSession,
         scratch: &mut EvalScratch,
     ) -> u64 {
         let env = self.env(who);
@@ -1280,7 +1280,7 @@ fn a_document_whose_features_come_to_share_a_variable_leaves_the_lanes() {
     let drift = shelf.document("drift", &s1);
     let plain = shelf.kb.individual("plain");
     let docs = [shelf.stars[0], drift, plain];
-    let (mut cache, mut scratch) = (BindingCache::new(), EvalScratch::new());
+    let (mut cache, mut scratch) = (ScoringSession::new(), EvalScratch::new());
     let user = shelf.user;
     assert_eq!(shelf.fallbacks(user, &docs, &mut cache, &mut scratch), 0);
     let lineage = LineageEngine::new();
@@ -1316,7 +1316,7 @@ fn a_row_entangled_only_through_an_inactive_rule_stays_on_the_lanes() {
     shelf.kb.assert_concept_event(quiet, "Feat2", s2);
     let plain = shelf.kb.individual("plain");
     let docs = [shelf.stars[0], quiet, plain];
-    let (mut cache, mut scratch) = (BindingCache::new(), EvalScratch::new());
+    let (mut cache, mut scratch) = (ScoringSession::new(), EvalScratch::new());
     let (user, other) = (shelf.user, shelf.other);
     let fallbacks = shelf.fallbacks(user, &docs, &mut cache, &mut scratch);
     assert_eq!(fallbacks, 0, "R2 is inactive for the user");
@@ -1337,4 +1337,32 @@ fn a_row_entangled_only_through_an_inactive_rule_stays_on_the_lanes() {
     let lineage = LineageEngine::new();
     assert_eq!(shelf.top_k(user, &lineage, &docs, 1), (1, 3, 0));
     assert_eq!(shelf.top_k(other, &lineage, &docs, 1), (2, 3 + 1, 1));
+}
+
+/// The exact route evaluates each distinct signature once: two entangled
+/// documents with the same per-rule events — `Feat0` and `Feat1` both
+/// riding on one sensor — cost one exact evaluation between them, a third
+/// on a sensor of its own one more, and every slot is the reference's
+/// bits.
+#[test]
+fn entangled_twins_in_one_batch_share_one_exact_evaluation() {
+    let mut shelf = Verdicts::new(1);
+    let s1 = shelf.sensor("s1");
+    let s2 = shelf.sensor("s2");
+    let [twin_a, twin_b, loner] =
+        [("twin_a", &s1), ("twin_b", &s1), ("loner", &s2)].map(|(name, sensor)| {
+            let doc = shelf.kb.individual(name);
+            for feature in ["Feat0", "Feat1"] {
+                shelf.kb.assert_concept_event(doc, feature, sensor.clone());
+            }
+            doc
+        });
+    let (mut cache, mut scratch) = (ScoringSession::new(), EvalScratch::new());
+    let user = shelf.user;
+    let twins = [twin_a, shelf.stars[0], twin_b];
+    let fallbacks = shelf.fallbacks(user, &twins, &mut cache, &mut scratch);
+    assert_eq!(fallbacks, 1, "one signature, two slots");
+    let all = [twin_b, loner, twin_a];
+    let fallbacks = shelf.fallbacks(user, &all, &mut cache, &mut scratch);
+    assert_eq!(fallbacks, 2, "two signatures, three slots");
 }

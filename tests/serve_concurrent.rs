@@ -37,7 +37,7 @@
 //! takes `&self`. Set `CAPRA_STRESS_ITERS` to repeat the interleaving
 //! with fresh seeds (CI runs a multi-iteration pass).
 
-use capra::core::{BindingCache, MAX_AGE};
+use capra::core::MAX_AGE;
 use capra::dl::IndividualId;
 use capra::prelude::*;
 use std::path::PathBuf;
@@ -360,12 +360,12 @@ fn a_rank_after_an_assert_sees_the_assert() {
 
 /// A context switch leaves bystanders right. A writer switches one
 /// user's context again and again — own-row asserts, which move no other
-/// tenant's mark — while readers rank every other user's full page,
-/// directly and in coalesced `submit` runs that also carry the switching
-/// user's page (bound, mid-run, against snapshots the writer keeps
-/// superseding). Every bystander page is its cold page, bit for bit,
-/// throughout; after a [`Barrier`], the switching user's page is the cold
-/// page on the published state, which holds the last switch.
+/// tenant's mark — while readers rank groups of every user, the switching
+/// one among them (each group's members bound, mid-request, against a
+/// snapshot the writer keeps superseding), and after each group every
+/// other user's full page. Every bystander page is its cold page, bit for
+/// bit, throughout; after a [`Barrier`], the switching user's page is the
+/// cold page on the published state, which holds the last switch.
 #[test]
 fn bystanders_stay_right_while_one_user_switches_context() {
     const SWITCHES: usize = 64;
@@ -394,27 +394,15 @@ fn bystanders_stay_right_while_one_user_switches_context() {
                         scope.spawn(move || {
                             let mut rounds = 0;
                             while rounds == 0 || writing.load(Ordering::Acquire) {
+                                let mut members = bystanders.to_vec();
+                                members.insert((reader + rounds) % members.len(), switcher);
+                                let strategy = GroupStrategy::LeastMisery;
+                                service
+                                    .rank_group(&members, docs, N_DOCS, &strategy)
+                                    .unwrap();
                                 for (&user, want) in bystanders.iter().zip(cold) {
                                     let got = service.rank(user, docs, N_DOCS).unwrap();
                                     assert_same_ranks(&format!("{context} rank"), want, &got);
-                                }
-                                let mut members = bystanders.to_vec();
-                                members.insert((reader + rounds) % members.len(), switcher);
-                                let run = members.iter().map(|&user| Request::Rank {
-                                    user,
-                                    docs: docs.clone(),
-                                    k: N_DOCS,
-                                });
-                                for (user, response) in members.iter().zip(service.submit(run)) {
-                                    let got = response.unwrap();
-                                    if let Some(at) = bystanders.iter().position(|u| u == user) {
-                                        let got = got.ranked().unwrap();
-                                        assert_same_ranks(
-                                            &format!("{context} run"),
-                                            &cold[at],
-                                            got,
-                                        );
-                                    }
                                 }
                                 rounds += 1;
                             }
@@ -517,7 +505,7 @@ fn a_first_sight_storm_converges_on_one_plan_per_state() {
             let bound: Vec<_> = strangers
                 .iter()
                 .map(|&user| {
-                    BindingCache::new().bind(&ScoringEnv {
+                    ScoringSession::new().bind(&ScoringEnv {
                         kb: snap.kb(),
                         rules: snap.rules(),
                         user,
@@ -750,9 +738,9 @@ fn overlapping_tenants_replay_to_the_committed_order() {
 
 /// The queue front-end preserves the convergence property: producers
 /// enqueue through cloned [`ServiceHandle`]s from many threads, the
-/// waiter holding the drain role batches across producers (so asserts
-/// and ranks from different producers coalesce into shared dispatch
-/// runs), and the drained end state — read back *through the queue* —
+/// waiter holding the drain role runs a batch across producers (asserts
+/// and ranks from different producers interleaved in one `submit`), and
+/// the drained end state — read back *through the queue* —
 /// must be bit-identical to the cold twin. Queue accounting must balance.
 #[test]
 fn queued_producers_converge_to_the_cold_oracle() {

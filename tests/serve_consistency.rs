@@ -636,9 +636,8 @@ proptest! {
     }
 
     /// Batched submission is equivalent to issuing the same requests one
-    /// by one: coalescing runs over a shared scratch (and the assert
-    /// barriers between them) may change *when* work happens, never what
-    /// any request returns.
+    /// by one: `submit` answers each request through the direct call, in
+    /// order, so a batch returns what the sequence of calls does.
     #[test]
     fn batch_submit_equals_sequential_requests(
         ops in prop::collection::vec(
