@@ -63,11 +63,13 @@ use crate::{Result, ScoringEnv};
 /// The document's half of the lane test belongs to the row too: whether
 /// its cells share a variable and, where they do not, the sorted union of
 /// their supports, judged whenever the row is synced. A request compares
-/// that union with its contexts' support, once per document — ranges
-/// first, a merge only where they overlap; only a row whose cells share a
-/// variable — maybe under a rule whose context does not apply to the asker
-/// — has the test made again from the cells under the active rules, so the
-/// route of every document is what the per-request test chose.
+/// the span of every row in its list with its contexts' span at once, and
+/// where they overlap that union with its contexts' support, once per
+/// document — ranges first, a merge only where they overlap; only a row
+/// whose cells share a variable — maybe under a rule whose context does not
+/// apply to the asker — has the test made again from the cells under the
+/// active rules, so the route of every document is what the per-request
+/// test chose.
 ///
 /// [`capra_events::BatchStats::fallbacks`] counts the second route.
 #[derive(Debug, Clone, Default)]
@@ -253,13 +255,15 @@ impl<'a> Contexts<'a> {
         }
         // …then, where any factor is left and the product is not already 0,
         // one group per factor if no two share a variable: no context and
-        // no feature event may touch another…
+        // no feature event may touch another — for every slot at once where
+        // the list's rows allow it…
+        let cleared = rows.cleared(&self.support);
         let mut seen: Vec<VarId> = Vec::new();
         let mut lanes: Vec<Lane> = (0..docs.len())
             .map(|slot| {
                 if !queued[slot] || scores[slot].score == 0.0 {
                     Lane::Settled
-                } else if self.admits(rows, slot, &mut seen) {
+                } else if cleared || self.admits(rows, slot, &mut seen) {
                     Lane::Open
                 } else {
                     Lane::Deferred
@@ -304,7 +308,7 @@ impl<'a> Contexts<'a> {
     /// under the factors queued for the slot decide (a constant factor's
     /// cell has no variable to share). `seen` is the caller's buffer.
     fn admits(&self, rows: &Rows<'_>, slot: usize, seen: &mut Vec<VarId>) -> bool {
-        self.support.clears(rows.support(slot)) || self.shared(rows, slot, seen).is_none()
+        rows.clears(&self.support, slot) || self.shared(rows, slot, seen).is_none()
     }
 
     /// The lane test's variable half for `slot` from the cells themselves:

@@ -16,7 +16,7 @@
 //! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | defers every document | the paper's Section 5 PostgreSQL implementation |
 //! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | defers every document | the same maths without the view machinery (ablation) |
 //! | [`FactorizedEngine`] | exact under feature independence (checked per document by the lane test's variable half; [`CorrelationPolicy`] decides the rest) | [`LineageEngine`]'s column pass, bit for bit on every document it admits; the others get the product of their marginals from the same row and binding — `O(a · d)` in all | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
-//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies), as a column pass: the constant factors down the columns of the `a` rules, the lane test per document, the other factors down the columns again; `P(G_r)` is evaluated once per binding and kept on it, never in the shared memo; the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature columns); Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
+//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies), as a column pass: the constant factors down the columns of the `a` rules, the lane test per document, the other factors down the columns again; `P(G_r)` is evaluated once per binding and kept on it, never in the shared memo; the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature columns); a candidate list met again (the row table's *page*) without a probe, its lane test for the whole list in two compares where its rows' variable span misses the contexts', and its columns read in slot order once gathered; Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
 //! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the engine's | the serving path: repeated queries under a changing context |
 //!
 //! All engines share the binding step ([`crate::bind_rules`]), which runs
@@ -30,8 +30,10 @@
 //! rule plans for every tenant on that state, and brought up to date view
 //! by changed view after a catalogue assert. A row also carries the
 //! document's half of the variable-disjointness test (`ContextSupport`),
-//! judged when the row is synced. A ranking sorts packed integer keys
-//! ([`rank`]). All probability work
+//! judged when the row is synced. The last candidate list a row table
+//! resolved is its page, which the same list takes without a probe and
+//! reads down columns gathered in slot order. A ranking sorts packed
+//! integer keys ([`rank`]). All probability work
 //! sits on hash-consed event expressions: memo tables key by interned node
 //! identity (O(1) hash + pointer compare), pivot choices are cached per
 //! node, and `restrict` skips subtrees whose cached support excludes the
@@ -400,8 +402,10 @@ pub fn rank(scores: Vec<DocScore>) -> Vec<DocScore> {
 /// ranking, a repeated document's slots side by side.
 pub(crate) fn ranked(scores: &[DocScore]) -> Vec<DocScore> {
     let mut keys = rank_keys(scores);
-    sort_keys(scores, &mut keys);
-    keys.dedup_by_key(|key| scores[slot_of(*key)].doc);
+    // A repeated document's slots score alike: no tie, no repeat.
+    if sort_keys(scores, &mut keys) {
+        keys.dedup_by_key(|key| scores[slot_of(*key)].doc);
+    }
     take_ranked(scores, &keys)
 }
 
@@ -437,18 +441,23 @@ pub(crate) fn slot_of(key: u64) -> usize {
 }
 
 /// Sorts `keys` into the ranking order — score descending, document id
-/// ascending: by integer order, then each run of keys whose score halves
-/// tie by the whole score and the document.
-pub(crate) fn sort_keys(scores: &[DocScore], keys: &mut [u64]) {
+/// ascending: by integer order, then, if two score halves tie, each run of
+/// keys whose score halves tie by the whole score and the document.
+/// Returns whether any did.
+pub(crate) fn sort_keys(scores: &[DocScore], keys: &mut [u64]) -> bool {
     keys.sort_unstable();
-    for run in keys.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
-        if run.len() > 1 {
-            run.sort_unstable_by_key(|key| {
-                let s = &scores[slot_of(*key)];
-                (score_key(s.score), s.doc)
-            });
+    let tied = keys.windows(2).any(|w| w[0] >> 32 == w[1] >> 32);
+    if tied {
+        for run in keys.chunk_by_mut(|a, b| a >> 32 == b >> 32) {
+            if run.len() > 1 {
+                run.sort_unstable_by_key(|key| {
+                    let s = &scores[slot_of(*key)];
+                    (score_key(s.score), s.doc)
+                });
+            }
         }
     }
+    tied
 }
 
 /// The `k` best of `keys` ([`rank_keys`] of `scores`, `0 < k < len`),
@@ -498,6 +507,8 @@ pub(crate) struct ContextSupport {
     shared: Option<VarId>,
     /// Union of the contexts' supports, sorted.
     vars: Vec<VarId>,
+    /// The span of `vars`.
+    span: Span,
 }
 
 impl ContextSupport {
@@ -509,32 +520,39 @@ impl ContextSupport {
         vars.sort_unstable();
         let shared = repeated(&vars);
         vars.dedup();
-        Self { shared, vars }
+        let span = Span::of(&vars);
+        Self { shared, vars, span }
+    }
+
+    /// The test for every feature row whose variables lie inside `span`:
+    /// no two contexts share a variable and the spans do not overlap — two
+    /// compares. A pass settles [`ContextSupport::clears`] for each of
+    /// those rows; a failure settles nothing.
+    #[inline]
+    pub(crate) fn misses(&self, span: Span) -> bool {
+        self.shared.is_none() && span.misses(self.span)
     }
 
     /// The test for a whole feature row at once, from its verdict
-    /// ([`rows::Rows::support`]): the row's cells share no variable, and
-    /// their union, `row_vars`, none with the contexts — two range compares,
-    /// and one merge of the two sorted lists where the ranges overlap. A
-    /// pass settles [`ContextSupport::shared_with`] for any of the row's
-    /// cells; a failure settles nothing, since the shared variable may sit
-    /// under a rule the request does not read.
+    /// (`rows::Rows::clears`): the row's cells share no variable, and
+    /// their union, `row_vars`, none with the contexts — the spans first,
+    /// and one merge of the two sorted lists where they overlap (`row_vars`
+    /// gives `None` where two cells share a variable). A pass settles
+    /// [`ContextSupport::shared_with`] for any of the row's cells; a
+    /// failure settles nothing, since the shared variable may sit under a
+    /// rule the request does not read.
     #[inline]
-    pub(crate) fn clears(&self, row_vars: Option<&[VarId]>) -> bool {
-        let Some(row_vars) = row_vars.filter(|_| self.shared.is_none()) else {
-            return false;
-        };
-        // Both lists are sorted: ranges that do not overlap prove disjoint
-        // supports without the merge.
-        let (Some(lo), Some(hi)) = (self.vars.first(), self.vars.last()) else {
-            return true;
-        };
-        let (Some(row_lo), Some(row_hi)) = (row_vars.first(), row_vars.last()) else {
-            return true;
-        };
-        if row_hi < lo || hi < row_lo {
+    pub(crate) fn clears<'r>(
+        &self,
+        row_span: Span,
+        row_vars: impl FnOnce() -> Option<&'r [VarId]>,
+    ) -> bool {
+        if self.misses(row_span) {
             return true;
         }
+        let Some(row_vars) = row_vars().filter(|_| self.shared.is_none()) else {
+            return false;
+        };
         let (mut i, mut j) = (0, 0);
         while let (Some(a), Some(b)) = (self.vars.get(i), row_vars.get(j)) {
             match a.cmp(b) {
@@ -563,6 +581,60 @@ impl ContextSupport {
         }
         feature_vars.sort_unstable();
         repeated(feature_vars)
+    }
+}
+
+/// The least and the greatest variable of a sorted support, as raw
+/// indices: two supports whose spans do not overlap share no variable.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Span {
+    lo: u32,
+    hi: u32,
+}
+
+impl Span {
+    /// No variable: misses every span but [`Span::ALL`].
+    pub(crate) const EMPTY: Span = Span {
+        lo: u32::MAX,
+        hi: 0,
+    };
+
+    /// Overlaps every span, so that no range test passes it: a row whose
+    /// cells share a variable has it.
+    pub(crate) const ALL: Span = Span {
+        lo: 0,
+        hi: u32::MAX,
+    };
+
+    /// The span of `sorted`.
+    pub(crate) fn of(sorted: &[VarId]) -> Self {
+        let index = |var: &VarId| u32::try_from(var.index()).expect("a variable index is a u32");
+        match (sorted.first(), sorted.last()) {
+            (Some(lo), Some(hi)) => Span {
+                lo: index(lo),
+                hi: index(hi),
+            },
+            _ => Span::EMPTY,
+        }
+    }
+
+    /// The least span holding both.
+    pub(crate) fn union(self, other: Span) -> Span {
+        Span {
+            lo: self.lo.min(other.lo),
+            hi: self.hi.max(other.hi),
+        }
+    }
+
+    #[inline]
+    fn misses(self, other: Span) -> bool {
+        self.hi < other.lo || other.hi < self.lo
+    }
+}
+
+impl Default for Span {
+    fn default() -> Self {
+        Span::EMPTY
     }
 }
 
@@ -641,6 +713,35 @@ mod tests {
             (docs[5], docs[1]),
             "+0.0 (on `d4` and `d5`) ranks above -0.0"
         );
+    }
+
+    /// Distinct scores, and documents listed twice and three times: the
+    /// only ties are a repeated document's slots, which `sort_keys` finds
+    /// and `rank` drops. Without the repeats nothing ties, and nothing is
+    /// dropped.
+    #[test]
+    fn a_ranking_whose_only_ties_are_repeats_lists_each_document_once() {
+        let mut kb = crate::Kb::new();
+        let docs: Vec<IndividualId> = (0..5).map(|d| kb.individual(&format!("d{d}"))).collect();
+        let score = |d: usize| 0.1 + 0.15 * d as f64;
+        let listed = [3, 0, 4, 3, 1, 2, 0, 3];
+        let list: Vec<DocScore> = (listed.iter())
+            .map(|&d| DocScore {
+                doc: docs[d],
+                score: score(d),
+            })
+            .collect();
+        let mut want = list.clone();
+        want.sort_by(by_rank);
+        want.dedup_by_key(|s| s.doc);
+        let mut keys = rank_keys(&list);
+        assert!(sort_keys(&list, &mut keys), "a repeat ties");
+        assert_eq!(rank(list), want);
+        assert_eq!(want.len(), 5, "one entry per document");
+        let once: Vec<DocScore> = want.iter().rev().cloned().collect();
+        let mut keys = rank_keys(&once);
+        assert!(!sort_keys(&once, &mut keys), "distinct scores, no tie");
+        assert_eq!(rank(once), want);
     }
 
     /// What a replica with contradicted history or a stale client can

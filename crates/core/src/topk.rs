@@ -240,12 +240,14 @@ fn doc_upper_bounds(
         .map(|(rule, bound)| (rows.column(*rule), bound))
         .collect();
     let support = ContextSupport::new(applicable.iter().map(|(_, b)| &b.context_event));
+    let cleared = rows.cleared(&support);
     let mut seen: Vec<VarId> = Vec::new();
     (0..docs.len())
         .map(|slot| {
-            // The row's verdict first, the cells under the applicable
-            // rules where it cannot settle it — the lane test's order.
-            let disjoint = support.clears(rows.support(slot)) || {
+            // The list's verdict, the row's, then the cells under the
+            // applicable rules where neither settles it — the lane test's
+            // order.
+            let disjoint = cleared || rows.clears(&support, slot) || {
                 seen.clear();
                 for (column, _) in &columns {
                     let event = column.event(slot);

@@ -1,5 +1,6 @@
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 macro_rules! symbol_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -29,21 +30,26 @@ symbol_type!(
     IndividualId
 );
 
-/// A simple string interner shared by the three symbol kinds.
+/// A string interner shared by the three symbol kinds. Each name is kept
+/// once: the `Arc<str>` the id → name list holds is the name → id map's
+/// key, so a clone copies a pointer per name and a map of pointers.
 #[derive(Debug, Clone, Default)]
 struct Interner {
-    names: Vec<String>,
-    by_name: HashMap<String, u32>,
+    names: Vec<Arc<str>>,
+    by_name: HashMap<Arc<str>, u32>,
 }
 
 impl Interner {
+    /// The id of `name`, interning it if it is new: a name already there
+    /// is one probe and no allocation, a new one one allocation.
     fn intern(&mut self, name: &str) -> u32 {
         if let Some(&id) = self.by_name.get(name) {
             return id;
         }
         let id = u32::try_from(self.names.len()).expect("too many symbols");
-        self.names.push(name.to_string());
-        self.by_name.insert(name.to_string(), id);
+        let name: Arc<str> = Arc::from(name);
+        self.names.push(Arc::clone(&name));
+        self.by_name.insert(name, id);
         id
     }
 
@@ -52,7 +58,11 @@ impl Interner {
     }
 
     fn name(&self, id: u32) -> Option<&str> {
-        self.names.get(id as usize).map(String::as_str)
+        self.names.get(id as usize).map(|name| &**name)
+    }
+
+    fn names(&self) -> impl Iterator<Item = &str> + '_ {
+        self.names.iter().map(|name| &**name)
     }
 }
 
@@ -144,19 +154,19 @@ impl Vocabulary {
     /// exact same [`ConceptName`] handles — the contract persistence
     /// relies on to keep symbol handles stable across a save/restore.
     pub fn concept_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.concepts.names.iter().map(String::as_str)
+        self.concepts.names()
     }
 
     /// Iterates over role names in interning order (see
     /// [`Vocabulary::concept_names`] for the reproducibility contract).
     pub fn role_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.roles.names.iter().map(String::as_str)
+        self.roles.names()
     }
 
     /// Iterates over individual names in interning order (see
     /// [`Vocabulary::concept_names`] for the reproducibility contract).
     pub fn individual_names(&self) -> impl Iterator<Item = &str> + '_ {
-        self.individuals.names.iter().map(String::as_str)
+        self.individuals.names()
     }
 }
 

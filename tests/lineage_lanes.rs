@@ -26,7 +26,12 @@
 //!   that share a variable under a rule the asker does not read) the
 //!   per-request test still decides, for the route and for top-k's bound.
 //!
-//! The four properties scale their case counts with `CAPRA_STRESS_ITERS`,
+//! * the page — the last candidate list a row table resolved, met again
+//!   without a probe and read down columns gathered in slot order — over
+//!   random sequences of lists, catalogue asserts, cold calls and context
+//!   switches, on every engine against the cold path.
+//!
+//! The five properties scale their case counts with `CAPRA_STRESS_ITERS`,
 //! which CI's stress step sets.
 
 mod common;
@@ -370,6 +375,112 @@ proptest! {
                 {
                     let cold = FactorizedEngine::new().score_all(&env, &list).unwrap();
                     prop_assert_eq!(common::bits(&factorized), common::bits(&cold), "factorized");
+                }
+            }
+        }
+    }
+}
+
+/// How many kinds of step the page property draws between two requests.
+const PAGE_STEPS: usize = 8;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48 * stress_iters()))]
+
+    /// A row table keeps the last candidate list it resolved as its page:
+    /// a request for that very list takes its row positions and its
+    /// list-wide lane verdict from the page and reads the columns the page
+    /// has gathered in slot order. It never shows: on the random knowledge
+    /// bases above, over random sequences of the same list again, one id
+    /// changed, two slots swapped, a prefix, a repeat inside the list, a
+    /// catalogue assert between requests (the rows go to a new set, a
+    /// generation on), a cold engine call between requests (a second row
+    /// set beside the served one) and a context switch, each list asked
+    /// for twice, every engine's served scores and its closed-form
+    /// deferrals are the bits the cold path — a clone of the KB, with no
+    /// rows yet — gives, or an error exactly where the cold path's is one,
+    /// and lineage's are the factor reference's.
+    #[test]
+    fn a_page_scores_and_defers_as_the_cold_path_over_any_list_sequence(
+        rule_draws in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..5),
+        ctx_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_CTX..N_CTX + 1),
+        feat_draws in prop::collection::vec(
+            (any::<u8>(), 0.05f64..=0.95),
+            N_DOCS * N_FEAT..N_DOCS * N_FEAT + 1,
+        ),
+        genre_draws in prop::collection::vec((any::<u8>(), 0.05f64..=0.95), N_DOCS..N_DOCS + 1),
+        steps in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), 0.05f64..=0.95), 1..10),
+    ) {
+        let Case { mut kb, rules, user, docs } =
+            build_case(&rule_draws, &ctx_draws, &feat_draws, &genre_draws);
+        let genre_a = kb.voc.find_individual("GenreA").unwrap();
+        let engines: Vec<(&str, BoxedEngine)> = (top_k_engines().into_iter())
+            .filter(|(_, max_rules, _)| rules.len() <= *max_rules)
+            .map(|(name, _, make)| (name, make()))
+            .collect();
+        let mut list = vec![docs[1], docs[0], docs[4], docs[2]];
+        // One binding cache and one scratch per engine throughout: the
+        // views keep their `Arc`s while the catalogue stands.
+        let mut cache = ScoringSession::new();
+        let mut scratches: Vec<EvalScratch> = engines.iter().map(|_| EvalScratch::new()).collect();
+        for (step, &(op, a, b, p)) in steps.iter().enumerate() {
+            let (at, other) = (a as usize % list.len(), b as usize % list.len());
+            let doc = docs[b as usize % N_DOCS];
+            match op as usize % PAGE_STEPS {
+                0 => {}
+                1 => list[at] = doc,
+                2 => list.swap(at, other),
+                3 => list.truncate(at.max(1)),
+                4 if list.len() < 10 => {
+                    let repeat = list[at];
+                    list.insert(other, repeat);
+                }
+                4 => {}
+                5 => match b % 2 {
+                    0 => assert_fact(&mut kb, doc, &format!("Feat{}", a as usize % N_FEAT), b / 2, p),
+                    _ => {
+                        kb.assert_role_prob(doc, "hasGenre", genre_a, p).unwrap();
+                    }
+                },
+                6 => {
+                    let env = ScoringEnv { kb: &kb, rules: &rules, user };
+                    for (_, engine) in &engines {
+                        let _ = engine.score_all(&env, &list);
+                    }
+                }
+                _ => assert_fact(&mut kb, user, &format!("Ctx{}", a as usize % N_CTX), b, p),
+            }
+            let fresh = kb.clone();
+            let cold_env = ScoringEnv { kb: &fresh, rules: &rules, user };
+            let cold_bound = bind_rules_shared(&cold_env);
+            let env = ScoringEnv { kb: &kb, rules: &rules, user };
+            let bound = cache.bind(&env);
+            let closed_bits = |closed: Vec<Option<f64>>| -> Vec<Option<u64>> {
+                closed.into_iter().map(|score| score.map(f64::to_bits)).collect()
+            };
+            // The cold path runs the page code too, on a table of its own:
+            // lineage's scores are held to the factor reference as well.
+            let reference = common::bits(&common::reference_scores(&env, &bound, &list));
+            for ((name, engine), scratch) in engines.iter().zip(&mut scratches) {
+                if name.ends_with("lineage") {
+                    let got = engine.score_all_bound(&env, &bound, &list, scratch).unwrap();
+                    prop_assert_eq!(common::bits(&got), reference.clone(), "{}, step {}", name, step);
+                }
+                let cold = engine
+                    .score_all_bound(&cold_env, &cold_bound, &list, &mut EvalScratch::new())
+                    .ok()
+                    .map(|scores| common::bits(&scores));
+                let cold_closed = engine
+                    .score_closed_form(&cold_env, &cold_bound, &list, &mut EvalScratch::new())
+                    .ok()
+                    .map(closed_bits);
+                for round in 0..2 {
+                    let got = engine.score_all_bound(&env, &bound, &list, scratch).ok();
+                    let got = got.map(|scores| common::bits(&scores));
+                    prop_assert_eq!(&got, &cold, "{}, step {}, round {}, {:?}", name, step, round, list);
+                    let closed = engine.score_closed_form(&env, &bound, &list, scratch).ok();
+                    let closed = closed.map(closed_bits);
+                    prop_assert_eq!(&closed, &cold_closed, "{}, step {}, round {}, deferrals", name, step, round);
                 }
             }
         }
