@@ -70,6 +70,12 @@ impl Writer {
         Self::default()
     }
 
+    pub(crate) fn with_capacity(bytes: usize) -> Self {
+        Self {
+            buf: Vec::with_capacity(bytes),
+        }
+    }
+
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }

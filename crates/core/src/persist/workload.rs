@@ -26,7 +26,7 @@
 
 use std::path::Path;
 
-use super::codec::{put_section, read_section, Reader, Writer};
+use super::codec::{crc32, read_section, Reader, Writer};
 use super::snapshot::{decode_kb, decode_rules, encode_kb, encode_rules};
 use super::PersistError;
 use crate::multiuser::GroupStrategy;
@@ -190,25 +190,41 @@ impl Workload {
     /// contents: the same workload always produces the same bytes.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(WORKLOAD_MAGIC);
-        out.extend_from_slice(&WORKLOAD_VERSION.to_le_bytes());
+        self.emit(|bytes| out.extend_from_slice(bytes));
+        out
+    }
+
+    /// Hands the file's bytes to `sink` in order, piece by piece as each
+    /// section is produced — magic, version, then every section's frame
+    /// and payload — so [`Workload::file_digest`] hashes what
+    /// [`Workload::encode`] collects without building the file.
+    fn emit(&self, mut sink: impl FnMut(&[u8])) {
+        sink(WORKLOAD_MAGIC);
+        sink(&WORKLOAD_VERSION.to_le_bytes());
+        let mut section = |payload: &[u8]| {
+            sink(&(payload.len() as u32).to_le_bytes());
+            sink(&crc32(payload).to_le_bytes());
+            sink(payload);
+        };
 
         let mut meta = Writer::new();
         meta.str(&self.meta.domain);
         meta.u64(self.meta.seed);
         meta.str(&self.meta.comment);
-        put_section(&mut out, &meta.into_bytes());
+        section(&meta.into_bytes());
 
-        put_section(&mut out, &encode_kb(&self.kb));
-        put_section(&mut out, &encode_rules(&self.rules, &self.kb.voc));
+        section(&encode_kb(&self.kb));
+        section(&encode_rules(&self.rules, &self.kb.voc));
 
-        let mut rec = Writer::new();
+        let len = 4 + self.records.iter().map(record_len).sum::<usize>();
+        let mut rec = Writer::with_capacity(len);
         rec.u32(self.records.len() as u32);
         for record in &self.records {
             put_record(&mut rec, record);
         }
-        put_section(&mut out, &rec.into_bytes());
-        out
+        let rec = rec.into_bytes();
+        debug_assert_eq!(rec.len(), len, "record_len disagrees with put_record");
+        section(&rec);
     }
 
     /// Decodes a workload file, verifying magic, version, and every
@@ -277,7 +293,9 @@ impl Workload {
     /// The FNV-1a digest of the encoded file — a stable identity for
     /// "same workload" checks (regression pins, CLI output).
     pub fn file_digest(&self) -> u64 {
-        digest(&self.encode())
+        let mut h = Fnv64::new();
+        self.emit(|bytes| h.update(bytes));
+        h.finish()
     }
 
     /// Number of rank-shaped records ([`WorkloadRecord::Rank`] +
@@ -364,6 +382,36 @@ fn put_record(w: &mut Writer, record: &WorkloadRecord) {
                 GroupStrategy::LeastMisery => w.u8(STRAT_LEAST_MISERY),
                 GroupStrategy::MostPleasure => w.u8(STRAT_MOST_PLEASURE),
             }
+        }
+    }
+}
+
+/// The bytes [`put_record`] writes for `record`.
+fn record_len(record: &WorkloadRecord) -> usize {
+    let text = |s: &String| 4 + s.len();
+    let names = |names: &[String]| 4 + names.iter().map(text).sum::<usize>();
+    1 + match record {
+        WorkloadRecord::Assert { subject, fact } => {
+            let fact = match fact {
+                WorkloadFact::Concept(c) => text(c),
+                WorkloadFact::ConceptProb(c, _) => text(c) + 8,
+                WorkloadFact::Role(r, o) => text(r) + text(o),
+                WorkloadFact::RoleProb(r, o, _) => text(r) + text(o) + 8,
+            };
+            text(subject) + 1 + fact
+        }
+        WorkloadRecord::Rank { user, docs, .. } => text(user) + names(docs) + 4,
+        WorkloadRecord::RankGroup {
+            users,
+            docs,
+            strategy,
+            ..
+        } => {
+            let weights = match strategy {
+                GroupStrategy::WeightedAverage(weights) => 4 + 8 * weights.len(),
+                _ => 0,
+            };
+            names(users) + names(docs) + 4 + 1 + weights
         }
     }
 }
@@ -529,6 +577,12 @@ mod tests {
         assert_eq!(back.records, w.records);
         assert_eq!(back.encode(), bytes);
         assert_eq!(back.file_digest(), w.file_digest());
+    }
+
+    #[test]
+    fn the_file_digest_is_the_digest_of_the_encoded_file() {
+        let w = sample();
+        assert_eq!(w.file_digest(), digest(&w.encode()));
     }
 
     #[test]

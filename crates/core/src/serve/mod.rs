@@ -36,8 +36,8 @@
 //!   *epoch-published*: a request that binds or scores grabs an immutable
 //!   [`SharedSnapshot`] (two `Arc` bumps) and never sees a half-applied
 //!   write, and a full-page rank whose tenant's mark is the published
-//!   shared sequence — which a user's own context switch does not move —
-//!   grabs none and answers from its score entry; tenant sessions live
+//!   sequence — which only a publish that moves the KB's epoch or the
+//!   rules moves — grabs none and answers from its score entry; tenant sessions live
 //!   behind per-shard locks so disjoint tenants rank in parallel — the
 //!   only parallelism there is: a request runs on the thread that made it
 //!   and never forks; all mutation ([`RankingService::assert`], rule

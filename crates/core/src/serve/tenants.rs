@@ -17,10 +17,10 @@
 //! runs a closure under exactly the target shard's lock — so the shard lock
 //! also *is* the per-tenant request serialization the service layer relies
 //! on: two threads ranking the same user cannot interleave inside one
-//! tenant's caches. A writer asserting about a user holds that user's shard
-//! ([`TenantSessions::hold`]) across its publish, so no request of theirs
-//! interleaves with it either. A shard's counters (recency clock, lock
-//! acquisitions, rank requests) are plain integers under its lock.
+//! tenant's caches. No writer takes a shard lock: a publish moves the
+//! service's sequence, and a tenant's mark is checked against it. A
+//! shard's counters (recency clock, lock acquisitions, rank requests) are
+//! plain integers under its lock.
 //!
 //! **LRU cap.** The map holds at most `capacity` live tenants across all
 //! shards, and recency is kept per shard. A first sight below the cap
@@ -43,22 +43,19 @@ use crate::hash::{IdHasher, IdMap};
 use crate::serve::ServiceStats;
 use crate::session::{SessionCore, SessionStats};
 
-/// One tenant: its user's session core, its mark — the shared sequence its
+/// One tenant: its user's session core, its mark — the publish sequence its
 /// bindings are current at — and the recency stamp the LRU cap works from.
 #[derive(Default)]
 pub(crate) struct Tenant {
     /// The user's caches and the request path over them; every caller
     /// binds it for the user the tenant is keyed by.
     pub session: SessionCore,
-    /// The *shared* publish sequence of the snapshot `session`'s bindings
-    /// were last bound against, set only if that snapshot was still the
-    /// published one when the bind was recorded; `None` until then, after
-    /// a bind against a superseded snapshot, and after an own-row assert
-    /// about this user, whose writer clears it under the shard lock
-    /// ([`Hold::unmark`]). Every path that binds the tenant sets it, so
-    /// while it equals the published shared sequence no publish since has
-    /// moved anything the bindings read, and they are current without a
-    /// bind.
+    /// The publish sequence of the snapshot `session`'s bindings were last
+    /// bound against, set only if that snapshot was still the published
+    /// one when the bind was recorded; `None` until then and after a bind
+    /// against a superseded snapshot. Every path that binds the tenant sets
+    /// it, so while it equals the published sequence nothing has been
+    /// published since, and the bindings are current without a bind.
     pub bound_at: Option<u64>,
     /// Its shard's clock at the last access (unique within the shard).
     last_used: u64,
@@ -81,22 +78,6 @@ impl Shard {
     fn pop_lru(&mut self) -> Option<Tenant> {
         let (&user, _) = self.tenants.iter().min_by_key(|(_, t)| t.last_used)?;
         self.tenants.remove(&user)
-    }
-}
-
-/// One user's shard, held by a writer (see [`TenantSessions::hold`]).
-pub(crate) struct Hold<'a> {
-    shard: MutexGuard<'a, Shard>,
-    user: IndividualId,
-}
-
-impl Hold<'_> {
-    /// Clears the held user's mark, if they have a live tenant: their
-    /// next full page binds against what the writer published.
-    pub fn unmark(&mut self) {
-        if let Some(tenant) = self.shard.tenants.get_mut(&self.user) {
-            tenant.bound_at = None;
-        }
     }
 }
 
@@ -234,15 +215,6 @@ impl TenantSessions {
         self.lock(0).ranks += 1;
     }
 
-    /// Locks `user`'s shard for a writer — which holds it across an
-    /// assert's apply and publish, and clears the user's mark through it —
-    /// creating no tenant and counting nothing: [`TenantSessions::lock_counts`]
-    /// counts requests' acquisitions.
-    pub fn hold(&self, user: IndividualId) -> Hold<'_> {
-        let shard = self.lock(self.shard_of(user));
-        Hold { shard, user }
-    }
-
     /// The tenant's cache counters, if it is currently live.
     pub fn stats_of(&self, user: IndividualId) -> Option<SessionStats> {
         let shard = self.lock_shard(self.shard_of(user));
@@ -356,7 +328,7 @@ mod tests {
             .iter()
             .find(|&&user| map.shard_of(user) != map.shard_of(held))
             .expect("a user in another shard");
-        let hold = map.hold(held);
+        let hold = map.lock(map.shard_of(held));
         let (done, finished) = std::sync::mpsc::channel();
         std::thread::scope(|s| {
             s.spawn(|| {

@@ -78,7 +78,7 @@ use crate::bind::RuleBinding;
 use crate::engines::{self, DocScore, EvalScratch, ScoringEngine};
 use crate::hash::IdMap;
 use crate::topk::rank_top_k_bound;
-use crate::{Kb, PreferenceRule, Result, RuleRepository, ScoringEnv};
+use crate::{Kb, PreferenceRule, Result, ScoringEnv};
 
 /// Hit/miss counters of one cache layer, as [`SessionStats::bindings`] and
 /// [`SessionStats::scores`] report them. Counters reset to zero
@@ -366,9 +366,7 @@ impl RulePlan {
 /// The tables through which an ABox mutation can move the binding of
 /// anyone but the individual whose rows it wrote, under the rules `defs`
 /// define: every rule's [`RuleDef`] shared tables, and the domain. Sorted.
-/// The writer classifies asserts by it ([`SharedTables`]) and a plan set is
-/// kept across every move outside it ([`PlanSet::accepts`]), so the two
-/// agree by construction.
+/// A plan set is kept across every move outside it ([`PlanSet::accepts`]).
 fn shared_tables<'d>(defs: impl IntoIterator<Item = &'d RuleDef>) -> Vec<Table> {
     let mut tables = vec![Table::Domain];
     for def in defs {
@@ -570,44 +568,6 @@ impl PlanSlot {
             _ => *latest = Some(Arc::clone(&set)),
         }
         set
-    }
-}
-
-/// [`shared_tables`] for one `(KB, terminology, rules)`, each rule unfolded
-/// as a plan set unfolds it — what the writer tells an own-row assert from
-/// a shared one by. Built again only when the KB's identity, its TBox
-/// epoch or the rules' stamp moved.
-#[derive(Default)]
-pub(crate) struct SharedTables {
-    /// `Kb::id`, `TBox::epoch` and the rules' stamp `tables` is for.
-    key: Option<(u64, u64, u64)>,
-    /// Sorted.
-    tables: Vec<Table>,
-}
-
-impl SharedTables {
-    /// Whether none of `moved`, tables that moved on `kb` under `rules`,
-    /// is shared: then a mutation that wrote one individual's rows moved
-    /// no binding but that individual's.
-    pub(crate) fn misses(
-        &mut self,
-        kb: &Kb,
-        rules: &RuleRepository,
-        mut moved: impl Iterator<Item = Table>,
-    ) -> bool {
-        let key = (kb.id(), kb.tbox.epoch(), rules.stamp());
-        if self.key != Some(key) {
-            let defs: Vec<RuleDef> = rules
-                .rules()
-                .iter()
-                .map(|r| RuleDef::unfold(kb, r))
-                .collect();
-            *self = SharedTables {
-                key: Some(key),
-                tables: shared_tables(&defs),
-            };
-        }
-        moved.all(|table| self.tables.binary_search(&table).is_err())
     }
 }
 
@@ -982,7 +942,7 @@ impl SessionCore {
     /// the binding and score hits that bind and read-through count.
     /// Anything else changes nothing and is `None`. The caller vouches that
     /// nothing the user was bound against has moved since (the service: the
-    /// tenant's mark is still the published shared sequence).
+    /// tenant's mark is still the published sequence).
     pub(crate) fn rank_warm<E>(
         &mut self,
         engine: &E,
@@ -1786,6 +1746,106 @@ mod tests {
             &bound_set(&caches[0], user),
             &bound_set(&caches[1], switcher)
         ));
+    }
+
+    /// Whether `moved` holds a table that some rule of `rules`, unfolded
+    /// afresh on `kb`, reads of anyone but its asker, or the domain
+    /// ([`shared_tables`]): the reference a plan set's keep is held to.
+    fn moves_a_shared_table(
+        kb: &Kb,
+        rules: &RuleRepository,
+        mut moved: impl Iterator<Item = Table>,
+    ) -> bool {
+        let defs: Vec<RuleDef> = rules
+            .rules()
+            .iter()
+            .map(|r| RuleDef::unfold(kb, r))
+            .collect();
+        let shared = shared_tables(&defs);
+        moved.any(|table| shared.binary_search(&table).is_ok())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// A binder after an assert keeps the plan set published before it
+        /// exactly when the assert moved no shared table — whatever the
+        /// rules read of whom, and whoever the assert is about.
+        #[test]
+        fn an_assert_keeps_the_plan_set_exactly_when_it_moves_no_shared_table(
+            shapes in proptest::collection::vec((0usize..7, 0usize..4), 1..4),
+            asserts in proptest::collection::vec((0u8..5, 0usize..3, 0usize..5), 1..10),
+        ) {
+            use crate::serve::{Fact, RankingService};
+
+            const CONTEXTS: [&str; 7] = [
+                "Ctx0",
+                "Ctx1 AND Ctx0",
+                "Ctx1 OR Ctx2",
+                "EXISTS knows.Ctx0",
+                "NOT Ctx1",
+                "Ctx0 OR {user0}",
+                "Feat0",
+            ];
+            const PREFERENCES: [&str; 4] = ["Feat0", "Feat0 AND Feat1", "Ctx2", "EXISTS knows.Feat1"];
+            const CONCEPTS: [&str; 5] = ["Ctx0", "Ctx1", "Ctx2", "Feat0", "Feat1"];
+            let mut kb = Kb::new();
+            let users: Vec<_> = (0..3)
+                .map(|i| {
+                    let u = kb.individual(&format!("user{i}"));
+                    kb.assert_concept_prob(u, "Ctx0", 0.2 + 0.5 * (i as f64 / 3.0)).unwrap();
+                    if i % 2 == 0 {
+                        kb.assert_concept(u, "Ctx1");
+                    }
+                    u
+                })
+                .collect();
+            let docs: Vec<_> = (0..3)
+                .map(|i| {
+                    let d = kb.individual(&format!("doc{i}"));
+                    kb.assert_concept_prob(d, "Feat0", 0.1 + 0.8 * (i as f64 / 3.0)).unwrap();
+                    kb.assert_concept_prob(d, "Feat1", 0.9 - 0.7 * (i as f64 / 3.0)).unwrap();
+                    d
+                })
+                .collect();
+            let mut rules = RuleRepository::new();
+            for (i, (context, preference)) in shapes.into_iter().enumerate() {
+                let rule = PreferenceRule::new(
+                    format!("R{i}"),
+                    kb.parse(CONTEXTS[context]).unwrap(),
+                    kb.parse(PREFERENCES[preference]).unwrap(),
+                    Score::new(0.5).unwrap(),
+                );
+                rules.add(rule).unwrap();
+            }
+            let service = RankingService::new(LineageEngine::new(), kb, rules);
+            for (step, (kind, who, what)) in asserts.into_iter().enumerate() {
+                // A cut page binds, so the slot holds the set of the state
+                // the assert starts from.
+                service.rank(users[step % users.len()], &docs, 1).unwrap();
+                let snap = service.snapshot();
+                proptest::prop_assert!(snap.kb().plans().accepts(&snap.env(users[0])));
+                let subject = if kind == 1 { docs[who] } else { users[who] };
+                match kind {
+                    0 | 1 => service.assert(subject, Fact::ConceptProb(CONCEPTS[what].into(), 0.5)),
+                    2 => service.assert(subject, Fact::Role("knows".into(), users[what % 3])),
+                    3 => service.assert(subject, Fact::Role("knows".into(), docs[what % 3])),
+                    _ => {
+                        service.individual(&format!("newcomer{what}"));
+                        Ok(())
+                    }
+                }
+                .unwrap();
+                let after = service.snapshot();
+                let (kb, rules) = (after.kb(), after.rules());
+                let moved = kb.abox.moved_since(snap.kb().abox.epoch());
+                proptest::prop_assert_eq!(
+                    kb.plans().accepts(&after.env(users[0])),
+                    !moves_a_shared_table(kb, rules, moved),
+                    "step {}: kind {} about {:?}", step, kind, subject
+                );
+            }
+        }
     }
 
     #[test]

@@ -359,8 +359,9 @@ fn a_rank_after_an_assert_sees_the_assert() {
 }
 
 /// A context switch leaves bystanders right. A writer switches one
-/// user's context again and again — own-row asserts, which move no other
-/// tenant's mark — while readers rank groups of every user, the switching
+/// user's context again and again — each switch moves the publish
+/// sequence, and a bystander's next bind hands back what it held — while
+/// readers rank groups of every user, the switching
 /// one among them (each group's members bound, mid-request, against a
 /// snapshot the writer keeps superseding), and after each group every
 /// other user's full page. Every bystander page is its cold page, bit for

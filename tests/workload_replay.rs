@@ -102,6 +102,28 @@ fn tiny_pack_transcripts_are_pinned() {
     }
 }
 
+/// `file_digest` hashes the file as it is produced, without building it:
+/// it is the digest of what `encode` writes, on every pack's tiny
+/// workload.
+#[test]
+fn the_file_digest_is_the_digest_of_the_encoded_file() {
+    for domain in 0..3 {
+        let w = match domain {
+            0 => capra::commerce::workload::build_workload(
+                capra::commerce::workload::WorkloadConfig::tiny(),
+            ),
+            1 => capra::teamctx::workload::build_workload(
+                capra::teamctx::workload::WorkloadConfig::tiny(),
+            ),
+            _ => capra::tvtouch::workload::build_workload(
+                capra::tvtouch::workload::WorkloadConfig::tiny(),
+            ),
+        };
+        let encoded = capra::core::persist::digest(&w.encode());
+        assert_eq!(w.file_digest(), encoded, "{}", w.meta.domain);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
