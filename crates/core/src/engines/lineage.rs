@@ -37,7 +37,7 @@ use crate::{Result, ScoringEnv};
 ///   `¬F_rd` is an `And`). The score is then the closed form
 ///   `Π_r Σ_cases w·clamp(P(case))`: per rule one multiply, clamp and case
 ///   sum over `P(G_r)`, which the rule's binding holds (evaluated once per
-///   binding, never through the shared memo:
+///   binding, never through the request's memo:
 ///   `RuleBinding::context_parts`), and the `(P(F_rd), P(¬F_rd))` the
 ///   rule's **feature column** holds at the document's row — the parts
 ///   [`capra_events::Expectation::prob_split`] multiplies, in exactly

@@ -16,7 +16,7 @@
 //! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | defers every document | the paper's Section 5 PostgreSQL implementation |
 //! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | defers every document | the same maths without the view machinery (ablation) |
 //! | [`FactorizedEngine`] | exact under feature independence (checked per document by the lane test's variable half; [`CorrelationPolicy`] decides the rest) | [`LineageEngine`]'s column pass, bit for bit on every document it admits; the others get the product of their marginals from the same row and binding — `O(a · d)` in all | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
-//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies), as a column pass: the constant factors down the columns of the `a` rules, the lane test per document, the other factors down the columns again; `P(G_r)` is evaluated once per binding and kept on it, never in the shared memo; the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature columns); a candidate list met again (the row table's *page*) without a probe, its lane test for the whole list in two compares where its rows' variable span misses the contexts', and its columns read in slot order once gathered; Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
+//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies), as a column pass: the constant factors down the columns of the `a` rules, the lane test per document, the other factors down the columns again; `P(G_r)` is evaluated once per binding and kept on it, never in the request's memo; the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature columns); a candidate list met again (the row table's *page*) without a probe, its lane test for the whole list in two compares where its rows' variable span misses the contexts', and its columns read in slot order once gathered; Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
 //! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the engine's | the serving path: repeated queries under a changing context |
 //!
 //! All engines share the binding step ([`crate::bind_rules`]), which runs
@@ -82,8 +82,8 @@ use std::sync::Arc;
 
 use capra_dl::IndividualId;
 use capra_events::{
-    BatchStats, CacheFootprint, EvalCache, Evaluator, EventExpr, Expectation, MemoGeneration,
-    Universe, VarId, MAX_AGE,
+    BatchStats, CacheFootprint, EvalCache, Evaluator, EventExpr, Expectation, Universe, VarId,
+    MAX_AGE,
 };
 
 use crate::bind::bind_rules_shared;
@@ -101,28 +101,35 @@ pub struct DocScore {
 /// Reusable evaluation state threaded through the prepared scoring path
 /// ([`ScoringEngine::score_all_bound`]): the probability and expectation
 /// memos engines would otherwise rebuild per call, held as one
-/// [`EvalCache`] that an [`Evaluator`] or an [`Expectation`] borrows.
+/// [`EvalCache`] that an [`Evaluator`] or an [`Expectation`] borrows. A
+/// [`crate::ScoringSession`] owns one, and so does each tenant of a
+/// [`crate::serve::RankingService`].
+///
+/// What lands in the memos is a composite feature event's probability on
+/// its row cell's first read (the row keeps it from then on) and the
+/// paper's exact route (Section 3.3): an entangled document's factor
+/// groups under the asker's context events.
 ///
 /// The scratch is tied to one KB identity; [`EvalScratch::ensure_kb`]
 /// (called by every engine on entry) resets the memos when a different KB
 /// shows up, so stale entries can never leak across knowledge bases. Within
 /// one KB the memos stay valid indefinitely — event probabilities are
 /// immutable and memo keys pin their hash-consed expressions (see
-/// [`capra_events::MemoGeneration`]).
+/// [`EvalCache`]).
 ///
 /// Validity is not liveness, though: in a serving loop that re-asserts
 /// facts every call, entries keyed by superseded expressions are never
 /// looked up again yet would accumulate for the life of the KB. Long-lived
 /// holders therefore call [`EvalScratch::advance_epoch`] when the KB's
 /// binding epoch moves, which drops the memos whole once the epoch is more
-/// than [`MAX_AGE`] past the one they were started at — see
-/// [`capra_events::MemoGeneration`] for why that cannot change any score.
+/// than [`MAX_AGE`] past the one they were started at — see [`EvalCache`]
+/// for why that cannot change any score.
 #[derive(Default)]
 pub struct EvalScratch {
     /// `Kb::id` the memos were built over; 0 = not yet bound to a KB.
     kb_id: u64,
     /// Binding epoch the memos were started at: the KB's when the scratch
-    /// was bound or checked out, moved on when they are dropped.
+    /// was bound, moved on when they are dropped.
     epoch: u64,
     /// Batch-path counters accumulated by engines run on this scratch.
     batch: BatchStats,
@@ -145,18 +152,12 @@ impl EvalScratch {
         self.batch += stats;
     }
 
-    /// Drains the accumulated batch counters (the service's pool moves them
-    /// into its own accumulator when a checked-out scratch is returned).
-    pub(crate) fn take_batch_stats(&mut self) -> BatchStats {
-        std::mem::take(&mut self.batch)
-    }
-
     /// Notes that the KB's binding epoch is now `epoch`. Once it is more
     /// than [`MAX_AGE`] past the epoch the memos were started at, they are
     /// dropped whole and restarted at `epoch` — keeping a
-    /// [`crate::ScoringSession`]'s footprint bounded in mutate-heavy
-    /// serving loops. A no-op on stable KBs, so warm paths keep every
-    /// entry.
+    /// [`crate::ScoringSession`]'s or a service tenant's footprint bounded
+    /// in mutate-heavy serving loops. A no-op on stable KBs, so warm paths
+    /// keep every entry.
     pub fn advance_epoch(&mut self, epoch: u64) {
         if epoch.saturating_sub(self.epoch) > MAX_AGE {
             self.epoch = epoch;
@@ -164,31 +165,10 @@ impl EvalScratch {
         }
     }
 
-    /// Generations holding an entry, memo entries and pinned-node estimate
-    /// of this scratch: the shared generation it reads, if any, plus its
-    /// private maps.
+    /// Memos holding an entry (0 or 1), memo entries and pinned-node
+    /// estimate of this scratch.
     pub fn footprint(&self) -> CacheFootprint {
         self.memo.footprint()
-    }
-
-    /// A scratch whose memos start empty over a shared generation, bound to
-    /// the KB the generation was computed over at its binding epoch `epoch`
-    /// — what a request checks out of the service's shared pool
-    /// (`serve/pool.rs`). Lookups read the generation lock-free; new
-    /// entries land in the private maps until the pool absorbs them.
-    pub(crate) fn with_generation(kb_id: u64, epoch: u64, generation: Arc<MemoGeneration>) -> Self {
-        Self {
-            kb_id,
-            epoch,
-            memo: EvalCache::with_generation(generation),
-            ..Self::default()
-        }
-    }
-
-    /// Decomposes the scratch into its KB identity, the binding epoch it
-    /// was checked out at, and its memos, for the pool to absorb.
-    pub(crate) fn into_memo(self) -> (u64, u64, EvalCache) {
-        (self.kb_id, self.epoch, self.memo)
     }
 
     /// Binds the scratch to `kb`, discarding all memos (the batch counters
@@ -203,6 +183,15 @@ impl EvalScratch {
                 ..Self::default()
             };
         }
+    }
+
+    /// The scratch bound to `kb` ([`EvalScratch::ensure_kb`]) and moved on
+    /// to its binding epoch ([`EvalScratch::advance_epoch`]): what a
+    /// session or a tenant hands its core to evaluate on.
+    pub(crate) fn at(&mut self, kb: &Kb) -> &mut Self {
+        self.ensure_kb(kb);
+        self.advance_epoch(kb.binding_epoch());
+        self
     }
 
     /// Loans the memo to an [`Evaluator`] for the duration of `f`,

@@ -15,7 +15,7 @@
 //! else; a kernel walks one rule's column over the candidates, not one
 //! document's cells. The other half of a rule's factor, `P(G_r)`, is the
 //! user's and lives on the rule's binding (`RuleBinding::context_parts`,
-//! read once per binding and never through the shared memo); a row holds
+//! read once per binding and never through the request's memo); a row holds
 //! nothing of any context.
 //!
 //! Rows belong to a [`RowSet`], which stands for exactly one list of view

@@ -25,7 +25,7 @@
 //! * [`rank_top_k`] — `LIMIT`-shaped ranking in two phases: closed-form
 //!   documents ranked outright, early termination over the rest;
 //! * [`serve`] — the multi-tenant [`RankingService`]: LRU-capped per-user
-//!   sessions over one shared, bounded memo generation, with typed
+//!   sessions, each with its own bounded evaluation memos, with typed
 //!   requests and a batching queue. Concurrency lives here, *between*
 //!   requests — one lock per tenant shard — never inside one;
 //! * [`persist`] — durability: a versioned binary codec for KB and rule
@@ -120,7 +120,7 @@ pub use topk::{rank_top_k, rank_top_k_bound};
 
 // Re-exported from `capra_events`: the footprint report in
 // [`SessionStats`], the batch counters sessions surface alongside it, and
-// the age in binding epochs past which session and pool memos are dropped.
+// the age in binding epochs past which session and tenant memos are dropped.
 pub use capra_events::{BatchStats, CacheFootprint, MAX_AGE};
 
 /// Convenience alias for results in this crate.

@@ -11,19 +11,18 @@
 //! owns that lifecycle:
 //!
 //! * **Tenancy** — one [`RankingService`] serves any number of users
-//!   ("tenants"). Per-tenant state (rule-binding cache + score cache) lives
-//!   in a sharded map, LRU-capped by [`ServiceConfig::max_sessions`]:
-//!   evicting a tenant only costs that tenant a deterministic re-derivation
-//!   on their next request, never a changed score.
-//! * **Shared memo generation** — all tenants score through one pool
-//!   (`serve/pool.rs`) holding one frozen memo generation: evaluation memos
-//!   are pure functions of hash-consed expression identity and carry no
-//!   per-user data, so one tenant's work warms every other tenant that
-//!   touches the same documents. A request reads the generation it checked
-//!   out and the pool absorbs its new entries when it gives the scratch
-//!   back; a generation more than [`capra_events::MAX_AGE`] binding epochs
-//!   old is dropped whole at a give-back, so the *total* footprint stays
-//!   bounded even when every request mutates context.
+//!   ("tenants"). Per-tenant state (rule-binding cache, score cache and
+//!   evaluation memos) lives in a sharded map, LRU-capped by
+//!   [`ServiceConfig::max_sessions`]: evicting a tenant only costs that
+//!   tenant a deterministic re-derivation on their next request, never a
+//!   changed score.
+//! * **Per-tenant memos** — a tenant's memos follow the one policy a
+//!   session's do: bound to one KB, dropped whole once they are more than
+//!   [`capra_events::MAX_AGE`] binding epochs old, so each tenant's
+//!   footprint stays bounded even when every request mutates context.
+//!   What a document brings to every tenant is kept once, in the KB's
+//!   feature rows; what the memos hold is an entangled document's factor
+//!   groups under the asker's own context events.
 //! * **Typed requests** — [`RankingService::rank`],
 //!   [`RankingService::rank_group`] and [`RankingService::assert`] cover
 //!   the three request shapes of the paper's serving story (one user ranks,
@@ -57,8 +56,8 @@
 //!   tenant's [`crate::SessionStats`] (plus counters retired with evicted
 //!   tenants) into a [`ServiceStats`]: sessions live/evicted, warm/cold hit
 //!   rates, shard-lock acquisition counts, queue depth/throughput
-//!   ([`QueueStats`]), and the shared generation's
-//!   [`capra_events::CacheFootprint`].
+//!   ([`QueueStats`]), and the live tenants' memo
+//!   [`capra_events::CacheFootprint`]s.
 //! * **Replication** — a [`ReplicaService`] opens a durable writer's
 //!   directory read-only, restores the newest snapshot, and tails the
 //!   segmented WAL incrementally ([`ReplicaService::poll`]) — serving
@@ -75,7 +74,6 @@
 //! See `ARCHITECTURE.md` at the workspace root for where this layer sits in
 //! the stack and a request-time walkthrough.
 
-mod pool;
 mod queue;
 mod replay;
 mod replica;

@@ -1,5 +1,4 @@
-//! The [`RankingService`] itself: request execution over the tenant map
-//! and the shared evaluation pool.
+//! The [`RankingService`] itself: request execution over the tenant map.
 //!
 //! # Concurrency model
 //!
@@ -27,8 +26,8 @@
 //!   publish order *is* the log order, so durability semantics are
 //!   unchanged from the single-owner service.
 //!
-//! Lock order is `writer → shard → {published slot | pool}` (leaf stat
-//! mutexes last); no path acquires against that order. A mutation takes
+//! Lock order is `writer → shard → published slot` (leaf stat mutexes
+//! last); no path acquires against that order. A mutation takes
 //! the writer and then the published slot, and no shard: only a snapshot
 //! save walks the shards under the writer. See "Concurrency & locking
 //! order" in `ARCHITECTURE.md` for the full walkthrough.
@@ -39,7 +38,7 @@ use std::sync::{Arc, Mutex};
 
 use capra_dl::{Concept, IndividualId};
 
-use crate::engines::{rank, DocScore, EvalScratch, ScoringEngine};
+use crate::engines::{rank, DocScore, ScoringEngine};
 use crate::multiuser::{group_scores, GroupStrategy};
 use crate::persist::compact::{covered_prefix, delete_segments};
 use crate::persist::snapshot::encode_snapshot;
@@ -48,7 +47,6 @@ use crate::persist::{
     recover, snapshot_paths, sync_dir, CompactionPolicy, FlushPolicy, PersistError, Recovered,
     WalStats,
 };
-use crate::serve::pool::ScratchPool;
 use crate::serve::queue::QueueStats;
 use crate::serve::request::{Fact, Request, Response};
 use crate::serve::tenants::TenantSessions;
@@ -192,8 +190,8 @@ impl Default for ServiceConfig {
 
 /// Service-wide counters, aggregated from every tenant's
 /// [`SessionStats`] (live tenants plus counters retired with evicted
-/// ones), the shared memo generation, and the concurrency layers (shard
-/// locks, and the batching queue when one is attached).
+/// ones) and the concurrency layers (shard locks, and the batching queue
+/// when one is attached).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Tenant sessions currently live.
@@ -220,10 +218,10 @@ pub struct ServiceStats {
     /// [`ServiceQueue::stats`](crate::serve::ServiceQueue::stats)).
     pub queue: QueueStats,
     /// Component-wise total of every tenant's [`SessionStats`] — binding
-    /// and score cache traffic with [`crate::CacheStats::hit_rate`]s —
-    /// with the *shared* memo generation's footprint in
-    /// [`SessionStats::footprint`] (tenants hold no evaluation memos of
-    /// their own).
+    /// and score cache traffic with [`crate::CacheStats::hit_rate`]s, and
+    /// batch counters — retired tenants' included. The
+    /// [`SessionStats::footprint`] is the live tenants' memos alone: an
+    /// evicted tenant's memos leave with it.
     pub sessions: SessionStats,
     /// Write-ahead-log traffic: records/bytes appended since the service
     /// opened (or was last cleared), and — from the last recovery —
@@ -258,7 +256,7 @@ impl std::iter::Sum for ServiceStats {
 
 /// A multi-tenant ranking front-end: one engine, one knowledge base, one
 /// rule repository, any number of users — each with an LRU-capped cached
-/// session, all sharing one bounded memo generation. Every request
+/// session and its own bounded evaluation memos. Every request
 /// path takes `&self`, so one service instance (or an `Arc` of it — see
 /// [`crate::serve::ServiceQueue`]) serves any number of threads
 /// concurrently. See the [module docs](crate::serve) for the design.
@@ -318,7 +316,6 @@ pub struct RankingService<E> {
     #[cfg(test)]
     loads: AtomicU64,
     tenants: TenantSessions,
-    pool: ScratchPool,
     asserts: AtomicU64,
     /// Serializes all mutations, and so owns the WAL — append order is
     /// publish order: `Some` when the service was opened with
@@ -361,7 +358,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             #[cfg(test)]
             loads: AtomicU64::new(0),
             tenants: TenantSessions::new(config.shards, config.max_sessions),
-            pool: ScratchPool::default(),
             asserts: AtomicU64::new(0),
             writer: Mutex::new(None),
             wal_stats: Mutex::new(WalStats::default()),
@@ -446,8 +442,8 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// Installs a [`Recovered`] state into this service: KB, rules, the
     /// recovery counters, and warm binding seeds for the tenants that were
     /// live at snapshot time (their first post-boot request then needs no
-    /// cold bind). Everything cached is dropped; the fresh pool fills as on
-    /// a cold start, with bit-identical scores. Also the re-open path
+    /// cold bind). Everything cached is dropped; the tenants' memos fill
+    /// as on a cold start, with bit-identical scores. Also the re-open path
     /// behind [`crate::serve::ReplicaService`]'s resnapshot.
     pub(crate) fn reinstall(&mut self, recovered: Recovered) {
         let Recovered {
@@ -459,7 +455,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             ..
         } = recovered;
         self.tenants.clear();
-        self.pool = ScratchPool::default();
         {
             let wal = self.wal_stats.get_mut().expect("wal stats lock poisoned");
             wal.records_replayed = replayed;
@@ -817,24 +812,22 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// requests serialize on the shard lock.
     ///
     /// The request takes the tenant's shard lock first and runs whole
-    /// inside it (`shard → {published slot | pool}` in the documented lock
-    /// order), so the tenant's caches cannot be touched by another thread
+    /// inside it (`shard → published slot` in the documented lock order),
+    /// so the tenant's caches cannot be touched by another thread
     /// mid-request. A full-page rank whose tenant's mark is the published
     /// sequence, and whose score entry holds this list under the
     /// tenant's bindings, is answered there and then — no snapshot load, no
-    /// bind, no scratch, no reference count touched. Any other request
+    /// bind, no memo, no reference count touched. Any other request
     /// loads the snapshot under the shard lock, marks the tenant if that
-    /// snapshot is still the published one, and binds against it,
-    /// checking a scratch out of the pool only if a document has to be
-    /// evaluated.
+    /// snapshot is still the published one, and binds and scores against
+    /// it on the tenant's own memos.
     pub fn rank(
         &self,
         user: IndividualId,
         docs: &[IndividualId],
         k: usize,
     ) -> Result<Vec<DocScore>> {
-        let mut scratch = None;
-        let out = self.tenants.with_session(user, true, |tenant| {
+        self.tenants.with_session(user, true, |tenant| {
             if k >= docs.len() && tenant.bound_at == Some(self.seq.load()) {
                 if let Some(warm) = tenant.session.rank_warm(&self.engine, docs) {
                     return Ok(warm);
@@ -842,14 +835,12 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             }
             let snap = self.load();
             tenant.bound_at = self.seq.mark(&snap);
+            let scratch = tenant.scratch.at(snap.kb());
+            let env = snap.env(user);
             tenant
                 .session
-                .rank_top_k(&self.engine, &snap.env(user), docs, k, || {
-                    scratch.get_or_insert_with(|| self.pool.checkout(snap.kb()))
-                })
-        });
-        self.give_back(scratch);
-        out
+                .rank_top_k(&self.engine, &env, docs, k, scratch)
+        })
     }
 
     /// Ranks `docs` for a group of users — each member scored through
@@ -895,10 +886,9 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// [`RankingService::rank_group`] against `snap`: every member's full
-    /// score list through their own session core, bound against `snap`
-    /// and marked ([`Sequence::mark`]), one shard lock per member, in
-    /// request order, on one lazily checked-out scratch; then the combine
-    /// and the cut.
+    /// score list through their own session core and memos, bound against
+    /// `snap` and marked ([`Sequence::mark`]), one shard lock per member,
+    /// in request order; then the combine and the cut.
     fn rank_group_on(
         &self,
         snap: &SharedSnapshot,
@@ -910,33 +900,21 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         if users.is_empty() {
             self.tenants.count_rank();
         }
-        let mut scratch = None;
         let per_user = users
             .iter()
             .enumerate()
             .map(|(i, &user)| {
                 self.tenants.with_session(user, i == 0, |tenant| {
                     tenant.bound_at = self.seq.mark(snap);
-                    tenant
-                        .session
-                        .score_all(&self.engine, &snap.env(user), docs, || {
-                            scratch.get_or_insert_with(|| self.pool.checkout(snap.kb()))
-                        })
+                    let scratch = tenant.scratch.at(snap.kb());
+                    let env = snap.env(user);
+                    tenant.session.score_all(&self.engine, &env, docs, scratch)
                 })
             })
-            .collect::<Result<Vec<_>>>();
-        self.give_back(scratch);
-        let mut ranked = rank(group_scores(&per_user?, strategy)?);
+            .collect::<Result<Vec<_>>>()?;
+        let mut ranked = rank(group_scores(&per_user, strategy)?);
         ranked.truncate(k);
         Ok(ranked)
-    }
-
-    /// Returns a lazily checked-out scratch to the pool, which absorbs its
-    /// memos; a `None` (no evaluation ran) costs nothing.
-    fn give_back(&self, scratch: Option<EvalScratch>) {
-        if let Some(scratch) = scratch {
-            self.pool.give_back(scratch);
-        }
     }
 
     /// Service-wide counters and footprints (see [`ServiceStats`]).
@@ -944,9 +922,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// traffic the totals are a near-point-in-time reading of monotone
     /// counters, not a frozen cut.
     pub fn stats(&self) -> ServiceStats {
-        let mut stats = self.tenants.stats();
-        stats.sessions.footprint = self.pool.footprint();
-        stats.sessions.batch = self.pool.batch_stats();
+        let stats = self.tenants.stats();
         ServiceStats {
             asserts: self.asserts.load(Ordering::Relaxed),
             wal: *self.wal_stats.lock().expect("wal stats lock poisoned"),
@@ -962,15 +938,14 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         self.tenants.lock_counts()
     }
 
-    /// One tenant's cache counters, if their session is currently live
-    /// (the footprint field is zero — evaluation memos are shared
-    /// service-wide and reported by [`RankingService::stats`]).
+    /// One tenant's counters, batch counters included, and the footprint
+    /// of its own evaluation memos, if their session is currently live.
     pub fn tenant_stats(&self, user: IndividualId) -> Option<SessionStats> {
         self.tenants.stats_of(user)
     }
 
-    /// Drops every tenant session and the shared memo generation, and
-    /// resets all [`ServiceStats`] counters — post-clear stats describe
+    /// Drops every tenant session with its memos, and resets all
+    /// [`ServiceStats`] counters — post-clear stats describe
     /// the fresh service only, matching the clear semantics of the cache
     /// layers below. Engine, KB, rules and configuration are kept, and
     /// results are unaffected: subsequent requests recompute
@@ -985,7 +960,6 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// request; callers holding only `&self` cannot reach it.
     pub fn clear(&mut self) {
         self.tenants.clear();
-        self.pool = ScratchPool::default();
         *self.asserts.get_mut() = 0;
         *self.wal_stats.get_mut().expect("wal stats lock poisoned") = WalStats::default();
     }
@@ -994,7 +968,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{score_group, LineageEngine, PreferenceRule, Score, ScoringSession};
+    use crate::{score_group, EvalScratch, LineageEngine, PreferenceRule, Score, ScoringSession};
 
     fn fixture(
         n_users: usize,
@@ -1479,8 +1453,9 @@ mod tests {
     }
 
     /// A panic under a shard lock poisons that shard; the next request to
-    /// reach it drops the shard's tenants and goes on, so every user there
-    /// ranks as before — bit-identically to the cold oracle.
+    /// reach it drops the shard's tenants, keeping their counters, and goes
+    /// on, so every user there ranks as before — bit-identically to the
+    /// cold oracle.
     #[test]
     fn a_poisoned_shard_recovers_by_dropping_its_tenants() {
         let (kb, rules, users, docs) = fixture(12, 8);
@@ -1509,8 +1484,10 @@ mod tests {
         let victim = shards[0];
         let neighbours: Vec<_> = (0..users.len()).filter(|&i| shards[i] == victim).collect();
         assert!(neighbours.len() > 1, "the victim's shard holds others too");
-        let live = service.stats().sessions_live;
+        let warm = service.stats();
+        let live = warm.sessions_live;
         assert_eq!(live, users.len());
+        assert!(warm.sessions.batch.sweeps > 0);
 
         // A context switch sends the user's next page to the engine.
         service
@@ -1529,6 +1506,10 @@ mod tests {
         let stats = service.stats();
         assert_eq!(stats.sessions_live, live - neighbours.len());
         assert_eq!(stats.sessions_evicted, 0, "dropped, not evicted");
+        assert_eq!(
+            stats.sessions.batch, warm.sessions.batch,
+            "the dropped tenants' passes still count"
+        );
         for &i in &neighbours {
             let want = cold_rank(&service.kb(), &rules, users[i], &docs, docs.len());
             let got = service.rank(users[i], &docs, docs.len()).unwrap();

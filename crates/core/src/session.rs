@@ -154,11 +154,10 @@ pub struct SessionStats {
     /// Score cache traffic, per requested candidate: hits were answered
     /// from the cached scores, misses computed through an engine.
     pub scores: CacheStats,
-    /// Footprint of the session's evaluation memos: shared generations
-    /// holding an entry, memo entries (generation plus private maps), and
-    /// an estimate of the hash-consed expression nodes those entries pin in
-    /// the process-global interner. Bounded by [`capra_events::MAX_AGE`]
-    /// even when every call mutates the KB; see
+    /// Footprint of the evaluation memos: memos holding an entry, memo
+    /// entries, and an estimate of the hash-consed expression nodes those
+    /// entries pin in the process-global interner. Bounded by
+    /// [`capra_events::MAX_AGE`] even when every call mutates the KB; see
     /// [`capra_events::CacheFootprint`] for the field semantics.
     pub footprint: CacheFootprint,
     /// Batch counters of the two optimised engines: sweeps run, total
@@ -896,10 +895,9 @@ impl ScoreTally {
 /// engine, a session with the few it is handed.
 ///
 /// The third layer, the evaluation memos, is not the core's: every entry
-/// point takes `scratch`, which it calls at most once and only when a
-/// document has to be evaluated. [`ScoringSession`] hands out the scratch
-/// it owns; a tenant lazily checks one out of the service's shared pool,
-/// so a request answered from the score entry never touches it.
+/// point takes the `scratch` its owner holds beside it — the one
+/// [`ScoringSession`] owns, or the tenant's own — already moved to the
+/// request's KB and binding epoch ([`EvalScratch::at`]).
 #[derive(Default)]
 pub(crate) struct SessionCore {
     bindings: UserBindings,
@@ -970,17 +968,17 @@ impl SessionCore {
     /// empty list has nothing to read and touches no entry). The list the
     /// entry holds is all hits and the stored scores or a copy of the kept
     /// ranking. An empty entry (new, or its bindings just changed) hands
-    /// the whole list to the engine on `scratch()` and keeps what comes
+    /// the whole list to the engine on `scratch` and keeps what comes
     /// back. Any other list is looked up document by document: what the
     /// entry lacks is computed, appended, and the answer ranked afresh.
-    fn read_through<'s, E>(
+    fn read_through<E>(
         &mut self,
         engine: &E,
         env: &ScoringEnv<'_>,
         bindings: &Arc<[Arc<RuleBinding>]>,
         docs: &[IndividualId],
         ranked: bool,
-        scratch: impl FnOnce() -> &'s mut EvalScratch,
+        scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>>
     where
         E: ScoringEngine + ?Sized,
@@ -1003,7 +1001,7 @@ impl SessionCore {
             // The list the entry is to hold: kept as two slices, and
             // answered — ranked, if asked — from the engine's own list.
             tally.misses += docs.len() as u64;
-            let computed = engine.score_all_bound(env, bindings, docs, scratch())?;
+            let computed = engine.score_all_bound(env, bindings, docs, scratch)?;
             entry.ids.extend(computed.iter().map(|s| s.doc));
             entry.scores.extend(computed.iter().map(|s| s.score));
             if !ranked {
@@ -1033,7 +1031,7 @@ impl SessionCore {
         tally.hits += (docs.len() - missing.len()) as u64;
         tally.misses += missing.len() as u64;
         if !missing.is_empty() {
-            let computed = engine.score_all_bound(env, bindings, &missing, scratch())?;
+            let computed = engine.score_all_bound(env, bindings, &missing, scratch)?;
             *kept = None;
             for s in computed {
                 index.insert(s.doc, slot(ids.len()));
@@ -1052,12 +1050,12 @@ impl SessionCore {
     /// Scores every document in `docs`, in order: bind, then read through
     /// the score entry. The unranked half of [`SessionCore::rank_top_k`],
     /// for callers that combine score lists before ranking.
-    pub(crate) fn score_all<'s, E>(
+    pub(crate) fn score_all<E>(
         &mut self,
         engine: &E,
         env: &ScoringEnv<'_>,
         docs: &[IndividualId],
-        scratch: impl FnOnce() -> &'s mut EvalScratch,
+        scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>>
     where
         E: ScoringEngine + ?Sized,
@@ -1073,24 +1071,23 @@ impl SessionCore {
     /// covers an adaptively chosen subset of `docs`); otherwise there is
     /// nothing to cut and the full ranking is read through the score
     /// entry, where a warm repeat is a compare and a copy.
-    pub(crate) fn rank_top_k<'s, E>(
+    pub(crate) fn rank_top_k<E>(
         &mut self,
         engine: &E,
         env: &ScoringEnv<'_>,
         docs: &[IndividualId],
         k: usize,
-        scratch: impl FnOnce() -> &'s mut EvalScratch,
+        scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>>
     where
         E: ScoringEngine + ?Sized,
     {
         let bindings = self.bind(env);
         if k == 0 {
-            // Nothing to rank: `scratch()` — a pool checkout — is not due.
             return Ok(Vec::new());
         }
         if k < docs.len() {
-            rank_top_k_bound(env, engine, &bindings, docs, k, scratch())
+            rank_top_k_bound(env, engine, &bindings, docs, k, scratch)
         } else {
             self.read_through(engine, env, &bindings, docs, true, scratch)
         }
@@ -1188,9 +1185,10 @@ impl ScoringSession {
     /// `env.user`'s core, and the session's own scratch moved on to
     /// `env`'s KB and binding epoch — what it hands the core to evaluate on.
     fn scratch_at(&mut self, env: &ScoringEnv<'_>) -> (&mut SessionCore, &mut EvalScratch) {
-        self.scratch.ensure_kb(env.kb);
-        self.scratch.advance_epoch(env.kb.binding_epoch());
-        (self.users.entry(env.user).or_default(), &mut self.scratch)
+        (
+            self.users.entry(env.user).or_default(),
+            self.scratch.at(env.kb),
+        )
     }
 
     /// Scores every document in `docs`, in order — bit-identical to
@@ -1206,7 +1204,7 @@ impl ScoringSession {
         E: ScoringEngine + ?Sized,
     {
         let (core, scratch) = self.scratch_at(env);
-        core.score_all(engine, env, docs, move || scratch)
+        core.score_all(engine, env, docs, scratch)
     }
 
     /// [`ScoringSession::score_all`] followed by the descending sort of
@@ -1242,7 +1240,7 @@ impl ScoringSession {
         E: ScoringEngine + ?Sized,
     {
         let (core, scratch) = self.scratch_at(env);
-        core.rank_top_k(engine, env, docs, k, move || scratch)
+        core.rank_top_k(engine, env, docs, k, scratch)
     }
 }
 
@@ -2432,7 +2430,7 @@ mod tests {
             let mut scratch = EvalScratch::new();
             scratch.ensure_kb(&kb);
             let mut full = |core: &mut SessionCore, list: &[IndividualId]| {
-                let got = core.rank_top_k(&engine, &env, list, list.len(), || &mut scratch);
+                let got = core.rank_top_k(&engine, &env, list, list.len(), &mut scratch);
                 got.unwrap()
             };
             full(&mut core, held);
@@ -2464,20 +2462,6 @@ mod tests {
         assert_eq!(session.rank_top_k(&engine, &env, &[], 2).unwrap(), []);
         let got = session.rank(&engine, &env, &docs).unwrap();
         assert_eq!(got, rank(engine.score_all(&env, &docs).unwrap()));
-    }
-
-    #[test]
-    fn an_empty_cut_asks_for_no_scratch() {
-        let (kb, rules, user, docs) = fixture();
-        let mut core = SessionCore::default();
-        let top = core.rank_top_k(
-            &LineageEngine::new(),
-            &env_of(&kb, &rules, user),
-            &docs,
-            0,
-            || unreachable!("k = 0 evaluates nothing"),
-        );
-        assert_eq!(top.unwrap(), []);
     }
 
     #[test]

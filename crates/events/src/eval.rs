@@ -39,16 +39,10 @@ use crate::{clamp_prob, EvalCache, EventExpr, Universe, VarId};
 /// evaluator lifetimes, e.g. between the repeated `score_all` calls of a
 /// scoring session.
 ///
-/// For **parallel** reuse the cache reads a frozen
-/// [`crate::MemoGeneration`] shared across threads behind an `Arc`,
-/// consulted lock-free before the private maps that receive this
-/// evaluator's new entries; a holder's private maps are absorbed into the
-/// generation afterwards — every entry is a pure function of its
-/// hash-consed key, so absorb order cannot change a single bit. Both are
-/// bound to one universe value (the *universe-affinity invariant*):
-/// entries survive further variable declarations, but caches and
-/// generations must be discarded when switching universes, because
-/// variable ids would alias.
+/// A cache is bound to one universe value (the *universe-affinity
+/// invariant*): entries survive further variable declarations, but a cache
+/// must be discarded when switching universes, because variable ids would
+/// alias.
 pub struct Evaluator<'u> {
     universe: &'u Universe,
     /// Also carries the factor-group memo of an [`crate::Expectation`]
@@ -193,14 +187,14 @@ impl<'u> Evaluator<'u> {
             _ => {}
         }
         if self.use_memo {
-            if let Some(p) = self.cache.get(|m| &m.prob, expr) {
+            if let Some(&p) = self.cache.prob.get(expr) {
                 self.stats.memo_hits += 1;
                 return p;
             }
         }
         let p = self.prob_connective(expr);
         if self.use_memo {
-            self.cache.memo.prob.insert(expr.clone(), p);
+            self.cache.prob.insert(expr.clone(), p);
         }
         p
     }
@@ -270,12 +264,12 @@ impl<'u> Evaluator<'u> {
     /// a pure function of the expression, so the atom-count walk runs once
     /// per distinct node instead of once per expansion.
     fn pivot_for(&mut self, expr: &EventExpr) -> VarId {
-        if let Some(var) = self.cache.get(|m| &m.pivots, expr) {
+        if let Some(&var) = self.cache.pivots.get(expr) {
             self.stats.pivot_hits += 1;
             return var;
         }
         let var = pick_pivot(expr).expect("connective node must have support");
-        self.cache.memo.pivots.insert(expr.clone(), var);
+        self.cache.pivots.insert(expr.clone(), var);
         var
     }
 }
@@ -391,8 +385,6 @@ fn count_atoms(expr: &EventExpr, counts: &mut FastMap<VarId, usize>) {
 mod tests {
     use super::*;
     use crate::worlds::brute_force_prob;
-    use crate::MemoGeneration;
-    use std::sync::Arc;
 
     fn universe3() -> (Universe, EventExpr, EventExpr, EventExpr) {
         let mut u = Universe::new();
@@ -588,83 +580,6 @@ mod tests {
             second.stats().memo_hits > 0 && second.stats().expansions == 0,
             "second evaluator must answer from the carried cache"
         );
-    }
-
-    #[test]
-    fn frozen_snapshot_answers_without_expansion() {
-        let (u, ea, eb, ec) = universe3();
-        let e = EventExpr::or([
-            EventExpr::and([ea.clone(), eb.clone()]),
-            EventExpr::and([ea.clone(), ec.clone()]),
-            EventExpr::and([eb.clone(), ec.clone()]),
-        ]);
-        let mut first = Evaluator::new(&u);
-        let p1 = first.prob(&e);
-        let mut generation = Arc::new(MemoGeneration::new(0));
-        MemoGeneration::absorb(&mut generation, first.into_cache());
-        assert!(!generation.is_empty());
-        // Fresh private maps over the generation must answer from it: same
-        // bits, zero expansions, nothing memoised privately.
-        let mut second = Evaluator::with_cache(&u, EvalCache::with_generation(generation));
-        let p2 = second.prob(&e);
-        assert_eq!(p1.to_bits(), p2.to_bits());
-        assert_eq!(second.stats().expansions, 0);
-        assert!(second.stats().memo_hits > 0);
-        assert!(
-            second.into_cache().is_empty(),
-            "generation hits must not be copied into the private maps"
-        );
-    }
-
-    #[test]
-    fn merged_snapshot_is_order_independent() {
-        let mut u = Universe::new();
-        let vars: Vec<_> = (0..6)
-            .map(|i| u.add_bool(&format!("s{i}"), 0.15 + 0.1 * i as f64).unwrap())
-            .collect();
-        let es: Vec<_> = vars.iter().map(|&v| u.bool_event(v).unwrap()).collect();
-        // Two "workers" evaluate overlapping entangled expressions on
-        // private maps; one also covers an expression the other lacks.
-        let shared = EventExpr::or([
-            EventExpr::and([es[0].clone(), es[1].clone()]),
-            EventExpr::and([es[1].clone(), es[2].clone()]),
-        ]);
-        let only_a = EventExpr::or([
-            EventExpr::and([es[2].clone(), es[3].clone()]),
-            EventExpr::and([es[3].clone(), es[4].clone()]),
-        ]);
-        let cache_a = || {
-            let mut ev = Evaluator::new(&u);
-            let _ = ev.prob(&shared);
-            let _ = ev.prob(&only_a);
-            ev.into_cache()
-        };
-        let cache_b = || {
-            let mut ev = Evaluator::new(&u);
-            let _ = ev.prob(&shared);
-            ev.into_cache()
-        };
-        // Absorb in both orders; duplicate keys must carry identical bits,
-        // so the generations answer identically and fully (zero
-        // expansions).
-        let absorb = |caches: [EvalCache; 2]| {
-            let mut generation = Arc::new(MemoGeneration::new(0));
-            for cache in caches {
-                MemoGeneration::absorb(&mut generation, cache);
-            }
-            generation
-        };
-        let merged_ab = absorb([cache_a(), cache_b()]);
-        let merged_ba = absorb([cache_b(), cache_a()]);
-        assert_eq!(merged_ab.footprint(), merged_ba.footprint());
-        for e in [&shared, &only_a] {
-            let mut eva =
-                Evaluator::with_cache(&u, EvalCache::with_generation(Arc::clone(&merged_ab)));
-            let mut evb =
-                Evaluator::with_cache(&u, EvalCache::with_generation(Arc::clone(&merged_ba)));
-            assert_eq!(eva.prob(e).to_bits(), evb.prob(e).to_bits());
-            assert_eq!(eva.stats().expansions + evb.stats().expansions, 0);
-        }
     }
 
     #[test]

@@ -185,7 +185,7 @@ impl<'u> Expectation<'u> {
     /// How an event `a` splits on `b`: `(P(a ∧ b), P(a ∧ ¬b))`, bit for
     /// bit what [`Expectation::compute`] obtains for the case events
     /// `and([a, b])` and `and([a, not(b)])` of a lone factor — but read off
-    /// the two parts' probabilities in the shared memo, without interning
+    /// the two parts' probabilities in the memo, without interning
     /// a node or memoising anything keyed on the pair. That is what lets a
     /// caller whose factors are variable-disjoint evaluate them in closed
     /// form and still reproduce `compute` exactly.
@@ -253,7 +253,7 @@ impl<'u> Expectation<'u> {
         }
         let mut key: Vec<FactorKey> = group.iter().map(|f| f.key()).collect();
         key.sort_unstable();
-        if let Some(v) = self.evaluator.cache.get(|m| &m.groups, &key) {
+        if let Some(&v) = self.evaluator.cache.groups.get(&key) {
             self.memo_hits += 1;
             return v;
         }
@@ -288,7 +288,7 @@ impl<'u> Expectation<'u> {
             let restricted: Vec<Factor> = group.iter().map(|f| f.restrict(pivot, o)).collect();
             total += p_o * self.compute(&restricted);
         }
-        self.evaluator.cache.memo.groups.insert(key, total);
+        self.evaluator.cache.groups.insert(key, total);
         total
     }
 }
@@ -320,8 +320,6 @@ pub fn brute_force_expectation(universe: &Universe, factors: &[Factor]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::MemoGeneration;
-    use std::sync::Arc;
 
     #[test]
     fn constant_factors_multiply() {
@@ -438,46 +436,6 @@ mod tests {
             0,
             "second instance must answer from the carried cache"
         );
-    }
-
-    #[test]
-    fn frozen_snapshot_carries_group_memo_across_threads() {
-        let mut u = Universe::new();
-        let shared = u.add_choice("g", &[0.4, 0.35]).unwrap();
-        let other = u.add_bool("h", 0.7).unwrap();
-        let g0 = u.atom(shared, 0).unwrap();
-        let g1 = u.atom(shared, 1).unwrap();
-        let h = u.bool_event(other).unwrap();
-        // Correlated factors (shared variable `g`) force the group memo.
-        let factors = [
-            Factor::new([(g0.clone(), 0.9), (EventExpr::not(g0.clone()), 0.1)]),
-            Factor::new([
-                (EventExpr::and([g1.clone(), h.clone()]), 0.8),
-                (EventExpr::not(EventExpr::and([g1, h])), 0.25),
-            ]),
-        ];
-        let mut first = Expectation::new(&u);
-        let v1 = first.compute(&factors);
-        let mut generation = Arc::new(MemoGeneration::new(0));
-        MemoGeneration::absorb(&mut generation, first.into_cache());
-        assert!(!generation.is_empty());
-        // The generation is Sync: fresh private maps on other threads must
-        // answer from it, bit-identically and without expansion.
-        std::thread::scope(|scope| {
-            for _ in 0..2 {
-                let generation = Arc::clone(&generation);
-                let factors = &factors;
-                let u = &u;
-                scope.spawn(move || {
-                    let mut exp =
-                        Expectation::with_cache(u, EvalCache::with_generation(generation));
-                    let v2 = exp.compute(factors);
-                    assert_eq!(v1.to_bits(), v2.to_bits());
-                    assert_eq!(exp.expansions(), 0);
-                    assert!(exp.into_cache().is_empty(), "no private copies on hits");
-                });
-            }
-        });
     }
 
     #[test]

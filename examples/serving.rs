@@ -4,7 +4,7 @@
 //!
 //! Demonstrates the typed request API (`rank`, `rank_group`, `assert`,
 //! batched `submit`), per-tenant session reuse (warm hit rates), LRU
-//! session eviction, the bounded shared memo generation, and — since the
+//! session eviction, per-tenant bounded evaluation memos, and — since the
 //! serving surface takes `&self` — producer threads sharing one service
 //! through a batching [`ServiceQueue`].
 //!
@@ -104,7 +104,7 @@ fn main() -> Result<(), CoreError> {
         stats.sessions_live, stats.sessions_evicted
     );
     println!(
-        "  binding cache hit rate {:.0}%, evaluation footprint {} entries in {} generation(s)",
+        "  binding cache hit rate {:.0}%, evaluation footprint {} entries in {} memo(s)",
         100.0 * stats.sessions.bindings.hit_rate(),
         stats.sessions.footprint.entries,
         stats.sessions.footprint.tiers,

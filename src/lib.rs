@@ -38,7 +38,7 @@
 //! ```
 //!
 //! Serving many users is one [`prelude::RankingService`]: per-tenant
-//! cached sessions (LRU-capped), one shared bounded memo generation,
+//! cached sessions (LRU-capped) with bounded evaluation memos of their own,
 //! typed `rank`/`rank_group`/`assert` requests and a batching queue.
 //! Opened durable (`open_durable`), the service journals every mutation
 //! to a checksummed, segmented WAL and checkpoints snapshots — with

@@ -319,8 +319,8 @@ fn every_op_kind_replays_and_rejected_facts_log_nothing() {
 
 /// A snapshot is a function of state: two services driven through the
 /// same mutations and binding the same tenants write identical bytes,
-/// though only one evaluated anything (`NaiveViewEngine` memoises through
-/// the pool on this fixture; the others score it in closed form).
+/// though only one evaluated anything (`NaiveViewEngine` memoises into its
+/// tenants' memos on this fixture; the others score it in closed form).
 #[test]
 fn snapshot_bytes_do_not_depend_on_cached_evaluations() {
     let dirs = [scratch("filled-pool"), scratch("empty-pool")];

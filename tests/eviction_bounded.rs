@@ -1,14 +1,14 @@
 //! Serving-loop leak regression: a session over a KB that mutates **every
 //! call** (re-asserted facts mint fresh variables, superseding last call's
-//! expressions) must keep a *bounded* evaluation-memo footprint — its memo
-//! generation is dropped once the binding epoch is more than [`MAX_AGE`]
-//! past its start — while every call stays bit-identical to a cold
+//! expressions) must keep a *bounded* evaluation-memo footprint — its memos
+//! are dropped whole once the binding epoch is more than [`MAX_AGE`] past
+//! their start — while every call stays bit-identical to a cold
 //! `bind_rules` + `score_all` run, for all four engines, through a session
-//! (whose memos are its own) and through a `RankingService` (whose memos
-//! are the generation every tenant shares).
+//! and through a `RankingService`, whose tenants each keep memos of their
+//! own under the same policy.
 //!
 //! The loop runs 48 mutate-and-score calls, well over ten times the calls
-//! one generation lives, so generations are dropped many times.
+//! one set of memos lives, so memos are dropped many times.
 
 use capra::core::MAX_AGE;
 use capra::prelude::*;
@@ -84,12 +84,23 @@ fn mutate(
     user: capra::dl::IndividualId,
     call: usize,
 ) -> Vec<capra::dl::IndividualId> {
+    mutate_named(kb, user, call, "doc")
+}
+
+/// [`mutate`] with the call's documents named `{prefix}{call}x{d}`, so two
+/// users running the loop on one KB each rank documents of their own.
+fn mutate_named(
+    kb: &mut impl Target,
+    user: capra::dl::IndividualId,
+    call: usize,
+    prefix: &str,
+) -> Vec<capra::dl::IndividualId> {
     let p = |salt: usize| 0.05 + 0.9 * (((call * 7 + salt * 3) % 17) as f64 / 17.0);
     kb.assert_prob(user, "Ctx0", p(0));
     kb.assert_prob(user, "Ctx1", p(1));
     (0..N_DOCS)
         .map(|d| {
-            let doc = kb.individual(&format!("doc{call}x{d}"));
+            let doc = kb.individual(&format!("{prefix}{call}x{d}"));
             kb.assert_prob(doc, "Feat0", p(2 + 3 * d));
             kb.assert_prob(doc, "Feat1", p(3 + 3 * d));
             kb.assert_prob(doc, "Feat2", p(4 + 3 * d));
@@ -147,16 +158,14 @@ fn run_loop<E: ScoringEngine + Sync + ?Sized>(engine: &E, score: ScoreCall<'_>) 
 /// atoms where every later call's are re-asserted disjunctions — so what
 /// call 1 adds is what any call adds, and a memo that kept everything
 /// would end at `CALLS ×` that; the loop must end under half of it. And
-/// since a generation is dropped once the epoch is more than `MAX_AGE`
-/// past its start, it holds at most the calls that fit in that window plus
-/// the one that drops it: every point of the series is at most
+/// since memos are dropped once the epoch is more than `MAX_AGE` past
+/// their start, they hold at most the calls that fit in that window plus
+/// the one that drops them: every point of the series is at most
 /// `(⌈MAX_AGE / EPOCHS_PER_CALL⌉ + 1) ×` one call's entries. The series
-/// itself is deterministic, and the same in a session's own memos as in a
-/// service's shared generation (the session drops before a call and keeps
-/// its entries, the pool drops at the give-back after it and absorbs them,
-/// so both end a call holding the same calls), so it is pinned exactly:
-/// per engine, the first three points and the period of three calls it
-/// repeats from call 3 on.
+/// itself is deterministic, and the same in a session's memos as in a
+/// service tenant's (both drop before a call and keep its entries), so it
+/// is pinned exactly: per engine, the first three points and the period of
+/// three calls it repeats from call 3 on.
 fn assert_bounded(engine: &str, series: &[usize]) {
     let pinned = match engine {
         "naive-view" => [85, 172, 259, 87, 174, 261],
@@ -207,8 +216,8 @@ fn sequential_session_footprint_is_bounded_in_mutating_loop() {
     }
 }
 
-/// The same loop through a service: the memos are the shared generation,
-/// checked for age at each give-back, and every request is a context
+/// The same loop through a service: the memos are the tenant's own,
+/// checked for age before each request, and every request is a context
 /// switch followed by a rank of candidates nobody has seen.
 #[test]
 fn service_footprint_is_bounded_in_mutating_loop() {
@@ -237,5 +246,49 @@ fn service_footprint_is_bounded_in_mutating_loop() {
             series.push(service.stats().sessions.footprint.entries);
         }
         assert_bounded(name, &series);
+    }
+}
+
+/// Memory is bounded per tenant: two users run the loop in one service,
+/// one after the other, on documents of their own. Each tenant's own
+/// footprint follows the pinned single-tenant series while it runs — the
+/// idle one keeps what its last call left — and the service's footprint is
+/// always the sum of the two.
+#[test]
+fn two_tenants_footprints_are_bounded_each_in_mutating_loop() {
+    for engine in engines() {
+        let name = engine.name();
+        let (kb, rules, first) = fixture();
+        let service = RankingService::new(engine, kb, rules);
+        let second = service.individual("other");
+        let footprint = |user| service.tenant_stats(user).map(|s| s.footprint);
+        for (user, prefix) in [(first, "a"), (second, "b")] {
+            let mut series = Vec::with_capacity(CALLS);
+            for call in 0..CALLS {
+                let docs = mutate_named(&mut &service, user, call, prefix);
+                let snap = service.snapshot();
+                let shadow = snap.kb().clone();
+                let env = ScoringEnv {
+                    kb: &shadow,
+                    rules: snap.rules(),
+                    user,
+                };
+                let cold = rank(service.engine().score_all(&env, &docs).unwrap());
+                let got = service.rank(user, &docs, docs.len()).unwrap();
+                assert_eq!(cold.len(), got.len());
+                for (a, b) in cold.iter().zip(&got) {
+                    assert_eq!(a.doc, b.doc);
+                    assert_eq!(a.score.to_bits(), b.score.to_bits(), "{name} call {call}");
+                }
+                let total: CacheFootprint = [first, second].into_iter().flat_map(footprint).sum();
+                assert_eq!(
+                    service.stats().sessions.footprint,
+                    total,
+                    "{name} call {call}"
+                );
+                series.push(footprint(user).unwrap().entries);
+            }
+            assert_bounded(name, &series);
+        }
     }
 }

@@ -11,7 +11,7 @@
 //! * a table of hand-built shapes that pins, per shape, which route the
 //!   lane test picks (it is observable: `BatchStats::fallbacks`);
 //! * counter pins through `RankingService`: what independent traffic
-//!   leaves in the shared memo tier, and what entangled traffic does;
+//!   leaves in a tenant's memos, and what entangled traffic does;
 //! * the lane route as a column pass, cell kind by cell kind: dropped
 //!   cases, `True` contexts and features, a constant product of 0, cells
 //!   that flatten, rows inside the contexts' support range — on lineage
@@ -393,8 +393,8 @@ proptest! {
     /// has gathered in slot order. It never shows: on the random knowledge
     /// bases above, over random sequences of the same list again, one id
     /// changed, two slots swapped, a prefix, a repeat inside the list, a
-    /// catalogue assert between requests (the rows go to a new set, a
-    /// generation on), a cold engine call between requests (a second row
+    /// catalogue assert between requests (the rows go to a new set, the
+    /// table's generation on), a cold engine call between requests (a second row
     /// set beside the served one) and a context switch, each list asked
     /// for twice, every engine's served scores and its closed-form
     /// deferrals are the bits the cold path — a clone of the KB, with no
@@ -1204,10 +1204,93 @@ fn disjoint_genres_leave_the_lanes_and_score_exactly() {
     );
 }
 
+/// The disjoint-genres shelf of
+/// `disjoint_genres_leave_the_lanes_and_score_exactly` for two users under
+/// the same certain context: the service over it, the users and the page
+/// (the entangled bulletin beside a plain programme).
+fn disjoint_genres_service(
+    config: ServiceConfig,
+) -> (
+    RankingService<LineageEngine>,
+    [IndividualId; 2],
+    [IndividualId; 2],
+) {
+    let mut kb = Kb::new();
+    let users = ["peter", "mary"].map(|name| {
+        let user = kb.individual(name);
+        kb.assert_concept(user, "Morning");
+        user
+    });
+    let bulletin = kb.individual("bulletin");
+    let plain = kb.individual("plain");
+    let traffic = kb.individual("Traffic");
+    let weather = kb.individual("Weather");
+    let kind = kb.universe.add_choice("kind", &[0.6, 0.4]).unwrap();
+    for (alt, genre) in [traffic, weather].into_iter().enumerate() {
+        let event = kb.universe.atom(kind, alt as u16).unwrap();
+        kb.assert_role_event(bulletin, "hasGenre", genre, event);
+    }
+    kb.assert_role_prob(plain, "hasGenre", traffic, 0.5)
+        .unwrap();
+    let mut rules = RuleRepository::new();
+    for (name, genre, sigma) in [("T", "Traffic", 0.8), ("W", "Weather", 0.6)] {
+        rules
+            .add(PreferenceRule::new(
+                name,
+                kb.parse("Morning").unwrap(),
+                kb.parse(&format!("EXISTS hasGenre.{{{genre}}}")).unwrap(),
+                Score::new(sigma).unwrap(),
+            ))
+            .unwrap();
+    }
+    let service = RankingService::with_config(LineageEngine::new(), kb, rules, config);
+    (service, users, [bulletin, plain])
+}
+
+/// Each tenant memoises the bulletin's exact evaluation in memos of its
+/// own: the service's footprint is the sum of its live tenants', so once
+/// a second tenant evicts the first at `max_sessions = 1` it is the
+/// survivor's alone — while the batch counters still count the evicted
+/// tenant's passes.
+#[test]
+fn a_tenants_memos_leave_with_it_and_its_counters_do_not() {
+    let (service, users, page) = disjoint_genres_service(ServiceConfig::default());
+    for user in users {
+        service.rank(user, &page, page.len()).unwrap();
+    }
+    let [first, second] = users.map(|user| service.tenant_stats(user).unwrap().footprint);
+    assert!(
+        first.entries > 0 && second.entries > 0,
+        "each tenant memoises the bulletin"
+    );
+    assert_eq!(service.stats().sessions.footprint, first + second);
+
+    let capped = ServiceConfig {
+        max_sessions: 1,
+        ..ServiceConfig::default()
+    };
+    let (service, users, page) = disjoint_genres_service(capped);
+    for user in users {
+        service.rank(user, &page, page.len()).unwrap();
+    }
+    let stats = service.stats();
+    assert_eq!((stats.sessions_live, stats.sessions_evicted), (1, 1));
+    assert!(service.tenant_stats(users[0]).is_none());
+    let survivor = service.tenant_stats(users[1]).unwrap();
+    assert_eq!(stats.sessions.footprint, survivor.footprint);
+    assert_eq!(survivor.footprint.entries, second.entries);
+    let batch = stats.sessions.batch;
+    assert_eq!(
+        (batch.sweeps, batch.lanes, batch.fallbacks),
+        (2, 4, 2),
+        "both tenants' passes count, the evicted one's included"
+    );
+}
+
 /// Independent traffic leaves nothing per document behind: on the
 /// generated commerce pack a shopper's context switch followed by a
-/// full-catalog rank needs no exact evaluation, and adds to the shared
-/// memo tier at most an entry or two per *rule* — the probability of the
+/// full-catalog rank needs no exact evaluation, and adds to the tenant's
+/// memos at most an entry or two per *rule* — the probability of the
 /// re-asserted context, which the next request of that shopper reuses —
 /// however many products were ranked.
 #[test]

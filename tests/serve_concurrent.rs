@@ -7,11 +7,11 @@
 //! * **Disjoint tenants** — threads own distinct users and mutate only
 //!   their own context through one shared `&RankingService`, while one
 //!   more thread asserts more than [`MAX_AGE`] facts on a bystander no
-//!   rule reads, so the shared memo generation expires and is dropped at
-//!   some give-back while other threads hold scratches over it. After the
+//!   rule reads, so each tenant's memos expire and are dropped at its
+//!   next request, mid-run. After the
 //!   threads join, every user's rank must be bit-identical to a *cold
 //!   twin service* rebuilt from the converged KB — the whole warm cache
-//!   stack (sharded tenants, the shared memo generation, epoch snapshots)
+//!   stack (sharded tenants, their memos, epoch snapshots)
 //!   must be invisible no matter how the asserts interleaved. (Exact inference
 //!   sums in universe-variable order, which is the global commit order,
 //!   so the oracle must share the concurrent run's universe — a
@@ -207,7 +207,7 @@ fn cold_twin(
 /// mutating only its own user's context, each verifying FIFO visibility
 /// of its *own* asserts mid-flight (the published epoch only grows),
 /// beside a burst of more than `MAX_AGE` asserts on a bystander that
-/// expires the shared memo generation mid-run. After the join, every
+/// expires every tenant's memos mid-run. After the join, every
 /// user's rank and a whole-group rank must be bit-identical to the cold
 /// twin.
 #[test]

@@ -1,5 +1,5 @@
 //! Serving-layer coverage: a [`RankingService`]'s whole cache stack —
-//! LRU-capped tenant sessions, the shared memo generation, score caches —
+//! LRU-capped tenant sessions, their evaluation memos, score caches —
 //! must be *invisible*. After arbitrary interleaved
 //! assert/rank sequences, every rank served by the service is
 //! bit-identical to a cold `bind_rules` + `score_all` + `rank` for the
@@ -555,7 +555,7 @@ proptest! {
     /// for bit. With
     /// `entangle`, doc0's two features read one sensor: the lane test
     /// rejects doc0 alone, so exact evaluations and closed-form lanes share
-    /// batches, tenants and the memo generation.
+    /// batches and tenants, each tenant's memos holding the exact ones.
     #[test]
     fn lineage_service_matches_factor_reference_under_eviction(
         ops in prop::collection::vec(
