@@ -28,7 +28,7 @@ pub struct ScoringEnv<'a> {
 /// own, and every later pass over the same binding —
 /// [`crate::ScoringSession::bind`] hands an unchanged binding back as the
 /// same `Arc` — reads the stored value. The closed-form engines and top-k's
-/// bound read `P(G)` only from here, never through the shared evaluation
+/// bound read `P(G)` only from here, never through the call's evaluation
 /// memo, so a request scored in closed form memoises nothing of its
 /// contexts. Treat `context_event` as fixed once the binding has been
 /// scored: the stored probability is not re-derived when the field is

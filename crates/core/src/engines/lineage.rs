@@ -37,7 +37,7 @@ use crate::{Result, ScoringEnv};
 ///   `¬F_rd` is an `And`). The score is then the closed form
 ///   `Π_r Σ_cases w·clamp(P(case))`: per rule one multiply, clamp and case
 ///   sum over `P(G_r)`, which the rule's binding holds (evaluated once per
-///   binding, never through the request's memo:
+///   binding, never through the call's memo:
 ///   `RuleBinding::context_parts`), and the `(P(F_rd), P(¬F_rd))` the
 ///   rule's **feature column** holds at the document's row — the parts
 ///   [`capra_events::Expectation::prob_split`] multiplies, in exactly
@@ -478,20 +478,16 @@ pub(super) fn column_pass(
     if docs.is_empty() {
         return Ok((Vec::new(), Vec::new()));
     }
-    scratch.ensure_kb(env.kb);
     let set = env.kb.rows().set_for(env.kb, bindings);
     let rows = set.rows(bindings, docs);
     let contexts = Contexts::new(bindings, &env.kb.universe);
-    let (scores, deferred, fallbacks) =
-        scratch.with_expectation(&env.kb.universe, |expectation| -> Result<_> {
-            let (mut scores, deferred) = contexts.lanes(&rows, docs, expectation);
-            let fallbacks = if deferred.is_empty() {
-                0
-            } else {
-                settle(&contexts, &rows, &deferred, &mut scores, expectation)?
-            };
-            Ok((scores, deferred, fallbacks))
-        })?;
+    let mut expectation = Expectation::new(&env.kb.universe);
+    let (mut scores, deferred) = contexts.lanes(&rows, docs, &mut expectation);
+    let fallbacks = if deferred.is_empty() {
+        0
+    } else {
+        settle(&contexts, &rows, &deferred, &mut scores, &mut expectation)?
+    };
     scratch.record_batch(BatchStats {
         sweeps: 1,
         lanes: docs.len() as u64,

@@ -16,7 +16,7 @@
 //! | [`NaiveViewEngine`] | exact under feature independence | `O(4ⁿ · d)` relational queries | defers every document | the paper's Section 5 PostgreSQL implementation |
 //! | [`NaiveEnumEngine`] | exact under feature independence | `O(4ⁿ · d)` in-memory | defers every document | the same maths without the view machinery (ablation) |
 //! | [`FactorizedEngine`] | exact under feature independence (checked per document by the lane test's variable half; [`CorrelationPolicy`] decides the rest) | [`LineageEngine`]'s column pass, bit for bit on every document it admits; the others get the product of their marginals from the same row and binding — `O(a · d)` in all | scores every document (top-k is one sweep plus the cut) | the early-pruning improvement the Discussion calls for |
-//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies), as a column pass: the constant factors down the columns of the `a` rules, the lane test per document, the other factors down the columns again; `P(G_r)` is evaluated once per binding and kept on it, never in the request's memo; the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature columns); a candidate list met again (the row table's *page*) without a probe, its lane test for the whole list in two compares where its rows' variable span misses the contexts', and its columns read in slot order once gathered; Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
+//! | [`LineageEngine`] | **always exact** (correlations included) | `O(a · d)` multiply-adds for documents whose rule factors are variable-disjoint (the lane test, per document; `a` ≤ `n` the rules whose context applies), as a column pass: the constant factors down the columns of the `a` rules, the lane test per document, the other factors down the columns again; `P(G_r)` is evaluated once per binding and kept on it, never in the call's memo; the view join, `P(F_rd)` and the document's half of the lane test once per KB state (feature columns); a candidate list met again (the row table's *page*) without a probe, its lane test for the whole list in two compares where its rows' variable span misses the contexts', and its columns read in slot order once gathered; Shannon expansion over the shared variables for the others only, one evaluation per distinct event signature | scores the documents that pass the lane test, defers the entangled ones | Section 3.3 with the event-expression model of ref \[17\] |
 //! | any engine via [`crate::ScoringSession`] | unchanged (bit-identical to the engine) | warm calls skip binding entirely; repeat calls are cache lookups | the engine's | the serving path: repeated queries under a changing context |
 //!
 //! All engines share the binding step ([`crate::bind_rules`]), which runs
@@ -46,11 +46,12 @@
 //! * [`ScoringEngine::score_all`] — the **cold** path: binds the rules
 //!   against the KB and evaluates, paying the full reasoner cost per call;
 //! * [`ScoringEngine::score_all_bound`] — the **prepared** path: takes
-//!   already-bound rules plus an [`EvalScratch`] of reusable memo state.
-//!   [`crate::ScoringSession`] drives it with cached bindings (invalidated
-//!   by KB epoch, see [`crate::Kb::binding_epoch`]) so warm repeat calls
-//!   skip the reasoner entirely and their probability sub-problems answer
-//!   from the persisted memos.
+//!   already-bound rules plus an [`EvalScratch`] that counts the call's
+//!   batch work. [`crate::ScoringSession`] drives it with cached bindings
+//!   (invalidated by KB epoch, see [`crate::Kb::binding_epoch`]) so warm
+//!   repeat calls skip the reasoner entirely; what they reuse of the
+//!   probability work sits on the bindings and the feature rows, while the
+//!   exact route's memo lives for one call.
 //!
 //! `score_all` simply delegates through a throwaway binding + scratch, so
 //! both paths compute bit-identical scores.
@@ -81,13 +82,10 @@ pub(crate) use rows::{ColumnView, Kind, RowSlot, Rows};
 use std::sync::Arc;
 
 use capra_dl::IndividualId;
-use capra_events::{
-    BatchStats, CacheFootprint, EvalCache, Evaluator, EventExpr, Expectation, Universe, VarId,
-    MAX_AGE,
-};
+use capra_events::{BatchStats, EventExpr, VarId};
 
 use crate::bind::bind_rules_shared;
-use crate::{Kb, Result, RuleBinding, ScoringEnv};
+use crate::{Result, RuleBinding, ScoringEnv};
 
 /// A scored document.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,42 +96,20 @@ pub struct DocScore {
     pub score: f64,
 }
 
-/// Reusable evaluation state threaded through the prepared scoring path
-/// ([`ScoringEngine::score_all_bound`]): the probability and expectation
-/// memos engines would otherwise rebuild per call, held as one
-/// [`EvalCache`] that an [`Evaluator`] or an [`Expectation`] borrows. A
+/// The per-caller state threaded through the prepared scoring path
+/// ([`ScoringEngine::score_all_bound`]): the batch counters
+/// ([`BatchStats`]) of the engine runs made on it. A
 /// [`crate::ScoringSession`] owns one, and so does each tenant of a
 /// [`crate::serve::RankingService`].
 ///
-/// What lands in the memos is a composite feature event's probability on
-/// its row cell's first read (the row keeps it from then on) and the
-/// paper's exact route (Section 3.3): an entangled document's factor
-/// groups under the asker's context events.
-///
-/// The scratch is tied to one KB identity; [`EvalScratch::ensure_kb`]
-/// (called by every engine on entry) resets the memos when a different KB
-/// shows up, so stale entries can never leak across knowledge bases. Within
-/// one KB the memos stay valid indefinitely — event probabilities are
-/// immutable and memo keys pin their hash-consed expressions (see
-/// [`EvalCache`]).
-///
-/// Validity is not liveness, though: in a serving loop that re-asserts
-/// facts every call, entries keyed by superseded expressions are never
-/// looked up again yet would accumulate for the life of the KB. Long-lived
-/// holders therefore call [`EvalScratch::advance_epoch`] when the KB's
-/// binding epoch moves, which drops the memos whole once the epoch is more
-/// than [`MAX_AGE`] past the one they were started at — see [`EvalCache`]
-/// for why that cannot change any score.
+/// It holds no evaluation memo. Each engine call evaluates on a
+/// [`capra_events::Evaluator`] or [`capra_events::Expectation`] of its
+/// own, dropped when the call returns: what a memo could save across
+/// calls — a context's `P(G_r)`, a feature cell's `(P(F), P(¬F))` — is
+/// kept on the rule's binding and the document's feature row instead.
 #[derive(Default)]
 pub struct EvalScratch {
-    /// `Kb::id` the memos were built over; 0 = not yet bound to a KB.
-    kb_id: u64,
-    /// Binding epoch the memos were started at: the KB's when the scratch
-    /// was bound, moved on when they are dropped.
-    epoch: u64,
-    /// Batch-path counters accumulated by engines run on this scratch.
     batch: BatchStats,
-    memo: EvalCache,
 }
 
 impl EvalScratch {
@@ -150,76 +126,6 @@ impl EvalScratch {
     /// Folds one engine run's batch counters into the scratch.
     pub(crate) fn record_batch(&mut self, stats: BatchStats) {
         self.batch += stats;
-    }
-
-    /// Notes that the KB's binding epoch is now `epoch`. Once it is more
-    /// than [`MAX_AGE`] past the epoch the memos were started at, they are
-    /// dropped whole and restarted at `epoch` — keeping a
-    /// [`crate::ScoringSession`]'s or a service tenant's footprint bounded
-    /// in mutate-heavy serving loops. A no-op on stable KBs, so warm paths
-    /// keep every entry.
-    pub fn advance_epoch(&mut self, epoch: u64) {
-        if epoch.saturating_sub(self.epoch) > MAX_AGE {
-            self.epoch = epoch;
-            self.memo = EvalCache::default();
-        }
-    }
-
-    /// Memos holding an entry (0 or 1), memo entries and pinned-node
-    /// estimate of this scratch.
-    pub fn footprint(&self) -> CacheFootprint {
-        self.memo.footprint()
-    }
-
-    /// Binds the scratch to `kb`, discarding all memos (the batch counters
-    /// are kept) if it was previously used with a different KB; the fresh
-    /// memos start at the KB's binding epoch.
-    pub fn ensure_kb(&mut self, kb: &Kb) {
-        if self.kb_id != kb.id() {
-            *self = Self {
-                kb_id: kb.id(),
-                epoch: kb.binding_epoch(),
-                batch: self.batch,
-                ..Self::default()
-            };
-        }
-    }
-
-    /// The scratch bound to `kb` ([`EvalScratch::ensure_kb`]) and moved on
-    /// to its binding epoch ([`EvalScratch::advance_epoch`]): what a
-    /// session or a tenant hands its core to evaluate on.
-    pub(crate) fn at(&mut self, kb: &Kb) -> &mut Self {
-        self.ensure_kb(kb);
-        self.advance_epoch(kb.binding_epoch());
-        self
-    }
-
-    /// Loans the memo to an [`Evaluator`] for the duration of `f`,
-    /// restoring it afterwards — including on the error path, so a failed
-    /// call never drops a session's accumulated memo.
-    pub(crate) fn with_evaluator<'u, T>(
-        &mut self,
-        universe: &'u Universe,
-        f: impl FnOnce(&mut Evaluator<'u>) -> T,
-    ) -> T {
-        let mut ev = Evaluator::with_cache(universe, std::mem::take(&mut self.memo));
-        let out = f(&mut ev);
-        self.memo = ev.into_cache();
-        out
-    }
-
-    /// Loans the memo to an [`Expectation`] for the duration of `f`,
-    /// restoring it afterwards (same contract as
-    /// [`EvalScratch::with_evaluator`]).
-    pub(crate) fn with_expectation<'u, T>(
-        &mut self,
-        universe: &'u Universe,
-        f: impl FnOnce(&mut Expectation<'u>) -> T,
-    ) -> T {
-        let mut exp = Expectation::with_cache(universe, std::mem::take(&mut self.memo));
-        let out = f(&mut exp);
-        self.memo = exp.into_cache();
-        out
     }
 }
 
@@ -269,8 +175,7 @@ pub trait ScoringEngine {
     /// and by [`crate::rank_top_k`] for the documents it cannot avoid
     /// evaluating. `bindings` must be one binding per rule
     /// (in repository order, as produced by [`crate::bind_rules_shared`] or
-    /// the session's cache); `scratch` carries memo state that is reused
-    /// across calls and reset automatically when the KB changes.
+    /// the session's cache); `scratch` collects the call's batch counters.
     fn score_all_bound(
         &self,
         env: &ScoringEnv<'_>,
@@ -742,7 +647,7 @@ mod tests {
     fn a_candidate_the_kb_never_interned_scores_as_a_document_without_features() {
         use crate::{PreferenceRule, RuleRepository, Score, ScoringSession};
 
-        let mut kb = Kb::new();
+        let mut kb = crate::Kb::new();
         let user = kb.individual("peter");
         kb.assert_concept(user, "Weekend");
         kb.assert_concept_prob(user, "Breakfast", 0.7).unwrap();

@@ -1,6 +1,7 @@
 use std::sync::Arc;
 
 use capra_dl::IndividualId;
+use capra_events::Evaluator;
 
 use crate::bind::RuleBinding;
 use crate::engines::{DocScore, EvalScratch, ScoringEngine};
@@ -69,9 +70,8 @@ impl ScoringEngine for NaiveEnumEngine {
         env: &ScoringEnv<'_>,
         bindings: &[Arc<RuleBinding>],
         docs: &[IndividualId],
-        scratch: &mut EvalScratch,
+        _scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>> {
-        scratch.ensure_kb(env.kb);
         let applicable: Vec<&RuleBinding> = bindings
             .iter()
             .map(Arc::as_ref)
@@ -84,27 +84,26 @@ impl ScoringEngine for NaiveEnumEngine {
                 max: self.max_rules,
             });
         }
-        scratch.with_evaluator(&env.kb.universe, |ev| {
-            let context_probs: Vec<f64> = applicable
-                .iter()
-                .map(|b| ev.prob(&b.context_event))
-                .collect();
-            let sigmas: Vec<f64> = applicable.iter().map(|b| b.sigma).collect();
+        let mut ev = Evaluator::new(&env.kb.universe);
+        let context_probs: Vec<f64> = applicable
+            .iter()
+            .map(|b| ev.prob(&b.context_event))
+            .collect();
+        let sigmas: Vec<f64> = applicable.iter().map(|b| b.sigma).collect();
 
-            let mut out = Vec::with_capacity(docs.len());
-            for &doc in docs {
-                let feature_probs: Vec<f64> = applicable
-                    .iter()
-                    .map(|b| ev.prob(&b.preference_event(doc)))
-                    .collect();
-                let score = self.enumerate(&context_probs, &feature_probs, &sigmas);
-                out.push(DocScore {
-                    doc,
-                    score: score.clamp(0.0, 1.0),
-                });
-            }
-            Ok(out)
-        })
+        let mut out = Vec::with_capacity(docs.len());
+        for &doc in docs {
+            let feature_probs: Vec<f64> = applicable
+                .iter()
+                .map(|b| ev.prob(&b.preference_event(doc)))
+                .collect();
+            let score = self.enumerate(&context_probs, &feature_probs, &sigmas);
+            out.push(DocScore {
+                doc,
+                score: score.clamp(0.0, 1.0),
+            });
+        }
+        Ok(out)
     }
 }
 

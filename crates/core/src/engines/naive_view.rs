@@ -2,7 +2,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use capra_dl::IndividualId;
-use capra_events::EventExpr;
+use capra_events::{Evaluator, EventExpr};
 use capra_reldb::{DataType, Datum, Executor, Plan, Row, Schema};
 
 use crate::bind::RuleBinding;
@@ -70,7 +70,7 @@ impl ScoringEngine for NaiveViewEngine {
         env: &ScoringEnv<'_>,
         bindings: &[Arc<RuleBinding>],
         docs: &[IndividualId],
-        scratch: &mut EvalScratch,
+        _scratch: &mut EvalScratch,
     ) -> Result<Vec<DocScore>> {
         let n = bindings.len();
         if n > self.max_rules {
@@ -79,7 +79,6 @@ impl ScoringEngine for NaiveViewEngine {
                 max: self.max_rules,
             });
         }
-        scratch.ensure_kb(env.kb);
         let catalog = install_kb(env.kb)?;
         let compiler = Compiler::new(env.kb, &catalog);
         let id_schema = Schema::of(&[("id", DataType::Id)]);
@@ -147,55 +146,51 @@ impl ScoringEngine for NaiveViewEngine {
         // not be an individual the KB knows.
         let datum_id = |doc: IndividualId| doc.index() as u64;
         let mut scores: HashMap<u64, f64> = docs.iter().map(|&d| (datum_id(d), 0.0)).collect();
-        // The memo loan returns to the scratch even when a combination's
-        // plan fails mid-run.
-        scratch.with_evaluator(&env.kb.universe, |evaluator| -> Result<()> {
-            for g_mask in 0u64..(1 << n) {
-                for f_mask in 0u64..(1 << n) {
-                    let mut weight = 1.0;
-                    for (r, &s) in sigmas.iter().enumerate() {
-                        if g_mask >> r & 1 == 1 {
-                            weight *= if f_mask >> r & 1 == 1 { s } else { 1.0 - s };
-                        }
+        let mut evaluator = Evaluator::new(&env.kb.universe);
+        for g_mask in 0u64..(1 << n) {
+            for f_mask in 0u64..(1 << n) {
+                let mut weight = 1.0;
+                for (r, &s) in sigmas.iter().enumerate() {
+                    if g_mask >> r & 1 == 1 {
+                        weight *= if f_mask >> r & 1 == 1 { s } else { 1.0 - s };
                     }
-                    let mut plan = Plan::scan("naive_candidates");
-                    for r in 0..n {
-                        let pref_table = if f_mask >> r & 1 == 1 {
-                            format!("naive_pref_pos_{r}")
-                        } else {
-                            format!("naive_pref_neg_{r}")
-                        };
-                        plan = Plan::Join {
-                            left: Box::new(plan),
-                            right: Box::new(Plan::scan(pref_table)),
-                            on: vec![(0, 0)],
-                            filter: None,
-                        };
-                    }
-                    for r in 0..n {
-                        let ctx_table = if g_mask >> r & 1 == 1 {
-                            format!("naive_ctx_pos_{r}")
-                        } else {
-                            format!("naive_ctx_neg_{r}")
-                        };
-                        plan = Plan::Join {
-                            left: Box::new(plan),
-                            right: Box::new(Plan::scan(ctx_table)),
-                            on: vec![],
-                            filter: None,
-                        };
-                    }
-                    let relation = executor.run(&plan)?;
-                    for row in relation.rows() {
-                        let candidate = row.values[0].as_id();
-                        if let Some(slot) = candidate.and_then(|id| scores.get_mut(&id)) {
-                            *slot += weight * evaluator.prob(&row.lineage);
-                        }
+                }
+                let mut plan = Plan::scan("naive_candidates");
+                for r in 0..n {
+                    let pref_table = if f_mask >> r & 1 == 1 {
+                        format!("naive_pref_pos_{r}")
+                    } else {
+                        format!("naive_pref_neg_{r}")
+                    };
+                    plan = Plan::Join {
+                        left: Box::new(plan),
+                        right: Box::new(Plan::scan(pref_table)),
+                        on: vec![(0, 0)],
+                        filter: None,
+                    };
+                }
+                for r in 0..n {
+                    let ctx_table = if g_mask >> r & 1 == 1 {
+                        format!("naive_ctx_pos_{r}")
+                    } else {
+                        format!("naive_ctx_neg_{r}")
+                    };
+                    plan = Plan::Join {
+                        left: Box::new(plan),
+                        right: Box::new(Plan::scan(ctx_table)),
+                        on: vec![],
+                        filter: None,
+                    };
+                }
+                let relation = executor.run(&plan)?;
+                for row in relation.rows() {
+                    let candidate = row.values[0].as_id();
+                    if let Some(slot) = candidate.and_then(|id| scores.get_mut(&id)) {
+                        *slot += weight * evaluator.prob(&row.lineage);
                     }
                 }
             }
-            Ok(())
-        })?;
+        }
         Ok(docs
             .iter()
             .map(|&doc| DocScore {

@@ -15,7 +15,7 @@
 //! else; a kernel walks one rule's column over the candidates, not one
 //! document's cells. The other half of a rule's factor, `P(G_r)`, is the
 //! user's and lives on the rule's binding (`RuleBinding::context_parts`,
-//! read once per binding and never through the request's memo); a row holds
+//! read once per binding and never through the call's memo); a row holds
 //! nothing of any context.
 //!
 //! Rows belong to a [`RowSet`], which stands for exactly one list of view
@@ -201,16 +201,17 @@ impl Column {
     }
 
     /// The unclamped `(P(F), P(¬F))` at `row`, whose kind has parts:
-    /// evaluated through the asking request's own memo on the first read,
-    /// so a document nobody scored leaves no memo entry; racing first
-    /// readers compute and store the same pure function of the event.
+    /// evaluated on the asking call's own expectation on the first read
+    /// (counted into `counts`); racing first readers compute and store the
+    /// same pure function of the event.
     #[inline]
-    fn parts(&self, row: usize, expectation: &mut Expectation<'_>) -> (f64, f64) {
+    fn parts(&self, row: usize, expectation: &mut Expectation<'_>, counts: &Counts) -> (f64, f64) {
         let at = self.cell(row);
         let parts = &self.parts[at];
         if let Some(set) = parts.get() {
             return set;
         }
+        counts.evaluated();
         let (p, p_not) = expectation.prob_parts(&self.events[at]);
         parts.p_not.store(p_not.to_bits(), Ordering::Relaxed);
         parts.p.store(p.to_bits(), Ordering::Release);
@@ -522,6 +523,9 @@ struct Counts {
     /// Columns gathered into a page.
     #[cfg(test)]
     gathers: AtomicU64,
+    /// Cells whose parts were evaluated.
+    #[cfg(test)]
+    evaluations: AtomicU64,
 }
 
 impl Counts {
@@ -535,6 +539,11 @@ impl Counts {
         #[cfg(test)]
         self.gathers.fetch_add(columns, Ordering::Relaxed);
         let _ = columns;
+    }
+
+    fn evaluated(&self) {
+        #[cfg(test)]
+        self.evaluations.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -582,7 +591,11 @@ impl RowSet {
         let table = self.table.read().unwrap_or_else(PoisonError::into_inner);
         if let Some(page) = table.page_for(docs) {
             self.counts.gathered(table.gather(&page, bindings));
-            return Rows { table, page };
+            return Rows {
+                table,
+                page,
+                counts: &self.counts,
+            };
         }
         let mut page = table.vacate();
         let slots = &mut Arc::get_mut(&mut page).expect("a vacated page").slots;
@@ -590,7 +603,11 @@ impl RowSet {
         slots.extend(docs.iter().map_while(|doc| table.current(doc)));
         if slots.len() == docs.len() {
             let page = table.keep(page, docs);
-            return Rows { table, page };
+            return Rows {
+                table,
+                page,
+                counts: &self.counts,
+            };
         }
         // Rows are brought up to date in place, under the write side, so
         // racing requests neither do it twice nor see a row half-done —
@@ -615,7 +632,11 @@ impl RowSet {
         self.counts.reads.fetch_add(read, Ordering::Relaxed);
         let table = RwLockWriteGuard::downgrade(table);
         let page = table.keep(page, docs);
-        Rows { table, page }
+        Rows {
+            table,
+            page,
+            counts: &self.counts,
+        }
     }
 
     /// Takes the table for a successor set over `views`, leaving an empty
@@ -650,6 +671,7 @@ pub(crate) struct Rows<'s> {
     table: RwLockReadGuard<'s, Table>,
     /// The list's page: its row positions, span and gathered columns.
     page: Arc<Page>,
+    counts: &'s Counts,
 }
 
 impl Rows<'_> {
@@ -661,6 +683,7 @@ impl Rows<'_> {
             column: self.table.columns[rule].as_ref(),
             slots: &self.page.slots,
             gathered: self.page.columns[rule].get(),
+            counts: self.counts,
         }
     }
 
@@ -692,6 +715,7 @@ pub(crate) struct ColumnView<'r> {
     column: Option<&'r Column>,
     slots: &'r [u32],
     gathered: Option<&'r Gathered>,
+    counts: &'r Counts,
 }
 
 impl<'r> ColumnView<'r> {
@@ -715,13 +739,15 @@ impl<'r> ColumnView<'r> {
 
     /// The unclamped `(P(F), P(¬F))` of `slot`'s event, which must not be
     /// [`Kind::Absent`] or [`Kind::True`]: one load where the column is
-    /// gathered, else the row's cell, evaluated through the asking
-    /// request's memo if no request has read it yet.
+    /// gathered, else the row's cell, evaluated on the asking call's
+    /// expectation if no request has read it yet.
     #[inline]
     pub(crate) fn parts(&self, slot: usize, expectation: &mut Expectation<'_>) -> (f64, f64) {
         match (self.gathered, self.column) {
             (Some(gathered), _) => gathered.parts[slot],
-            (None, Some(column)) => column.parts(self.slots[slot] as usize, expectation),
+            (None, Some(column)) => {
+                column.parts(self.slots[slot] as usize, expectation, self.counts)
+            }
             (None, None) => unreachable!("the parts of a cell that is there"),
         }
     }
@@ -761,6 +787,12 @@ impl RowSlot {
     /// Columns gathered into a page so far.
     pub(crate) fn gathers(&self) -> u64 {
         self.counts.gathers.load(Ordering::Relaxed)
+    }
+
+    /// Cells whose `(P(F), P(¬F))` were evaluated so far: one per cell
+    /// first read after it was set.
+    pub(crate) fn evaluations(&self) -> u64 {
+        self.counts.evaluations.load(Ordering::Relaxed)
     }
 
     /// How many sets the slot holds.

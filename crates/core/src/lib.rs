@@ -20,14 +20,13 @@
 //! * [`ranking`] — the `preferencescore` SQL integration of the paper's
 //!   introduction;
 //! * [`ScoringSession`] — prepared scoring: cached rule bindings
-//!   (invalidated by KB epoch), persistent evaluation memos and cached
-//!   scores across repeated calls;
+//!   (invalidated by KB epoch) and cached scores across repeated calls;
 //! * [`rank_top_k`] — `LIMIT`-shaped ranking in two phases: closed-form
 //!   documents ranked outright, early termination over the rest;
 //! * [`serve`] — the multi-tenant [`RankingService`]: LRU-capped per-user
-//!   sessions, each with its own bounded evaluation memos, with typed
-//!   requests and a batching queue. Concurrency lives here, *between*
-//!   requests — one lock per tenant shard — never inside one;
+//!   sessions with typed requests and a batching queue. Concurrency lives
+//!   here, *between* requests — one lock per tenant shard — never inside
+//!   one;
 //! * [`persist`] — durability: a versioned binary codec for KB and rule
 //!   snapshots and a checksummed, segmented context-event WAL with
 //!   opt-in covered-prefix compaction ([`CompactionPolicy`]),
@@ -119,9 +118,8 @@ pub use smoothing::{blend, QueryRelevance, Smoothing};
 pub use topk::{rank_top_k, rank_top_k_bound};
 
 // Re-exported from `capra_events`: the footprint report in
-// [`SessionStats`], the batch counters sessions surface alongside it, and
-// the age in binding epochs past which session and tenant memos are dropped.
-pub use capra_events::{BatchStats, CacheFootprint, MAX_AGE};
+// [`SessionStats`] and the batch counters sessions surface alongside it.
+pub use capra_events::{BatchStats, CacheFootprint};
 
 /// Convenience alias for results in this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -5,24 +5,21 @@
 //! preference rules and a stream of context switches, ranking a shared
 //! candidate set (TV programs, query results). The core crate gives each
 //! *caller* fast machinery for that — [`crate::ScoringSession`] for the
-//! repeat-call warm path, with memos bounded by [`capra_events::MAX_AGE`] —
-//! but a production front-end would have to hand-assemble it per user and
+//! repeat-call warm path — but a production front-end would have to hand-assemble it per user and
 //! invent its own eviction story for the session map itself. This module
 //! owns that lifecycle:
 //!
 //! * **Tenancy** — one [`RankingService`] serves any number of users
 //!   ("tenants"). Per-tenant state (rule-binding cache, score cache and
-//!   evaluation memos) lives in a sharded map, LRU-capped by
+//!   batch counters) lives in a sharded map, LRU-capped by
 //!   [`ServiceConfig::max_sessions`]: evicting a tenant only costs that
 //!   tenant a deterministic re-derivation on their next request, never a
 //!   changed score.
-//! * **Per-tenant memos** — a tenant's memos follow the one policy a
-//!   session's do: bound to one KB, dropped whole once they are more than
-//!   [`capra_events::MAX_AGE`] binding epochs old, so each tenant's
-//!   footprint stays bounded even when every request mutates context.
-//!   What a document brings to every tenant is kept once, in the KB's
-//!   feature rows; what the memos hold is an entangled document's factor
-//!   groups under the asker's own context events.
+//! * **No kept memos** — what a document brings to every tenant is kept
+//!   once, in the KB's feature rows, and a context's probability on the
+//!   tenant's binding; an entangled document's exact evaluation is its
+//!   engine call's own, dropped when the call returns. So a tenant's
+//!   memory holds no evaluation memo, however often context changes.
 //! * **Typed requests** — [`RankingService::rank`],
 //!   [`RankingService::rank_group`] and [`RankingService::assert`] cover
 //!   the three request shapes of the paper's serving story (one user ranks,
@@ -56,8 +53,8 @@
 //!   tenant's [`crate::SessionStats`] (plus counters retired with evicted
 //!   tenants) into a [`ServiceStats`]: sessions live/evicted, warm/cold hit
 //!   rates, shard-lock acquisition counts, queue depth/throughput
-//!   ([`QueueStats`]), and the live tenants' memo
-//!   [`capra_events::CacheFootprint`]s.
+//!   ([`QueueStats`]), and the engines' batch counters
+//!   ([`capra_events::BatchStats`]).
 //! * **Replication** — a [`ReplicaService`] opens a durable writer's
 //!   directory read-only, restores the newest snapshot, and tails the
 //!   segmented WAL incrementally ([`ReplicaService::poll`]) — serving

@@ -219,9 +219,8 @@ pub struct ServiceStats {
     pub queue: QueueStats,
     /// Component-wise total of every tenant's [`SessionStats`] — binding
     /// and score cache traffic with [`crate::CacheStats::hit_rate`]s, and
-    /// batch counters — retired tenants' included. The
-    /// [`SessionStats::footprint`] is the live tenants' memos alone: an
-    /// evicted tenant's memos leave with it.
+    /// batch counters — retired tenants' included. No tenant keeps an
+    /// evaluation memo, so its [`SessionStats::footprint`] is zero.
     pub sessions: SessionStats,
     /// Write-ahead-log traffic: records/bytes appended since the service
     /// opened (or was last cleared), and — from the last recovery —
@@ -256,7 +255,7 @@ impl std::iter::Sum for ServiceStats {
 
 /// A multi-tenant ranking front-end: one engine, one knowledge base, one
 /// rule repository, any number of users — each with an LRU-capped cached
-/// session and its own bounded evaluation memos. Every request
+/// session. Every request
 /// path takes `&self`, so one service instance (or an `Arc` of it — see
 /// [`crate::serve::ServiceQueue`]) serves any number of threads
 /// concurrently. See the [module docs](crate::serve) for the design.
@@ -442,7 +441,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// Installs a [`Recovered`] state into this service: KB, rules, the
     /// recovery counters, and warm binding seeds for the tenants that were
     /// live at snapshot time (their first post-boot request then needs no
-    /// cold bind). Everything cached is dropped; the tenants' memos fill
+    /// cold bind). Everything cached is dropped; the tenants' caches fill
     /// as on a cold start, with bit-identical scores. Also the re-open path
     /// behind [`crate::serve::ReplicaService`]'s resnapshot.
     pub(crate) fn reinstall(&mut self, recovered: Recovered) {
@@ -817,10 +816,10 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     /// mid-request. A full-page rank whose tenant's mark is the published
     /// sequence, and whose score entry holds this list under the
     /// tenant's bindings, is answered there and then — no snapshot load, no
-    /// bind, no memo, no reference count touched. Any other request
+    /// bind, no evaluation, no reference count touched. Any other request
     /// loads the snapshot under the shard lock, marks the tenant if that
     /// snapshot is still the published one, and binds and scores against
-    /// it on the tenant's own memos.
+    /// it.
     pub fn rank(
         &self,
         user: IndividualId,
@@ -835,11 +834,10 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             }
             let snap = self.load();
             tenant.bound_at = self.seq.mark(&snap);
-            let scratch = tenant.scratch.at(snap.kb());
             let env = snap.env(user);
             tenant
                 .session
-                .rank_top_k(&self.engine, &env, docs, k, scratch)
+                .rank_top_k(&self.engine, &env, docs, k, &mut tenant.scratch)
         })
     }
 
@@ -886,7 +884,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
     }
 
     /// [`RankingService::rank_group`] against `snap`: every member's full
-    /// score list through their own session core and memos, bound against
+    /// score list through their own session core, bound against
     /// `snap` and marked ([`Sequence::mark`]), one shard lock per member,
     /// in request order; then the combine and the cut.
     fn rank_group_on(
@@ -906,9 +904,10 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
             .map(|(i, &user)| {
                 self.tenants.with_session(user, i == 0, |tenant| {
                     tenant.bound_at = self.seq.mark(snap);
-                    let scratch = tenant.scratch.at(snap.kb());
                     let env = snap.env(user);
-                    tenant.session.score_all(&self.engine, &env, docs, scratch)
+                    tenant
+                        .session
+                        .score_all(&self.engine, &env, docs, &mut tenant.scratch)
                 })
             })
             .collect::<Result<Vec<_>>>()?;
@@ -917,7 +916,7 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         Ok(ranked)
     }
 
-    /// Service-wide counters and footprints (see [`ServiceStats`]).
+    /// Service-wide counters (see [`ServiceStats`]).
     /// Takes locks one at a time (never nested), so under concurrent
     /// traffic the totals are a near-point-in-time reading of monotone
     /// counters, not a frozen cut.
@@ -938,13 +937,13 @@ impl<E: ScoringEngine + Sync> RankingService<E> {
         self.tenants.lock_counts()
     }
 
-    /// One tenant's counters, batch counters included, and the footprint
-    /// of its own evaluation memos, if their session is currently live.
+    /// One tenant's counters, batch counters included, if their session is
+    /// currently live.
     pub fn tenant_stats(&self, user: IndividualId) -> Option<SessionStats> {
         self.tenants.stats_of(user)
     }
 
-    /// Drops every tenant session with its memos, and resets all
+    /// Drops every tenant session, and resets all
     /// [`ServiceStats`] counters — post-clear stats describe
     /// the fresh service only, matching the clear semantics of the cache
     /// layers below. Engine, KB, rules and configuration are kept, and
@@ -1870,7 +1869,6 @@ mod tests {
         let (kb, rules, users, docs) = fixture(2, 8);
         let mut service = RankingService::new(LineageEngine::new(), kb, rules.clone());
         let before = service.rank(users[0], &docs, docs.len()).unwrap();
-        assert!(service.stats().sessions.footprint.entries > 0);
         service.clear();
         let stats = service.stats();
         assert_eq!(stats.sessions_live, 0);
@@ -1946,10 +1944,6 @@ mod tests {
         }
         let stats = service.stats();
         assert_eq!(stats.sessions.batch.fallbacks, 0, "every document a lane");
-        assert_eq!(
-            stats.sessions.footprint.entries, 0,
-            "a context's probability lives on its binding, not in the memo"
-        );
         // Someone else's context switch: Ann is handed back the bindings
         // she had, which already hold their probabilities.
         let held = bound();
@@ -1960,13 +1954,11 @@ mod tests {
         service.rank(ann, &docs, 3).unwrap();
         let now = bound();
         assert!(held.iter().zip(now.iter()).all(|(a, b)| Arc::ptr_eq(a, b)));
-        assert_eq!(service.stats().sessions.footprint.entries, 0);
     }
 
     /// A feature row keeps its cells' probabilities across a catalogue
     /// change: a cell whose event stands is read from the row, not
-    /// evaluated again, and only a cell whose event changed reaches the
-    /// memo.
+    /// evaluated again, and only a cell whose event changed is.
     #[test]
     fn a_catalogue_change_re_evaluates_only_the_cells_it_changed() {
         let mut kb = Kb::new();
@@ -1999,25 +1991,27 @@ mod tests {
                 ))
                 .unwrap();
         }
-        let mut service = RankingService::new(LineageEngine::new(), kb, rules.clone());
-        let check = |service: &RankingService<LineageEngine>| {
+        let service = RankingService::new(LineageEngine::new(), kb, rules.clone());
+        // Cells evaluated by the request `check` makes; the cold
+        // reference reads rows of its own, on a clone.
+        let check = || {
             let want = cold_rank(&(*service.kb()).clone(), &rules, user, &docs, docs.len());
+            let before = service.kb().rows().evaluations();
             assert_eq!(service.rank(user, &docs, docs.len()).unwrap(), want);
-            service.stats().sessions.footprint.entries
+            service.kb().rows().evaluations() - before
         };
-        assert!(check(&service) > 0, "composite features are evaluated once");
-        service.clear();
+        assert_eq!(check(), 2 * docs.len() as u64, "every cell, once");
         // B's view moves, but no candidate's event under it does: every
         // cell is read from its row.
         service
             .assert(outsider, Fact::ConceptProb("Cheap".into(), 0.9))
             .unwrap();
-        assert_eq!(check(&service), 0, "no cell re-evaluated");
+        assert_eq!(check(), 0, "no cell re-evaluated");
         // Now one candidate's B event changes: that cell alone is new.
         service
             .assert(docs[0], Fact::ConceptProb("Cheap".into(), 0.9))
             .unwrap();
-        assert!(check(&service) > 0, "the changed cell is evaluated");
+        assert_eq!(check(), 1, "the changed cell is evaluated");
     }
 
     /// Two shoppers over six products, the commerce pack's flip rules in

@@ -3,14 +3,13 @@
 //! Each tenant is one user's [`SessionCore`] — that user's share of the two
 //! *user-specific* cache layers of a [`crate::ScoringSession`], their rule
 //! bindings and their score entry, and the request sequence over them —
-//! beside its own evaluation memos, the third layer, in an [`EvalScratch`]
-//! bounded by [`capra_events::MAX_AGE`] as a session's is. A session keeps
-//! one core per user in a map; a tenant holds its core in place, so once
-//! the shard's map has found the tenant a warm page reads the bindings and
-//! the score entry without hashing the user again. The memos are per
-//! tenant because the feature rows already keep what a document brings to
-//! every tenant once it is evaluated: what the memos add is an entangled
-//! document's factor groups under the asker's context events.
+//! beside the [`EvalScratch`] that counts its engine calls' batch work. A
+//! session keeps one core per user in a map; a tenant holds its core in
+//! place, so once the shard's map has found the tenant a warm page reads
+//! the bindings and the score entry without hashing the user again. A
+//! tenant keeps no evaluation memo: the feature rows keep what a document
+//! brings to every tenant once it is evaluated, and an entangled
+//! document's exact evaluation is its engine call's own.
 //!
 //! Tenants are routed to shards by hashing their [`IndividualId`], and each
 //! shard sits behind its own [`Mutex`]: requests for tenants in different
@@ -31,11 +30,9 @@
 //! in index order that has one, locked after its own is released: no
 //! request holds two shard locks. Eviction drops only caches whose
 //! contents are pure functions of the current KB + rules, so a returning
-//! tenant is re-derived bit-identically, like memos past
-//! [`capra_events::MAX_AGE`] — and so are the tenants of a shard a panic
-//! poisoned, which the shard's next lock drops. A dropped tenant's
-//! counters, batch counters included, are kept; its footprint goes with
-//! it.
+//! tenant is re-derived bit-identically — and so are the tenants of a
+//! shard a panic poisoned, which the shard's next lock drops. A dropped
+//! tenant's counters, batch counters included, are kept.
 
 use std::hash::{BuildHasher, BuildHasherDefault};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
@@ -48,7 +45,7 @@ use crate::hash::{IdHasher, IdMap};
 use crate::serve::ServiceStats;
 use crate::session::{SessionCore, SessionStats};
 
-/// One tenant: its user's session core and evaluation memos, its mark — the
+/// One tenant: its user's session core and batch counters, its mark — the
 /// publish sequence its bindings are current at — and the recency stamp the
 /// LRU cap works from.
 #[derive(Default)]
@@ -56,10 +53,8 @@ pub(crate) struct Tenant {
     /// The user's caches and the request path over them; every caller
     /// binds it for the user the tenant is keyed by.
     pub session: SessionCore,
-    /// The memos `session` evaluates on, moved to the request's snapshot
-    /// ([`EvalScratch::at`]) before use. Boxed, so the shard's map stays
-    /// as dense as without it: a warm page never touches it.
-    pub scratch: Box<EvalScratch>,
+    /// The batch counters of the engine calls `session` makes.
+    pub scratch: EvalScratch,
     /// The publish sequence of the snapshot `session`'s bindings were last
     /// bound against, set only if that snapshot was still the published
     /// one when the bind was recorded; `None` until then and after a bind
@@ -72,11 +67,9 @@ pub(crate) struct Tenant {
 }
 
 impl Tenant {
-    /// The core's counters, with the footprint and batch counters of the
-    /// tenant's memos.
+    /// The core's counters, with the tenant's batch counters.
     fn stats(&self) -> SessionStats {
         SessionStats {
-            footprint: self.scratch.footprint(),
             batch: self.scratch.batch_stats(),
             ..self.session.stats()
         }
@@ -114,7 +107,7 @@ pub(crate) struct TenantSessions {
     /// released by an eviction, so it never passes `capacity`.
     live: AtomicU64,
     /// Counters carried by dropped tenants, folded in so the service-level
-    /// totals stay monotone across evictions; no footprint.
+    /// totals stay monotone across evictions.
     retired: Mutex<SessionStats>,
 }
 
@@ -221,15 +214,12 @@ impl TenantSessions {
         }
     }
 
-    /// Folds dropped tenants' counters — not their footprints, which leave
-    /// with their memos — into the retired totals and releases their live
-    /// slots.
+    /// Folds dropped tenants' counters into the retired totals and
+    /// releases their live slots.
     fn retire(&self, tenants: impl IntoIterator<Item = Tenant>) {
         let mut retired = self.retired.lock().expect("retired lock poisoned");
         for tenant in tenants {
-            let mut kept = tenant.stats();
-            kept.footprint = Default::default();
-            *retired = *retired + kept;
+            *retired = *retired + tenant.stats();
             self.live.fetch_sub(1, Relaxed);
         }
     }
@@ -240,7 +230,7 @@ impl TenantSessions {
         self.lock(0).ranks += 1;
     }
 
-    /// The tenant's counters and memo footprint, if it is currently live.
+    /// The tenant's counters, if it is currently live.
     pub fn stats_of(&self, user: IndividualId) -> Option<SessionStats> {
         let shard = self.lock_shard(self.shard_of(user));
         shard.tenants.get(&user).map(Tenant::stats)
@@ -248,7 +238,7 @@ impl TenantSessions {
 
     /// The tenant half of [`ServiceStats`], summed over one walk of the
     /// shards (a counted lock each, in the total) — every live tenant's
-    /// counters and memo footprint — plus the counters retired with
+    /// counters — plus the counters retired with
     /// dropped tenants: a near-point-in-time reading of
     /// monotone counters under concurrent traffic, not a frozen snapshot.
     pub fn stats(&self) -> ServiceStats {

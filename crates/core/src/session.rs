@@ -35,9 +35,12 @@
 //!    back as the same `Arc`, and a user whose bindings all did is handed
 //!    back the same list; a binding whose context event is constant is
 //!    shared by every user it is constant for;
-//! 2. **evaluation memos** — an [`crate::engines::EvalScratch`] carrying the
-//!    probability/expectation memo tables across calls, so unchanged
-//!    sub-problems answer from cache even when new documents appear;
+//! 2. **evaluation** — kept nowhere in the session: a context's `P(G_r)`
+//!    lives on its binding and a feature cell's `(P(F), P(¬F))` on the
+//!    KB's feature row, and the exact route's memo (an entangled
+//!    document's factor groups) is the engine call's own, dropped when it
+//!    returns. The session's [`crate::engines::EvalScratch`] only counts
+//!    the batch work;
 //! 3. **scores** — per `(user, engine)` the ids of the list last computed
 //!    and their scores, by position, in two slices, and its ranking once
 //!    asked for; valid while the user's binding list is the very `Arc`
@@ -57,14 +60,6 @@
 //! because cached values *are* the values the cold path would deterministically
 //! recompute.
 //!
-//! Layer 2 is also **bounded**: once the KB's binding epoch is more than
-//! [`capra_events::MAX_AGE`] past the epoch the scratch's memos were
-//! started at, they are dropped whole and started afresh. Entries keyed by
-//! superseded expressions — re-asserted facts mint fresh variables, so the
-//! old expressions are never looked up again — would otherwise accumulate
-//! for the life of the KB in a mutate-every-call serving loop. Dropping can
-//! only force deterministic recomputes, never change a score; the current
-//! footprint is reported by [`SessionStats::footprint`].
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -138,8 +133,7 @@ impl std::iter::Sum for CacheStats {
     }
 }
 
-/// Counters describing the work a session performed (or avoided), plus the
-/// memory footprint of its evaluation-cache layers.
+/// Counters describing the work a session performed (or avoided).
 ///
 /// Aggregates component-wise: `a + b` (and [`std::iter::Sum`]) totals the
 /// counters and footprints, which is how [`crate::serve::RankingService`]
@@ -154,11 +148,9 @@ pub struct SessionStats {
     /// Score cache traffic, per requested candidate: hits were answered
     /// from the cached scores, misses computed through an engine.
     pub scores: CacheStats,
-    /// Footprint of the evaluation memos: memos holding an entry, memo
-    /// entries, and an estimate of the hash-consed expression nodes those
-    /// entries pin in the process-global interner. Bounded by
-    /// [`capra_events::MAX_AGE`] even when every call mutates the KB; see
-    /// [`capra_events::CacheFootprint`] for the field semantics.
+    /// Footprint of the evaluation memos a session or tenant keeps between
+    /// calls: always zero, since an evaluation memo lives for one engine
+    /// call (see [`crate::engines::EvalScratch`]).
     pub footprint: CacheFootprint,
     /// Batch counters of the two optimised engines: sweeps run, total
     /// lanes, and the lanes that needed an exact evaluation of their own
@@ -894,10 +886,9 @@ impl ScoreTally {
 /// The entries are a `Vec`, searched by engine: a service scores with one
 /// engine, a session with the few it is handed.
 ///
-/// The third layer, the evaluation memos, is not the core's: every entry
-/// point takes the `scratch` its owner holds beside it — the one
-/// [`ScoringSession`] owns, or the tenant's own — already moved to the
-/// request's KB and binding epoch ([`EvalScratch::at`]).
+/// Every entry point takes the `scratch` its owner holds beside it — the
+/// one [`ScoringSession`] owns, or the tenant's own — to count the batch
+/// work of the engine calls it makes.
 #[derive(Default)]
 pub(crate) struct SessionCore {
     bindings: UserBindings,
@@ -907,9 +898,8 @@ pub(crate) struct SessionCore {
 }
 
 impl SessionCore {
-    /// The core's cache counters; the footprint and batch counters are
-    /// those of whatever evaluation state its owner scores through, and
-    /// zero here.
+    /// The core's cache counters; the batch counters are those of the
+    /// scratch its owner scores through, and zero here.
     pub(crate) fn stats(&self) -> SessionStats {
         SessionStats {
             bindings: self.binding_stats,
@@ -1094,8 +1084,8 @@ impl SessionCore {
     }
 }
 
-/// A prepared scoring session: binding cache + persistent evaluation memos
-/// + score cache (see the module docs for the layering).
+/// A prepared scoring session: binding cache + score cache (see the module
+/// docs for the layering).
 ///
 /// ```
 /// use capra_core::{
@@ -1131,30 +1121,22 @@ pub struct ScoringSession {
 }
 
 impl ScoringSession {
-    /// Creates an empty session. In serving loops that mutate the KB its
-    /// evaluation memos are dropped once they are more than
-    /// [`capra_events::MAX_AGE`] binding epochs old, so the session's
-    /// footprint stays bounded without the manual
-    /// [`ScoringSession::clear`] workaround. On stable KBs no epoch ever
-    /// advances, so nothing is dropped.
+    /// Creates an empty session.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Work counters accumulated so far, plus the current evaluation-memo
-    /// footprint (see [`SessionStats::footprint`]).
+    /// Work counters accumulated so far.
     pub fn stats(&self) -> SessionStats {
         SessionStats {
-            footprint: self.scratch.footprint(),
             batch: self.scratch.batch_stats(),
             ..self.users.values().map(SessionCore::stats).sum()
         }
     }
 
     /// Drops all cached scores and resets their counters, so post-clear
-    /// stats describe the fresh cache only (bindings and evaluation memos
-    /// are kept). Benchmarks use this to isolate the pure-evaluation warm
-    /// path.
+    /// stats describe the fresh cache only (bindings are kept). Benchmarks
+    /// use this to isolate the pure-evaluation warm path.
     pub fn invalidate_scores(&mut self) {
         self.users
             .values_mut()
@@ -1182,15 +1164,6 @@ impl ScoringSession {
         self.users.entry(env.user).or_default().bind(env)
     }
 
-    /// `env.user`'s core, and the session's own scratch moved on to
-    /// `env`'s KB and binding epoch — what it hands the core to evaluate on.
-    fn scratch_at(&mut self, env: &ScoringEnv<'_>) -> (&mut SessionCore, &mut EvalScratch) {
-        (
-            self.users.entry(env.user).or_default(),
-            self.scratch.at(env.kb),
-        )
-    }
-
     /// Scores every document in `docs`, in order — bit-identical to
     /// `engine.score_all(env, docs)`, with all unchanged work served from
     /// the session's caches.
@@ -1203,8 +1176,8 @@ impl ScoringSession {
     where
         E: ScoringEngine + ?Sized,
     {
-        let (core, scratch) = self.scratch_at(env);
-        core.score_all(engine, env, docs, scratch)
+        let core = self.users.entry(env.user).or_default();
+        core.score_all(engine, env, docs, &mut self.scratch)
     }
 
     /// [`ScoringSession::score_all`] followed by the descending sort of
@@ -1226,7 +1199,7 @@ impl ScoringSession {
     /// engine scores in closed form are ranked from one sweep, and the ones
     /// it defers are evaluated only while their score upper bound can still
     /// reach the top `k` — starting from the k-th best closed-form score.
-    /// That path uses the session's cached bindings and evaluation memos;
+    /// That path uses the session's cached bindings;
     /// the scores it computes are *not* added to the score cache. With
     /// nothing to cut (`k >= docs.len()`) it is [`ScoringSession::rank`].
     pub fn rank_top_k<E>(
@@ -1239,8 +1212,8 @@ impl ScoringSession {
     where
         E: ScoringEngine + ?Sized,
     {
-        let (core, scratch) = self.scratch_at(env);
-        core.rank_top_k(engine, env, docs, k, scratch)
+        let core = self.users.entry(env.user).or_default();
+        core.rank_top_k(engine, env, docs, k, &mut self.scratch)
     }
 }
 
@@ -2315,8 +2288,8 @@ mod tests {
         use crate::LineageEngine;
 
         let (mut kb, _, user, docs) = fixture();
-        // A composite feature: its probability is read through the memo
-        // (a context's is kept on its binding).
+        // A composite feature: its probability is evaluated on the call's
+        // own expectation and kept on the feature row, not in the session.
         for (i, &d) in docs.iter().enumerate() {
             kb.assert_concept_prob(d, "Fun", 0.3 + 0.1 * i as f64)
                 .unwrap();
@@ -2339,9 +2312,10 @@ mod tests {
         session
             .score_all(&LineageEngine::new(), &env, &docs)
             .unwrap();
-        assert!(
-            session.stats().footprint.entries > 0,
-            "lineage scoring memoises a composite feature's probability"
+        assert_eq!(
+            session.stats().footprint,
+            Default::default(),
+            "a call leaves no memo behind"
         );
         session.clear();
         assert_eq!(session.stats().footprint, Default::default());
@@ -2428,7 +2402,6 @@ mod tests {
         for (held, asked, warm) in cases {
             let mut core = SessionCore::default();
             let mut scratch = EvalScratch::new();
-            scratch.ensure_kb(&kb);
             let mut full = |core: &mut SessionCore, list: &[IndividualId]| {
                 let got = core.rank_top_k(&engine, &env, list, list.len(), &mut scratch);
                 got.unwrap()

@@ -33,16 +33,10 @@ use crate::{clamp_prob, EvalCache, EventExpr, Universe, VarId};
 ///   pure function of the expression node, so it is computed once per node
 ///   id instead of once per expansion.
 ///
-/// The evaluator holds its memo table across calls; reuse one evaluator when
-/// scoring many expressions over the same universe — or detach the tables as
-/// an [`EvalCache`] (see [`Evaluator::with_cache`]) to persist them across
-/// evaluator lifetimes, e.g. between the repeated `score_all` calls of a
-/// scoring session.
-///
-/// A cache is bound to one universe value (the *universe-affinity
-/// invariant*): entries survive further variable declarations, but a cache
-/// must be discarded when switching universes, because variable ids would
-/// alias.
+/// The evaluator holds its memo tables across calls and drops them with
+/// itself; reuse one evaluator when scoring many expressions over the same
+/// universe. Entries survive further variable declarations on that
+/// universe, since declared variables are immutable.
 pub struct Evaluator<'u> {
     universe: &'u Universe,
     /// Also carries the factor-group memo of an [`crate::Expectation`]
@@ -71,26 +65,13 @@ pub struct EvalStats {
 impl<'u> Evaluator<'u> {
     /// Creates an evaluator over `universe` with all optimisations enabled.
     pub fn new(universe: &'u Universe) -> Self {
-        Self::with_cache(universe, EvalCache::default())
-    }
-
-    /// Creates an evaluator seeded with a previously detached cache (see
-    /// [`Evaluator::into_cache`]). The cache must have been built over the
-    /// same universe value (further declarations are fine).
-    pub fn with_cache(universe: &'u Universe, cache: EvalCache) -> Self {
         Self {
             universe,
-            cache,
+            cache: EvalCache::default(),
             stats: EvalStats::default(),
             use_memo: true,
             use_components: true,
         }
-    }
-
-    /// Detaches the memo state for reuse by a later evaluator over the same
-    /// universe.
-    pub fn into_cache(self) -> EvalCache {
-        self.cache
     }
 
     /// Creates an evaluator with optimisations toggled individually.
@@ -558,27 +539,6 @@ mod tests {
         assert!(
             ev.stats().memo_hits > hits_before,
             "rebuilt expression must hit the id-keyed memo"
-        );
-    }
-
-    #[test]
-    fn detached_cache_carries_memo_across_evaluators() {
-        let (u, ea, eb, ec) = universe3();
-        let e = EventExpr::or([
-            EventExpr::and([ea.clone(), eb.clone()]),
-            EventExpr::and([ea.clone(), ec.clone()]),
-            EventExpr::and([eb.clone(), ec.clone()]),
-        ]);
-        let mut first = Evaluator::new(&u);
-        let p1 = first.prob(&e);
-        let cache = first.into_cache();
-        assert!(!cache.is_empty());
-        let mut second = Evaluator::with_cache(&u, cache);
-        let p2 = second.prob(&e);
-        assert_eq!(p1.to_bits(), p2.to_bits(), "cached value is bit-identical");
-        assert!(
-            second.stats().memo_hits > 0 && second.stats().expansions == 0,
-            "second evaluator must answer from the carried cache"
         );
     }
 

@@ -23,7 +23,7 @@
 
 use crate::eval::group_indices;
 use crate::hashers::FastMap;
-use crate::{EvalCache, EventExpr, Universe, VarId};
+use crate::{EventExpr, Universe, VarId};
 
 /// A piecewise-constant random variable: in a world `w` its value is the sum
 /// of the weights of the cases whose event holds in `w`.
@@ -132,11 +132,9 @@ pub(crate) type FactorKey = Vec<(EventExpr, u64)>;
 
 /// Reusable exact-expectation computer (see module docs).
 ///
-/// Holds a memo table keyed by canonicalised factor groups; reuse one
-/// instance when scoring many documents against the same rule set so that
-/// shared context sub-problems are solved once — or detach the memo state as
-/// an [`EvalCache`] to persist it across instances (e.g. between the
-/// repeated `score_all` calls of a scoring session).
+/// Holds a memo table keyed by canonicalised factor groups, dropped with
+/// the instance; reuse one instance when scoring many documents against
+/// the same rule set so that shared context sub-problems are solved once.
 pub struct Expectation<'u> {
     universe: &'u Universe,
     /// Shared probability evaluator for single-factor groups (linearity of
@@ -150,25 +148,12 @@ pub struct Expectation<'u> {
 impl<'u> Expectation<'u> {
     /// Creates an expectation computer over `universe`.
     pub fn new(universe: &'u Universe) -> Self {
-        Self::with_cache(universe, EvalCache::default())
-    }
-
-    /// Creates an expectation computer seeded with a previously detached
-    /// cache (see [`Expectation::into_cache`]). The cache must have been
-    /// built over the same universe value.
-    pub fn with_cache(universe: &'u Universe, cache: EvalCache) -> Self {
         Self {
             universe,
-            evaluator: crate::Evaluator::with_cache(universe, cache),
+            evaluator: crate::Evaluator::new(universe),
             expansions: 0,
             memo_hits: 0,
         }
-    }
-
-    /// Detaches the memo state — factor groups and probabilities — for
-    /// reuse by a later instance or evaluator over the same universe.
-    pub fn into_cache(self) -> EvalCache {
-        self.evaluator.into_cache()
     }
 
     /// Number of Shannon expansions performed so far.
@@ -406,35 +391,6 @@ mod tests {
         assert!(
             exp.memo_hits() > 0,
             "second document must reuse the memoised context sub-problem"
-        );
-    }
-
-    #[test]
-    fn detached_cache_carries_memo_across_instances() {
-        let mut u = Universe::new();
-        let shared = u.add_choice("g", &[0.4, 0.35]).unwrap();
-        let other = u.add_bool("h", 0.7).unwrap();
-        let g0 = u.atom(shared, 0).unwrap();
-        let g1 = u.atom(shared, 1).unwrap();
-        let h = u.bool_event(other).unwrap();
-        let factors = [
-            Factor::new([(g0.clone(), 0.9), (EventExpr::not(g0.clone()), 0.1)]),
-            Factor::new([
-                (EventExpr::and([g1.clone(), h.clone()]), 0.8),
-                (EventExpr::not(EventExpr::and([g1, h])), 0.25),
-            ]),
-        ];
-        let mut first = Expectation::new(&u);
-        let v1 = first.compute(&factors);
-        let cache = first.into_cache();
-        assert!(!cache.is_empty());
-        let mut second = Expectation::with_cache(&u, cache);
-        let v2 = second.compute(&factors);
-        assert_eq!(v1.to_bits(), v2.to_bits(), "cached value is bit-identical");
-        assert_eq!(
-            second.expansions(),
-            0,
-            "second instance must answer from the carried cache"
         );
     }
 

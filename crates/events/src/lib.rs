@@ -71,7 +71,8 @@ pub use eval::{EvalStats, Evaluator};
 pub use expect::{brute_force_expectation, expectation, Expectation, Factor};
 pub use expr::{interner_stats, Atom, EventExpr, ExprKey, InternerStats, NaryNode, NotNode};
 pub use parse::parse_event;
-pub use tier::{CacheFootprint, EvalCache, MAX_AGE};
+pub use tier::CacheFootprint;
+pub(crate) use tier::EvalCache;
 pub use universe::{Universe, VarId};
 
 /// Convenience alias for results in this crate.

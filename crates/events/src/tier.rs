@@ -1,39 +1,23 @@
 //! The memo of the exact evaluators: an [`EvalCache`] is three maps keyed
-//! by hash-consed expression identity.
+//! by hash-consed expression identity. [`CacheFootprint`] is the size
+//! report of the memos a caller keeps between evaluations.
 
 use crate::expect::FactorKey;
 use crate::hashers::FastMap;
 use crate::{EventExpr, VarId};
 
-/// Binding epochs a memo lives past its start: generous enough that
-/// serving loops which mutate a handful of facts per call keep their memos
-/// warm across tens of calls, small enough that a mutate-every-call loop's
-/// footprint stays flat instead of growing for the life of the KB.
-pub const MAX_AGE: u64 = 64;
-
-/// The detachable memo state of an [`crate::Evaluator`] or
-/// [`crate::Expectation`]: the probability memo and Shannon pivots of the
-/// evaluator and the factor-group memo of the expectation, each read with
-/// one lookup.
+/// The memo state of one [`crate::Evaluator`] (and of the
+/// [`crate::Expectation`] built around it): the probability memo and
+/// Shannon pivots of the evaluator and the factor-group memo of the
+/// expectation, each read with one lookup. It lives and dies with its
+/// evaluator.
 ///
-/// **Age.** Re-asserted facts mint fresh variables, so entries keyed by
-/// superseded expressions are never looked up again. A holder therefore
-/// drops its cache whole once the binding epoch (`Kb::binding_epoch` in the
-/// core crate) is more than [`MAX_AGE`] past the epoch it was started at —
-/// O(1), with no per-entry stamps. A still-live entry dropped with it is
-/// recomputed on its next miss, bit-identically, since every memo value is
-/// a pure function of its hash-consed key: expiry can trade memory for a
-/// recompute but never change a score. A stable KB never advances its
-/// binding epoch, so nothing expires there.
-///
-/// **Universe affinity.** Entries are valid for the universe whose
-/// expressions they were computed over, including after further variable
-/// declarations (declared variables are immutable, and new variables
-/// cannot occur in already-interned expressions). Reusing a cache with a
-/// *different* universe is a logic error — variable ids would alias — so
-/// holders discard it when they switch universes.
+/// Entries are valid for the universe whose expressions they were computed
+/// over, including after further variable declarations (declared variables
+/// are immutable, and new variables cannot occur in already-interned
+/// expressions).
 #[derive(Default)]
-pub struct EvalCache {
+pub(crate) struct EvalCache {
     /// Probability memo over composite nodes. Keys are hash-consed
     /// expressions, so hashing is the precomputed structural hash and
     /// equality is pointer identity — O(1) either way — while the key
@@ -46,34 +30,10 @@ pub struct EvalCache {
     pub(crate) groups: FastMap<Vec<FactorKey>, f64>,
 }
 
-impl EvalCache {
-    /// True if the cache holds no entry.
-    pub fn is_empty(&self) -> bool {
-        self.prob.is_empty() && self.pivots.is_empty() && self.groups.is_empty()
-    }
-
-    /// Memos holding an entry (0 or 1), entries, and pinned-node estimate
-    /// of this cache. A probability or pivot key pins its one node; a
-    /// factor-group key pins one node per case event it holds, so that
-    /// estimate walks the keys (O(entries) — footprints are
-    /// inspection-path only).
-    pub fn footprint(&self) -> CacheFootprint {
-        let nodes = self.prob.len() + self.pivots.len();
-        let group_nodes: usize = self
-            .groups
-            .keys()
-            .map(|key| key.iter().map(Vec::len).sum::<usize>())
-            .sum();
-        CacheFootprint {
-            tiers: usize::from(!self.is_empty()),
-            entries: nodes + self.groups.len(),
-            pinned_nodes: nodes + group_nodes,
-        }
-    }
-}
-
-/// Aggregate size of memo caches, as reported by the `footprint()` methods
-/// across the stack (`EvalCache`, `EvalScratch`, sessions, services).
+/// Aggregate size of memo caches kept between evaluations, as reported
+/// across the stack (sessions, services). No layer keeps one any more —
+/// an evaluator's memo lives for one engine call — so the reports read
+/// zero.
 ///
 /// Footprints aggregate component-wise with `+` or [`std::iter::Sum`]:
 ///

@@ -4,7 +4,7 @@
 //!
 //! Demonstrates the typed request API (`rank`, `rank_group`, `assert`,
 //! batched `submit`), per-tenant session reuse (warm hit rates), LRU
-//! session eviction, per-tenant bounded evaluation memos, and — since the
+//! session eviction, per-tenant batch counters, and — since the
 //! serving surface takes `&self` — producer threads sharing one service
 //! through a batching [`ServiceQueue`].
 //!
@@ -103,11 +103,13 @@ fn main() -> Result<(), CoreError> {
         "  sessions: {} live / {} evicted (cap 4 for 6 viewers)",
         stats.sessions_live, stats.sessions_evicted
     );
+    let batch = stats.sessions.batch;
     println!(
-        "  binding cache hit rate {:.0}%, evaluation footprint {} entries in {} memo(s)",
+        "  binding cache hit rate {:.0}%, {} sweep(s) over {} lane(s), {} exact fallback(s)",
         100.0 * stats.sessions.bindings.hit_rate(),
-        stats.sessions.footprint.entries,
-        stats.sessions.footprint.tiers,
+        batch.sweeps,
+        batch.lanes,
+        batch.fallbacks,
     );
 
     // ── A batched burst: context switch + re-ranks in one submit ───────

@@ -38,8 +38,8 @@
 //! ```
 //!
 //! Serving many users is one [`prelude::RankingService`]: per-tenant
-//! cached sessions (LRU-capped) with bounded evaluation memos of their own,
-//! typed `rank`/`rank_group`/`assert` requests and a batching queue.
+//! cached sessions (LRU-capped), typed `rank`/`rank_group`/`assert`
+//! requests and a batching queue.
 //! Opened durable (`open_durable`), the service journals every mutation
 //! to a checksummed, segmented WAL and checkpoints snapshots — with
 //! opt-in compaction deleting snapshot-covered prefix segments — so a

@@ -319,8 +319,9 @@ fn every_op_kind_replays_and_rejected_facts_log_nothing() {
 
 /// A snapshot is a function of state: two services driven through the
 /// same mutations and binding the same tenants write identical bytes,
-/// though only one evaluated anything (`NaiveViewEngine` memoises into its
-/// tenants' memos on this fixture; the others score it in closed form).
+/// though only one evaluated anything — its tenants hold computed score
+/// entries, while at `k = 0` a rank binds and returns before any engine
+/// call.
 #[test]
 fn snapshot_bytes_do_not_depend_on_cached_evaluations() {
     let dirs = [scratch("filled-pool"), scratch("empty-pool")];
@@ -331,8 +332,12 @@ fn snapshot_bytes_do_not_depend_on_cached_evaluations() {
         for &u in &users {
             service.rank(u, &docs, k).unwrap(); // k = 0 binds, evaluates nothing
         }
-        let memos = service.stats().sessions.footprint.entries;
-        assert_eq!(memos == 0, k == 0, "{memos} memo entries at k = {k}");
+        let computed = service.stats().sessions.scores.misses;
+        assert_eq!(
+            computed == 0,
+            k == 0,
+            "{computed} scores computed at k = {k}"
+        );
         service.save_snapshot().unwrap();
         let seq = snapshot_seqs(dir)[0];
         files.push(std::fs::read(dir.join(format!("snapshot-{seq}.snap"))).unwrap());

@@ -7,11 +7,11 @@
 //!
 //! * a property over random knowledge bases mixing every event shape the
 //!   reasoner produces — so that lanes and exact evaluations meet in one
-//!   batch, share one memo, and are compared document by document;
+//!   batch, share one call's memo, and are compared document by document;
 //! * a table of hand-built shapes that pins, per shape, which route the
 //!   lane test picks (it is observable: `BatchStats::fallbacks`);
-//! * counter pins through `RankingService`: what independent traffic
-//!   leaves in a tenant's memos, and what entangled traffic does;
+//! * counter pins through `RankingService`: the batch counters of
+//!   independent and of entangled traffic, kept past a tenant's eviction;
 //! * the lane route as a column pass, cell kind by cell kind: dropped
 //!   cases, `True` contexts and features, a constant product of 0, cells
 //!   that flatten, rows inside the contexts' support range — on lineage
@@ -195,8 +195,8 @@ proptest! {
     /// sharing a context variable; exclusive genres across rules; a sensor
     /// read by a context and a document alike —
     /// `LineageEngine::score_all_bound` equals the factor reference bit
-    /// for bit on batches of one, two, many and repeated documents, over
-    /// fresh and over shared memo state, and the naive engines to 1e-12.
+    /// for bit on batches of one, two, many and repeated documents, on a
+    /// fresh and on a shared scratch, and the naive engines to 1e-12.
     #[test]
     fn lineage_equals_factor_reference_on_random_kbs(
         rule_draws in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..5),
@@ -214,8 +214,8 @@ proptest! {
         let engine = LineageEngine::new();
         let want = common::reference_scores(&env, &bindings, &docs);
 
-        // One scratch across every batch below: later batches answer from
-        // what earlier ones memoised, on either route.
+        // One scratch across every batch below: later batches meet the
+        // feature rows earlier ones filled, on either route.
         let mut shared = EvalScratch::new();
         let many = engine.score_all_bound(&env, &bindings, &docs, &mut shared).unwrap();
         prop_assert_eq!(common::bits(&want), common::bits(&many), "whole batch");
@@ -1198,10 +1198,6 @@ fn disjoint_genres_leave_the_lanes_and_score_exactly() {
         (1, 2, 1),
         "the bulletin is evaluated exactly, the plain programme beside it in closed form"
     );
-    assert!(
-        service.stats().sessions.footprint.entries > 0,
-        "an entangled document's sub-problems are memoised for the next request"
-    );
 }
 
 /// The disjoint-genres shelf of
@@ -1247,24 +1243,12 @@ fn disjoint_genres_service(
     (service, users, [bulletin, plain])
 }
 
-/// Each tenant memoises the bulletin's exact evaluation in memos of its
-/// own: the service's footprint is the sum of its live tenants', so once
-/// a second tenant evicts the first at `max_sessions = 1` it is the
-/// survivor's alone — while the batch counters still count the evicted
-/// tenant's passes.
+/// Each tenant evaluates the bulletin exactly on its own request; once a
+/// second tenant evicts the first at `max_sessions = 1`, the service's
+/// batch counters still count the evicted tenant's passes beside the
+/// survivor's.
 #[test]
-fn a_tenants_memos_leave_with_it_and_its_counters_do_not() {
-    let (service, users, page) = disjoint_genres_service(ServiceConfig::default());
-    for user in users {
-        service.rank(user, &page, page.len()).unwrap();
-    }
-    let [first, second] = users.map(|user| service.tenant_stats(user).unwrap().footprint);
-    assert!(
-        first.entries > 0 && second.entries > 0,
-        "each tenant memoises the bulletin"
-    );
-    assert_eq!(service.stats().sessions.footprint, first + second);
-
+fn an_evicted_tenants_batch_counters_stay_in_the_service_totals() {
     let capped = ServiceConfig {
         max_sessions: 1,
         ..ServiceConfig::default()
@@ -1276,9 +1260,12 @@ fn a_tenants_memos_leave_with_it_and_its_counters_do_not() {
     let stats = service.stats();
     assert_eq!((stats.sessions_live, stats.sessions_evicted), (1, 1));
     assert!(service.tenant_stats(users[0]).is_none());
-    let survivor = service.tenant_stats(users[1]).unwrap();
-    assert_eq!(stats.sessions.footprint, survivor.footprint);
-    assert_eq!(survivor.footprint.entries, second.entries);
+    let survivor = service.tenant_stats(users[1]).unwrap().batch;
+    assert_eq!(
+        (survivor.sweeps, survivor.lanes, survivor.fallbacks),
+        (1, 2, 1),
+        "the survivor counts its own pass"
+    );
     let batch = stats.sessions.batch;
     assert_eq!(
         (batch.sweeps, batch.lanes, batch.fallbacks),
@@ -1287,12 +1274,9 @@ fn a_tenants_memos_leave_with_it_and_its_counters_do_not() {
     );
 }
 
-/// Independent traffic leaves nothing per document behind: on the
-/// generated commerce pack a shopper's context switch followed by a
-/// full-catalog rank needs no exact evaluation, and adds to the tenant's
-/// memos at most an entry or two per *rule* — the probability of the
-/// re-asserted context, which the next request of that shopper reuses —
-/// however many products were ranked.
+/// Independent traffic needs no exact evaluation: on the generated
+/// commerce pack a shopper's context switch followed by a full-catalog
+/// rank is one sweep whose every product is scored in closed form.
 #[test]
 fn a_context_switch_and_catalog_rank_leave_o_rules_entries() {
     let db = generate(ShopConfig {
@@ -1302,7 +1286,6 @@ fn a_context_switch_and_catalog_rank_leave_o_rules_entries() {
         ..ShopConfig::tiny()
     });
     let rules = flip_rules(&db);
-    let active_rules = 3; // gift, bargain, and the shopper's one brand
     let service = RankingService::new(LineageEngine::new(), db.kb.clone(), rules);
     let shopper = db.shoppers[0];
     let rank_all = || {
@@ -1332,12 +1315,6 @@ fn a_context_switch_and_catalog_rank_leave_o_rules_entries() {
     assert_eq!(is.sweeps - was.sweeps, 2);
     assert_eq!(is.lanes - was.lanes, 2 * db.products.len() as u64);
     assert_eq!(is.fallbacks, 0, "every product is scored in closed form");
-    let added = after.sessions.footprint.entries - before.sessions.footprint.entries;
-    assert!(
-        added <= 2 * 2 * active_rules,
-        "two requests added {added} memo entries for {} products",
-        db.products.len()
-    );
 }
 
 /// A shelf under four rules on contexts of their own — `R0` prefers

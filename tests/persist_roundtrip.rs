@@ -137,8 +137,9 @@ proptest! {
 
     /// Snapshot round-trip through the durable service: mirror the
     /// generated KB through the mutation API, rank (which fills the
-    /// tenants' memos a snapshot leaves out), snapshot, kill, reopen — the served
-    /// ranks are bit-identical for all four engines. A copy of the
+    /// feature rows and score entries a snapshot leaves out), snapshot,
+    /// kill, reopen — the served ranks are bit-identical for all four
+    /// engines. A copy of the
     /// directory without its snapshot reopens by replaying the whole log,
     /// and serves the same bits.
     #[test]

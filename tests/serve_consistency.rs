@@ -1,5 +1,5 @@
 //! Serving-layer coverage: a [`RankingService`]'s whole cache stack —
-//! LRU-capped tenant sessions, their evaluation memos, score caches —
+//! LRU-capped tenant sessions, their bindings, feature rows, score caches —
 //! must be *invisible*. After arbitrary interleaved
 //! assert/rank sequences, every rank served by the service is
 //! bit-identical to a cold `bind_rules` + `score_all` + `rank` for the
@@ -46,7 +46,7 @@ fn stress_iters() -> u32 {
 enum Op {
     /// Assert `Feat{feat}` on `doc{doc}` with probability `p` through the
     /// service's typed request surface (repeats disjoin fresh variables,
-    /// superseding old memo entries — the eviction workload).
+    /// superseding the old events — the eviction workload).
     DocFeature { doc: usize, feat: usize, p: f64 },
     /// Context switch: assert `Ctx{feat}` on `user` with probability `p`.
     UserContext { user: usize, feat: usize, p: f64 },
@@ -555,7 +555,8 @@ proptest! {
     /// for bit. With
     /// `entangle`, doc0's two features read one sensor: the lane test
     /// rejects doc0 alone, so exact evaluations and closed-form lanes share
-    /// batches and tenants, each tenant's memos holding the exact ones.
+    /// batches and tenants, each call evaluating the exact ones on its own
+    /// memo.
     #[test]
     fn lineage_service_matches_factor_reference_under_eviction(
         ops in prop::collection::vec(
